@@ -654,6 +654,13 @@ def _cmd_profile(args) -> int:
         f"(engine == matcher: {match['wme_changes']}), "
         f"{engine['firings']} firings over {engine['cycles']} cycles"
     )
+    conflict_set = data["conflict_set"]
+    print(
+        f"-- conflict set: {conflict_set['size']} members; "
+        f"{conflict_set['selects']} selects examined "
+        f"{conflict_set['members_examined'] / max(1, conflict_set['selects']):.2f} "
+        "members each"
+    )
     return 0
 
 

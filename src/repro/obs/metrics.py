@@ -18,6 +18,8 @@ Snapshot shape (sections appear when their source exists)::
                    "working_memory", "output_lines"},
       "match":    {"wme_changes", "comparisons", "tokens_built",
                    "mean_affected_productions", "mean_node_activations"},
+      "conflict_set": {"size", "total_inserts", "total_deletes",
+                   "selects", "members_examined"},
       "rete":     {"nodes", "nodes_by_kind", "sharing_ratio",
                    "alpha_wmes", "beta_tokens"},
       "parallel": {"workers", "shards", "productions_per_shard",
@@ -51,6 +53,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
+from ..ops5.conflict import ConflictSet
 from ..ops5.matcher import MatchStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, keeps layering one-way
@@ -70,6 +73,22 @@ def match_section(stats: MatchStats) -> dict:
         "tokens_built": stats.total_tokens_built,
         "mean_affected_productions": stats.mean_affected_productions,
         "mean_node_activations": stats.mean_node_activations,
+    }
+
+
+def conflict_set_section(conflict_set: ConflictSet) -> dict:
+    """Conflict-set churn and what conflict resolution cost.
+
+    ``members_examined / selects`` is the mean number of members
+    ``Strategy.select`` looked at per cycle: the width of the buckets it
+    walked, against ``size`` for a full scan.
+    """
+    return {
+        "size": len(conflict_set),
+        "total_inserts": conflict_set.total_inserts,
+        "total_deletes": conflict_set.total_deletes,
+        "selects": conflict_set.selects,
+        "members_examined": conflict_set.members_examined,
     }
 
 
@@ -152,14 +171,16 @@ def snapshot(
     telemetry and recorder status).
 
     Side-effect free: matcher statistics are read through
-    :meth:`~repro.ops5.matcher.Matcher.peek_stats`, which never triggers
-    the parallel executor's flush barrier -- safe to call from the
+    :meth:`~repro.ops5.matcher.Matcher.peek_stats` (and the conflict set
+    through ``peek_conflict_set``), which never trigger the parallel
+    executor's flush barrier -- safe to call from the
     server's event loop while the session's worker thread is matching.
     """
     data: dict = {
         "schema": SCHEMA,
         "engine": engine_section(system),
         "match": match_section(system.matcher.peek_stats()),
+        "conflict_set": conflict_set_section(system.matcher.peek_conflict_set()),
     }
     data.update(_matcher_sections(system.matcher))
     if telemetry is not None:
@@ -189,6 +210,15 @@ def consistency_problems(data: dict) -> list[str]:
         problems.append(
             f"engine.firings ({engine.get('firings')}) fell behind "
             f"engine.cycles ({engine.get('cycles')})"
+        )
+    conflict_set = data.get("conflict_set")
+    if conflict_set is not None and conflict_set["size"] != (
+        conflict_set["total_inserts"] - conflict_set["total_deletes"]
+    ):
+        problems.append(
+            f"conflict set holds {conflict_set['size']} members after "
+            f"{conflict_set['total_inserts']} inserts and "
+            f"{conflict_set['total_deletes']} deletes"
         )
     serve = data.get("serve")
     if serve is not None and serve.get("firings", 0) > engine.get("firings", 0):

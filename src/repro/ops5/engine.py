@@ -548,13 +548,13 @@ class ProductionSystem:
         instantiation whose WMEs include a timetag no longer in working
         memory can never re-enter the conflict set (timetags are never
         reused), so its key is dead weight.  Long-running systems would
-        otherwise leak memory proportional to total firings.
+        otherwise leak memory proportional to total firings.  Liveness is
+        a point read per timetag, so a prune costs O(fired keys), not
+        O(working memory).
         """
-        live = {wme.timetag for wme in self.memory}
+        live = self.memory.has_timetag
         self._fired_keys = {
-            key
-            for key in self._fired_keys
-            if all(tag in live for tag in key[1])
+            key for key in self._fired_keys if all(map(live, key[1]))
         }
         # Avoid thrashing when most keys are still live: next GC only
         # after the set grows substantially again.

@@ -47,11 +47,16 @@ class MatchStats:
     changes: list[ChangeRecord] = field(default_factory=list)
     total_comparisons: int = 0
     total_tokens_built: int = 0
+    total_affected_productions: int = 0
+    total_node_activations: int = 0
 
     def record(self, record: ChangeRecord) -> None:
+        """File one finished row (rows are not edited once recorded)."""
         self.changes.append(record)
         self.total_comparisons += record.comparisons
         self.total_tokens_built += record.tokens_built
+        self.total_affected_productions += record.affected_productions
+        self.total_node_activations += record.node_activations
 
     @property
     def total_changes(self) -> int:
@@ -62,13 +67,13 @@ class MatchStats:
         """Average affected productions per change (paper: ~30)."""
         if not self.changes:
             return 0.0
-        return sum(c.affected_productions for c in self.changes) / len(self.changes)
+        return self.total_affected_productions / len(self.changes)
 
     @property
     def mean_node_activations(self) -> float:
         if not self.changes:
             return 0.0
-        return sum(c.node_activations for c in self.changes) / len(self.changes)
+        return self.total_node_activations / len(self.changes)
 
 
 class Matcher(ABC):
@@ -100,6 +105,10 @@ class Matcher(ABC):
         a batch is in flight.
         """
         return self.stats
+
+    def peek_conflict_set(self) -> ConflictSet:
+        """The conflict set *without* side effects (see :meth:`peek_stats`)."""
+        return self.conflict_set
 
     @abstractmethod
     def add_production(self, production: Production) -> None:

@@ -205,6 +205,10 @@ class WorkingMemory:
             raise WorkingMemoryError(f"WME {wme!r} is not in working memory")
         del self._elements[wme.timetag]
 
+    def has_timetag(self, timetag: int) -> bool:
+        """True while the element that received *timetag* is still here."""
+        return timetag in self._elements
+
     def by_timetag(self, timetag: int) -> WME:
         """Return the element with *timetag*, raising if absent."""
         try:

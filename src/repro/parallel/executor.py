@@ -733,6 +733,10 @@ class ParallelMatcher(Matcher):
         """
         return self._stats
 
+    def peek_conflict_set(self) -> ConflictSet:
+        """The conflict set as last merged, *without* triggering a flush."""
+        return self._conflict_set
+
     def flush(self) -> None:
         """Dispatch all queued ops and merge the shards' results.
 

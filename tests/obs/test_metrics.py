@@ -2,7 +2,7 @@
 
 from repro.obs import SCHEMA, consistency_problems, snapshot
 from repro.obs.recorder import Recorder
-from repro.ops5 import ProductionSystem
+from repro.ops5 import ProductionSystem, parse_program
 from repro.parallel import ParallelMatcher
 from repro.serve.stats import Telemetry
 from repro.workloads.programs import hanoi
@@ -37,6 +37,24 @@ class TestSnapshotSections:
         assert parallel["shards"] == 1
         assert sum(parallel["productions_per_shard"]) == 5
 
+    def test_conflict_set_section(self):
+        system = hanoi.build(3)
+        system.run()
+        section = snapshot(system)["conflict_set"]
+        conflict_set = system.conflict_set
+        assert section == {
+            "size": len(conflict_set),
+            "total_inserts": conflict_set.total_inserts,
+            "total_deletes": conflict_set.total_deletes,
+            "selects": conflict_set.selects,
+            "members_examined": conflict_set.members_examined,
+        }
+        # One select per firing plus the one that halted the run; the
+        # counters move once per select, so a snapshot costs nothing.
+        assert section["selects"] >= system.total_firings
+        assert section["members_examined"] >= system.total_firings
+        assert snapshot(system)["conflict_set"] == section
+
     def test_optional_sections_appear_when_given(self):
         system = ProductionSystem(PROGRAM)
         telemetry = Telemetry()
@@ -59,10 +77,12 @@ class TestPeekStats:
             assert matcher.peek_stats().total_changes == 0
             before = snapshot(system)
             assert before["match"]["wme_changes"] == 0
+            assert before["conflict_set"]["size"] == 0
             # Reading .stats IS the barrier; now the change is counted.
             assert matcher.stats.total_changes == 1
             after = snapshot(system)
             assert after["match"]["wme_changes"] == 1
+            assert after["conflict_set"]["size"] == 1
 
     def test_serial_matchers_peek_equals_stats(self):
         system = ProductionSystem(PROGRAM)
@@ -90,6 +110,25 @@ class TestConsistencyProblems:
              "match": {"wme_changes": 0}}
         )
         assert any("fell behind" in p for p in problems)
+
+    def test_conflict_set_size_disagreeing_with_its_counters_reported(self):
+        problems = consistency_problems(
+            {"engine": {"wme_changes": 0, "firings": 0, "cycles": 0},
+             "match": {"wme_changes": 0},
+             "conflict_set": {"size": 3, "total_inserts": 9, "total_deletes": 5}}
+        )
+        assert len(problems) == 1 and "conflict set holds 3" in problems[0]
+
+    def test_conflict_set_counters_survive_a_ruleset_rebuild(self):
+        # clear() (the compiled matcher's rebuild) counts what it drops.
+        system = ProductionSystem(PROGRAM, matcher="compiled")
+        system.add("count", n=5)
+        system.add_production(
+            parse_program("(p other (count ^n <x>) --> (halt))").productions[0]
+        )
+        data = snapshot(system)
+        assert data["conflict_set"]["size"] == 2
+        assert consistency_problems(data) == []
 
     def test_serve_firings_exceeding_engine_reported(self):
         problems = consistency_problems(

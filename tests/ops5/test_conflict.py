@@ -1,6 +1,9 @@
 """The conflict set and the LEX/MEA strategies."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import settings
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.ops5 import (
     ConflictSet,
@@ -8,6 +11,7 @@ from repro.ops5 import (
     MeaStrategy,
     Ops5Error,
     Production,
+    Strategy,
     strategy_named,
 )
 from repro.ops5.condition import ConditionElement, ConstantTest, VariableTest
@@ -199,3 +203,155 @@ class TestStrategyLookup:
     def test_unknown(self):
         with pytest.raises(Ops5Error):
             strategy_named("random")
+
+
+class _BySpecificityOnly(Strategy):
+    """Overrides ``_order_key`` alone: many ties, and one bucket."""
+
+    name = "by-specificity"
+
+    def _order_key(self, instantiation):
+        return (instantiation.production.specificity,)
+
+
+class TestLeadContract:
+    def test_builtin_leads_are_the_leading_timetag_of_their_order(self):
+        inst = _inst(_production("p", ces=3), 4, 9, 2)
+        assert LexStrategy()._lead(inst) == 9 == LexStrategy()._order_key(inst)[0][0]
+        assert MeaStrategy()._lead(inst) == 4 == MeaStrategy()._order_key(inst)[0]
+
+    def test_overriding_only_the_order_degrades_to_one_bucket(self):
+        class Oldest(LexStrategy):
+            def _order_key(self, instantiation):
+                return tuple(-t for t in instantiation.recency_key)
+
+        production = _production("p")
+        cs = ConflictSet()
+        for tag in (3, 1, 2):
+            cs.insert(_inst(production, tag))
+        # LEX's lead would rank timetag 3 first; the inherited lead is
+        # dropped with the order it described.
+        oldest = Oldest()
+        assert oldest.select(cs, lambda key: False).timetags == (1,)
+        assert len(list(cs.newest_first(oldest._lead))) == 1
+
+    def test_restating_the_lead_keeps_the_buckets(self):
+        class Counting(LexStrategy):
+            _lead = LexStrategy._lead
+
+            def _order_key(self, instantiation):
+                return super()._order_key(instantiation)
+
+        production = _production("p")
+        cs = ConflictSet()
+        for tag in (3, 1, 2):
+            cs.insert(_inst(production, tag))
+        counting = Counting()
+        assert counting.select(cs, lambda key: False).timetags == (3,)
+        assert len(list(cs.newest_first(counting._lead))) == 3
+
+
+_MODEL_PRODUCTIONS = (
+    _production("a1"),
+    _production("a1s", extra_tests=2),
+    _production("b2", ces=2),
+    _production("b2s", ces=2, extra_tests=1),
+    _production("c3", ces=3),
+)
+_MODEL_STRATEGIES = (LexStrategy(), MeaStrategy(), _BySpecificityOnly())
+
+
+class ConflictSetModel(RuleBasedStateMachine):
+    """The index against the obvious model: a dict plus ``order()``.
+
+    Timetags come from a range of six, so prefix-recency ties, equal
+    leads with different specificity and emptied-then-refilled buckets
+    all happen within a few steps.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.cs = ConflictSet()
+        self.model: dict[tuple, Instantiation] = {}
+        self.fired: set[tuple] = set()
+        self.strategy = _MODEL_STRATEGIES[0]
+
+    def _draw_member(self, data):
+        return self.model[data.draw(st.sampled_from(sorted(self.model)))]
+
+    @rule(
+        production=st.sampled_from(_MODEL_PRODUCTIONS),
+        tags=st.lists(st.integers(1, 6), min_size=3, max_size=3),
+    )
+    def insert(self, production, tags):
+        inst = _inst(production, *tags[: len(production.conditions)])
+        if inst.key in self.model:
+            with pytest.raises(Ops5Error, match="duplicate"):
+                self.cs.insert(inst)
+        else:
+            self.cs.insert(inst)
+            self.model[inst.key] = inst
+
+    @precondition(lambda self: self.model)
+    @rule(data=st.data(), by_key=st.booleans())
+    def delete(self, data, by_key):
+        inst = self._draw_member(data)
+        if by_key:
+            self.cs.delete_key(inst.key)
+        else:
+            self.cs.delete(inst)
+        del self.model[inst.key]
+        with pytest.raises(Ops5Error, match="absent"):
+            self.cs.delete_key(inst.key)
+
+    @precondition(lambda self: self.model)
+    @rule(data=st.data())
+    def reinsert_same_key(self, data):
+        old = self._draw_member(data)
+        self.cs.delete_key(old.key)
+        fresh = _inst(old.production, *old.timetags)
+        self.cs.insert(fresh)
+        del self.model[old.key]
+        self.model[fresh.key] = fresh
+
+    @rule()
+    def clear(self):
+        self.cs.clear()
+        self.model.clear()
+
+    @precondition(lambda self: self.model)
+    @rule(data=st.data())
+    def mark_fired(self, data):
+        self.fired.add(self._draw_member(data).key)
+
+    @precondition(lambda self: self.fired)
+    @rule(data=st.data())
+    def unmark_fired(self, data):
+        # Refraction is not assumed monotone: a key may un-fire.
+        self.fired.discard(data.draw(st.sampled_from(sorted(self.fired))))
+
+    @rule(strategy=st.sampled_from(_MODEL_STRATEGIES))
+    def switch_strategy(self, strategy):
+        self.strategy = strategy
+
+    @invariant()
+    def select_is_the_first_unfired_of_order(self):
+        members = list(self.model.values())
+        expected = next(
+            (i for i in self.strategy.order(members) if i.key not in self.fired),
+            None,
+        )
+        assert self.strategy.select(self.cs, self.fired.__contains__) is expected
+        assert self.strategy.select(members, self.fired.__contains__) is expected
+
+    @invariant()
+    def contents_include_fired_members_in_insertion_order(self):
+        assert list(self.cs) == self.cs.members() == list(self.model.values())
+        assert self.cs.snapshot() == frozenset(self.model)
+        assert len(self.cs) == self.cs.total_inserts - self.cs.total_deletes
+
+
+TestConflictSetModel = ConflictSetModel.TestCase
+TestConflictSetModel.settings = settings(
+    max_examples=60, stateful_step_count=40, deadline=None
+)

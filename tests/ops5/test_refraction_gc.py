@@ -1,6 +1,7 @@
 """Refraction-memory garbage collection on long runs."""
 
 from repro.ops5 import ProductionSystem
+from repro.ops5.wme import WorkingMemory
 
 COUNTER = """
 (p count-down
@@ -52,3 +53,22 @@ class TestRefractionGC:
         ps.run()
         # The threshold never drops below the floor.
         assert ps._refraction_gc_threshold >= 512
+
+    def test_prune_never_iterates_working_memory(self):
+        # A prune asks working memory about the timetags of fired keys
+        # only: its cost must not grow with the elements nobody matched.
+        class PointReadOnly(WorkingMemory):
+            def __iter__(self):
+                raise AssertionError("prune iterated working memory")
+
+            def snapshot(self):
+                raise AssertionError("prune snapshotted working memory")
+
+        ps = ProductionSystem(COUNTER)
+        ps.memory.__class__ = PointReadOnly
+        for _ in range(50):
+            ps.add("bystander")
+        ps.add("counter", n=1200)
+        assert ps.run().fired == 1201
+        # 1201 keys fired and at least two prunes ran (threshold 512).
+        assert len(ps._fired_keys) < 512

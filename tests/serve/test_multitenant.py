@@ -122,7 +122,8 @@ class TestConcurrentSnapshots:
             for edge in EDGES:
                 session.perform({"op": "assert", "wmes": [edge]})
             reply = session.perform({"op": "run"})
-            rows.append(session.describe())
+            final = session.describe()
+            rows.append(final)
         finally:
             stop.set()
             thread.join()
@@ -140,6 +141,14 @@ class TestConcurrentSnapshots:
             # the run's final size and no counter ever reads negative.
             assert 0 <= row["working_memory"] <= final_wm
             assert row["id"] == "t" and row["tenant"] == "default"
+        # The live stats row says what conflict resolution cost: one
+        # select per firing plus the one that found quiescence.
+        conflict_set = final["metrics"]["conflict_set"]
+        assert conflict_set["selects"] == reply["fired"] + 1
+        assert conflict_set["members_examined"] >= reply["fired"]
+        assert conflict_set["size"] == (
+            conflict_set["total_inserts"] - conflict_set["total_deletes"]
+        )
 
     def test_fault_notices_never_duplicate_under_concurrent_sync(self):
         """Regression: the seen-counter/deque pair raced when a stats
