@@ -9,6 +9,8 @@ program per process.  This package is that serving layer:
   local socket;
 * :mod:`~repro.serve.session` -- one :class:`ProductionSystem` per
   session behind a bounded queue with explicit backpressure;
+* :mod:`~repro.serve.loop` -- what server and router share: the
+  listening endpoint and the one-event-loop-on-a-thread helper;
 * :mod:`~repro.serve.server` -- the asyncio front-end
   (:class:`RuleServer`), plus :class:`ServerThread` for embedding;
 * :mod:`~repro.serve.router` -- the front-door router

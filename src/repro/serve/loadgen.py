@@ -248,12 +248,7 @@ def run_load(
         "firings": firings,
         "wme_changes_per_second": wme_changes / elapsed if elapsed else 0.0,
         "firings_per_second": firings / elapsed if elapsed else 0.0,
-        "latency": {
-            "p50": window.p50,
-            "p95": window.p95,
-            "p99": window.p99,
-            "samples": window.count,
-        },
+        "latency": window.summary(),
     }
 
 

@@ -4,9 +4,9 @@ Scaling the serve layer *out* (ROADMAP item 3): a :class:`RuleRouter`
 speaks the same length-prefixed JSON protocol as a
 :class:`~repro.serve.server.RuleServer`, so existing clients (the
 blocking :class:`RuleClient`, the load generator) point at it unchanged
--- but behind it every session lives on one of N workers, each its own
-server process/thread with its own event loop, session threads, and
-shared-kernel registry.
+-- but behind it every session lives on one of N workers: rule servers
+in their own processes, or (:class:`RouterFleet`) coroutines of the
+router's own event loop, reached through the same sockets either way.
 
 Placement and naming
 --------------------
@@ -78,16 +78,17 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-import threading
 import time
 import zlib
 from collections import deque
 from typing import Optional, Sequence
 
 from ..ops5 import Ops5Error
+from .loop import Endpoint, LoopThread
 from .protocol import ProtocolError, read_message, write_message
+from .server import RuleServer
 from .session import DEFAULT_TENANT
-from .stats import Telemetry
+from .stats import Telemetry, live_threads
 
 __all__ = ["RouterFleet", "RouterThread", "RuleRouter", "WorkerLink"]
 
@@ -111,25 +112,27 @@ class WorkerLink:
     """The router's connection pool to one worker.
 
     The wire protocol is strict request/reply per connection, so each
-    in-flight call owns one pooled connection; up to *pool_size*
-    connections are opened lazily.  A transport failure tears the
-    connection down (the next call reconnects) and counts toward the
-    worker's consecutive-failure streak; any success resets the streak.
+    in-flight call owns one connection for its whole duration; a call
+    that finds none idle opens another (in-flight calls are already
+    bounded by the router's own client connections), so a long ``run``
+    never parks another session's request at the router.  A transport
+    failure tears the connection down and counts toward the worker's
+    consecutive-failure streak; any success resets the streak.
     """
 
-    def __init__(self, address, index: int, pool_size: int = 4) -> None:
+    def __init__(self, address, index: int) -> None:
         self.address = address
         self.index = index
-        self.pool_size = pool_size
         self.healthy = True
         self.calls = 0
         self.failures = 0
         self.consecutive_failures = 0
-        #: Bumped by :meth:`reset`; a failure observed under an older
-        #: generation is stale -- its worker has already been replaced.
+        #: Bumped by :meth:`reset` and :meth:`close`; a connection or a
+        #: failure from an older generation is stale -- its worker has
+        #: already been replaced.
         self.generation = 0
-        self._open = 0
-        self._pool: asyncio.Queue = asyncio.Queue()
+        self._idle: list = []
+        self._in_flight = 0
 
     async def _connect(self):
         if isinstance(self.address, str):
@@ -137,70 +140,55 @@ class WorkerLink:
         host, port = self.address
         return await asyncio.open_connection(host, port)
 
-    async def _acquire(self):
-        if not self._pool.empty():
-            return self._pool.get_nowait()
-        if self._open < self.pool_size:
-            self._open += 1
+    async def _round_trip(self, request: dict) -> dict:
+        generation = self.generation
+        self._in_flight += 1
+        try:
+            conn = self._idle.pop() if self._idle else await self._connect()
+            reader, writer = conn
             try:
-                return await self._connect()
-            except Exception:
-                self._open -= 1
+                await write_message(writer, request)
+                reply = await read_message(reader)
+                if reply is None:
+                    raise ProtocolError(f"worker {self.index} closed the connection")
+            except BaseException:
+                # Also a timeout's cancellation: a late reply must not
+                # be read by the next call on this connection.
+                writer.close()
                 raise
-        return await self._pool.get()
-
-    def _release(self, conn) -> None:
-        self._pool.put_nowait(conn)
-
-    def _discard(self, conn) -> None:
-        self._open -= 1
-        reader, writer = conn
-        writer.close()
+        finally:
+            self._in_flight -= 1
+        if generation == self.generation:
+            self._idle.append(conn)
+        else:
+            writer.close()  # the pool it came from was dropped meanwhile
+        return reply
 
     async def call(self, request: dict, timeout: float = 60.0) -> dict:
-        """One request/reply round trip on a pooled connection."""
+        """One request/reply round trip, connect included in *timeout*."""
         try:
-            conn = await self._acquire()
+            reply = await asyncio.wait_for(self._round_trip(request), timeout)
         except Exception:
             self.failures += 1
             self.consecutive_failures += 1
             raise
-        reader, writer = conn
-        try:
-            await write_message(writer, request)
-            reply = await asyncio.wait_for(read_message(reader), timeout)
-            if reply is None:
-                raise ProtocolError(f"worker {self.index} closed the connection")
-        except Exception:
-            self._discard(conn)
-            self.failures += 1
-            self.consecutive_failures += 1
-            raise
-        self._release(conn)
         self.calls += 1
         self.consecutive_failures = 0
         return reply
 
     def close(self) -> None:
-        while not self._pool.empty():
-            _, writer = self._pool.get_nowait()
-            writer.close()
+        """Drop the idle connections; in-flight ones close on return."""
+        while self._idle:
+            self._idle.pop()[1].close()
+        self.generation += 1
 
     def reset(self, address) -> None:
-        """Point this link at a replacement worker process.
-
-        Pooled connections to the dead incarnation are dropped and the
-        failure streak forgiven.  A call that was in flight during the
-        swap discards its stale connection on its own failure path; the
-        open-connection accounting tolerates the resulting slop.
-        """
+        """Point this link at a replacement worker process: connections
+        to the dead incarnation are dropped, the failure streak forgiven."""
         self.close()
-        self._open = 0
-        self._pool = asyncio.Queue()
         self.address = address
         self.healthy = True
         self.consecutive_failures = 0
-        self.generation += 1
 
     def snapshot(self) -> dict:
         return {
@@ -213,7 +201,7 @@ class WorkerLink:
             "failures": self.failures,
             "consecutive_failures": self.consecutive_failures,
             "generation": self.generation,
-            "pool_connections": self._open,
+            "pool_connections": len(self._idle) + self._in_flight,
         }
 
 
@@ -232,7 +220,7 @@ class _Placement:
         self.lock = asyncio.Lock()
 
 
-class RuleRouter:
+class RuleRouter(Endpoint):
     """The protocol-compatible front door over a fleet of workers."""
 
     def __init__(
@@ -251,9 +239,7 @@ class RuleRouter:
     ) -> None:
         if not worker_addresses:
             raise Ops5Error("a router needs at least one worker address")
-        self.host = host
-        self.port = port
-        self.unix_path = unix_path
+        super().__init__(host, port, unix_path)
         self.workers = [
             WorkerLink(address, index)
             for index, address in enumerate(worker_addresses)
@@ -276,10 +262,6 @@ class RuleRouter:
         self.events: deque[dict] = deque(maxlen=128)
         self._quota_rejections: dict[str, int] = {}
         self._ids = itertools.count(1)
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._draining = False
-        self._stopped: Optional[asyncio.Event] = None
-        self.connections = 0
         #: Single-flight recovery: worker index -> in-progress task.
         self._recoveries: dict[int, asyncio.Task] = {}
         #: Latest completed recovery result per worker index, for calls
@@ -293,79 +275,35 @@ class RuleRouter:
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self) -> None:
-        self._stopped = asyncio.Event()
         if self.durability is not None:
             await self._resume_from_store()
-        if self.unix_path:
-            self._server = await asyncio.start_unix_server(
-                self._handle, path=self.unix_path
-            )
-        else:
-            self._server = await asyncio.start_server(
-                self._handle, host=self.host, port=self.port
-            )
-            self.port = self._server.sockets[0].getsockname()[1]
+        await super().start()
         if self.heartbeat_interval:
             self._heartbeat_task = asyncio.get_running_loop().create_task(
                 self._heartbeat_loop(), name="router-heartbeat"
             )
 
-    @property
-    def address(self):
-        return self.unix_path if self.unix_path else (self.host, self.port)
-
-    async def serve_until_shutdown(self) -> None:
-        assert self._stopped is not None, "start() must run first"
-        await self._stopped.wait()
-
     async def shutdown(self, stop_workers: bool = False) -> None:
-        """Stop accepting; optionally forward shutdown to every worker."""
+        """Stop accepting, finish in-flight requests, close the client
+        connections and then the worker links; optionally forward the
+        shutdown to every worker first."""
         if self._draining:
             return
         self._draining = True
         if self._heartbeat_task is not None:
             self._heartbeat_task.cancel()
             self._heartbeat_task = None
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+        await self._stop_listening()
         if stop_workers:
             for link in self.workers:
                 try:
                     await link.call({"op": "shutdown"}, timeout=10.0)
                 except Exception:
                     pass
+        await self._close_connections()
         for link in self.workers:
             link.close()
-        if self._stopped is not None:
-            self._stopped.set()
-
-    # -- connection handling ----------------------------------------------
-
-    async def _handle(self, reader, writer) -> None:
-        self.connections += 1
-        try:
-            while True:
-                try:
-                    request = await read_message(reader)
-                except ProtocolError as error:
-                    await write_message(
-                        writer, {"ok": False, "error": f"protocol: {error}"}
-                    )
-                    break
-                if request is None:
-                    break
-                reply = await self.dispatch(request)
-                await write_message(writer, reply)
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            self.connections -= 1
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
+        self._mark_stopped()
 
     # -- placement ---------------------------------------------------------
 
@@ -1206,6 +1144,7 @@ class RuleRouter:
             "recovered_sessions": list(self.recovered_sessions),
             "events": list(self.events),
             "connections": self.connections,
+            "threads": live_threads(),
             "requests": self.telemetry.requests,
             "rejected": self.telemetry.rejected,
             "errors": self.telemetry.errors,
@@ -1236,74 +1175,32 @@ _ROUTER_OPS = {
 }
 
 
-class RouterThread:
+class RouterThread(LoopThread):
     """A router on a background thread (tests, benchmarks, fleets)."""
 
     def __init__(self, **router_kwargs) -> None:
-        self._kwargs = router_kwargs
-        self._ready = threading.Event()
-        self._router: Optional[RuleRouter] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._error: Optional[BaseException] = None
-        self._thread = threading.Thread(
-            target=self._run, name="repro-router", daemon=True
-        )
-        self._thread.start()
-        self._ready.wait(timeout=30)
-        if self._error is not None:
-            raise RuntimeError("router failed to start") from self._error
-        if self._router is None:
-            raise RuntimeError("router did not start within 30s")
+        async def boot(endpoints: list) -> None:
+            router = RuleRouter(**router_kwargs)
+            await router.start()
+            endpoints.append(router)
 
-    def _run(self) -> None:
-        async def main() -> None:
-            try:
-                router = RuleRouter(**self._kwargs)
-                await router.start()
-            except BaseException as error:
-                self._error = error
-                self._ready.set()
-                return
-            self._router = router
-            self._loop = asyncio.get_running_loop()
-            self._ready.set()
-            try:
-                await router.serve_until_shutdown()
-            finally:
-                await router.shutdown()
-
-        asyncio.run(main())
+        super().__init__("repro-router", boot)
 
     @property
     def router(self) -> RuleRouter:
-        assert self._router is not None
-        return self._router
-
-    @property
-    def address(self):
-        return self.router.address
-
-    def stop(self, timeout: float = 30) -> None:
-        loop, router = self._loop, self._router
-        if loop is not None and router is not None and loop.is_running():
-            asyncio.run_coroutine_threadsafe(router.shutdown(), loop)
-        self._thread.join(timeout=timeout)
-
-    def __enter__(self) -> "RouterThread":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
+        return self.front
 
 
-class RouterFleet:
-    """N workers plus a router, each on its own thread, one address.
+class RouterFleet(LoopThread):
+    """N workers plus a router on ONE event-loop thread, one address.
 
-    The embedded form of the scale-out topology: workers are
-    :class:`~repro.serve.server.ServerThread` instances (same protocol
-    and code path as standalone worker processes -- the wire is a real
-    socket either way), the router a :class:`RouterThread` over their
-    addresses.  ``repro serve --workers N`` builds exactly this.
+    The embedded form of the scale-out topology.  Threads of one
+    process share a GIL, so a loop per worker buys no parallelism and
+    costs two cross-thread hand-offs per request; here the router and
+    its workers are coroutines of one ``repro-fleet`` loop.  They still
+    talk through loopback sockets, :class:`WorkerLink` pools and the
+    wire protocol -- the code path of a process fleet, not a shortcut
+    beside it.  ``repro serve --workers N`` builds exactly this.
     """
 
     def __init__(
@@ -1312,42 +1209,25 @@ class RouterFleet:
         worker_kwargs: Optional[dict] = None,
         **router_kwargs,
     ) -> None:
-        from .server import ServerThread
-
         if workers < 1:
             raise Ops5Error("a fleet needs at least one worker")
-        self.workers: list = []
-        self.router_thread: Optional[RouterThread] = None
-        try:
+
+        async def boot(endpoints: list) -> None:
+            # Shutdown order is list order: router (and its links)
+            # first, then the servers drain their sessions.
             for _ in range(workers):
-                self.workers.append(ServerThread(**(worker_kwargs or {})))
-            self.router_thread = RouterThread(
-                worker_addresses=[w.address for w in self.workers],
+                server = RuleServer(**(worker_kwargs or {}))
+                await server.start()
+                endpoints.append(server)
+            router = RuleRouter(
+                worker_addresses=[server.address for server in endpoints],
                 **router_kwargs,
             )
-        except BaseException:
-            self.stop()
-            raise
+            await router.start()
+            endpoints.insert(0, router)
 
-    @property
-    def address(self):
-        assert self.router_thread is not None
-        return self.router_thread.address
+        super().__init__("repro-fleet", boot)
 
     @property
     def router(self) -> RuleRouter:
-        assert self.router_thread is not None
-        return self.router_thread.router
-
-    def stop(self, timeout: float = 30) -> None:
-        if self.router_thread is not None:
-            self.router_thread.stop(timeout=timeout)
-            self.router_thread = None
-        while self.workers:
-            self.workers.pop().stop(timeout=timeout)
-
-    def __enter__(self) -> "RouterFleet":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
+        return self.front

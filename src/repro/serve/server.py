@@ -41,7 +41,6 @@ tenant frees a session).
 from __future__ import annotations
 
 import asyncio
-import threading
 from typing import Optional
 
 from ..ops5 import Ops5Error
@@ -52,12 +51,12 @@ from ..ops5.errors import (
     ValidationError,
 )
 from .durability import validate_engine_state
-from .protocol import ProtocolError, read_message, write_message
+from .loop import Endpoint, LoopThread
 from .session import DEFAULT_MAX_PENDING, DEFAULT_TENANT, QuotaExceeded, SessionManager
-from .stats import Telemetry
+from .stats import Telemetry, live_threads
 
 
-class RuleServer:
+class RuleServer(Endpoint):
     """A multi-session rule-engine service on a local socket."""
 
     def __init__(
@@ -71,9 +70,7 @@ class RuleServer:
         tenant_quotas: Optional[dict] = None,
         default_tenant_quota: Optional[int] = None,
     ) -> None:
-        self.host = host
-        self.port = port
-        self.unix_path = unix_path
+        super().__init__(host, port, unix_path)
         self.sessions = SessionManager(
             default_max_pending=max_pending,
             recorder=recorder,
@@ -82,78 +79,19 @@ class RuleServer:
             default_tenant_quota=default_tenant_quota,
         )
         self.telemetry = Telemetry()
-        self.connections = 0
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._draining = False
-        self._stopped: Optional[asyncio.Event] = None
 
     # -- lifecycle -----------------------------------------------------------
 
-    async def start(self) -> None:
-        """Bind the listening socket and begin accepting connections."""
-        self._stopped = asyncio.Event()
-        if self.unix_path:
-            self._server = await asyncio.start_unix_server(
-                self._handle, path=self.unix_path
-            )
-        else:
-            self._server = await asyncio.start_server(
-                self._handle, host=self.host, port=self.port
-            )
-            self.port = self._server.sockets[0].getsockname()[1]
-
-    @property
-    def address(self):
-        """Where clients connect: a unix path or a (host, port) pair."""
-        return self.unix_path if self.unix_path else (self.host, self.port)
-
-    async def serve_until_shutdown(self) -> None:
-        """Block until a ``shutdown`` request (or :meth:`shutdown`) ran."""
-        assert self._stopped is not None, "start() must run first"
-        await self._stopped.wait()
-
     async def shutdown(self) -> None:
-        """Graceful exit: stop accepting, drain every session, reap pools."""
+        """Graceful exit: stop accepting, drain every session (replies
+        to queued work still leave), reap pools, close connections."""
         if self._draining:
             return
         self._draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+        await self._stop_listening()
         await self.sessions.drain_all()
-        if self._stopped is not None:
-            self._stopped.set()
-
-    # -- connection handling ---------------------------------------------------
-
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self.connections += 1
-        try:
-            while True:
-                try:
-                    request = await read_message(reader)
-                except ProtocolError as error:
-                    # The stream is unparseable from here on: answer if
-                    # possible, then drop the connection.
-                    await write_message(
-                        writer, {"ok": False, "error": f"protocol: {error}"}
-                    )
-                    break
-                if request is None:
-                    break
-                reply = await self.dispatch(request)
-                await write_message(writer, reply)
-        except (ConnectionResetError, BrokenPipeError):
-            pass  # client vanished; sessions are unaffected
-        finally:
-            self.connections -= 1
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
+        await self._close_connections()
+        self._mark_stopped()
 
     # -- request dispatch -------------------------------------------------------
 
@@ -193,7 +131,6 @@ class RuleServer:
             transport=request.get("transport"),
             tenant=request.get("tenant", DEFAULT_TENANT),
         )
-        session.start()
         return {"ok": True, "session": session.id}
 
     async def _op_import_session(self, request: dict) -> dict:
@@ -253,7 +190,6 @@ class RuleServer:
             # own types: those are caller mistakes, not bad payloads.)
             self.telemetry.errors += 1
             return {"ok": False, "error": "bad_state", "detail": str(error)}
-        session.start()
         return {"ok": True, "session": session.id}
 
     async def _op_destroy_session(self, request: dict) -> dict:
@@ -270,6 +206,7 @@ class RuleServer:
             "ok": True,
             "server": {
                 "connections": self.connections,
+                "threads": live_threads(),
                 "uptime_seconds": self.telemetry.uptime,
                 "requests": self.telemetry.requests,
                 "errors": self.telemetry.errors,
@@ -333,7 +270,7 @@ def run_server(
     asyncio.run(main())
 
 
-class ServerThread:
+class ServerThread(LoopThread):
     """A rule server on a background thread (tests, benchmarks, loadgen).
 
     Starts the event loop, waits until the socket is bound, and exposes
@@ -342,58 +279,13 @@ class ServerThread:
     """
 
     def __init__(self, **server_kwargs) -> None:
-        self._kwargs = server_kwargs
-        self._ready = threading.Event()
-        self._server: Optional[RuleServer] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._error: Optional[BaseException] = None
-        self._thread = threading.Thread(
-            target=self._run, name="repro-serve", daemon=True
-        )
-        self._thread.start()
-        self._ready.wait(timeout=30)
-        if self._error is not None:
-            raise RuntimeError("server failed to start") from self._error
-        if self._server is None:
-            raise RuntimeError("server did not start within 30s")
+        async def boot(endpoints: list) -> None:
+            server = RuleServer(**server_kwargs)
+            await server.start()
+            endpoints.append(server)
 
-    def _run(self) -> None:
-        async def main() -> None:
-            try:
-                server = RuleServer(**self._kwargs)
-                await server.start()
-            except BaseException as error:
-                self._error = error
-                self._ready.set()
-                return
-            self._server = server
-            self._loop = asyncio.get_running_loop()
-            self._ready.set()
-            try:
-                await server.serve_until_shutdown()
-            finally:
-                await server.shutdown()
-
-        asyncio.run(main())
+        super().__init__("repro-serve", boot)
 
     @property
     def server(self) -> RuleServer:
-        assert self._server is not None
-        return self._server
-
-    @property
-    def address(self):
-        return self.server.address
-
-    def stop(self, timeout: float = 30) -> None:
-        """Drain sessions, stop the loop, join the thread."""
-        loop, server = self._loop, self._server
-        if loop is not None and server is not None and loop.is_running():
-            asyncio.run_coroutine_threadsafe(server.shutdown(), loop)
-        self._thread.join(timeout=timeout)
-
-    def __enter__(self) -> "ServerThread":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
+        return self.front

@@ -2,17 +2,18 @@
 
 A :class:`Session` is the unit of isolation in the rule server: it owns
 an engine (with any registered matcher backend, including the parallel
-executor and its worker-process pool), a bounded request queue, a
-single worker thread that applies requests strictly in arrival order,
-and its own telemetry.  The :class:`SessionManager` creates, looks up,
-and tears down sessions, and rolls their telemetry up into the
-server-wide view.
+executor and its worker-process pool), a bounded request queue served
+by a single worker thread that applies requests strictly in arrival
+order, and its own telemetry.  The :class:`SessionManager` creates,
+looks up, and tears down sessions, and rolls their telemetry up into
+the server-wide view.
 
 Ordering and determinism
 ------------------------
-All requests for one session flow through one bounded
-:class:`asyncio.Queue` and are executed one at a time on the session's
-dedicated thread.  WME batches are applied through the engine's
+All requests for one session are submitted straight to its
+single-thread executor -- that executor's FIFO is the session's only
+queue -- and are executed one at a time on the session's dedicated
+thread.  WME batches are applied through the engine's
 :meth:`~repro.ops5.engine.ProductionSystem.apply_changes` -- which never
 fires rules -- and conflict resolution happens only on explicit ``run``
 requests.  A logical change stream therefore produces bit-identical
@@ -21,11 +22,12 @@ batches, which is the property the acceptance tests pin down.
 
 Backpressure
 ------------
-Each session's queue holds at most ``max_pending`` requests.  A request
-arriving at a full queue is rejected *immediately* (never enqueued,
-session state untouched) with ``error: "backpressure"`` and a
-``retry_after`` hint derived from the session's median latency and
-current queue depth.  Clients retry; nothing is silently dropped.
+Each session's queue holds at most ``max_pending`` requests (the one
+executing does not count).  A request arriving at a full queue is
+rejected *immediately* (never enqueued, session state untouched) with
+``error: "backpressure"`` and a ``retry_after`` hint derived from the
+session's median latency and current queue depth.  Clients retry;
+nothing is silently dropped.
 
 Deadlines and degradation
 -------------------------
@@ -238,58 +240,28 @@ class Session:
         #: describe()/stats() snapshot from the event loop while the
         #: worker thread serves a query -- notice folding must not race.
         self._fault_sync_lock = threading.Lock()
-        self._queue: asyncio.Queue[tuple[dict, asyncio.Future, list]] = asyncio.Queue(
-            maxsize=max_pending
-        )
+        #: The session's one queue *and* its one thread: a single-worker
+        #: executor runs submissions strictly in order.
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix=f"repro-serve-{session_id}"
         )
-        self._consumer: Optional[asyncio.Task] = None
+        # queue_depth = accepted - abandoned - started; each counter has
+        # one writer (the loop, the loop, the session thread).
+        self._accepted = 0
+        self._abandoned = 0
+        self._started = 0
         self._closed = False
 
-    # -- async plumbing ------------------------------------------------------
-
-    def start(self) -> None:
-        """Begin consuming requests (must run inside the event loop)."""
-        if self._consumer is None:
-            self._consumer = asyncio.get_running_loop().create_task(
-                self._consume(), name=f"session-{self.id}"
-            )
-
-    async def _consume(self) -> None:
-        loop = asyncio.get_running_loop()
-        while True:
-            request, future, executing = await self._queue.get()
-            if future.cancelled():
-                # The caller's deadline expired while the request was
-                # still queued; nothing has executed, so skipping it
-                # entirely is safe (and keeps the queue moving).
-                self._queue.task_done()
-                continue
-            # No await between the cancelled-check and this flag: once
-            # set, the request runs to completion even if its reply is
-            # later dropped, so the deadline reply's "started" field is
-            # exact -- durable routers tombstone only unstarted ops.
-            executing[0] = True
-            try:
-                reply = await loop.run_in_executor(
-                    self._executor, self.perform, request
-                )
-                if not future.cancelled():
-                    future.set_result(reply)
-            except Exception as error:  # surfaced to the waiting handler
-                if not future.cancelled():
-                    future.set_exception(error)
-            finally:
-                self._queue.task_done()
+    # -- the queue (event-loop side) -------------------------------------------
 
     @property
     def queue_depth(self) -> int:
-        return self._queue.qsize()
+        """Accepted requests not yet started (the executing one excluded)."""
+        return self._accepted - self._abandoned - self._started
 
     def retry_after(self) -> float:
         """Backpressure retry hint: median latency x queue occupancy."""
-        per_request = self.telemetry.latency.p50 or 0.005
+        per_request = self.telemetry.latency.recent_p50 or 0.005
         return min(MAX_RETRY_AFTER, per_request * (self.queue_depth + 1))
 
     async def submit(self, request: dict) -> dict:
@@ -313,7 +285,7 @@ class Session:
             not isinstance(deadline, (int, float)) or deadline <= 0
         ):
             return {"ok": False, "error": "deadline must be a positive number"}
-        if self._queue.full():
+        if self.queue_depth >= self.max_pending:
             self.telemetry.rejected += 1
             return {
                 "ok": False,
@@ -321,29 +293,33 @@ class Session:
                 "retry_after": self.retry_after(),
                 "queue_depth": self.queue_depth,
             }
-        self.start()
-        future = asyncio.get_running_loop().create_future()
-        started = time.perf_counter()
-        executing = [False]
-        self._queue.put_nowait((request, future, executing))
+        self._accepted += 1
+        accepted = time.perf_counter()
+        work = self._executor.submit(self._execute, request, accepted)
         try:
-            if deadline is not None:
-                reply = await asyncio.wait_for(future, timeout=deadline)
-            else:
-                reply = await future
+            reply = await asyncio.wait_for(asyncio.wrap_future(work), deadline)
         except asyncio.TimeoutError:
+            reply = None
+        except Ops5Error as error:
+            self.telemetry.errors += 1
+            return {"ok": False, "error": str(error)}
+        finally:
+            # Leaving without a result (deadline, or the caller's task
+            # was cancelled): a request still queued must never run.
+            # cancel() fails iff the work is running or done, so
+            # work.cancelled() below is exactly "never started".
+            if work.cancel():
+                self._abandoned += 1
+        if reply is None:
             self.telemetry.deadline_exceeded += 1
             return {
                 "ok": False,
                 "error": "deadline",
                 "deadline": deadline,
-                "started": executing[0],
+                "started": not work.cancelled(),
                 "queue_depth": self.queue_depth,
             }
-        except Ops5Error as error:
-            self.telemetry.errors += 1
-            return {"ok": False, "error": str(error)}
-        self.telemetry.latency.record(time.perf_counter() - started)
+        self.telemetry.latency.record(time.perf_counter() - accepted)
         return reply
 
     async def drain_and_close(self) -> None:
@@ -351,19 +327,26 @@ class Session:
         if self._closed:
             return
         self._closed = True
-        if self._consumer is not None:
-            await self._queue.join()
-            self._consumer.cancel()
+        # The executor is FIFO: once this marker ran, everything accepted
+        # before it has -- without blocking the loop on shutdown(wait).
+        await asyncio.wrap_future(self._executor.submit(int))
         self.close_resources()
 
     def close_resources(self) -> None:
-        """Synchronously reap the matcher pool and the worker thread."""
+        """Synchronously finish queued work, then reap the worker thread
+        and the matcher pool."""
+        self._executor.shutdown(wait=True)
         close = getattr(self.system.matcher, "close", None)
         if close is not None:
             close()
-        self._executor.shutdown(wait=True)
 
     # -- request execution (worker thread) -----------------------------------
+
+    def _execute(self, request: dict, accepted: float) -> dict:
+        """Session-thread entry: stamp the start, then :meth:`perform`."""
+        self._started += 1
+        self.telemetry.queue_wait.record(time.perf_counter() - accepted)
+        return self.perform(request)
 
     def perform(self, request: dict) -> dict:
         """Execute one request against the engine; returns the reply.
@@ -530,6 +513,14 @@ class Session:
         self._sync_fault_notices()
         with self._fault_sync_lock:
             notices = list(self._fault_notices)
+        # The unified snapshot (repro.obs.metrics) reads matcher stats
+        # via peek_stats, so building it here -- possibly from the
+        # event-loop thread while the worker matches -- cannot move the
+        # parallel flush barrier.  The telemetry rows (two window sorts)
+        # are built once and shared with it.
+        serve = self.telemetry.snapshot()
+        metrics = obs_metrics.snapshot(self.system, recorder=self.recorder)
+        metrics["serve"] = serve
         return {
             "id": self.id,
             "tenant": self.tenant,
@@ -543,14 +534,8 @@ class Session:
             "max_pending": self.max_pending,
             "degraded": self.degraded,
             "fault_notices": notices,
-            # The unified snapshot (repro.obs.metrics) reads matcher
-            # stats via peek_stats, so building it here -- possibly from
-            # the event-loop thread while the worker matches -- cannot
-            # move the parallel flush barrier.
-            "metrics": obs_metrics.snapshot(
-                self.system, telemetry=self.telemetry, recorder=self.recorder
-            ),
-            **self.telemetry.snapshot(),
+            "metrics": metrics,
+            **serve,
         }
 
 
@@ -702,6 +687,7 @@ class SessionManager:
         del snapshot["wme_changes_per_second"]
         del snapshot["firings_per_second"]
         del snapshot["latency"]
+        del snapshot["queue_wait"]
         return {
             "schema": obs_metrics.SCHEMA,
             "sessions": sessions,

@@ -15,9 +15,20 @@ CPython's atomic attribute updates.
 from __future__ import annotations
 
 import math
+import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
+
+
+#: Samples between refreshes of :attr:`LatencyWindow.recent_p50`.
+MEDIAN_REFRESH = 64
+
+
+def live_threads() -> int:
+    """Live ``repro-*`` threads in this process: event loops, session
+    threads, committers (the ``threads`` figure of a ``stats`` header)."""
+    return sum(t.name.startswith("repro-") for t in threading.enumerate())
 
 
 class LatencyWindow:
@@ -35,13 +46,15 @@ class LatencyWindow:
         self.capacity = capacity
         self._samples: deque[float] = deque(maxlen=capacity)
         self.count = 0  # lifetime samples, beyond the window
+        self._recent_p50 = 0.0
+        self._p50_due = 1  # lifetime count at which the cache goes stale
 
     def record(self, seconds: float) -> None:
         self._samples.append(seconds)
         self.count += 1
 
-    def percentile(self, p: float) -> float:
-        """The *p*-th percentile (0..100) of the window; 0.0 when empty.
+    def percentiles(self, *ps: float) -> list[float]:
+        """The *ps*-th percentiles (0..100) from ONE sort; 0.0s when empty.
 
         Nearest-rank (``ceil(p/100 * n)``, 1-based) on the sorted
         window -- monotone in *p* and exact at the sample points, which
@@ -49,15 +62,22 @@ class LatencyWindow:
         substitute: Python rounds half to even, so e.g. p50 of five
         samples would land on index 1 instead of the true median.
         """
-        if not self._samples:
-            return 0.0
-        if not 0 <= p <= 100:
+        if any(not 0 <= p <= 100 for p in ps):
             raise ValueError("percentile must be in [0, 100]")
+        # Copying a deque of floats runs no bytecode, so a record() on
+        # another thread (queue wait is stamped on the session thread)
+        # cannot land mid-copy.
         ordered = sorted(self._samples)
-        if p == 0:
-            return ordered[0]
-        rank = min(len(ordered) - 1, math.ceil(p / 100 * len(ordered)) - 1)
-        return ordered[rank]
+        if not ordered:
+            return [0.0] * len(ps)
+        last = len(ordered) - 1
+        return [
+            ordered[max(0, min(last, math.ceil(p / 100 * len(ordered)) - 1))]
+            for p in ps
+        ]
+
+    def percentile(self, p: float) -> float:
+        return self.percentiles(p)[0]
 
     @property
     def p50(self) -> float:
@@ -70,6 +90,24 @@ class LatencyWindow:
     @property
     def p99(self) -> float:
         return self.percentile(99)
+
+    @property
+    def recent_p50(self) -> float:
+        """The window median as of its last refresh, O(1) between them.
+
+        Refreshed on a read once the window has doubled (while small) or
+        taken :data:`MEDIAN_REFRESH` more samples: a backpressure storm,
+        which reads this per rejection and records nothing, never sorts.
+        """
+        if self.count >= self._p50_due:
+            self._recent_p50 = self.percentile(50)
+            self._p50_due = self.count + min(self.count, MEDIAN_REFRESH)
+        return self._recent_p50
+
+    def summary(self) -> dict:
+        """``samples`` + p50/p95/p99, one sort (a ``stats`` row)."""
+        p50, p95, p99 = self.percentiles(50, 95, 99)
+        return {"samples": self.count, "p50": p50, "p95": p95, "p99": p99}
 
 
 @dataclass
@@ -89,7 +127,10 @@ class Telemetry:
     wme_changes: int = 0
     #: Production firings executed by run requests.
     firings: int = 0
+    #: Accept -> reply, stamped on the event loop.
     latency: LatencyWindow = field(default_factory=LatencyWindow)
+    #: Accept (loop) -> start of execution (session thread).
+    queue_wait: LatencyWindow = field(default_factory=LatencyWindow)
     started: float = field(default_factory=time.monotonic)
 
     @property
@@ -128,10 +169,6 @@ class Telemetry:
             "uptime_seconds": self.uptime,
             "wme_changes_per_second": self.wme_changes_per_second,
             "firings_per_second": self.firings_per_second,
-            "latency": {
-                "samples": self.latency.count,
-                "p50": self.latency.p50,
-                "p95": self.latency.p95,
-                "p99": self.latency.p99,
-            },
+            "latency": self.latency.summary(),
+            "queue_wait": self.queue_wait.summary(),
         }

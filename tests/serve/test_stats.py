@@ -1,8 +1,19 @@
 """Telemetry: latency percentiles and counter rollups."""
 
+import asyncio
+import math
+import random
+
 import pytest
 
-from repro.serve.stats import LatencyWindow, Telemetry
+from repro.serve.session import Session
+from repro.serve.stats import MEDIAN_REFRESH, LatencyWindow, Telemetry
+
+
+def reference(samples, p):
+    """Nearest rank on a full sort: what every cheaper read must equal."""
+    ordered = sorted(samples)
+    return ordered[max(0, math.ceil(p / 100 * len(ordered)) - 1)]
 
 
 class TestLatencyWindow:
@@ -91,6 +102,93 @@ class TestNearestRankSmallWindows:
         window = self._window(0.5, 0.1, 0.4, 0.2, 0.3, 0.9, 0.7)
         values = [window.percentile(p) for p in range(0, 101)]
         assert values == sorted(values)
+
+
+class TestOneSortPerRead:
+    """Reads that used to sort the window per percentile (or per
+    rejection) must still equal the sorted reference."""
+
+    @pytest.fixture
+    def sorts(self, monkeypatch):
+        calls = []
+        percentiles = LatencyWindow.percentiles
+
+        def counting(window, *ps):
+            calls.append(ps)
+            return percentiles(window, *ps)
+
+        monkeypatch.setattr(LatencyWindow, "percentiles", counting)
+        return calls
+
+    def test_summary_is_one_sort_and_equals_the_reference(self, sorts):
+        rng = random.Random(5)
+        window = LatencyWindow(capacity=64)
+        samples = [rng.random() for _ in range(200)]
+        for value in samples:
+            window.record(value)
+        summary = window.summary()
+        assert len(sorts) == 1
+        recent = samples[-64:]
+        assert summary == {
+            "samples": 200,
+            "p50": reference(recent, 50),
+            "p95": reference(recent, 95),
+            "p99": reference(recent, 99),
+        }
+        assert LatencyWindow().summary() == {"samples": 0, "p50": 0.0, "p95": 0.0, "p99": 0.0}
+
+    def test_snapshot_sorts_each_window_once(self, sorts):
+        telemetry = Telemetry()
+        for value in (0.3, 0.1, 0.2):
+            telemetry.latency.record(value)
+            telemetry.queue_wait.record(value / 10)
+        snapshot = telemetry.snapshot()
+        assert len(sorts) == 2
+        assert snapshot["latency"]["p50"] == 0.2
+        assert snapshot["queue_wait"] == {"samples": 3, "p50": 0.02, "p95": 0.03, "p99": 0.03}
+
+    def test_recent_p50_is_the_reference_at_every_refresh(self, sorts):
+        rng = random.Random(9)
+        window = LatencyWindow(capacity=256)
+        assert window.recent_p50 == 0.0
+        samples = []
+        shown = None
+        for n in range(1, 600):
+            samples.append(rng.random())
+            window.record(samples[-1])
+            before = len(sorts)
+            value = window.recent_p50
+            if len(sorts) > before:  # a refresh: exact
+                shown = reference(samples[-256:], 50)
+            assert value == shown
+        # Doubling while small, then every MEDIAN_REFRESH samples:
+        # O(1) amortised however often it is read.
+        assert len(sorts) <= 8 + 600 // MEDIAN_REFRESH
+        for _ in range(1000):  # a storm of reads without new samples
+            window.recent_p50
+        assert len(sorts) <= 8 + 600 // MEDIAN_REFRESH
+
+    def test_backpressure_hint_does_not_sort_per_rejection(self, sorts):
+        async def main():
+            session = Session("t", program="", max_pending=1)
+            try:
+                for _ in range(5):
+                    assert (await session.submit({"op": "run"}))["ok"]
+                baseline = len(sorts)
+                session._accepted += 1  # a full queue, without a race
+                hints = {
+                    (await session.submit({"op": "run"}))["retry_after"]
+                    for _ in range(500)
+                }
+                session._accepted -= 1
+                # median latency x (queue depth + 1), from at most one sort.
+                assert hints == {2 * session.telemetry.latency.recent_p50}
+                assert len(sorts) - baseline <= 1
+                assert session.telemetry.rejected == 500
+            finally:
+                await session.drain_and_close()
+
+        asyncio.run(main())
 
 
 class TestTelemetry:
