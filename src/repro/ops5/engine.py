@@ -394,16 +394,42 @@ class ProductionSystem:
                 [wme.timetag, wme.cls, dict(wme.attributes)]
                 for wme in self.memory.snapshot()
             ],
-            "next_timetag": self.memory.next_timetag,
             "fired": sorted(
                 [name, list(timetags)] for name, timetags in self._fired_keys
             ),
+            "output": list(self.output),
+            **self._run_state(),
+        }
+
+    def _run_state(self) -> dict:
+        """The O(1) part of a state blob: counters and halt state."""
+        return {
+            "next_timetag": self.memory.next_timetag,
             "cycle": self.cycle,
             "total_firings": self.total_firings,
             "total_wme_changes": self.total_wme_changes,
             "halted": self._halted,
             "halt_reason": self._halt_reason,
-            "output": list(self.output),
+        }
+
+    #: Version tag of the incremental form of a state blob.
+    DELTA_SCHEMA = "repro.engine-delta/1"
+
+    def export_delta(self, added, removed, fired, output_from: int) -> dict:
+        """What :meth:`export_state` says now that it did not say at an
+        earlier export, from the *net* changes a listener recorded in
+        between: WMEs *added* and still live, timetags *removed* that
+        the earlier blob held, instantiation keys *fired*, and ``write``
+        lines from index *output_from* on.  Costs what changed, not what
+        working memory holds; ``repro.serve.durability.fold`` applies it.
+        """
+        return {
+            "schema": self.DELTA_SCHEMA,
+            "added": [[w.timetag, w.cls, dict(w.attributes)] for w in added],
+            "removed": list(removed),
+            "fired": [[name, list(timetags)] for name, timetags in fired],
+            "output": self.output[output_from:],
+            **self._run_state(),
         }
 
     def restore_state(self, state: dict) -> None:

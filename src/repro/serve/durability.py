@@ -13,21 +13,31 @@ Layout (one directory per router)::
 
     <root>/<sid>.meta.json   the create_session config (replay from zero)
     <root>/<sid>.wal         JSONL op journal, appended before the reply
-    <root>/<sid>.ckpt.json   latest engine checkpoint + the WAL seq it covers
+    <root>/<sid>.ckpt.json   line 1: a full engine checkpoint + the WAL seq
+                             it covers; later lines: appended deltas
 
 The router appends every accepted mutating op to the WAL *before* the
 reply leaves for the client, so the journal is always at least as new as
 anything a client has seen acknowledged.  Periodic checkpoints persist
-the session's ``export_state`` blob together with the journal sequence
-it covers; recovery is then ``import_session`` of the checkpoint plus a
-replay of the journal tail -- O(blob + tail) instead of O(journal),
-which is the Section 3.1 c1-vs-c3 ratio as a recovery-latency knob.
+what the session's engine *changed* since the previous one (Section 3.1:
+cost must follow the <0.5% of working memory that changes, not what it
+holds): a ``repro.engine-delta/1`` line naming the seq it extends and
+the seq it reaches, appended and fsynced **before** the journal is
+compacted past that seq.  Once the appended deltas weigh as much as the
+base, the store asks for a full ``export_state`` blob again and rewrites
+the file (:meth:`DurabilityStore.checkpoint_mark`) -- amortised O(1) per
+change, a load never folds more than 2x the base.  Recovery is
+``import_session`` of base + deltas (:func:`fold`) plus a replay of the
+journal tail -- O(blob + tail) instead of O(journal), which is the
+Section 3.1 c1-vs-c3 ratio as a recovery-latency knob.
 
 Everything read back from disk is treated as untrusted input: truncated
-trailing WAL lines (a crash mid-append) are dropped, corrupt checkpoints
-fall back to full-journal replay, and engine-state blobs are validated
-by :func:`validate_engine_state` -- the same validator the server's
-``import_session`` op applies to payloads arriving over the wire.
+trailing WAL lines (a crash mid-append) are dropped, a torn, corrupt or
+out-of-sequence delta line ends the fold at the line before it, corrupt
+checkpoints fall back to full-journal replay, and engine-state blobs --
+folded ones included -- are validated by :func:`validate_engine_state`,
+the same validator the server's ``import_session`` op applies to
+payloads arriving over the wire.
 """
 
 from __future__ import annotations
@@ -37,6 +47,7 @@ import json
 import os
 import threading
 import urllib.parse
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -44,6 +55,7 @@ __all__ = [
     "DurabilityStore",
     "RecoveryBundle",
     "WalRecord",
+    "fold",
     "validate_engine_state",
 ]
 
@@ -54,6 +66,11 @@ CHECKPOINT_SCHEMA = "repro.session-checkpoint/1"
 #: The engine checkpoint schema (kept in sync with Engine.STATE_SCHEMA;
 #: duplicated here so validation needs no engine import).
 ENGINE_STATE_SCHEMA = "repro.engine-state/1"
+ENGINE_DELTA_SCHEMA = "repro.engine-delta/1"
+_RUN_STATE = (
+    "next_timetag", "cycle", "total_firings", "total_wme_changes",
+    "halted", "halt_reason",
+)
 
 
 def validate_engine_state(state) -> Optional[str]:
@@ -137,6 +154,77 @@ def validate_engine_state(state) -> Optional[str]:
     return None
 
 
+class _Fold:
+    """A validated engine-state blob being advanced by delta records."""
+
+    def __init__(self, state: dict) -> None:
+        self.wmes = {row[0]: row for row in state["wmes"]}
+        self.fired = {(name, tuple(tags)) for name, tags in state["fired"]}
+        self.output = list(state["output"])
+        self.run_state = {key: state[key] for key in _RUN_STATE}
+
+    def apply(self, delta) -> Optional[str]:
+        """Advance by one untrusted delta, or name why not (and leave
+        the fold as it was).  What a delta brings is validated as the
+        small state it is, so the fold of a valid state stays valid."""
+        if not isinstance(delta, dict) or delta.get("schema") != ENGINE_DELTA_SCHEMA:
+            return f"not a {ENGINE_DELTA_SCHEMA} record"
+        problem = validate_engine_state(
+            {**delta, "schema": ENGINE_STATE_SCHEMA, "wmes": delta.get("added")}
+        )
+        if problem is not None:
+            return problem
+        added = {row[0]: row for row in delta["added"]}
+        try:
+            removed = set(delta["removed"])
+        except (KeyError, TypeError):
+            return "removed must be a list of timetags"
+        if (
+            not removed <= self.wmes.keys()
+            or added.keys() & self.wmes.keys()
+            or delta["next_timetag"] < self.run_state["next_timetag"]
+        ):
+            return "delta does not fit the state it extends"
+        for tag in removed:
+            del self.wmes[tag]
+        self.wmes.update(added)
+        self.fired.update((name, tuple(tags)) for name, tags in delta["fired"])
+        self.output += delta["output"]
+        self.run_state = {key: delta[key] for key in _RUN_STATE}
+        return None
+
+    def state(self) -> dict:
+        """The folded blob; refraction keys naming a dead timetag can
+        never match again and are dropped."""
+        live = self.wmes.keys()
+        return {
+            "schema": ENGINE_STATE_SCHEMA,
+            "wmes": list(self.wmes.values()),
+            "fired": sorted(
+                [name, list(tags)] for name, tags in self.fired if live >= set(tags)
+            ),
+            "output": self.output,
+            **self.run_state,
+        }
+
+
+def fold(state: dict, *deltas: dict) -> dict:
+    """What the valid ``repro.engine-state/1`` blob *state* becomes
+    after each ``repro.engine-delta/1`` record in turn; ValueError on
+    one that does not fit."""
+    folding = _Fold(state)
+    for delta in deltas:
+        problem = folding.apply(delta)
+        if problem is not None:
+            raise ValueError(problem)
+    return folding.state()
+
+
+#: The checkpoint file the store last wrote for one session: the export
+#: mark and journal seq its last line reaches, and its two sizes.
+_Chain = namedtuple("_Chain", "mark seq base_bytes delta_bytes")
+
+
 @dataclass
 class WalRecord:
     """One accepted op in a session's journal."""
@@ -206,7 +294,10 @@ class DurabilityStore:
         self.appends = 0
         self.skips = 0
         self.checkpoints = 0
+        self.checkpoints_delta = 0
+        self.checkpoint_bytes = 0
         self.bytes_appended = 0
+        self._chains: dict[str, _Chain] = {}
         self.fsyncs = 0
         self._dirty: set[str] = set()
         self._committer: Optional[threading.Thread] = None
@@ -229,15 +320,18 @@ class DurabilityStore:
     def _ckpt_path(self, sid: str) -> str:
         return os.path.join(self.root, f"{_encode_sid(sid)}.ckpt.json")
 
-    def _write_atomic(self, path: str, payload: dict) -> None:
-        tmp = f"{path}.tmp"
-        with open(tmp, "w") as handle:
-            json.dump(payload, handle, separators=(",", ":"), sort_keys=True)
-            handle.write("\n")
+    def _write_atomic(self, path: str, payload: dict) -> int:
+        text = json.dumps(payload, separators=(",", ":"), sort_keys=True) + "\n"
+        self._write(f"{path}.tmp", "w", text)
+        os.replace(f"{path}.tmp", path)
+        return len(text)
+
+    def _write(self, path: str, mode: str, text: str) -> None:
+        with open(path, mode) as handle:
+            handle.write(text)
             handle.flush()
             if self.fsync:
                 os.fsync(handle.fileno())
-        os.replace(tmp, path)
 
     def _wal_handle(self, sid: str):
         handle = self._wal_handles.get(sid)
@@ -311,23 +405,18 @@ class DurabilityStore:
     # -- session lifecycle ---------------------------------------------------
 
     def register(self, session_id: str, config: dict) -> None:
-        """Record a freshly created session: meta written, journal reset."""
+        """Record a freshly created session: meta written, journal empty
+        (a name reused after destroy starts a fresh history)."""
+        self.drop(session_id)
         self._write_atomic(
             self._meta_path(session_id),
             {"schema": META_SCHEMA, "id": session_id, "config": dict(config)},
         )
-        # A name reused after destroy starts a fresh history.
-        handle = self._wal_handles.pop(session_id, None)
-        if handle is not None:
-            handle.close()
         open(self._wal_path(session_id), "w").close()
-        try:
-            os.remove(self._ckpt_path(session_id))
-        except FileNotFoundError:
-            pass
 
     def drop(self, session_id: str) -> None:
         """Forget a destroyed session (journal, checkpoint, meta)."""
+        self._chains.pop(session_id, None)
         handle = self._wal_handles.pop(session_id, None)
         if handle is not None:
             handle.close()
@@ -377,12 +466,23 @@ class DurabilityStore:
         with self._lock:
             self.skips += 1
 
+    def checkpoint_mark(self, session_id: str) -> str:
+        """The ``since`` for the session's next ``export``: the mark the
+        checkpoint file ends on, or "" to ask for a full export -- no
+        file written by this store yet, or (the doubling rule) its
+        appended deltas have reached the size of its base."""
+        chain = self._chains.get(session_id)
+        if chain is None or chain.delta_bytes >= chain.base_bytes:
+            return ""
+        return chain.mark
+
     def save_checkpoint(
-        self, session_id: str, seq: int, config: dict, state: dict
+        self, session_id: str, seq: int, config: dict, state: dict, mark: str = ""
     ) -> None:
-        """Persist a checkpoint covering every op up to *seq*, then
-        compact the journal down to its uncovered tail."""
-        self._write_atomic(
+        """Persist a full checkpoint covering every op up to *seq* as
+        the file's new base, then compact the journal to its uncovered
+        tail.  *mark* is the export's, when later deltas may extend it."""
+        size = self._write_atomic(
             self._ckpt_path(session_id),
             {
                 "schema": CHECKPOINT_SCHEMA,
@@ -392,32 +492,63 @@ class DurabilityStore:
                 "state": state,
             },
         )
+        self._chains.pop(session_id, None)
+        if mark:
+            self._chains[session_id] = _Chain(mark, seq, size, 0)
+        self._compact(session_id, seq, size)
+
+    def append_delta(self, session_id: str, seq: int, delta: dict, mark: str) -> bool:
+        """Extend the session's checkpoint to *seq* by one delta line.
+
+        The line is flushed (and fsynced) before the journal is
+        compacted past *seq*: a crash in between leaves ops on the
+        journal that the delta already covers, never a gap.  A delta
+        that does not extend what this store last wrote is refused, and
+        so is any after a failed append: the next export will be full.
+        """
+        chain = self._chains.pop(session_id, None)
+        if chain is None or delta.get("since") != chain.mark:
+            return False
+        line = json.dumps(
+            {"extends": chain.seq, "seq": seq, "delta": delta}, separators=(",", ":")
+        ) + "\n"
+        self._write(self._ckpt_path(session_id), "a", line)
+        self._chains[session_id] = _Chain(
+            mark, seq, chain.base_bytes, chain.delta_bytes + len(line)
+        )
+        self._compact(session_id, seq, len(line), delta=1)
+        return True
+
+    def _compact(self, session_id: str, seq: int, size: int, delta: int = 0) -> None:
+        """Drop the journal records the checkpoint of *size* bytes just
+        persisted covers, and count it."""
         records, skipped, _, _ = self._read_wal(session_id)
+        rows = [
+            {"seq": r.seq, "request": r.request} for r in records if r.seq > seq
+        ] + [{"seq": s, "skip": True} for s in sorted(skipped) if s > seq]
         handle = self._wal_handles.pop(session_id, None)
         if handle is not None:
             handle.close()
-        tmp = f"{self._wal_path(session_id)}.tmp"
-        with open(tmp, "w") as out:
-            for record in records:
-                if record.seq > seq:
-                    out.write(
-                        json.dumps(
-                            {"seq": record.seq, "request": record.request},
-                            separators=(",", ":"),
-                        )
-                        + "\n"
-                    )
-            for skip_seq in sorted(skipped):
-                if skip_seq > seq:
-                    out.write(
-                        json.dumps({"seq": skip_seq, "skip": True}) + "\n"
-                    )
-            out.flush()
-            if self.fsync:
-                os.fsync(out.fileno())
-        os.replace(tmp, self._wal_path(session_id))
+        wal = self._wal_path(session_id)
+        self._write(
+            f"{wal}.tmp",
+            "w",
+            "".join(json.dumps(row, separators=(",", ":")) + "\n" for row in rows),
+        )
+        os.replace(f"{wal}.tmp", wal)
+        if self.fsync:
+            # One barrier for the renames above: a lost checkpoint rename
+            # leaves its journal records gone, a lost journal rename
+            # takes every later append (made to the new file) with it.
+            fd = os.open(self.root, os.O_RDONLY)
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)
         with self._lock:
             self.checkpoints += 1
+            self.checkpoints_delta += delta
+            self.checkpoint_bytes += size
 
     # -- the read (recovery) path --------------------------------------------
 
@@ -464,6 +595,54 @@ class DurabilityStore:
                 break
         return records, skipped, last_seq, notes
 
+    def _read_checkpoint(self, session_id: str, notes: list[str]) -> Optional[dict]:
+        """The session's checkpoint with its deltas folded in
+        (``seq``/``config``/``state``), or None; anomalies go to *notes*."""
+        try:
+            with open(self._ckpt_path(session_id)) as handle:
+                lines = handle.read().split("\n")
+            blob = json.loads(lines[0])
+        except FileNotFoundError:
+            return None
+        except (OSError, ValueError) as error:
+            notes.append(f"checkpoint unreadable ({error}); full replay")
+            return None
+        if not isinstance(blob, dict) or blob.get("schema") != CHECKPOINT_SCHEMA:
+            problem = "bad checkpoint schema"
+        elif isinstance(blob.get("seq"), bool) or not isinstance(blob.get("seq"), int):
+            problem = "bad checkpoint seq"
+        elif not isinstance(blob.get("config"), dict):
+            problem = "bad checkpoint config"
+        else:
+            problem = validate_engine_state(blob.get("state"))
+        if problem is not None:
+            notes.append(f"checkpoint unusable ({problem}); full replay")
+            return None
+        folding, seq = None, blob["seq"]
+        for number, line in enumerate(lines[1:], 2):
+            if not line and number == len(lines):
+                break  # the newline that ends the last whole line
+            try:
+                row = json.loads(line)
+                if row["extends"] != seq:
+                    raise ValueError(f"it extends seq {row['extends']!r}")
+                if isinstance(row["seq"], bool) or not isinstance(row["seq"], int):
+                    raise ValueError("bad seq")
+                folding = folding or _Fold(blob["state"])
+                problem = folding.apply(row["delta"])
+                if problem is not None:
+                    raise ValueError(problem)
+            except (LookupError, TypeError, ValueError) as error:
+                notes.append(
+                    f"checkpoint chain ends at seq {seq}: line {number} "
+                    f"unusable ({error})"
+                )
+                break
+            seq = row["seq"]
+        if folding is None:
+            return blob
+        return {**blob, "seq": seq, "state": folding.state()}
+
     def load(self, session_id: str) -> Optional[RecoveryBundle]:
         """Everything needed to rebuild *session_id*, or None if unknown."""
         notes: list[str] = []
@@ -484,30 +663,7 @@ class DurabilityStore:
         except (OSError, json.JSONDecodeError) as error:
             notes.append(f"meta unreadable: {error}")
 
-        checkpoint: Optional[dict] = None
-        try:
-            with open(self._ckpt_path(session_id)) as handle:
-                blob = json.load(handle)
-            problem = None
-            if not isinstance(blob, dict) or blob.get("schema") != CHECKPOINT_SCHEMA:
-                problem = "bad checkpoint schema"
-            elif isinstance(blob.get("seq"), bool) or not isinstance(
-                blob.get("seq"), int
-            ):
-                problem = "bad checkpoint seq"
-            elif not isinstance(blob.get("config"), dict):
-                problem = "bad checkpoint config"
-            else:
-                problem = validate_engine_state(blob.get("state"))
-            if problem is None:
-                checkpoint = blob
-            else:
-                notes.append(f"checkpoint unusable ({problem}); full replay")
-        except FileNotFoundError:
-            pass
-        except (OSError, json.JSONDecodeError) as error:
-            notes.append(f"checkpoint unreadable ({error}); full replay")
-
+        checkpoint = self._read_checkpoint(session_id, notes)
         records, skipped, last_seq, wal_notes = self._read_wal(session_id)
         notes.extend(wal_notes)
         if config is None and checkpoint is None:
@@ -533,7 +689,7 @@ class DurabilityStore:
     # -- bookkeeping ---------------------------------------------------------
 
     def stats(self) -> dict:
-        sessions = len(self.sessions())
+        sessions = sum(name.endswith(".meta.json") for name in os.listdir(self.root))
         with self._lock:
             return {
                 "root": self.root,
@@ -542,6 +698,9 @@ class DurabilityStore:
                 "appends": self.appends,
                 "skips": self.skips,
                 "checkpoints": self.checkpoints,
+                "checkpoints_full": self.checkpoints - self.checkpoints_delta,
+                "checkpoints_delta": self.checkpoints_delta,
+                "checkpoint_bytes": self.checkpoint_bytes,
                 "fsyncs": self.fsyncs,
                 "pending_sync": len(self._dirty),
                 "bytes_appended": self.bytes_appended,

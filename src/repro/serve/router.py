@@ -205,6 +205,15 @@ class WorkerLink:
         }
 
 
+def _unreachable(link: WorkerLink, error: Exception) -> dict:
+    return {
+        "ok": False,
+        "error": "worker_unreachable",
+        "worker": link.index,
+        "detail": f"{type(error).__name__}: {error}",
+    }
+
+
 class _Placement:
     __slots__ = ("worker", "tenant", "migrating", "seq", "ops_since_checkpoint", "lock")
 
@@ -373,21 +382,11 @@ class RuleRouter(Endpoint):
         for session_id in stranded:
             reply = await self._migrate(session_id)
             if not reply.get("ok"):
-                self.lost_sessions.append(session_id)
-                del self.placements[session_id]
-                self.events.append(
-                    {
-                        "type": "lost",
-                        "session": session_id,
-                        "worker": link.index,
-                        "error": reply.get("error"),
-                        "time": time.time(),
-                    }
-                )
+                self._mark_lost(session_id, link.index, reply.get("error"))
 
     # -- durable recovery ----------------------------------------------------
 
-    def _mark_lost(self, session_id: str, worker: int, error: str) -> None:
+    def _mark_lost(self, session_id: str, worker: int, error) -> None:
         """Last resort, even for a durable router: record the loss but
         keep the session's journal on disk for a postmortem restore."""
         self.lost_sessions.append(session_id)
@@ -668,6 +667,8 @@ class RuleRouter(Endpoint):
         exported blob covers exactly ``placement.seq`` journaled ops --
         the seq recorded beside it.  Failures are ignored: a checkpoint
         is an optimisation of the replay, never a correctness event.
+        What is persisted is what changed since the last one (see
+        ``_save_checkpoint``), so the cost follows the ops, not the WM.
         """
         try:
             placement = self.placements.get(session_id)
@@ -683,21 +684,37 @@ class RuleRouter(Endpoint):
                     # stale checkpoint landing after the drop would
                     # resurrect the old incarnation on recovery.
                     return
-                link = self.workers[placement.worker]
-                try:
-                    reply = await link.call(
-                        {"op": "export", "session": session_id}
-                    )
-                except Exception:
-                    return  # the next op's failure will drive recovery
-                if not reply.get("ok"):
-                    return
-                self.durability.save_checkpoint(
-                    session_id, placement.seq, reply["config"], reply["state"]
-                )
-                placement.ops_since_checkpoint = 0
+                await self._save_checkpoint(session_id, placement)
         finally:
             self._checkpointing.discard(session_id)
+
+    async def _save_checkpoint(
+        self, session_id: str, placement: _Placement, full: bool = False
+    ) -> None:
+        """Export under the placement lock (the caller holds it) and
+        persist: a delta while the session can still name the export the
+        store last persisted, else -- or when *full* -- the whole state."""
+        store = self.durability
+        since = "" if full else store.checkpoint_mark(session_id)
+        try:
+            reply = await self.workers[placement.worker].call(
+                {"op": "export", "session": session_id, "since": since}
+            )
+            if "delta" in reply:
+                if not store.append_delta(
+                    session_id, placement.seq, reply["delta"], reply["mark"]
+                ):
+                    return  # refused: still due, and the next one is full
+            elif reply.get("ok"):
+                store.save_checkpoint(
+                    session_id, placement.seq, reply["config"], reply["state"],
+                    reply["mark"],
+                )
+            else:
+                return
+        except Exception:
+            return  # the journal alone still restores the session
+        placement.ops_since_checkpoint = 0
 
     async def _forward_durable(
         self, request: dict, session_id: str, placement: _Placement
@@ -707,13 +724,7 @@ class RuleRouter(Endpoint):
         journal = op in _JOURNALED_OPS
         async with placement.lock:
             if placement.migrating:
-                self.telemetry.rejected += 1
-                return {
-                    "ok": False,
-                    "error": "backpressure",
-                    "retry_after": MIGRATING_RETRY_AFTER,
-                    "migrating": True,
-                }
+                return self._reject_migrating()
             link = self.workers[placement.worker]
             generation = link.generation
             seq = 0
@@ -743,23 +754,13 @@ class RuleRouter(Endpoint):
                         # The journal replayed this very op on the fresh
                         # worker; its reply is the authoritative answer.
                         return entry[1]
-                    return {
-                        "ok": False,
-                        "error": "worker_unreachable",
-                        "worker": link.index,
-                        "detail": f"{type(error).__name__}: {error}",
-                    }
+                    return _unreachable(link, error)
                 # Read-only op: retry once against the recovered placement.
                 retry_link = self.workers[placement.worker]
                 try:
                     return await retry_link.call(request)
                 except Exception as retry_error:
-                    return {
-                        "ok": False,
-                        "error": "worker_unreachable",
-                        "worker": retry_link.index,
-                        "detail": f"{type(retry_error).__name__}: {retry_error}",
-                    }
+                    return _unreachable(retry_link, retry_error)
             if journal:
                 error = reply.get("error")
                 if error == "backpressure" or (
@@ -813,12 +814,7 @@ class RuleRouter(Endpoint):
                 demoted = self._record_failure(link)
                 if demoted:
                     await self._evacuate(link)
-            return {
-                "ok": False,
-                "error": "worker_unreachable",
-                "worker": link.index,
-                "detail": f"{type(error).__name__}: {error}",
-            }
+            return _unreachable(link, error)
 
     async def _forward_session_op(self, request: dict) -> dict:
         session_id = request.get("session")
@@ -828,16 +824,19 @@ class RuleRouter(Endpoint):
         if self.durability is not None:
             return await self._forward_durable(request, session_id, placement)
         if placement.migrating:
-            # Well-behaved clients sleep retry_after and re-send; by
-            # then the placement points at the new worker.
-            self.telemetry.rejected += 1
-            return {
-                "ok": False,
-                "error": "backpressure",
-                "retry_after": MIGRATING_RETRY_AFTER,
-                "migrating": True,
-            }
+            return self._reject_migrating()
         return await self._call_worker(self.workers[placement.worker], request)
+
+    def _reject_migrating(self) -> dict:
+        # Well-behaved clients sleep retry_after and re-send; by then
+        # the placement points at the new worker.
+        self.telemetry.rejected += 1
+        return {
+            "ok": False,
+            "error": "backpressure",
+            "retry_after": MIGRATING_RETRY_AFTER,
+            "migrating": True,
+        }
 
     # -- server-level ops ----------------------------------------------------
 
@@ -1036,20 +1035,7 @@ class RuleRouter(Endpoint):
                     if placement is None or placement.migrating:
                         continue
                     async with placement.lock:
-                        try:
-                            reply = await link.call(
-                                {"op": "export", "session": session_id}
-                            )
-                            if reply.get("ok"):
-                                self.durability.save_checkpoint(
-                                    session_id,
-                                    placement.seq,
-                                    reply["config"],
-                                    reply["state"],
-                                )
-                                placement.ops_since_checkpoint = 0
-                        except Exception:
-                            pass  # the journal alone still restores it
+                        await self._save_checkpoint(session_id, placement, full=True)
                         placement.migrating = True
                 try:
                     address = await asyncio.get_running_loop().run_in_executor(

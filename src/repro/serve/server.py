@@ -30,7 +30,7 @@ Session operations (queued, executed in order on the session thread)::
     {"op": "apply", "session": id, "changes": [[kind, ...], ...]}
     {"op": "run", "session": id, "max_cycles": n?}
     {"op": "query", "session": id, "what": "wm" | "conflict-set" | "stats"}
-    {"op": "export", "session": id}      # migration payload
+    {"op": "export", "session": id, "since"?: mark}  # migration / checkpoint payload
 
 Every reply carries ``ok``; failures add ``error`` (backpressure
 rejections add ``retry_after`` + ``queue_depth``; tenant-quota

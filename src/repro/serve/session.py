@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import os
 import threading
 import time
 from collections import deque
@@ -56,7 +57,7 @@ from ..faults.plan import SLOW as FAULT_SLOW
 from ..faults.plan import FaultPlan
 from ..obs import metrics as obs_metrics
 from ..obs.recorder import NULL_RECORDER
-from ..ops5 import Ops5Error, ProductionSystem, matcher_named
+from ..ops5 import EngineListener, Ops5Error, ProductionSystem, matcher_named
 from ..ops5.parser import Program, parse_program
 from ..ops5.wme import WME
 from .stats import Telemetry
@@ -174,6 +175,41 @@ def build_matcher(
 def encode_wme(wme: WME) -> list:
     """JSON-ready view of one working-memory element."""
     return [wme.cls, dict(wme.attributes), wme.timetag]
+
+
+class _DeltaLog(EngineListener):
+    """What the engine changed since the session's last marked export.
+
+    The engine's listener from the first ``export`` carrying ``since``
+    on; a session nobody checkpoints never builds one.  Adds and removes
+    are kept *net*; fired keys only grow, so a log that outgrows live
+    working memory drops itself and the next marked export is full.
+    """
+
+    def __init__(self, system: ProductionSystem, mark: str) -> None:
+        self.system = system
+        self.mark = mark
+        self.added: dict[int, WME] = {}
+        self.removed: list[int] = []
+        self.fired: list[tuple] = []
+        self.output_from = len(system.output)
+
+    def on_change(self, cycle: int, kind: str, wme: WME) -> None:
+        if kind == "add":
+            self.added[wme.timetag] = wme  # log and memory grew alike
+        else:
+            if self.added.pop(wme.timetag, None) is None:
+                self.removed.append(wme.timetag)
+            self._bound()
+
+    def on_cycle(self, cycle: int, fired) -> None:
+        self.fired.append(fired.key)
+        self._bound()
+
+    def _bound(self) -> None:
+        system = self.system
+        if len(self.added) + len(self.removed) + len(self.fired) > len(system.memory):
+            system.listener = EngineListener()
 
 
 class Session:
@@ -450,18 +486,35 @@ class Session:
         Runs through the session queue like any other op, so the export
         is strictly ordered against in-flight changes -- everything the
         session acknowledged is in the blob, nothing later is.
+
+        A checkpointing caller sends ``since``, the ``mark`` of the last
+        export it persisted.  If this session's delta log started at
+        that export the reply carries a ``repro.engine-delta/1`` record
+        in place of the state; in every other case (first marked export,
+        restored session, lost reply, dropped log) the full state.
+        Either way a fresh ``mark`` comes back and the log restarts.
         """
-        return {
-            "ok": True,
-            "config": {
-                "program": self.program,
-                "matcher": self.matcher_name,
-                "strategy": self.strategy_name,
-                "max_pending": self.max_pending,
-                "tenant": self.tenant,
-            },
-            "state": self.system.export_state(),
+        system = self.system
+        reply = {"ok": True}
+        if "since" in request:
+            log = system.listener
+            reply["mark"] = os.urandom(8).hex()
+            system.listener = _DeltaLog(system, reply["mark"])
+            if isinstance(log, _DeltaLog) and log.mark == request["since"]:
+                reply["delta"] = system.export_delta(
+                    log.added.values(), log.removed, log.fired, log.output_from
+                )
+                reply["delta"]["since"] = log.mark
+                return reply
+        reply["config"] = {
+            "program": self.program,
+            "matcher": self.matcher_name,
+            "strategy": self.strategy_name,
+            "max_pending": self.max_pending,
+            "tenant": self.tenant,
         }
+        reply["state"] = system.export_state()
+        return reply
 
     _OPS = {
         "assert": _op_assert,
