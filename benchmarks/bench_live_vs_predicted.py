@@ -2,18 +2,20 @@
 
 The discrete-event simulator (`repro.psim`) *predicts* how much
 concurrency a trace's task graph offers a multiprocessor; the live
-parallel executor (`repro.parallel`) *measures* what a real process
-pool extracts from the same work on this host.  This benchmark runs the
-same workloads through both paths and reports them side by side -- the
-repo's first wall-clock performance baseline (recorded in
-``BENCH_live_vs_predicted.json`` at the repo root).
+parallel executor (`repro.parallel`) *measures* what its thread shards
+extract from the same work on this host.  This benchmark runs the same
+workloads through both paths and reports them side by side (recorded
+in ``BENCH_live_vs_predicted.json`` at the repo root).
 
 Honesty note: the predicted numbers model the paper's 32-processor PSM
-with hardware scheduling; the measured numbers come from
-``multiprocessing`` on whatever this host is.  On a single-core
-container a measured speed-up > 1 is physically unattainable -- the
-assertions therefore scale with ``host_cpus``, and the JSON snapshot
-records the host so future comparisons are apples-to-apples.
+with hardware scheduling; the measured numbers come from compiled-kernel
+shards on threads that share one interpreter lock, against the serial
+*interpreted* Rete.  A measured speed-up > 1 here is the kernel's lower
+per-change cost paying for the dispatch, not concurrency -- against
+serial ``compiled`` the same shards read 0.33x (``parallel_steady`` in
+``benchmarks/e2e``).  Every prediction is priced with the
+kernel-calibrated cost model, since every live shard runs the compiled
+kernel, and the JSON snapshot records the host.
 
 Workloads:
 
@@ -23,13 +25,11 @@ Workloads:
   batch (hundreds of changes per barrier: the match-parallel regime
   the paper's concurrency figures are about).
 * **system-class programs** (vt, ilog, mud, daa, r1-soar, ep-soar) --
-  replayed op streams against the shared-memory ``local`` backend.
-  The replay protocol records each program's matcher traffic once and
-  times only the cycle loop (ruleset compiled, facts streaming -- the
-  serve regime and the paper's match-phase regime), with bit-identity
-  against the serial Rete asserted before any timing is trusted.  The
-  predicted side for these rows uses the kernel-calibrated cost model,
-  since the live shards run the compiled kernel, not the interpreter.
+  replayed op streams.  The replay protocol records each program's
+  matcher traffic once and times only the cycle loop (ruleset compiled,
+  facts streaming -- the serve regime and the paper's match-phase
+  regime), with bit-identity against the serial Rete asserted before
+  any timing is trusted.
 """
 
 from __future__ import annotations
@@ -132,14 +132,14 @@ def _run_batch_join(matcher) -> int:
     return matches
 
 
-# -- workload 3: system-class programs (replay, local backend) -----------------
+# -- workload 3: system-class programs (replay) --------------------------------
 
 REPLAY_WORKERS = [1, 2]
 REPLAY_REPEATS = 5
 
 
 def _replay_rows(name: str, mod) -> list[MeasuredRun]:
-    """Replay-protocol timings: serial Rete vs. local thread shards.
+    """Replay-protocol timings: serial Rete vs. thread shards.
 
     One recording drives every backend, so the comparison is over the
     exact same op stream; the conflict-set keys must match the serial
@@ -153,11 +153,11 @@ def _replay_rows(name: str, mod) -> list[MeasuredRun]:
     for workers in REPLAY_WORKERS:
         elapsed, keys = timed_replay(
             recording,
-            lambda: ParallelMatcher(workers=workers, transport="local"),
+            lambda: ParallelMatcher(workers=workers),
             repeats=REPLAY_REPEATS,
             close=True,
         )
-        assert keys == serial_keys, f"{name} diverged under local[{workers}]"
+        assert keys == serial_keys, f"{name} diverged under parallel[{workers}]"
         rows.append(
             MeasuredRun(
                 label=name,
@@ -219,11 +219,19 @@ def test_live_vs_predicted(report):
     gate = validate_parallel(closure.PROGRAM, _closure_setup(), workers=2)
     assert gate.agree, gate.divergences()
 
+    # Live shards run the compiled kernel, not the interpreter, so the
+    # predicted side is priced with the kernel-calibrated model.
+    calibrated = kernel_calibrated_model()
     workloads = [
         (
             "closure-chain",
             _run_closure,
-            _predict("closure-chain", closure.PROGRAM, _closure_setup()),
+            _predict(
+                "closure-chain",
+                closure.PROGRAM,
+                _closure_setup(),
+                cost_model=calibrated,
+            ),
         ),
         (
             "batch-join",
@@ -234,6 +242,7 @@ def test_live_vs_predicted(report):
                 _batch_join_wmes(),
                 include_setup=True,
                 max_cycles=0,
+                cost_model=calibrated,
             ),
         ),
     ]
@@ -241,11 +250,13 @@ def test_live_vs_predicted(report):
     records = []
     for label, run_fn, predicted in workloads:
         for measured in _measure(label, run_fn, ReteNetwork):
-            records.append(predicted_vs_measured(predicted, measured))
+            records.append(
+                predicted_vs_measured(
+                    predicted, measured, cost_model=calibrated.label
+                )
+            )
 
-    # System-class programs over the shared-memory backend: predictions
-    # priced with the kernel-calibrated model, measurements via replay.
-    calibrated = kernel_calibrated_model()
+    # System-class programs: measurements via replay.
     for name in sorted(SYSTEM_PROGRAMS):
         mod = SYSTEM_PROGRAMS[name]
         predicted = _predict(
@@ -255,7 +266,6 @@ def test_live_vs_predicted(report):
             record = predicted_vs_measured(
                 predicted, measured, cost_model=calibrated.label
             )
-            record["transport"] = "local"
             record["protocol"] = "replay"
             records.append(record)
 
@@ -289,15 +299,14 @@ def test_live_vs_predicted(report):
     # ...and every measured run must complete and produce a finite ratio.
     assert all(r["measured_speedup"] > 0 for r in records)
 
-    # The shared-memory backend's contract: on the replayed op streams,
-    # at least two of the six system-class programs beat the serial
-    # Rete in wall-clock with two thread shards -- even on this
-    # one-core host, because the compiled kernel's lower per-change
-    # cost (not core count) is what pays for the dispatch.
+    # On the replayed op streams, at least two of the six system-class
+    # programs beat the serial Rete in wall-clock with two thread
+    # shards, because the compiled kernel's lower per-change cost (not
+    # core count) is what pays for the dispatch.
     replay = [
         r
         for r in records
-        if r.get("transport") == "local" and r["workers"] == 2
+        if r.get("protocol") == "replay" and r["workers"] == 2
     ]
     assert len(replay) == len(SYSTEM_PROGRAMS)
     winners = [r for r in replay if r["measured_speedup"] > 1.0]
@@ -305,14 +314,10 @@ def test_live_vs_predicted(report):
         (r["label"], round(r["measured_speedup"], 3)) for r in replay
     )
 
+    # Threads under one interpreter lock cannot speed up CPU-bound work
+    # whatever the core count; assert the overhead stays bounded
+    # instead of pretending otherwise.
     best = max(
         (r for r in records if r["workers"] >= 4), key=lambda r: r["measured_speedup"]
     )
-    if cpus >= 4:
-        # With real cores behind the pool, at least one workload must
-        # beat the serial matcher in wall-clock at 4 workers.
-        assert best["measured_speedup"] > 1.0, best
-    else:
-        # A core-starved host cannot speed up CPU-bound work; assert the
-        # overhead stays bounded instead of pretending otherwise.
-        assert best["measured_speedup"] > 0.02, best
+    assert best["measured_speedup"] > 0.02, best

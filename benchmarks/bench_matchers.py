@@ -12,8 +12,7 @@ Two halves:
   ``r1-soar``, ``ep-soar``), written to ``BENCH_compiled_kernel.json``.
   ``--check`` gates the compiled kernel's per-program speedup over the
   interpreted Rete against ``benchmarks/baselines/compiled_kernel.json``
-  (25% tolerance, mirroring the transport gate) -- the CI perf-smoke
-  step for the codegen path.
+  (25% tolerance) -- the CI perf-smoke step for the codegen path.
 
 Measurement discipline: programs are parsed once (parsing is not match
 work); the codegen cache is warmed before timing so the committed
@@ -125,8 +124,7 @@ def test_bench_rete_compile(benchmark):
 
 def _best_interleaved(fns: dict, reps: int) -> dict:
     """Minimum seconds per call for each labelled fn, round-robin, so a
-    CPU-frequency shift hits every backend in the same round (the same
-    rationale as ``bench_transport.py``)."""
+    CPU-frequency shift hits every backend in the same round."""
     best = {label: float("inf") for label in fns}
     gc_was_enabled = gc.isenabled()
     gc.disable()

@@ -1,6 +1,6 @@
 """Shared-memory backend throughput gate: local thread shards vs. Rete.
 
-The CI perf-smoke step for the ``local`` transport.  Each of the six
+The CI perf-smoke step for the parallel backend.  Each of the six
 Section 6 system-class programs is recorded once (the replay protocol
 from :mod:`repro.workloads.replay`: the op stream the engine actually
 sent its matcher, split at conflict-set reads) and then replayed
@@ -14,8 +14,7 @@ Samples are interleaved round-robin so host drift hits every backend in
 the same round, and best-of is reported because this host's timing
 noise is one-sided.  ``--check`` gates each program's two-shard speedup
 over Rete against ``benchmarks/baselines/shared_memory.json`` with a
-relative tolerance (default 25%, mirroring the transport and
-compiled-kernel gates).
+relative tolerance (default 25%, mirroring the compiled-kernel gate).
 
 Usage::
 
@@ -50,8 +49,8 @@ BASELINE_SCHEMA = "repro.shared-memory-bench/1"
 #: label -> (matcher factory, needs close()).
 BACKENDS = {
     "rete": (ReteNetwork, False),
-    "local1": (lambda: ParallelMatcher(workers=1, transport="local"), True),
-    "local2": (lambda: ParallelMatcher(workers=2, transport="local"), True),
+    "local1": (lambda: ParallelMatcher(workers=1), True),
+    "local2": (lambda: ParallelMatcher(workers=2), True),
 }
 
 PROFILES = {

@@ -9,8 +9,8 @@ Commands
     Run one of the bundled programs (``hanoi``, ``blocks``, ``monkey``,
     ``eight-puzzle``, ``closure``).
 ``matchers``
-    List the registered matcher backends and shard transports, with
-    one-line descriptions from the engine registry.
+    List the registered matcher backends, with one-line descriptions
+    from the engine registry.
 ``simulate``
     Generate a calibrated system workload (or capture one from a
     program file) and replay it on a configurable PSM.
@@ -28,9 +28,9 @@ Commands
     timeline (Chrome trace / JSONL) plus the unified metrics snapshot
     (``docs/observability.md``).
 ``chaos``
-    Run a demo on the parallel backend under a seeded fault plan
-    (worker crashes/hangs) and verify the recovered run is bit-identical
-    to the inline reference (``docs/fault-tolerance.md``).
+    SIGKILL real worker processes of a durable serve fleet under
+    multitenant load and verify every session recovers bit-identically
+    from journal + checkpoint (``docs/fault-tolerance.md``).
 ``fuzz``
     Differential-fuzz every matcher backend with generated OPS5
     programs; mismatches are shrunk to minimal (ruleset, stream) pairs
@@ -56,21 +56,16 @@ def _build_matcher(args):
     """Construct the requested matcher through the engine registry.
 
     Every backend -- current and future -- goes through
-    :func:`~repro.ops5.engine.matcher_named`; ``--workers`` and
-    ``--transport`` are forwarded to the parallel backend (the only one
-    that takes them).
+    :func:`~repro.ops5.engine.matcher_named`; ``--workers`` is forwarded
+    to the parallel backend (the only one that takes it).
     """
     from .serve.session import build_matcher
 
-    return build_matcher(
-        args.matcher,
-        workers=getattr(args, "workers", None),
-        transport=getattr(args, "transport", None),
-    )
+    return build_matcher(args.matcher, workers=getattr(args, "workers", None))
 
 
 def _close_matcher(matcher) -> None:
-    """Reap worker processes if the matcher owns any."""
+    """Stop the matcher's threads if it owns any."""
     close = getattr(matcher, "close", None)
     if close is not None:
         close()
@@ -90,12 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--matcher", choices=sorted(MATCHER_NAMES), default="rete")
     run.add_argument(
         "--workers", type=int, default=None,
-        help="worker processes for --matcher parallel (0 = inline)",
-    )
-    run.add_argument(
-        "--transport", choices=["auto", "ring", "pipe", "local"], default=None,
-        help="shard transport for --matcher parallel "
-             "(auto = shared-memory ring when available)",
+        help="thread shards for --matcher parallel (0 = inline)",
     )
     run.add_argument("--strategy", choices=["lex", "mea"], default="lex")
     run.add_argument("--max-cycles", type=int, default=None)
@@ -108,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser(
         "matchers",
-        help="list the registered matcher backends and shard transports",
+        help="list the registered matcher backends",
     )
 
     demo = sub.add_parser("demo", help="run a bundled example program")
@@ -116,11 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--matcher", choices=sorted(MATCHER_NAMES), default="rete")
     demo.add_argument(
         "--workers", type=int, default=None,
-        help="worker processes for --matcher parallel (0 = inline)",
-    )
-    demo.add_argument(
-        "--transport", choices=["auto", "ring", "pipe", "local"], default=None,
-        help="shard transport for --matcher parallel",
+        help="thread shards for --matcher parallel (0 = inline)",
     )
 
     sim = sub.add_parser("simulate", help="replay a workload on the PSM model")
@@ -240,11 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--matcher", choices=sorted(MATCHER_NAMES), default="rete")
     profile.add_argument(
         "--workers", type=int, default=None,
-        help="worker processes for --matcher parallel (0 = inline)",
-    )
-    profile.add_argument(
-        "--transport", choices=["auto", "ring", "pipe", "local"], default=None,
-        help="shard transport for --matcher parallel",
+        help="thread shards for --matcher parallel (0 = inline)",
     )
     profile.add_argument("--strategy", choices=["lex", "mea"], default="lex")
     profile.add_argument("--max-cycles", type=int, default=None)
@@ -261,69 +243,41 @@ def _build_parser() -> argparse.ArgumentParser:
 
     chaos = sub.add_parser(
         "chaos",
-        help="run a demo under injected shard faults and verify the "
-             "recovered run is bit-identical (see docs/fault-tolerance.md)",
-    )
-    chaos.add_argument("--demo", choices=sorted(ALL_PROGRAMS), default="closure")
-    chaos.add_argument(
-        "--workers", type=int, default=2,
-        help="shard worker processes for the faulted run",
+        help="SIGKILL real worker OS processes of a durable serve fleet "
+             "under multitenant session load and verify every session "
+             "recovers bit-identically from journal + checkpoint "
+             "(see docs/fault-tolerance.md)",
     )
     chaos.add_argument(
-        "--transport", choices=["auto", "ring", "pipe", "local"], default="auto",
-        help="shard transport for the faulted run (recovery must be "
-             "bit-identical over either)",
+        "--workers", type=int, default=2, help="fleet worker processes",
     )
     chaos.add_argument(
         "--seed", type=int, default=42,
-        help="derive the fault plan from this seed (reproducible)",
+        help="derive the kill schedule from this seed (reproducible)",
     )
     chaos.add_argument("--crashes", type=int, default=1,
-                       help="worker crashes to schedule")
-    chaos.add_argument("--hangs", type=int, default=1,
-                       help="worker hangs to schedule")
-    chaos.add_argument(
-        "--horizon", type=int, default=16,
-        help="fault positions are drawn from the first N batches per shard",
-    )
-    chaos.add_argument(
-        "--collect-deadline", type=float, default=2.0,
-        help="seconds of shard silence before declaring a hang",
-    )
+                       help="worker kills to schedule")
     chaos.add_argument(
         "--checkpoint-every", type=int, default=8,
-        help="checkpoint a shard every N applied batches (0 = never)",
-    )
-    chaos.add_argument("--max-cycles", type=int, default=500)
-    chaos.add_argument(
-        "--with-compiled", action="store_true",
-        help="add the compiled kernel (in Rete-oracle mode) as a third "
-             "participant in the bit-identity comparison",
+        help="checkpoint a session every N journalled ops",
     )
     chaos.add_argument("--report-out", help="write the chaos report as JSON")
     chaos.add_argument(
-        "--fleet", action="store_true",
-        help="chaos the durable serve fleet instead of the shard pool: "
-             "SIGKILL real worker OS processes (--crashes of them) under "
-             "multitenant session load and verify every session recovers "
-             "bit-identically from journal + checkpoint",
-    )
-    chaos.add_argument(
         "--sessions", type=int, default=6,
-        help="concurrent sessions across three tenants (--fleet only)",
+        help="concurrent sessions across three tenants",
     )
     chaos.add_argument(
         "--rounds", type=int, default=6,
-        help="assert+run rounds applied to every session (--fleet only)",
+        help="assert+run rounds applied to every session",
     )
     chaos.add_argument(
         "--heartbeat-interval", type=float, default=0.5,
-        help="worker liveness probe period in seconds (--fleet only)",
+        help="worker liveness probe period in seconds",
     )
     chaos.add_argument(
         "--journal-dir", default=None,
         help="keep the fleet's journals + checkpoints in this directory "
-             "instead of a temporary one (--fleet only; the CI artifact)",
+             "instead of a temporary one (the CI artifact)",
     )
 
     fuzz = sub.add_parser(
@@ -350,12 +304,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     fuzz.add_argument(
         "--workers", type=int, default=2,
-        help="worker processes per parallel backend",
-    )
-    fuzz.add_argument(
-        "--transports", default="pipe,ring,local",
-        help="comma-separated parallel transports to include "
-             "(ring is skipped with a note when unavailable)",
+        help="thread shards of the parallel backend",
     )
     fuzz.add_argument("--max-cycles", type=int, default=40)
     fuzz.add_argument(
@@ -765,88 +714,16 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_matchers(args) -> int:
-    """List matcher backends and shard transports from the registries."""
+    """List matcher backends from the engine registry."""
     from .ops5.engine import MATCHER_DESCRIPTIONS
-    from .parallel import ring_available
 
     print("matchers:")
     for name in MATCHER_NAMES:
         print(f"  {name:<13} {MATCHER_DESCRIPTIONS[name]}")
-    print("transports (for --matcher parallel):")
-    ring_note = "" if ring_available() else " [unavailable on this host]"
-    print("  pipe          pickled duplex pipes (always available)")
-    print(f"  ring          shared-memory SPSC byte rings{ring_note}")
-    print("  local         thread shards sharing one compiled kernel "
-          "(zero-copy, work stealing)")
-    print("  auto          ring when available, else pipe")
     return 0
 
 
 def _cmd_chaos(args) -> int:
-    """Run a demo under injected faults; exit 0 iff bit-identical."""
-    import json
-
-    if args.fleet:
-        return _cmd_chaos_fleet(args)
-
-    from .faults import FaultPlan, run_chaos
-    from .parallel import SupervisorConfig
-
-    module = ALL_PROGRAMS[args.demo]
-    try:
-        plan = FaultPlan.seeded(
-            args.seed,
-            shards=max(1, args.workers),
-            horizon=args.horizon,
-            crashes=args.crashes,
-            hangs=args.hangs,
-        )
-        config = SupervisorConfig(
-            collect_deadline=args.collect_deadline,
-            checkpoint_every=args.checkpoint_every or None,
-        )
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    for spec in plan.specs:
-        print(f"-- scheduled {spec.kind} on shard {spec.index} at batch {spec.at}")
-    report = run_chaos(
-        module.PROGRAM,
-        module.setup(),
-        plan,
-        workers=args.workers,
-        supervisor=config,
-        max_cycles=args.max_cycles,
-        transport=args.transport,
-        with_compiled=args.with_compiled,
-    )
-    if args.with_compiled:
-        print("-- compiled kernel (oracle mode) joined the comparison")
-    for event in report.recovery_events:
-        print(
-            f"-- shard {event['shard']} {event['cause']} at seq {event['seq']}: "
-            f"{event['action']} after replaying {event['replayed_ops']} ops "
-            f"in {event['replay_seconds'] * 1e3:.1f} ms"
-            + (" (from checkpoint)" if event["used_checkpoint"] else "")
-        )
-    if not report.recovery_events:
-        print("-- no scheduled fault fired (run ended before the horizon)")
-    verdict = "bit-identical" if report.identical else "DIVERGED"
-    print(
-        f"-- faulted run ({report.transport} transport) vs inline reference: "
-        f"{verdict} ({report.fired_cycles} cycles, halted={report.halted})"
-    )
-    for problem in report.divergences:
-        print(f"--   {problem}")
-    if args.report_out:
-        with open(args.report_out, "w") as handle:
-            json.dump(report.snapshot(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"-- wrote chaos report to {args.report_out}")
-    return 0 if report.identical else 1
-
-
-def _cmd_chaos_fleet(args) -> int:
     """SIGKILL real worker processes under load; exit 0 iff no loss."""
     import json
 
@@ -929,7 +806,6 @@ def _cmd_fuzz(args) -> int:
             file=sys.stderr,
         )
         return 2
-    transports = tuple(t.strip() for t in args.transports.split(",") if t.strip())
 
     if args.case_seed is not None:
         # Replay mode: one seed from a report, full source + verdict.
@@ -937,9 +813,7 @@ def _cmd_fuzz(args) -> int:
         print(case.source())
         print()
         print(case.stream_text())
-        with MatcherFleet(workers=args.workers, transports=transports) as fleet:
-            for note in fleet.notes:
-                print(f"-- {note}")
+        with MatcherFleet(workers=args.workers) as fleet:
             outcome = run_case(case, fleet.backends(), max_cycles=args.max_cycles)
         if outcome.ok:
             print(f"-- case seed {args.case_seed}: all backends agree")
@@ -958,14 +832,11 @@ def _cmd_fuzz(args) -> int:
         budget=args.budget,
         profile=profile,
         workers=args.workers,
-        transports=transports,
         max_cycles=args.max_cycles,
         iterations=args.iterations,
         shrink_attempts=args.shrink_attempts,
         on_case=progress,
     )
-    for note in report.notes:
-        print(f"-- {note}")
     print(
         f"-- profile {report.profile}: {report.iterations} cases in "
         f"{report.elapsed:.1f}s across {len(report.backends)} backends "

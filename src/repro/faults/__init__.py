@@ -1,48 +1,24 @@
-"""Fault injection and chaos harnessing for the match fleet.
+"""Fault injection and chaos harnessing for the serve fleet.
 
-This package is the failure-side counterpart of :mod:`repro.parallel`'s
-supervision: :class:`FaultPlan` schedules deterministic, seedable
-failures (worker crash, hang, pipe drop, slow shard, session errors)
-that the shard workers and serve sessions consult, and
-:mod:`repro.faults.chaos` runs a program under a plan and proves the
-result bit-identical to the inline fault-free reference.
+:class:`FaultPlan` schedules deterministic failures (request errors,
+slow requests) that serve sessions consult, and
+:func:`~repro.faults.chaos.fleet_chaos` SIGKILLs real worker processes
+of a durable fleet under load and proves every session's continuation
+bit-identical to a no-fault run.
 
-See ``docs/fault-tolerance.md`` for the supervision model and the
-recovery economics relative to the paper's Section 3.1.
+See ``docs/fault-tolerance.md`` for the durability/recovery contract.
 """
 
-from .chaos import ChaosReport, FleetChaosReport, fleet_chaos, run_chaos, seeded_chaos
-from .plan import (
-    CRASH,
-    ERROR,
-    HANG,
-    HANG_FOREVER,
-    PIPE_DROP,
-    SESSION,
-    SESSION_KINDS,
-    SHARD,
-    SHARD_KINDS,
-    SLOW,
-    FaultPlan,
-    FaultSpec,
-)
+from .chaos import FleetChaosReport, fleet_chaos
+from .plan import ERROR, SESSION, SESSION_KINDS, SLOW, FaultPlan, FaultSpec
 
 __all__ = [
-    "CRASH",
     "ERROR",
-    "HANG",
-    "HANG_FOREVER",
-    "PIPE_DROP",
     "SESSION",
     "SESSION_KINDS",
-    "SHARD",
-    "SHARD_KINDS",
     "SLOW",
     "FaultPlan",
     "FaultSpec",
-    "ChaosReport",
     "FleetChaosReport",
     "fleet_chaos",
-    "run_chaos",
-    "seeded_chaos",
 ]

@@ -1,146 +1,21 @@
-"""The chaos harness: run a program under faults, prove it unharmed.
+"""The chaos harness: kill real serve workers under load, prove nothing lost.
 
-``run_chaos`` is the executable statement of the fault-tolerance
-guarantee: a parallel run with injected worker failures must produce a
-**bit-identical** observable record -- firing sequence, per-cycle
-conflict sets, output, final working memory, halt state -- to the
-inline fault-free reference.  The supervisor may respawn workers,
-replay journals, even demote shards to inline execution; none of that
-is allowed to show up in the result, only in the fault summary.
+:func:`fleet_chaos` is the executable statement of the fault-tolerance
+guarantee: a :class:`~repro.serve.fleet.ProcessRouterFleet` whose worker
+processes are SIGKILLed mid-run must lose no session, and every
+session's cumulative firing record and final working memory must be
+**bit-identical** to a direct no-fault engine run of the same stream.
+The router may respawn workers, replay journals, restore checkpoints;
+none of that is allowed to show up in the result, only in the report.
 
-The comparison rides on :mod:`repro.parallel.validate`'s
-:class:`~repro.parallel.validate.RunRecord` reduction, so "identical"
-here means exactly what the differential test harness means by it.
-
-Used three ways: the chaos-marked test suite asserts on the report, the
+Used three ways: the chaos-marked tests assert on the report, the
 ``repro chaos`` CLI command prints it, and CI uploads its JSON snapshot
-as the recovery-trace artifact.
+as the fleet-chaos artifact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
-
-from .plan import FaultPlan
-
-
-@dataclass
-class ChaosReport:
-    """Outcome of one chaos run: the verdict plus the recovery story."""
-
-    workers: int
-    plan_rows: list[dict]
-    identical: bool
-    divergences: list[str]
-    fired_cycles: int
-    halted: bool
-    fault_summary: dict
-    recovery_events: list[dict] = field(default_factory=list)
-    transport: str = "auto"
-    #: Labels of the compared runs (inline reference, faulted parallel,
-    #: optionally the compiled kernel under its Rete oracle).
-    participants: list[str] = field(default_factory=list)
-
-    @property
-    def recovered(self) -> bool:
-        """Did any scheduled fault actually fire and get repaired?"""
-        return bool(self.recovery_events)
-
-    def snapshot(self) -> dict:
-        """JSON-ready form (the CI recovery-trace artifact)."""
-        return {
-            "schema": "repro.chaos/1",
-            "workers": self.workers,
-            "plan": self.plan_rows,
-            "identical": self.identical,
-            "divergences": self.divergences,
-            "fired_cycles": self.fired_cycles,
-            "halted": self.halted,
-            "fault_summary": self.fault_summary,
-            "recovery_events": self.recovery_events,
-            "transport": self.transport,
-            "participants": self.participants,
-        }
-
-
-def run_chaos(
-    productions,
-    setup: Sequence,
-    plan: FaultPlan,
-    workers: int = 2,
-    strategy: str = "lex",
-    max_cycles: int = 200,
-    supervisor=None,
-    recorder=None,
-    transport: str = "auto",
-    with_compiled: bool = False,
-) -> ChaosReport:
-    """Run one program twice -- faulted parallel vs. inline reference.
-
-    The reference runs first on an inline (``workers=0``) matcher with
-    no faults; the subject runs on *workers* process shards consulting
-    *plan*.  Both are reduced to
-    :class:`~repro.parallel.validate.RunRecord` and compared field by
-    field.  *supervisor* optionally overrides the
-    :class:`~repro.parallel.supervisor.SupervisorConfig` (chaos tests
-    shrink the collect deadline so injected hangs are detected in
-    milliseconds, not half a minute).  *transport* selects the subject's
-    shard transport (the reference is inline, so it has none): recovery
-    must be bit-identical over the shared-memory ring exactly as over
-    pickled pipes.
-
-    With ``with_compiled=True`` a third participant joins the
-    comparison: the generated match kernel running in oracle mode
-    (every change shadow-checked against a node-walking Rete), so one
-    chaos run simultaneously proves fault recovery *and* codegen
-    equivalence on the same program.
-    """
-    # Imported here, not at module top: repro.parallel's worker imports
-    # this package's plan module, so a top-level import would be cyclic.
-    from ..parallel.executor import ParallelMatcher
-    from ..parallel.validate import DifferentialReport, run_recorded
-
-    report = DifferentialReport()
-    with ParallelMatcher(workers=0) as reference:
-        report.records["inline"] = run_recorded(
-            productions, setup, reference, strategy=strategy, max_cycles=max_cycles
-        )
-    if with_compiled:
-        from ..kernel.matcher import CompiledMatcher
-
-        report.records["compiled+oracle"] = run_recorded(
-            productions,
-            setup,
-            CompiledMatcher(oracle=True),
-            strategy=strategy,
-            max_cycles=max_cycles,
-        )
-    with ParallelMatcher(
-        workers=workers,
-        fault_plan=plan,
-        supervisor=supervisor,
-        recorder=recorder,
-        transport=transport,
-    ) as subject:
-        report.records["parallel+faults"] = run_recorded(
-            productions, setup, subject, strategy=strategy, max_cycles=max_cycles
-        )
-        summary = subject.fault_summary()
-        events = [event.snapshot() for event in subject.fault_events()]
-        resolved = subject.transport_summary().get("kind", transport)
-    return ChaosReport(
-        workers=workers,
-        plan_rows=plan.snapshot(),
-        identical=report.agree,
-        divergences=report.divergences(),
-        fired_cycles=report.records["parallel+faults"].cycles,
-        halted=report.records["parallel+faults"].halted,
-        fault_summary=summary,
-        recovery_events=events,
-        transport=resolved,
-        participants=list(report.records),
-    )
 
 
 @dataclass
@@ -203,8 +78,7 @@ def fleet_chaos(
     """SIGKILL real worker processes under multitenant load; prove no
     session lost and every continuation bit-identical.
 
-    The serve-layer counterpart of :func:`run_chaos`, one level up the
-    stack: a :class:`~repro.serve.fleet.ProcessRouterFleet` of *workers*
+    A :class:`~repro.serve.fleet.ProcessRouterFleet` of *workers*
     real OS processes hosts *sessions* multitenant transitive-closure
     sessions (the ``closure`` demo program, each session growing its own
     namespaced chain); a seeded schedule SIGKILLs the busiest worker at
@@ -334,38 +208,4 @@ def fleet_chaos(
         durability=durability,
         fleet=fleet_snapshot,
         client_reconnects=client_reconnects,
-    )
-
-
-def seeded_chaos(
-    productions,
-    setup: Sequence,
-    seed: int,
-    workers: int = 2,
-    horizon: int = 16,
-    crashes: int = 1,
-    hangs: int = 0,
-    supervisor=None,
-    max_cycles: int = 200,
-    strategy: str = "lex",
-    recorder=None,
-    transport: str = "auto",
-    with_compiled: bool = False,
-) -> ChaosReport:
-    """``run_chaos`` with a :meth:`FaultPlan.seeded` plan -- the CLI's
-    one-call entry point for reproducible chaos by integer seed."""
-    plan = FaultPlan.seeded(
-        seed, shards=workers, horizon=horizon, crashes=crashes, hangs=hangs
-    )
-    return run_chaos(
-        productions,
-        setup,
-        plan,
-        workers=workers,
-        strategy=strategy,
-        max_cycles=max_cycles,
-        supervisor=supervisor,
-        recorder=recorder,
-        transport=transport,
-        with_compiled=with_compiled,
     )

@@ -1,122 +1,77 @@
-"""Deterministic, seedable fault injection for the match fleet.
+"""Deterministic fault injection for serve sessions.
 
-The paper's Section 3.1 economics -- state-saving wins because
-re-deriving match state costs ~20x more than maintaining it -- are also
-the economics of crash recovery: a shard's Rete state is a function of
-the op stream it has applied, so a dead worker can be rebuilt by
-replay, at a cost the recovery benchmark measures live.  Testing that
-machinery needs failures that happen *on demand and reproducibly*,
-which is what a :class:`FaultPlan` provides.
+Testing the serve layer's error and deadline paths needs failures that
+happen *on demand and reproducibly*, which is what a :class:`FaultPlan`
+provides.
 
-A plan is a set of :class:`FaultSpec` rows, each naming a *site* (a
-shard worker or a serve session), a *position* in that site's own
-ordinal stream (the Nth dispatched batch for a shard, the Nth executed
-request for a session), and a fault *kind*.  Determinism comes from the
-addressing scheme, not from timers:
-
-* The coordinator stamps every dispatched batch with a per-shard
-  sequence number that is never reused -- recovery replay and batch
-  re-dispatch carry no sequence number -- so a ``(shard, at)`` spec
-  fires exactly once per run, at the same logical point every run.
-* A session counts the requests it has executed; injected request
-  faults land on the same request ordinal every run.
-
-Plans cross the process boundary (the shard worker consults its copy),
-so everything here is plain picklable data.  :meth:`FaultPlan.seeded`
-derives a reproducible random plan from an integer seed -- what the
-chaos tests and ``repro chaos`` use.
+A plan is a set of :class:`FaultSpec` rows, each naming a *position* in
+a session's own ordinal stream (the Nth executed request) and a fault
+*kind*.  Determinism comes from the addressing scheme, not from timers:
+a session counts the requests it has executed, so an injected fault
+lands on the same request ordinal every run.
 
 Fault kinds
 -----------
-``crash``
-    The worker exits immediately with ``os._exit`` -- the observable
-    behaviour of a ``kill -9``: no reply, no cleanup, EOF on the pipe.
-``hang``
-    The worker sleeps (default: practically forever) without replying;
-    only the supervisor's collect deadline can detect it.
-``pipe-drop``
-    The worker closes its end of the pipe and exits: the coordinator
-    sees EOF, possibly mid-protocol.
-``slow``
-    The worker sleeps ``seconds`` and then serves the batch normally --
-    a straggler, not a failure; it must *not* trigger recovery when it
-    stays inside the deadline.
 ``error``
-    (session site) The request handler raises mid-request, exercising
-    the structured-error reply path.
+    The request handler raises mid-request, exercising the
+    structured-error reply path.
+``slow``
+    The session sleeps ``seconds`` and then serves the request normally
+    -- a straggler, which is how the request-deadline path is reached.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-#: Fault kinds (values appear in plans, summaries, and notices).
-CRASH = "crash"
-HANG = "hang"
-PIPE_DROP = "pipe-drop"
+#: Fault kinds (values appear in plans and error messages).
 SLOW = "slow"
 ERROR = "error"
-
-#: Kinds meaningful per site.
-SHARD_KINDS = (CRASH, HANG, PIPE_DROP, SLOW)
 SESSION_KINDS = (ERROR, SLOW)
 
-#: Injection sites.
-SHARD = "shard"
+#: The one injection site.
 SESSION = "session"
-
-#: A ``hang`` sleeps this long when no duration is given -- far beyond
-#: any sane collect deadline, so only supervision can end it.
-HANG_FOREVER = 3600.0
 
 
 @dataclass(frozen=True)
 class FaultSpec:
-    """One scheduled fault: *kind* at position *at* of one *site*.
+    """One scheduled fault: *kind* at the *at*-th executed request.
 
-    ``index`` selects a shard (``None`` = every shard, each at its own
-    ``at``-th batch); it is ignored for session faults.  ``seconds`` is
-    the injected latency for ``slow`` (and overrides the ``hang``
-    duration, which tests use to build a hang that eventually unwinds).
+    ``seconds`` is the injected latency for ``slow``.
     """
 
     kind: str
-    site: str = SHARD
-    index: Optional[int] = None
+    site: str = SESSION
     at: int = 0
     seconds: float = 0.0
 
     def __post_init__(self) -> None:
-        allowed = SHARD_KINDS if self.site == SHARD else SESSION_KINDS
-        if self.site not in (SHARD, SESSION):
+        if self.site != SESSION:
             raise ValueError(f"unknown fault site {self.site!r}")
-        if self.kind not in allowed:
+        if self.kind not in SESSION_KINDS:
             raise ValueError(
                 f"fault kind {self.kind!r} is not valid at site {self.site!r}; "
-                f"expected one of {allowed}"
+                f"expected one of {SESSION_KINDS}"
             )
         if self.at < 0:
             raise ValueError("fault position 'at' must be >= 0")
 
     def snapshot(self) -> dict:
-        """JSON-ready row (plans are embedded in chaos artifacts)."""
+        """JSON-ready row."""
         return {
             "kind": self.kind,
             "site": self.site,
-            "index": self.index,
             "at": self.at,
             "seconds": self.seconds,
         }
 
 
 class FaultPlan:
-    """An immutable schedule of faults, consulted by injection sites.
+    """An immutable schedule of faults, consulted by sessions.
 
     The plan is pure data: consulting it never mutates it, so the same
-    plan object (or a pickled copy in a worker process) answers the
-    same queries identically on every run.
+    plan object answers the same queries identically on every run.
     """
 
     def __init__(self, specs: Iterable[FaultSpec] = ()) -> None:
@@ -134,82 +89,17 @@ class FaultPlan:
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return f"FaultPlan({list(self.specs)!r})"
 
-    # -- consultation --------------------------------------------------------
-
-    def shard_fault(self, shard: int, seq: Optional[int]) -> Optional[FaultSpec]:
-        """The fault (if any) scheduled for *shard*'s batch *seq*.
-
-        ``seq is None`` means the batch is part of recovery (journal
-        replay or a re-dispatch) and is never faulted -- that is what
-        makes every spec one-shot.
-        """
-        if seq is None:
-            return None
-        for spec in self.specs:
-            if spec.site != SHARD or spec.at != seq:
-                continue
-            if spec.index is None or spec.index == shard:
-                return spec
-        return None
-
     def session_fault(self, ordinal: int) -> Optional[FaultSpec]:
         """The fault (if any) scheduled for the *ordinal*-th request."""
         for spec in self.specs:
-            if spec.site == SESSION and spec.at == ordinal:
+            if spec.at == ordinal:
                 return spec
         return None
-
-    # -- construction --------------------------------------------------------
-
-    @classmethod
-    def seeded(
-        cls,
-        seed: int,
-        shards: int,
-        horizon: int = 32,
-        crashes: int = 1,
-        hangs: int = 0,
-        pipe_drops: int = 0,
-        slows: int = 0,
-        slow_seconds: float = 0.01,
-    ) -> "FaultPlan":
-        """A reproducible random plan over the first *horizon* batches.
-
-        Positions are drawn without replacement per shard stream, so two
-        faults never collide on the same (shard, batch) slot; equal
-        seeds give equal plans on every platform (``random.Random`` is
-        specified to be stable across CPython versions).
-        """
-        if shards < 1:
-            raise ValueError("need at least one shard")
-        rng = random.Random(seed)
-        slots = [(shard, at) for shard in range(shards) for at in range(horizon)]
-        wanted = crashes + hangs + pipe_drops + slows
-        if wanted > len(slots):
-            raise ValueError(
-                f"{wanted} faults do not fit in {shards} shards x {horizon} batches"
-            )
-        chosen = rng.sample(slots, wanted)
-        kinds = (
-            [CRASH] * crashes + [HANG] * hangs + [PIPE_DROP] * pipe_drops + [SLOW] * slows
-        )
-        specs = [
-            FaultSpec(
-                kind=kind,
-                site=SHARD,
-                index=shard,
-                at=at,
-                seconds=slow_seconds if kind == SLOW else 0.0,
-            )
-            for kind, (shard, at) in zip(kinds, chosen)
-        ]
-        specs.sort(key=lambda s: (s.index, s.at, s.kind))
-        return cls(specs)
 
     # -- serialisation -------------------------------------------------------
 
     def snapshot(self) -> list[dict]:
-        """JSON-ready rows (embedded in chaos reports and artifacts)."""
+        """JSON-ready rows."""
         return [spec.snapshot() for spec in self.specs]
 
     @classmethod
@@ -218,8 +108,7 @@ class FaultPlan:
         return cls(
             FaultSpec(
                 kind=row["kind"],
-                site=row.get("site", SHARD),
-                index=row.get("index"),
+                site=row.get("site", SESSION),
                 at=row.get("at", 0),
                 seconds=row.get("seconds", 0.0),
             )

@@ -23,14 +23,7 @@ Snapshot shape (sections appear when their source exists)::
       "rete":     {"nodes", "nodes_by_kind", "sharing_ratio",
                    "alpha_wmes", "beta_tokens"},
       "parallel": {"workers", "shards", "productions_per_shard",
-                   "shard_weights", "degraded_shards"},
-      "faults":   {"crashes", "hangs", "respawns", "demotions",
-                   "checkpoints", "replayed_ops", "replay_seconds",
-                   "checkpoint_seconds", "events", ...},
-      "transport": {"kind", "dispatches", "eager_dispatches",
-                   "frames_sent", "bytes_sent", "frames_received",
-                   "bytes_received", "pickle_fallbacks", "ring_stalls",
-                   "mean_dispatch_latency_us", "symbols", ...},
+                   "shard_weights", "dispatches", "eager_dispatches"},
       "kernel":   {"compiles", "ruleset_digest", "stores", "store_rows",
                    "columns", "subscriptions", "replayed_wmes", "oracle",
                    "cache"},
@@ -142,20 +135,13 @@ def _matcher_sections(matcher) -> dict:
             "shards": len(partitions),
             "productions_per_shard": [len(p.productions) for p in partitions],
             "shard_weights": [p.weight for p in partitions],
-            "degraded_shards": [p.index for p in partitions if p.degraded],
+            "dispatches": matcher.dispatches,
+            "eager_dispatches": matcher.eager_dispatches,
         }
-        # Supervision rollup: failure/recovery counters, replay and
-        # checkpoint timings, recent recovery events.  Reading it does
-        # not flush (it is coordinator-side bookkeeping only).
-        sections["faults"] = matcher.fault_summary()
-        # Dispatch-path rollup: frames/bytes per direction, pickle
-        # fallbacks, ring stall episodes, intern-table size, and the
-        # per-dispatch latency the batching is trying to amortise.
-        sections["transport"] = matcher.transport_summary()
-        # Shared-memory backend only: the work-stealing scheduler's
-        # counters (steals, helped tasks, fast-path batches, epoch
-        # waits, live queue depths).  Like every section here the read
-        # is side-effect free -- it never advances the epoch barrier.
+        # The work-stealing scheduler's counters (steals, helped tasks,
+        # fast-path batches, epoch waits, live queue depths); absent
+        # for workers=0.  Like every section here the read is
+        # side-effect free -- it never advances the epoch barrier.
         scheduler = matcher.scheduler_summary()
         if scheduler is not None:
             sections["scheduler"] = scheduler

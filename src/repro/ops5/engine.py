@@ -49,7 +49,7 @@ MATCHER_DESCRIPTIONS = {
     "rete-indexed": "Rete with hash-indexed join memories",
     "oflazer": "Oflazer-style combination matcher (counter-based join states)",
     "compiled": "per-ruleset generated kernel over columnar memories (src/repro/kernel)",
-    "parallel": "multi-process partitioned Rete shards behind a flush barrier",
+    "parallel": "partitioned compiled-kernel thread shards behind a flush barrier",
 }
 
 

@@ -3,43 +3,26 @@
 The paper's PSM reaches its 9400 wme-changes/sec only because a
 scheduling operation costs about one bus cycle (Section 5); every
 software analogue of that number starts with making the *unit of work*
-small.  Two hot paths in this repo hash and compare symbol strings over
-and over:
-
-* the hash-indexed Rete join memories (``JoinNode._token_key`` /
-  ``_wme_key``), which build a key tuple per activation, and
-* the parallel backend's wire protocol, where every WME attribute and
-  value crosses a process boundary.
+small.  The hash-indexed Rete join memories (``JoinNode._token_key`` /
+``_wme_key``) and the compiled kernel's columnar stores
+(``kernel/layout.py``) hash and compare symbol values over and over.
 
 A :class:`SymbolTable` maps each distinct symbol string to a dense
-``int`` id, one allocation per *distinct* symbol ever seen.  Join keys
-then carry ints (C-speed hashing and equality), and the shared-memory
-ring transport ships 4-byte ids instead of length-prefixed strings --
-the Hiperfact observation that fact-layout interning, not algorithmic
-novelty, is the first-order lever for Rete-family throughput.
-
-Two usage patterns share this module:
-
-* **The process-wide table** (:data:`SYMBOLS`, via :func:`intern_id`)
-  -- used by Rete's hot-path keys and by the *coordinator* side of the
-  ring transport, so one id space serves both.  Ids are process-local:
-  they must never be compared across processes, only through a wire
-  mirror.
-* **Wire mirrors** -- a worker keeps a private :class:`SymbolTable`
-  grown strictly by :meth:`SymbolTable.extend` from the deltas the
-  coordinator ships in each batch frame, so the worker's ``id -> text``
-  view is always a prefix-consistent copy of the coordinator's.
+``int`` id, one allocation per *distinct* symbol ever seen, so join
+keys carry ints (C-speed hashing and equality) -- the Hiperfact
+observation that fact-layout interning, not algorithmic novelty, is the
+first-order lever for Rete-family throughput.  Everything interns
+through the process-wide table (:data:`SYMBOLS`, via
+:func:`intern_id`); ids are process-local.
 
 Numbers are never interned: OPS5 equality compares ``1`` and ``1.0``
 equal but a symbol never equals a number, so join keys tag interned
-positions with a type mask (see ``rete/nodes.py``) and the wire codec
-tags every value (see ``parallel/codec.py``).
+positions with a type mask (see ``rete/nodes.py``).
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Iterable, Optional
 
 __all__ = ["SymbolTable", "SYMBOLS", "intern_id"]
 
@@ -47,12 +30,10 @@ __all__ = ["SymbolTable", "SYMBOLS", "intern_id"]
 class SymbolTable:
     """A dense ``str <-> int`` intern table.
 
-    Ids are assigned sequentially from 0 in intern order, which is what
-    lets a remote mirror stay consistent by receiving only the tail of
-    new symbols (``delta``/``extend``).  Interning is thread-safe: the
-    read path is a plain dict probe (atomic under the GIL); only a miss
-    takes the lock, so concurrent sessions interning the same new
-    symbol cannot race two different ids onto it.
+    Ids are assigned sequentially from 0 in intern order.  Interning is
+    thread-safe: the read path is a plain dict probe (atomic under the
+    GIL); only a miss takes the lock, so concurrent sessions interning
+    the same new symbol cannot race two different ids onto it.
     """
 
     __slots__ = ("_ids", "_texts", "_lock")
@@ -78,55 +59,13 @@ class SymbolTable:
                 self._ids[text] = ident
             return ident
 
-    def try_id(self, text: str) -> Optional[int]:
-        """The id for *text* if already interned, else ``None``.
-
-        The worker side of the wire uses this: a mirror must never
-        allocate ids of its own (the coordinator owns the id space), so
-        unknown strings fall back to inline encoding.
-        """
-        return self._ids.get(text)
-
     def text_of(self, ident: int) -> str:
         """The symbol string for *ident* (raises ``IndexError`` if unknown)."""
         return self._texts[ident]
 
-    def delta(self, start: int) -> list[str]:
-        """All symbol texts with ids ``>= start``, in id order.
 
-        What a batch frame ships to keep a mirror current; the sender
-        remembers ``len(table)`` afterwards as the new watermark.
-        """
-        return self._texts[start:]
-
-    def extend(self, texts: Iterable[str]) -> None:
-        """Adopt a delta from the table that owns the id space.
-
-        Ids are assigned in arrival order, so feeding the deltas in
-        send order reproduces the owner's exact ``id -> text`` mapping.
-        """
-        with self._lock:
-            for text in texts:
-                self._ids.setdefault(text, len(self._texts))
-                self._texts.append(text)
-
-    def snapshot(self) -> dict:
-        """JSON-ready summary (the obs ``transport`` section reports it)."""
-        return {"symbols": len(self._texts)}
-
-    # Pickle support: a table inside a checkpointed state travels by
-    # content.  The lock is recreated on load.
-    def __getstate__(self) -> list[str]:
-        return list(self._texts)
-
-    def __setstate__(self, texts: list[str]) -> None:
-        self._texts = list(texts)
-        self._ids = {text: i for i, text in enumerate(self._texts)}
-        self._lock = threading.Lock()
-
-
-#: The process-wide table: Rete join keys and the coordinator side of
-#: every ring transport share this one id space.
+#: The process-wide table: Rete join keys and the compiled kernel's
+#: columns share this one id space.
 SYMBOLS = SymbolTable()
 
 #: Bound method lookup hoisted once -- the hot paths call this a lot.

@@ -1,11 +1,11 @@
-"""Live parallel match execution (the repo's first real parallelism).
+"""Live parallel match execution.
 
 Where :mod:`repro.psim` *predicts* the paper's machine by discrete-event
-simulation, this package *executes* match work concurrently: productions
-are partitioned over shard worker processes, each owning its slice of
-the Rete network's alpha/beta memories, with a work-queue coordinator
-and a batch barrier per recognize--act cycle.  See
-``docs/parallel-backend.md`` for the architecture and its GIL-driven
+simulation, this package *executes* match work on a pool of shards:
+productions are partitioned over thread shards in the caller's address
+space, each owning a compiled kernel over its slice of the rules, with
+a work-queue coordinator and a batch barrier per recognize--act cycle.
+See ``docs/parallel-backend.md`` for the architecture and its GIL-driven
 design constraints.
 
 Public surface:
@@ -16,27 +16,10 @@ Public surface:
   partitioner and the live sharing-loss measurement;
 * :func:`~repro.parallel.validate.compare_backends` /
   :func:`~repro.parallel.validate.validate_parallel` -- differential
-  validation of any backend set;
-* the transport layer -- :data:`~repro.parallel.transport.TRANSPORTS`
-  (``auto``/``ring``/``pipe``), :class:`~repro.parallel.ring.Ring`, the
-  struct codec, and :class:`DispatchConfig` for batched dispatch
-  tuning.
+  validation of any backend set.
 """
 
-from .executor import (
-    DispatchConfig,
-    ParallelMatcher,
-    WorkQueue,
-    default_worker_count,
-)
-from .ring import Ring, RingStall
-from .transport import TRANSPORTS, TransportStats, resolve_transport, ring_available
-from .supervisor import (
-    RecoveryEvent,
-    ShardFailure,
-    ShardSupervisor,
-    SupervisorConfig,
-)
+from .executor import ParallelMatcher, WorkQueue, default_worker_count
 from .partition import (
     Partition,
     SharingLoss,
@@ -51,19 +34,11 @@ from .validate import (
     run_recorded,
     validate_parallel,
 )
-from .worker import RecordingConflictSet, ShardState, rebuild_state
 
 __all__ = [
     "ParallelMatcher",
     "WorkQueue",
     "default_worker_count",
-    "DispatchConfig",
-    "Ring",
-    "RingStall",
-    "TRANSPORTS",
-    "TransportStats",
-    "resolve_transport",
-    "ring_available",
     "Partition",
     "SharingLoss",
     "assign_productions",
@@ -74,11 +49,4 @@ __all__ = [
     "compare_backends",
     "run_recorded",
     "validate_parallel",
-    "RecordingConflictSet",
-    "ShardState",
-    "rebuild_state",
-    "RecoveryEvent",
-    "ShardFailure",
-    "ShardSupervisor",
-    "SupervisorConfig",
 ]

@@ -1,19 +1,20 @@
-"""The live parallel match executor: Rete on a supervised process pool.
+"""The live parallel match executor: a coordinator over thread shards.
 
-This is the repo's fourth matcher backend -- the first one that
-*executes* match work in parallel instead of simulating it.  The design
-maps the paper's Section 5 machine onto what CPython can actually do
-(see ``examples/gil_wall.py``: threads hit the GIL, so concurrency
-comes from processes):
+This is the one matcher backend that *executes* match work on more than
+one thread instead of simulating it.  The design maps the paper's
+Section 5 machine onto what CPython can actually do (see
+``examples/gil_wall.py`` and EXPERIMENTS.md: threads share one
+interpreter lock, and shipping facts to other processes lost by two
+orders of magnitude, so the shards stay in this address space):
 
 * **Partitioned alpha/beta memories.**  Productions are distributed
-  over shard workers (:mod:`repro.parallel.partition`); each worker
-  compiles its share into a private Rete network, so every alpha
-  memory, beta memory, and join lives in exactly one process.
-* **Per-node locks by ownership.**  A node's memory is only ever
-  touched by its owning worker, which serialises activations of one
-  node (the paper's node-memory lock, uncontended by construction)
-  while nodes in different shards execute truly concurrently.
+  over shards (:mod:`repro.parallel.partition`); each shard compiles
+  its share into a private kernel (:mod:`repro.parallel.local`), so
+  every alpha store and join memory lives in exactly one shard.
+* **Per-node locks by ownership.**  A shard's state is only ever
+  touched by the one thread currently draining its lane, which
+  serialises activations of one node (the paper's node-memory lock,
+  uncontended by construction).
 * **A work queue mirroring the hardware task scheduler.**  The
   coordinator routes each working-memory change to the shards whose
   partitions contain a condition element of the WME's class (the
@@ -31,53 +32,30 @@ The coordinator merges shard edit streams into the real
 disjoint production sets, their edits are disjoint by production and
 the merged set -- and therefore conflict resolution, firing order, and
 every downstream result -- is bit-identical for every worker count,
-including the inline ``workers=0`` mode that runs the same shard code
-in-process.
+including ``workers=0``, which runs the same shard code with no
+scheduler and no threads.
 
-**Supervision** (see :mod:`repro.parallel.supervisor` and
-``docs/fault-tolerance.md``): collection waits with a deadline instead
-of blocking forever, so a crashed worker (EOF on the pipe) or a hung
-one (deadline expiry) surfaces as a :class:`ShardFailure`.  The
-coordinator then kills the remains, spawns a replacement, rebuilds its
-match state from the last checkpoint plus the op journal -- match state
-is a deterministic function of the op stream (the paper's Section 3.1
-premise), so the rebuilt shard is bit-identical -- and re-dispatches
-the batch the failure interrupted.  After ``max_failures`` consecutive
-failures a shard is *demoted* to an in-process inline shard, so the run
-always completes.  Because the fault plan keys on batch sequence
-numbers that recovery never reuses, injected faults fire exactly once
-and the recovered run's conflict-set stream matches the fault-free
-reference bit for bit.
+There is no supervision: a thread shard shares the coordinator's fate.
+The one failure a shard can report is an exception inside a batch; the
+flush drains every other reply and raises ``RuntimeError``, after which
+the matcher is good for :meth:`ParallelMatcher.clear` and
+:meth:`ParallelMatcher.close` only.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import time
-from dataclasses import dataclass
 from typing import Any, Iterable, Optional, Sequence
 
-from ..faults.plan import FaultPlan
 from ..obs.recorder import NULL_RECORDER
 from ..ops5.errors import Ops5Error
 from ..ops5.conflict import ConflictSet
 from ..ops5.matcher import ChangeRecord, Matcher, MatchStats
-from ..ops5.production import Instantiation, Production
-from ..ops5.symbols import SYMBOLS
+from ..ops5.production import Production
 from ..ops5.wme import WME
 from . import messages
-from .local import LocalScheduler, _LocalShard, rebuild_local_state
+from .local import LocalScheduler, _LocalShard
 from .partition import Partition, assign_productions, production_weight
-from .ring import RingStall
-from .supervisor import (
-    RecoveryEvent,
-    ShardFailure,
-    ShardSupervisor,
-    SupervisorConfig,
-)
-from .transport import TRANSPORTS, TransportStats, create_endpoint, resolve_transport
-from .worker import ShardState, rebuild_state, shard_main
 
 
 def default_worker_count() -> int:
@@ -89,237 +67,26 @@ def default_worker_count() -> int:
     return max(1, min(4, cpus))
 
 
-def _context():
-    """Prefer fork (cheap, no re-import); fall back to the default."""
-    methods = multiprocessing.get_all_start_methods()
-    if "fork" in methods:
-        return multiprocessing.get_context("fork")
-    return multiprocessing.get_context()
-
-
-@dataclass(frozen=True)
-class DispatchConfig:
-    """Batched-dispatch tuning: when to wake a shard before the barrier.
-
-    The paper's scheduler argument cuts both ways: dispatch must be
-    cheap, *and* a worker should start chewing while the coordinator is
-    still routing the rest of the cycle's changes.  ``eager_ops`` is
-    the queue depth at which a shard's pending batch is dispatched
-    early (``None`` restores pure barrier dispatch); with ``adaptive``
-    the threshold tracks half the shard's recent ops-per-cycle (EWMA),
-    clamped to ``[min_ops, max_ops]``, so small cycles stay single-batch
-    while bulk loads pipeline.  Eager dispatch only applies to process
-    shards -- inline shards gain nothing from starting early.
-    """
-
-    eager_ops: Optional[int] = 64
-    adaptive: bool = True
-    min_ops: int = 16
-    max_ops: int = 1024
-
-    def __post_init__(self) -> None:
-        if self.eager_ops is not None and self.eager_ops < 1:
-            raise ValueError("eager_ops must be >= 1 (or None to disable)")
-        if self.min_ops < 1 or self.max_ops < self.min_ops:
-            raise ValueError("need 1 <= min_ops <= max_ops")
+#: Eager dispatch: a shard's pending batch goes out *before* the cycle
+#: barrier once it is as deep as half the shard's recent ops per flush
+#: epoch (an EWMA), clamped to this range -- small cycles stay
+#: single-batch while bulk loads pipeline through the scheduler.
+EAGER_MIN_OPS = 16
+EAGER_MAX_OPS = 1024
+#: Where the per-shard EWMA starts (a first threshold of 64 ops).
+EAGER_INITIAL_EPOCH_OPS = 128.0
 
 
 class _InflightBatch:
     """One dispatched-but-uncollected batch (the executor's send window)."""
 
-    __slots__ = ("ops", "change_map", "seq", "sent_at", "start", "eager")
+    __slots__ = ("op_count", "change_map", "sent_at", "eager")
 
-    def __init__(self, ops, change_map, seq, sent_at, start, eager):
-        self.ops = ops
+    def __init__(self, op_count, change_map, sent_at, eager):
+        self.op_count = op_count
         self.change_map = change_map
-        self.seq = seq
         self.sent_at = sent_at  # recorder clock (0 when disabled)
-        self.start = start  # perf_counter at dispatch
         self.eager = eager
-
-
-class _ProcessShard:
-    """Coordinator-side handle for one worker process.
-
-    All pipe I/O funnels through :meth:`_send` and :meth:`collect`, which
-    translate the three ways a worker can disappear -- broken pipe on
-    send, EOF on receive, silence past the deadline -- into a
-    :class:`ShardFailure` naming the shard and the cause, so the
-    executor's recovery path sees one exception type everywhere.
-    """
-
-    def __init__(
-        self,
-        ctx,
-        index: int,
-        fault_plan: Optional[FaultPlan] = None,
-        transport_kind: str = "pipe",
-        send_timeout: Optional[float] = 30.0,
-        op_cache: Optional[dict] = None,
-    ) -> None:
-        self.index = index
-        conn, child = ctx.Pipe()
-        self.endpoint = create_endpoint(transport_kind, conn, send_timeout)
-        if op_cache is not None and hasattr(self.endpoint, "op_cache"):
-            # Share the matcher-wide epoch cache: op bodies reference the
-            # process-global symbol table, so the bytes for a WME op are
-            # identical no matter which shard receives them.  Fanning the
-            # same op to N shards then encodes it once, not N times.
-            self.endpoint.op_cache = op_cache
-        spec = self.endpoint.worker_spec(child)
-        self.process = ctx.Process(
-            target=shard_main,
-            args=(spec, index, fault_plan),
-            daemon=True,
-            name=f"repro-shard-{index}",
-        )
-        self.process.start()
-        child.close()
-
-    @property
-    def conn(self):
-        """The liveness/data pipe (tests and tooling peek at it)."""
-        return self.endpoint.conn
-
-    def _send(self, payload: tuple) -> None:
-        try:
-            self.endpoint.send(payload)
-        except RingStall:
-            cause = "hang" if self.process.is_alive() else "crash"
-            raise ShardFailure(
-                self.index, cause, "command ring full (worker not draining)"
-            ) from None
-        except (EOFError, BrokenPipeError, OSError):
-            raise ShardFailure(self.index, "crash", "pipe broken on send") from None
-
-    def dispatch(self, ops: Sequence[Sequence[Any]], seq: Optional[int] = None) -> None:
-        self._send((messages.BATCH, ops, seq))
-
-    def collect(self, deadline: Optional[float] = None) -> tuple:
-        """Receive one reply; *deadline* seconds of silence is a hang."""
-        if deadline is not None:
-            try:
-                ready = self.endpoint.poll(deadline)
-            except (OSError, EOFError):
-                raise ShardFailure(self.index, "crash", "pipe closed") from None
-            if not ready:
-                raise ShardFailure(
-                    self.index, "hang", f"no reply within {deadline:g}s"
-                )
-        try:
-            return self.endpoint.recv()
-        except RingStall:
-            cause = "hang" if self.process.is_alive() else "crash"
-            raise ShardFailure(
-                self.index, cause, "reply frame stalled mid-message"
-            ) from None
-        except EOFError:
-            raise ShardFailure(self.index, "crash", "pipe reached EOF") from None
-
-    def checkpoint(self, deadline: Optional[float] = None) -> Optional[bytes]:
-        """Round-trip a checkpoint request; ``None`` if the worker declined."""
-        self._send((messages.CHECKPOINT,))
-        reply = self.collect(deadline)
-        if reply[0] != messages.CHECKPOINT:
-            return None
-        return reply[1]
-
-    def restore_pickled(self, payload: bytes, deadline: Optional[float] = None) -> int:
-        """Rebuild the worker's state from a pre-pickled restore command
-        (see ``ShardSupervisor.restore_message_bytes``); returns the
-        replayed op count."""
-        try:
-            self.endpoint.send_pickled(payload)
-        except RingStall:
-            cause = "hang" if self.process.is_alive() else "crash"
-            raise ShardFailure(self.index, cause, "ring full during restore") from None
-        except (EOFError, BrokenPipeError, OSError):
-            raise ShardFailure(self.index, "crash", "pipe broken on restore") from None
-        reply = self.collect(deadline)
-        if reply[0] != messages.RESTORED:
-            detail = reply[1] if len(reply) > 1 else repr(reply)
-            raise ShardFailure(self.index, "crash", f"restore failed: {detail}")
-        return reply[1]
-
-    def restore(
-        self,
-        checkpoint: Optional[bytes],
-        journal: Sequence[Sequence[Any]],
-        deadline: Optional[float] = None,
-    ) -> int:
-        """Rebuild the worker's state; returns the replayed op count."""
-        self._send((messages.RESTORE, checkpoint, list(journal)))
-        reply = self.collect(deadline)
-        if reply[0] != messages.RESTORED:
-            detail = reply[1] if len(reply) > 1 else repr(reply)
-            raise ShardFailure(self.index, "crash", f"restore failed: {detail}")
-        return reply[1]
-
-    def transport_stats(self) -> TransportStats:
-        return self.endpoint.stats_snapshot()
-
-    def stop(self) -> None:
-        """Graceful stop, escalating to SIGTERM then SIGKILL.
-
-        A worker wedged in a way SIGTERM cannot reach (e.g. SIGSTOPped)
-        still gets reaped: SIGKILL acts even on stopped processes.  The
-        endpoint is closed on every path, including when the sends or
-        joins themselves raise.
-        """
-        try:
-            try:
-                self.endpoint.send((messages.STOP,))
-            except (RingStall, EOFError, BrokenPipeError, OSError):
-                pass
-            self.process.join(timeout=1.0)
-            if self.process.is_alive():
-                self.process.terminate()
-                self.process.join(timeout=1.0)
-            if self.process.is_alive():
-                self.process.kill()
-                self.process.join(timeout=5.0)
-        finally:
-            self.endpoint.close()
-
-    def kill(self) -> None:
-        """Reap the worker without ceremony (recovery path)."""
-        try:
-            self.process.terminate()
-            self.process.join(timeout=1.0)
-            if self.process.is_alive():
-                self.process.kill()
-                self.process.join(timeout=5.0)
-        finally:
-            self.endpoint.close()
-
-
-class _InlineShard:
-    """A shard that runs in-process: same code, no IPC.
-
-    Serves two roles: the ``workers=0`` serial reference configuration,
-    and the *demotion* target -- a shard whose worker keeps dying is
-    rebuilt from its journal into one of these, trading parallelism for
-    completion.  Inline shards never consult the fault plan: a fault
-    executed in-process would take the coordinator down with it.
-    """
-
-    def __init__(self, index: int, state: Optional[ShardState] = None) -> None:
-        self.index = index
-        self.state = state if state is not None else ShardState()
-        #: FIFO of uncollected replies (recovery re-dispatch can queue
-        #: several batches before the collect loop drains them).
-        self._replies: list[tuple] = []
-
-    def dispatch(self, ops: Sequence[Sequence[Any]], seq: Optional[int] = None) -> None:
-        edits, stat_rows = self.state.apply_batch(ops)
-        self._replies.append((messages.OK, edits, stat_rows))
-
-    def collect(self, deadline: Optional[float] = None) -> tuple:
-        assert self._replies
-        return self._replies.pop(0)
-
-    def stop(self) -> None:
-        self._replies = []
 
 
 class WorkQueue:
@@ -376,13 +143,13 @@ _BACKFILL = -1
 
 
 class ParallelMatcher(Matcher):
-    """A :class:`~repro.ops5.matcher.Matcher` over a shard process pool.
+    """A :class:`~repro.ops5.matcher.Matcher` over a pool of thread shards.
 
     Parameters
     ----------
     workers:
-        Number of shard processes.  ``0`` runs a single inline shard in
-        this process (no ``multiprocessing`` at all) -- the degenerate
+        Number of shards, each with a scheduler thread.  ``0`` runs a
+        single shard with no scheduler and no threads -- the degenerate
         serial configuration with identical semantics.  ``None`` picks
         :func:`default_worker_count`.
     recorder:
@@ -391,35 +158,13 @@ class ParallelMatcher(Matcher):
         ``shard-batch`` span per dispatched shard on lane ``1 + shard``
         -- coordinator-observed wall-clock from dispatch to collection,
         with queue depths (ops per batch) and edit counts as args.
-        Failures add ``shard-failure`` instants and ``shard-recovery``
-        spans on the failed shard's lane.
-    fault_plan:
-        Optional :class:`~repro.faults.FaultPlan`.  Worker processes
-        consult it before serving each batch, keyed by the batch's
-        sequence number, making crashes/hangs/slowdowns land at exact,
-        reproducible points.  Inline shards (``workers=0`` and demoted
-        shards) never consult it.
-    supervisor:
-        Optional :class:`~repro.parallel.supervisor.SupervisorConfig`
-        overriding collect deadlines, checkpoint cadence, and the
-        demotion threshold.
     transport:
-        ``"pipe"`` (pickled tuples over ``multiprocessing.Pipe``),
-        ``"ring"`` (struct-packed frames over shared-memory SPSC rings,
-        symbols interned -- the PSM-style cheap scheduler), ``"local"``
-        (shards as threads sharing this address space, each executing
-        the *compiled kernel* under a work-stealing scheduler -- no
-        serialisation at all, see :mod:`repro.parallel.local`), or
-        ``"auto"`` (ring where shared memory works, else pipe).  The
-        merged results are bit-identical across transports; only the
-        dispatch cost changes (``benchmarks/bench_transport.py``).
-    dispatch:
-        Optional :class:`DispatchConfig` tuning eager batched dispatch
-        (dispatching a shard's queue before the cycle barrier once it
-        is deep enough, so workers overlap with coordinator routing).
+        ``"local"``, the one value left: shards are threads in this
+        address space.  The process transports (``pipe``, ``ring``,
+        ``auto``) were removed; naming one raises :class:`Ops5Error`.
 
-    Use as a context manager (or call :meth:`close`) so the worker
-    processes are reaped deterministically; they are daemonic, so an
+    Use as a context manager (or call :meth:`close`) so the scheduler
+    threads are joined deterministically; they are daemonic, so an
     unclosed matcher still cannot outlive the interpreter.
     """
 
@@ -427,10 +172,7 @@ class ParallelMatcher(Matcher):
         self,
         workers: int | None = None,
         recorder=None,
-        fault_plan: Optional[FaultPlan] = None,
-        supervisor: Optional[SupervisorConfig] = None,
-        transport: str = "auto",
-        dispatch: Optional[DispatchConfig] = None,
+        transport: str = "local",
     ) -> None:
         # Matcher.__init__ is deliberately not called: `conflict_set` and
         # `stats` are flush-on-read properties here, not attributes.
@@ -438,26 +180,20 @@ class ParallelMatcher(Matcher):
             workers = default_worker_count()
         if workers < 0:
             raise Ops5Error("workers must be >= 0")
-        if transport not in TRANSPORTS:
+        if transport != "local":
             raise Ops5Error(
-                f"unknown transport {transport!r}; expected one of "
-                + ", ".join(TRANSPORTS)
+                f"transport {transport!r} is not available: the process "
+                "transports (pipe, ring, auto) were removed; shards are "
+                "threads in the caller's address space ('local')"
             )
         self.workers = workers
-        self.transport = transport
-        self.dispatch_config = dispatch if dispatch is not None else DispatchConfig()
         self.recorder = recorder if recorder is not None else NULL_RECORDER
-        self.fault_plan = fault_plan
         self._shard_count = max(1, workers)
-        self._supervisor = ShardSupervisor(
-            self._shard_count, supervisor if supervisor is not None else SupervisorConfig()
-        )
         self._conflict_set = ConflictSet()
         self._stats = MatchStats()
         self._queue = WorkQueue(self._shard_count)
-        self._shards: list[_ProcessShard | _InlineShard | _LocalShard] | None = None
-        self._ctx = None
-        #: Work-stealing thread scheduler (local transport only).
+        self._shards: list[_LocalShard] | None = None
+        #: Work-stealing thread scheduler (``None`` for ``workers=0``).
         self._scheduler: Optional[LocalScheduler] = None
         self._productions: dict[str, Production] = {}
         #: Production name -> owning shard index.
@@ -475,29 +211,18 @@ class ParallelMatcher(Matcher):
         self._wmes: dict[int, WME] = {}
         self._pending_removals: list[int] = []
         self._closed = False
-        #: Resolved transport kind ("ring"/"pipe"), set at pool start;
-        #: stays None for workers=0 (everything inline, nothing on a wire).
-        self._transport_kind: Optional[str] = None
         #: Dispatched-but-uncollected batches, FIFO per shard.
         self._inflight: list[list[_InflightBatch]] = [
             [] for _ in range(self._shard_count)
         ]
         #: EWMA of WME+production ops per flush epoch, per shard (drives
-        #: the adaptive eager threshold).
-        self._ewma: list[float] = [
-            float(2 * (self.dispatch_config.eager_ops or 64))
-        ] * self._shard_count
+        #: the eager threshold).
+        self._ewma: list[float] = [EAGER_INITIAL_EPOCH_OPS] * self._shard_count
         self._epoch_ops: list[int] = [0] * self._shard_count
-        self._dispatches = 0
-        self._eager_dispatches = 0
-        self._latency_seconds = 0.0
-        self._latency_count = 0
-        #: Wire stats of endpoints that no longer exist (killed,
-        #: stopped, demoted) -- folded into transport_summary().
-        self._retired_stats = TransportStats()
-        #: Epoch-scoped WME op byte cache shared by every ring endpoint
-        #: (fanout encodes each op once); cleared at each flush boundary.
-        self._op_cache: dict[int, bytes] = {}
+        #: Batches handed to shards so far, and how many of them went
+        #: out before the barrier.
+        self.dispatches = 0
+        self.eager_dispatches = 0
 
     # -- pool lifecycle ------------------------------------------------------
 
@@ -510,67 +235,20 @@ class ParallelMatcher(Matcher):
             return
         if self._closed:
             raise Ops5Error("this ParallelMatcher has been closed")
-        if self.workers == 0:
-            self._shards = [_InlineShard(0)]
-        else:
-            try:
-                self._transport_kind = resolve_transport(self.transport)
-            except ValueError as error:
-                raise Ops5Error(str(error)) from None
-            if self._transport_kind == "local":
-                # Thread shards in this address space: no context, no
-                # endpoints -- one shared work-stealing scheduler.
-                self._scheduler = LocalScheduler(self._shard_count)
-                self._shards = [
-                    self._new_shard(i) for i in range(self._shard_count)
-                ]
-            else:
-                self._ctx = _context()
-                self._shards = [
-                    self._new_shard(i) for i in range(self._shard_count)
-                ]
+        if self.workers:
+            self._scheduler = LocalScheduler(self._shard_count)
+        self._shards = [
+            _LocalShard(i, self._scheduler) for i in range(self._shard_count)
+        ]
         for partition in assign_productions(self._unpartitioned, self._shard_count):
             for production in partition.productions:
                 self._place(production, partition.index)
         self._unpartitioned = []
 
-    def _new_shard(self, index: int) -> "_ProcessShard | _LocalShard":
-        """A fresh shard of whatever kind the resolved transport implies."""
-        if self._transport_kind == "local":
-            return _LocalShard(index, self._scheduler, self.fault_plan)
-        return _ProcessShard(
-            self._ctx,
-            index,
-            self.fault_plan,
-            transport_kind=self._transport_kind or "pipe",
-            send_timeout=self._supervisor.config.collect_deadline,
-            op_cache=self._op_cache,
-        )
-
-    def _encode_wme(self, wme: WME) -> tuple:
-        """The WME-insert op for the resolved transport.
-
-        Local shards share this address space, so the op carries the
-        live object -- zero-copy dispatch; process shards get the
-        picklable ``(+w, cls, attrs, timetag)`` form.
-        """
-        if self._transport_kind == "local":
-            return (messages.ADD_WME_REF, wme)
-        return messages.encode_wme(wme)
-
-    def _absorb_shard_stats(self, shard) -> None:
-        """Fold a doomed endpoint's wire stats into the retired rollup."""
-        if isinstance(shard, _ProcessShard):
-            self._retired_stats.absorb(shard.transport_stats())
-
     def close(self) -> None:
-        """Stop the worker pool.  Further matching raises; stats and the
-        last flushed conflict set stay readable."""
-        if self._shards is not None:
-            for shard in self._shards:
-                self._absorb_shard_stats(shard)
-                shard.stop()
-            self._shards = None
+        """Stop the scheduler threads.  Further matching raises; stats
+        and the last flushed conflict set stay readable."""
+        self._shards = None
         if self._scheduler is not None:
             self._scheduler.shutdown()
             self._scheduler = None
@@ -604,7 +282,7 @@ class ParallelMatcher(Matcher):
                 wme = self._wmes[timetag]
                 if wme.cls == cls:
                     self._queue.push(
-                        shard, self._encode_wme(wme), change=_BACKFILL
+                        shard, (messages.ADD_WME_REF, wme), change=_BACKFILL
                     )
         self._subscribed[shard] |= classes
         self._queue.push(shard, (messages.ADD_PRODUCTION, production))
@@ -648,7 +326,8 @@ class ParallelMatcher(Matcher):
         change = self._queue.open_change("add", wme.cls)
         targets = self._route(wme.cls)
         for shard in targets:
-            self._queue.push(shard, self._encode_wme(wme), change=change)
+            # The op carries the live object: zero-copy dispatch.
+            self._queue.push(shard, (messages.ADD_WME_REF, wme), change=change)
         self._maybe_eager(targets)
 
     def remove_wme(self, wme: WME) -> None:
@@ -664,52 +343,40 @@ class ParallelMatcher(Matcher):
 
     # -- eager batched dispatch ---------------------------------------------
 
-    def _eager_threshold(self, shard: int) -> int:
-        config = self.dispatch_config
-        if not config.adaptive:
-            return config.eager_ops  # type: ignore[return-value]
-        return min(config.max_ops, max(config.min_ops, int(self._ewma[shard] / 2)))
-
     def _maybe_eager(self, shards: Sequence[int]) -> None:
         """Dispatch any deep-enough pending batch before the barrier.
 
-        Only for process shards: the point is overlapping worker match
-        time with coordinator routing, which an inline shard (same
-        process, synchronous apply) cannot do.
+        The point is overlapping shard match time with coordinator
+        routing, which a schedulerless shard (synchronous apply on this
+        thread) cannot do.
         """
-        if self.dispatch_config.eager_ops is None or self.workers == 0:
+        if self.workers == 0:
             return
         for i in shards:
-            if len(self._queue.pending[i]) >= self._eager_threshold(i):
+            threshold = min(EAGER_MAX_OPS, max(EAGER_MIN_OPS, int(self._ewma[i] / 2)))
+            if len(self._queue.pending[i]) >= threshold:
                 self._dispatch_shard(i, eager=True)
 
     def _dispatch_shard(self, i: int, eager: bool = False) -> None:
         """Hand shard *i* its pending batch and add it to the in-flight
-        window.  The record is appended *before* the send so a dispatch-
-        time failure finds the batch in the window and re-dispatches it
-        with everything else."""
+        window."""
         ops, change_map = self._queue.take_shard(i)
         if not ops:
             return
         rec = self.recorder
-        seq = self._supervisor.next_seq(i)
-        record = _InflightBatch(
-            ops=ops,
-            change_map=change_map,
-            seq=seq,
-            sent_at=rec.now() if rec.enabled else 0,
-            start=time.perf_counter(),
-            eager=eager,
+        self._inflight[i].append(
+            _InflightBatch(
+                op_count=len(ops),
+                change_map=change_map,
+                sent_at=rec.now() if rec.enabled else 0,
+                eager=eager,
+            )
         )
-        self._inflight[i].append(record)
         self._epoch_ops[i] += len(ops)
-        self._dispatches += 1
+        self.dispatches += 1
         if eager:
-            self._eager_dispatches += 1
-        try:
-            self._shards[i].dispatch(ops, seq)
-        except ShardFailure as failure:
-            self._recover(failure, seq=seq)
+            self.eager_dispatches += 1
+        self._shards[i].dispatch(ops)
 
     # -- the flush barrier -------------------------------------------------------
 
@@ -742,13 +409,11 @@ class ParallelMatcher(Matcher):
 
         With eager dispatch some batches are already in flight when the
         barrier hits; the flush dispatches the remainders and collects
-        every in-flight batch FIFO per shard.  Shard failures (crash,
-        hang) are recovered *inside* the flush -- the barrier completes
-        with a bit-identical merged result, just later.  Engine errors
-        reported by a worker (a bad op) restore the worker from the
-        journal so the pool survives, then raise after every other
-        shard's reply has been drained, so no stale reply can
-        desynchronise the next flush.
+        every in-flight batch FIFO per shard.  An exception inside a
+        shard batch is raised as ``RuntimeError`` after every other
+        reply has been drained, so no stale reply can desynchronise a
+        later flush; the failed shard has lost its match state, which
+        leaves :meth:`clear` and :meth:`close` as the only useful calls.
         """
         if self._unpartitioned and self._shards is None:
             self._ensure_started()
@@ -791,10 +456,6 @@ class ParallelMatcher(Matcher):
             self._wmes.pop(timetag, None)
         self._pending_removals = []
 
-        self._maybe_checkpoint(active)
-        for shard in self._shards:
-            if isinstance(shard, _ProcessShard):
-                shard.endpoint.end_epoch()
         if self._scheduler is not None:
             self._scheduler.end_epoch()
 
@@ -817,41 +478,24 @@ class ParallelMatcher(Matcher):
     def _collect_inflight(self, i: int, merged: list) -> Optional[RuntimeError]:
         """Collect and merge every in-flight batch of shard *i*, FIFO.
 
-        On an engine-error reply the remaining in-flight replies are
-        worthless -- the worker reset itself to a *fresh* state after
-        the error, so later batches ran against the wrong state -- they
-        are drained and discarded, the worker is restored from the
-        journal, and the error is returned for the flush to raise.
+        On an error reply the remaining in-flight replies are worthless
+        -- the shard reset itself to a *fresh* state after the error, so
+        later batches ran against the wrong state -- they are collected
+        and discarded, and the error is returned for the flush to raise.
         """
-        config = self._supervisor.config
-        sup = self._supervisor
         rec = self.recorder
+        shard = self._shards[i]
         records = self._inflight[i]
         while records:
-            record = records[0]
-            shard = self._shards[i]
-            if isinstance(shard, _InlineShard):
-                reply = shard.collect()
-            else:
-                try:
-                    reply = shard.collect(config.collect_deadline)
-                except ShardFailure as failure:
-                    self._recover(failure, seq=record.seq)
-                    continue
+            record = records.pop(0)
+            reply = shard.collect()
             if reply[0] != messages.OK:
-                error = RuntimeError(
+                for _ in records:
+                    shard.collect()
+                records.clear()
+                return RuntimeError(
                     f"shard worker {i} failed: {reply[1]}\n{reply[2]}"
                 )
-                records.pop(0)
-                self._drain_discard(i, len(records))
-                records.clear()
-                self._restore_worker(i)
-                return error
-            records.pop(0)
-            sup.committed(i, record.ops)
-            sup.reset_failures(i)
-            self._latency_seconds += time.perf_counter() - record.start
-            self._latency_count += 1
             edits, stat_rows = reply[1], reply[2]
             if rec.enabled:
                 # Coordinator-observed batch wall-clock: dispatch to
@@ -864,7 +508,7 @@ class ParallelMatcher(Matcher):
                     tid=1 + i,
                     args={
                         "shard": i,
-                        "ops": len(record.ops),
+                        "ops": record.op_count,
                         "edits": len(edits),
                         "eager": record.eager,
                     },
@@ -886,165 +530,6 @@ class ParallelMatcher(Matcher):
                 change_record.tokens_built += tokens
         return None
 
-    def _drain_discard(self, i: int, count: int) -> None:
-        """Consume *count* replies from shard *i* without using them
-        (post-error garbage; see :meth:`_collect_inflight`)."""
-        deadline = self._supervisor.config.collect_deadline
-        for _ in range(count):
-            shard = self._shards[i]
-            try:
-                if isinstance(shard, _InlineShard):
-                    shard.collect()
-                else:
-                    shard.collect(deadline)
-            except (ShardFailure, AssertionError):
-                # Dead, hung, or short on replies: the follow-up restore
-                # rebuilds it regardless; stop draining.
-                break
-
-    # -- recovery ---------------------------------------------------------------
-
-    def _recover(self, failure: ShardFailure, seq: Optional[int]) -> None:
-        """Replace a failed shard worker and rebuild its match state.
-
-        Respawns a fresh process and replays checkpoint + journal into
-        it (as one cached, pre-pickled restore message -- serialised
-        once per journal change, however many retries this takes);
-        after ``max_failures`` consecutive failures the shard is
-        demoted to an inline shard instead (same rebuild, no process).
-        The shard's whole in-flight window is then re-dispatched: none
-        of those batches were journalled, so the rebuilt state predates
-        all of them (re-sent with no sequence number: injected faults
-        never refire).
-        """
-        i = failure.shard
-        sup = self._supervisor
-        rec = self.recorder
-        failures = sup.record_failure(i, failure.cause)
-        if rec.enabled:
-            rec.instant(
-                "shard-failure",
-                "faults",
-                tid=1 + i,
-                shard=i,
-                cause=failure.cause,
-                detail=failure.detail,
-                consecutive=failures,
-            )
-        started = time.perf_counter()
-        recovery_start = rec.now() if rec.enabled else 0
-        shard = self._shards[i]
-        if isinstance(shard, _ProcessShard):
-            self._absorb_shard_stats(shard)
-            shard.kill()
-        elif isinstance(shard, _LocalShard):
-            shard.kill()
-        journal_ops = sup.journal_length(i)
-        used_checkpoint = sup.checkpoints[i] is not None
-        local = self._transport_kind == "local"
-        attempts = 0
-        while True:
-            attempts += 1
-            if failures >= sup.config.max_failures:
-                replay_started = time.perf_counter()
-                checkpoint, journal = sup.recovery_payload(i)
-                if local:
-                    # Demote to a synchronous (schedulerless) thread
-                    # shard: still the compiled kernel, no concurrency.
-                    self._shards[i] = _LocalShard(
-                        i, state=rebuild_local_state(checkpoint, journal)
-                    )
-                else:
-                    state = rebuild_state(checkpoint, journal)
-                    self._shards[i] = _InlineShard(i, state)
-                replay_seconds = time.perf_counter() - replay_started
-                for record in self._inflight[i]:
-                    self._shards[i].dispatch(record.ops, None)
-                action = "demoted"
-                break
-            if not local and self._ctx is None:  # pragma: no cover - workers=0 guard
-                self._ctx = _context()
-            replacement = self._new_shard(i)
-            try:
-                replay_started = time.perf_counter()
-                if isinstance(replacement, _LocalShard):
-                    replacement.restore(*sup.recovery_payload(i))
-                else:
-                    replacement.restore_pickled(
-                        sup.restore_message_bytes(i), sup.config.recovery_deadline
-                    )
-                replay_seconds = time.perf_counter() - replay_started
-                for record in self._inflight[i]:
-                    replacement.dispatch(record.ops, None)
-            except ShardFailure as again:
-                # The replacement died during restore or re-dispatch;
-                # count it and either try once more or fall through to
-                # demotion.
-                self._absorb_shard_stats(replacement)
-                replacement.kill()
-                failures = sup.record_failure(i, again.cause)
-                continue
-            self._shards[i] = replacement
-            action = "respawned"
-            break
-        event = RecoveryEvent(
-            shard=i,
-            cause=failure.cause,
-            action=action,
-            seq=seq,
-            replayed_ops=journal_ops,
-            used_checkpoint=used_checkpoint,
-            replay_seconds=replay_seconds,
-            total_seconds=time.perf_counter() - started,
-            attempts=attempts,
-        )
-        sup.record_recovery(event)
-        if rec.enabled:
-            rec.complete(
-                "shard-recovery",
-                "faults",
-                start=recovery_start,
-                duration=rec.now() - recovery_start,
-                tid=1 + i,
-                args=event.snapshot(),
-            )
-
-    def _restore_worker(self, i: int) -> None:
-        """Put shard *i*'s journalled state back after an error reply."""
-        shard = self._shards[i]
-        if isinstance(shard, _LocalShard):
-            shard.restore(*self._supervisor.recovery_payload(i))
-            return
-        if not isinstance(shard, _ProcessShard):
-            return
-        try:
-            shard.restore_pickled(
-                self._supervisor.restore_message_bytes(i),
-                self._supervisor.config.recovery_deadline,
-            )
-        except ShardFailure as failure:
-            self._recover(failure, seq=None)
-
-    def _maybe_checkpoint(self, shards: Iterable[int]) -> None:
-        """Take due checkpoints (only ever at a batch boundary, when the
-        workers' edit journals are drained -- state, never output)."""
-        sup = self._supervisor
-        for i in shards:
-            if not sup.wants_checkpoint(i):
-                continue
-            shard = self._shards[i]
-            started = time.perf_counter()
-            if isinstance(shard, _InlineShard):
-                blob = shard.state.checkpoint()
-            else:
-                try:
-                    blob = shard.checkpoint(sup.config.recovery_deadline)
-                except ShardFailure as failure:
-                    self._recover(failure, seq=None)
-                    continue
-            if blob is not None:
-                sup.store_checkpoint(i, blob, time.perf_counter() - started)
-
     # -- bulk control ----------------------------------------------------------
 
     def clear(self) -> None:
@@ -1052,11 +537,11 @@ class ParallelMatcher(Matcher):
 
         Lets one pool serve many small programs -- the differential test
         harness loads hundreds of generated programs through a single
-        matcher without re-forking workers.
+        matcher without restarting the scheduler threads.
         """
-        # Eagerly dispatched batches are already applied worker-side and
+        # Eagerly dispatched batches are already applied shard-side and
         # owe replies; drain them (results are moot once every shard
-        # resets, and so is any engine error a doomed batch reports).
+        # resets, and so is any error a doomed batch reports).
         if any(self._inflight):
             try:
                 self.flush()
@@ -1080,47 +565,6 @@ class ParallelMatcher(Matcher):
 
     # -- introspection ----------------------------------------------------------
 
-    def transport_summary(self) -> dict:
-        """JSON-ready wire accounting for the metrics ``transport``
-        section: frames/bytes both directions, ring stalls, pickle
-        fallbacks, intern-table size, and dispatch counts/latency."""
-        totals = TransportStats()
-        totals.absorb(self._retired_stats)
-        if self._shards is not None:
-            for shard in self._shards:
-                if isinstance(shard, _ProcessShard):
-                    totals.absorb(shard.transport_stats())
-        mean_latency_us = (
-            self._latency_seconds / self._latency_count * 1e6
-            if self._latency_count
-            else 0.0
-        )
-        config = self.dispatch_config
-        return {
-            "kind": self._transport_kind
-            or ("inline" if self.workers == 0 else self.transport),
-            "dispatches": self._dispatches,
-            "eager_dispatches": self._eager_dispatches,
-            "eager_ops": config.eager_ops,
-            "adaptive": config.adaptive,
-            "mean_dispatch_latency_us": mean_latency_us,
-            "symbols": len(SYMBOLS),
-            **totals.snapshot(),
-        }
-
-    def fault_events(self) -> list[RecoveryEvent]:
-        """All recovery events so far, in occurrence order."""
-        return list(self._supervisor.events)
-
-    def fault_summary(self) -> dict:
-        """JSON-ready rollup of failures, recoveries, and their costs."""
-        return self._supervisor.summary()
-
-    @property
-    def degraded_shards(self) -> list[int]:
-        """Indices of shards demoted to inline execution."""
-        return [i for i, down in enumerate(self._supervisor.demoted) if down]
-
     def partition_snapshot(self) -> list[Partition]:
         """The current production -> shard distribution.
 
@@ -1133,16 +577,15 @@ class ParallelMatcher(Matcher):
         for name, shard in sorted(self._assignment.items()):
             partitions[shard].productions.append(self._productions[name])
             partitions[shard].weight += production_weight(self._productions[name])
-        for i, down in enumerate(self._supervisor.demoted):
-            partitions[i].degraded = down
         return partitions
 
     def scheduler_summary(self) -> Optional[dict]:
-        """The ``scheduler`` metrics section for the local backend.
+        """The ``scheduler`` metrics section.
 
         Side-effect-free by construction (mirrors :meth:`peek_stats`'s
         guarantee): reads counters only, never touches the work queue
-        or the epoch barrier.  ``None`` for process/inline backends.
+        or the epoch barrier.  ``None`` while there is no scheduler
+        (``workers=0``, or before the pool starts).
         """
         if self._scheduler is None:
             return None
@@ -1151,26 +594,16 @@ class ParallelMatcher(Matcher):
     def _merge_edits(self, edits: Sequence[tuple]) -> None:
         for edit in edits:
             if edit[0] == messages.INSERT_REF:
-                # Zero-copy insert from a thread shard: the very object
-                # the kernel built.  Same removed-production race as the
-                # encoded form below, resolved via the instantiation key.
+                # The very object the shard's kernel built.
                 inst = edit[1]
                 if inst.production.name not in self._productions:
-                    self._skipped_inserts.add(inst.key)
-                    continue
-                self._conflict_set.insert(inst)
-            elif edit[0] == messages.INSERT:
-                _, name, timetags, bindings = edit
-                production = self._productions.get(name)
-                if production is None:
                     # The production was removed after this WME op was
                     # queued but before the flush; the shard's "-p"
                     # retraction follows in the same edit stream, so
                     # suppress the insert and excuse its paired delete.
-                    self._skipped_inserts.add((name, tuple(timetags)))
+                    self._skipped_inserts.add(inst.key)
                     continue
-                wmes = tuple(self._wmes[t] for t in timetags)
-                self._conflict_set.insert(Instantiation(production, wmes, bindings))
+                self._conflict_set.insert(inst)
             else:
                 _, name, timetags = edit
                 key = (name, tuple(timetags))

@@ -1,11 +1,12 @@
-"""The shared-memory parallel backend: compiled-kernel shards as threads.
+"""The parallel backend's shards: compiled-kernel shards as threads.
 
 The paper's Sections 4-5 argue that production-system parallelism only
 pays when a dispatch costs about one scheduler operation -- the PSM gets
-there with a hardware task queue over a *shared* match network.  The
-process backends (``pipe``, ``ring``) partition the network across
-address spaces and pay marshalling per op; this module is the
-third backend, ``local``, which removes the boundary instead:
+there with a hardware task queue over a *shared* match network.  This
+backend keeps coordinator and shards in one address space for the same
+reason (the message-passing variants that marshalled ops across a
+process boundary were measured, lost by 50x before a byte crossed a
+wire, and were deleted -- see EXPERIMENTS.md):
 
 * Shards are **threads in the coordinator's address space**.  They
   share the process-wide symbol intern table, the
@@ -15,10 +16,10 @@ third backend, ``local``, which removes the boundary instead:
 * Each shard executes the **compiled kernel**
   (:mod:`repro.kernel`) rather than the interpreted Rete -- per-activation
   match cost, not coordination, dominates the budget.
-* A dispatch is an **append to a shared deque** -- no codec, no ring
-  frames, no pickle.  WME inserts travel as ``("+wr", wme)`` object
-  references (:data:`~repro.parallel.messages.ADD_WME_REF`), and
-  conflict-set inserts come back as live
+* A dispatch is an **append to a shared deque**.  WME inserts travel as
+  ``("+wr", wme)`` object references
+  (:data:`~repro.parallel.messages.ADD_WME_REF`), and conflict-set
+  inserts come back as live
   :class:`~repro.ops5.production.Instantiation` references.
 * Scheduling is **work stealing at node-activation granularity**: a
   shard's lane of ops is drained in small grains, and between grains
@@ -27,66 +28,49 @@ third backend, ``local``, which removes the boundary instead:
   it.  The flush barrier is a **counting epoch**: per-lane
   published/completed counters, no channel round-trip.
 
-The coordinator-facing surface mirrors the process shards exactly
-(``dispatch`` / ``collect`` / ``checkpoint`` / ``restore`` / ``stop`` /
-``kill`` plus fault-plan consultation), so
-:class:`~repro.parallel.executor.ParallelMatcher` drives all three
-backends through one seam and the chaos/differential harnesses run
-unchanged over this one.
-
 Correctness discipline
 ----------------------
 A lane is executed by **at most one thread at a time** (it is enqueued
 on exactly one ready deque, or being drained, never both), so kernel
 state needs no locks; stealing moves whole lanes between workers, never
-splits one.  Replies preserve batch order because lanes are FIFO.
-Faults are emulated at dispatch time: ``crash``/``pipe-drop`` discard
-the shard's state (exactly what losing a process loses), ``hang`` wedges
-the lane behind an abandonable sleep, ``slow`` prepends a bounded sleep.
+splits one.  Replies preserve batch order because lanes are FIFO.  A
+thread shard shares the coordinator's fate, so there is nothing to
+supervise: the one failure a shard reports is an exception inside a
+batch, answered with an ``error`` reply and a fresh (empty) state.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 import traceback
 from collections import deque
 from typing import Iterable, Optional, Sequence
 
-from ..faults.plan import CRASH, HANG, HANG_FOREVER, PIPE_DROP, SLOW, FaultPlan
 from ..kernel.runtime import KernelRuntime
 from ..kernel.shared import shared_kernel
 from ..ops5.conflict import ConflictSet
 from ..ops5.production import Production
 from ..ops5.wme import WME
 from . import messages
-from .supervisor import ShardFailure
 
 __all__ = [
     "LocalKernelState",
     "LocalScheduler",
     "_LocalShard",
-    "rebuild_local_state",
 ]
 
 #: How many queued ops a worker runs before returning the lane to a
 #: ready deque -- the steal window, i.e. the node-activation grain.
 DEFAULT_GRAIN = 16
 
-#: Sleep-task slice: injected hangs sleep in increments this long and
-#: re-check the lane's abandoned flag, so kill() unwinds threads fast.
-_SLEEP_SLICE = 0.02
-
 
 class _RecordingConflictSet(ConflictSet):
     """A conflict set that journals its edits as zero-copy tuples.
 
-    The process workers' recorder encodes inserts as
-    ``("i", name, timetags, bindings)`` so they survive pickling; here
-    both sides share an address space, so an insert is recorded as
-    ``("I", instantiation)`` -- the coordinator files the very same
-    object into its own conflict set.  Deletes stay ``("d", name,
-    timetags)``.  ``delete_key`` is the override point (generated
+    Shard and coordinator share an address space, so an insert is
+    recorded as ``("I", instantiation)`` -- the coordinator files the
+    very same object into its own conflict set.  Deletes are ``("d",
+    name, timetags)``.  ``delete_key`` is the override point (generated
     kernels bind it directly as ``cs_delete``); ``delete`` funnels
     through it, so nothing records twice.
     """
@@ -111,10 +95,7 @@ class _RecordingConflictSet(ConflictSet):
 class LocalKernelState:
     """One shard's match state: a compiled kernel over its rule slice.
 
-    The thread-shard analogue of :class:`~repro.parallel.worker.ShardState`,
-    but executing generated kernel closures instead of a
-    :class:`~repro.rete.ReteNetwork`.  Mirrors
-    :class:`~repro.kernel.matcher.CompiledMatcher`'s rebuild policy:
+    Mirrors :class:`~repro.kernel.matcher.CompiledMatcher`'s rebuild policy:
     production edits while WM is empty only mark the state dirty (one
     compile per final ruleset shape, so loading N productions does not
     pollute the process-wide kernel cache with N-1 prefix shapes); once
@@ -137,8 +118,6 @@ class LocalKernelState:
         tag = op[0]
         if tag == messages.ADD_WME_REF:
             return self._add_wme(op[1], wme_ordinal)
-        if tag == messages.ADD_WME:
-            return self._add_wme(messages.decode_wme(op), wme_ordinal)
         if tag == messages.REMOVE_WME:
             return self._remove_wme(op[1], wme_ordinal)
         if tag == messages.ADD_PRODUCTION:
@@ -162,7 +141,7 @@ class LocalKernelState:
     def apply_batch(self, ops: Iterable[Sequence]) -> tuple[list, list]:
         """Apply *ops* in order; return ``(edits, stat_rows)``.
 
-        Used by the demoted-inline path and by restore replay; the
+        Used when a batch is served on the caller's thread; the
         scheduled path applies ops one at a time so grains interleave.
         """
         stat_rows: list[tuple] = []
@@ -272,53 +251,8 @@ class LocalKernelState:
         self._rt = rt
         self._dirty = False
 
-    # -- checkpoint / restore ----------------------------------------------
-
-    def checkpoint(self) -> tuple:
-        """Snapshot the *inputs* (productions + WM mirror), not the kernel.
-
-        Zero-copy like everything else in this backend: the containers
-        are copied (a checkpoint must freeze membership while the live
-        state keeps mutating) but the Production and WME objects inside
-        are shared by reference.  That sharing is load-bearing, not just
-        cheap: the engine removes WMEs by identity, so a restored
-        shard's instantiations must reference the coordinator's live WME
-        objects -- a pickle round-trip here (the process backend's
-        design) would resurface them as equal-but-distinct copies and
-        poison every firing that touches them.  The kernel itself is
-        never captured: it is a pure function of the ruleset shape, so
-        restore re-attaches from the shared registry and replays the
-        mirror.
-        """
-        return (dict(self.productions), dict(self.wmes))
-
     def state_size(self) -> int:
         return self._rt.state_size() if self._rt is not None else 0
-
-
-def rebuild_local_state(
-    checkpoint: Optional[tuple], journal: Iterable[Sequence]
-) -> LocalKernelState:
-    """Checkpoint + journal-tail replay, the recovery path's core.
-
-    Mirrors :func:`repro.parallel.worker.rebuild_state`: restore the
-    last checkpoint snapshot (or start empty), then re-apply the
-    journalled ops quietly -- edits and stat rows from replay are
-    discarded, because the coordinator already merged the originals
-    before the failure.
-    """
-    state = LocalKernelState()
-    if checkpoint is not None:
-        productions, wmes = checkpoint
-        state.productions = dict(productions)
-        state.wmes = dict(wmes)
-        if state.productions:
-            state._rebuild(diff=False)
-        state.conflict_set.drain()
-    ops = list(journal)
-    if ops:
-        state.apply_batch(ops)
-    return state
 
 
 class _Lane:
@@ -341,7 +275,6 @@ class _Lane:
         "published",
         "completed",
         "replies",
-        "abandoned",
     )
 
     def __init__(self, index: int, home: int, state: LocalKernelState) -> None:
@@ -354,7 +287,6 @@ class _Lane:
         self.published = 0
         self.completed = 0
         self.replies: deque = deque()
-        self.abandoned = False
 
 
 class _BatchJob:
@@ -416,7 +348,7 @@ class LocalScheduler:
         with lane.lock:
             lane.tasks.extend(tasks)
             lane.published += len(tasks)
-            need_schedule = not lane.scheduled and not lane.abandoned
+            need_schedule = not lane.scheduled
             if need_schedule:
                 lane.scheduled = True
         if need_schedule:
@@ -441,39 +373,16 @@ class LocalScheduler:
                     self._cv.wait(0.05)
             self.executed += self._drain(lane, worker)
 
-    def _take(self, worker: int, helper: bool = False) -> Optional[_Lane]:
-        """Pop a runnable lane: own deque first, then steal. CV held.
-
-        With ``helper=True`` (the coordinator draining at the barrier)
-        lanes whose next task is a sleep are skipped: an injected hang
-        must wedge a *worker* thread, never the coordinator -- otherwise
-        the collect deadline could not fire.
-        """
+    def _take(self, worker: int) -> Optional[_Lane]:
+        """Pop a runnable lane: own deque first, then steal. CV held."""
         own = self._ready[worker]
         if own:
-            lane = self._pick(own, helper)
-            if lane is not None:
-                return lane
+            return own.popleft()
         for offset in range(1, self.workers):
             peer = self._ready[(worker + offset) % self.workers]
             if peer:
-                lane = self._pick(peer, helper)
-                if lane is not None:
-                    self.steals += 1
-                    return lane
-        return None
-
-    @staticmethod
-    def _pick(queue: deque, helper: bool) -> Optional[_Lane]:
-        if not helper:
-            return queue.popleft()
-        # Peeking without the lane lock is safe: a lane on a ready deque
-        # has no concurrent drainer, and enqueue only appends.
-        for lane in queue:
-            head = lane.tasks[0] if lane.tasks else None
-            if head is None or head[0] != "sleep":
-                queue.remove(lane)
-                return lane
+                self.steals += 1
+                return peer.popleft()
         return None
 
     def _drain(self, lane: _Lane, worker: int, helper: bool = False) -> int:
@@ -483,9 +392,7 @@ class LocalScheduler:
         the lane to its deque, keeping it stealable at node-activation
         granularity.  The helping coordinator runs the lane dry in one
         visit instead -- at the barrier every lane must drain anyway,
-        so grain-by-grain requeueing would be pure lock traffic -- but
-        refuses sleep tasks (injected hangs must wedge a worker thread,
-        never the coordinator).
+        so grain-by-grain requeueing would be pure lock traffic.
 
         Returns the number of tasks executed.  The single-executor
         invariant holds because ``lane.scheduled`` stays True from the
@@ -495,25 +402,11 @@ class LocalScheduler:
         ran = 0
         while True:
             task = None
-            declined = False
             with lane.lock:
-                if lane.abandoned:
-                    lane.tasks.clear()
-                    lane.scheduled = False
-                    return ran
                 if lane.tasks:
-                    if helper and lane.tasks[0][0] == "sleep":
-                        declined = True
-                    else:
-                        task = lane.tasks.popleft()
+                    task = lane.tasks.popleft()
                 else:
                     lane.scheduled = False
-            if declined:
-                # Hand the sleeping lane to a worker thread.
-                with self._cv:
-                    self._ready[lane.home].append(lane)
-                    self._cv.notify(1)
-                return ran
             if task is None:
                 break
             self._execute(lane, task)
@@ -522,7 +415,7 @@ class LocalScheduler:
             if not helper:
                 requeue = False
                 with lane.lock:
-                    if lane.tasks and not lane.abandoned:
+                    if lane.tasks:
                         requeue = True  # keep scheduled; stay stealable
                     else:
                         lane.scheduled = False
@@ -539,13 +432,7 @@ class LocalScheduler:
         return ran
 
     def _execute(self, lane: _Lane, task: tuple) -> None:
-        kind = task[0]
-        if kind == "sleep":
-            deadline = time.monotonic() + task[1]
-            while time.monotonic() < deadline and not lane.abandoned:
-                time.sleep(_SLEEP_SLICE)
-            return
-        _, job, ops = task
+        job, ops = task
         if not job.failed:
             state = lane.state
             apply_op = state.apply_op
@@ -556,12 +443,11 @@ class LocalScheduler:
                     if row is not None:
                         rows.append(row)
                         job.wme_ordinal += 1
-            except Exception as exc:  # noqa: BLE001 - mirrors worker loop
+            except Exception as exc:  # noqa: BLE001 - reported as the reply
                 job.failed = True
                 job.error = (repr(exc), traceback.format_exc())
-                # State is torn mid-batch; start fresh exactly like the
-                # process worker does -- the coordinator restores from
-                # checkpoint + journal on seeing the error reply.
+                # State is torn mid-batch; start fresh so whatever is
+                # still queued behind this batch cannot run against it.
                 lane.state = LocalKernelState()
         job.remaining -= 1
         if job.remaining == 0:
@@ -577,34 +463,26 @@ class LocalScheduler:
 
     # -- coordinator side --------------------------------------------------
 
-    def help_until(self, lane: _Lane, predicate, deadline: Optional[float]) -> bool:
-        """Run tasks on the caller's thread until *predicate* or timeout.
+    def help_until_reply(self, lane: _Lane) -> None:
+        """Run tasks on the caller's thread until *lane* has a reply.
 
         This is the counting-epoch barrier: instead of blocking, the
         coordinator drains ready lanes (preferring *lane*'s home deque)
-        while it waits.  Returns the predicate's final value.
+        while it waits.
         """
-        limit = None if deadline is None else time.monotonic() + deadline
-        while True:
-            if predicate():
-                return True
+        while not lane.replies:
             with self._cv:
-                claimed = (
-                    None if self._stopped else self._take(lane.home, helper=True)
-                )
+                claimed = None if self._stopped else self._take(lane.home)
             if claimed is not None:
                 self.helped += self._drain(claimed, claimed.home, helper=True)
                 continue
             # Nothing runnable here -- a worker may be mid-grain on the
             # lane we need.  Park briefly; reply/requeue notifies us.
             with self._cv:
-                if predicate():
-                    return True
-                remaining = None if limit is None else limit - time.monotonic()
-                if remaining is not None and remaining <= 0:
-                    return bool(predicate())
+                if lane.replies:
+                    return
                 self.epoch_waits += 1
-                self._cv.wait(0.01 if remaining is None else min(0.01, remaining))
+                self._cv.wait(0.01)
 
     def end_epoch(self) -> None:
         """Mark a flush-barrier epoch complete (reporting only)."""
@@ -638,74 +516,30 @@ class LocalScheduler:
 class _LocalShard:
     """Coordinator-side handle for one thread shard.
 
-    With a scheduler this fronts a :class:`_Lane`; with
-    ``scheduler=None`` it executes synchronously on the caller's thread
-    -- the demotion target after ``max_failures``, the thread analogue
-    of the executor's ``_InlineShard`` (and, like it, it never consults
-    the fault plan).
+    With a scheduler its lane is shared with the worker threads; with
+    ``scheduler=None`` (``workers=0``) every batch is served
+    synchronously on the caller's thread -- same state, same replies,
+    no threads.
     """
 
-    def __init__(
-        self,
-        index: int,
-        scheduler: Optional[LocalScheduler] = None,
-        fault_plan: Optional[FaultPlan] = None,
-        state: Optional[LocalKernelState] = None,
-    ) -> None:
-        self.index = index
+    def __init__(self, index: int, scheduler: Optional[LocalScheduler] = None) -> None:
         self.scheduler = scheduler
-        self.fault_plan = fault_plan
-        self._dead: Optional[str] = None
-        self._replies: deque = deque()  # inline mode only
-        initial = state if state is not None else LocalKernelState()
-        if scheduler is not None:
-            self.lane: Optional[_Lane] = _Lane(
-                index, index % scheduler.workers, initial
-            )
-        else:
-            self.lane = None
-            self._state = initial
+        home = index % scheduler.workers if scheduler is not None else 0
+        self.lane = _Lane(index, home, LocalKernelState())
 
     @property
     def state(self) -> LocalKernelState:
-        return self.lane.state if self.lane is not None else self._state
+        return self.lane.state
 
-    # -- command surface ---------------------------------------------------
-
-    def dispatch(self, ops: Sequence, seq: Optional[int] = None) -> None:
-        if self.scheduler is None:
-            self._dispatch_inline(ops)
-            return
-        if self._dead is not None:
-            return  # a dead process swallows writes too; collect() raises
-        tasks: list[tuple] = []
-        fault = (
-            self.fault_plan.shard_fault(self.index, seq)
-            if self.fault_plan is not None
-            else None
-        )
-        if fault is not None:
-            if fault.kind in (CRASH, PIPE_DROP):
-                # Losing a thread shard loses what losing a process
-                # loses: all match state since the last checkpoint.
-                self._dead = "crash"
-                self._abandon_lane()
-                return
-            if fault.kind in (HANG, SLOW):
-                seconds = fault.seconds if fault.seconds > 0 else HANG_FOREVER
-                tasks.append(("sleep", seconds))
+    def dispatch(self, ops: Sequence) -> None:
+        """Serve *ops* (non-empty): exactly one reply becomes collectable."""
         lane = self.lane
-        if not ops:
-            # Nothing to run, but the protocol owes one reply per batch.
-            lane.replies.append((messages.OK, [], []))
+        scheduler = self.scheduler
+        if scheduler is None:
+            lane.replies.append(self._serve(ops))
             return
-        grain = self.scheduler.grain
-        if (
-            fault is None
-            and len(ops) <= grain
-            and lane.completed >= lane.published
-            and not lane.tasks
-        ):
+        grain = scheduler.grain
+        if len(ops) <= grain and lane.completed >= lane.published and not lane.tasks:
             # Granularity shortcut -- the paper's Section 4 trade-off
             # measured live: below one grain of work the enqueue/notify/
             # steal round-trip costs more than the match work itself, so
@@ -713,101 +547,32 @@ class _LocalShard:
             # The single-executor discipline holds (nothing is queued,
             # nothing mid-drain), and batches bigger than a grain still
             # go through the deques where workers and thieves share them.
-            self.scheduler.fast_batches += 1
-            try:
-                edits, stat_rows = lane.state.apply_batch(ops)
-            except Exception as exc:  # noqa: BLE001 - mirrors worker loop
-                lane.state = LocalKernelState()
-                lane.replies.append(
-                    (messages.ERROR, repr(exc), traceback.format_exc())
-                )
-                return
-            lane.replies.append((messages.OK, edits, stat_rows))
+            scheduler.fast_batches += 1
+            lane.replies.append(self._serve(ops))
             return
         # One task per grain of ops: the work-stealing (and helping)
         # granularity without per-op task bookkeeping.
         job = _BatchJob(0)
-        op_tasks = [
-            ("ops", job, ops[start : start + grain])
-            for start in range(0, len(ops), grain)
+        tasks = [
+            (job, ops[start : start + grain]) for start in range(0, len(ops), grain)
         ]
-        job.remaining = len(op_tasks)
-        tasks.extend(op_tasks)
-        self.scheduler.enqueue(lane, tasks)
+        job.remaining = len(tasks)
+        scheduler.enqueue(lane, tasks)
 
-    def _dispatch_inline(self, ops: Sequence) -> None:
+    def _serve(self, ops: Sequence) -> tuple:
+        """Apply one whole batch on the caller's thread; return its reply."""
+        lane = self.lane
         try:
-            edits, stat_rows = self._state.apply_batch(ops)
-        except Exception as exc:  # noqa: BLE001 - mirrors worker loop
-            self._state = LocalKernelState()
-            self._replies.append(
-                (messages.ERROR, repr(exc), traceback.format_exc())
-            )
-            return
-        self._replies.append((messages.OK, edits, stat_rows))
+            edits, stat_rows = lane.state.apply_batch(ops)
+        except Exception as exc:  # noqa: BLE001 - reported as the reply
+            lane.state = LocalKernelState()  # torn mid-batch; start fresh
+            return (messages.ERROR, repr(exc), traceback.format_exc())
+        return (messages.OK, edits, stat_rows)
 
-    def collect(self, deadline: Optional[float] = None):
-        if self.scheduler is None:
-            assert self._replies  # dispatch is synchronous in this mode
-            return self._replies.popleft()
-        if self._dead is not None:
-            raise ShardFailure(
-                self.index, self._dead, "shard state discarded by injected fault"
-            )
+    def collect(self) -> tuple:
+        """The oldest uncollected reply, helping the scheduler while it
+        is not there yet."""
         lane = self.lane
-        served = self.scheduler.help_until(
-            lane, lambda: bool(lane.replies), deadline
-        )
-        if not served:
-            raise ShardFailure(
-                self.index,
-                "hang",
-                f"no reply within {deadline:g}s"
-                if deadline is not None
-                else "no reply",
-            )
-        return lane.replies.popleft()
-
-    def checkpoint(self, deadline: Optional[float] = None) -> tuple:
-        """Snapshot state; called at the flush barrier (lane drained)."""
-        if self.scheduler is None:
-            return self._state.checkpoint()
-        lane = self.lane
-        settled = self.scheduler.help_until(
-            lane, lambda: lane.completed >= lane.published, deadline
-        )
-        if not settled:
-            raise ShardFailure(
-                self.index, "hang", "lane did not settle for checkpoint"
-            )
-        return lane.state.checkpoint()
-
-    def restore(self, checkpoint: Optional[bytes], journal: Sequence) -> int:
-        """Rebuild from checkpoint + journal tail; returns ops replayed."""
-        state = rebuild_local_state(checkpoint, journal)
         if self.scheduler is not None:
-            self._abandon_lane()
-            self.lane = _Lane(
-                self.index, self.index % self.scheduler.workers, state
-            )
-            self._dead = None
-        else:
-            self._state = state
-        return len(journal)
-
-    def stop(self) -> None:
-        self._abandon_lane()
-
-    def kill(self) -> None:
-        """Tear the shard down ungracefully (recovery path)."""
-        self._dead = self._dead or "crash"
-        self._abandon_lane()
-
-    def _abandon_lane(self) -> None:
-        lane = self.lane
-        if lane is None:
-            return
-        lane.abandoned = True  # drain loops bail; sleep tasks unwind
-        with lane.lock:
-            lane.tasks.clear()
-        lane.replies.clear()
+            self.scheduler.help_until_reply(lane)
+        return lane.replies.popleft()

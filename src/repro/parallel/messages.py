@@ -1,114 +1,48 @@
-"""The coordinator <-> shard-worker wire protocol.
+"""The tuples a coordinator and its thread shards hand each other.
 
-Everything that crosses a process boundary is a plain tuple of
-primitives (strings, numbers, dicts of both), so messages pickle fast
-and identically under every ``multiprocessing`` start method.  The one
-exception is production transfer: :class:`~repro.ops5.production.Production`
-objects are pure data (conditions, actions, no closures) and pickle
-directly, which is how a shard receives its rules.
-
-Command stream (coordinator -> worker), one batch per flush::
-
-    ("batch", [op, op, ...], seq) apply ops in order, then reply
-    ("checkpoint",)               pickle current state, reply with bytes
-    ("restore", blob, [op, ...])  rebuild state: unpickle blob (or start
-                                  fresh when None), replay ops quietly
-    ("stop",)                     exit the worker loop
-
-``seq`` is the coordinator-assigned per-shard batch sequence number --
-the address fault injection fires on (:mod:`repro.faults`).  It is
-``None`` for recovery re-dispatches, which must never re-trigger the
-fault that killed the previous incarnation of the worker.
+Shards are threads in the coordinator's address space, so everything
+travels by reference: a batch is a list of ops, a reply is one tuple,
+and nothing is ever encoded.
 
 Ops inside a batch::
 
     ("+p", production)            compile a production into the shard
     ("-p", name)                  remove a production
-    ("+w", cls, attrs, timetag)   working-memory insertion
+    ("+wr", wme)                  working-memory insertion (the live WME)
     ("-w", timetag)               working-memory deletion
     ("reset",)                    discard all match state, keep nothing
 
-Reply (worker -> coordinator), one per command::
+Reply, one per batch::
 
     ("ok", edits, stat_rows)      a served batch
-    ("checkpoint", blob)          pickled ShardState bytes
-    ("restored", op_count)        state rebuilt (checkpoint + replay)
     ("error", repr, traceback_text)
 
 ``edits`` is the ordered conflict-set edit stream the batch produced:
-``("i", production_name, timetags, bindings)`` inserts and
+``("I", instantiation)`` inserts -- the very object the kernel built,
+which the coordinator files into its own conflict set -- and
 ``("d", production_name, timetags)`` deletes, where ``timetags`` is the
-instantiation's positive-CE timetag tuple.  Timetags are the global
-names of WMEs, so the coordinator can rebuild full
-:class:`~repro.ops5.production.Instantiation` objects from its own
-working-memory view without productions or WMEs ever travelling back.
+instantiation's positive-CE timetag tuple.
 
 ``stat_rows`` carries one measurement row per *WME op* in the batch:
 ``(op_index, affected, activations, comparisons, tokens_built)`` --
 the coordinator sums rows across shards (shards hold disjoint
 production sets, so "affected productions" adds correctly) into the
 :class:`~repro.ops5.matcher.MatchStats` record stream.
-
-These tuples are the protocol's *logical* form.  How they cross the
-process boundary is the transport's business
-(:mod:`repro.parallel.transport`): the pipe transport pickles them
-verbatim, while the shared-memory ring transport packs ``batch`` and
-``ok`` messages into compact struct frames with interned symbols
-(:mod:`repro.parallel.codec`) and falls back to pickle for everything
-else.  Workers see identical tuples either way.
 """
 
 from __future__ import annotations
 
-from typing import Any, Sequence
-
-from ..ops5.wme import WME
-
-#: Op tags (kept one character: they appear in every message).
+#: Op tags.
 ADD_PRODUCTION = "+p"
 REMOVE_PRODUCTION = "-p"
-ADD_WME = "+w"
-REMOVE_WME = "-w"
-#: Zero-copy WME insertion: ``("+wr", wme)`` carries the live object
-#: reference instead of (cls, attrs, timetag).  Only the ``local``
-#: shared-memory backend emits it -- it must never cross a process
-#: boundary as anything but a pickle (which would defeat its point),
-#: but shard code accepts it everywhere so journals replay uniformly.
 ADD_WME_REF = "+wr"
+REMOVE_WME = "-w"
 RESET = "reset"
 
-#: Command tags (coordinator -> worker).
-BATCH = "batch"
-CHECKPOINT = "checkpoint"
-RESTORE = "restore"
-STOP = "stop"
-
-#: Reply tags (worker -> coordinator).
+#: Reply tags.
 OK = "ok"
-RESTORED = "restored"
 ERROR = "error"
 
-INSERT = "i"
-DELETE = "d"
-#: Zero-copy insert edit: ``("I", instantiation)`` carries the live
-#: Instantiation object.  Emitted only by the ``local`` shared-memory
-#: backend, whose shards share the coordinator's address space.
+#: Edit tags.
 INSERT_REF = "I"
-
-#: An edit row: ("i", name, timetags, bindings) or ("d", name, timetags).
-Edit = tuple
-#: A stats row: (op_index, affected, activations, comparisons, tokens).
-StatRow = tuple
-
-
-def encode_wme(wme: WME) -> tuple:
-    """Encode a WME for transfer: ``(ADD_WME, cls, attrs, timetag)``."""
-    return (ADD_WME, wme.cls, dict(wme.attributes), wme.timetag)
-
-
-def decode_wme(op: Sequence[Any]) -> WME:
-    """Rebuild a timetagged WME from an ``ADD_WME`` op."""
-    _, cls, attrs, timetag = op
-    wme = WME(cls, attrs)
-    wme.timetag = timetag
-    return wme
+DELETE = "d"

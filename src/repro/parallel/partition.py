@@ -33,9 +33,6 @@ class Partition:
     index: int
     productions: list[Production] = field(default_factory=list)
     weight: float = 0.0
-    #: True once the supervisor has demoted this shard to run inline in
-    #: the coordinator after repeated worker failures.
-    degraded: bool = False
 
     @property
     def classes(self) -> set[str]:

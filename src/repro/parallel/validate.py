@@ -151,7 +151,7 @@ def compare_backends(
     ``backends`` maps a label to a zero-argument matcher factory.  A
     factory may return a pre-warmed :class:`ParallelMatcher` (after
     :meth:`~repro.parallel.executor.ParallelMatcher.clear`), which is
-    how the test harness amortises worker start-up over hundreds of
+    how the test harness amortises pool start-up over hundreds of
     generated programs.
     """
     report = DifferentialReport()
@@ -169,14 +169,11 @@ def validate_parallel(
     workers: int = 2,
     strategy: str = "lex",
     max_cycles: int = 200,
-    transport: str = "auto",
 ) -> DifferentialReport:
     """Serial Rete vs. the live parallel executor on one program.
 
     The one-stop check the CLI and benchmark use before trusting a
-    parallel run's timings.  *transport* picks the executor's shard
-    transport, so the same differential harness vouches for the
-    shared-memory ring path as for pickled pipes.
+    parallel run's timings.
     """
     from ..rete.network import ReteNetwork
     from .executor import ParallelMatcher
@@ -185,7 +182,7 @@ def validate_parallel(
     report.records["rete"] = run_recorded(
         productions, setup, ReteNetwork(), strategy=strategy, max_cycles=max_cycles
     )
-    with ParallelMatcher(workers=workers, transport=transport) as matcher:
+    with ParallelMatcher(workers=workers) as matcher:
         report.records[f"parallel[{workers}]"] = run_recorded(
             productions, setup, matcher, strategy=strategy, max_cycles=max_cycles
         )

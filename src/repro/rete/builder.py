@@ -53,9 +53,8 @@ if TYPE_CHECKING:  # pragma: no cover
 class _ClassRootPredicate:
     """The per-class entry point's predicate: every routed WME passes.
 
-    Alpha predicates are plain picklable callables (not closures) so a
-    whole compiled network -- and therefore a shard's match state -- can
-    be checkpointed with ``pickle`` for crash recovery.
+    Alpha predicates are plain callable objects (not closures), so what
+    a node tests can be read off the node.
     """
 
     __slots__ = ()

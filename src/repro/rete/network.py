@@ -39,21 +39,14 @@ class ReteNetwork(Matcher):
         Use hash-indexed join memories (the hashed memory-node
         organisation): joins probe buckets instead of scanning, cutting
         comparison counts on equality-heavy programs.
-    conflict_set:
-        Replace the network's conflict set with a caller-supplied
-        subclass.  The parallel executor injects a recording set here so
-        a shard's terminal activity becomes a transferable edit stream.
     """
 
     def __init__(
         self,
         listener: NetworkListener | None = None,
         indexed: bool = False,
-        conflict_set=None,
     ) -> None:
         super().__init__()
-        if conflict_set is not None:
-            self.conflict_set = conflict_set
         self.listener = listener or NetworkListener()
         #: Wall-clock per activation, only when the listener asks for it
         #: (RecorderListener does): the untimed path stays branch-cheap,
@@ -98,22 +91,6 @@ class ReteNetwork(Matcher):
         self._next_node_id += 1
         self.nodes_created += 1
         return node_id
-
-    def rebuild_join_indexes(self) -> None:
-        """Rekey every indexed join's hash buckets in this process.
-
-        Index keys embed process-local symbol intern ids, so a network
-        that was pickled in one process and loaded in another carries
-        buckets keyed against a table that no longer exists.  Callers
-        that unpickle a network (worker restore, checkpoint round-trip
-        tests) must invoke this before the next activation.  Cheap when
-        nothing is indexed: one isinstance scan over the registry.
-        """
-        from .nodes import JoinNode  # local to avoid cycle noise
-
-        for node in self.share_registry.values():
-            if isinstance(node, JoinNode) and node.indexed:
-                node.rebuild_indexes()
 
     def start_event(self, node: ReteNode, direction: str, side: str = "") -> ActivationEvent:
         """Open an activation event; nested events record it as parent."""

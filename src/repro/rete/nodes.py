@@ -46,8 +46,7 @@ class ReteNode:
     Every node class declares ``__slots__``: nodes sit on the
     per-activation hot path and a network holds thousands of them, so
     dropping the per-instance ``__dict__`` buys both attribute-access
-    speed and memory (measured in ``benchmarks/bench_transport.py``'s
-    slots micro-bench).  ``parent`` and ``share_key_full`` live on the
+    speed and memory.  ``parent`` and ``share_key_full`` live on the
     base because the builder assigns them across several node kinds.
     """
 
@@ -279,9 +278,6 @@ class JoinNode(ReteNode):
     # key carries a bitmask of which positions hold interned symbols as
     # its final element: (id 5, mask bit set) never equals (number 5,
     # bit clear), while raw numbers keep Python's cross-type hash/eq.
-    # Ids are process-local, so pickled indexed networks must call
-    # ``rebuild_indexes`` after loading (see
-    # ``ReteNetwork.rebuild_join_indexes``).
 
     def _token_key(self, token: Token) -> tuple:
         values = []
@@ -309,13 +305,8 @@ class JoinNode(ReteNode):
         return tuple(values)
 
     def rebuild_indexes(self) -> None:
-        """Recompute both hash indexes from the backing memories.
-
-        Called at construction, and again after unpickling a network in
-        another process: index keys embed process-local intern ids, so a
-        restored network's buckets must be rekeyed against the loading
-        process's table before any activation probes them.
-        """
+        """Compute both hash indexes from the backing memories (called
+        at construction)."""
         self.left_index.clear()
         self.right_index.clear()
         if not self.indexed:

@@ -390,11 +390,14 @@ class DurabilityStore:
         synced = 0
         for sid in dirty:
             handle = self._wal_handles.get(sid)
-            if handle is None or handle.closed:
-                continue  # compacted or dropped since it was dirtied
+            if handle is None:
+                continue  # dropped since it was dirtied
             try:
                 os.fsync(handle.fileno())
-            except OSError:  # pragma: no cover - handle raced a drop
+            except (OSError, ValueError):
+                # Compacted or dropped since it was dirtied, possibly by
+                # the event loop while this (committer) thread was here:
+                # fileno() of a closed file raises ValueError.
                 continue
             synced += 1
         if synced:

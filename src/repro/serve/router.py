@@ -874,7 +874,6 @@ class RuleRouter(Endpoint):
                             "workers",
                             "strategy",
                             "max_pending",
-                            "transport",
                         )
                         if request.get(key) is not None
                     }

@@ -5,15 +5,14 @@ socket), speaks the length-prefixed JSON protocol of
 :mod:`repro.serve.protocol`, and multiplexes any number of client
 connections onto any number of engine sessions.  The event loop only
 routes: all engine work happens on per-session worker threads (and, for
-``matcher="parallel"`` sessions, in that matcher's worker processes),
+``matcher="parallel"`` sessions, on that matcher's shard threads),
 so the loop stays free to answer pings, report stats, and -- crucially
 -- reject requests with backpressure while a session is busy.
 
 Server-level operations (handled inline on the loop)::
 
     {"op": "create_session", "program": ..., "matcher": ..., "workers": ...,
-     "strategy": ..., "max_pending": ..., "name": ..., "transport": ...,
-     "tenant": ...}
+     "strategy": ..., "max_pending": ..., "name": ..., "tenant": ...}
     {"op": "import_session", "config": {...}, "state": {...}, "name": ...}
     {"op": "destroy_session", "session": id}
     {"op": "list_sessions"}
@@ -121,6 +120,14 @@ class RuleServer(Endpoint):
     async def _op_create_session(self, request: dict) -> dict:
         if self._draining:
             raise Ops5Error("server is shutting down")
+        # Configs journalled before the process transports were removed
+        # may still name one; only the surviving value is honoured.
+        transport = request.get("transport")
+        if transport not in (None, "local"):
+            raise Ops5Error(
+                f"transport {transport!r} is not available: the process "
+                "match transports were removed (only 'local' remains)"
+            )
         session = self.sessions.create(
             program=request.get("program", ""),
             matcher=request.get("matcher", "rete"),
@@ -128,7 +135,6 @@ class RuleServer(Endpoint):
             strategy=request.get("strategy", "lex"),
             max_pending=request.get("max_pending"),
             name=request.get("name"),
-            transport=request.get("transport"),
             tenant=request.get("tenant", DEFAULT_TENANT),
         )
         return {"ok": True, "session": session.id}

@@ -29,17 +29,13 @@ rejected *immediately* (never enqueued, session state untouched) with
 session's median latency and current queue depth.  Clients retry;
 nothing is silently dropped.
 
-Deadlines and degradation
--------------------------
+Deadlines
+---------
 A request may carry ``"deadline": seconds``; if the reply is not ready
 in time the *caller* gets ``error: "deadline"`` immediately.  The
 request itself is not interrupted -- the worker thread cannot be
 preempted mid-engine-op -- so its side effects still land in order; only
-the reply is abandoned.  Sessions backed by the parallel matcher also
-surface that matcher's supervision story: every shard recovery becomes
-a structured ``recovered``/``degraded`` notice in the session's stats
-row, so an operator sees at the RPC surface that a worker died, what
-the rebuild cost, and whether the session is now running degraded.
+the reply is abandoned.
 """
 
 from __future__ import annotations
@@ -49,7 +45,6 @@ import itertools
 import os
 import threading
 import time
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Optional
 
@@ -130,38 +125,21 @@ def clear_program_cache() -> None:
         _PROGRAM_MISSES = 0
 
 
-def build_matcher(
-    name: str,
-    workers: Optional[int] = None,
-    recorder=None,
-    fault_plan: Optional[FaultPlan] = None,
-    transport: Optional[str] = None,
-):
+def build_matcher(name: str, workers: Optional[int] = None, recorder=None):
     """Build a matcher backend for a session via the engine registry.
 
-    ``workers`` and ``transport`` are honoured for the parallel backend
-    and rejected for every other one rather than silently ignored.  An
-    enabled *recorder* is threaded into backends that can use it: the
-    parallel executor takes it directly (shard-batch spans), Rete
-    backends get a :class:`~repro.rete.RecorderListener` (per-activation
-    spans).  ``fault_plan`` reaches only the parallel backend (its shard
-    workers consult it); session-site faults are injected by the session
-    itself, for any matcher.
+    ``workers`` is honoured for the parallel backend and rejected for
+    every other one rather than silently ignored.  An enabled *recorder*
+    is threaded into backends that can use it: the parallel executor
+    takes it directly (shard-batch spans), Rete backends get a
+    :class:`~repro.rete.RecorderListener` (per-activation spans).
     """
     if name == "parallel":
-        kwargs = {} if transport is None else {"transport": transport}
-        return matcher_named(
-            name, workers=workers, recorder=recorder, fault_plan=fault_plan, **kwargs
-        )
+        return matcher_named(name, workers=workers, recorder=recorder)
     if workers is not None:
         raise Ops5Error(
             f"workers={workers} is only meaningful for matcher='parallel', "
             f"not {name!r}"
-        )
-    if transport is not None:
-        raise Ops5Error(
-            f"transport={transport!r} is only meaningful for "
-            f"matcher='parallel', not {name!r}"
         )
     if recorder is not None and recorder.enabled and name in ("rete", "rete-indexed"):
         from ..rete import RecorderListener
@@ -225,7 +203,6 @@ class Session:
         max_pending: int = DEFAULT_MAX_PENDING,
         recorder=None,
         fault_plan: Optional[FaultPlan] = None,
-        transport: Optional[str] = None,
         tenant: str = DEFAULT_TENANT,
         state: Optional[dict] = None,
     ) -> None:
@@ -242,13 +219,7 @@ class Session:
         self.fault_plan = fault_plan
         self.system = ProductionSystem(
             shared_program(program),
-            matcher=build_matcher(
-                matcher,
-                workers,
-                recorder=self.recorder,
-                fault_plan=fault_plan,
-                transport=transport,
-            ),
+            matcher=build_matcher(matcher, workers, recorder=self.recorder),
             strategy=strategy,
             recorder=self.recorder,
         )
@@ -260,7 +231,7 @@ class Session:
                 self.system.restore_state(state)
             except BaseException:
                 # A rejected blob must not leak the matcher's resources
-                # (the parallel backend owns worker processes); the
+                # (the parallel backend owns scheduler threads); the
                 # executor is not built yet, so this is the only cleanup.
                 close = getattr(self.system.matcher, "close", None)
                 if close is not None:
@@ -270,12 +241,6 @@ class Session:
         self.max_pending = max_pending
         #: Executed-request ordinal stream (session-site fault addresses).
         self._request_ordinal = 0
-        #: Structured degraded/recovered notices surfaced via ``stats``.
-        self._fault_notices: deque[dict] = deque(maxlen=64)
-        self._fault_events_seen = 0
-        #: describe()/stats() snapshot from the event loop while the
-        #: worker thread serves a query -- notice folding must not race.
-        self._fault_sync_lock = threading.Lock()
         #: The session's one queue *and* its one thread: a single-worker
         #: executor runs submissions strictly in order.
         self._executor = ThreadPoolExecutor(
@@ -528,33 +493,6 @@ class Session:
 
     # -- introspection -------------------------------------------------------
 
-    def _sync_fault_notices(self) -> None:
-        """Fold new matcher recovery events into the notice stream.
-
-        ``respawned`` recoveries become ``recovered`` notices (the shard
-        is whole again), demotions become ``degraded`` ones (the session
-        keeps running, inline).  Reading the matcher's event list does
-        not flush it, so no engine state moves -- but describe() is
-        reachable from *two* threads (the worker, via a stats query, and
-        the event loop, via the server's ``stats`` op), and the
-        seen-counter/deque pair must advance atomically or one event can
-        fold twice and surface as a duplicate notice.
-        """
-        events = getattr(self.system.matcher, "fault_events", None)
-        if events is None:
-            return
-        with self._fault_sync_lock:
-            rows = events()
-            for event in rows[self._fault_events_seen:]:
-                kind = "degraded" if event.action == "demoted" else "recovered"
-                self._fault_notices.append({"type": kind, **event.snapshot()})
-            self._fault_events_seen = len(rows)
-
-    @property
-    def degraded(self) -> bool:
-        """True when any of the matcher's shards runs demoted."""
-        return bool(getattr(self.system.matcher, "degraded_shards", ()))
-
     def describe(self) -> dict:
         """JSON-ready session status (one row of the ``stats`` reply).
 
@@ -563,9 +501,6 @@ class Session:
         memory: every engine read here is a point read or a
         snapshot-copy, and matcher stats flow through ``peek_stats``.
         """
-        self._sync_fault_notices()
-        with self._fault_sync_lock:
-            notices = list(self._fault_notices)
         # The unified snapshot (repro.obs.metrics) reads matcher stats
         # via peek_stats, so building it here -- possibly from the
         # event-loop thread while the worker matches -- cannot move the
@@ -585,8 +520,6 @@ class Session:
             "halted": self.system.halted,
             "queue_depth": self.queue_depth,
             "max_pending": self.max_pending,
-            "degraded": self.degraded,
-            "fault_notices": notices,
             "metrics": metrics,
             **serve,
         }
@@ -658,7 +591,6 @@ class SessionManager:
         strategy: str = "lex",
         max_pending: Optional[int] = None,
         name: Optional[str] = None,
-        transport: Optional[str] = None,
         tenant: str = DEFAULT_TENANT,
         state: Optional[dict] = None,
     ) -> Session:
@@ -672,7 +604,6 @@ class SessionManager:
             matcher=matcher,
             workers=workers,
             strategy=strategy,
-            transport=transport,
             max_pending=max_pending
             if max_pending is not None
             else self.default_max_pending,

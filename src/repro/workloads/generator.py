@@ -10,9 +10,9 @@ variable-join graphs of controlled fan-in/fan-out, RHS make/remove/
 modify mixes -- together with matched working-memory change streams, and
 feeds them to the cross-matcher differential harness: every generated
 ``(ruleset, stream)`` pair must produce bit-identical conflict sets,
-firing sequences, output, and final memories across all six matcher
-backends (naive, TREAT, Rete, indexed Rete, Oflazer, parallel) and all
-shard transports (pipe, ring, and the shared-memory ``local`` threads).
+firing sequences, output, and final memories across every matcher
+backend (naive, TREAT, Rete, indexed Rete, Oflazer, the compiled kernel,
+and the parallel backend's thread shards).
 
 Three consumers share the machinery:
 
@@ -577,7 +577,7 @@ def fuzz_cases(profile: GeneratorProfile = DEFAULT_PROFILE):
 
 
 # ---------------------------------------------------------------------------
-# The differential harness: serial matchers x parallel transports
+# The differential harness: serial matchers + the parallel backend
 # ---------------------------------------------------------------------------
 
 #: The serial matcher backends every case runs through.  ``compiled`` is
@@ -592,12 +592,6 @@ SERIAL_BACKENDS: tuple[str, ...] = (
     "oflazer",
     "compiled",
 )
-
-#: Default shard transports for the parallel backend.  ``local`` is the
-#: shared-memory thread backend (compiled-kernel shards, zero-copy
-#: dispatch); its inclusion makes every fuzz case a differential check
-#: of the work-stealing scheduler against the process transports too.
-DEFAULT_TRANSPORTS: tuple[str, ...] = ("pipe", "ring", "local")
 
 
 @dataclass(frozen=True)
@@ -655,40 +649,28 @@ def drive_case(
 
 
 class MatcherFleet:
-    """The backend cross-product the fuzzer checks, with warm pools.
+    """The backends the fuzzer checks, with one warm parallel pool.
 
     Serial matchers are rebuilt per case (cheap); the parallel matcher
-    keeps one process pool per transport for the whole campaign and is
-    ``clear()``-ed between cases, so a thousand generated programs cost
-    two forks, not two thousand.  Transports the host cannot provide
-    (no ``multiprocessing.shared_memory``) are skipped with a note.
+    keeps one pool of thread shards for the whole campaign and is
+    ``clear()``-ed between cases, so a thousand generated programs
+    start its scheduler threads once.
     """
 
     def __init__(
         self,
         workers: int = 2,
-        transports: Sequence[str] = DEFAULT_TRANSPORTS,
         serial: Sequence[str] = SERIAL_BACKENDS,
     ) -> None:
-        from ..parallel import ParallelMatcher, ring_available
+        from ..parallel import ParallelMatcher
 
         self._serial = tuple(serial)
-        self._pools: dict[str, object] = {}
-        self.notes: list[str] = []
-        for transport in transports:
-            if transport == "ring" and not ring_available():
-                self.notes.append("ring transport unavailable on this host; skipped")
-                continue
-            self._pools[f"parallel-{transport}"] = ParallelMatcher(
-                workers=workers, transport=transport
-            )
+        self._pool = ParallelMatcher(workers=workers)
 
     # -- lifecycle --------------------------------------------------------
 
     def close(self) -> None:
-        for pool in self._pools.values():
-            pool.close()
-        self._pools.clear()
+        self._pool.close()
 
     def __enter__(self) -> "MatcherFleet":
         return self
@@ -718,15 +700,11 @@ class MatcherFleet:
             name: serial_factories[name] for name in self._serial
         }
 
-        def pooled(pool):
-            def factory():
-                pool.clear()
-                return pool
+        def pooled():
+            self._pool.clear()
+            return self._pool
 
-            return factory
-
-        for label, pool in self._pools.items():
-            factories[label] = pooled(pool)
+        factories["parallel"] = pooled
         return factories
 
     def labels(self) -> list[str]:
@@ -1053,7 +1031,6 @@ class FuzzReport:
     iterations: int
     backends: list[str]
     counterexamples: list[CounterExample] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -1071,7 +1048,6 @@ class FuzzReport:
             "backends": self.backends,
             "mismatches": len(self.counterexamples),
             "counterexamples": [c.snapshot() for c in self.counterexamples],
-            "notes": self.notes,
         }
 
 
@@ -1086,7 +1062,6 @@ def fuzz(
     profile: GeneratorProfile = DEFAULT_PROFILE,
     backends: Optional[Mapping[str, Callable[[], object]]] = None,
     workers: int = 2,
-    transports: Sequence[str] = DEFAULT_TRANSPORTS,
     max_cycles: int = 40,
     iterations: Optional[int] = None,
     shrink_attempts: int = 250,
@@ -1099,18 +1074,16 @@ def fuzz(
     Each iteration derives ``case_seed = _case_seed_for(seed, i)``, so a
     report row reproduces via :func:`case_from_seed` regardless of how
     far the budget let the original campaign run.  *backends* overrides
-    the fleet (used by the injected-bug tests); by default the full six
-    matchers x both transports cross-product runs.
+    the fleet (used by the injected-bug tests); by default every
+    :class:`MatcherFleet` backend runs.
     """
     start = time.monotonic()
     deadline = start + budget
     fleet: Optional[MatcherFleet] = None
-    notes: list[str] = []
     try:
         if backends is None:
-            fleet = MatcherFleet(workers=workers, transports=transports)
+            fleet = MatcherFleet(workers=workers)
             backends = fleet.backends()
-            notes.extend(fleet.notes)
         report = FuzzReport(
             seed=seed,
             profile=profile.name,
@@ -1118,7 +1091,6 @@ def fuzz(
             elapsed=0.0,
             iterations=0,
             backends=sorted(backends),
-            notes=notes,
         )
         iteration = 0
         while time.monotonic() < deadline:

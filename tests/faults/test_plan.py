@@ -1,113 +1,48 @@
 """FaultPlan/FaultSpec: addressing, determinism, serialisation."""
 
-import pickle
-
 import pytest
 
-from repro.faults import (
-    CRASH,
-    HANG,
-    SESSION,
-    SHARD,
-    SLOW,
-    FaultPlan,
-    FaultSpec,
-)
+from repro.faults import ERROR, SESSION, SLOW, FaultPlan, FaultSpec
 
 
 class TestFaultSpec:
-    def test_defaults_are_a_shard_crash_at_batch_zero(self):
-        spec = FaultSpec(kind=CRASH)
-        assert spec.site == SHARD
-        assert spec.at == 0
-        assert spec.index is None
-
     def test_rejects_unknown_site(self):
         with pytest.raises(ValueError):
-            FaultSpec(kind=CRASH, site="disk")
+            FaultSpec(kind=ERROR, site="disk")
+        # The shard site went with the process match backends.
+        with pytest.raises(ValueError):
+            FaultSpec(kind=SLOW, site="shard")
 
     def test_rejects_kind_invalid_for_site(self):
         # Sessions cannot crash-inject (the process is the server).
         with pytest.raises(ValueError):
-            FaultSpec(kind=CRASH, site=SESSION)
-        # Shards have no structured-error site.
-        with pytest.raises(ValueError):
-            FaultSpec(kind="error", site=SHARD)
+            FaultSpec(kind="crash", site=SESSION)
 
     def test_rejects_negative_position(self):
         with pytest.raises(ValueError):
-            FaultSpec(kind=CRASH, at=-1)
+            FaultSpec(kind=ERROR, at=-1)
 
 
 class TestFaultPlanConsultation:
-    def test_matches_exact_shard_and_seq(self):
-        plan = FaultPlan([FaultSpec(kind=CRASH, index=1, at=3)])
-        assert plan.shard_fault(1, 3) is not None
-        assert plan.shard_fault(0, 3) is None
-        assert plan.shard_fault(1, 2) is None
-
-    def test_index_none_matches_every_shard(self):
-        plan = FaultPlan([FaultSpec(kind=HANG, index=None, at=2)])
-        assert plan.shard_fault(0, 2) is not None
-        assert plan.shard_fault(7, 2) is not None
-
-    def test_seq_none_never_fires(self):
-        """Recovery re-dispatches carry seq=None: faults are one-shot."""
-        plan = FaultPlan([FaultSpec(kind=CRASH, index=0, at=0)])
-        assert plan.shard_fault(0, None) is None
-
     def test_session_faults_address_request_ordinals(self):
-        plan = FaultPlan([FaultSpec(kind="error", site=SESSION, at=5)])
+        plan = FaultPlan([FaultSpec(kind=ERROR, site=SESSION, at=5)])
         assert plan.session_fault(5) is not None
         assert plan.session_fault(4) is None
-        # Session specs are invisible to shards and vice versa.
-        assert plan.shard_fault(0, 5) is None
 
     def test_consultation_does_not_mutate(self):
-        plan = FaultPlan([FaultSpec(kind=CRASH, index=0, at=1)])
-        assert plan.shard_fault(0, 1) is not None
-        assert plan.shard_fault(0, 1) is not None  # still there
+        plan = FaultPlan([FaultSpec(kind=ERROR, at=1)])
+        assert plan.session_fault(1) is not None
+        assert plan.session_fault(1) is not None  # still there
 
     def test_empty_plan_is_falsy(self):
         assert not FaultPlan()
-        assert FaultPlan([FaultSpec(kind=CRASH)])
-
-
-class TestSeededPlans:
-    def test_same_seed_same_plan(self):
-        a = FaultPlan.seeded(11, shards=4, crashes=2, hangs=1)
-        b = FaultPlan.seeded(11, shards=4, crashes=2, hangs=1)
-        assert a.specs == b.specs
-
-    def test_different_seeds_differ(self):
-        a = FaultPlan.seeded(1, shards=4, horizon=64, crashes=3)
-        b = FaultPlan.seeded(2, shards=4, horizon=64, crashes=3)
-        assert a.specs != b.specs
-
-    def test_no_two_faults_share_a_slot(self):
-        plan = FaultPlan.seeded(3, shards=2, horizon=8, crashes=4, hangs=4)
-        slots = [(s.index, s.at) for s in plan.specs]
-        assert len(slots) == len(set(slots)) == 8
-
-    def test_refuses_more_faults_than_slots(self):
-        with pytest.raises(ValueError):
-            FaultPlan.seeded(0, shards=1, horizon=2, crashes=3)
-
-    def test_slow_faults_carry_the_latency(self):
-        plan = FaultPlan.seeded(5, shards=2, slows=2, slow_seconds=0.25)
-        slows = [s for s in plan.specs if s.kind == SLOW]
-        assert len(slows) == 2
-        assert all(s.seconds == 0.25 for s in slows)
+        assert FaultPlan([FaultSpec(kind=ERROR)])
 
 
 class TestSerialisation:
     def test_snapshot_round_trip(self):
-        plan = FaultPlan.seeded(9, shards=3, crashes=2, hangs=1, slows=1)
+        plan = FaultPlan(
+            [FaultSpec(kind=ERROR, at=2), FaultSpec(kind=SLOW, at=4, seconds=0.25)]
+        )
         clone = FaultPlan.from_rows(plan.snapshot())
-        assert clone.specs == plan.specs
-
-    def test_plans_pickle(self):
-        """Plans cross the fork boundary into worker processes."""
-        plan = FaultPlan.seeded(4, shards=2, crashes=1)
-        clone = pickle.loads(pickle.dumps(plan))
         assert clone.specs == plan.specs

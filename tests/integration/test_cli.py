@@ -240,7 +240,7 @@ class TestVerifyFlag:
 
 
 class TestMatchersCommand:
-    def test_lists_every_registered_matcher_and_transport(self, capsys):
+    def test_lists_every_registered_matcher(self, capsys):
         from repro.cli import main
         from repro.ops5.engine import MATCHER_NAMES
 
@@ -249,8 +249,8 @@ class TestMatchersCommand:
         for name in MATCHER_NAMES:
             assert name in out
         assert "generated kernel" in out  # the one-line descriptions
-        for transport in ("pipe", "ring", "auto"):
-            assert transport in out
+        assert "thread shards" in out  # what `parallel` is now
+        assert "transport" not in out
 
 
 class TestProfileCommand:

@@ -34,7 +34,7 @@ MATCHERS = {
     "compiled": {},
     "rete": {},
     "treat": {},
-    "parallel": {"workers": 2, "transport": "local"},
+    "parallel": {"workers": 2},
 }
 
 

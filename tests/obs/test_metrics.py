@@ -36,6 +36,9 @@ class TestSnapshotSections:
         assert parallel["workers"] == 0
         assert parallel["shards"] == 1
         assert sum(parallel["productions_per_shard"]) == 5
+        assert parallel["dispatches"] > 0
+        assert parallel["eager_dispatches"] == 0  # no scheduler to overlap with
+        assert "faults" not in data and "transport" not in data
 
     def test_conflict_set_section(self):
         system = hanoi.build(3)
@@ -141,7 +144,7 @@ class TestConsistencyProblems:
 
 class TestSchedulerSection:
     def test_local_transport_reports_scheduler_counters(self):
-        with ParallelMatcher(workers=2, transport="local") as matcher:
+        with ParallelMatcher(workers=2) as matcher:
             system = hanoi.build(3, matcher=matcher)
             system.run()
             data = snapshot(system)
@@ -155,6 +158,7 @@ class TestSchedulerSection:
         assert again["scheduler"] == scheduler
 
     def test_section_absent_off_local_transport(self):
+        # workers=0 is the same shard with no scheduler: nothing to report.
         with ParallelMatcher(workers=0) as matcher:
             system = hanoi.build(3, matcher=matcher)
             system.run()

@@ -1,19 +1,22 @@
-"""Property-based differential testing across all five matcher backends.
+"""Property-based differential testing across every matcher backend.
 
 Hypothesis generates random OPS5 programs (joins, predicates, negations)
 and random working-memory scripts; naive, TREAT, Rete, indexed Rete,
-Oflazer, and the live parallel executor must hold identical conflict
-sets after every change, and -- for programs with right-hand sides --
-produce identical firing sequences, outputs, and final memories.
+Oflazer, the serial compiled kernel, and the live parallel executor must
+hold identical conflict sets after every change, and -- for programs
+with right-hand sides -- produce identical firing sequences, outputs,
+and final memories.  Serial ``compiled`` is the parallel backend's own
+kernel unsharded, so the pair compares sharding and nothing else.
 
-The parallel matcher is one shared process pool for the whole module
-(`clear()` between examples), so a hundred generated programs cost two
-forks, not two hundred.
+The parallel matcher is one shared pool of thread shards for the whole
+module (`clear()` between examples), so a hundred generated programs
+start its scheduler threads once.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.kernel.matcher import CompiledMatcher
 from repro.naive import NaiveMatcher
 from repro.oflazer import CombinationMatcher
 from repro.ops5.actions import Constant, Make, Remove, VariableRef
@@ -174,13 +177,14 @@ def _drive(matcher, program, script):
 @settings(max_examples=100, deadline=None, database=None)
 @given(program=programs(), script=change_scripts())
 def test_all_matchers_agree_on_conflict_sets(pool, program, script):
-    """Five-way agreement after every single working-memory change."""
+    """Agreement of every backend after every working-memory change."""
     pool.clear()
     reference = _drive(NaiveMatcher(), program, script)
     assert _drive(TreatMatcher(), program, script) == reference
     assert _drive(ReteNetwork(), program, script) == reference
     assert _drive(ReteNetwork(indexed=True), program, script) == reference
     assert _drive(CombinationMatcher(), program, script) == reference
+    assert _drive(CompiledMatcher(), program, script) == reference
     assert _drive(pool, program, script) == reference
 
 
@@ -197,6 +201,7 @@ def test_all_matchers_agree_on_firing_sequences(pool, program, setup):
             "treat": TreatMatcher,
             "rete": ReteNetwork,
             "oflazer": CombinationMatcher,
+            "compiled": CompiledMatcher,
             "parallel": lambda: pool,
         },
         max_cycles=40,

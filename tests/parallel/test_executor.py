@@ -2,7 +2,7 @@
 
 The differential harness (test_differential_matchers.py) proves the
 end-to-end semantics; these tests pin down the individual mechanisms --
-partitioning, the wire protocol, the work queue, backfill, dynamic
+partitioning, the shard state, the work queue, backfill, dynamic
 production changes, and pool lifecycle -- so a regression points at the
 broken part directly.
 """
@@ -20,7 +20,7 @@ from repro.parallel import (
     validate_parallel,
 )
 from repro.parallel import messages
-from repro.parallel.worker import ShardState
+from repro.parallel.local import LocalKernelState
 from repro.rete import ReteNetwork
 
 CLOSURE = """
@@ -70,31 +70,22 @@ def test_sharing_loss_is_at_least_one():
     assert loss.factor >= 1.0
 
 
-# -- wire protocol -------------------------------------------------------------
-
-
-def test_wme_roundtrips_through_the_wire_format():
-    wme = WorkingMemory().add(WME("goal", {"want": "x", "n": 3}))
-    op = messages.encode_wme(wme)
-    decoded = messages.decode_wme(op)
-    assert decoded.cls == wme.cls
-    assert decoded.attributes == wme.attributes
-    assert decoded.timetag == wme.timetag
+# -- shard state ---------------------------------------------------------------
 
 
 def test_shard_state_rejects_unknown_ops():
     with pytest.raises(ValueError):
-        ShardState().apply_batch([("??",)])
+        LocalKernelState().apply_batch([("??",)])
 
 
 def test_shard_state_stat_rows_count_wme_ops_only():
     """Stat-row indices must align with the coordinator's change map,
     which counts WME ops and skips production ops."""
-    state = ShardState()
+    state = LocalKernelState()
     memory = WorkingMemory()
     production = _closure_productions()[0]
     wme = memory.add(WME("parent", {"from": "a", "to": "b"}))
-    ops = [(messages.ADD_PRODUCTION, production), messages.encode_wme(wme)]
+    ops = [(messages.ADD_PRODUCTION, production), (messages.ADD_WME_REF, wme)]
     _, stat_rows = state.apply_batch(ops)
     assert [row[0] for row in stat_rows] == [0]
 
@@ -105,8 +96,8 @@ def test_shard_state_stat_rows_count_wme_ops_only():
 def test_work_queue_tracks_changes_per_shard():
     queue = WorkQueue(2)
     change = queue.open_change("add", "goal")
-    queue.push(0, ("+w", "goal", {}, 1), change=change)
-    queue.push(1, ("+w", "goal", {}, 1), change=change)
+    queue.push(0, ("+wr", None), change=change)
+    queue.push(1, ("+wr", None), change=change)
     queue.push(0, ("+p", None))  # production ops carry no change
     assert queue.dirty
     pending, change_map, changes = queue.take()
@@ -116,11 +107,11 @@ def test_work_queue_tracks_changes_per_shard():
     assert not queue.dirty
 
 
-# -- matcher behaviour (inline shard: no processes, same code path) -------------
+# -- matcher behaviour (workers=0: no scheduler, same shard code) ---------------
 
 
 def test_inline_matcher_matches_serial_rete():
-    report = validate_parallel(CLOSURE, CHAIN, workers=2)
+    report = validate_parallel(CLOSURE, CHAIN, workers=0)
     assert report.agree, report.divergences()
 
 
@@ -206,37 +197,6 @@ def test_closed_matcher_rejects_new_work():
         matcher.add_wme(WorkingMemory().add(WME("a", {})))
 
 
-def test_stop_reaps_a_sigstopped_worker():
-    """`close` must escalate past SIGTERM: a SIGSTOPped worker leaves
-    SIGTERM pending forever, and only SIGKILL acts on a stopped process.
-    Regression test for the old stop() that never escalated."""
-    import os
-    import signal
-
-    matcher = ParallelMatcher(workers=1)
-    matcher.add_production(_closure_productions()[0])
-    matcher.flush()  # make sure the pool is started and serving
-    shard = matcher._shards[0]
-    os.kill(shard.process.pid, signal.SIGSTOP)
-    matcher.close()
-    assert not shard.process.is_alive()
-    assert shard.conn.closed
-
-
-def test_stop_closes_pipe_even_when_worker_already_died():
-    import os
-    import signal
-
-    matcher = ParallelMatcher(workers=1)
-    matcher.add_production(_closure_productions()[0])
-    matcher.flush()
-    shard = matcher._shards[0]
-    os.kill(shard.process.pid, signal.SIGKILL)
-    shard.process.join(timeout=5)
-    matcher.close()  # send fails on the dead pipe; must not leak it
-    assert shard.conn.closed
-
-
 def test_negative_worker_count_rejected():
     with pytest.raises(Ops5Error):
         ParallelMatcher(workers=-1)
@@ -254,33 +214,69 @@ def test_partition_snapshot_before_and_after_start():
         assert sorted(n for p in actual for n in p.names) == ["base", "step"]
 
 
-# -- process shards (one real multiprocessing smoke per concern) ---------------
+# -- thread shards --------------------------------------------------------------
 
 
-def test_process_pool_matches_serial_rete():
+def test_thread_pool_matches_serial_rete():
     report = validate_parallel(CLOSURE, CHAIN, workers=2)
     assert report.agree, report.divergences()
 
 
 def test_worker_error_propagates_and_pool_survives():
+    """An exception inside a shard batch raises from the flush -- on the
+    caller's-thread fast path and through the deques alike -- leaves no
+    stale reply behind, and after clear() the same pool matches again."""
+    base, _ = _closure_productions()
     with ParallelMatcher(workers=1) as matcher:
-        base, _ = _closure_productions()
+        for filler in (0, 40):  # one grain is 16 ops: fast path, then deques
+            matcher.add_production(base)
+            memory = WorkingMemory()
+            matcher.add_wme(memory.add(WME("parent", {"from": "a", "to": "b"})))
+            matcher.flush()
+            before = matcher.scheduler_summary()
+            # Legal filler ops (re-adding a production is idempotent
+            # shard-side), then the op no shard understands.
+            for _ in range(filler):
+                matcher._queue.push(0, (messages.ADD_PRODUCTION, base))
+            matcher._queue.push(0, ("??",))
+            with pytest.raises(RuntimeError, match="shard worker 0 failed"):
+                matcher.flush()
+            after = matcher.scheduler_summary()
+            queued = (after["tasks_executed"] + after["tasks_helped"]) - (
+                before["tasks_executed"] + before["tasks_helped"]
+            )
+            assert (queued > 0) == bool(filler)
+            assert (after["fast_batches"] > before["fast_batches"]) != bool(filler)
+            assert not matcher._shards[0].lane.replies
+            assert not any(matcher._inflight)
+            # The shard lost its state; the coordinator can clear and go on.
+            matcher.clear()
+            matcher.add_production(base)
+            matcher.add_wme(
+                WorkingMemory().add(WME("parent", {"from": "x", "to": "y"}))
+            )
+            assert len(matcher.conflict_set) == 1
+            matcher.clear()
+
+
+def test_error_discards_the_batches_in_flight_behind_it():
+    """Batches dispatched after the failing one ran against a reset
+    shard; the flush must collect and drop every one of their replies."""
+    base, _ = _closure_productions()
+    with ParallelMatcher(workers=1) as matcher:
         matcher.add_production(base)
-        memory = WorkingMemory()
-        wme = memory.add(WME("parent", {"from": "a", "to": "b"}))
-        matcher.add_wme(wme)
         matcher.flush()
-        # Force a worker-side failure: remove a WME the worker (reset
-        # after its own error handling) no longer knows about is not
-        # reachable from here, so use a duplicate production instead.
-        matcher._queue.push(0, (messages.ADD_PRODUCTION, base))
+        memory = WorkingMemory()
+        matcher._queue.push(0, ("??",))
+        matcher._dispatch_shard(0, eager=True)
+        for i in range(3):
+            matcher.add_wme(memory.add(WME("parent", {"from": i, "to": i + 1})))
+            matcher._dispatch_shard(0, eager=True)
+        assert len(matcher._inflight[0]) == 4
         with pytest.raises(RuntimeError):
             matcher.flush()
-        # The worker reset itself; the coordinator can clear and go on.
-        matcher.clear()
-        matcher.add_production(base)
-        matcher.add_wme(WorkingMemory().add(WME("parent", {"from": "x", "to": "y"})))
-        assert len(matcher.conflict_set) == 1
+        assert not matcher._shards[0].lane.replies
+        assert not any(matcher._inflight)
 
 
 def test_engine_runs_with_parallel_string_backend():

@@ -1,27 +1,22 @@
-"""The shared-memory ``local`` backend: thread shards on one kernel.
+"""Thread shards on one compiled kernel: the parallel backend's shard.
 
-The differential fuzz harness exercises ``local`` alongside the process
-transports; these tests pin the backend's own mechanisms -- the
-compiled-kernel shard state, the zero-copy checkpoint/restore path, the
-work-stealing scheduler's counters and granularity fast path, and fault
-recovery with checkpoints enabled (the regression surface for the
-identity-preserving checkpoint bug).
+The differential fuzz harness exercises the backend end to end; these
+tests pin its own mechanisms -- the compiled-kernel shard state, the
+work-stealing scheduler's counters, its granularity fast path, and the
+deque / eager-dispatch / helper paths a bulk load drives.
 """
+
+import threading
 
 import pytest
 
-from repro.faults import FaultPlan, run_chaos
+from repro.kernel.matcher import CompiledMatcher
 from repro.ops5 import ProductionSystem, parse_program
 from repro.ops5.wme import WME, WorkingMemory
-from repro.parallel import ParallelMatcher, SupervisorConfig
+from repro.parallel import ParallelMatcher
 from repro.parallel import messages
-from repro.parallel.local import (
-    LocalKernelState,
-    LocalScheduler,
-    _LocalShard,
-    rebuild_local_state,
-)
-from repro.parallel.validate import run_recorded, validate_parallel
+from repro.parallel.local import LocalKernelState, LocalScheduler, _LocalShard
+from repro.parallel.validate import run_recorded
 from repro.rete import ReteNetwork
 from repro.workloads.programs import SYSTEM_PROGRAMS
 from repro.workloads.replay import record_program, replay_once
@@ -35,10 +30,6 @@ CLOSURE = """
 """
 
 CHAIN = [("parent", {"from": f"n{i}", "to": f"n{i + 1}"}) for i in range(6)]
-
-#: Shrunk deadlines so hang detection takes milliseconds, plus a small
-#: checkpoint interval so recovery exercises checkpoint+tail replay.
-FAST = SupervisorConfig(collect_deadline=0.5, checkpoint_every=4)
 
 
 def _closure_state():
@@ -58,24 +49,21 @@ def _closure_state():
 
 @pytest.mark.parametrize("name", sorted(SYSTEM_PROGRAMS))
 def test_system_program_bit_identical(name):
-    """Every system-class program fires identically under thread shards."""
+    """Every system-class program fires identically on the unsharded
+    kernel, on one schedulerless shard and on two thread shards."""
     mod = SYSTEM_PROGRAMS[name]
-    reference = mod.run()
-    with ParallelMatcher(workers=2, transport="local") as matcher:
-        subject = mod.run(matcher=matcher)
-    assert subject.fired == reference.fired
-    assert subject.halted == reference.halted
-    assert subject.halt_reason == reference.halt_reason
-    assert tuple(subject.output) == tuple(reference.output)
-
-
-def test_validate_parallel_over_local_transport():
-    report = validate_parallel(CLOSURE, CHAIN, workers=2, transport="local")
-    assert report.agree, report.divergences
+    reference = mod.run(matcher=CompiledMatcher())
+    for workers in (0, 2):
+        with ParallelMatcher(workers=workers) as matcher:
+            subject = mod.run(matcher=matcher)
+        assert subject.fired == reference.fired, workers
+        assert subject.halted == reference.halted, workers
+        assert subject.halt_reason == reference.halt_reason, workers
+        assert tuple(subject.output) == tuple(reference.output), workers
 
 
 def test_clear_allows_pool_reuse():
-    with ParallelMatcher(workers=2, transport="local") as matcher:
+    with ParallelMatcher(workers=2) as matcher:
         first = run_recorded(CLOSURE, CHAIN, matcher)
         matcher.clear()
         second = run_recorded(CLOSURE, CHAIN, matcher)
@@ -90,7 +78,7 @@ def test_replay_protocol_is_bit_identical():
     recording = record_program(SYSTEM_PROGRAMS["vt"])
     assert recording.cycle_count > 0 and recording.op_count > 0
     _, serial_keys = replay_once(recording, ReteNetwork())
-    with ParallelMatcher(workers=2, transport="local") as matcher:
+    with ParallelMatcher(workers=2) as matcher:
         _, local_keys = replay_once(recording, matcher)
     assert serial_keys == local_keys
 
@@ -112,39 +100,9 @@ def test_production_edits_emit_conflict_set_diff():
     assert not [e for e in removal if e[0] == messages.INSERT_REF]
 
 
-def test_checkpoint_restore_preserves_wme_identity():
-    """Regression: the checkpoint must share the coordinator's live WME
-    objects.  The engine removes WMEs by identity, so a restored shard
-    holding equal-but-distinct copies poisons every later firing."""
-    state, _, _, memory = _closure_state()
-    restored = rebuild_local_state(state.checkpoint(), [])
-    assert set(restored.wmes) == set(state.wmes)
-    for timetag, wme in restored.wmes.items():
-        assert wme is state.wmes[timetag]
-    assert sorted(i.key for i in restored.conflict_set) == sorted(
-        i.key for i in state.conflict_set
-    )
-    for inst in restored.conflict_set:
-        for wme in inst.wmes:
-            if wme is not None:
-                assert state.wmes[wme.timetag] is wme
-
-
-def test_restore_replays_journal_tail():
-    state, _, _, memory = _closure_state()
-    blob = state.checkpoint()
-    late = memory.add(WME("parent", {"from": "n6", "to": "n7"}))
-    journal = [(messages.ADD_WME_REF, late)]
-    restored = rebuild_local_state(blob, journal)
-    assert late.timetag in restored.wmes
-    assert len(restored.wmes) == len(state.wmes) + 1
-    # Journal replay is quiet: the coordinator already merged those edits.
-    assert restored.conflict_set.drain() == []
-
-
 def test_bad_op_resets_inline_shard_state():
     """An op error must answer ERROR and leave the shard reusable with
-    fresh state -- the same contract the process worker honours."""
+    fresh state."""
     shard = _LocalShard(0, scheduler=None)
     shard.dispatch([("bogus-tag", None)])
     status, payload, _ = shard.collect()
@@ -163,7 +121,7 @@ def test_bad_op_resets_inline_shard_state():
 def test_scheduler_summary_is_side_effect_free():
     """Observability reads never advance the epoch barrier or mutate
     counters: two consecutive snapshots after quiescence are equal."""
-    with ParallelMatcher(workers=2, transport="local") as matcher:
+    with ParallelMatcher(workers=2) as matcher:
         system = ProductionSystem(CLOSURE, matcher=matcher)
         for cls, attrs in CHAIN:
             system.add(cls, **attrs)
@@ -218,39 +176,33 @@ def test_oversize_batches_run_through_the_deques():
     assert len(rows) == len(serial_rows)
 
 
-# -- fault recovery -----------------------------------------------------------
+# -- bulk loads: eager dispatch, deques, helping ------------------------------
 
 
-def test_crash_and_hang_recover_from_checkpoints():
-    """The chaos acceptance scenario on thread shards with checkpoints
-    enabled -- the configuration that caught the pickled-checkpoint
-    identity bug.  Crash + hang mid-run, bit-identical completion."""
-    plan = FaultPlan.seeded(3, shards=2, horizon=20, crashes=1, hangs=1)
-    report = run_chaos(
-        CLOSURE, CHAIN, plan, workers=2, supervisor=FAST, transport="local"
-    )
-    assert report.identical, report.divergences
-    assert report.transport == "local"
-    causes = sorted(e["cause"] for e in report.recovery_events)
-    assert causes == ["crash", "hang"]
-    assert all(e["action"] == "respawned" for e in report.recovery_events)
+def test_bulk_load_pipelines_through_the_deques():
+    """Hundreds of adds before the first conflict-set read: batches go
+    out eagerly, several are in flight per shard, grains run on worker
+    threads or the helping coordinator -- and every conflict set along
+    the way is the unsharded kernel's."""
+    facts = [("parent", {"from": f"n{i}", "to": f"n{i + 1}"}) for i in range(240)]
+    reference = run_recorded(CLOSURE, facts, CompiledMatcher(), max_cycles=60)
+    with ParallelMatcher(workers=2) as matcher:
+        subject = run_recorded(CLOSURE, facts, matcher, max_cycles=60)
+        stats = matcher.scheduler_summary()
+        assert matcher.eager_dispatches > 0
+        assert matcher.dispatches > matcher.eager_dispatches
+    assert subject == reference
+    assert stats["tasks_executed"] + stats["tasks_helped"] > 0
+    assert all(depth == 0 for depth in stats["queue_depths"])
 
 
-def test_seeded_chaos_local_matches_pipe_recovery_story():
-    """The same seeded plan faults the same (shard, seq) slots on both
-    transports -- local's fault emulation is plan-compatible, so a chaos
-    failure reproduces across backends."""
-    plan = FaultPlan.seeded(7, shards=2, horizon=16, crashes=1)
-    reports = {
-        kind: run_chaos(
-            CLOSURE, CHAIN, plan, workers=2, supervisor=FAST, transport=kind
-        )
-        for kind in ("local", "pipe")
-    }
-    for kind, report in reports.items():
-        assert report.identical, (kind, report.divergences)
-    keyed = [
-        [(e["shard"], e["seq"], e["cause"]) for e in r.recovery_events]
-        for r in reports.values()
-    ]
-    assert keyed[0] == keyed[1]
+def test_close_joins_the_scheduler_threads():
+    before = set(threading.enumerate())
+    matcher = ParallelMatcher(workers=2)
+    run_recorded(CLOSURE, CHAIN, matcher)
+    workers = [t for t in threading.enumerate() if t not in before]
+    assert sorted(t.name for t in workers) == ["repro-local-0", "repro-local-1"]
+    matcher.close()
+    for thread in workers:
+        thread.join(timeout=5.0)
+    assert not any(thread.is_alive() for thread in workers)

@@ -1,169 +1,64 @@
-"""The transport layer end to end: ring vs pipe, eager dispatch, metrics.
+"""What is left of the ``transport`` seam: one legal value, ``"local"``.
 
-The contract under test: the choice of shard transport (pickled pipes
-vs packed shared-memory ring frames) and of dispatch policy (barrier vs
-eager batching) is *invisible* in every run observable -- firing
-sequence, conflict sets, output, final memory -- and visible only in
-the transport metrics.  These tests drive the same program through the
-combinations and diff the records, then pin the metrics/plumbing edges
-(resolution, validation, endpoint accounting) directly.
+The process transports (pipe, ring, auto) were deleted with the
+interpreted shards they carried.  The keyword survives on
+:class:`ParallelMatcher` because callers outside this tree pass
+``transport="local"``; everything else must be refused by name, at the
+matcher, at the server's ``create_session`` op, and when a durable
+router replays a session config journalled before the removal.
 """
 
 import pytest
 
-from repro.ops5 import Ops5Error, ProductionSystem
-from repro.parallel import (
-    DispatchConfig,
-    ParallelMatcher,
-    TRANSPORTS,
-    resolve_transport,
-    ring_available,
-    validate_parallel,
-)
-
-CLOSURE = """
-(p base (parent ^from <x> ^to <y>) - (anc ^from <x> ^to <y>)
-   --> (make anc ^from <x> ^to <y>))
-(p step (anc ^from <x> ^to <y>) (parent ^from <y> ^to <z>)
-        - (anc ^from <x> ^to <z>)
-   --> (make anc ^from <x> ^to <z>))
-"""
+from repro.ops5 import Ops5Error, matcher_named
+from repro.parallel import ParallelMatcher
+from repro.serve import DurabilityStore, RouterThread, RuleClient, ServerError, ServerThread
+from repro.workloads.programs import closure
 
 CHAIN = [("parent", {"from": f"n{i}", "to": f"n{i + 1}"}) for i in range(5)]
 
-needs_ring = pytest.mark.skipif(
-    not ring_available(), reason="shared_memory unavailable on this host"
-)
-
-
-def test_resolution():
-    assert resolve_transport("pipe") == "pipe"
-    assert resolve_transport("auto") in ("ring", "pipe")
-    if ring_available():
-        assert resolve_transport("ring") == "ring"
-        assert resolve_transport("auto") == "ring"
-    with pytest.raises(ValueError):
-        resolve_transport("telepathy")
-    assert resolve_transport("local") == "local"
-    assert set(TRANSPORTS) == {"auto", "ring", "pipe", "local"}
-
 
 def test_matcher_rejects_unknown_transport():
-    with pytest.raises(Ops5Error):
-        ParallelMatcher(workers=1, transport="telepathy")
+    for transport in ("pipe", "ring", "auto", "telepathy"):
+        with pytest.raises(Ops5Error, match="removed"):
+            ParallelMatcher(workers=1, transport=transport)
+    # The benchmark's spelling still builds the one backend there is.
+    with matcher_named("parallel", workers=2, transport="local") as matcher:
+        assert matcher.workers == 2
 
 
-def test_build_matcher_rejects_transport_for_serial_backends():
-    from repro.serve.session import build_matcher
-
-    with pytest.raises(Ops5Error):
-        build_matcher("rete", transport="ring")
-
-
-def test_dispatch_config_validation():
-    with pytest.raises(ValueError):
-        DispatchConfig(eager_ops=0)
-    with pytest.raises(ValueError):
-        DispatchConfig(min_ops=8, max_ops=4)
-    assert DispatchConfig(eager_ops=None).eager_ops is None
-
-
-@needs_ring
-def test_ring_transport_is_bit_identical_to_rete():
-    report = validate_parallel(CLOSURE, CHAIN, workers=2, transport="ring")
-    assert report.agree, report.divergences()
+def test_create_session_request_accepts_only_the_local_transport():
+    with ServerThread() as server, RuleClient(server.address) as client:
+        kept = client.request(
+            "create_session", program=closure.PROGRAM, matcher="parallel",
+            workers=1, transport="local",
+        )["session"]
+        client.assert_wmes(kept, CHAIN, run=True)
+        with pytest.raises(ServerError, match="'ring' is not available"):
+            client.request(
+                "create_session", program=closure.PROGRAM, matcher="parallel",
+                workers=1, transport="ring",
+            )
+        assert client.list_sessions() == [kept]
+        client.destroy_session(kept)
 
 
-def test_pipe_transport_is_bit_identical_to_rete():
-    report = validate_parallel(CLOSURE, CHAIN, workers=2, transport="pipe")
-    assert report.agree, report.divergences()
-
-
-@pytest.mark.parametrize("transport", ["ring", "pipe"])
-def test_eager_dispatch_changes_no_observable(transport):
-    """An eager_ops=1 run dispatches mid-cycle constantly; the record
-    must still match the pure-barrier run op for op."""
-    if transport == "ring" and not ring_available():
-        pytest.skip("shared_memory unavailable")
-    records = {}
-    for label, dispatch in [
-        ("barrier", DispatchConfig(eager_ops=None)),
-        ("eager", DispatchConfig(eager_ops=1, adaptive=False, min_ops=1)),
-    ]:
-        from repro.parallel.validate import run_recorded
-
-        with ParallelMatcher(workers=2, transport=transport, dispatch=dispatch) as m:
-            records[label] = run_recorded(CLOSURE, CHAIN, m)
-            summary = m.transport_summary()
-        if label == "eager":
-            assert summary["eager_dispatches"] > 0
-        else:
-            assert summary["eager_dispatches"] == 0
-    assert records["barrier"] == records["eager"]
-
-
-@needs_ring
-def test_ring_run_uses_packed_frames_not_pickle():
-    """The perf claim's precondition: a steady-state closure run over
-    the ring ships zero pickle-fallback frames (productions ride in the
-    batch frame's pickled-op slot, not as whole-frame fallbacks)."""
-    with ParallelMatcher(workers=2, transport="ring") as matcher:
-        system = ProductionSystem(CLOSURE, matcher=matcher)
-        for cls, attrs in CHAIN:
-            system.add(cls, **attrs)
-        system.run(max_cycles=100)
-        matcher.flush()
-        summary = matcher.transport_summary()
-    assert summary["kind"] == "ring"
-    assert summary["pickle_fallbacks"] == 0
-    assert summary["frames_sent"] > 0
-    assert summary["bytes_sent"] > 0
-    assert summary["frames_received"] >= summary["dispatches"]
-    assert summary["symbols"] > 0
-
-
-def test_metrics_snapshot_has_transport_section():
-    from repro.obs import metrics as obs_metrics
-
-    with ParallelMatcher(workers=1, transport="pipe") as matcher:
-        system = ProductionSystem(CLOSURE, matcher=matcher)
-        for cls, attrs in CHAIN:
-            system.add(cls, **attrs)
-        system.run(max_cycles=100)
-        matcher.flush()
-        data = obs_metrics.snapshot(system)
-    transport = data["transport"]
-    assert transport["kind"] == "pipe"
-    assert transport["dispatches"] > 0
-    assert transport["frames_sent"] > 0
-    assert transport["mean_dispatch_latency_us"] > 0
-
-
-def test_inline_matcher_reports_inline_kind():
-    with ParallelMatcher(workers=0) as matcher:
-        system = ProductionSystem(CLOSURE, matcher=matcher)
-        for cls, attrs in CHAIN:
-            system.add(cls, **attrs)
-        system.run(max_cycles=100)
-        summary = matcher.transport_summary()
-    assert summary["kind"] == "inline"
-    assert summary["frames_sent"] == 0
-
-
-@needs_ring
-def test_transport_stats_survive_worker_retirement():
-    """close() must absorb endpoint counters before tearing them down,
-    so post-mortem summaries still carry the run's traffic."""
-    matcher = ParallelMatcher(workers=2, transport="ring")
+def test_stored_config_naming_a_removed_transport_is_refused(tmp_path):
+    """A config journalled before the removal: ``local`` resumes, a
+    process transport is reported lost instead of crashing the router."""
+    base = {"program": closure.PROGRAM, "matcher": "parallel", "workers": 1,
+            "tenant": "default"}
+    store = DurabilityStore(str(tmp_path))
+    store.register("kept", {**base, "transport": "local"})
+    store.register("gone", {**base, "transport": "pipe"})
+    worker = ServerThread()
+    router = RouterThread(worker_addresses=[worker.address], durability=store)
     try:
-        system = ProductionSystem(CLOSURE, matcher=matcher)
-        for cls, attrs in CHAIN:
-            system.add(cls, **attrs)
-        system.run(max_cycles=100)
-        matcher.flush()
-        live = matcher.transport_summary()
+        with RuleClient(router.address) as client:
+            assert client.list_sessions() == ["kept"]
+            assert client.assert_wmes("kept", CHAIN, run=True)["run"]["fired"] > 0
+            assert client.stats()["router"]["lost_sessions"] == ["gone"]
     finally:
-        matcher.close()
-    post = matcher.transport_summary()
-    assert post["frames_sent"] == live["frames_sent"]
-    assert post["bytes_sent"] == live["bytes_sent"]
+        router.stop()
+        worker.stop()
+        store.close()

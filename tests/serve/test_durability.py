@@ -306,3 +306,45 @@ class TestGroupCommit:
             assert store.stats()["pending_sync"] == 0
         finally:
             store.close()
+
+    def test_handle_closed_under_the_committer_does_not_kill_it(self, tmp_path):
+        """A compaction or drop() on the event loop can close a journal
+        between sync()'s look at the handle and its fileno(): that is a
+        ValueError, not an OSError.  The committer must skip the journal,
+        count nothing for it, stay alive, and sync the next dirty one."""
+        import time
+
+        class ClosedUnderfoot:
+            closed = False  # what the pre-check saw
+
+            def fileno(self):
+                raise ValueError("I/O operation on closed file")
+
+            def close(self):
+                pass
+
+        store = DurabilityStore(
+            str(tmp_path / "raced"), fsync=True, commit_window=0.01
+        )
+        try:
+            store.register("s1", {"program": "p"})
+            store.register("s2", {"program": "p"})
+            store._wal_handles["s1"] = ClosedUnderfoot()
+            with store._lock:
+                store._dirty.add("s1")
+            assert store.sync() == 0
+            assert store.stats()["fsyncs"] == 0
+
+            # The same race hit from the committer thread itself.
+            with store._lock:
+                store._dirty.add("s1")
+                store._commit_wakeup.notify()
+            store.append("s2", 1, {"op": "run"})
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline and not store.stats()["fsyncs"]:
+                time.sleep(0.01)
+            assert store._committer.is_alive()
+            assert store.stats()["fsyncs"] >= 1
+            assert store.stats()["pending_sync"] == 0
+        finally:
+            store.close()

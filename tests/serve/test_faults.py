@@ -1,13 +1,11 @@
-"""Serve-layer fault behaviour: mid-batch errors, deadlines, backoff,
-and the degraded/recovered notices a faulted parallel session surfaces.
-"""
+"""Serve-layer fault behaviour: mid-batch errors, deadlines, backoff."""
 
 import asyncio
 import random
 
 import pytest
 
-from repro.faults import CRASH, ERROR, SESSION, SLOW, FaultPlan, FaultSpec
+from repro.faults import ERROR, SESSION, SLOW, FaultPlan, FaultSpec
 from repro.serve.client import BackpressureError, RuleClient
 from repro.serve.session import Session
 
@@ -250,28 +248,3 @@ def test_call_survives_huge_retry_budgets(monkeypatch):
     with pytest.raises(BackpressureError) as info:
         client.call("ping", retries=3000, max_total_wait=1e12, rng=_TopDraw())
     assert info.value.reply["attempts"] == 3000
-
-
-# -- recovery notices ---------------------------------------------------------
-
-
-def test_faulted_parallel_session_surfaces_recovered_notice():
-    """A shard crash under a session becomes a structured ``recovered``
-    notice in the session's stats row."""
-    plan = FaultPlan([FaultSpec(kind=CRASH, index=0, at=2)])
-    session = Session(
-        "t", program=CLOSURE, matcher="parallel", workers=1, fault_plan=plan
-    )
-    try:
-        session.perform({"op": "assert", "wmes": _edges(4)})
-        session.perform({"op": "run"})
-        row = session.describe()
-    finally:
-        session.close_resources()
-    assert row["degraded"] is False
-    notices = row["fault_notices"]
-    assert len(notices) == 1
-    assert notices[0]["type"] == "recovered"
-    assert notices[0]["cause"] == "crash"
-    assert notices[0]["replay_seconds"] > 0
-    assert row["metrics"]["faults"]["crashes"] == 1

@@ -638,3 +638,20 @@ class TestProcessFleetChaos:
         snapshot = report.snapshot()
         assert snapshot["schema"] == "repro.fleet-chaos/1"
         assert snapshot["identical"] is True
+
+    def test_cli_chaos_command_round_trip(self, tmp_path, capsys):
+        """`repro chaos` is the fleet run: exit 0, a verdict line, and a
+        `repro.fleet-chaos/1` report on disk."""
+        import json
+
+        from repro.cli import main
+
+        report_path = tmp_path / "chaos.json"
+        assert main(["chaos", "--workers", "2", "--sessions", "3", "--rounds", "3",
+                     "--crashes", "1", "--seed", "7", "--checkpoint-every", "2",
+                     "--report-out", str(report_path)]) == 0
+        assert "bit-identical" in capsys.readouterr().out
+        report = json.loads(report_path.read_text())
+        assert report["schema"] == "repro.fleet-chaos/1"
+        assert report["identical"] is True and report["lost_sessions"] == []
+        assert len(report["kills"]) == 1

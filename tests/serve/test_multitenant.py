@@ -150,37 +150,6 @@ class TestConcurrentSnapshots:
             conflict_set["total_inserts"] - conflict_set["total_deletes"]
         )
 
-    def test_fault_notices_never_duplicate_under_concurrent_sync(self):
-        """Regression: the seen-counter/deque pair raced when a stats
-        query (worker thread) and the server stats op (event loop)
-        folded matcher events at the same time, duplicating notices."""
-
-        class _Event:
-            action = "respawned"
-
-            def snapshot(self):
-                return {"shard": 0}
-
-        session = Session("t", program=CLOSURE)
-        try:
-            events = [_Event() for _ in range(32)]
-            session.system.matcher.fault_events = lambda: events
-            barrier = threading.Barrier(2)
-
-            def hammer():
-                barrier.wait()
-                for _ in range(50):
-                    session._sync_fault_notices()
-
-            threads = [threading.Thread(target=hammer) for _ in range(2)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            assert len(session._fault_notices) == len(events)
-        finally:
-            session.close_resources()
-
 
 class TestTenantQuotas:
     def test_quota_gates_admission_and_frees_on_destroy(self):
