@@ -61,7 +61,7 @@ def measure_program(
     build: Callable[..., ProductionSystem], name: str, max_cycles: int | None = None
 ) -> ParallelismFactors:
     """Run a real program and extract the three factors."""
-    system = build(matcher=ReteNetwork())
+    system = build(matcher=ReteNetwork(), history=True)
     sizes: list[int] = []
     fired = 0
     while not system.halted and (max_cycles is None or fired < max_cycles):

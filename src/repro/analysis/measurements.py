@@ -207,7 +207,7 @@ def measure_dynamic(
     max_cycles: int | None = None,
 ) -> DynamicStatistics:
     """Run *build()* under Rete and tabulate the run's behaviour."""
-    system = build(matcher=ReteNetwork())
+    system = build(matcher=ReteNetwork(), history=True)
     sizes: list[int] = []
     fired = 0
     while not system.halted and (max_cycles is None or fired < max_cycles):

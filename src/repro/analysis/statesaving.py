@@ -117,7 +117,7 @@ def compare_matchers(
     ``build`` must accept a ``matcher=`` keyword (the programs in
     :mod:`repro.workloads.programs` all do).
     """
-    rete_system = build(matcher=ReteNetwork())
+    rete_system = build(matcher=ReteNetwork(), history=True)
     sizes: list[int] = []
     rete_result = _run_tracking_size(rete_system, sizes, max_cycles)
 

@@ -57,7 +57,13 @@ from ..ops5.condition import (
 from ..ops5.errors import Ops5Error
 from ..ops5.production import Production
 
-__all__ = ["StorePlan", "alpha_items", "generate_source", "plan_stores"]
+__all__ = [
+    "StorePlan",
+    "alpha_items",
+    "generate_source",
+    "plan_alpha_index",
+    "plan_stores",
+]
 
 _ORDERING = {
     Predicate.LT: "_lt",
@@ -176,6 +182,37 @@ def plan_stores(
     return plans, use
 
 
+def plan_alpha_index(
+    plans: Sequence[StorePlan],
+) -> dict[str, tuple[dict[tuple, dict], list[int]]]:
+    """Per class: ``({attrs: {constants: [store indexes]}}, linear tail)``.
+
+    A store joins the group named by the attributes it tests with a
+    constant-equality item, under the constant (one attribute) or tuple
+    of constants it demands; an insert then probes one dict per *group*
+    instead of one predicate per *store*.  Keys are raw values, so
+    ``1``/``1.0`` share an entry as ``_eqn`` equates them and ``"5"``
+    never meets ``5``.  The lookup only narrows candidates -- the fused
+    predicate still runs on each -- so all it owes is no false
+    negatives: a store with no such item, or with one attribute tested
+    twice, stays in the class's linear tail.
+    """
+    index: dict[str, tuple[dict[tuple, dict], list[int]]] = {}
+    for plan in plans:
+        groups, tail = index.setdefault(plan.cls, ({}, []))
+        consts = sorted(
+            ((item[1], item[3]) for item in plan.items if item[0] == "const"),
+            key=lambda const: const[0],
+        )
+        attrs = tuple(attr for attr, _value in consts)
+        if not attrs or len(set(attrs)) < len(attrs):
+            tail.append(plan.index)
+            continue
+        key = consts[0][1] if len(attrs) == 1 else tuple(v for _a, v in consts)
+        groups.setdefault(attrs, {}).setdefault(key, []).append(plan.index)
+    return index
+
+
 # ---------------------------------------------------------------------------
 # Expression fragments
 # ---------------------------------------------------------------------------
@@ -274,6 +311,10 @@ def _token_key(
             for jt in eq
         ]
     )
+
+
+def _store_tuple(indexes: Sequence[int]) -> str:
+    return _tuple_literal([f"S{index}" for index in indexes])
 
 
 def _tuple_literal(parts: list[str]) -> str:
@@ -550,6 +591,20 @@ def generate_source(productions: Sequence[Production]) -> str:
         )
         for c_idx, attr in enumerate(plan.columns):
             emit(f"    c{plan.index}_{c_idx} = S{plan.index}.cols[{attr!r}]")
+
+    # The alpha dispatch table (see plan_alpha_index): a one-attribute
+    # group is probed by the bare value, a wider one by the value tuple.
+    emit("    rt.index_stores({")
+    for cls, (groups, tail) in plan_alpha_index(plans).items():
+        emit(f"        {cls!r}: ((")
+        for attrs, table in groups.items():
+            probe = attrs[0] if len(attrs) == 1 else attrs
+            entries = ", ".join(
+                f"{key!r}: {_store_tuple(indexes)}" for key, indexes in table.items()
+            )
+            emit(f"            ({probe!r}, {{{entries}}}),")
+        emit(f"        ), {_store_tuple(tail)}),")
+    emit("    })")
 
     for p_idx, production in enumerate(productions):
         _emit_production(out, p_idx, production, use)

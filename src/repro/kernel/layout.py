@@ -94,6 +94,7 @@ class AlphaStore:
     """
 
     __slots__ = (
+        "index",
         "cls",
         "predicate",
         "production_names",
@@ -106,11 +107,14 @@ class AlphaStore:
 
     def __init__(
         self,
+        index: int,
         cls: str,
         columns: tuple[str, ...],
         predicate,
         production_names: frozenset[str],
     ) -> None:
+        #: Position in the runtime's store list: the visiting order.
+        self.index = index
         self.cls = cls
         #: Fused alpha predicate closure, or ``None`` for class-only CEs.
         self.predicate = predicate

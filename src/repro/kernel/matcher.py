@@ -23,10 +23,10 @@ rows, and per-change counter deltas are snapshotted after the rebuild,
 so measurements reflect only real WM traffic (the interpreted Rete's
 ``add_production`` folds existing WM the same way).
 
-Deletion is two-phase: every store's delete subscribers run while the
-rows and columns still hold the dying WME (retraction re-builds token
-keys from the columns of *all* constituent WMEs, including the dying
-one), then the rows drop.
+Each WME change is one :class:`~repro.kernel.runtime.KernelRuntime`
+entry (``add_wme`` / ``remove_wme``: alpha dispatch, store edit,
+subscribers); this class only mirrors working memory and records the
+entry's counter deltas.
 
 Oracle mode
 -----------
@@ -43,7 +43,7 @@ from typing import Iterable, Optional
 
 from ..obs.recorder import NULL_RECORDER, Recorder
 from ..ops5.errors import Ops5Error
-from ..ops5.matcher import ChangeRecord, Matcher
+from ..ops5.matcher import Matcher
 from ..ops5.production import Production
 from ..ops5.wme import WME
 from .cache import CompiledRuleset, cache_stats
@@ -107,58 +107,31 @@ class CompiledMatcher(Matcher):
     def add_wme(self, wme: WME) -> None:
         self._ensure_compiled()
         self._wmes[wme.timetag] = wme
-        counters = self._rt.counters
-        base = tuple(counters)
-        affected: set[str] = set()
-        for store in self._rt.by_class.get(wme.cls, ()):
-            predicate = store.predicate
-            if predicate is None or predicate(wme):
-                store.insert(wme)
-                affected |= store.production_names
-                for fn in store.add_subs:
-                    fn(wme)
-        self._record("add", wme, affected, base)
-        if self._oracle is not None:
-            self._oracle.add_wme(wme)
-            self._check_oracle(f"add of {wme!r}")
+        self._change("add", self._rt.add_wme, wme)
 
     def remove_wme(self, wme: WME) -> None:
-        timetag = wme.timetag
-        if timetag not in self._wmes:
+        if wme.timetag not in self._wmes:
             raise Ops5Error(f"WME {wme!r} was never added")
         self._ensure_compiled()
-        counters = self._rt.counters
-        base = tuple(counters)
-        affected: set[str] = set()
-        hit = [s for s in self._rt.by_class.get(wme.cls, ()) if timetag in s.rows]
-        # Phase 1: propagate retraction while columns still hold the WME.
-        for store in hit:
-            affected |= store.production_names
-            for fn in store.del_subs:
-                fn(wme)
-        # Phase 2: drop rows and columns.
-        for store in hit:
-            store.remove(wme)
-        del self._wmes[timetag]
-        self._record("remove", wme, affected, base)
-        if self._oracle is not None:
-            self._oracle.remove_wme(wme)
-            self._check_oracle(f"remove of {wme!r}")
+        self._change("remove", self._rt.remove_wme, wme)
+        del self._wmes[wme.timetag]
 
-    def _record(
-        self, kind: str, wme: WME, affected: set[str], base: tuple
-    ) -> None:
+    def _change(self, kind: str, apply, wme: WME) -> None:
+        """Run one kernel entry; record its effort as counter deltas."""
         counters = self._rt.counters
+        activations, comparisons, tokens = counters
+        affected = apply(wme)
         self.stats.record(
-            ChangeRecord(
-                kind=kind,
-                wme_class=wme.cls,
-                affected_productions=len(affected),
-                node_activations=counters[0] - base[0],
-                comparisons=counters[1] - base[1],
-                tokens_built=counters[2] - base[2],
-            )
+            kind,
+            wme.cls,
+            affected,
+            counters[0] - activations,
+            counters[1] - comparisons,
+            counters[2] - tokens,
         )
+        if self._oracle is not None:
+            getattr(self._oracle, f"{kind}_wme")(wme)
+            self._check_oracle(f"{kind} of {wme!r}")
 
     # -- compilation -------------------------------------------------------
 
@@ -252,6 +225,7 @@ class CompiledMatcher(Matcher):
             "store_rows": sum(len(s) for s in runtime.stores) if runtime else 0,
             "columns": sum(len(s.cols) for s in runtime.stores) if runtime else 0,
             "subscriptions": runtime.subscriptions if runtime else 0,
+            "alpha_index": runtime.alpha_index_summary() if runtime else None,
             "replayed_wmes": self._replayed,
             "oracle": self._oracle is not None,
             "cache": cache_stats(),

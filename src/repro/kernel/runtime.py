@@ -22,13 +22,18 @@ that keeps thousands of concurrent sessions isolated.
 
 from __future__ import annotations
 
-from typing import Iterable
+from operator import attrgetter
+from typing import Iterable, Sequence
 
 from ..ops5.production import Instantiation, Production
 from ..ops5.wme import WME, is_number, same_type, values_equal
 from .layout import AlphaStore
 
 __all__ = ["KernelRuntime"]
+
+
+_store_index = attrgetter("index")
+_NO_NAMES: frozenset[str] = frozenset()
 
 
 def _eqn(a, b) -> bool:
@@ -93,7 +98,10 @@ class KernelRuntime:
         #: Positional production list, in codegen order.
         self.productions = productions
         self.stores: list[AlphaStore] = []
-        self.by_class: dict[str, list[AlphaStore]] = {}
+        #: The alpha dispatch table the generated ``build`` installs (see
+        #: ``codegen.plan_alpha_index``): class -> (groups, linear tail),
+        #: a group being (attribute | attribute tuple, {constants: stores}).
+        self.by_class: dict[str, tuple[tuple, tuple[AlphaStore, ...]]] = {}
         self.subscriptions = 0
 
     def store(
@@ -105,9 +113,8 @@ class KernelRuntime:
         production_names: tuple[str, ...],
     ) -> AlphaStore:
         assert index == len(self.stores)
-        store = AlphaStore(cls, columns, predicate, frozenset(production_names))
+        store = AlphaStore(index, cls, columns, predicate, frozenset(production_names))
         self.stores.append(store)
-        self.by_class.setdefault(cls, []).append(store)
         return store
 
     def subscribe(self, store: AlphaStore, add_fn, del_fn) -> None:
@@ -115,7 +122,64 @@ class KernelRuntime:
         store.del_subs.append(del_fn)
         self.subscriptions += 1
 
-    def replay(self, wmes: Iterable[WME]) -> int:
+    def index_stores(self, table: dict) -> None:
+        """Install the alpha dispatch table (once, from ``build``)."""
+        self.by_class = table
+
+    def candidates(self, wme: WME) -> Sequence[AlphaStore]:
+        """The stores whose constant tests *wme* can pass, in store order.
+
+        One dict probe per group plus the class's linear tail -- a
+        superset of the stores whose full predicate passes (the caller
+        still runs it), never the whole class.
+        """
+        entry = self.by_class.get(wme.cls)
+        if entry is None:
+            return ()
+        groups, found = entry
+        get = wme.get
+        for attrs, table in groups:
+            hit = table.get(get(attrs) if type(attrs) is str else tuple(map(get, attrs)))
+            if hit is not None:
+                found = sorted((*found, *hit), key=_store_index) if found else hit
+        return found
+
+    def add_wme(self, wme: WME) -> int:
+        """Insert *wme* into every store it passes and run their add
+        subscribers; return the number of affected productions."""
+        names = _NO_NAMES
+        for store in self.candidates(wme):
+            predicate = store.predicate
+            if predicate is None or predicate(wme):
+                store.insert(wme)
+                for fn in store.add_subs:
+                    fn(wme)
+                # One store is the common hit: its own frozenset, no union.
+                names = names | store.production_names if names else store.production_names
+        return len(names)
+
+    def remove_wme(self, wme: WME) -> int:
+        """Retract *wme* from every store holding it; return the number
+        of affected productions.
+
+        Two-phase: every delete subscriber runs while rows and columns
+        still hold the dying WME (retraction re-builds token keys from
+        the columns of all constituent WMEs), then the rows drop.
+        """
+        timetag = wme.timetag
+        stores = self.candidates(wme)
+        names = _NO_NAMES
+        for store in stores:
+            if timetag in store.rows:
+                for fn in store.del_subs:
+                    fn(wme)
+                names = names | store.production_names if names else store.production_names
+        for store in stores:
+            if timetag in store.rows:
+                store.remove(wme)
+        return len(names)
+
+    def replay(self, wmes: Iterable[WME]) -> None:
         """Feed existing WMEs (in timetag order) into the fresh state.
 
         This is the O(working-memory) half of a session attach: stores
@@ -123,16 +187,19 @@ class KernelRuntime:
         quietly, with no per-change stats rows (the caller snapshots
         counter deltas around the whole replay).
         """
-        count = 0
         for wme in wmes:
-            for store in self.by_class.get(wme.cls, ()):
-                predicate = store.predicate
-                if predicate is None or predicate(wme):
-                    store.insert(wme)
-                    for fn in store.add_subs:
-                        fn(wme)
-            count += 1
-        return count
+            self.add_wme(wme)
+
+    def alpha_index_summary(self) -> dict:
+        """Shape of the dispatch table (``kernel_summary``'s block)."""
+        tails = [len(tail) for _groups, tail in self.by_class.values()]
+        return {
+            "classes": len(self.by_class),
+            "groups": sum(len(groups) for groups, _tail in self.by_class.values()),
+            "indexed_stores": len(self.stores) - sum(tails),
+            "linear_tail_stores": sum(tails),
+            "largest_tail": max(tails, default=0),
+        }
 
     def state_size(self) -> int:
         """Rows across all stores (parity with ReteNetwork.state_size)."""

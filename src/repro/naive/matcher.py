@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from ..ops5.condition import Bindings, wme_passes_alpha
-from ..ops5.matcher import ChangeRecord, Matcher
+from ..ops5.matcher import Matcher
 from ..ops5.production import Instantiation, Production
 from ..ops5.wme import WME
 
@@ -89,14 +89,7 @@ class NaiveMatcher(Matcher):
                 self.conflict_set.insert(instantiation)
 
         self.stats.record(
-            ChangeRecord(
-                kind=kind,
-                wme_class=changed.cls,
-                affected_productions=affected,
-                node_activations=0,
-                comparisons=self._comparisons,
-                tokens_built=self._tokens_built,
-            )
+            kind, changed.cls, affected, 0, self._comparisons, self._tokens_built
         )
 
     def _match_production(self, production: Production) -> list[Instantiation]:

@@ -15,9 +15,10 @@ Snapshot shape (sections appear when their source exists)::
     {
       "schema": "repro.metrics/1",
       "engine":   {"cycles", "firings", "wme_changes", "halted",
-                   "working_memory", "output_lines"},
+                   "working_memory", "output_lines", "history"},
       "match":    {"wme_changes", "comparisons", "tokens_built",
-                   "mean_affected_productions", "mean_node_activations"},
+                   "mean_affected_productions", "mean_node_activations",
+                   "history"},
       "conflict_set": {"size", "total_inserts", "total_deletes",
                    "selects", "members_examined"},
       "rete":     {"nodes", "nodes_by_kind", "sharing_ratio",
@@ -25,8 +26,8 @@ Snapshot shape (sections appear when their source exists)::
       "parallel": {"workers", "shards", "productions_per_shard",
                    "shard_weights", "dispatches", "eager_dispatches"},
       "kernel":   {"compiles", "ruleset_digest", "stores", "store_rows",
-                   "columns", "subscriptions", "replayed_wmes", "oracle",
-                   "cache"},
+                   "columns", "subscriptions", "alpha_index",
+                   "replayed_wmes", "oracle", "cache", "shared"},
       "scheduler": {"workers", "grain", "tasks_executed", "tasks_helped",
                    "fast_batches", "steals", "epochs", "epoch_waits",
                    "max_queue_depth", "queue_depths"},
@@ -58,6 +59,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, keeps layering one-way
 SCHEMA = "repro.metrics/1"
 
 
+def _history(records) -> str:
+    """Whether per-cycle / per-change records are kept (opt-in, see
+    ``ProductionSystem(history=True)``); totals never depend on it."""
+    return "not retained" if records is None else "retained"
+
+
 def match_section(stats: MatchStats) -> dict:
     """The MatchStats rollup: total and per-change match effort."""
     return {
@@ -66,6 +73,7 @@ def match_section(stats: MatchStats) -> dict:
         "tokens_built": stats.total_tokens_built,
         "mean_affected_productions": stats.mean_affected_productions,
         "mean_node_activations": stats.mean_node_activations,
+        "history": _history(stats.changes),
     }
 
 
@@ -94,6 +102,7 @@ def engine_section(system: "ProductionSystem") -> dict:
         "halted": system.halted,
         "working_memory": len(system.memory),
         "output_lines": len(system.output),
+        "history": _history(system.cycles),
     }
 
 

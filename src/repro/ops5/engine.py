@@ -112,7 +112,7 @@ class EngineListener:
         """Called once when the run stops."""
 
 
-@dataclass
+@dataclass(slots=True)
 class CycleRecord:
     """What happened on one recognize--act cycle."""
 
@@ -200,6 +200,14 @@ class ProductionSystem:
         (conflict resolution, RHS execution) and an instant event per
         working-memory change.  Defaults to the shared disabled
         recorder, whose cost is a single attribute check.
+    history:
+        Keep every :class:`CycleRecord` of every run in :attr:`cycles`
+        and every per-change row in the matcher's
+        :attr:`~repro.ops5.matcher.MatchStats.changes` (what
+        :mod:`repro.analysis` tabulates).  Off by default: an engine
+        then retains O(working memory), not O(changes ever made) --
+        each :meth:`run` still returns its own cycles, and the lifetime
+        counters and means are running sums.
     """
 
     def __init__(
@@ -209,6 +217,7 @@ class ProductionSystem:
         strategy: Strategy | str = "lex",
         listener: EngineListener | None = None,
         recorder=None,
+        history: bool = False,
     ) -> None:
         if matcher is None:
             from ..rete.network import ReteNetwork  # layering: engine may use any matcher
@@ -236,7 +245,12 @@ class ProductionSystem:
         self._fired_keys: set[tuple] = set()
         self._halted = False
         self.cycle = 0
-        self.cycles: list[CycleRecord] = []
+        #: Every cycle since construction or :meth:`reset`, when the
+        #: caller asked for ``history``; otherwise None.
+        self.cycles: list[CycleRecord] | None = None
+        if history:
+            self.cycles = []
+            matcher.peek_stats().keep_rows()
 
         #: ``literalize`` declarations from the loaded program; WMEs of a
         #: declared class are checked against them on insertion.
@@ -246,6 +260,9 @@ class ProductionSystem:
         if isinstance(productions, Program):
             self.literalizations = dict(productions.literalizations)
             productions = productions.productions
+        self._declared = {
+            cls: frozenset(attrs) for cls, attrs in self.literalizations.items()
+        }
         for production in productions:
             self.add_production(production)
 
@@ -271,14 +288,13 @@ class ProductionSystem:
         If the WME's class was ``literalize``d, its attributes must all
         be declared (the OPS5 interpreter's element check).
         """
-        declared = self.literalizations.get(wme.cls)
-        if declared is not None:
-            unknown = set(wme.attributes) - set(declared)
-            if unknown:
-                raise ExecutionError(
-                    f"WME of class {wme.cls!r} uses undeclared attribute(s) "
-                    f"{sorted(unknown)}; literalized: {list(declared)}"
-                )
+        declared = self._declared.get(wme.cls)
+        if declared is not None and not wme.attributes.keys() <= declared:
+            raise ExecutionError(
+                f"WME of class {wme.cls!r} uses undeclared attribute(s) "
+                f"{sorted(wme.attributes.keys() - declared)}; "
+                f"literalized: {list(self.literalizations[wme.cls])}"
+            )
         self.memory.add(wme)
         self.matcher.add_wme(wme)
         self.total_wme_changes += 1
@@ -331,7 +347,7 @@ class ProductionSystem:
             kind = change[0]
             if kind == "assert":
                 _, cls, attrs = change
-                result.added.append(self.add_wme(WME(cls, dict(attrs or {}))))
+                result.added.append(self.add_wme(WME(cls, attrs)))
             elif kind == "retract":
                 wme = self.memory.by_timetag(change[1])
                 self.remove_wme(wme)
@@ -339,7 +355,7 @@ class ProductionSystem:
             elif kind == "modify":
                 _, timetag, updates = change
                 wme = self.memory.by_timetag(timetag)
-                replacement = wme.with_updates(dict(updates or {}))
+                replacement = wme.with_updates(updates or {})
                 self.remove_wme(wme)
                 result.removed.append(timetag)
                 result.added.append(self.add_wme(replacement))
@@ -364,7 +380,8 @@ class ProductionSystem:
         self._halted = False
         self._halt_reason = "running"
         self.cycle = 0
-        self.cycles = []
+        if self.cycles is not None:
+            self.cycles = []
         self.output = []
 
     # -- state checkpoint / restore (session migration) --------------------
@@ -504,9 +521,14 @@ class ProductionSystem:
         Returns None (and marks the engine halted) when the conflict set
         holds no un-fired instantiation, or after a ``halt`` action.
         """
+        fired = self._cycle()
+        return fired[0] if fired else None
+
+    def _cycle(self) -> Optional[tuple[Instantiation, CycleRecord]]:
+        """One cycle: the fired instantiation and its record, or None."""
         if self._halted:
             return None
-        # Branch (rather than rely on the null span) because step() is
+        # Branch (rather than rely on the null span) because this is
         # the engine's innermost loop: disabled observability must not
         # even build the span's kwargs.
         if self.recorder.enabled:
@@ -532,7 +554,8 @@ class ProductionSystem:
         if len(self._fired_keys) >= self._refraction_gc_threshold:
             self._prune_refraction_memory()
         record = CycleRecord(self.cycle, selected.production.name, selected.timetags)
-        self.cycles.append(record)
+        if self.cycles is not None:
+            self.cycles.append(record)
         self.listener.on_cycle(self.cycle, selected)
         if self.recorder.enabled:
             with self.recorder.span(
@@ -543,22 +566,22 @@ class ProductionSystem:
             self._execute(selected, record)
         if self._halted:
             self.listener.on_halt(self.cycle, "halt action")
-        return selected
+        return selected, record
 
     def run(self, max_cycles: Optional[int] = None) -> RunResult:
         """Run until halt (or *max_cycles* firings); return a summary."""
-        start = len(self.cycles)
-        fired = 0
-        while not self._halted and (max_cycles is None or fired < max_cycles):
-            if self.step() is None:
+        cycles: list[CycleRecord] = []
+        while not self._halted and (max_cycles is None or len(cycles) < max_cycles):
+            fired = self._cycle()
+            if fired is None:
                 break
-            fired += 1
+            cycles.append(fired[1])
         reason = self._halt_reason if self._halted else "cycle limit"
         return RunResult(
-            fired=fired,
+            fired=len(cycles),
             halted=self._halted,
             halt_reason=reason,
-            cycles=self.cycles[start:],
+            cycles=cycles,
             output=list(self.output),
         )
 

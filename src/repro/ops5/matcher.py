@@ -15,7 +15,7 @@ cycle, *affected productions* per change, and match effort counters.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from .conflict import ConflictSet
@@ -23,7 +23,7 @@ from .production import Production
 from .wme import WME
 
 
-@dataclass
+@dataclass(slots=True)
 class ChangeRecord:
     """Per-WME-change measurements (one row per add/remove)."""
 
@@ -35,45 +35,81 @@ class ChangeRecord:
     tokens_built: int = 0
 
 
-@dataclass
 class MatchStats:
     """Aggregate measurements over a matcher's lifetime.
 
     ``affected productions`` follows the paper's definition: a production
     is affected by a change when the changed WME matches at least one of
     its condition elements (i.e. passes that CE's alpha tests).
+
+    A count and running sums are the only default state, so a matcher
+    that lives for a billion changes holds what one change holds.
+    Per-change rows exist after :meth:`keep_rows` (what
+    ``ProductionSystem(history=True)`` calls): :attr:`changes` is then
+    the list of :class:`ChangeRecord`, otherwise ``None``.
     """
 
-    changes: list[ChangeRecord] = field(default_factory=list)
-    total_comparisons: int = 0
-    total_tokens_built: int = 0
-    total_affected_productions: int = 0
-    total_node_activations: int = 0
+    __slots__ = (
+        "changes",
+        "total_changes",
+        "total_comparisons",
+        "total_tokens_built",
+        "total_affected_productions",
+        "total_node_activations",
+    )
 
-    def record(self, record: ChangeRecord) -> None:
-        """File one finished row (rows are not edited once recorded)."""
-        self.changes.append(record)
-        self.total_comparisons += record.comparisons
-        self.total_tokens_built += record.tokens_built
-        self.total_affected_productions += record.affected_productions
-        self.total_node_activations += record.node_activations
+    def __init__(self) -> None:
+        self.changes: list[ChangeRecord] | None = None
+        self.total_changes = 0
+        self.total_comparisons = 0
+        self.total_tokens_built = 0
+        self.total_affected_productions = 0
+        self.total_node_activations = 0
 
-    @property
-    def total_changes(self) -> int:
-        return len(self.changes)
+    def keep_rows(self) -> None:
+        """Retain one :class:`ChangeRecord` per change from now on."""
+        if self.changes is None:
+            self.changes = []
+
+    def record(
+        self,
+        kind: str,
+        wme_class: str,
+        affected_productions: int,
+        node_activations: int,
+        comparisons: int,
+        tokens_built: int,
+    ) -> None:
+        """Count one finished change (and file its row, if rows are kept)."""
+        self.total_changes += 1
+        self.total_comparisons += comparisons
+        self.total_tokens_built += tokens_built
+        self.total_affected_productions += affected_productions
+        self.total_node_activations += node_activations
+        if self.changes is not None:
+            self.changes.append(
+                ChangeRecord(
+                    kind,
+                    wme_class,
+                    affected_productions,
+                    node_activations,
+                    comparisons,
+                    tokens_built,
+                )
+            )
 
     @property
     def mean_affected_productions(self) -> float:
         """Average affected productions per change (paper: ~30)."""
-        if not self.changes:
+        if not self.total_changes:
             return 0.0
-        return self.total_affected_productions / len(self.changes)
+        return self.total_affected_productions / self.total_changes
 
     @property
     def mean_node_activations(self) -> float:
-        if not self.changes:
+        if not self.total_changes:
             return 0.0
-        return self.total_node_activations / len(self.changes)
+        return self.total_node_activations / self.total_changes
 
 
 class Matcher(ABC):

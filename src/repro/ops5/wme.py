@@ -19,6 +19,7 @@ this module follows that rule exactly (see
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Iterator, Mapping, Union
 
 from .errors import WorkingMemoryError
@@ -83,9 +84,11 @@ class WME:
         if not isinstance(cls, str) or not cls:
             raise WorkingMemoryError(f"WME class must be a non-empty symbol, got {cls!r}")
         self.cls = cls
-        attrs = dict(attributes or {})
-        # Absent attributes read as nil, so storing explicit nils is redundant.
-        self._attributes = {a: v for a, v in attrs.items() if v != NIL}
+        # The one copy (the caller keeps its mapping).  Absent attributes
+        # read as nil, so storing explicit nils is redundant.
+        self._attributes = (
+            {a: v for a, v in attributes.items() if v != NIL} if attributes else {}
+        )
         #: Timetag assigned by :class:`WorkingMemory`; 0 means "not in WM".
         self.timetag: int = 0
 
@@ -96,7 +99,7 @@ class WME:
     @property
     def attributes(self) -> Mapping[str, Value]:
         """Read-only view of the explicitly assigned attributes."""
-        return dict(self._attributes)
+        return MappingProxyType(self._attributes)
 
     def with_updates(self, updates: Mapping[str, Value]) -> "WME":
         """Return a new, un-timetagged WME with *updates* applied.
@@ -105,13 +108,7 @@ class WME:
         attributes carry over, mentioned ones are replaced (and a ``nil``
         update clears the attribute).
         """
-        merged = dict(self._attributes)
-        for attr, value in updates.items():
-            if value == NIL:
-                merged.pop(attr, None)
-            else:
-                merged[attr] = value
-        return WME(self.cls, merged)
+        return WME(self.cls, {**self._attributes, **updates})
 
     def content_key(self) -> tuple:
         """A hashable key describing this WME's content (class + attrs).

@@ -50,7 +50,7 @@ from typing import Any, Iterable, Optional, Sequence
 from ..obs.recorder import NULL_RECORDER
 from ..ops5.errors import Ops5Error
 from ..ops5.conflict import ConflictSet
-from ..ops5.matcher import ChangeRecord, Matcher, MatchStats
+from ..ops5.matcher import Matcher, MatchStats
 from ..ops5.production import Production
 from ..ops5.wme import WME
 from . import messages
@@ -433,9 +433,9 @@ class ParallelMatcher(Matcher):
             if self._queue.pending[i]:
                 self._dispatch_shard(i)
 
-        merged = [
-            ChangeRecord(kind=kind, wme_class=cls) for kind, cls in changes
-        ]
+        #: [affected, activations, comparisons, tokens] per change,
+        #: summed over the shards it was routed to.
+        merged = [[0, 0, 0, 0] for _ in changes]
         errors: list[RuntimeError] = []
         active = [i for i in range(self._shard_count) if self._inflight[i]]
         total_ops = 0
@@ -444,8 +444,8 @@ class ParallelMatcher(Matcher):
             error = self._collect_inflight(i, merged)
             if error is not None:
                 errors.append(error)
-        for record in merged:
-            self._stats.record(record)
+        for (kind, cls), effort in zip(changes, merged):
+            self._stats.record(kind, cls, *effort)
 
         for i in range(self._shard_count):
             if self._epoch_ops[i]:
@@ -523,11 +523,11 @@ class ParallelMatcher(Matcher):
                 )
                 if change == _BACKFILL:
                     continue
-                change_record = merged[change]
-                change_record.affected_productions += affected
-                change_record.node_activations += activations
-                change_record.comparisons += comparisons
-                change_record.tokens_built += tokens
+                effort = merged[change]
+                effort[0] += affected
+                effort[1] += activations
+                effort[2] += comparisons
+                effort[3] += tokens
         return None
 
     # -- bulk control ----------------------------------------------------------

@@ -117,9 +117,13 @@ class LocalKernelState:
         """Apply one batch op; return a stats row for WME ops, else None."""
         tag = op[0]
         if tag == messages.ADD_WME_REF:
-            return self._add_wme(op[1], wme_ordinal)
+            self._ensure_built()
+            wme = self.wmes[op[1].timetag] = op[1]
+            return self._change(KernelRuntime.add_wme, wme, wme_ordinal)
         if tag == messages.REMOVE_WME:
-            return self._remove_wme(op[1], wme_ordinal)
+            self._ensure_built()
+            wme = self.wmes.pop(op[1])
+            return self._change(KernelRuntime.remove_wme, wme, wme_ordinal)
         if tag == messages.ADD_PRODUCTION:
             production = op[1]
             self.productions[production.name] = production
@@ -153,59 +157,15 @@ class LocalKernelState:
                 ordinal += 1
         return self.conflict_set.drain(), stat_rows
 
-    def _add_wme(self, wme: WME, ordinal: int) -> tuple:
-        if self._dirty:
-            self._rebuild(diff=False)
-        self.wmes[wme.timetag] = wme
+    def _change(self, apply, wme: WME, ordinal: int) -> tuple:
+        """One kernel entry as a stats row: affected count + counter deltas."""
         rt = self._rt
         if rt is None:
-            return (ordinal, 0, 0, 0, 0)
-        stores = rt.by_class.get(wme.cls)
-        if not stores:
             return (ordinal, 0, 0, 0, 0)
         counters = rt.counters
         b0, b1, b2 = counters
-        affected: set[str] = set()
-        for store in stores:
-            predicate = store.predicate
-            if predicate is None or predicate(wme):
-                store.insert(wme)
-                affected |= store.production_names
-                for fn in store.add_subs:
-                    fn(wme)
-        return (
-            ordinal,
-            len(affected),
-            counters[0] - b0,
-            counters[1] - b1,
-            counters[2] - b2,
-        )
-
-    def _remove_wme(self, timetag: int, ordinal: int) -> tuple:
-        self._ensure_built()
-        wme = self.wmes.pop(timetag)
-        rt = self._rt
-        if rt is None:
-            return (ordinal, 0, 0, 0, 0)
-        counters = rt.counters
-        base = tuple(counters)
-        affected: set[str] = set()
-        hit = [s for s in rt.by_class.get(wme.cls, ()) if timetag in s.rows]
-        # Two-phase, like CompiledMatcher: retraction subscribers run
-        # while the columns still hold the dying WME, then rows drop.
-        for store in hit:
-            affected |= store.production_names
-            for fn in store.del_subs:
-                fn(wme)
-        for store in hit:
-            store.remove(wme)
-        return (
-            ordinal,
-            len(affected),
-            counters[0] - base[0],
-            counters[1] - base[1],
-            counters[2] - base[2],
-        )
+        affected = apply(rt, wme)
+        return (ordinal, affected, counters[0] - b0, counters[1] - b1, counters[2] - b2)
 
     # -- (re)compilation ---------------------------------------------------
 

@@ -18,7 +18,7 @@ import time
 from typing import Iterable
 
 from ..ops5.errors import Ops5Error
-from ..ops5.matcher import ChangeRecord, Matcher
+from ..ops5.matcher import Matcher
 from ..ops5.production import Production
 from ..ops5.wme import WME
 from .builder import NetworkBuilder
@@ -203,14 +203,12 @@ class ReteNetwork(Matcher):
 
         self.listener.on_change_end()
         self.stats.record(
-            ChangeRecord(
-                kind=kind,
-                wme_class=wme.cls,
-                affected_productions=len(self._change_affected),
-                node_activations=self._change_activations,
-                comparisons=self._change_comparisons,
-                tokens_built=self._change_tokens,
-            )
+            kind,
+            wme.cls,
+            len(self._change_affected),
+            self._change_activations,
+            self._change_comparisons,
+            self._change_tokens,
         )
 
     # -- introspection -------------------------------------------------------------

@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from ..ops5.condition import Bindings, CEAnalysis, wme_passes_alpha
-from ..ops5.matcher import ChangeRecord, Matcher
+from ..ops5.matcher import Matcher
 from ..ops5.production import Instantiation, Production
 from ..ops5.wme import WME
 from .seed import order_positions
@@ -319,14 +319,7 @@ class TreatMatcher(Matcher):
 
     def _record(self, kind: str, wme: WME, affected: set[str]) -> None:
         self.stats.record(
-            ChangeRecord(
-                kind=kind,
-                wme_class=wme.cls,
-                affected_productions=len(affected),
-                node_activations=0,
-                comparisons=self._comparisons,
-                tokens_built=self._tokens_built,
-            )
+            kind, wme.cls, len(affected), 0, self._comparisons, self._tokens_built
         )
 
     def state_size(self) -> dict[str, int]:

@@ -47,6 +47,20 @@ class TestChecker:
         problems = check_kernel(matcher)
         assert problems and any("diverge" in p or "missing" in p for p in problems)
 
+    def test_detects_corrupted_dispatch_table(self):
+        """A table entry that loses a store is a false negative: the
+        auditor's own linear scan of every predicate names the WME."""
+        matcher, _ = _loaded([("goal", {"want": "red"})])
+        matcher.runtime.by_class["block"] = ((), ())  # sabotage: no candidates
+        memory = WorkingMemory()
+        memory.reserve_timetags(10)
+        matcher.add_wme(memory.add(WME("block", {"color": "red"})))
+        problems = check_kernel(matcher)
+        assert any(
+            "WME 10 passes the alpha tests but is missing from the store" in p
+            for p in problems
+        )
+
     def test_detects_corrupted_column_encoding(self):
         matcher, wmes = _loaded([("block", {"color": "red"})])
         store = next(

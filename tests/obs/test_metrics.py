@@ -26,6 +26,25 @@ class TestSnapshotSections:
         assert 0.0 <= rete["sharing_ratio"] <= 1.0
         assert sum(rete["nodes_by_kind"].values()) == rete["nodes"]
 
+    def test_history_is_reported_as_retained_or_not(self):
+        for history, word in ((False, "not retained"), (True, "retained")):
+            system = hanoi.build(3, history=history)
+            system.run()
+            data = snapshot(system)
+            assert data["engine"]["history"] == data["match"]["history"] == word
+            # The totals never depended on the rows.
+            assert data["match"]["wme_changes"] == system.total_wme_changes > 0
+            assert consistency_problems(data) == []
+
+    def test_kernel_section_describes_the_alpha_index(self):
+        system = hanoi.build(3, matcher="compiled")
+        system.run()
+        kernel = snapshot(system)["kernel"]
+        index = kernel["alpha_index"]
+        assert index["indexed_stores"] + index["linear_tail_stores"] == kernel["stores"]
+        assert index["largest_tail"] <= index["linear_tail_stores"]
+        assert 0 < index["classes"] <= index["groups"] + index["linear_tail_stores"]
+
     def test_parallel_section(self):
         with ParallelMatcher(workers=0) as matcher:
             system = hanoi.build(3, matcher=matcher)

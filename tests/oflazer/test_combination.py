@@ -9,6 +9,7 @@ from repro.ops5.wme import WME, WorkingMemory
 class _Session:
     def __init__(self, source: str):
         self.matcher = CombinationMatcher()
+        self.matcher.stats.keep_rows()
         for production in parse_program(source).productions:
             self.matcher.add_production(production)
         self.memory = WorkingMemory()

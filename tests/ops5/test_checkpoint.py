@@ -24,7 +24,7 @@ CHAIN = """
 
 
 def _build(matcher="rete"):
-    system = ProductionSystem(parse_program(CHAIN), matcher=matcher)
+    system = ProductionSystem(parse_program(CHAIN), matcher=matcher, history=True)
     system.add("step", at=0)
     for i in range(6):
         system.add("link", src=i, dst=i + 1 if i < 5 else "done")
@@ -77,7 +77,7 @@ class TestExportRestore:
         prefix = _trace(source)
         state = json.loads(json.dumps(source.export_state()))
 
-        target = ProductionSystem(parse_program(CHAIN), matcher=matcher)
+        target = ProductionSystem(parse_program(CHAIN), matcher=matcher, history=True)
         target.restore_state(state)
         source.run()
         target.run()
@@ -96,7 +96,7 @@ class TestExportRestore:
         source.run(max_cycles=2)
         prefix = len(_trace(source))
         state = source.export_state()
-        target = ProductionSystem(parse_program(CHAIN), matcher="compiled")
+        target = ProductionSystem(parse_program(CHAIN), matcher="compiled", history=True)
         target.restore_state(state)
         source.run()
         target.run()

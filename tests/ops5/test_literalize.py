@@ -22,6 +22,20 @@ class TestElementChecking:
             ps.add("goal", type="find", colour="red")
         assert "colour" in str(info.value)
 
+    def test_error_names_sorted_unknowns_and_the_declared_list(self):
+        ps = ProductionSystem(SRC)
+        with pytest.raises(ExecutionError) as info:
+            ps.add("goal", zeta=1, type="find", alpha=2)
+        assert str(info.value) == (
+            "WME of class 'goal' uses undeclared attribute(s) "
+            "['alpha', 'zeta']; literalized: ['type', 'color']"
+        )
+
+    def test_explicit_nil_of_an_undeclared_attribute_is_absent(self):
+        ps = ProductionSystem(SRC)
+        ps.add("goal", type="find", colour="nil")
+        assert len(ps.memory) == 1
+
     def test_undeclared_classes_are_free_form(self):
         ps = ProductionSystem(SRC)
         ps.add("anything", whatever=1)

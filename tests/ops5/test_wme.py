@@ -42,6 +42,25 @@ class TestWME:
         assert wme.get("color") == NIL
         assert "color" not in wme.attributes
 
+    def test_callers_mapping_is_copied_once_and_stays_theirs(self):
+        attrs = {"color": "red", "size": NIL}
+        wme = WME("block", attrs)
+        attrs["color"] = "blue"
+        attrs["weight"] = 3
+        assert wme.get("color") == "red"
+        assert wme.get("weight") == NIL
+        assert attrs["size"] == NIL  # normalisation never edits the caller's dict
+        assert dict(wme.attributes) == {"color": "red"}
+
+    def test_attributes_is_a_read_only_view(self):
+        wme = make_wme("block", color="red")
+        with pytest.raises(TypeError):
+            wme.attributes["color"] = "blue"
+        assert wme.attributes == {"color": "red"}
+
+    def test_no_attributes_at_all(self):
+        assert dict(WME("block").attributes) == dict(WME("block", {}).attributes) == {}
+
     def test_identity_not_content_equality(self):
         a = make_wme("block", color="red")
         b = make_wme("block", color="red")
@@ -59,6 +78,14 @@ class TestWME:
         wme = make_wme("block", color="red")
         updated = wme.with_updates({"color": NIL})
         assert updated.get("color") == NIL
+
+    def test_with_updates_copies_the_updates(self):
+        wme = make_wme("block", color="red")
+        updates = {"color": "blue"}
+        updated = wme.with_updates(updates)
+        updates["color"] = "green"
+        assert updated.get("color") == "blue"
+        assert wme.get("color") == "red"
 
     def test_empty_class_rejected(self):
         with pytest.raises(WorkingMemoryError):

@@ -11,7 +11,9 @@ import threading
 import pytest
 
 from repro.kernel.matcher import CompiledMatcher
+from repro.kernel.shared import shared_kernel
 from repro.ops5 import ProductionSystem, parse_program
+from repro.ops5.conflict import ConflictSet
 from repro.ops5.wme import WME, WorkingMemory
 from repro.parallel import ParallelMatcher
 from repro.parallel import messages
@@ -47,19 +49,38 @@ def _closure_state():
 # -- differential identity ----------------------------------------------------
 
 
+def _firings(result):
+    return [(c.production, c.timetags) for c in result.cycles]
+
+
 @pytest.mark.parametrize("name", sorted(SYSTEM_PROGRAMS))
 def test_system_program_bit_identical(name):
-    """Every system-class program fires identically on the unsharded
-    kernel, on one schedulerless shard and on two thread shards."""
+    """Every system-class program fires as on the node-walking Rete on
+    the unsharded kernel, on one schedulerless shard and on two thread
+    shards -- all three drive the one ``KernelRuntime`` entry -- and a
+    kernel attached mid-run (``replay``) re-derives Rete's conflict set."""
     mod = SYSTEM_PROGRAMS[name]
-    reference = mod.run(matcher=CompiledMatcher())
+    reference = mod.run(matcher=ReteNetwork())
+    assert reference.fired > 0
+    subjects = [("compiled", mod.run(matcher=CompiledMatcher()))]
     for workers in (0, 2):
         with ParallelMatcher(workers=workers) as matcher:
-            subject = mod.run(matcher=matcher)
-        assert subject.fired == reference.fired, workers
-        assert subject.halted == reference.halted, workers
-        assert subject.halt_reason == reference.halt_reason, workers
-        assert tuple(subject.output) == tuple(reference.output), workers
+            subjects.append((workers, mod.run(matcher=matcher)))
+    for label, subject in subjects:
+        assert _firings(subject) == _firings(reference), label
+        assert subject.halted == reference.halted, label
+        assert subject.halt_reason == reference.halt_reason, label
+        assert tuple(subject.output) == tuple(reference.output), label
+
+    midway = mod.build(matcher=ReteNetwork())
+    midway.run(max_cycles=reference.fired // 2)
+    productions = list(midway.matcher.productions)
+    attached = ConflictSet()
+    shared_kernel(productions).attach(
+        attached, productions, midway.memory.snapshot()
+    )
+    assert len(attached) > 0
+    assert attached.snapshot() == midway.conflict_set.snapshot()
 
 
 def test_clear_allows_pool_reuse():

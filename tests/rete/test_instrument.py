@@ -12,6 +12,7 @@ SRC = """
 def _run(events_for):
     listener = RecordingListener()
     net = ReteNetwork(listener)
+    net.stats.keep_rows()
     for production in parse_program(SRC).productions:
         net.add_production(production)
     memory = WorkingMemory()

@@ -162,6 +162,7 @@ class TestIncrementalConsistency:
         net, memory = _net(
             "(p one (a ^v 1) --> (halt)) (p two (a ^v <x>) --> (halt))"
         )
+        net.stats.keep_rows()
         _add(net, memory, "a", v=1)
         assert net.stats.changes[-1].affected_productions == 2
         _add(net, memory, "a", v=2)

@@ -8,6 +8,8 @@ tests drive the session's synchronous core (the exact code the server's
 worker threads execute) against a directly-driven engine.
 """
 
+import gc
+
 import pytest
 
 from repro.ops5 import Ops5Error, ProductionSystem
@@ -239,6 +241,62 @@ class TestSessionRequests:
             # 2 ingested + 3 make-actions fired by the closure rules.
             assert telemetry.wme_changes == 5
             assert session.describe()["working_memory"] == 5
+        finally:
+            session.close_resources()
+
+
+class TestBoundedRetention:
+    """A long-lived served session holds O(working memory), not O(requests)."""
+
+    PROGRAM = """
+    (p tag (item ^id <i> ^state new)
+       --> (modify 1 ^state seen) (make mark ^id <i>))
+    """
+    WINDOW = 30
+    ITEMS = 6
+
+    def _waves(self, session, window, start, count):
+        """Assert-and-run waves through a sliding window of retractions;
+        returns the GC-tracked object count afterwards."""
+        for wave in range(start, start + count):
+            reply = session.perform(
+                {
+                    "op": "assert",
+                    "wmes": [
+                        ["item", {"id": self.ITEMS * wave + i, "state": "new"}]
+                        for i in range(self.ITEMS)
+                    ],
+                    "run": True,
+                }
+            )
+            assert reply["run"]["fired"] == self.ITEMS
+            first = reply["timetags"][0]
+            live = session.perform({"op": "query", "what": "wm"})["wmes"]
+            window.append([tag for _cls, _attrs, tag in live if tag >= first])
+            if len(window) > self.WINDOW:
+                session.perform({"op": "retract", "timetags": window.pop(0)})
+        gc.collect()
+        return len(gc.get_objects())
+
+    def test_served_session_is_flat_in_requests_at_constant_wm(self):
+        gc.collect()
+        baseline = len(gc.get_objects())
+        session = Session("s", program=self.PROGRAM, matcher="compiled")
+        try:
+            window: list = []
+            self._waves(session, window, 0, self.WINDOW + 4)
+            wm = session.describe()["working_memory"]
+            after_n = self._waves(session, window, 100, 60) - baseline
+            after_2n = self._waves(session, window, 200, 60) - baseline
+            assert session.describe()["working_memory"] == wm
+            assert abs(after_2n - after_n) <= 0.05 * after_n, (after_n, after_2n)
+            system = session.system
+            assert system.cycles is None
+            assert system.matcher.peek_stats().changes is None
+            metrics = session.describe()["metrics"]
+            assert metrics["engine"]["history"] == "not retained"
+            assert metrics["match"]["history"] == "not retained"
+            assert metrics["match"]["wme_changes"] == system.total_wme_changes
         finally:
             session.close_resources()
 

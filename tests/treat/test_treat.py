@@ -15,6 +15,7 @@ def _matcher(source: str) -> TreatMatcher:
 class _Session:
     def __init__(self, source: str):
         self.matcher = _matcher(source)
+        self.matcher.stats.keep_rows()
         self.memory = WorkingMemory()
 
     def add(self, cls, **attrs):

@@ -112,7 +112,7 @@ class TestEmittedProgramCalibration:
         # matcher actually saw: productions affected per task change
         # must track the profile's calibrated affected_mean.
         module = SYSTEM_PROGRAMS[name]
-        system = module.build()
+        system = module.build(history=True)
         result = system.run(module.EMITTED.max_cycles)
         assert result.halted and result.halt_reason == "halt action"
         task_counts = [
