@@ -9,7 +9,8 @@ Two halves:
 * **a standalone script** (``python benchmarks/bench_matchers.py``):
   compiled-vs-interpreted match throughput over all six Section 6
   system-class programs (``vt``, ``ilog``, ``mud``, ``daa``,
-  ``r1-soar``, ``ep-soar``), written to ``BENCH_compiled_kernel.json``.
+  ``r1-soar``, ``ep-soar``), written to the git-ignored
+  ``benchmarks/out/compiled_kernel.json``.
   ``--check`` gates the compiled kernel's per-program speedup over the
   interpreted Rete against ``benchmarks/baselines/compiled_kernel.json``
   (25% tolerance) -- the CI perf-smoke step for the codegen path.
@@ -53,7 +54,7 @@ from repro.treat import TreatMatcher  # noqa: E402
 from repro.workloads.programs import SYSTEM_PROGRAMS, closure, hanoi  # noqa: E402
 
 BASELINE_PATH = os.path.join(REPO, "benchmarks", "baselines", "compiled_kernel.json")
-BENCH_OUT_PATH = os.path.join(REPO, "BENCH_compiled_kernel.json")
+BENCH_OUT_PATH = os.path.join(REPO, "benchmarks", "out", "compiled_kernel.json")
 BASELINE_SCHEMA = "repro.compiled-kernel-bench/1"
 
 MATCHERS = {
@@ -311,13 +312,14 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--out", default=BENCH_OUT_PATH,
-        help="where to write the JSON snapshot "
-             "(default BENCH_compiled_kernel.json)",
+        help="where to write the JSON report "
+             "(default benchmarks/out/compiled_kernel.json)",
     )
     args = parser.parse_args(argv)
 
     measured = measure("quick" if args.quick else "full")
     report(measured)
+    os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     with open(args.out, "w") as handle:
         json.dump(measured, handle, indent=2, sort_keys=True)
         handle.write("\n")

@@ -6,8 +6,8 @@ parallel executor, and *every observable of a run* must agree across
 all of them -- the conflict set after each cycle, the firing sequence,
 the ``write`` output, and the final working memory.  This module runs
 one program through any set of backends and reduces each run to a
-comparable :class:`RunRecord`, which both the differential test
-harness and ``benchmarks/bench_live_vs_predicted.py`` build on.
+comparable :class:`RunRecord`, which the differential test harness
+builds on.
 """
 
 from __future__ import annotations

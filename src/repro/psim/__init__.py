@@ -33,13 +33,11 @@ from .partition import (
     simulate_partitioned,
 )
 from .metrics import (
-    MeasuredRun,
     SimulationResult,
     TaskPlacement,
     average_concurrency,
     average_speed,
     average_true_speedup,
-    predicted_vs_measured,
 )
 from .simulator import simulate, simulate_many, simulate_schedule, sweep_processors
 
@@ -53,7 +51,6 @@ __all__ = [
     "GRANULARITY_PRODUCTION",
     "MachineConfig",
     "MakespanBounds",
-    "MeasuredRun",
     "PAPER_PSM",
     "PRODUCTION_PARALLEL_PSM",
     "SCHEDULER_HARDWARE",
@@ -72,7 +69,6 @@ __all__ = [
     "simulate_partitioned",
     "average_speed",
     "average_true_speedup",
-    "predicted_vs_measured",
     "build_schedule",
     "render_gantt",
     "simulate",

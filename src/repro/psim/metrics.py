@@ -137,71 +137,6 @@ class SimulationResult:
         )
 
 
-@dataclass(frozen=True)
-class MeasuredRun:
-    """Wall-clock measurement of one live executor run.
-
-    The live counterpart of :class:`SimulationResult`: where the
-    simulator *predicts* concurrency from a task trace and a machine
-    model, this records what a real run on
-    :class:`~repro.parallel.executor.ParallelMatcher` actually took.
-    """
-
-    label: str
-    workers: int
-    #: Wall-clock seconds of the parallel run.
-    elapsed: float
-    #: Wall-clock seconds of the serial reference (shared serial Rete).
-    serial_elapsed: float
-    total_changes: int = 0
-    total_firings: int = 0
-
-    @property
-    def speedup(self) -> float:
-        """Measured wall-clock speed-up over the serial reference."""
-        return self.serial_elapsed / self.elapsed if self.elapsed else 0.0
-
-    @property
-    def wme_changes_per_second(self) -> float:
-        return self.total_changes / self.elapsed if self.elapsed else 0.0
-
-
-def predicted_vs_measured(
-    predicted: SimulationResult,
-    measured: MeasuredRun,
-    cost_model: str = "paper-sec3",
-) -> dict[str, float | int | str]:
-    """Line up a DES prediction with a live measurement of the same run.
-
-    Returns a flat record (JSON-ready) pairing the simulator's
-    concurrency/true-speed-up against the executor's wall-clock
-    speed-up, plus the honesty ratio ``measured.speedup /
-    predicted.true_speedup`` -- how much of the predicted gain the host
-    actually delivered (1.0 = the model was exact; far below 1.0 on a
-    GIL-bound or core-starved host).
-    """
-    ratio = (
-        measured.speedup / predicted.true_speedup
-        if predicted.true_speedup
-        else 0.0
-    )
-    return {
-        "label": measured.label,
-        "workers": measured.workers,
-        "cost_model": cost_model,
-        "predicted_processors": predicted.config.processors,
-        "predicted_concurrency": predicted.concurrency,
-        "predicted_true_speedup": predicted.true_speedup,
-        "predicted_lost_factor": predicted.lost_factor,
-        "measured_serial_seconds": measured.serial_elapsed,
-        "measured_parallel_seconds": measured.elapsed,
-        "measured_speedup": measured.speedup,
-        "measured_over_predicted": ratio,
-        "total_changes": measured.total_changes,
-        "total_firings": measured.total_firings,
-    }
-
-
 def average_concurrency(results: Sequence[SimulationResult]) -> float:
     """Mean concurrency across systems (the paper's 15.92 aggregate)."""
     return sum(r.concurrency for r in results) / len(results) if results else 0.0

@@ -45,6 +45,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import threading
 import urllib.parse
 from collections import namedtuple
@@ -256,10 +257,20 @@ class RecoveryBundle:
         return self.checkpoint is not None
 
 
+#: What the hashed branch of :func:`_encode_sid` emits.
+_HASHED_SID = re.compile(r".{48}\.[0-9a-f]{32}")
+
+
 def _encode_sid(session_id: str) -> str:
-    """Injective, filesystem-safe encoding of a session id."""
+    """Injective, filesystem-safe encoding of a session id.
+
+    Short ids are percent-quoted (``[A-Za-z0-9_.~-]`` unchanged); a long
+    one keeps a readable prefix plus a hash of the whole id.  A short id
+    that is itself spelled like a hashed name takes the hashed branch
+    too, so no client-chosen name can land on a long id's files.
+    """
     quoted = urllib.parse.quote(session_id, safe="")
-    if len(quoted) <= 96:
+    if len(quoted) <= 96 and not _HASHED_SID.fullmatch(quoted):
         return quoted
     digest = hashlib.sha256(session_id.encode()).hexdigest()[:32]
     return f"{quoted[:48]}.{digest}"

@@ -578,8 +578,11 @@ class RuleRouter(Endpoint):
             bundle = self.durability.load(session_id)
             if bundle is None:
                 continue
-            if session_id.startswith("r") and session_id[1:].isdigit():
-                top_minted = max(top_minted, int(session_id[1:]))
+            # Minted ids are ASCII ``r<n>``; ``isdigit`` alone also admits
+            # client-chosen names such as ``r²`` that ``int`` rejects.
+            number = session_id[1:]
+            if session_id[:1] == "r" and number.isascii() and number.isdigit():
+                top_minted = max(top_minted, int(number))
             try:
                 target = self._place(session_id)
             except Ops5Error:

@@ -14,8 +14,6 @@ from .costmodel import (
     UNIPROCESSOR_TIERS,
     CostModel,
     changes_per_second,
-    kernel_calibrated_model,
-    measured_kernel_scale,
     uniprocessor_ladder,
 )
 from .events import ChangeTrace, FiringTrace, Task, Trace, merge_traces
@@ -39,9 +37,7 @@ __all__ = [
     "UNIPROCESSOR_TIERS",
     "capture_trace",
     "changes_per_second",
-    "kernel_calibrated_model",
     "load_trace",
-    "measured_kernel_scale",
     "merge_traces",
     "save_trace",
     "summarize",

@@ -25,7 +25,6 @@ VAX-11/780 (8, 40, 200, and 400-800 wme-changes/sec respectively).
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 from ..rete.instrument import ActivationEvent
@@ -77,11 +76,6 @@ class CostModel:
     per_output: int = 20
     #: Terminal activation: conflict-set insert/delete.
     term_base: int = 40
-    #: Where the constants came from: ``paper-sec3`` for the published
-    #: calibration, ``kernel-calibrated`` when scaled by a live
-    #: measurement of the compiled kernel (see
-    #: :func:`kernel_calibrated_model`).
-    label: str = "paper-sec3"
 
     def activation_cost(self, event: ActivationEvent) -> int:
         """Instructions to process one recorded activation."""
@@ -113,89 +107,6 @@ class CostModel:
     def change_cost(self, events: list[ActivationEvent]) -> int:
         """Serial instructions for one whole WME change."""
         return sum(self.activation_cost(e) for e in events)
-
-
-#: Cached live measurement (one per process: it costs a few ms).
-_KERNEL_SCALE: float | None = None
-
-
-def measured_kernel_scale(repeats: int = 3) -> float:
-    """Measured per-change cost ratio: compiled kernel / interpreted Rete.
-
-    The paper's constants (``c1``, the 50-100 instruction task band)
-    describe its *interpreted* Rete.  The repo's compiled kernel
-    (:mod:`repro.kernel`) processes the same WME changes through
-    generated code, so its per-change cost sits below the interpreter's
-    -- by how much is a property of this host, so we measure it: the
-    same production set and WME stream are driven through both matchers
-    and the best-of-*repeats* wall-clock ratio is returned (clamped to
-    ``[0.05, 4.0]`` so one scheduler hiccup cannot poison the model).
-
-    The result is cached per process; the calibration workload is the
-    closure-chain program, whose joins exercise both alpha and beta
-    paths.
-    """
-    global _KERNEL_SCALE
-    if _KERNEL_SCALE is None:
-        _KERNEL_SCALE = _measure_kernel_scale(max(1, repeats))
-    return _KERNEL_SCALE
-
-
-def _measure_kernel_scale(repeats: int) -> float:
-    import time
-
-    from ..kernel.matcher import CompiledMatcher
-    from ..ops5.parser import parse_program
-    from ..ops5.wme import WME, WorkingMemory
-    from ..rete.network import ReteNetwork
-    from ..workloads.programs import closure
-
-    productions = parse_program(closure.PROGRAM).productions
-    specs = [(w.cls, dict(w.attributes)) for w in closure.chain(8)]
-
-    def drive(factory) -> float:
-        best = float("inf")
-        for _ in range(repeats):
-            matcher = factory()
-            for production in productions:
-                matcher.add_production(production)
-            memory = WorkingMemory()
-            wmes = [memory.add(WME(cls, dict(attrs))) for cls, attrs in specs]
-            start = time.perf_counter()
-            for wme in wmes:
-                matcher.add_wme(wme)
-            _ = matcher.conflict_set
-            for wme in wmes[: len(wmes) // 2]:
-                matcher.remove_wme(wme)
-            _ = matcher.conflict_set
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    rete = drive(ReteNetwork)
-    compiled = drive(CompiledMatcher)
-    if rete <= 0:
-        return 1.0
-    return min(4.0, max(0.05, compiled / rete))
-
-
-def kernel_calibrated_model(scale: float | None = None) -> CostModel:
-    """A :class:`CostModel` scaled to the compiled kernel's measured cost.
-
-    Every per-activation constant is multiplied by *scale* (measured on
-    this host via :func:`measured_kernel_scale` when omitted) and
-    rounded to at least one instruction, so DES predictions describe
-    the machine the live ``local`` backend actually runs: compiled-
-    kernel shards, not the paper's interpreter.
-    """
-    if scale is None:
-        scale = measured_kernel_scale()
-    base = CostModel()
-    scaled = {
-        field.name: max(1, round(getattr(base, field.name) * scale))
-        for field in dataclasses.fields(CostModel)
-        if field.type in ("int", int)
-    }
-    return CostModel(label="kernel-calibrated", **scaled)
 
 
 def changes_per_second(instructions_per_change: float, mips: float) -> float:

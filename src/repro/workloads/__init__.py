@@ -27,7 +27,6 @@ from .profiles import (
     profile_named,
 )
 from .generator import GENERATOR_PROFILES, case_from_seed, emit_system_program, fuzz
-from .replay import OpStreamRecorder, Recording, record_program, timed_replay
 from .synthetic import SyntheticGenerator, generate_trace
 from .programs import ALL_PROGRAMS
 
@@ -38,11 +37,9 @@ __all__ = [
     "EP_SOAR",
     "ILOG",
     "MUD",
-    "OpStreamRecorder",
     "PAPER_SYSTEMS",
     "PARALLEL_FIRING_SYSTEMS",
     "R1_SOAR",
-    "Recording",
     "SyntheticGenerator",
     "SystemProfile",
     "VT",
@@ -51,6 +48,4 @@ __all__ = [
     "fuzz",
     "generate_trace",
     "profile_named",
-    "record_program",
-    "timed_replay",
 ]

@@ -21,7 +21,6 @@ from repro.parallel.local import LocalKernelState, LocalScheduler, _LocalShard
 from repro.parallel.validate import run_recorded
 from repro.rete import ReteNetwork
 from repro.workloads.programs import SYSTEM_PROGRAMS
-from repro.workloads.replay import record_program, replay_once
 
 CLOSURE = """
 (p base (parent ^from <x> ^to <y>) - (anc ^from <x> ^to <y>)
@@ -90,18 +89,6 @@ def test_clear_allows_pool_reuse():
         second = run_recorded(CLOSURE, CHAIN, matcher)
     assert first.fired == second.fired
     assert first.conflict_sets == second.conflict_sets
-
-
-def test_replay_protocol_is_bit_identical():
-    """The benchmark's measurement protocol doubles as a correctness
-    check: a recorded op stream replays to the same conflict set on the
-    serial Rete and on local thread shards."""
-    recording = record_program(SYSTEM_PROGRAMS["vt"])
-    assert recording.cycle_count > 0 and recording.op_count > 0
-    _, serial_keys = replay_once(recording, ReteNetwork())
-    with ParallelMatcher(workers=2) as matcher:
-        _, local_keys = replay_once(recording, matcher)
-    assert serial_keys == local_keys
 
 
 # -- kernel shard state -------------------------------------------------------

@@ -4,12 +4,10 @@ import pytest
 
 from repro.psim import MachineConfig, simulate
 from repro.psim.metrics import (
-    MeasuredRun,
     SimulationResult,
     average_concurrency,
     average_speed,
     average_true_speedup,
-    predicted_vs_measured,
 )
 from repro.trace import Trace
 
@@ -56,6 +54,13 @@ class TestHeadlineMetrics:
         assert result.concurrency == 0.0
         assert result.true_speedup == 0.0
 
+    def test_empty_trace_simulates_to_zero(self):
+        """An empty trace predicts nothing; every ratio stays finite."""
+        predicted = simulate(Trace(name="empty", firings=[]), MachineConfig())
+        assert predicted.makespan == 0.0
+        assert predicted.true_speedup == 0.0
+        assert predicted.lost_factor == 0.0
+
 
 class TestDecomposition:
     def test_work_inflation(self):
@@ -73,61 +78,6 @@ class TestDecomposition:
         text = _result().summary()
         assert "concurrency 4.00" in text
         assert "true speed-up 2.00" in text
-
-
-class TestMeasuredRunEdges:
-    def test_zero_duration_run_reports_zero_not_infinity(self):
-        """A run too fast to time must degrade to 0.0, not divide by zero."""
-        run = MeasuredRun(
-            label="instant", workers=4, elapsed=0.0, serial_elapsed=0.5,
-            total_changes=100, total_firings=10,
-        )
-        assert run.speedup == 0.0
-        assert run.wme_changes_per_second == 0.0
-
-    def test_single_worker_degenerate_speedup_is_one(self):
-        """workers=1 matching the serial reference is exactly break-even."""
-        run = MeasuredRun(
-            label="serial-ish", workers=1, elapsed=2.0, serial_elapsed=2.0,
-        )
-        assert run.speedup == pytest.approx(1.0)
-
-    def test_comparison_against_degenerate_measurement(self):
-        record = predicted_vs_measured(
-            _result(),
-            MeasuredRun(label="x", workers=2, elapsed=0.0, serial_elapsed=0.0),
-        )
-        assert record["measured_speedup"] == 0.0
-        assert record["measured_over_predicted"] == 0.0
-        assert record["predicted_true_speedup"] == pytest.approx(2.0)
-
-    def test_comparison_against_empty_trace_prediction(self):
-        """An empty trace predicts nothing; the ratio stays finite."""
-        predicted = simulate(Trace(name="empty", firings=[]), MachineConfig())
-        assert predicted.makespan == 0.0
-        record = predicted_vs_measured(
-            predicted,
-            MeasuredRun(
-                label="live", workers=2, elapsed=1.0, serial_elapsed=2.0,
-            ),
-        )
-        assert record["predicted_true_speedup"] == 0.0
-        assert record["measured_speedup"] == pytest.approx(2.0)
-        assert record["measured_over_predicted"] == 0.0
-
-    def test_comparison_record_is_flat_and_json_ready(self):
-        import json
-
-        record = predicted_vs_measured(
-            _result(),
-            MeasuredRun(
-                label="live", workers=2, elapsed=1.0, serial_elapsed=3.0,
-                total_changes=30, total_firings=12,
-            ),
-        )
-        assert record["measured_speedup"] == pytest.approx(3.0)
-        assert record["measured_over_predicted"] == pytest.approx(1.5)
-        assert json.loads(json.dumps(record)) == record
 
 
 class TestAggregates:

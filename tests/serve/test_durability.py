@@ -10,6 +10,8 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from repro.ops5 import ProductionSystem
 from repro.serve import DurabilityStore, validate_engine_state
@@ -190,6 +192,34 @@ class TestSidEncoding:
     def test_encoding_is_injective_for_long_ids(self):
         a, b = "x" * 200 + "a", "x" * 200 + "b"
         assert _encode_sid(a) != _encode_sid(b)
+        # A long id's file name is itself a legal (short) client-chosen
+        # id; it must not share the long id's files.
+        assert _encode_sid(_encode_sid(a)) != _encode_sid(a)
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(
+        ids=st.lists(
+            st.text(max_size=40)
+            | st.tuples(
+                st.text(alphabet="ab.-_~", min_size=40, max_size=60),
+                st.text(alphabet="ab.%/\x00\u00e9 ", max_size=30),
+            ).map("".join),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_distinct_ids_get_distinct_names_inside_the_root(self, ids):
+        """Arbitrary text, plus ids whose unreserved head survives
+        quoting and whose tail carries them to either side of the
+        96-character cut; every id's own file name joins the pool,
+        since a tenant may pick it as a session name."""
+        pool = set(ids) | {_encode_sid(sid) for sid in ids}
+        names = {_encode_sid(sid) for sid in pool}
+        assert len(names) == len(pool)
+        for name in names:
+            path = os.path.join("/journals", f"{name}.wal")
+            assert os.path.dirname(path) == "/journals"
+            assert "\x00" not in name
 
 
 class TestValidateEngineState:

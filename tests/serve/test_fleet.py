@@ -160,6 +160,34 @@ class TestDurableThreadWorkers:
             workers2[0].stop()
             store2.close()
 
+    def test_cold_start_survives_digit_like_client_names(self, tmp_path):
+        """``str.isdigit`` admits ``²`` and ``٣``; ``int`` rejects the
+        first.  One client-chosen ``r²`` in the store must not stop the
+        router from booting, and only ASCII ``r<n>`` moves the minted-id
+        counter."""
+        names = ["r7", "r²", "r٣"]
+        store = DurabilityStore(str(tmp_path))
+        for name in names:
+            store.register(name, {"program": closure.PROGRAM})
+        worker = ServerThread()
+        try:
+            router = RouterThread(
+                worker_addresses=[worker.address], durability=store
+            )
+            try:
+                with RuleClient(router.address) as client:
+                    assert client.list_sessions() == sorted(names)
+                    for name in names:
+                        reply = client.assert_wmes(name, CHAIN[:2], run=True)
+                        assert reply["run"]["fired"] == 3
+                    assert client.stats()["router"]["lost_sessions"] == []
+                    assert client.create_session(program=closure.PROGRAM) == "r8"
+            finally:
+                router.stop()
+        finally:
+            worker.stop()
+            store.close()
+
     def test_destroyed_session_leaves_no_journal(self, tmp_path):
         store = DurabilityStore(str(tmp_path))
         worker = ServerThread()

@@ -7,7 +7,9 @@ Covers the tentpole contracts at the session layer:
   the process-wide symbol intern table;
 * ``describe()``/``stats()`` snapshots taken concurrently with working-
   memory mutation are consistent and side-effect-free;
-* tenant quotas gate session admission;
+* tenant quotas gate session admission, at the manager and -- with the
+  one-kernel contract and bit-identical firings -- through a router
+  fleet;
 * export/import continues a session bit-identically (the migration
   path the router builds on).
 """
@@ -19,7 +21,9 @@ import pytest
 
 from repro.kernel import cache_stats, clear_shared_kernels, shared_kernel_stats
 from repro.kernel.cache import clear_cache
+from repro.ops5 import ProductionSystem
 from repro.ops5.symbols import SYMBOLS
+from repro.serve import RouterFleet, RuleClient, ServerError
 from repro.serve.session import (
     QuotaExceeded,
     Session,
@@ -182,6 +186,43 @@ class TestTenantQuotas:
                 manager.create(program=CLOSURE, tenant="other", name="o1")
         finally:
             asyncio.run(manager.drain_all())
+
+    def test_fleet_quota_is_exact_on_one_shared_kernel(self):
+        """Through an embedded router fleet: each tenant asking for
+        ``quota + k`` sessions of one ruleset gets exactly ``k`` quota
+        replies, the whole fleet costs one codegen miss and one module
+        exec, and every admitted session fires as a direct engine does."""
+        quota, extra = 3, 2
+        reference = ProductionSystem(CLOSURE, matcher="compiled")
+        reference.apply_changes([("assert", cls, attrs) for cls, attrs in EDGES])
+        expected = [
+            [cycle.production, list(cycle.timetags)]
+            for cycle in reference.run().cycles
+        ]
+        assert expected
+
+        with RouterFleet(workers=2, default_tenant_quota=quota) as fleet:
+            with RuleClient(fleet.address) as client:
+                for tenant in ("acme", "globex"):
+                    admitted, rejected = [], 0
+                    for _ in range(quota + extra):
+                        try:
+                            admitted.append(
+                                client.create_session(
+                                    program=CLOSURE,
+                                    matcher="compiled",
+                                    tenant=tenant,
+                                )
+                            )
+                        except ServerError as error:
+                            assert error.reply["error"] == "quota", error.reply
+                            rejected += 1
+                    assert (len(admitted), rejected) == (quota, extra)
+                    for sid in admitted:
+                        client.assert_wmes(sid, EDGES)
+                        assert client.run(sid)["firings"] == expected
+        assert cache_stats()["misses"] == 1
+        assert shared_kernel_stats()["execs"] == 1
 
 
 class TestExportImport:

@@ -87,36 +87,3 @@ class TestThroughputHelper:
     def test_rejects_nonpositive_cost(self):
         with pytest.raises(ValueError):
             changes_per_second(0, 1.0)
-
-
-class TestKernelCalibration:
-    """The measured bridge from the paper's interpreter constants to the
-    compiled kernel the ``local`` backend actually runs."""
-
-    def test_explicit_scale_multiplies_every_constant(self):
-        from repro.trace import kernel_calibrated_model
-
-        base = CostModel()
-        half = kernel_calibrated_model(scale=0.5)
-        assert half.label == "kernel-calibrated"
-        assert half.join_base == max(1, round(base.join_base * 0.5))
-        assert half.root_base == max(1, round(base.root_base * 0.5))
-        assert half.term_base == max(1, round(base.term_base * 0.5))
-
-    def test_tiny_scale_floors_at_one_instruction(self):
-        from repro.trace import kernel_calibrated_model
-
-        floored = kernel_calibrated_model(scale=1e-6)
-        assert floored.join_base == 1
-        assert floored.per_comparison == 1
-        assert floored.activation_cost(_event("root")) >= 1
-
-    def test_default_label_names_the_paper(self):
-        assert CostModel().label == "paper-sec3"
-
-    def test_measured_scale_is_clamped_and_cached(self):
-        from repro.trace import measured_kernel_scale
-
-        first = measured_kernel_scale(repeats=1)
-        assert 0.05 <= first <= 4.0
-        assert measured_kernel_scale(repeats=1) == first
