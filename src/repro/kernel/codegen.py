@@ -10,6 +10,13 @@ materialises the whole match network as *closures over local dicts*:
   left index ``li`` (join key -> {left key -> token}), a right index
   ``ri`` (join key -> {timetag -> WME}), and for negated CEs a blocker
   count ``nc`` (left key -> int);
+* per *first-level group* (``plan_groups``: the productions whose CE 0
+  reads one store under one guard and whose first join hashes the same
+  CE-0 columns), ONE level-1 left memory ``gl`` and one fused CE-0
+  activation pair ``g{n}_a`` / ``g{n}_d`` that builds the token once
+  and runs every member's first join inline -- Rete's node sharing,
+  one level deep.  Right indexes, blocker counts and every deeper level
+  stay private to their production;
 * a terminal that edits the conflict set directly.
 
 Join keys are tuples (or bare ints) of encoded column values read
@@ -34,7 +41,13 @@ Correctness notes (mirroring the node-walking Rete):
   each CE's right entry inserts into its own ``ri`` bucket and probes
   the opposite ``li`` within the same call, so whichever of the two
   subscriber calls runs second forms the pair -- no Doorenbos
-  descendants-first ordering is needed.
+  descendants-first ordering is needed.  At level 1 this leans on the
+  right index being *private*: a group subscribes where its first
+  member's CE 0 would, so it runs before any member's CE-1 subscriber
+  has filed the WME.  A right index shared *between* productions
+  would be filled by its first subscriber, possibly before another
+  sharer's CE-0 activation of the same WME -- which would then pair
+  the WME with itself once from the left and again from the right.
 * Deletion is rematch-style: the delete path probes the same indexes
   and re-evaluates residual tests, exactly like ``JoinNode``.
 * Negated CEs keep a per-left-token blocker count, like
@@ -62,7 +75,9 @@ __all__ = [
     "alpha_items",
     "generate_source",
     "plan_alpha_index",
+    "plan_groups",
     "plan_stores",
+    "sharing_summary",
 ]
 
 _ORDERING = {
@@ -346,9 +361,114 @@ def _binding_specs(
     return tuple(specs)
 
 
+def _emit_memory_edit(emit, memory: str, slot: str, value: str, add: bool) -> None:
+    """File *value* under ``memory[key][slot]``, or drop it and prune
+    the emptied bucket."""
+    if add:
+        emit(f"        d = {memory}.get(key)")
+        emit("        if d is None:")
+        emit(f"            d = {memory}[key] = {{}}")
+        emit(f"        d[{slot}] = {value}")
+    else:
+        emit(f"        d = {memory}[key]")
+        emit(f"        del d[{slot}]")
+        emit("        if not d:")
+        emit(f"            del {memory}[key]")
+
+
+def _emit_left(emit, memory: str, tkey: str, joins: Sequence[tuple], add: bool) -> None:
+    """Body of a left activation once ``tok`` / ``lk`` are bound: edit
+    the left *memory* under *tkey*, then run each ``(production, level,
+    analysis)`` of *joins* against its own right index -- a positive CE
+    probes it, a negated CE settles its own blocker count -- and call
+    the level below.  One join for a private level; every member of a
+    first-level group inline.  The probe loops rebind ``w`` / ``wt``,
+    so a caller reads its entering WME before this runs.
+    """
+    emit(f"        key = {tkey}")
+    _emit_memory_edit(emit, memory, "lk", "tok", add)
+    for p_idx, i, analysis in joins:
+        _eq, residual = _split_tests(analysis)
+        guard = _residual_expr(residual, i, lambda a: f"w.get({a!r})")
+        ri = f"ri{p_idx}_{i}"
+        nc = f"nc{p_idx}_{i}"
+        down = f"p{p_idx}_l{i + 1}_{'a' if add else 'd'}"
+        if not analysis.ce.negated:
+            emit(f"        b = {ri}.get(key)")
+            emit("        if b:")
+            emit("            ctr[1] += len(b)")
+            emit("            for wt, w in b.items():")
+            pad = " " * 16
+            if guard:
+                emit(f"{pad}if {guard}:")
+                pad += "    "
+            emit(f"{pad}{down}(tok + (w,), lk + (wt,))")
+            continue
+        if add:
+            emit(f"        b = {ri}.get(key)")
+            if guard:
+                emit("        n = 0")
+                emit("        if b:")
+                emit("            ctr[1] += len(b)")
+                emit("            for w in b.values():")
+                emit(f"                if {guard}:")
+                emit("                    n += 1")
+            else:
+                emit("        n = len(b) if b else 0")
+                emit("        ctr[1] += n")
+            emit(f"        {nc}[lk] = n")
+            emit("        if not n:")
+        else:
+            emit(f"        if not {nc}.pop(lk):")
+        emit(f"            {down}(tok + (None,), lk + (0,))")
+
+
+def _emit_right(emit, p_idx: int, i: int, analysis: CEAnalysis, li: str, wkey: str) -> None:
+    """Level *i*'s right activations: index the WME under *wkey*, probe
+    the left memory *li* (the group's at level 1)."""
+    _eq, residual = _split_tests(analysis)
+    guard = _residual_expr(residual, i, lambda a: f"wg({a!r})")
+    nc = f"nc{p_idx}_{i}"
+    down = f"p{p_idx}_l{i + 1}"
+    for add in (True, False):
+        emit(f"    def p{p_idx}_r{i}_{'a' if add else 'd'}(w):")
+        emit("        ctr[0] += 1")
+        emit("        wt = w.timetag")
+        emit(f"        key = {wkey}")
+        _emit_memory_edit(emit, f"ri{p_idx}_{i}", "wt", "w", add)
+        emit(f"        b = {li}.get(key)")
+        emit("        if b:")
+        emit("            ctr[1] += len(b)")
+        if guard:
+            emit("            wg = w.get")
+        emit("            for lk, tok in b.items():")
+        pad = " " * 16
+        if guard:
+            emit(f"{pad}if {guard}:")
+            pad += "    "
+        if not analysis.ce.negated:
+            emit(f"{pad}{down}_{'a' if add else 'd'}(tok + (w,), lk + (wt,))")
+        elif add:
+            # A first blocker (0 -> 1) retracts the downstream token ...
+            emit(f"{pad}n = {nc}[lk]")
+            emit(f"{pad}{nc}[lk] = n + 1")
+            emit(f"{pad}if not n:")
+            emit(f"{pad}    {down}_d(tok + (None,), lk + (0,))")
+        else:
+            # ... and the last one leaving (1 -> 0) re-propagates it.
+            emit(f"{pad}n = {nc}[lk] - 1")
+            emit(f"{pad}{nc}[lk] = n")
+            emit(f"{pad}if not n:")
+            emit(f"{pad}    {down}_a(tok + (None,), lk + (0,))")
+
+
 def _emit_production(
-    out: list[str], p_idx: int, production: Production, use: dict
+    out: list[str], p_idx: int, production: Production, use: dict, group: int | None
 ) -> None:
+    """Everything private to one production: terminal, join levels two
+    and deeper, every level's right activations.  Its first-level left
+    side lives in first-level group *group* (``_emit_group``), whose
+    left memory its level-1 right activations probe."""
     analyses = production.analysis
     depth = len(analyses)
     emit = out.append
@@ -357,205 +477,139 @@ def _emit_production(
     emit(f"    pr{p_idx} = P[{p_idx}]")
     emit(f"    nm{p_idx} = pr{p_idx}.name")
     for i in range(1, depth):
-        emit(f"    li{p_idx}_{i} = {{}}")
+        if i > 1:
+            emit(f"    li{p_idx}_{i} = {{}}")
         emit(f"    ri{p_idx}_{i} = {{}}")
         if analyses[i].ce.negated:
             emit(f"    nc{p_idx}_{i} = {{}}")
 
-    # Terminal (level == depth): edits the conflict set.
+    # Terminal (level == depth): edits the conflict set.  With no
+    # negated CE the token and its left key *are* the instantiation's
+    # WME and timetag tuples.
     positive = [i for i, a in enumerate(analyses) if not a.ce.negated]
-    wmes = _tuple_literal([f"tok[{i}]" for i in positive])
-    tags = _tuple_literal([f"lk[{i}]" for i in positive])
+    wmes, tags = "tok", "lk"
+    if len(positive) < depth:
+        wmes = _tuple_literal([f"tok[{i}]" for i in positive])
+        tags = _tuple_literal([f"lk[{i}]" for i in positive])
     bindings = ", ".join(
         f"{var!r}: tok[{ce}].get({attr!r})"
         for var, ce, attr in _binding_specs(analyses)
     )
     emit(f"    def {pre}_l{depth}_a(tok, lk):")
     emit("        ctr[0] += 1; ctr[2] += 1")
-    emit(f"        cs_insert(Inst(pr{p_idx}, {wmes}, {{{bindings}}}))")
+    emit(f"        cs_insert(Inst(pr{p_idx}, {wmes}, {{{bindings}}}, {tags}))")
     emit(f"    def {pre}_l{depth}_d(tok, lk):")
     emit("        ctr[0] += 1")
     emit(f"        cs_delete((nm{p_idx}, {tags}))")
 
     # Join levels, deepest first so each function sits below its callee.
     for i in range(depth - 1, 0, -1):
-        analysis = analyses[i]
-        eq, residual = _split_tests(analysis)
-        li = f"li{p_idx}_{i}"
-        ri = f"ri{p_idx}_{i}"
-        nc = f"nc{p_idx}_{i}"
-        tkey = _token_key(eq, use, p_idx)
-        wkey = _wme_key(eq, use[(p_idx, i)])
-        down_a = f"{pre}_l{i + 1}_a"
-        down_d = f"{pre}_l{i + 1}_d"
-        left_guard = _residual_expr(residual, i, lambda a: f"w.get({a!r})")
-        right_guard = _residual_expr(residual, i, lambda a: f"wg({a!r})")
+        eq, _residual = _split_tests(analyses[i])
+        li = f"li{p_idx}_{i}" if i > 1 else f"gl{group}"
+        if i > 1:
+            for add in (True, False):
+                emit(f"    def {pre}_l{i}_{'a' if add else 'd'}(tok, lk):")
+                emit("        ctr[0] += 1; ctr[2] += 1" if add else "        ctr[0] += 1")
+                _emit_left(
+                    emit, li, _token_key(eq, use, p_idx), [(p_idx, i, analyses[i])], add
+                )
+        _emit_right(emit, p_idx, i, analyses[i], li, _wme_key(eq, use[(p_idx, i)]))
 
-        if not analysis.ce.negated:
-            # -- positive join: left activations -------------------------
-            emit(f"    def {pre}_l{i}_a(tok, lk):")
-            emit("        ctr[0] += 1; ctr[2] += 1")
-            emit(f"        key = {tkey}")
-            emit(f"        d = {li}.get(key)")
-            emit("        if d is None:")
-            emit(f"            d = {li}[key] = {{}}")
-            emit("        d[lk] = tok")
-            emit(f"        b = {ri}.get(key)")
-            emit("        if b:")
-            emit("            ctr[1] += len(b)")
-            emit("            for wt, w in b.items():")
-            if left_guard:
-                emit(f"                if {left_guard}:")
-                emit(f"                    {down_a}(tok + (w,), lk + (wt,))")
-            else:
-                emit(f"                {down_a}(tok + (w,), lk + (wt,))")
-            emit(f"    def {pre}_l{i}_d(tok, lk):")
+    if depth == 1:
+        # Entry of a single-CE production: CE 0 straight to the terminal.
+        guard = _guard0(production)
+        for suffix in ("a", "d"):
+            emit(f"    def {pre}_r0_{suffix}(w):")
             emit("        ctr[0] += 1")
-            emit(f"        key = {tkey}")
-            emit(f"        d = {li}[key]")
-            emit("        del d[lk]")
-            emit("        if not d:")
-            emit(f"            del {li}[key]")
-            emit(f"        b = {ri}.get(key)")
-            emit("        if b:")
-            emit("            ctr[1] += len(b)")
-            emit("            for wt, w in b.items():")
-            if left_guard:
-                emit(f"                if {left_guard}:")
-                emit(f"                    {down_d}(tok + (w,), lk + (wt,))")
-            else:
-                emit(f"                {down_d}(tok + (w,), lk + (wt,))")
-            # -- positive join: right activations ------------------------
-            emit(f"    def {pre}_r{i}_a(w):")
-            emit("        ctr[0] += 1")
-            emit("        wt = w.timetag")
-            emit(f"        key = {wkey}")
-            emit(f"        d = {ri}.get(key)")
-            emit("        if d is None:")
-            emit(f"            d = {ri}[key] = {{}}")
-            emit("        d[wt] = w")
-            emit(f"        b = {li}.get(key)")
-            emit("        if b:")
-            emit("            ctr[1] += len(b)")
-            if right_guard:
-                emit("            wg = w.get")
-            emit("            for lk, tok in b.items():")
-            if right_guard:
-                emit(f"                if {right_guard}:")
-                emit(f"                    {down_a}(tok + (w,), lk + (wt,))")
-            else:
-                emit(f"                {down_a}(tok + (w,), lk + (wt,))")
-            emit(f"    def {pre}_r{i}_d(w):")
-            emit("        ctr[0] += 1")
-            emit("        wt = w.timetag")
-            emit(f"        key = {wkey}")
-            emit(f"        d = {ri}[key]")
-            emit("        del d[wt]")
-            emit("        if not d:")
-            emit(f"            del {ri}[key]")
-            emit(f"        b = {li}.get(key)")
-            emit("        if b:")
-            emit("            ctr[1] += len(b)")
-            if right_guard:
-                emit("            wg = w.get")
-            emit("            for lk, tok in b.items():")
-            if right_guard:
-                emit(f"                if {right_guard}:")
-                emit(f"                    {down_d}(tok + (w,), lk + (wt,))")
-            else:
-                emit(f"                {down_d}(tok + (w,), lk + (wt,))")
+            _emit_guard0(emit, guard)
+            emit(f"        {pre}_l1_{suffix}((w,), (w.timetag,))")
+
+
+def _guard0(production: Production) -> str:
+    """CE 0's intra-element predicate tests (``^b > <x>`` against its
+    own ``^a <x>``): they gate token creation, exactly like the
+    dummy-top join's own-CE tests."""
+    _eq, residual = _split_tests(production.analysis[0])
+    return _residual_expr(residual, 0, lambda a: f"wg({a!r})")
+
+
+def _emit_guard0(emit, guard: str) -> None:
+    if guard:
+        emit("        wg = w.get")
+        emit(f"        if not ({guard}):")
+        emit("            return")
+
+
+def plan_groups(
+    productions: Sequence[Production], use: dict
+) -> dict[tuple[int, str, str], list[int]]:
+    """First-level groups: the multi-CE productions (by index) that
+    share one left memory and one fused CE-0 activation, keyed by what
+    makes their first-level token sets and buckets coincide -- (CE-0
+    store index, CE-0 guard, level-1 token key over CE-0's columns).
+    In first-member order; a production alone under its signature is a
+    group of one."""
+    groups: dict[tuple[int, str, str], list[int]] = {}
+    for p_idx, production in enumerate(productions):
+        if len(production.analysis) > 1:
+            eq, _residual = _split_tests(production.analysis[1])
+            signature = (
+                use[(p_idx, 0)].index,
+                _guard0(production),
+                _token_key(eq, use, p_idx),
+            )
+            groups.setdefault(signature, []).append(p_idx)
+    return groups
+
+
+def sharing_summary(productions: Sequence[Production]) -> dict:
+    """The ``sharing`` block of ``kernel_summary()``: how much of the
+    ruleset shares a first CE -- the compiled counterpart of the
+    ``rete`` section's ``sharing_ratio``."""
+    _plans, use = plan_stores(productions)
+    sizes = sorted(map(len, plan_groups(productions, use).values()), reverse=True)
+    return {
+        "groups": len(sizes),
+        "sizes": sizes,
+        "grouped_productions": sum(n for n in sizes if n > 1),
+        "largest_group": sizes[0] if sizes else 0,
+        "left_memories_saved": sum(sizes) - len(sizes),
+    }
+
+
+def _emit_group(
+    out: list[str],
+    g_idx: int,
+    signature: tuple[int, str, str],
+    members: list[int],
+    productions: Sequence[Production],
+) -> None:
+    """One group's left memory and fused CE-0 activation pair.
+
+    The counters stay *logical*: one entry activation per member, then
+    -- past the guard -- one level-1 activation (and, on add, one
+    token) per member, as if each still ran a private ``r0 -> l1``
+    chain, so ``MatchStats`` is invariant under grouping and therefore
+    under partitioning.
+    """
+    emit = out.append
+    _store, guard, tkey = signature
+    n = len(members)
+    joins = [(p_idx, 1, productions[p_idx].analysis[1]) for p_idx in members]
+    emit(f"    gl{g_idx} = {{}}")
+    for add in (True, False):
+        emit(f"    def g{g_idx}_{'a' if add else 'd'}(w):")
+        tokens = f"; ctr[2] += {n}" if add else ""
+        if guard:
+            emit(f"        ctr[0] += {n}")
+            _emit_guard0(emit, guard)
+            emit(f"        ctr[0] += {n}{tokens}")
         else:
-            # -- negated join: left activations --------------------------
-            emit(f"    def {pre}_l{i}_a(tok, lk):")
-            emit("        ctr[0] += 1; ctr[2] += 1")
-            emit(f"        key = {tkey}")
-            emit(f"        d = {li}.get(key)")
-            emit("        if d is None:")
-            emit(f"            d = {li}[key] = {{}}")
-            emit("        d[lk] = tok")
-            emit(f"        b = {ri}.get(key)")
-            if left_guard:
-                emit("        n = 0")
-                emit("        if b:")
-                emit("            ctr[1] += len(b)")
-                emit("            for w in b.values():")
-                emit(f"                if {left_guard}:")
-                emit("                    n += 1")
-            else:
-                emit("        n = len(b) if b else 0")
-                emit("        ctr[1] += n")
-            emit(f"        {nc}[lk] = n")
-            emit("        if not n:")
-            emit(f"            {down_a}(tok + (None,), lk + (0,))")
-            emit(f"    def {pre}_l{i}_d(tok, lk):")
-            emit("        ctr[0] += 1")
-            emit(f"        key = {tkey}")
-            emit(f"        d = {li}[key]")
-            emit("        del d[lk]")
-            emit("        if not d:")
-            emit(f"            del {li}[key]")
-            emit(f"        if not {nc}.pop(lk):")
-            emit(f"            {down_d}(tok + (None,), lk + (0,))")
-            # -- negated join: right activations -------------------------
-            emit(f"    def {pre}_r{i}_a(w):")
-            emit("        ctr[0] += 1")
-            emit("        wt = w.timetag")
-            emit(f"        key = {wkey}")
-            emit(f"        d = {ri}.get(key)")
-            emit("        if d is None:")
-            emit(f"            d = {ri}[key] = {{}}")
-            emit("        d[wt] = w")
-            emit(f"        b = {li}.get(key)")
-            emit("        if b:")
-            emit("            ctr[1] += len(b)")
-            if right_guard:
-                emit("            wg = w.get")
-            emit("            for lk, tok in b.items():")
-            guard_pad = "                "
-            if right_guard:
-                emit(f"                if {right_guard}:")
-                guard_pad = "                    "
-            emit(f"{guard_pad}n = {nc}[lk]")
-            emit(f"{guard_pad}{nc}[lk] = n + 1")
-            emit(f"{guard_pad}if not n:")
-            emit(f"{guard_pad}    {down_d}(tok + (None,), lk + (0,))")
-            emit(f"    def {pre}_r{i}_d(w):")
-            emit("        ctr[0] += 1")
-            emit("        wt = w.timetag")
-            emit(f"        key = {wkey}")
-            emit(f"        d = {ri}[key]")
-            emit("        del d[wt]")
-            emit("        if not d:")
-            emit(f"            del {ri}[key]")
-            emit(f"        b = {li}.get(key)")
-            emit("        if b:")
-            emit("            ctr[1] += len(b)")
-            if right_guard:
-                emit("            wg = w.get")
-            emit("            for lk, tok in b.items():")
-            guard_pad = "                "
-            if right_guard:
-                emit(f"                if {right_guard}:")
-                guard_pad = "                    "
-            emit(f"{guard_pad}n = {nc}[lk] - 1")
-            emit(f"{guard_pad}{nc}[lk] = n")
-            emit(f"{guard_pad}if not n:")
-            emit(f"{guard_pad}    {down_a}(tok + (None,), lk + (0,))")
-
-    # Entry (CE 0, always positive): intra-CE predicate tests of the
-    # first CE (e.g. ``^b > <x>`` against its own ``^a <x>``) gate
-    # token creation, exactly like the dummy-top join's own-CE tests.
-    _eq0, residual0 = _split_tests(analyses[0])
-    guard0 = _residual_expr(residual0, 0, lambda a: f"wg({a!r})")
-    down = f"{pre}_l1" if depth > 1 else f"{pre}_l{depth}"
-    for suffix in ("a", "d"):
-        emit(f"    def {pre}_r0_{suffix}(w):")
-        emit("        ctr[0] += 1")
-        if guard0:
-            emit("        wg = w.get")
-            emit(f"        if not ({guard0}):")
-            emit("            return")
-        emit(f"        {down}_{suffix}((w,), (w.timetag,))")
+            emit(f"        ctr[0] += {2 * n}{tokens}")
+        # Everything read from the entering WME is taken here: the
+        # members' probe loops below rebind ``w``.
+        emit("        tok = (w,); lk = (w.timetag,)")
+        _emit_left(emit, f"gl{g_idx}", tkey, joins, add)
 
 
 def generate_source(productions: Sequence[Production]) -> str:
@@ -606,15 +660,24 @@ def generate_source(productions: Sequence[Production]) -> str:
         emit(f"        ), {_store_tuple(tail)}),")
     emit("    })")
 
+    first_level = list(plan_groups(productions, use).items())
+    group_of = {p: g for g, (_sig, members) in enumerate(first_level) for p in members}
     for p_idx, production in enumerate(productions):
-        _emit_production(out, p_idx, production, use)
+        _emit_production(out, p_idx, production, use, group_of.get(p_idx))
+    for g_idx, (signature, members) in enumerate(first_level):
+        _emit_group(out, g_idx, signature, members, productions)
 
+    # A group subscribes once, where its first member's CE 0 would;
+    # every later CE keeps its (production, CE) position.
     for p_idx, production in enumerate(productions):
-        for i in range(len(production.analysis)):
-            plan = use[(p_idx, i)]
-            emit(
-                f"    rt.subscribe(S{plan.index}, "
-                f"p{p_idx}_r{i}_a, p{p_idx}_r{i}_d)"
-            )
+        depth = len(production.analysis)
+        for i in range(depth):
+            entry = f"p{p_idx}_r{i}"
+            if i == 0 and depth > 1:
+                g_idx = group_of[p_idx]
+                if first_level[g_idx][1][0] != p_idx:
+                    continue
+                entry = f"g{g_idx}"
+            emit(f"    rt.subscribe(S{use[(p_idx, i)].index}, {entry}_a, {entry}_d)")
     out.append("")
     return "\n".join(out)

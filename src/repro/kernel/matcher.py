@@ -47,6 +47,7 @@ from ..ops5.matcher import Matcher
 from ..ops5.production import Production
 from ..ops5.wme import WME
 from .cache import CompiledRuleset, cache_stats
+from .codegen import sharing_summary
 from .runtime import KernelRuntime
 from .shared import SharedKernel, shared_kernel, shared_kernel_stats
 
@@ -226,6 +227,7 @@ class CompiledMatcher(Matcher):
             "columns": sum(len(s.cols) for s in runtime.stores) if runtime else 0,
             "subscriptions": runtime.subscriptions if runtime else 0,
             "alpha_index": runtime.alpha_index_summary() if runtime else None,
+            "sharing": sharing_summary(self.productions),
             "replayed_wmes": self._replayed,
             "oracle": self._oracle is not None,
             "cache": cache_stats(),

@@ -24,9 +24,10 @@ Snapshot shape (sections appear when their source exists)::
       "rete":     {"nodes", "nodes_by_kind", "sharing_ratio",
                    "alpha_wmes", "beta_tokens"},
       "parallel": {"workers", "shards", "productions_per_shard",
-                   "shard_weights", "dispatches", "eager_dispatches"},
+                   "shard_weights", "shard_group_sizes", "dispatches",
+                   "eager_dispatches"},
       "kernel":   {"compiles", "ruleset_digest", "stores", "store_rows",
-                   "columns", "subscriptions", "alpha_index",
+                   "columns", "subscriptions", "alpha_index", "sharing",
                    "replayed_wmes", "oracle", "cache", "shared"},
       "scheduler": {"workers", "grain", "tasks_executed", "tasks_helped",
                    "fast_batches", "steals", "epochs", "epoch_waits",
@@ -138,12 +139,19 @@ def _matcher_sections(matcher) -> dict:
     except ImportError:  # pragma: no cover - parallel is always present
         return sections
     if isinstance(matcher, ParallelMatcher):
+        from ..kernel.codegen import sharing_summary
+
         partitions = matcher.partition_snapshot()
         sections["parallel"] = {
             "workers": matcher.workers,
             "shards": len(partitions),
             "productions_per_shard": [len(p.productions) for p in partitions],
             "shard_weights": [p.weight for p in partitions],
+            # Each shard's first-level groups, to set against the serial
+            # kernel's ``sharing.sizes``: the node sharing a partition cost.
+            "shard_group_sizes": [
+                sharing_summary(p.productions)["sizes"] for p in partitions
+            ],
             "dispatches": matcher.dispatches,
             "eager_dispatches": matcher.eager_dispatches,
         }

@@ -109,12 +109,17 @@ class Instantiation:
         production: Production,
         wmes: Sequence[WME],
         bindings: Bindings | None = None,
+        timetags: tuple[int, ...] | None = None,
     ) -> None:
         self.production = production
         self.wmes: tuple[WME, ...] = tuple(wmes)
         self.bindings: Bindings = dict(bindings or {})
-        #: Timetags of the matched WMEs, in LHS (positive-CE) order.
-        self.timetags: tuple[int, ...] = tuple(w.timetag for w in self.wmes)
+        #: Timetags of the matched WMEs, in LHS (positive-CE) order.  A
+        #: caller that already holds that tuple (the compiled kernel's
+        #: terminal, from its left key) passes it; everyone else omits it.
+        self.timetags: tuple[int, ...] = (
+            tuple(w.timetag for w in self.wmes) if timetags is None else timetags
+        )
         #: Identity key: (production name, matched timetags).
         self.key: tuple[str, tuple[int, ...]] = (production.name, self.timetags)
         #: Timetags sorted descending -- the LEX recency ordering key.

@@ -5,7 +5,7 @@ from repro.obs.recorder import Recorder
 from repro.ops5 import ProductionSystem, parse_program
 from repro.parallel import ParallelMatcher
 from repro.serve.stats import Telemetry
-from repro.workloads.programs import hanoi
+from repro.workloads.programs import blocks, hanoi
 
 PROGRAM = """
 (p step (count ^n <x>) --> (modify 1 ^n (compute <x> - 1)))
@@ -44,6 +44,23 @@ class TestSnapshotSections:
         assert index["indexed_stores"] + index["linear_tail_stores"] == kernel["stores"]
         assert index["largest_tail"] <= index["linear_tail_stores"]
         assert 0 < index["classes"] <= index["groups"] + index["linear_tail_stores"]
+
+    def test_kernel_section_describes_first_level_sharing(self):
+        system = blocks.build(matcher="compiled")
+        system.run()
+        kernel = snapshot(system)["kernel"]
+        # All five blocks-world rules open on one goal CE.
+        assert kernel["sharing"] == {
+            "groups": 1,
+            "sizes": [5],
+            "grouped_productions": 5,
+            "largest_group": 5,
+            "left_memories_saved": 4,
+        }
+        # What a partition costs: the same five rules on two shards.
+        with ParallelMatcher(workers=2) as matcher:
+            split = snapshot(blocks.build(matcher=matcher))["parallel"]
+        assert sorted(map(tuple, split["shard_group_sizes"])) == [(2,), (3,)]
 
     def test_parallel_section(self):
         with ParallelMatcher(workers=0) as matcher:
