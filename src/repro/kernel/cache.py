@@ -1,18 +1,17 @@
 """Codegen cache keyed by a structural ruleset fingerprint.
 
 Compiling a ruleset costs codegen plus ``compile()``; the result depends
-only on the *shape* of the LHSs (classes, alpha tests, variable
-bindings, join tests) -- production names and RHS actions are bound at
-build time from the runtime's production list.  The fingerprint captures
-exactly that shape:
+only on the *shape* of the LHSs (classes, alpha tests, join tests) --
+production names are bound at build time from the runtime's production
+list, and RHS actions and variable bindings never reach the match
+module (``ops5/rhs.py`` compiles the act phase per production).  The
+fingerprint captures exactly that shape:
 
 * values are tagged with their Python type name so ``5``, ``5.0`` and
   ``"5"`` fingerprint differently (their generated tests differ);
-* binder variable names are included -- they appear verbatim in the
-  generated bindings dict literals;
-* production and ruleset names are *not* included, so reloading the
-  same program -- or a renamed copy -- hits the cache and reuses the
-  same code object.
+* production, ruleset and variable names are *not* included, so
+  reloading the same program -- or a copy with its rules or variables
+  renamed -- hits the cache and reuses the same code object.
 
 Neither fingerprinting nor codegen ever calls ``intern_id``: loading a
 cached ruleset does not grow the symbol table (regression-tested in
@@ -43,7 +42,6 @@ def _ce_fingerprint(analysis: CEAnalysis) -> tuple:
         analysis.ce.cls,
         analysis.ce.negated,
         alpha_items(analysis),
-        tuple(sorted(analysis.binders.items())),
         tuple(
             (jt.own_attribute, jt.predicate.value, jt.other_ce, jt.other_attribute)
             for jt in analysis.join_tests

@@ -28,12 +28,13 @@ the same identity the interpreted Rete's ``Token.key`` uses, so the
 terminal's conflict-set keys are bit-identical to the oracle's.
 
 The generated source contains *no* production names, no symbol-table
-ids, and no RHS data: constants are embedded by ``repr``, productions
-are looked up positionally from the runtime at build time, and values
-are encoded only when WMEs arrive.  Compiling therefore never touches
-the intern table, and two structurally identical rulesets -- even under
-different production names -- share one code object (see
-``kernel/cache.py``).
+ids, no variable names and no RHS data (``ops5/rhs.py`` compiles the act
+phase; an instantiation derives its bindings from its WMEs): constants
+are embedded by ``ops5.rhs.literal``, productions are looked up
+positionally from the runtime at build time, and values are encoded only
+when WMEs arrive.  Compiling therefore never touches the intern table,
+and two structurally identical rulesets -- even under different rule,
+variable or action names -- share one code object (``kernel/cache.py``).
 
 Correctness notes (mirroring the node-walking Rete):
 
@@ -69,6 +70,7 @@ from ..ops5.condition import (
 )
 from ..ops5.errors import Ops5Error
 from ..ops5.production import Production
+from ..ops5.rhs import LITERAL_PRELUDE, literal
 
 __all__ = [
     "StorePlan",
@@ -238,7 +240,7 @@ def _const_eq(attr: str, type_name: str, value) -> str:
         # A symbol constant: plain == is complete (a number never equals
         # a str, matching values_equal's symbol/number separation).
         return f"g({attr!r}) == {value!r}"
-    return f"_eqn(g({attr!r}), {value!r})"
+    return f"_eqn(g({attr!r}), {literal(value)})"
 
 
 def _alpha_part(item: tuple) -> str:
@@ -248,7 +250,7 @@ def _alpha_part(item: tuple) -> str:
         return _const_eq(attr, type_name, value)
     if kind == "disj":
         _, attr, typed_values = item
-        listing = ", ".join(repr(v) for _t, v in typed_values)
+        listing = ", ".join(literal(v) for _t, v in typed_values)
         return f"_anyeq(g({attr!r}), ({listing},))"
     if kind == "pred":
         _, attr, op, type_name, value = item
@@ -257,7 +259,7 @@ def _alpha_part(item: tuple) -> str:
             return _const_eq(attr, type_name, value)
         if op == "<>":
             if numeric:
-                return f"not _eqn(g({attr!r}), {value!r})"
+                return f"not _eqn(g({attr!r}), {literal(value)})"
             return f"g({attr!r}) != {value!r}"
         if op == "<=>":
             return f"_num(g({attr!r}))" if numeric else f"not _num(g({attr!r}))"
@@ -266,7 +268,7 @@ def _alpha_part(item: tuple) -> str:
         if not numeric:
             return "False"
         helper = _ORDERING[Predicate(op)]
-        return f"{helper}(g({attr!r}), {value!r})"
+        return f"{helper}(g({attr!r}), {literal(value)})"
     _, attr_a, attr_b = item
     return f"_veq(g({attr_a!r}), g({attr_b!r}))"
 
@@ -332,6 +334,11 @@ def _store_tuple(indexes: Sequence[int]) -> str:
     return _tuple_literal([f"S{index}" for index in indexes])
 
 
+def _key_literal(key) -> str:
+    """A dispatch-table key: one constant, or the tuple of several."""
+    return _tuple_literal(list(map(literal, key))) if isinstance(key, tuple) else literal(key)
+
+
 def _tuple_literal(parts: list[str]) -> str:
     if not parts:
         return "()"
@@ -343,22 +350,6 @@ def _tuple_literal(parts: list[str]) -> str:
 # ---------------------------------------------------------------------------
 # Source generation
 # ---------------------------------------------------------------------------
-
-
-def _binding_specs(
-    analyses: Sequence[CEAnalysis],
-) -> tuple[tuple[str, int, str], ...]:
-    """First positive-CE binding site per variable (builder semantics)."""
-    seen: set[str] = set()
-    specs: list[tuple[str, int, str]] = []
-    for analysis in analyses:
-        if analysis.ce.negated:
-            continue
-        for variable, attribute in analysis.binders.items():
-            if variable not in seen:
-                seen.add(variable)
-                specs.append((variable, analysis.index, attribute))
-    return tuple(specs)
 
 
 def _emit_memory_edit(emit, memory: str, slot: str, value: str, add: bool) -> None:
@@ -491,13 +482,9 @@ def _emit_production(
     if len(positive) < depth:
         wmes = _tuple_literal([f"tok[{i}]" for i in positive])
         tags = _tuple_literal([f"lk[{i}]" for i in positive])
-    bindings = ", ".join(
-        f"{var!r}: tok[{ce}].get({attr!r})"
-        for var, ce, attr in _binding_specs(analyses)
-    )
     emit(f"    def {pre}_l{depth}_a(tok, lk):")
     emit("        ctr[0] += 1; ctr[2] += 1")
-    emit(f"        cs_insert(Inst(pr{p_idx}, {wmes}, {{{bindings}}}, {tags}))")
+    emit(f"        cs_insert(Inst(pr{p_idx}, {wmes}, None, {tags}))")
     emit(f"    def {pre}_l{depth}_d(tok, lk):")
     emit("        ctr[0] += 1")
     emit(f"        cs_delete((nm{p_idx}, {tags}))")
@@ -625,6 +612,7 @@ def generate_source(productions: Sequence[Production]) -> str:
         "    cs_insert = rt.cs_insert; cs_delete = rt.cs_delete",
         "    Inst = rt.instantiation",
         "    P = rt.productions",
+        f"    {LITERAL_PRELUDE}",
     ]
     emit = out.append
 
@@ -654,7 +642,7 @@ def generate_source(productions: Sequence[Production]) -> str:
         for attrs, table in groups.items():
             probe = attrs[0] if len(attrs) == 1 else attrs
             entries = ", ".join(
-                f"{key!r}: {_store_tuple(indexes)}" for key, indexes in table.items()
+                f"{_key_literal(key)}: {_store_tuple(indexes)}" for key, indexes in table.items()
             )
             emit(f"            ({probe!r}, {{{entries}}}),")
         emit(f"        ), {_store_tuple(tail)}),")

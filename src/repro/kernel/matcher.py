@@ -43,7 +43,7 @@ from typing import Iterable, Optional
 
 from ..obs.recorder import NULL_RECORDER, Recorder
 from ..ops5.errors import Ops5Error
-from ..ops5.matcher import Matcher
+from ..ops5.matcher import ChangeRecord, Matcher
 from ..ops5.production import Production
 from ..ops5.wme import WME
 from .cache import CompiledRuleset, cache_stats
@@ -106,39 +106,50 @@ class CompiledMatcher(Matcher):
     # -- WME changes -------------------------------------------------------
 
     def add_wme(self, wme: WME) -> None:
-        self._ensure_compiled()
+        if self._dirty:
+            self._rebuild()
         self._wmes[wme.timetag] = wme
-        self._change("add", self._rt.add_wme, wme)
+        stats = self.stats
+        counters = self._rt.counters
+        activations, comparisons, tokens = counters
+        affected = self._rt.add_wme(wme)
+        # MatchStats.record, inline: this is every ``make``'s path.
+        stats.total_changes += 1
+        stats.total_affected_productions += affected
+        stats.total_node_activations += counters[0] - activations
+        stats.total_comparisons += counters[1] - comparisons
+        stats.total_tokens_built += counters[2] - tokens
+        if stats.changes is not None or self._oracle is not None:
+            self._audit("add", wme, affected, activations, comparisons, tokens)
 
     def remove_wme(self, wme: WME) -> None:
         if wme.timetag not in self._wmes:
             raise Ops5Error(f"WME {wme!r} was never added")
-        self._ensure_compiled()
-        self._change("remove", self._rt.remove_wme, wme)
-        del self._wmes[wme.timetag]
-
-    def _change(self, kind: str, apply, wme: WME) -> None:
-        """Run one kernel entry; record its effort as counter deltas."""
+        if self._dirty:
+            self._rebuild()
+        stats = self.stats
         counters = self._rt.counters
         activations, comparisons, tokens = counters
-        affected = apply(wme)
-        self.stats.record(
-            kind,
-            wme.cls,
-            affected,
-            counters[0] - activations,
-            counters[1] - comparisons,
-            counters[2] - tokens,
-        )
+        affected = self._rt.remove_wme(wme)
+        stats.total_changes += 1
+        stats.total_affected_productions += affected
+        stats.total_node_activations += counters[0] - activations
+        stats.total_comparisons += counters[1] - comparisons
+        stats.total_tokens_built += counters[2] - tokens
+        if stats.changes is not None or self._oracle is not None:
+            self._audit("remove", wme, affected, activations, comparisons, tokens)
+        del self._wmes[wme.timetag]
+
+    def _audit(self, kind: str, wme: WME, affected: int, *before: int) -> None:
+        """Off the default path: the change's row, the oracle's shadow."""
+        if self.stats.changes is not None:
+            effort = (now - then for now, then in zip(self._rt.counters, before))
+            self.stats.changes.append(ChangeRecord(kind, wme.cls, affected, *effort))
         if self._oracle is not None:
             getattr(self._oracle, f"{kind}_wme")(wme)
             self._check_oracle(f"{kind} of {wme!r}")
 
     # -- compilation -------------------------------------------------------
-
-    def _ensure_compiled(self) -> None:
-        if self._dirty:
-            self._rebuild()
 
     def _rebuild(self) -> None:
         productions = list(self._productions.values())

@@ -25,7 +25,7 @@ from typing import Callable, Mapping, Sequence
 
 from .errors import ExecutionError
 from .condition import Bindings
-from .wme import Value, WME, is_number
+from .wme import Value, is_number
 
 
 # --------------------------------------------------------------------------
@@ -147,9 +147,9 @@ class Compute(Expression):
 class Action:
     """Base class for RHS actions.
 
-    Actions are *descriptions*; execution is performed by the engine via
-    :meth:`~repro.ops5.engine.ProductionSystem` so that working-memory
-    changes are routed through the active matcher.
+    Actions are *descriptions*: :mod:`repro.ops5.rhs` compiles a
+    production's action list into one function that drives the engine,
+    so working-memory changes are routed through the active matcher.
     """
 
     __slots__ = ()
@@ -169,10 +169,6 @@ class Make(Action):
 
     cls: str
     attributes: tuple[tuple[str, Expression], ...]
-
-    def build(self, bindings: Bindings) -> WME:
-        values = {attr: expr.evaluate(bindings) for attr, expr in self.attributes}
-        return WME(self.cls, values)
 
     def variables(self) -> list[str]:
         out: list[str] = []
@@ -205,9 +201,6 @@ class Modify(Action):
     ce_index: int
     attributes: tuple[tuple[str, Expression], ...]
 
-    def updates(self, bindings: Bindings) -> dict[str, Value]:
-        return {attr: expr.evaluate(bindings) for attr, expr in self.attributes}
-
     def variables(self) -> list[str]:
         out: list[str] = []
         for _attr, expr in self.attributes:
@@ -227,9 +220,6 @@ class Write(Action):
     """``(write expr ...)`` — append evaluated values to the output log."""
 
     values: tuple[Expression, ...]
-
-    def render(self, bindings: Bindings) -> str:
-        return " ".join(str(v.evaluate(bindings)) for v in self.values)
 
     def variables(self) -> list[str]:
         out: list[str] = []

@@ -440,6 +440,17 @@ def analyze_lhs(ces: Sequence[ConditionElement]) -> list[CEAnalysis]:
     return analyses
 
 
+def binding_sites(analyses: Sequence[CEAnalysis]) -> tuple[tuple[str, int, str], ...]:
+    """Where each LHS variable gets its value: ``(variable, CE index,
+    attribute)`` of its first binder in a *positive* CE, in LHS order."""
+    sites: dict[str, tuple[str, int, str]] = {}
+    for analysis in analyses:
+        if not analysis.ce.negated:
+            for variable, attribute in analysis.binders.items():
+                sites.setdefault(variable, (variable, analysis.index, attribute))
+    return tuple(sites.values())
+
+
 def wme_passes_alpha(wme: WME, analysis: CEAnalysis) -> bool:
     """True when *wme* passes all single-WME tests of *analysis*.
 

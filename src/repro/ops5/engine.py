@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .actions import Bind, Halt, Make, Modify, Remove, Write
 from .conflict import Strategy, strategy_named
 from .errors import ExecutionError, DuplicateProductionError, Ops5Error
 from .matcher import Matcher
@@ -289,7 +288,8 @@ class ProductionSystem:
         be declared (the OPS5 interpreter's element check).
         """
         declared = self._declared.get(wme.cls)
-        if declared is not None and not wme.attributes.keys() <= declared:
+        # The WME's own key view: ``wme.attributes`` builds a proxy per call.
+        if declared is not None and not wme._attributes.keys() <= declared:
             raise ExecutionError(
                 f"WME of class {wme.cls!r} uses undeclared attribute(s) "
                 f"{sorted(wme.attributes.keys() - declared)}; "
@@ -503,6 +503,13 @@ class ProductionSystem:
         self._halted = False
         self._halt_reason = "running"
 
+    _halt_reason = "running"
+
+    def halt(self) -> None:
+        """Stop after the current firing (what a ``halt`` action calls)."""
+        self._halted = True
+        self._halt_reason = "halt action"
+
     # -- the recognize--act loop -------------------------------------------
 
     @property
@@ -561,9 +568,9 @@ class ProductionSystem:
             with self.recorder.span(
                 "fire", "engine", cycle=self.cycle, production=selected.production.name
             ):
-                self._execute(selected, record)
+                selected.production.fire(self, selected.wmes, record)
         else:
-            self._execute(selected, record)
+            selected.production.fire(self, selected.wmes, record)
         if self._halted:
             self.listener.on_halt(self.cycle, "halt action")
         return selected, record
@@ -608,53 +615,3 @@ class ProductionSystem:
         # Avoid thrashing when most keys are still live: next GC only
         # after the set grows substantially again.
         self._refraction_gc_threshold = max(512, 2 * len(self._fired_keys))
-
-    # -- RHS execution -------------------------------------------------------
-
-    _halt_reason = "running"
-
-    def _execute(self, instantiation: Instantiation, record: CycleRecord) -> None:
-        production = instantiation.production
-        bindings = dict(instantiation.bindings)
-        # Current WME per positive-CE position; `modify` rebinds, `remove`
-        # clears, so later actions on the same CE see the newest element.
-        current: list[Optional[WME]] = list(instantiation.wmes)
-
-        for action in production.actions:
-            if isinstance(action, Make):
-                self.add_wme(action.build(bindings))
-                record.adds += 1
-            elif isinstance(action, Remove):
-                position = production.ce_position_of(action.ce_index)
-                wme = current[position]
-                if wme is None:
-                    raise ExecutionError(
-                        f"{production.name}: condition element {action.ce_index} "
-                        "was already removed in this firing"
-                    )
-                self.remove_wme(wme)
-                current[position] = None
-                record.removes += 1
-            elif isinstance(action, Modify):
-                position = production.ce_position_of(action.ce_index)
-                wme = current[position]
-                if wme is None:
-                    raise ExecutionError(
-                        f"{production.name}: modify of condition element "
-                        f"{action.ce_index} after its removal"
-                    )
-                replacement = wme.with_updates(action.updates(bindings))
-                self.remove_wme(wme)
-                record.removes += 1
-                self.add_wme(replacement)
-                record.adds += 1
-                current[position] = replacement
-            elif isinstance(action, Write):
-                self.output.append(action.render(bindings))
-            elif isinstance(action, Bind):
-                bindings[action.name] = action.expression.evaluate(bindings)
-            elif isinstance(action, Halt):
-                self._halted = True
-                self._halt_reason = "halt action"
-            else:  # pragma: no cover - exhaustive over Action subclasses
-                raise ExecutionError(f"unknown action {action!r}")

@@ -13,8 +13,9 @@ from __future__ import annotations
 from typing import Sequence
 
 from .actions import Action, Bind, actions_are_valid
-from .condition import Bindings, CEAnalysis, ConditionElement, analyze_lhs
+from .condition import Bindings, CEAnalysis, ConditionElement, analyze_lhs, binding_sites
 from .errors import ValidationError
+from .rhs import compile_rhs
 from .wme import WME
 
 
@@ -31,7 +32,10 @@ class Production:
     a program never contains two productions with the same name.
     """
 
-    __slots__ = ("name", "conditions", "actions", "analysis", "positive_indices", "specificity")
+    __slots__ = (
+        "name", "conditions", "actions", "analysis", "positive_indices", "specificity",
+        "binding_sites", "fire", "rhs_source",
+    )
 
     def __init__(
         self,
@@ -54,6 +58,14 @@ class Production:
         #: Total elementary test count, used by LEX conflict resolution.
         self.specificity: int = sum(ce.specificity() for ce in self.conditions)
         self._validate_rhs()
+        #: ``(variable, position in an instantiation's wmes, attribute)``:
+        #: what ``fire`` and :attr:`Instantiation.bindings` both read.
+        self.binding_sites: tuple[tuple[str, int, str], ...] = tuple(
+            (variable, self.positive_indices.index(ce), attribute)
+            for variable, ce, attribute in binding_sites(self.analysis)
+        )
+        #: The RHS, generated: ``fire(engine, wmes, record)`` and its source.
+        self.fire, self.rhs_source = compile_rhs(self)
 
     def _validate_rhs(self) -> None:
         problems = actions_are_valid(self.actions, [ce.negated for ce in self.conditions])
@@ -102,7 +114,7 @@ class Instantiation:
     identity, matching OPS5 refraction semantics.
     """
 
-    __slots__ = ("production", "wmes", "bindings", "timetags", "key", "recency_key")
+    __slots__ = ("production", "wmes", "_bindings", "timetags", "key", "recency_key")
 
     def __init__(
         self,
@@ -112,8 +124,9 @@ class Instantiation:
         timetags: tuple[int, ...] | None = None,
     ) -> None:
         self.production = production
-        self.wmes: tuple[WME, ...] = tuple(wmes)
-        self.bindings: Bindings = dict(bindings or {})
+        self.wmes: tuple[WME, ...] = wmes if type(wmes) is tuple else tuple(wmes)
+        #: The matcher's own dict, or None: derived on first read.
+        self._bindings = bindings
         #: Timetags of the matched WMEs, in LHS (positive-CE) order.  A
         #: caller that already holds that tuple (the compiled kernel's
         #: terminal, from its left key) passes it; everyone else omits it.
@@ -124,6 +137,18 @@ class Instantiation:
         self.key: tuple[str, tuple[int, ...]] = (production.name, self.timetags)
         #: Timetags sorted descending -- the LEX recency ordering key.
         self.recency_key: tuple[int, ...] = tuple(sorted(self.timetags, reverse=True))
+
+    @property
+    def bindings(self) -> Bindings:
+        """LHS variable -> value, read at each variable's binding site."""
+        bindings = self._bindings
+        if bindings is None:
+            wmes = self.wmes
+            bindings = self._bindings = {
+                variable: wmes[position].get(attribute)
+                for variable, position, attribute in self.production.binding_sites
+            }
+        return bindings
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Instantiation):

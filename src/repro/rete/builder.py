@@ -32,6 +32,7 @@ from ..ops5.condition import (
     DisjunctiveTest,
     PredicateTest,
     Test,
+    binding_sites,
     wme_passes_alpha,
 )
 from ..ops5.production import Production
@@ -162,7 +163,7 @@ class NetworkBuilder:
             current = bmem
 
         terminal = TerminalNode(
-            net, current, production, self._binding_specs(production.analysis)
+            net, current, production, binding_sites(production.analysis)
         )
         current.children.append(terminal)
         terminal.populate_from_parent()
@@ -236,20 +237,6 @@ class NetworkBuilder:
         amem.production_names.add(production_name)
         used.append(amem)
         return amem
-
-    @staticmethod
-    def _binding_specs(analyses) -> tuple[tuple[str, int, str], ...]:
-        """First positive-CE binding site of every LHS variable."""
-        seen: set[str] = set()
-        specs: list[tuple[str, int, str]] = []
-        for analysis in analyses:
-            if analysis.ce.negated:
-                continue
-            for variable, attribute in analysis.binders.items():
-                if variable not in seen:
-                    seen.add(variable)
-                    specs.append((variable, analysis.index, attribute))
-        return tuple(specs)
 
     def _register(self, key: tuple, node: ReteNode) -> None:
         self.net.share_registry[key] = node

@@ -45,6 +45,15 @@ class TestCacheReuse:
         b = compiled_ruleset(parse_program(RENAMED).productions)
         assert b is a
 
+    def test_renamed_variables_and_other_actions_share_the_code_object(self):
+        # Bindings are derived from an instantiation's WMEs and the act
+        # phase is compiled per production (ops5/rhs.py): neither
+        # variable names nor RHS data reach the match module.
+        a = compiled_ruleset(parse_program(SRC).productions)
+        other = SRC.replace("<c>", "<colour>").replace("(halt)", "(make seen ^c <colour>)")
+        b = compiled_ruleset(parse_program(other).productions)
+        assert b is a and "colour" not in b.source and "seen" not in b.source
+
     def test_changed_shape_misses(self):
         compiled_ruleset(parse_program(SRC).productions)
         changed = SRC.replace("^size > 2", "^size > 3")

@@ -1,7 +1,9 @@
 """Codegen planning and alpha semantics of the compiled kernel."""
 
+import pytest
+
 from repro.kernel.codegen import alpha_items, generate_source, plan_stores
-from repro.ops5 import parse_program
+from repro.ops5 import MATCHER_NAMES, ProductionSystem, parse_program
 from repro.ops5.condition import wme_passes_alpha
 from repro.ops5.wme import WME
 
@@ -91,7 +93,7 @@ class TestAlphaSemantics:
         matcher = CompiledMatcher()
         for production in productions:
             matcher.add_production(production)
-        matcher._ensure_compiled()
+        matcher._rebuild()
         _, use = plan_stores(productions)
         for p_idx, production in enumerate(productions):
             analysis = production.analysis[0]
@@ -109,3 +111,43 @@ class TestAlphaSemantics:
         a = _productions("(p x (item ^color red ^size 2) --> (halt))")
         b = _productions("(p x (item ^size 2 ^color red) --> (halt))")
         assert alpha_items(a[0].analysis[0]) == alpha_items(b[0].analysis[0])
+
+
+# A 400-digit numeral overflows to ``inf``, which has no Python literal:
+# both generators emit it through ``ops5.rhs.literal``.
+_HUGE = "9" * 400 + ".0"
+NON_FINITE_PROGRAMS = {
+    "constant test, dispatch key and RHS constant": f"""
+        (p eq (a ^v {_HUGE}) --> (make b ^v {_HUGE}))
+        (p pair (a ^v {_HUGE} ^w -{_HUGE}) --> (make c ^w -{_HUGE}))
+        (p either (a ^v << {_HUGE} 7 >>) --> (make d ^v (compute {_HUGE} - 1)))
+    """,
+    "predicate operand": f"""
+        (p above (a ^v > -{_HUGE}) --> (make b ^v -{_HUGE}))
+        (p below (a ^v <> {_HUGE}) --> (write below {_HUGE}))
+    """,
+}
+
+
+@pytest.mark.parametrize("matcher", MATCHER_NAMES)
+@pytest.mark.parametrize("label", sorted(NON_FINITE_PROGRAMS))
+def test_a_numeral_that_overflows_to_inf_runs_on_every_matcher(label, matcher):
+    def run(name):
+        system = ProductionSystem(NON_FINITE_PROGRAMS[label], matcher=name)
+        try:
+            system.add("a", v=float("inf"), w=float("-inf"))
+            system.add("a", v=3)
+            system.add("a", v=7, w=float("-inf"))
+            result = system.run(max_cycles=50)
+            assert result.fired >= 4
+            return (
+                [(c.production, c.timetags, c.adds) for c in result.cycles],
+                [(w.timetag, w.cls, dict(w.attributes)) for w in system.memory.snapshot()],
+                result.output,
+            )
+        finally:
+            close = getattr(system.matcher, "close", None)
+            if close is not None:
+                close()
+
+    assert run(matcher) == run("rete")

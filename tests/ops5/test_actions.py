@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.ops5 import ExecutionError
+from repro.ops5 import (
+    ConditionElement,
+    ExecutionError,
+    Production,
+    ProductionSystem,
+    VariableTest,
+)
 from repro.ops5.actions import (
     Bind,
     Compute,
@@ -65,22 +71,35 @@ class TestExpressions:
             Compute((Constant(1),), ("+",))
 
 
+def fired(action, **attributes):
+    """The engine after firing ``(p r (seed) (src ^k <k> ...) --> action)``
+    on ``(src **attributes)``: actions execute only as a production's
+    compiled ``fire``."""
+    tests = {name: VariableTest(name) for name in attributes}
+    conditions = [ConditionElement("seed"), ConditionElement("src", tests)]
+    ps = ProductionSystem([Production("r", conditions, [action])])
+    ps.add("seed")
+    ps.add("src", **attributes)
+    assert ps.step() is not None
+    return ps
+
+
 class TestActions:
     def test_make_builds_wme(self):
         action = Make("block", (("color", VariableRef("c")), ("size", Constant(2))))
-        wme = action.build({"c": "red"})
+        wme = fired(action, c="red").memory.snapshot()[-1]
         assert wme.cls == "block"
         assert wme.get("color") == "red"
         assert wme.get("size") == 2
 
     def test_modify_updates(self):
         action = Modify(2, (("n", Compute((VariableRef("n"), Constant(1)), ("+",))),))
-        assert action.updates({"n": 3}) == {"n": 4}
+        assert dict(fired(action, n=3).memory.snapshot()[-1].attributes) == {"n": 4}
         assert action.ce_references() == [2]
 
     def test_write_renders(self):
         action = Write((Constant("hello"), VariableRef("x")))
-        assert action.render({"x": 42}) == "hello 42"
+        assert fired(action, x=42).output == ["hello 42"]
 
     def test_variables_collected(self):
         action = Make("b", (("v", VariableRef("x")), ("w", VariableRef("y"))))

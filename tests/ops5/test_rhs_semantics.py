@@ -12,12 +12,12 @@ raised half-way.
 
 import pytest
 
-from repro.ops5 import ExecutionError, ProductionSystem
+from repro.ops5 import EngineListener, ExecutionError, ProductionSystem, WorkingMemoryError
 
 
-def fire_once(source, wmes, **kwargs):
+def fire_once(source, wmes):
     """(engine, the fired cycle's record) after one step of *source*."""
-    ps = ProductionSystem(source, history=True, **kwargs)
+    ps = ProductionSystem(source, history=True)
     for cls, attrs in wmes:
         ps.add(cls, **attrs)
     assert ps.step() is not None
@@ -190,8 +190,6 @@ def test_ce_references_skip_negated_elements():
 def test_one_wme_matching_two_ces_cannot_be_removed_twice():
     """``remove 2`` is not 'already removed in this firing' -- CE 2 was
     not -- but its element left working memory with CE 1's."""
-    from repro.ops5 import WorkingMemoryError
-
     ps = ProductionSystem("(p r (a ^n <n>) (a ^n <n>) --> (remove 1) (remove 2))", history=True)
     ps.add("a", n=1)
     with pytest.raises(WorkingMemoryError):
@@ -228,8 +226,6 @@ def test_a_nil_valued_undeclared_attribute_is_absent_not_undeclared():
 
 @pytest.mark.parametrize("matcher", ["rete", "treat", "naive", "compiled"])
 def test_listener_sees_every_change_of_a_firing_in_order(matcher):
-    from repro.ops5 import EngineListener
-
     seen = []
 
     class Spy(EngineListener):
