@@ -401,9 +401,8 @@ class ProductionSystem:
         which is what keeps the blob O(working memory) and lets the
         restoring host pick any matcher backend.
 
-        This is the serve layer's session-migration payload; the
-        parallel supervisor's checkpoint+journal restore proved the
-        replay-re-derivation approach bit-identical first.
+        This is the serve layer's session-migration and checkpoint
+        payload.
         """
         return {
             "schema": self.STATE_SCHEMA,

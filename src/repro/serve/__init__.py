@@ -15,8 +15,9 @@ program per process.  This package is that serving layer:
   (:class:`RuleServer`), plus :class:`ServerThread` for embedding;
 * :mod:`~repro.serve.router` -- the front-door router
   (:class:`RuleRouter`) hashing sessions over N workers, with
-  fleet-wide tenant quotas, live session migration, and degraded-worker
-  demotion; :class:`RouterFleet` embeds the whole topology;
+  fleet-wide tenant quotas, live session migration, and one recovery
+  path for failed workers; :class:`RouterFleet` embeds the whole
+  topology;
 * :mod:`~repro.serve.client` -- the blocking reference client;
 * :mod:`~repro.serve.durability` -- the per-session write-ahead
   journal + checkpoint store that makes worker death survivable;

@@ -3,11 +3,9 @@
 The paper's Section 3 state-saving analysis prices exactly the trade
 this module implements: match state is a deterministic function of the
 working-memory op stream, so a crashed host can always re-derive it --
-the only question is how much of the stream it must replay.  The
-parallel supervisor already proved the checkpoint+journal-tail restore
-bit-identical *per shard*; this module lifts the same design to whole
-serve sessions so a worker process can be SIGKILLed without losing any
-of them.
+the only question is how much of the stream it must replay.  This
+module applies that to whole serve sessions, so a worker process can be
+SIGKILLed without losing any of them.
 
 Layout (one directory per router)::
 
@@ -246,7 +244,8 @@ class RecoveryBundle:
     #: Journal tail to replay after the checkpoint (skip-marked and
     #: checkpoint-covered records already filtered out).
     records: list[WalRecord]
-    #: Highest sequence number ever appended (including skipped ops).
+    #: Highest sequence number ever appended (including skipped ops
+    #: and ops only the checkpoint still remembers).
     last_seq: int
     #: Non-fatal anomalies found while loading (corrupt checkpoint,
     #: truncated trailing line, ...); recovery proceeds around them.
@@ -696,7 +695,8 @@ class DurabilityStore:
             config=config,
             checkpoint=checkpoint,
             records=tail,
-            last_seq=last_seq,
+            # A checkpoint may have compacted every record it covers away.
+            last_seq=max(last_seq, floor),
             notes=notes,
         )
 

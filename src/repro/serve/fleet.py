@@ -1,9 +1,9 @@
 """Process supervision: real OS worker processes behind the router.
 
-ROADMAP item 3 closed with the follow-on "the router already speaks
-sockets; spawn workers as real processes" -- this module is that step.
-A :class:`WorkerProcess` launches one ``python -m repro serve`` worker
-as a child process on an ephemeral port and parses its announce line; a
+The router already speaks sockets; this module spawns its workers as
+real processes.  A :class:`WorkerProcess` launches one
+``python -m repro serve`` worker as a child process on an ephemeral
+port and parses its announce line; a
 :class:`ProcessFleet` owns N of them with fencing (SIGKILL before the
 replacement binds, so a wedged-but-alive worker can never answer beside
 its successor), exponential restart backoff, and a per-worker restart
@@ -12,10 +12,9 @@ budget; :class:`ProcessRouterFleet` wires the fleet to a durable
 sessions come back from checkpoint + journal tail on the respawned
 process (docs/fault-tolerance.md).
 
-Supervision mirrors the parallel executor's shard supervisor one layer
-up: heartbeat/liveness detection, fence, respawn with backoff, restore,
-and a structured event trail -- but the unit is a whole rule-server
-process with its own event loop and session threads, not a shard.
+Supervision is heartbeat/liveness detection, fence, respawn with
+backoff, restore, and a structured event trail; the unit is a whole
+rule-server process with its own event loop and session threads.
 """
 
 from __future__ import annotations

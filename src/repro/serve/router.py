@@ -1,7 +1,7 @@
 """The front-door router: one address, N rule-server workers behind it.
 
-Scaling the serve layer *out* (ROADMAP item 3): a :class:`RuleRouter`
-speaks the same length-prefixed JSON protocol as a
+Scaling the serve layer *out*: a :class:`RuleRouter` speaks the same
+length-prefixed JSON protocol as a
 :class:`~repro.serve.server.RuleServer`, so existing clients (the
 blocking :class:`RuleClient`, the load generator) point at it unchanged
 -- but behind it every session lives on one of N workers: rule servers
@@ -24,31 +24,37 @@ Per-tenant quotas are enforced fleet-wide at the router (the
 authoritative count lives in the placement map) *before* a create is
 forwarded; workers enforce their own local quotas independently.  A
 rejected create answers ``error: "quota"`` -- not backpressure, because
-retrying cannot help until the tenant frees a session.
+retrying cannot help until the tenant frees a session.  An admitted
+create reserves its placement (frozen, so nothing is forwarded to it)
+before the worker is asked, so concurrent creates cannot overshoot a
+quota or share a name.
 
 Migration
 ---------
 ``migrate_session`` moves a live session between workers using the
-engine's checkpoint machinery: the router marks the session *migrating*
-(in-flight requests for it are answered with a backpressure rejection
+engine's checkpoint machinery: under the session's lock (so it waits
+for any journaled op still in flight) the router marks the session
+*migrating* (requests for it are answered with a backpressure rejection
 carrying a small ``retry_after``, so well-behaved clients retry
 transparently through :meth:`RuleClient.call`), drives the session's
 ``export`` op on the source (ordered through its queue, so everything
-acknowledged is in the blob), replays it into an ``import_session`` on
-the target, destroys the source copy, and flips the placement.  The
-continuation is bit-identical -- the same property the parallel
-supervisor's checkpoint+journal restore proves per shard.
+acknowledged is in the blob), installs the blob on the target with the
+same step recovery uses, flips the placement, and destroys the source
+copy.  The continuation is bit-identical.
 
-Degraded workers
-----------------
-Every worker call failure counts; ``failure_threshold`` consecutive
-failures demote the worker (mirroring the parallel supervisor's
-shard-demotion policy): it stops receiving new sessions, a structured
-event is recorded, and the router attempts to evacuate its sessions to
-healthy workers via the migration path.  Evacuation is best-effort --
-a worker that died (rather than slowed) cannot export, and those
-sessions are reported lost in the router's stats rather than silently
-forgotten.
+Failed workers
+--------------
+One thing happens when a worker fails, whoever noticed (a forwarded op,
+a server-level call, the heartbeat): :meth:`RuleRouter._recover_worker`.
+The worker gets no new sessions, its sessions are frozen, the process is
+replaced when a ``supervisor`` (e.g. a
+:class:`~repro.serve.fleet.ProcessFleet`) is attached, and each session
+is rebuilt from what the store holds for it -- on the replacement, else
+on the surviving workers.  A router without a store holds nothing: it
+answers ``worker_unreachable`` and, once ``failure_threshold`` calls in
+a row have failed (one timeout is a suspicion, not a verdict), reports
+the worker's sessions in ``lost_sessions``.  It never tries to migrate a
+session off a suspect worker.
 
 Durability
 ----------
@@ -56,14 +62,12 @@ With a :class:`~repro.serve.durability.DurabilityStore` attached, the
 lost-session failure mode disappears: every accepted mutating op is
 appended to the session's write-ahead journal *before* the reply leaves
 the router, periodic checkpoints persist the engine's ``export_state``
-blob, and a dead worker's sessions are rebuilt -- on the respawned
-process (when a ``supervisor``, e.g. a
-:class:`~repro.serve.fleet.ProcessFleet`, is attached) or on the
-surviving workers -- from checkpoint + journal tail, bit-identical to a
-no-fault run.  ``recovered_sessions`` replaces ``lost_sessions`` in the
-books.  A per-session lock serialises durable forwarding, so journal
-order is execution order and a checkpoint taken under the lock covers
-exactly the journal prefix it records; the migrating-check,
+blob, and a dead worker's sessions come back from checkpoint + journal
+tail, bit-identical to a no-fault run.  ``recovered_sessions`` replaces
+``lost_sessions`` in the books.  A per-session lock serialises durable
+forwarding, so journal order is execution order and a checkpoint taken
+under the lock covers exactly the journal prefix it records; the
+migrating-check,
 sequence-number bump, and journal append happen in one synchronous
 block on the event loop, so every append strictly precedes any recovery
 that could replay it.  Ops the worker definitively did not execute --
@@ -87,12 +91,12 @@ from ..ops5 import Ops5Error
 from .loop import Endpoint, LoopThread
 from .protocol import ProtocolError, read_message, write_message
 from .server import RuleServer
-from .session import DEFAULT_TENANT
+from .session import DEFAULT_TENANT, Refused, TenantBook, check_session_name
 from .stats import Telemetry, live_threads
 
 __all__ = ["RouterFleet", "RouterThread", "RuleRouter", "WorkerLink"]
 
-#: Consecutive call failures before a worker is demoted.
+#: Consecutive call failures that turn a suspicion into a verdict.
 DEFAULT_FAILURE_THRESHOLD = 3
 
 #: Retry hint handed to clients whose session is mid-migration (also
@@ -217,9 +221,12 @@ def _unreachable(link: WorkerLink, error: Exception) -> dict:
 class _Placement:
     __slots__ = ("worker", "tenant", "migrating", "seq", "ops_since_checkpoint", "lock")
 
-    def __init__(self, worker: int, tenant: str) -> None:
+    def __init__(self, worker: Optional[int], tenant: str) -> None:
+        #: Index of the hosting worker; None while a create holds the
+        #: name and the quota slot but no worker has the session yet.
         self.worker = worker
         self.tenant = tenant
+        #: Frozen: ops are bounced with a retry hint, not forwarded.
         self.migrating = False
         #: Journal sequence of the last accepted op (durable routers).
         self.seq = 0
@@ -253,10 +260,10 @@ class RuleRouter(Endpoint):
             WorkerLink(address, index)
             for index, address in enumerate(worker_addresses)
         ]
-        self.tenant_quotas = dict(tenant_quotas or {})
-        self.default_tenant_quota = default_tenant_quota
+        self.tenants = TenantBook(tenant_quotas, default_tenant_quota, "fleet-wide ")
         self.failure_threshold = failure_threshold
-        #: A DurabilityStore, or None for the classic lossy router.
+        #: A DurabilityStore, or None: nothing journaled, so a failed
+        #: worker's sessions have nothing to come back from.
         self.durability = durability
         #: A ProcessFleet (or anything with alive/respawn/restart), or
         #: None; without one, recovery restores onto surviving workers.
@@ -269,7 +276,6 @@ class RuleRouter(Endpoint):
         self.lost_sessions: list[str] = []
         self.recovered_sessions: list[str] = []
         self.events: deque[dict] = deque(maxlen=128)
-        self._quota_rejections: dict[str, int] = {}
         self._ids = itertools.count(1)
         #: Single-flight recovery: worker index -> in-progress task.
         self._recoveries: dict[int, asyncio.Task] = {}
@@ -338,84 +344,53 @@ class RuleRouter(Endpoint):
             return None
         return min(candidates, key=lambda link: loads.get(link.index, 0))
 
+    def _live_tenants(self) -> list[str]:
+        return [placement.tenant for placement in self.placements.values()]
+
     def tenant_sessions(self, tenant: str) -> int:
-        return sum(1 for p in self.placements.values() if p.tenant == tenant)
+        return self._live_tenants().count(tenant)
 
-    def _admit(self, tenant: str) -> Optional[dict]:
-        quota = self.tenant_quotas.get(tenant, self.default_tenant_quota)
-        if quota is not None and self.tenant_sessions(tenant) >= quota:
-            self._quota_rejections[tenant] = (
-                self._quota_rejections.get(tenant, 0) + 1
-            )
-            return {
-                "ok": False,
-                "error": "quota",
-                "detail": (
-                    f"tenant {tenant!r} is at its fleet-wide quota of "
-                    f"{quota} concurrent session(s)"
-                ),
-            }
-        return None
-
-    def _record_failure(self, link: WorkerLink) -> bool:
-        """Account a worker failure; demote at the threshold."""
-        if link.healthy and link.consecutive_failures >= self.failure_threshold:
-            link.healthy = False
-            self.events.append(
-                {
-                    "type": "demoted",
-                    "worker": link.index,
-                    "consecutive_failures": link.consecutive_failures,
-                    "time": time.time(),
-                }
-            )
-            return True
-        return False
-
-    async def _evacuate(self, link: WorkerLink) -> None:
-        """Best-effort migration of a demoted worker's sessions."""
-        stranded = [
+    def _sessions_on(self, link: WorkerLink) -> list[str]:
+        return sorted(
             session_id
             for session_id, placement in self.placements.items()
             if placement.worker == link.index
-        ]
-        for session_id in stranded:
-            reply = await self._migrate(session_id)
-            if not reply.get("ok"):
-                self._mark_lost(session_id, link.index, reply.get("error"))
+        )
 
-    # -- durable recovery ----------------------------------------------------
+    def _event(self, kind: str, **fields) -> None:
+        self.events.append({"type": kind, **fields, "time": time.time()})
+
+    # -- worker failure and recovery -----------------------------------------
 
     def _mark_lost(self, session_id: str, worker: int, error) -> None:
         """Last resort, even for a durable router: record the loss but
         keep the session's journal on disk for a postmortem restore."""
         self.lost_sessions.append(session_id)
         self.placements.pop(session_id, None)
-        self.events.append(
-            {
-                "type": "lost",
-                "session": session_id,
-                "worker": worker,
-                "error": error,
-                "time": time.time(),
-            }
-        )
+        self._event("lost", session=session_id, worker=worker, error=error)
 
     async def _recover_worker(
-        self, link: WorkerLink, generation: int, cause: str
+        self, link: WorkerLink, generation: int, cause: str, suspect: bool = False
     ) -> dict:
-        """Single-flight recovery of one dead worker.
+        """Single-flight recovery of one failed worker: the only thing
+        that happens when a worker fails, whoever noticed.
 
         Every caller that observed a failure awaits the same recovery
         task (shielded -- one caller's disconnect must not cancel the
         fleet's recovery).  A failure observed under an older link
-        generation is stale: that worker was already replaced, so the
-        cached result answers it without fencing the healthy successor.
+        generation is stale: that worker was already dealt with, so the
+        cached result answers it without fencing a healthy successor.
+
+        A *suspect* failure -- a ping, or a call nothing was journaled
+        for -- may be a slow worker rather than a dead one, and acting
+        on it would leave live session copies running unfenced; it
+        becomes a verdict after ``failure_threshold`` in a row.
         """
+        nothing = {"replies": {}, "lost": set()}
+        if suspect and link.consecutive_failures < self.failure_threshold:
+            return nothing
         if link.generation != generation and link.index not in self._recoveries:
-            return self._last_recovery.get(
-                link.index, {"replies": {}, "lost": set()}
-            )
+            return self._last_recovery.get(link.index, nothing)
         task = self._recoveries.get(link.index)
         if task is None:
             task = asyncio.get_running_loop().create_task(
@@ -431,54 +406,25 @@ class RuleRouter(Endpoint):
     async def _do_recover_worker(self, link: WorkerLink, cause: str) -> dict:
         started = time.monotonic()
         link.healthy = False
-        stranded = sorted(
-            session_id
-            for session_id, placement in self.placements.items()
-            if placement.worker == link.index
-        )
+        # Failures still to surface from calls already in flight belong
+        # to this incarnation; the bump lets them read the cached result.
+        link.close()
+        stranded = self._sessions_on(link)
         # Freeze the stranded sessions *before* the first await: any op
         # that already passed its migrating-check has already journaled
         # (same synchronous block), so the replay below cannot miss it;
         # everything later is backpressured until its session recovers.
         for session_id in stranded:
             self.placements[session_id].migrating = True
-        self.events.append(
-            {
-                "type": "worker_failed",
-                "worker": link.index,
-                "cause": cause,
-                "sessions": stranded,
-                "time": time.time(),
-            }
-        )
-        target: Optional[WorkerLink] = None
-        if self.supervisor is not None:
-            address = await asyncio.get_running_loop().run_in_executor(
-                None, self.supervisor.respawn, link.index
-            )
-            if address is not None:
-                link.reset(address)
-                target = link
-        replies: dict[str, tuple] = {}
-        lost: set[str] = set()
-        for session_id in stranded:
-            destination = target or self._least_loaded(exclude=link.index)
-            if destination is None:
-                self._mark_lost(session_id, link.index, "no healthy target worker")
-                lost.add(session_id)
-                continue
-            outcome = await self._restore_session(session_id, destination)
-            if outcome is None:
-                self._mark_lost(session_id, link.index, "restore failed")
-                lost.add(session_id)
-            else:
-                replies[session_id] = outcome
-        if self.supervisor is None and replies:
-            # Without a supervisor nothing fenced the suspect worker: if
-            # it was merely slow rather than dead, its session copies
-            # are still live and holding worker-local quota beside the
-            # restored ones.  Best-effort destroy them; a truly dead
-            # worker fails the first call fast and we stop poking.
+        self._event("worker_failed", worker=link.index, cause=cause, sessions=stranded)
+        replies, lost = await self._rehome(link, stranded, "respawn", "recovered")
+        respawned = link.healthy  # reset() alone turns it back on
+        if not respawned and replies:
+            # Nothing fenced the suspect worker: if it was merely slow
+            # rather than dead, its session copies are still live and
+            # holding worker-local quota beside the restored ones.
+            # Best-effort destroy them; a truly dead worker fails the
+            # first call fast and we stop poking.
             for session_id in sorted(replies):
                 try:
                     await link.call(
@@ -489,18 +435,91 @@ class RuleRouter(Endpoint):
                     break
         result = {"replies": replies, "lost": lost}
         self._last_recovery[link.index] = result
-        self.events.append(
-            {
-                "type": "worker_recovered",
-                "worker": link.index,
-                "respawned": target is not None,
-                "sessions": len(replies),
-                "lost": sorted(lost),
-                "seconds": time.monotonic() - started,
-                "time": time.time(),
-            }
+        self._event(
+            "worker_recovered",
+            worker=link.index,
+            respawned=respawned,
+            sessions=len(replies),
+            lost=sorted(lost),
+            seconds=time.monotonic() - started,
         )
         return result
+
+    async def _rehome(
+        self, link: WorkerLink, stranded: list[str], replace: str, event: str
+    ) -> tuple[dict, set]:
+        """Replace *link*'s process (the supervisor's ``respawn`` after
+        a crash, its ``restart`` for a roll) and restore the frozen
+        *stranded* sessions onto it -- or, with no supervisor or no
+        restart budget left, onto the least-loaded survivors.  Returns
+        ``(replies, lost)``: per restored session the ``(seq, reply)``
+        its journal replay ended on, and the ids marked lost.
+        """
+        target: Optional[WorkerLink] = None
+        if self.supervisor is not None:
+            address = await asyncio.get_running_loop().run_in_executor(
+                None, getattr(self.supervisor, replace), link.index
+            )
+            if address is not None:
+                link.reset(address)
+                target = link
+        replies: dict[str, tuple] = {}
+        lost: set[str] = set()
+        for session_id in stranded:
+            destination = target or self._least_loaded(exclude=link.index)
+            outcome = None
+            if destination is not None:
+                outcome = await self._restore_session(session_id, destination, event)
+            if outcome is None:
+                self._mark_lost(
+                    session_id,
+                    link.index,
+                    "restore failed" if destination else "no healthy target worker",
+                )
+                lost.add(session_id)
+            else:
+                replies[session_id] = outcome
+        return replies, lost
+
+    async def _install(
+        self, target: WorkerLink, session_id: str, config: dict, state, tail=()
+    ) -> dict:
+        """The one way a session lands on a worker it was not created on:
+        ``import_session`` of *state* (``create_session`` from *config*
+        when there is none), then the journal *tail* replayed in order.
+        Answers the worker's refusal (``worker_unreachable`` for a
+        transport failure), else ``{"ok": True, "last": (seq, reply)}``
+        -- where the replay ended, ``(0, None)`` without a tail.
+        """
+        if state is None:
+            rebuild = {"op": "create_session", **config, "name": session_id}
+        else:
+            rebuild = {
+                "op": "import_session",
+                "name": session_id,
+                "config": config,
+                "state": state,
+            }
+        try:
+            reply = await target.call(rebuild)
+            if not reply.get("ok") and "already exists" in str(reply.get("error", "")):
+                # A half-migrated or half-restored copy squats on the
+                # name; the caller holds the authority, so replace it.
+                await target.call({"op": "destroy_session", "session": session_id})
+                reply = await target.call(rebuild)
+            if not reply.get("ok"):
+                return reply
+            last: tuple = (0, None)
+            for record in tail:
+                request = {
+                    key: value
+                    for key, value in record.request.items()
+                    if key != "deadline"
+                }
+                last = (record.seq, await target.call(request))
+        except Exception as error:
+            return _unreachable(target, error)
+        return {"ok": True, "last": last}
 
     async def _restore_session(
         self, session_id: str, target: WorkerLink, event: str = "recovered"
@@ -509,45 +528,21 @@ class RuleRouter(Endpoint):
 
         Returns ``(last_seq, last_reply)`` of the replayed tail (``(0,
         None)`` when the tail was empty) so the caller whose op died in
-        flight can be answered from the replay, or None on failure.
+        flight can be answered from the replay, or None on failure --
+        which, for a router without a store, is every time.
         """
         placement = self.placements.get(session_id)
-        bundle = self.durability.load(session_id)
-        if placement is None or bundle is None:
+        if placement is None or self.durability is None:
             return None
-        if bundle.checkpoint is not None:
-            rebuild = {
-                "op": "import_session",
-                "name": session_id,
-                "config": bundle.checkpoint["config"],
-                "state": bundle.checkpoint["state"],
-            }
-        else:
-            rebuild = {
-                "op": "create_session",
-                **bundle.config,
-                "name": session_id,
-            }
-        try:
-            reply = await target.call(rebuild)
-            if not reply.get("ok") and "already exists" in str(reply.get("error", "")):
-                # A half-migrated or half-restored copy squats on the
-                # name; the journal is the authority, so replace it.
-                await target.call(
-                    {"op": "destroy_session", "session": session_id}
-                )
-                reply = await target.call(rebuild)
-            if not reply.get("ok"):
-                return None
-            last: tuple = (0, None)
-            for record in bundle.records:
-                request = {
-                    key: value
-                    for key, value in record.request.items()
-                    if key != "deadline"
-                }
-                last = (record.seq, await target.call(request))
-        except Exception:
+        bundle = self.durability.load(session_id)
+        if bundle is None:
+            return None
+        checkpoint = bundle.checkpoint or {"config": bundle.config, "state": None}
+        installed = await self._install(
+            target, session_id, checkpoint["config"], checkpoint["state"],
+            bundle.records,
+        )
+        if not installed["ok"]:
             return None
         placement.worker = target.index
         placement.migrating = False
@@ -555,18 +550,15 @@ class RuleRouter(Endpoint):
         placement.seq = max(placement.seq, bundle.last_seq)
         if event == "recovered":
             self.recovered_sessions.append(session_id)
-        self.events.append(
-            {
-                "type": event,
-                "session": session_id,
-                "worker": target.index,
-                "replayed_ops": len(bundle.records),
-                "used_checkpoint": bundle.used_checkpoint,
-                "notes": bundle.notes,
-                "time": time.time(),
-            }
+        self._event(
+            event,
+            session=session_id,
+            worker=target.index,
+            replayed_ops=len(bundle.records),
+            used_checkpoint=bundle.used_checkpoint,
+            notes=bundle.notes,
         )
-        return last
+        return installed["last"]
 
     async def _resume_from_store(self) -> None:
         """Cold start over an existing store: restore every journaled
@@ -583,11 +575,7 @@ class RuleRouter(Endpoint):
             number = session_id[1:]
             if session_id[:1] == "r" and number.isascii() and number.isdigit():
                 top_minted = max(top_minted, int(number))
-            try:
-                target = self._place(session_id)
-            except Ops5Error:
-                self._mark_lost(session_id, -1, "no healthy workers at resume")
-                continue
+            target = self._place(session_id)  # a router starts all-healthy
             placement = _Placement(
                 target.index, bundle.config.get("tenant", DEFAULT_TENANT)
             )
@@ -608,11 +596,8 @@ class RuleRouter(Endpoint):
         a ping round-trip otherwise.
 
         A supervisor verdict (the OS process exited) is certain and
-        recovers immediately.  A ping timeout is not -- the worker may
-        merely be slow -- so both the durable and the classic path wait
-        for ``failure_threshold`` *consecutive* failures before acting:
-        a premature durable restore would leave the slow worker's live
-        session copies running unfenced beside the restored ones.
+        recovers immediately; a failed ping is only a suspicion (see
+        :meth:`_recover_worker`).
         """
         while not self._draining:
             await asyncio.sleep(self.heartbeat_interval)
@@ -637,18 +622,9 @@ class RuleRouter(Endpoint):
                         continue
                     except Exception:
                         pass  # counted in link.consecutive_failures
-                if self.durability is not None:
-                    if (
-                        process_dead
-                        or link.consecutive_failures >= self.failure_threshold
-                    ):
-                        await self._recover_worker(
-                            link, generation, "heartbeat"
-                        )
-                else:
-                    demoted = self._record_failure(link)
-                    if demoted:
-                        await self._evacuate(link)
+                await self._recover_worker(
+                    link, generation, "heartbeat", suspect=not process_dead
+                )
 
     def _maybe_checkpoint(self, session_id: str, placement: _Placement) -> None:
         placement.ops_since_checkpoint += 1
@@ -793,6 +769,9 @@ class RuleRouter(Endpoint):
             if handler is not None:
                 return await handler(self, request)
             return await self._forward_session_op(request)
+        except Refused as error:
+            self.telemetry.errors += 1
+            return {"ok": False, "error": error.code, "detail": str(error)}
         except Ops5Error as error:
             self.telemetry.errors += 1
             return {"ok": False, "error": str(error)}
@@ -807,16 +786,15 @@ class RuleRouter(Endpoint):
             return await link.call(request)
         except Exception as error:
             self.telemetry.errors += 1
-            if self.durability is not None:
-                # Durable routers recover instead of demoting: fence,
-                # respawn, restore -- then answer this caller honestly.
-                await self._recover_worker(
-                    link, generation, f"{type(error).__name__}: {error}"
-                )
-            else:
-                demoted = self._record_failure(link)
-                if demoted:
-                    await self._evacuate(link)
+            # With a journal a restore loses nothing, so it runs at once
+            # (fence, respawn, restore) and this caller is then answered
+            # honestly; without one the verdict waits for the streak.
+            await self._recover_worker(
+                link,
+                generation,
+                f"{type(error).__name__}: {error}",
+                suspect=self.durability is None,
+            )
             return _unreachable(link, error)
 
     async def _forward_session_op(self, request: dict) -> dict:
@@ -846,83 +824,86 @@ class RuleRouter(Endpoint):
     async def _op_create_session(self, request: dict) -> dict:
         if self._draining:
             raise Ops5Error("router is shutting down")
-        tenant = request.get("tenant", DEFAULT_TENANT)
-        rejection = self._admit(tenant)
-        if rejection is not None:
-            return rejection
         name = request.get("name")
+        check_session_name(name)
+        tenant = request.get("tenant", DEFAULT_TENANT)
+        self.tenants.admit(tenant, self._live_tenants())
         session_id = name if name is not None else f"r{next(self._ids)}"
         if session_id in self.placements:
             return {"ok": False, "error": f"session {session_id!r} already exists"}
-        tried: set[int] = set()
-        while True:
-            healthy = [w for w in self._healthy_workers() if w.index not in tried]
-            if not healthy:
-                return {"ok": False, "error": "no healthy workers available"}
-            link = self._place(session_id)
-            if link.index in tried:
-                link = healthy[0]
-            tried.add(link.index)
-            reply = await self._call_worker(
-                link, {**request, "name": session_id, "tenant": tenant}
+        forwarded = {**request, "name": session_id, "tenant": tenant}
+        config = {
+            key: forwarded[key]
+            for key in (
+                "program", "matcher", "workers", "strategy", "max_pending", "tenant"
             )
-            if reply.get("ok"):
-                self.placements[session_id] = _Placement(link.index, tenant)
-                if self.durability is not None:
-                    config = {
-                        key: request[key]
-                        for key in (
-                            "program",
-                            "matcher",
-                            "workers",
-                            "strategy",
-                            "max_pending",
-                        )
-                        if request.get(key) is not None
-                    }
-                    config["tenant"] = tenant
-                    self.durability.register(session_id, config)
-                return {"ok": True, "session": session_id, "worker": link.index}
-            if reply.get("error") != "worker_unreachable":
-                return reply
+            if forwarded.get(key) is not None
+        }
+        # Reserve the name and the quota slot before the first await: a
+        # concurrent create sees both taken.  Frozen and locked until a
+        # worker holds the session, so nothing is forwarded to it and a
+        # destroy or migrate waits; released if no worker takes it.
+        placement = self.placements[session_id] = _Placement(None, tenant)
+        placement.migrating = True
+        tried: set[int] = set()
+        try:
+            async with placement.lock:
+                while True:
+                    healthy = [
+                        w for w in self._healthy_workers() if w.index not in tried
+                    ]
+                    if not healthy:
+                        return {"ok": False, "error": "no healthy workers available"}
+                    link = self._place(session_id)
+                    if link.index in tried:
+                        link = healthy[0]
+                    tried.add(link.index)
+                    reply = await self._call_worker(link, forwarded)
+                    if reply.get("ok"):
+                        if self.durability is not None:
+                            self.durability.register(session_id, config)
+                        placement.worker = link.index
+                        placement.migrating = False
+                        return {"ok": True, "session": session_id, "worker": link.index}
+                    if reply.get("error") != "worker_unreachable":
+                        return reply
+        finally:
+            if placement.worker is None:
+                del self.placements[session_id]
 
     async def _op_destroy_session(self, request: dict) -> dict:
         session_id = request.get("session")
         placement = self.placements.get(session_id)
         if placement is None:
             return {"ok": False, "error": f"no session {session_id!r}"}
-        if self.durability is not None:
-            # The placement lock serialises the destroy against both
-            # in-flight durable ops and the off-path checkpoint task:
-            # without it, a checkpoint that exported before the drop
-            # could rewrite <sid>.ckpt.json after it -- and if the name
-            # was recreated in that window, recovery would restore the
-            # old incarnation's state under the new session's journal.
-            async with placement.lock:
-                if self.placements.get(session_id) is not placement:
-                    return {"ok": False, "error": f"no session {session_id!r}"}
+        # The placement lock serialises the destroy against in-flight
+        # journaled ops, a migrate, and the off-path checkpoint task:
+        # without it, a checkpoint that exported before the drop could
+        # rewrite <sid>.ckpt.json after it -- and if the name was
+        # recreated in that window, recovery would restore the old
+        # incarnation's state under the new session's journal.
+        async with placement.lock:
+            if self.placements.get(session_id) is not placement:
+                return {"ok": False, "error": f"no session {session_id!r}"}
+            link = self.workers[placement.worker]
+            generation = link.generation
+            reply = await self._call_worker(link, request)
+            if (
+                reply.get("error") == "worker_unreachable"
+                and session_id in self.placements
+                and link.generation != generation
+            ):
+                # Recovery just restored the session somewhere; honour
+                # the destroy against its new home rather than leaking
+                # a zombie.
                 reply = await self._call_worker(
                     self.workers[placement.worker], request
                 )
-                if reply.get("error") == "worker_unreachable":
-                    # Recovery just restored the session somewhere;
-                    # honour the destroy against its new home rather
-                    # than leaking a zombie.
-                    current = self.placements.get(session_id)
-                    if current is not None:
-                        reply = await self._call_worker(
-                            self.workers[current.worker], request
-                        )
-                if reply.get("ok") or reply.get("error") == "worker_unreachable":
-                    self.placements.pop(session_id, None)
+            if reply.get("ok") or reply.get("error") == "worker_unreachable":
+                self.placements.pop(session_id, None)
+                if self.durability is not None:
                     self.durability.drop(session_id)
-                return reply
-        reply = await self._call_worker(
-            self.workers[placement.worker], request
-        )
-        if reply.get("ok") or reply.get("error") == "worker_unreachable":
-            self.placements.pop(session_id, None)
-        return reply
+            return reply
 
     async def _op_list_sessions(self, request: dict) -> dict:
         return {"ok": True, "sessions": sorted(self.placements)}
@@ -938,76 +919,62 @@ class RuleRouter(Endpoint):
         return {"ok": True, "draining_sessions": sessions}
 
     async def _op_migrate_session(self, request: dict) -> dict:
-        session_id = request.get("session")
-        return await self._migrate(session_id, request.get("to"))
-
-    async def _migrate(
-        self, session_id: str, to: Optional[int] = None
-    ) -> dict:
+        session_id, to = request.get("session"), request.get("to")
         placement = self.placements.get(session_id)
         if placement is None:
             return {"ok": False, "error": f"no session {session_id!r}"}
-        if placement.migrating:
-            return {"ok": False, "error": f"session {session_id!r} is already migrating"}
-        source = self.workers[placement.worker]
-        if to is not None:
-            if not 0 <= to < len(self.workers):
-                return {"ok": False, "error": f"no worker {to}"}
-            target = self.workers[to]
-        else:
-            target = self._least_loaded(exclude=placement.worker)
-            if target is None:
+        if to is not None and not 0 <= to < len(self.workers):
+            return {"ok": False, "error": f"no worker {to}"}
+        # Under the lock the move waits for an op already journaled for
+        # the source: forwarded after the export it would be answered
+        # "no session", stay live in the journal, and be missing here.
+        async with placement.lock:
+            if self.placements.get(session_id) is not placement:
+                return {"ok": False, "error": f"no session {session_id!r}"}
+            if placement.migrating:
+                return {
+                    "ok": False,
+                    "error": f"session {session_id!r} is already migrating",
+                }
+            source = self.workers[placement.worker]
+            if to is not None:
+                target = self.workers[to]
+            else:
+                target = self._least_loaded(exclude=source.index)
+            if target is None or target is source:
                 return {"ok": False, "error": "no healthy target worker"}
-        placement.migrating = True
-        try:
-            exported = await self._call_worker(
-                source, {"op": "export", "session": session_id}
-            )
-            if not exported.get("ok"):
-                return {
-                    "ok": False,
-                    "error": exported.get("error", "export failed"),
-                    "phase": "export",
-                }
-            imported = await self._call_worker(
-                target,
-                {
-                    "op": "import_session",
-                    "name": session_id,
-                    "config": exported["config"],
-                    "state": exported["state"],
-                },
-            )
-            if not imported.get("ok"):
-                return {
-                    "ok": False,
-                    "error": imported.get("error", "import failed"),
-                    "phase": "import",
-                }
-            # Source copy is best-effort garbage from here on: the
-            # authoritative placement flips to the target either way.
-            await self._call_worker(
-                source, {"op": "destroy_session", "session": session_id}
-            )
-            placement.worker = target.index
-            self.migrations += 1
-            self.events.append(
-                {
-                    "type": "migrated",
-                    "session": session_id,
-                    "from": source.index,
-                    "to": target.index,
-                    "time": time.time(),
-                }
-            )
-            return {
-                "ok": True,
-                "session": session_id,
-                "from": source.index,
-                "to": target.index,
-            }
-        finally:
-            placement.migrating = False
+            placement.migrating = True
+            try:
+                exported = await self._call_worker(
+                    source, {"op": "export", "session": session_id}
+                )
+                if not exported.get("ok"):
+                    return {
+                        "ok": False,
+                        "error": exported.get("error", "export failed"),
+                        "phase": "export",
+                    }
+                installed = await self._install(
+                    target, session_id, exported["config"], exported["state"]
+                )
+                if not installed["ok"]:
+                    return {
+                        "ok": False,
+                        "error": installed.get("error", "import failed"),
+                        "phase": "import",
+                    }
+                # The source copy is best-effort garbage from here on:
+                # the authoritative placement is the target either way.
+                placement.worker = target.index
+                await self._call_worker(
+                    source, {"op": "destroy_session", "session": session_id}
+                )
+                self.migrations += 1
+                moved = {"session": session_id, "from": source.index, "to": target.index}
+                self._event("migrated", **moved)
+                return {"ok": True, **moved}
+            finally:
+                placement.migrating = False
 
     async def _op_rolling_restart(self, request: dict) -> dict:
         """Zero-loss fleet upgrade: per worker, checkpoint its sessions,
@@ -1027,56 +994,43 @@ class RuleRouter(Endpoint):
         self._rolling = True
         try:
             for link in self.workers:
-                stranded = sorted(
-                    session_id
-                    for session_id, placement in self.placements.items()
-                    if placement.worker == link.index
-                )
-                for session_id in stranded:
-                    placement = self.placements.get(session_id)
-                    if placement is None or placement.migrating:
-                        continue
+                frozen = []
+                for session_id in self._sessions_on(link):
+                    placement = self.placements[session_id]
                     async with placement.lock:
-                        await self._save_checkpoint(session_id, placement, full=True)
-                        placement.migrating = True
+                        # Waited for an op, a migrate or a destroy: is
+                        # it still this worker's to freeze?
+                        if (
+                            self.placements.get(session_id) is placement
+                            and placement.worker == link.index
+                            and not placement.migrating
+                        ):
+                            await self._save_checkpoint(
+                                session_id, placement, full=True
+                            )
+                            placement.migrating = True
+                            frozen.append(session_id)
                 try:
-                    address = await asyncio.get_running_loop().run_in_executor(
-                        None, self.supervisor.restart, link.index
-                    )
+                    replies, _ = await self._rehome(link, frozen, "restart", "rolled")
                 except Exception as error:
-                    for session_id in stranded:
-                        placement = self.placements.get(session_id)
-                        if placement is not None:
-                            placement.migrating = False
+                    for session_id in frozen:
+                        if session_id in self.placements:  # not destroyed since
+                            self.placements[session_id].migrating = False
                     return {
                         "ok": False,
                         "error": f"restart of worker {link.index} failed: {error}",
                         "rolled": rolled,
                     }
-                link.reset(address)
-                restored = 0
-                for session_id in stranded:
-                    outcome = await self._restore_session(
-                        session_id, link, event="rolled"
-                    )
-                    if outcome is None:
-                        self._mark_lost(
-                            session_id, link.index, "rolling restore failed"
-                        )
-                    else:
-                        restored += 1
                 rolled.append(
                     {
                         "worker": link.index,
-                        "sessions": len(stranded),
-                        "restored": restored,
+                        "sessions": len(frozen),
+                        "restored": len(replies),
                     }
                 )
         finally:
             self._rolling = False
-        self.events.append(
-            {"type": "rolling_restart", "workers": rolled, "time": time.time()}
-        )
+        self._event("rolling_restart", workers=rolled)
         return {"ok": True, "workers": rolled}
 
     async def _op_stats(self, request: dict) -> dict:
@@ -1099,31 +1053,7 @@ class RuleRouter(Endpoint):
             if session_id in sessions:
                 sessions[session_id]["worker"] = placement.worker
         totals["sessions"] = len(self.placements)
-        tenants: dict[str, dict] = {}
-        for placement in self.placements.values():
-            row = tenants.setdefault(
-                placement.tenant,
-                {
-                    "sessions": 0,
-                    "quota": self.tenant_quotas.get(
-                        placement.tenant, self.default_tenant_quota
-                    ),
-                    "quota_rejections": 0,
-                },
-            )
-            row["sessions"] += 1
-        for tenant, rejected in self._quota_rejections.items():
-            row = tenants.setdefault(
-                tenant,
-                {
-                    "sessions": 0,
-                    "quota": self.tenant_quotas.get(
-                        tenant, self.default_tenant_quota
-                    ),
-                    "quota_rejections": 0,
-                },
-            )
-            row["quota_rejections"] = rejected
+        tenants = self.tenants.rollup(self._live_tenants())
         router = {
             "workers": per_worker,
             "placements": len(self.placements),

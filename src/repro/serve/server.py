@@ -34,7 +34,8 @@ Session operations (queued, executed in order on the session thread)::
 Every reply carries ``ok``; failures add ``error`` (backpressure
 rejections add ``retry_after`` + ``queue_depth``; tenant-quota
 rejections answer ``error: "quota"`` -- retrying cannot help until the
-tenant frees a session).
+tenant frees a session; a ``name`` that is not a non-empty UTF-8 string
+answers ``error: "bad_name"``).
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from ..ops5.errors import (
 )
 from .durability import validate_engine_state
 from .loop import Endpoint, LoopThread
-from .session import DEFAULT_MAX_PENDING, DEFAULT_TENANT, QuotaExceeded, SessionManager
+from .session import DEFAULT_MAX_PENDING, DEFAULT_TENANT, Refused, SessionManager
 from .stats import Telemetry, live_threads
 
 
@@ -107,9 +108,9 @@ class RuleServer(Endpoint):
                 return {"ok": False, "error": "server is shutting down"}
             session = self.sessions.get(request.get("session"))
             return await session.submit(request)
-        except QuotaExceeded as error:
+        except Refused as error:
             self.telemetry.errors += 1
-            return {"ok": False, "error": "quota", "detail": str(error)}
+            return {"ok": False, "error": error.code, "detail": str(error)}
         except Ops5Error as error:
             self.telemetry.errors += 1
             return {"ok": False, "error": str(error)}
@@ -146,8 +147,7 @@ class RuleServer(Endpoint):
         strategy, max_pending, tenant); *state* the engine blob.  The
         restored session keeps its working memory, refraction memory,
         counters, and halt state -- the conflict set re-derives during
-        restore, so the continuation is bit-identical (the property the
-        supervisor's checkpoint restore already proves).
+        restore, so the continuation is bit-identical.
 
         The payload is untrusted input (it crossed the wire): a
         malformed, truncated, or schema-mismatched state blob answers a

@@ -2,11 +2,11 @@
 
 A :class:`Session` is the unit of isolation in the rule server: it owns
 an engine (with any registered matcher backend, including the parallel
-executor and its worker-process pool), a bounded request queue served
-by a single worker thread that applies requests strictly in arrival
-order, and its own telemetry.  The :class:`SessionManager` creates,
-looks up, and tears down sessions, and rolls their telemetry up into
-the server-wide view.
+executor and its shard threads), a bounded request queue served by a
+single worker thread that applies requests strictly in arrival order,
+and its own telemetry.  The :class:`SessionManager` creates, looks up,
+and tears down sessions, and rolls their telemetry up into the
+server-wide view.
 
 Ordering and determinism
 ------------------------
@@ -45,6 +45,7 @@ import itertools
 import os
 import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Optional
 
@@ -71,8 +72,82 @@ class SessionClosed(Ops5Error):
     """The session was destroyed while the request waited."""
 
 
-class QuotaExceeded(Ops5Error):
+class Refused(Ops5Error):
+    """A request refused with a typed ``error`` code; the message is the
+    reply's ``detail``.  Both front doors answer it the same way."""
+
+    code = "refused"
+
+
+class QuotaExceeded(Refused):
     """The tenant is at its concurrent-session quota."""
+
+    code = "quota"
+
+
+class BadSessionName(Refused):
+    """The client-chosen session name cannot name a session."""
+
+    code = "bad_name"
+
+
+def check_session_name(name) -> None:
+    """Refuse a client-chosen *name* (None = mint one) that is not a
+    non-empty, UTF-8-encodable string: it is sorted beside minted ids,
+    hashed for placement and quoted into the journal's file names."""
+    if name is None:
+        return
+    try:
+        if isinstance(name, str) and name.encode():  # b"" for ""
+            return
+    except UnicodeEncodeError:
+        pass  # a lone surrogate
+    raise BadSessionName(f"session name {name!r} is not a non-empty UTF-8 string")
+
+
+class TenantBook:
+    """Per-tenant concurrent-session quotas, their rejection counters and
+    the ``tenants`` section of ``stats``, for both front doors: a server
+    hands in the tenants of its live sessions, the router those of the
+    fleet's placements.  Tenants without a quota of their own fall back
+    to *default_quota* (None = unlimited)."""
+
+    def __init__(
+        self,
+        quotas: Optional[dict[str, int]] = None,
+        default_quota: Optional[int] = None,
+        scope: str = "",
+    ) -> None:
+        self.quotas = dict(quotas or {})
+        self.default_quota = default_quota
+        self.scope = scope
+        self.rejections: dict[str, int] = {}
+
+    def quota(self, tenant: str) -> Optional[int]:
+        return self.quotas.get(tenant, self.default_quota)
+
+    def admit(self, tenant: str, live: list[str]) -> None:
+        """Raise :class:`QuotaExceeded` (and count it) when *tenant*
+        already holds its quota of the *live* sessions."""
+        quota = self.quota(tenant)
+        if quota is not None and live.count(tenant) >= quota:
+            self.rejections[tenant] = self.rejections.get(tenant, 0) + 1
+            raise QuotaExceeded(
+                f"tenant {tenant!r} is at its {self.scope}quota of {quota} "
+                "concurrent session(s)"
+            )
+
+    def rollup(self, live: list[str]) -> dict:
+        """Per-tenant rows: live sessions, quota, admission rejections."""
+        sessions = Counter(live)
+        return {
+            tenant: {
+                "sessions": sessions[tenant],
+                "quota": self.quota(tenant),
+                "quota_rejections": self.rejections.get(tenant, 0),
+            }
+            for tenant in (*sessions, *self.rejections)
+        }
 
 
 # -- shared parsed programs ---------------------------------------------------
@@ -548,16 +623,12 @@ class SessionManager:
         self.default_max_pending = default_max_pending
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         self.fault_plan = fault_plan
-        #: Per-tenant concurrent-session caps; tenants not listed fall
-        #: back to ``default_tenant_quota`` (None = unlimited).
-        self.tenant_quotas = dict(tenant_quotas or {})
-        self.default_tenant_quota = default_tenant_quota
+        self.tenants = TenantBook(tenant_quotas, default_tenant_quota)
         self._sessions: dict[str, Session] = {}
         self._ids = itertools.count(1)
         #: Counters of destroyed sessions, so server-wide totals survive
         #: session churn.
         self._retired = Telemetry()
-        self._quota_rejections: dict[str, int] = {}
 
     def __len__(self) -> int:
         return len(self._sessions)
@@ -565,23 +636,8 @@ class SessionManager:
     def ids(self) -> list[str]:
         return sorted(self._sessions)
 
-    def tenant_quota(self, tenant: str) -> Optional[int]:
-        """The session cap for *tenant* (None = unlimited)."""
-        return self.tenant_quotas.get(tenant, self.default_tenant_quota)
-
-    def tenant_sessions(self, tenant: str) -> int:
-        return sum(1 for s in self._sessions.values() if s.tenant == tenant)
-
-    def _admit(self, tenant: str) -> None:
-        quota = self.tenant_quota(tenant)
-        if quota is not None and self.tenant_sessions(tenant) >= quota:
-            self._quota_rejections[tenant] = (
-                self._quota_rejections.get(tenant, 0) + 1
-            )
-            raise QuotaExceeded(
-                f"tenant {tenant!r} is at its quota of {quota} "
-                "concurrent session(s)"
-            )
+    def _live_tenants(self) -> list[str]:
+        return [session.tenant for session in self._sessions.values()]
 
     def create(
         self,
@@ -594,10 +650,11 @@ class SessionManager:
         tenant: str = DEFAULT_TENANT,
         state: Optional[dict] = None,
     ) -> Session:
+        check_session_name(name)
         session_id = name if name is not None else f"s{next(self._ids)}"
         if session_id in self._sessions:
             raise Ops5Error(f"session {session_id!r} already exists")
-        self._admit(tenant)
+        self.tenants.admit(tenant, self._live_tenants())
         session = Session(
             session_id,
             program=program,
@@ -639,22 +696,7 @@ class SessionManager:
 
     def tenant_stats(self) -> dict:
         """Per-tenant rollup: live sessions, quota, admission rejections."""
-        tenants: dict[str, dict] = {}
-        for session in self._sessions.values():
-            row = tenants.setdefault(
-                session.tenant,
-                {"sessions": 0, "quota": self.tenant_quota(session.tenant),
-                 "quota_rejections": 0},
-            )
-            row["sessions"] += 1
-        for tenant, rejected in self._quota_rejections.items():
-            row = tenants.setdefault(
-                tenant,
-                {"sessions": 0, "quota": self.tenant_quota(tenant),
-                 "quota_rejections": 0},
-            )
-            row["quota_rejections"] = rejected
-        return tenants
+        return self.tenants.rollup(self._live_tenants())
 
     def stats(self) -> dict:
         """Server-wide telemetry rollup plus per-session rows."""

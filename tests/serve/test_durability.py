@@ -104,7 +104,12 @@ class TestCheckpoints:
         before = os.path.getsize(wal)
         store.save_checkpoint("s1", 8, {"program": "p"}, engine_state())
         assert os.path.getsize(wal) < before
-        assert store.load("s1").records == []
+        bundle = store.load("s1")
+        assert bundle.records == []
+        # The compacted-away ops still count: a router that cold-starts
+        # here must number its next op 9, not 1 -- the checkpoint would
+        # cover (and a later recovery silently drop) anything up to 8.
+        assert bundle.last_seq == 8
 
     def test_corrupt_checkpoint_falls_back_to_full_replay(self, store):
         store.register("s1", {"program": "p"})

@@ -16,6 +16,7 @@ import time
 
 import pytest
 
+from repro.faults import SESSION, SLOW, FaultPlan, FaultSpec
 from repro.ops5 import ProductionSystem
 from repro.serve import (
     Disconnected,
@@ -29,11 +30,10 @@ from repro.workloads.programs import closure
 
 CHAIN = [["parent", {"from": f"n{i}", "to": f"n{i + 1}"}] for i in range(6)]
 
-#: Long enough that running its transitive closure takes well over any
-#: deadline used below -- the slow op the deadline tests queue behind.
-LONG_CHAIN = [
-    ["parent", {"from": f"n{i}", "to": f"n{i + 1}"}] for i in range(100)
-]
+#: Every session's first executed request straggles well past any
+#: deadline used below -- the slow op the deadline tests queue behind
+#: (addressed by ordinal, so a restored session's replay straggles too).
+SLOW_FIRST_OP = FaultPlan([FaultSpec(kind=SLOW, site=SESSION, at=0, seconds=0.5)])
 
 
 def reference_state(batches):
@@ -231,7 +231,10 @@ class TestDurableJournalCorrectness:
         so recovery must not replay it, or the restored state would
         diverge from the acknowledged pre-crash history."""
         store = DurabilityStore(str(tmp_path))
-        workers = [ServerThread(), ServerThread()]
+        workers = [
+            ServerThread(fault_plan=SLOW_FIRST_OP),
+            ServerThread(fault_plan=SLOW_FIRST_OP),
+        ]
         router = RouterThread(
             worker_addresses=[w.address for w in workers],
             durability=store,
@@ -240,12 +243,13 @@ class TestDurableJournalCorrectness:
         try:
             with RuleClient(router.address) as client:
                 sid = client.create_session(program=closure.PROGRAM, name="dl")
-                # Op 1: a long closure run that blows its deadline while
-                # *executing* -- it completes on the worker thread with
-                # its reply dropped, so it must stay live in the journal.
+                # Op 1: a straggling closure run that blows its deadline
+                # while *executing* -- it completes on the worker thread
+                # with its reply dropped, so it must stay live in the
+                # journal.
                 with pytest.raises(ServerError) as slow:
                     client.request(
-                        "assert", session=sid, wmes=LONG_CHAIN, run=True,
+                        "assert", session=sid, wmes=CHAIN, run=True,
                         deadline=0.05,
                     )
                 assert slow.value.reply["error"] == "deadline"

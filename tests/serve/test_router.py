@@ -1,15 +1,23 @@
 """The front-door router: placement, forwarding, quotas, migration,
-demotion -- all over real sockets via :class:`RouterFleet`.
+worker failure -- all over real sockets via :class:`RouterFleet`.
 
 The router speaks the same protocol as a single server, so every test
 drives it with the ordinary :class:`RuleClient`.
 """
 
+import asyncio
+
 import pytest
 
 from repro.ops5 import ProductionSystem
-from repro.serve import RouterFleet, RuleClient, ServerError, ServerThread
-from repro.serve.router import RouterThread
+from repro.serve import (
+    DurabilityStore,
+    RouterFleet,
+    RuleClient,
+    ServerError,
+    ServerThread,
+)
+from repro.serve.router import RouterThread, RuleRouter
 from repro.workloads.programs import closure
 
 CHAIN = [["parent", {"from": f"n{i}", "to": f"n{i + 1}"}] for i in range(6)]
@@ -123,7 +131,132 @@ class TestFleetQuotas:
                     client.destroy_session(sid)
 
 
+    def _concurrent_creates(self, first: dict, second: dict):
+        """Two create_session dispatches in one ``gather`` on a router
+        over one real worker: (replies, router, what the worker hosts)."""
+        worker = ServerThread()
+
+        async def scenario():
+            router = RuleRouter([worker.address], default_tenant_quota=1)
+            try:
+                replies = await asyncio.gather(
+                    *(
+                        router.dispatch(
+                            {"op": "create_session", "program": closure.PROGRAM, **extra}
+                        )
+                        for extra in (first, second)
+                    )
+                )
+            finally:
+                for link in router.workers:
+                    link.close()
+            return replies, router
+
+        try:
+            replies, router = asyncio.run(scenario())
+            with RuleClient(worker.address) as direct:
+                return replies, router, direct.list_sessions()
+        finally:
+            worker.stop()
+
+    def test_concurrent_creates_cannot_overshoot_a_quota(self):
+        """Admission reserves the slot before the worker is asked: the
+        quota is exact even when two creates are in flight together."""
+        replies, router, hosted = self._concurrent_creates(
+            {"tenant": "t"}, {"tenant": "t"}
+        )
+        assert sorted(reply["ok"] for reply in replies) == [False, True]
+        refused = next(reply for reply in replies if not reply["ok"])
+        assert refused["error"] == "quota"
+        assert router.tenant_sessions("t") == 1
+        assert hosted == sorted(router.placements)
+
+    def test_concurrent_creates_cannot_share_a_name(self):
+        replies, router, hosted = self._concurrent_creates(
+            {"tenant": "a", "name": "dup"}, {"tenant": "b", "name": "dup"}
+        )
+        assert sorted(reply["ok"] for reply in replies) == [False, True]
+        refused = next(reply for reply in replies if not reply["ok"])
+        assert "already exists" in refused["error"]
+        # The loser reserved nothing and left no unplaced copy behind.
+        assert list(router.placements) == hosted == ["dup"]
+        assert router.tenant_sessions("a") + router.tenant_sessions("b") == 1
+
+
+class TestSessionNames:
+    """A session name is client input: only a non-empty, UTF-8-encodable
+    string may name a session, at either front door."""
+
+    @pytest.mark.parametrize(
+        "name", [5, [1], "\ud800", ""], ids=["int", "list", "lone-surrogate", "empty"]
+    )
+    @pytest.mark.parametrize("front_door", [ServerThread, RouterFleet])
+    def test_bad_name_is_refused_before_anything_is_created(
+        self, front_door, name
+    ):
+        with front_door() as harness, RuleClient(harness.address) as client:
+            with pytest.raises(ServerError) as refused:
+                client.create_session(program=closure.PROGRAM, name=name)
+            assert refused.value.reply["error"] == "bad_name"
+            # Nothing was created, and the listing ops still answer.
+            assert client.list_sessions() == []
+            assert client.stats()["sessions"] == {}
+            good = client.create_session(program=closure.PROGRAM, name="r²")
+            assert client.list_sessions() == [good]
+
+
 class TestMigration:
+    def test_migrate_waits_for_an_op_already_journaled(self, tmp_path):
+        """An op journaled just before ``migrate_session`` but slow to
+        reach the source (its connection is delayed) must not be
+        overtaken by the export: it would be answered "no session",
+        stay live in the journal, and be missing from the moved copy."""
+        workers = [ServerThread(), ServerThread()]
+
+        async def scenario():
+            store = DurabilityStore(str(tmp_path))
+            router = RuleRouter([w.address for w in workers], durability=store)
+            try:
+                created = await router.dispatch(
+                    {"op": "create_session", "program": closure.PROGRAM, "name": "m"}
+                )
+                assert created["ok"]
+                source = router.workers[created["worker"]]
+                source.close()  # the next call must open a connection
+                connect, delays = source._connect, [0.2]
+
+                async def slow_first_connect():
+                    if delays:
+                        await asyncio.sleep(delays.pop())
+                    return await connect()
+
+                source._connect = slow_first_connect
+                op = asyncio.create_task(
+                    router.dispatch({"op": "assert", "session": "m", "wmes": CHAIN[:1]})
+                )
+                await asyncio.sleep(0.05)  # journaled, still connecting
+                moved = await router.dispatch(
+                    {"op": "migrate_session", "session": "m"}
+                )
+                applied = await op
+                assert applied["ok"], applied
+                assert moved["ok"] and moved["from"] == source.index
+                held = await router.dispatch(
+                    {"op": "query", "session": "m", "what": "wm"}
+                )
+                assert [row[:2] for row in held["wmes"]] == [CHAIN[0]]
+                assert [r.seq for r in store.load("m").records] == [1]
+            finally:
+                for link in router.workers:
+                    link.close()
+                store.close()
+
+        try:
+            asyncio.run(scenario())
+        finally:
+            for worker in workers:
+                worker.stop()
+
     def test_migrate_session_continues_bit_identically(self):
         """Mid-stream migration: half the input on worker A, migrate,
         the rest on worker B -- firings equal an unmigrated session
@@ -174,9 +307,10 @@ class TestMigration:
 
 class TestDemotion:
     def test_dead_worker_is_demoted_and_sessions_evacuate(self):
-        """Kill one worker out from under the router: after the failure
-        streak it is demoted, its reachable state is evacuated or
-        reported lost, and new sessions land on the survivor."""
+        """Kill one worker out from under a store-less router: after
+        the failure streak it takes the one recovery path, which has
+        nothing to restore from -- its sessions are reported lost, and
+        new sessions land on the survivor."""
         workers = [ServerThread(), ServerThread()]
         router = RouterThread(
             worker_addresses=[w.address for w in workers],
@@ -218,15 +352,15 @@ class TestDemotion:
                 worker_rows = {w["index"]: w for w in stats["router"]["workers"]}
                 assert worker_rows[0]["healthy"] is False
                 assert worker_rows[1]["healthy"] is True
-                # A dead (not slow) worker cannot export: its sessions
-                # are reported lost, never silently dropped.
+                # Nothing was journaled: its sessions are reported lost,
+                # never silently dropped.
                 assert set(stats["router"]["lost_sessions"]) == set(dead)
                 assert any(
-                    e["type"] == "demoted" for e in stats["router"]["events"]
+                    e["type"] == "worker_failed" for e in stats["router"]["events"]
                 )
 
                 # The healthy remainder still serves, and new sessions
-                # avoid the demoted worker.
+                # avoid the failed worker.
                 for s in alive:
                     client.assert_wmes(s, CHAIN, run=True)
                 fresh = client.create_session(program=closure.PROGRAM)
