@@ -64,13 +64,6 @@ def _build_matcher(args):
     return build_matcher(args.matcher, workers=getattr(args, "workers", None))
 
 
-def _close_matcher(matcher) -> None:
-    """Stop the matcher's threads if it owns any."""
-    close = getattr(matcher, "close", None)
-    if close is not None:
-        close()
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -85,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--matcher", choices=sorted(MATCHER_NAMES), default="rete")
     run.add_argument(
         "--workers", type=int, default=None,
-        help="thread shards for --matcher parallel (0 = inline)",
+        help="partitions for --matcher parallel",
     )
     run.add_argument("--strategy", choices=["lex", "mea"], default="lex")
     run.add_argument("--max-cycles", type=int, default=None)
@@ -106,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--matcher", choices=sorted(MATCHER_NAMES), default="rete")
     demo.add_argument(
         "--workers", type=int, default=None,
-        help="thread shards for --matcher parallel (0 = inline)",
+        help="partitions for --matcher parallel",
     )
 
     sim = sub.add_parser("simulate", help="replay a workload on the PSM model")
@@ -226,7 +219,7 @@ def _build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--matcher", choices=sorted(MATCHER_NAMES), default="rete")
     profile.add_argument(
         "--workers", type=int, default=None,
-        help="thread shards for --matcher parallel (0 = inline)",
+        help="partitions for --matcher parallel",
     )
     profile.add_argument("--strategy", choices=["lex", "mea"], default="lex")
     profile.add_argument("--max-cycles", type=int, default=None)
@@ -304,7 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     fuzz.add_argument(
         "--workers", type=int, default=2,
-        help="thread shards of the parallel backend",
+        help="partitions of the parallel backend",
     )
     fuzz.add_argument("--max-cycles", type=int, default=40)
     fuzz.add_argument(
@@ -336,14 +329,7 @@ def _load_system(args, matcher) -> ProductionSystem:
 
 
 def _cmd_run(args) -> int:
-    # The matcher is built first and reaped in ``finally`` so a worker
-    # pool can never outlive an error in parsing, loading, or running.
-    matcher = _build_matcher(args)
-    try:
-        system = _load_system(args, matcher)
-        return _run_and_report(args, system)
-    finally:
-        _close_matcher(matcher)
+    return _run_and_report(args, _load_system(args, _build_matcher(args)))
 
 
 def _run_and_report(args, system: ProductionSystem) -> int:
@@ -394,11 +380,7 @@ def _run_and_report(args, system: ProductionSystem) -> int:
 
 def _cmd_demo(args) -> int:
     module = ALL_PROGRAMS[args.name]
-    matcher = _build_matcher(args)
-    try:
-        result = module.run(matcher=matcher)
-    finally:
-        _close_matcher(matcher)
+    result = module.run(matcher=_build_matcher(args))
     for line in result.output:
         print(line)
     print(f"-- fired {result.fired} productions; {result.halt_reason}")
@@ -544,28 +526,20 @@ def _cmd_profile(args) -> int:
     matcher = build_matcher(
         args.matcher, workers=getattr(args, "workers", None), recorder=recorder
     )
-    try:
-        if args.demo:
-            module = ALL_PROGRAMS[args.demo]
-            system = module.build(matcher=matcher, recorder=recorder)
-        else:
-            with open(args.file) as handle:
-                source = handle.read()
-            system = ProductionSystem(
-                source, matcher=matcher, strategy=args.strategy, recorder=recorder
-            )
-            if args.wmes:
-                with open(args.wmes) as handle:
-                    system.load_memory(parse_wme_specs(handle.read()))
-        result = system.run(args.max_cycles)
-        # Drain any ops still queued behind the cycle barrier so the
-        # snapshot's engine and match sections count the same stream.
-        flush = getattr(system.matcher, "flush", None)
-        if flush is not None:
-            flush()
-        data = snapshot(system, recorder=recorder)
-    finally:
-        _close_matcher(matcher)
+    if args.demo:
+        module = ALL_PROGRAMS[args.demo]
+        system = module.build(matcher=matcher, recorder=recorder)
+    else:
+        with open(args.file) as handle:
+            source = handle.read()
+        system = ProductionSystem(
+            source, matcher=matcher, strategy=args.strategy, recorder=recorder
+        )
+        if args.wmes:
+            with open(args.wmes) as handle:
+                system.load_memory(parse_wme_specs(handle.read()))
+    result = system.run(args.max_cycles)
+    data = snapshot(system, recorder=recorder)
 
     print(
         f"-- fired {result.fired} productions; {result.halt_reason}; "
@@ -581,12 +555,8 @@ def _cmd_profile(args) -> int:
         lines = write_jsonl(recorder.events, args.events_out)
         print(f"-- wrote {lines} events to {args.events_out}")
     if args.trace_out:
-        thread_names = {0: "engine"}
-        for event in recorder.events:
-            if event.tid > 0:
-                thread_names.setdefault(event.tid, f"shard {event.tid - 1}")
         rows = write_chrome_trace(
-            recorder.events, args.trace_out, thread_names=thread_names
+            recorder.events, args.trace_out, thread_names={0: "engine"}
         )
         print(
             f"-- wrote {rows} trace rows to {args.trace_out} "
@@ -813,8 +783,10 @@ def _cmd_fuzz(args) -> int:
         print(case.source())
         print()
         print(case.stream_text())
-        with MatcherFleet(workers=args.workers) as fleet:
-            outcome = run_case(case, fleet.backends(), max_cycles=args.max_cycles)
+        outcome = run_case(
+            case, MatcherFleet(workers=args.workers).backends(),
+            max_cycles=args.max_cycles,
+        )
         if outcome.ok:
             print(f"-- case seed {args.case_seed}: all backends agree")
             return 0

@@ -63,7 +63,7 @@ class CompiledMatcher(Matcher):
         recorder: Optional[Recorder] = None,
     ) -> None:
         super().__init__()
-        self._recorder = recorder or NULL_RECORDER
+        self._recorder = recorder if recorder is not None else NULL_RECORDER
         self._productions: dict[str, Production] = {}
         self._wmes: dict[int, WME] = {}
         self._rt: Optional[KernelRuntime] = None

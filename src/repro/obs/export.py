@@ -8,10 +8,7 @@ Two formats, two audiences:
 * **Chrome trace-event JSON** (:func:`chrome_trace` /
   :func:`write_chrome_trace`) -- the ``{"traceEvents": [...]}`` format
   read by Perfetto (https://ui.perfetto.dev) and ``chrome://tracing``.
-  Recorder lanes (``tid``) become named trace threads, so a parallel
-  run opens as a real per-shard schedule -- the measured counterpart of
-  the psim ASCII Gantt (:func:`repro.psim.render_gantt`), side by side
-  for predicted-vs-measured comparison.
+  Recorder lanes (``tid``) become named trace threads.
 
 Timestamps: recorder events carry integer nanoseconds; the trace-event
 format wants microseconds, so exported ``ts``/``dur`` are floats in us.
@@ -55,9 +52,9 @@ def chrome_trace(
     """The full trace document for *events*.
 
     ``thread_names`` maps recorder lanes (tids) to display names --
-    e.g. ``{0: "coordinator", 1: "shard 0"}``.  Unnamed lanes render by
-    number; Perfetto sorts threads by the ``thread_sort_index`` we emit
-    alongside, keeping the coordinator lane on top.
+    e.g. ``{0: "engine"}``.  Unnamed lanes render by number; Perfetto
+    sorts threads by the ``thread_sort_index`` we emit alongside,
+    keeping lane 0 on top.
     """
     rows: list[dict] = [
         {

@@ -24,14 +24,10 @@ Snapshot shape (sections appear when their source exists)::
       "rete":     {"nodes", "nodes_by_kind", "sharing_ratio",
                    "alpha_wmes", "beta_tokens"},
       "parallel": {"workers", "shards", "productions_per_shard",
-                   "shard_weights", "shard_group_sizes", "dispatches",
-                   "eager_dispatches"},
+                   "shard_weights", "shard_group_sizes"},
       "kernel":   {"compiles", "ruleset_digest", "stores", "store_rows",
                    "columns", "subscriptions", "alpha_index", "sharing",
                    "replayed_wmes", "oracle", "cache", "shared"},
-      "scheduler": {"workers", "grain", "tasks_executed", "tasks_helped",
-                   "fast_batches", "steals", "epochs", "epoch_waits",
-                   "max_queue_depth", "queue_depths"},
       "serve":    Telemetry.snapshot(),
       "recorder": {"enabled", "events"},
     }
@@ -147,21 +143,13 @@ def _matcher_sections(matcher) -> dict:
             "shards": len(partitions),
             "productions_per_shard": [len(p.productions) for p in partitions],
             "shard_weights": [p.weight for p in partitions],
-            # Each shard's first-level groups, to set against the serial
-            # kernel's ``sharing.sizes``: the node sharing a partition cost.
+            # Each partition's first-level groups, to set against the
+            # serial kernel's ``sharing.sizes``: the node sharing a
+            # partition cost.
             "shard_group_sizes": [
                 sharing_summary(p.productions)["sizes"] for p in partitions
             ],
-            "dispatches": matcher.dispatches,
-            "eager_dispatches": matcher.eager_dispatches,
         }
-        # The work-stealing scheduler's counters (steals, helped tasks,
-        # fast-path batches, epoch waits, live queue depths); absent
-        # for workers=0.  Like every section here the read is
-        # side-effect free -- it never advances the epoch barrier.
-        scheduler = matcher.scheduler_summary()
-        if scheduler is not None:
-            sections["scheduler"] = scheduler
     return sections
 
 
@@ -175,9 +163,8 @@ def snapshot(
 
     Side-effect free: matcher statistics are read through
     :meth:`~repro.ops5.matcher.Matcher.peek_stats` (and the conflict set
-    through ``peek_conflict_set``), which never trigger the parallel
-    executor's flush barrier -- safe to call from the
-    server's event loop while the session's worker thread is matching.
+    through ``peek_conflict_set``) -- safe to call from the server's
+    event loop while the session's worker thread is matching.
     """
     data: dict = {
         "schema": SCHEMA,

@@ -1,8 +1,8 @@
 """The structured event/span recorder at the heart of ``repro.obs``.
 
 Every live layer of the system -- the engine's recognize--act cycle,
-the Rete network's node activations, the parallel executor's shard
-batches, the serve layer's request lifecycle -- reports into one
+the Rete network's node activations, the compiled kernel's
+(re)builds, the serve layer's request lifecycle -- reports into one
 :class:`Recorder`, producing a single timeline that the exporters
 (:mod:`repro.obs.export`) can turn into a JSONL event log or a Chrome
 trace-event file for Perfetto.
@@ -27,8 +27,7 @@ Design constraints, in order:
 
 Threads: one recorder instance is meant to be fed from one thread (or
 from call sites that are already serialised, like a session's worker
-thread).  Cross-process layers (the parallel shards) are timed from the
-coordinator side instead of shipping clocks across processes.
+thread).
 """
 
 from __future__ import annotations
@@ -49,9 +48,8 @@ class Event:
 
     ``ts`` and ``dur`` are integer nanoseconds relative to the owning
     recorder's epoch (``dur`` is 0 for instants).  ``tid`` is a logical
-    lane: 0 for the main engine/coordinator thread, ``1 + shard`` for
-    parallel shard batches -- the exporters turn lanes into Chrome
-    trace threads so a parallel run renders as a real shard schedule.
+    lane the exporters turn into a Chrome trace thread; every layer in
+    this tree records on lane 0, the engine's.
     """
 
     name: str

@@ -51,9 +51,9 @@ class ConflictSet:
     order is insertion order, which is what breaks ties under a custom
     ``_order_key``.  The index is built by the first ``select`` and
     maintained by every edit from then on; a set nobody selects from
-    (a parallel shard's recorder) never pays for it, and selecting with
-    a different lead (a LEX/MEA switch) or after :meth:`clear` rebuilds
-    it.
+    (a kernel attached outside an engine) never pays for it, and
+    selecting with a different lead (a LEX/MEA switch) or after
+    :meth:`clear` rebuilds it.
     """
 
     def __init__(self) -> None:
@@ -112,8 +112,8 @@ class ConflictSet:
         """Remove the instantiation with identity *key*.
 
         Lets a holder of ``(production name, timetags)`` retract without
-        materialising an :class:`Instantiation` -- the parallel executor
-        merges shard edit streams this way.
+        materialising an :class:`Instantiation` -- the generated
+        kernels bind it as ``cs_delete``.
         """
         instantiation = self._members.pop(key, None)
         if instantiation is None:

@@ -48,7 +48,7 @@ MATCHER_DESCRIPTIONS = {
     "rete-indexed": "Rete with hash-indexed join memories",
     "oflazer": "Oflazer-style combination matcher (counter-based join states)",
     "compiled": "per-ruleset generated kernel over columnar memories (src/repro/kernel)",
-    "parallel": "partitioned compiled-kernel thread shards behind a flush barrier",
+    "parallel": "the compiled kernel over a partitioned ruleset, one conflict set (serial)",
 }
 
 
@@ -538,9 +538,6 @@ class ProductionSystem:
         # the engine's innermost loop: disabled observability must not
         # even build the span's kwargs.
         if self.recorder.enabled:
-            # Reading `conflict_set` is the parallel executor's flush
-            # barrier, so the select span brackets match-merge +
-            # resolution.
             with self.recorder.span("select", "engine", cycle=self.cycle + 1):
                 selected = self.strategy.select(
                     self.conflict_set, self._fired_keys.__contains__

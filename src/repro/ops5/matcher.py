@@ -134,11 +134,9 @@ class Matcher(ABC):
     def peek_stats(self) -> MatchStats:
         """Match statistics *without* side effects.
 
-        For most matchers this is :attr:`stats`; backends where reading
-        ``stats`` is a synchronisation barrier (the parallel executor's
-        flush-on-read) override it to return the last merged view, so
-        observability snapshots can be taken from another thread while
-        a batch is in flight.
+        The name observability readers call (``obs.metrics.snapshot``,
+        the serve ``stats`` RPC, matcher wrappers).  Every matcher here
+        keeps :attr:`stats` as a plain attribute, so it is that object.
         """
         return self.stats
 

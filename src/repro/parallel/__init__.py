@@ -1,12 +1,11 @@
-"""Live parallel match execution.
+"""The partitioned matcher and its differential validation.
 
-Where :mod:`repro.psim` *predicts* the paper's machine by discrete-event
-simulation, this package *executes* match work on a pool of shards:
-productions are partitioned over thread shards in the caller's address
-space, each owning a compiled kernel over its slice of the rules, with
-a work-queue coordinator and a batch barrier per recognize--act cycle.
-See ``docs/parallel-backend.md`` for the architecture and its GIL-driven
-design constraints.
+Where :mod:`repro.psim` *predicts* the paper's machine by simulation,
+this package measures the one term of its lost factor a GIL interpreter
+can measure live: productions are partitioned over N compiled kernels
+that share one conflict set on the caller's thread, so the rate against
+serial ``compiled`` is the loss of node sharing.  Scheduling and
+synchronisation are simulated, not executed (``docs/parallel-backend.md``).
 
 Public surface:
 
@@ -14,39 +13,32 @@ Public surface:
 * :func:`~repro.parallel.partition.assign_productions` and
   :func:`~repro.parallel.partition.measure_sharing_loss` -- the
   partitioner and the live sharing-loss measurement;
-* :func:`~repro.parallel.validate.compare_backends` /
-  :func:`~repro.parallel.validate.validate_parallel` -- differential
+* :func:`~repro.parallel.validate.compare_backends` -- differential
   validation of any backend set.
 """
 
-from .executor import ParallelMatcher, WorkQueue, default_worker_count
+from .executor import ParallelMatcher
 from .partition import (
     Partition,
     SharingLoss,
     assign_productions,
     measure_sharing_loss,
-    route_classes,
 )
 from .validate import (
     DifferentialReport,
     RunRecord,
     compare_backends,
     run_recorded,
-    validate_parallel,
 )
 
 __all__ = [
     "ParallelMatcher",
-    "WorkQueue",
-    "default_worker_count",
     "Partition",
     "SharingLoss",
     "assign_productions",
     "measure_sharing_loss",
-    "route_classes",
     "DifferentialReport",
     "RunRecord",
     "compare_backends",
     "run_recorded",
-    "validate_parallel",
 ]

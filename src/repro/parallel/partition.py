@@ -1,94 +1,59 @@
-"""Partitioning productions across shard workers.
+"""Partitioning productions across the parallel matcher's kernels.
 
-The live executor distributes the Rete network the way the paper's
-Section 5 machine distributes node memories: every production's nodes
-(and therefore its alpha and beta memories) live in exactly one
-partition, so a node's memory is only ever touched by its owning
-worker -- memory-partition ownership *is* the per-node lock, held with
-zero contention.  What distribution costs is *sharing*: alpha memories
-and constant-test chains shared between productions in the serial
-network are replicated into every partition using them.  That is the
-paper's "loss of node sharing", and :func:`measure_sharing_loss`
-reports the live analogue of the calibrated 1.48 inflation factor.
+Every production's nodes (and therefore its alpha and beta memories)
+live in exactly one partition, the way the paper's Section 5 machine
+distributes node memories.  What distribution costs is *sharing*: alpha
+memories, constant-test chains and first-level join groups shared
+between productions in the serial network are replicated into every
+partition using them.  That is the paper's "loss of node sharing", and
+:func:`measure_sharing_loss` reports the live analogue of the
+calibrated 1.48 inflation factor.
 
-Assignment is greedy balanced: productions are sorted by descending
-static weight (elementary test count -- the same specificity measure
-LEX uses) and each goes to the currently lightest shard.  The order is
-made deterministic by breaking weight ties on the production name, so
-equal inputs give equal partitions on every run and worker count.
+Assignment is the LPT greedy of :mod:`repro.psim.partition` -- heaviest
+first, ties by name, onto the lightest bin, ties by index -- over each
+production's static weight (elementary test count, the specificity
+measure LEX uses), so equal inputs give equal partitions on every run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from ..ops5.production import Production
+from ..psim.partition import lpt_partition
 
 
 @dataclass
 class Partition:
-    """One shard's share of the program."""
+    """One partition's share of the program."""
 
     index: int
     productions: list[Production] = field(default_factory=list)
     weight: float = 0.0
 
     @property
-    def classes(self) -> set[str]:
-        """WME classes any of this shard's condition elements mention."""
-        return {ce.cls for p in self.productions for ce in p.conditions}
-
-    @property
     def names(self) -> tuple[str, ...]:
-        """The production names placed on this shard, placement order."""
+        """The production names placed here, in placement order."""
         return tuple(p.name for p in self.productions)
 
 
-def production_weight(production: Production) -> float:
-    """Static cost estimate used for balancing (elementary test count)."""
-    return float(production.specificity)
-
-
 def assign_productions(
-    productions: Sequence[Production],
-    shards: int,
-    weights: Mapping[str, float] | None = None,
+    productions: Sequence[Production], shards: int
 ) -> list[Partition]:
     """Deterministically balance *productions* over *shards* partitions.
 
-    ``weights`` overrides the static estimate per production name --
-    callers with profile data (e.g. measured comparisons per rule) can
-    rebalance on real costs.
+    The packing is :func:`repro.psim.partition.lpt_partition` over each
+    production's specificity; a partition lists its productions in
+    placement order, heaviest first.
     """
-    if shards < 1:
-        raise ValueError("need at least one shard")
+    by_name = {p.name: p for p in productions}
+    weights = {name: float(p.specificity) for name, p in by_name.items()}
     partitions = [Partition(i) for i in range(shards)]
-    def weight_of(production: Production) -> float:
-        if weights and production.name in weights:
-            return float(weights[production.name])
-        return production_weight(production)
-
-    ordered = sorted(productions, key=lambda p: (-weight_of(p), p.name))
-    for production in ordered:
-        lightest = min(partitions, key=lambda s: (s.weight, s.index))
-        lightest.productions.append(production)
-        lightest.weight += weight_of(production)
+    for name, index in lpt_partition(weights, shards).items():
+        partitions[index].productions.append(by_name[name])
+        partitions[index].weight += weights[name]
     return partitions
-
-
-def route_classes(partitions: Iterable[Partition]) -> dict[str, tuple[int, ...]]:
-    """The alpha router: WME class -> shard indices that must see it.
-
-    This is the partitioned alpha network's top level: a change is
-    broadcast only to partitions holding a condition element of its
-    class; everyone else never even hears about it.
-    """
-    table: dict[str, set[int]] = {}
-    for partition in partitions:
-        for cls in partition.classes:
-            table.setdefault(cls, set()).add(partition.index)
-    return {cls: tuple(sorted(ids)) for cls, ids in table.items()}
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
-"""Differential validation of the live executor (and any matcher pair).
+"""Differential validation of the partitioned matcher (and any matcher pair).
 
 The OPS5 semantics here are deliberately over-determined: the repo
-carries four serial matchers (naive, TREAT, Rete, Oflazer) plus the
-parallel executor, and *every observable of a run* must agree across
+carries serial matchers (naive, TREAT, Rete, Oflazer, the compiled
+kernel) plus the partitioned one, and *every observable of a run* must agree across
 all of them -- the conflict set after each cycle, the firing sequence,
 the ``write`` output, and the final working memory.  This module runs
 one program through any set of backends and reduces each run to a
@@ -26,9 +26,8 @@ class RunRecord:
     """Everything observable about one recorded run, comparison-ready.
 
     ``conflict_sets[i]`` is the conflict-set key snapshot *after* cycle
-    ``i`` fired and its RHS ran -- reading it through the engine is the
-    parallel backend's flush barrier, so equality here proves the
-    barrier semantics, not just the final state.
+    ``i`` fired and its RHS ran, so equality here proves every
+    intermediate state, not just the final one.
     """
 
     fired: tuple[tuple[str, tuple[int, ...]], ...]
@@ -50,8 +49,7 @@ class DifferentialReport:
 
     @property
     def agree(self) -> bool:
-        unique = {record for record in self.records.values()}
-        return len(unique) <= 1
+        return len(set(self.records.values())) <= 1
 
     def divergences(self) -> list[str]:
         """Human-readable description of the first mismatch per pair."""
@@ -148,42 +146,12 @@ def compare_backends(
 ) -> DifferentialReport:
     """Run one program through every backend factory and compare.
 
-    ``backends`` maps a label to a zero-argument matcher factory.  A
-    factory may return a pre-warmed :class:`ParallelMatcher` (after
-    :meth:`~repro.parallel.executor.ParallelMatcher.clear`), which is
-    how the test harness amortises pool start-up over hundreds of
-    generated programs.
+    ``backends`` maps a label to a zero-argument matcher factory.
     """
     report = DifferentialReport()
     for name in sorted(backends):
         matcher = backends[name]()
         report.records[name] = run_recorded(
-            productions, setup, matcher, strategy=strategy, max_cycles=max_cycles
-        )
-    return report
-
-
-def validate_parallel(
-    productions: Program | str | Sequence[Production],
-    setup: Sequence,
-    workers: int = 2,
-    strategy: str = "lex",
-    max_cycles: int = 200,
-) -> DifferentialReport:
-    """Serial Rete vs. the live parallel executor on one program.
-
-    The one-stop check the CLI and benchmark use before trusting a
-    parallel run's timings.
-    """
-    from ..rete.network import ReteNetwork
-    from .executor import ParallelMatcher
-
-    report = DifferentialReport()
-    report.records["rete"] = run_recorded(
-        productions, setup, ReteNetwork(), strategy=strategy, max_cycles=max_cycles
-    )
-    with ParallelMatcher(workers=workers) as matcher:
-        report.records[f"parallel[{workers}]"] = run_recorded(
             productions, setup, matcher, strategy=strategy, max_cycles=max_cycles
         )
     return report

@@ -51,7 +51,8 @@ def production_costs(trace: Trace) -> dict[str, float]:
 
 def lpt_partition(costs: dict[str, float], processors: int) -> dict[str, int]:
     """Longest-processing-time greedy: heaviest production first, onto
-    the currently lightest processor.  Returns production -> processor.
+    the currently lightest processor.  Returns production -> processor,
+    in placement order.
     """
     if processors < 1:
         raise ValueError("need at least one processor")

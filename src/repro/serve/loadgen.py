@@ -290,7 +290,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument("--matcher", default="rete")
     parser.add_argument("--workers", type=int, default=None,
-                        help="worker processes for --matcher parallel")
+                        help="partitions for --matcher parallel")
     parser.add_argument("--max-pending", type=int, default=None,
                         help="session queue bound (server default: 64)")
     parser.add_argument("--batches", type=int, default=DEFAULT_BATCHES)

@@ -4,10 +4,9 @@ One :class:`RuleServer` listens on a local TCP port (or a unix-domain
 socket), speaks the length-prefixed JSON protocol of
 :mod:`repro.serve.protocol`, and multiplexes any number of client
 connections onto any number of engine sessions.  The event loop only
-routes: all engine work happens on per-session worker threads (and, for
-``matcher="parallel"`` sessions, on that matcher's shard threads),
-so the loop stays free to answer pings, report stats, and -- crucially
--- reject requests with backpressure while a session is busy.
+routes: all engine work happens on per-session worker threads, so the
+loop stays free to answer pings, report stats, and -- crucially --
+reject requests with backpressure while a session is busy.
 
 Server-level operations (handled inline on the loop)::
 

@@ -1,12 +1,11 @@
 """Sessions: one long-lived :class:`ProductionSystem` per client context.
 
 A :class:`Session` is the unit of isolation in the rule server: it owns
-an engine (with any registered matcher backend, including the parallel
-executor and its shard threads), a bounded request queue served by a
-single worker thread that applies requests strictly in arrival order,
-and its own telemetry.  The :class:`SessionManager` creates, looks up,
-and tears down sessions, and rolls their telemetry up into the
-server-wide view.
+an engine (with any registered matcher backend), a bounded request
+queue served by a single worker thread that applies requests strictly
+in arrival order, and its own telemetry.  The :class:`SessionManager`
+creates, looks up, and tears down sessions, and rolls their telemetry
+up into the server-wide view.
 
 Ordering and determinism
 ------------------------
@@ -205,9 +204,10 @@ def build_matcher(name: str, workers: Optional[int] = None, recorder=None):
 
     ``workers`` is honoured for the parallel backend and rejected for
     every other one rather than silently ignored.  An enabled *recorder*
-    is threaded into backends that can use it: the parallel executor
-    takes it directly (shard-batch spans), Rete backends get a
-    :class:`~repro.rete.RecorderListener` (per-activation spans).
+    is threaded into backends that can use it: the parallel and
+    compiled matchers take it directly (``kernel:compile`` spans), Rete
+    backends get a :class:`~repro.rete.RecorderListener`
+    (per-activation spans).
     """
     if name == "parallel":
         return matcher_named(name, workers=workers, recorder=recorder)
@@ -302,16 +302,7 @@ class Session:
             # Migration restore: original timetags, refraction memory,
             # counters and halt state come back; the conflict set
             # re-derives from the WM replay (see engine.restore_state).
-            try:
-                self.system.restore_state(state)
-            except BaseException:
-                # A rejected blob must not leak the matcher's resources
-                # (the parallel backend owns scheduler threads); the
-                # executor is not built yet, so this is the only cleanup.
-                close = getattr(self.system.matcher, "close", None)
-                if close is not None:
-                    close()
-                raise
+            self.system.restore_state(state)
         self.telemetry = Telemetry()
         self.max_pending = max_pending
         #: Executed-request ordinal stream (session-site fault addresses).
@@ -409,12 +400,8 @@ class Session:
         self.close_resources()
 
     def close_resources(self) -> None:
-        """Synchronously finish queued work, then reap the worker thread
-        and the matcher pool."""
+        """Synchronously finish queued work, then reap the worker thread."""
         self._executor.shutdown(wait=True)
-        close = getattr(self.system.matcher, "close", None)
-        if close is not None:
-            close()
 
     # -- request execution (worker thread) -----------------------------------
 
@@ -576,11 +563,8 @@ class Session:
         memory: every engine read here is a point read or a
         snapshot-copy, and matcher stats flow through ``peek_stats``.
         """
-        # The unified snapshot (repro.obs.metrics) reads matcher stats
-        # via peek_stats, so building it here -- possibly from the
-        # event-loop thread while the worker matches -- cannot move the
-        # parallel flush barrier.  The telemetry rows (two window sorts)
-        # are built once and shared with it.
+        # The telemetry rows (two window sorts) are built once and
+        # shared with the unified snapshot.
         serve = self.telemetry.snapshot()
         metrics = obs_metrics.snapshot(self.system, recorder=self.recorder)
         metrics["serve"] = serve

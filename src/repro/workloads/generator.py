@@ -649,42 +649,22 @@ def drive_case(
 
 
 class MatcherFleet:
-    """The backends the fuzzer checks, with one warm parallel pool.
-
-    Serial matchers are rebuilt per case (cheap); the parallel matcher
-    keeps one pool of thread shards for the whole campaign and is
-    ``clear()``-ed between cases, so a thousand generated programs
-    start its scheduler threads once.
-    """
+    """The backends the fuzzer checks; every matcher is rebuilt per case."""
 
     def __init__(
         self,
         workers: int = 2,
         serial: Sequence[str] = SERIAL_BACKENDS,
     ) -> None:
-        from ..parallel import ParallelMatcher
-
         self._serial = tuple(serial)
-        self._pool = ParallelMatcher(workers=workers)
-
-    # -- lifecycle --------------------------------------------------------
-
-    def close(self) -> None:
-        self._pool.close()
-
-    def __enter__(self) -> "MatcherFleet":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    # -- backend factories -------------------------------------------------
+        self._workers = workers
 
     def backends(self) -> dict[str, Callable[[], object]]:
         """Label -> zero-argument matcher factory, fleet-wide."""
         from ..kernel.matcher import CompiledMatcher
         from ..naive import NaiveMatcher
         from ..oflazer import CombinationMatcher
+        from ..parallel import ParallelMatcher
         from ..rete import ReteNetwork
         from ..treat import TreatMatcher
 
@@ -699,12 +679,7 @@ class MatcherFleet:
         factories = {
             name: serial_factories[name] for name in self._serial
         }
-
-        def pooled():
-            self._pool.clear()
-            return self._pool
-
-        factories["parallel"] = pooled
+        factories["parallel"] = lambda: ParallelMatcher(workers=self._workers)
         return factories
 
     def labels(self) -> list[str]:
@@ -1079,60 +1054,54 @@ def fuzz(
     """
     start = time.monotonic()
     deadline = start + budget
-    fleet: Optional[MatcherFleet] = None
-    try:
-        if backends is None:
-            fleet = MatcherFleet(workers=workers)
-            backends = fleet.backends()
-        report = FuzzReport(
-            seed=seed,
-            profile=profile.name,
-            budget=budget,
-            elapsed=0.0,
-            iterations=0,
-            backends=sorted(backends),
+    if backends is None:
+        backends = MatcherFleet(workers=workers).backends()
+    report = FuzzReport(
+        seed=seed,
+        profile=profile.name,
+        budget=budget,
+        elapsed=0.0,
+        iterations=0,
+        backends=sorted(backends),
+    )
+    iteration = 0
+    while time.monotonic() < deadline:
+        if iterations is not None and iteration >= iterations:
+            break
+        case_seed = _case_seed_for(seed, iteration)
+        case = case_from_seed(profile, case_seed)
+        outcome = run_case(
+            case, backends, strategy=strategy, max_cycles=max_cycles
         )
-        iteration = 0
-        while time.monotonic() < deadline:
-            if iterations is not None and iteration >= iterations:
-                break
-            case_seed = _case_seed_for(seed, iteration)
-            case = case_from_seed(profile, case_seed)
-            outcome = run_case(
-                case, backends, strategy=strategy, max_cycles=max_cycles
-            )
-            if on_case is not None:
-                on_case(iteration, outcome)
-            if not outcome.ok:
-                def still_fails(candidate: FuzzCase) -> bool:
-                    return not run_case(
-                        candidate, backends, strategy=strategy, max_cycles=max_cycles
-                    ).ok
+        if on_case is not None:
+            on_case(iteration, outcome)
+        if not outcome.ok:
+            def still_fails(candidate: FuzzCase) -> bool:
+                return not run_case(
+                    candidate, backends, strategy=strategy, max_cycles=max_cycles
+                ).ok
 
-                shrunk, attempts = shrink_case(
-                    case, still_fails, max_attempts=shrink_attempts, deadline=deadline
+            shrunk, attempts = shrink_case(
+                case, still_fails, max_attempts=shrink_attempts, deadline=deadline
+            )
+            final = run_case(
+                shrunk, backends, strategy=strategy, max_cycles=max_cycles
+            )
+            report.counterexamples.append(
+                CounterExample(
+                    iteration=iteration,
+                    case_seed=case_seed,
+                    kind=final.kind if not final.ok else outcome.kind,
+                    divergences=final.divergences() or outcome.divergences(),
+                    original=case,
+                    shrunk=shrunk,
+                    shrink_attempts=attempts,
                 )
-                final = run_case(
-                    shrunk, backends, strategy=strategy, max_cycles=max_cycles
-                )
-                report.counterexamples.append(
-                    CounterExample(
-                        iteration=iteration,
-                        case_seed=case_seed,
-                        kind=final.kind if not final.ok else outcome.kind,
-                        divergences=final.divergences() or outcome.divergences(),
-                        original=case,
-                        shrunk=shrunk,
-                        shrink_attempts=attempts,
-                    )
-                )
-            iteration += 1
-        report.iterations = iteration
-        report.elapsed = time.monotonic() - start
-        return report
-    finally:
-        if fleet is not None:
-            fleet.close()
+            )
+        iteration += 1
+    report.iterations = iteration
+    report.elapsed = time.monotonic() - start
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -249,7 +249,7 @@ class TestMatchersCommand:
         for name in MATCHER_NAMES:
             assert name in out
         assert "generated kernel" in out  # the one-line descriptions
-        assert "thread shards" in out  # what `parallel` is now
+        assert "partitioned ruleset" in out  # what `parallel` is now
         assert "transport" not in out
 
 
@@ -274,19 +274,19 @@ class TestProfileCommand:
         assert data["engine"]["wme_changes"] == data["match"]["wme_changes"]
         assert events.read_text().count("\n") == data["recorder"]["events"]
 
-    def test_profile_parallel_labels_shard_lanes(self, capsys, tmp_path):
+    def test_profile_parallel_runs_on_the_engine_lane(self, capsys, tmp_path):
         import json
 
         trace = tmp_path / "trace.json"
         assert main(["profile", "--demo", "closure", "--matcher", "parallel",
-                     "--workers", "0", "--trace-out", str(trace)]) == 0
+                     "--workers", "2", "--trace-out", str(trace)]) == 0
         assert "metrics consistent" in capsys.readouterr().out
         rows = json.loads(trace.read_text())["traceEvents"]
         names = {row["args"]["name"] for row in rows
                  if row["ph"] == "M" and row["name"] == "thread_name"}
-        assert "engine" in names
-        assert any(name.startswith("shard") for name in names)
-        assert any(row["name"] == "shard-batch" for row in rows)
+        assert names == {"engine"}
+        assert {row["tid"] for row in rows} == {0}
+        assert any(row["name"] == "kernel:compile" for row in rows)
 
     def test_profile_file_with_wmes(self, capsys, program_file, wmes_file,
                                     tmp_path):

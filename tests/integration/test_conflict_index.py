@@ -54,13 +54,8 @@ class SelectsViaOrder(Strategy):
 
 def _firings(program, matcher, strategy):
     system = ProductionSystem(program.source, matcher=matcher, strategy=strategy)
-    try:
-        system.load_memory(program.setup)
-        result = system.run(program.max_cycles)
-    finally:
-        close = getattr(system.matcher, "close", None)
-        if close is not None:
-            close()
+    system.load_memory(program.setup)
+    result = system.run(program.max_cycles)
     assert result.halt_reason == "halt action"
     assert result.fired == program.expected_firings()
     return [(cycle.production, cycle.timetags) for cycle in result.cycles]

@@ -412,18 +412,14 @@ def test_system_programs_agree_stat_rows_included(name):
         lambda: ParallelMatcher(workers=2),
     ):
         matcher = make()
-        try:
-            system = mod.build(matcher=matcher, history=True)
-            result = system.run(max_cycles=mod.EMITTED.max_cycles)
-            assert [(c.production, c.timetags) for c in result.cycles] == [
-                (c.production, c.timetags) for c in reference.cycles
-            ]
-            rows.append(_stat_rows(system.matcher.stats))
-            if isinstance(matcher, CompiledMatcher):
-                audit(matcher)
-        finally:
-            if isinstance(matcher, ParallelMatcher):
-                matcher.close()
+        system = mod.build(matcher=matcher, history=True)
+        result = system.run(max_cycles=mod.EMITTED.max_cycles)
+        assert [(c.production, c.timetags) for c in result.cycles] == [
+            (c.production, c.timetags) for c in reference.cycles
+        ]
+        rows.append(_stat_rows(system.matcher.stats))
+        if isinstance(matcher, CompiledMatcher):
+            audit(matcher)
     assert rows[0] == rows[1] == rows[2]
     totals = tuple(sum(row[i] for row in rows[0]) for i in (2, 3, 4, 5))
     assert (len(rows[0]),) + totals == UNSHARED_TOTALS[name]

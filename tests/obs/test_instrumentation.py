@@ -100,28 +100,21 @@ class TestReteActivationSpans:
 
 
 class TestParallelSpans:
-    def test_shard_batches_and_flushes_recorded(self):
+    def test_one_compile_span_on_the_engine_lane(self):
         recorder = Recorder()
-        with ParallelMatcher(workers=0, recorder=recorder) as matcher:
-            system = hanoi.build(3, matcher=matcher, recorder=recorder)
-            system.run()
-        parallel_events = by_cat(recorder, "parallel")
-        flushes = [e for e in parallel_events if e.name == "flush"]
-        batches = [e for e in parallel_events if e.name == "shard-batch"]
-        assert flushes and batches
-        assert all(e.tid == 0 for e in flushes)
-        assert all(e.tid == 1 + e.args["shard"] for e in batches)
-        assert all(e.args["ops"] > 0 for e in batches)
-        # Shard work happens inside the enclosing flush window.
-        assert sum(b.dur for b in batches) <= sum(f.dur for f in flushes)
+        matcher = ParallelMatcher(workers=2, recorder=recorder)
+        hanoi.build(3, matcher=matcher, recorder=recorder).run()
+        assert not by_cat(recorder, "parallel")
+        (compile_span,) = [e for e in recorder.events if e.name == "kernel:compile"]
+        assert compile_span.args["partitions"] == 2
+        assert all(e.tid == 0 for e in recorder.events)
 
     def test_parallel_run_snapshot_consistent_with_engine(self):
         recorder = Recorder()
-        with ParallelMatcher(workers=0, recorder=recorder) as matcher:
-            system = hanoi.build(3, matcher=matcher, recorder=recorder)
-            system.run()
-            matcher.flush()
-            data = snapshot(system, recorder=recorder)
+        matcher = ParallelMatcher(workers=0, recorder=recorder)
+        system = hanoi.build(3, matcher=matcher, recorder=recorder)
+        system.run()
+        data = snapshot(system, recorder=recorder)
         assert data["engine"]["wme_changes"] == data["match"]["wme_changes"]
         assert data["recorder"]["events"] == len(recorder.events)
 

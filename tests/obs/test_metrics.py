@@ -57,24 +57,24 @@ class TestSnapshotSections:
             "largest_group": 5,
             "left_memories_saved": 4,
         }
-        # What a partition costs: the same five rules on two shards.
-        with ParallelMatcher(workers=2) as matcher:
-            split = snapshot(blocks.build(matcher=matcher))["parallel"]
+        # What a partition costs: the same five rules in two partitions.
+        split = snapshot(blocks.build(matcher=ParallelMatcher(workers=2)))["parallel"]
         assert sorted(map(tuple, split["shard_group_sizes"])) == [(2,), (3,)]
 
     def test_parallel_section(self):
-        with ParallelMatcher(workers=0) as matcher:
-            system = hanoi.build(3, matcher=matcher)
-            system.run()
-            data = snapshot(system)
-        assert "rete" not in data
+        system = hanoi.build(3, matcher=ParallelMatcher(workers=0))
+        system.run()
+        data = snapshot(system)
+        assert "rete" not in data and "scheduler" not in data
+        assert "faults" not in data and "transport" not in data
         parallel = data["parallel"]
+        assert set(parallel) == {
+            "workers", "shards", "productions_per_shard", "shard_weights",
+            "shard_group_sizes",
+        }
         assert parallel["workers"] == 0
         assert parallel["shards"] == 1
         assert sum(parallel["productions_per_shard"]) == 5
-        assert parallel["dispatches"] > 0
-        assert parallel["eager_dispatches"] == 0  # no scheduler to overlap with
-        assert "faults" not in data and "transport" not in data
 
     def test_conflict_set_section(self):
         system = hanoi.build(3)
@@ -107,26 +107,14 @@ class TestSnapshotSections:
 
 
 class TestPeekStats:
-    def test_peek_does_not_move_the_parallel_flush_barrier(self):
-        with ParallelMatcher(workers=0) as matcher:
+    def test_serial_matchers_peek_equals_stats(self):
+        # Every matcher is serial now; "parallel" used to flush on read.
+        for matcher in ("rete", "parallel"):
             system = ProductionSystem(PROGRAM, matcher=matcher)
             system.add("count", n=5)
-            # The change is queued behind the cycle barrier: a metrics
-            # snapshot must observe *without* dispatching it.
-            assert matcher.peek_stats().total_changes == 0
-            before = snapshot(system)
-            assert before["match"]["wme_changes"] == 0
-            assert before["conflict_set"]["size"] == 0
-            # Reading .stats IS the barrier; now the change is counted.
-            assert matcher.stats.total_changes == 1
-            after = snapshot(system)
-            assert after["match"]["wme_changes"] == 1
-            assert after["conflict_set"]["size"] == 1
-
-    def test_serial_matchers_peek_equals_stats(self):
-        system = ProductionSystem(PROGRAM)
-        system.add("count", n=5)
-        assert system.matcher.peek_stats() is system.matcher.stats
+            assert system.matcher.peek_stats() is system.matcher.stats
+            assert system.matcher.peek_conflict_set() is system.matcher.conflict_set
+            assert snapshot(system)["match"]["wme_changes"] == 1
 
 
 class TestConsistencyProblems:
@@ -176,27 +164,3 @@ class TestConsistencyProblems:
              "serve": {"firings": 2}}
         )
         assert any("serve telemetry" in p for p in problems)
-
-
-class TestSchedulerSection:
-    def test_local_transport_reports_scheduler_counters(self):
-        with ParallelMatcher(workers=2) as matcher:
-            system = hanoi.build(3, matcher=matcher)
-            system.run()
-            data = snapshot(system)
-            again = snapshot(system)
-        scheduler = data["scheduler"]
-        assert scheduler["workers"] == 2
-        assert scheduler["epochs"] > 0
-        assert scheduler["fast_batches"] >= 0
-        # Snapshot reads are side-effect-free: a second read observes
-        # the same counters (no epoch advanced, no task dispatched).
-        assert again["scheduler"] == scheduler
-
-    def test_section_absent_off_local_transport(self):
-        # workers=0 is the same shard with no scheduler: nothing to report.
-        with ParallelMatcher(workers=0) as matcher:
-            system = hanoi.build(3, matcher=matcher)
-            system.run()
-            data = snapshot(system)
-        assert "scheduler" not in data

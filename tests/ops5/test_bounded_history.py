@@ -74,31 +74,26 @@ def test_default_engine_is_flat_in_changes_at_constant_wm(matcher):
     gc.collect()
     baseline = len(gc.get_objects())
     system = ProductionSystem(PROGRAM, matcher=matcher)
-    try:
-        stream = SlidingWindow(system)
-        stream.waves(WINDOW_WAVES + 4)  # fill the window, reach steady state
-        wm = len(system.memory)
-        n = 60
-        after_n = stream.waves(n) - baseline
-        after_2n = stream.waves(n) - baseline
-        assert len(system.memory) == wm
-        assert system.total_firings == (WINDOW_WAVES + 4 + 2 * n) * WAVE_FIRINGS
-        assert after_n > 0
-        assert abs(after_2n - after_n) <= 0.05 * after_n, (after_n, after_2n)
+    stream = SlidingWindow(system)
+    stream.waves(WINDOW_WAVES + 4)  # fill the window, reach steady state
+    wm = len(system.memory)
+    n = 60
+    after_n = stream.waves(n) - baseline
+    after_2n = stream.waves(n) - baseline
+    assert len(system.memory) == wm
+    assert system.total_firings == (WINDOW_WAVES + 4 + 2 * n) * WAVE_FIRINGS
+    assert after_n > 0
+    assert abs(after_2n - after_n) <= 0.05 * after_n, (after_n, after_2n)
 
-        stats = system.matcher.stats
-        assert system.cycles is None and stats.changes is None
-        assert stats.total_changes == system.total_wme_changes
-        holders = [("engine", vars(system))]
-        holders.append(("stats", {name: getattr(stats, name) for name in stats.__slots__}))
-        for owner, attributes in holders:
-            for name, value in attributes.items():
-                if isinstance(value, list):
-                    assert len(value) <= stream.longest_run, (owner, name, len(value))
-    finally:
-        close = getattr(system.matcher, "close", None)
-        if close is not None:
-            close()
+    stats = system.matcher.stats
+    assert system.cycles is None and stats.changes is None
+    assert stats.total_changes == system.total_wme_changes
+    holders = [("engine", vars(system))]
+    holders.append(("stats", {name: getattr(stats, name) for name in stats.__slots__}))
+    for owner, attributes in holders:
+        for name, value in attributes.items():
+            if isinstance(value, list):
+                assert len(value) <= stream.longest_run, (owner, name, len(value))
 
 
 def test_history_is_kept_when_asked_for():

@@ -235,8 +235,6 @@ def test_a_variable_takes_its_value_at_its_first_positive_site(matcher):
     ps.step()
     made = ps.memory.snapshot()[-1]
     assert (type(made.get("n")), type(made.get("m"))) == (int, float)
-    if hasattr(ps.matcher, "close"):
-        ps.matcher.close()
 
 
 def test_binding_sites_skip_negated_elements():

@@ -69,8 +69,8 @@ class TestConflictSet:
         assert snap == frozenset({("p", (3,))})
 
     def test_snapshot_keys_drive_delete_key_round_trip(self):
-        # The parallel executor retracts by bare key from a shard's edit
-        # stream; a snapshot taken before must replay back to empty.
+        # The generated kernels retract by bare key; a snapshot taken
+        # before must replay back to empty.
         cs = ConflictSet()
         production = _production("p", ces=2)
         for tags in ((1, 2), (1, 3), (4, 2)):

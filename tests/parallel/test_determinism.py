@@ -2,11 +2,10 @@
 
 The paper's measurements are only reproducible if both layers are
 deterministic: the discrete-event simulator must return bit-equal
-results for equal inputs, and the live executor must produce identical
-runs for every worker count (0 = inline, and any process count) and
-across repeated runs.  The executor guarantee follows from disjoint
-per-production edit streams plus totally-ordered conflict resolution;
-these tests pin it.
+results for equal inputs, and the partitioned matcher must produce
+identical runs for every partition count and across repeated runs.
+That guarantee follows from disjoint per-production conflict-set edits
+plus totally-ordered conflict resolution; these tests pin it.
 """
 
 import pytest
@@ -54,23 +53,21 @@ def test_simulator_is_bit_equal_across_runs():
 def test_live_executor_identical_across_worker_counts(program, setup):
     reference = run_recorded(program, setup, ReteNetwork())
     for workers in (0, 1, 2, 3):
-        with ParallelMatcher(workers=workers) as matcher:
-            assert run_recorded(program, setup, matcher) == reference
+        matcher = ParallelMatcher(workers=workers)
+        assert run_recorded(program, setup, matcher) == reference
 
 
 def test_live_executor_identical_across_repeated_runs():
-    with ParallelMatcher(workers=2) as matcher:
-        first = run_recorded(CLOSURE, CHAIN, matcher)
-        matcher.clear()
-        second = run_recorded(CLOSURE, CHAIN, matcher)
+    first = run_recorded(CLOSURE, CHAIN, ParallelMatcher(workers=2))
+    second = run_recorded(CLOSURE, CHAIN, ParallelMatcher(workers=2))
     assert first == second
 
 
 def test_partitioning_is_stable_across_runs():
     """Same program, same worker count -> same production placement."""
     def placement():
-        with ParallelMatcher(workers=3) as matcher:
-            run_recorded(CLOSURE, CHAIN, matcher)
-            return [p.names for p in matcher.partition_snapshot()]
+        matcher = ParallelMatcher(workers=3)
+        run_recorded(CLOSURE, CHAIN, matcher)
+        return [p.names for p in matcher.partition_snapshot()]
 
     assert placement() == placement()

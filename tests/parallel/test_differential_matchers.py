@@ -2,18 +2,13 @@
 
 Hypothesis generates random OPS5 programs (joins, predicates, negations)
 and random working-memory scripts; naive, TREAT, Rete, indexed Rete,
-Oflazer, the serial compiled kernel, and the live parallel executor must
+Oflazer, the serial compiled kernel, and the partitioned matcher must
 hold identical conflict sets after every change, and -- for programs
 with right-hand sides -- produce identical firing sequences, outputs,
 and final memories.  Serial ``compiled`` is the parallel backend's own
-kernel unsharded, so the pair compares sharding and nothing else.
-
-The parallel matcher is one shared pool of thread shards for the whole
-module (`clear()` between examples), so a hundred generated programs
-start its scheduler threads once.
+kernel unpartitioned, so the pair compares partitioning and nothing else.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.kernel.matcher import CompiledMatcher
@@ -41,13 +36,6 @@ NUMBERS = [0, 1, 2]
 VARIABLES = ["x", "y"]
 
 values = st.sampled_from(SYMBOLS + NUMBERS)
-
-
-@pytest.fixture(scope="module")
-def pool():
-    """One warm two-worker pool shared by every generated example."""
-    with ParallelMatcher(workers=2) as matcher:
-        yield matcher
 
 
 @st.composite
@@ -176,23 +164,21 @@ def _drive(matcher, program, script):
 
 @settings(max_examples=100, deadline=None, database=None)
 @given(program=programs(), script=change_scripts())
-def test_all_matchers_agree_on_conflict_sets(pool, program, script):
+def test_all_matchers_agree_on_conflict_sets(program, script):
     """Agreement of every backend after every working-memory change."""
-    pool.clear()
     reference = _drive(NaiveMatcher(), program, script)
     assert _drive(TreatMatcher(), program, script) == reference
     assert _drive(ReteNetwork(), program, script) == reference
     assert _drive(ReteNetwork(indexed=True), program, script) == reference
     assert _drive(CombinationMatcher(), program, script) == reference
     assert _drive(CompiledMatcher(), program, script) == reference
-    assert _drive(pool, program, script) == reference
+    assert _drive(ParallelMatcher(workers=2), program, script) == reference
 
 
 @settings(max_examples=100, deadline=None, database=None)
 @given(program=programs(with_actions=True), setup=st.lists(wme_specs(), min_size=1, max_size=6))
-def test_all_matchers_agree_on_firing_sequences(pool, program, setup):
+def test_all_matchers_agree_on_firing_sequences(program, setup):
     """Full recognize--act runs: identical firings, output, final WM."""
-    pool.clear()
     report = compare_backends(
         program,
         setup,
@@ -202,7 +188,7 @@ def test_all_matchers_agree_on_firing_sequences(pool, program, setup):
             "rete": ReteNetwork,
             "oflazer": CombinationMatcher,
             "compiled": CompiledMatcher,
-            "parallel": lambda: pool,
+            "parallel": lambda: ParallelMatcher(workers=2),
         },
         max_cycles=40,
     )

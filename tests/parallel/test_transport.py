@@ -23,8 +23,7 @@ def test_matcher_rejects_unknown_transport():
         with pytest.raises(Ops5Error, match="removed"):
             ParallelMatcher(workers=1, transport=transport)
     # The benchmark's spelling still builds the one backend there is.
-    with matcher_named("parallel", workers=2, transport="local") as matcher:
-        assert matcher.workers == 2
+    assert matcher_named("parallel", workers=2, transport="local").workers == 2
 
 
 def test_create_session_request_accepts_only_the_local_transport():

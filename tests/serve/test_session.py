@@ -312,11 +312,7 @@ class TestBuildMatcher:
             build_matcher("rete", workers=2)
 
     def test_parallel_accepts_workers(self):
-        matcher = build_matcher("parallel", workers=0)
-        try:
-            assert matcher.workers == 0
-        finally:
-            matcher.close()
+        assert build_matcher("parallel", workers=0).workers == 0
 
 
 class TestSessionManager:

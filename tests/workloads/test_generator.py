@@ -1,8 +1,8 @@
 """The property-based OPS5 program generator and its differential harness.
 
 Tier-1 keeps the fixed-seed slices (determinism, validity, a small
-differential smoke run over every serial backend plus the inline
-parallel executor, and the injected-bug acceptance test).  The
+differential smoke run over every serial backend plus the
+one-partition ``parallel`` matcher, and the injected-bug acceptance test).  The
 open-ended hypothesis campaigns are marked ``fuzz`` and run in CI's
 dedicated fuzz job.
 """
@@ -95,20 +95,14 @@ class TestGeneration:
 
 
 class TestSmokeDifferential:
-    """Tier-1 slice: fixed seeds, serial backends + inline parallel."""
+    """Tier-1 slice: fixed seeds, serial backends + one-partition parallel."""
 
     def test_fixed_seeds_agree(self):
         backends = dict(SERIAL_BACKENDS)
-        with ParallelMatcher(workers=0) as inline:
-
-            def pooled():
-                inline.clear()
-                return inline
-
-            backends["parallel-inline"] = pooled
-            for seed in range(12):
-                outcome = run_case(case_from_seed(DEFAULT_PROFILE, seed), backends)
-                assert outcome.ok, (seed, outcome.divergences())
+        backends["parallel-inline"] = lambda: ParallelMatcher(workers=0)
+        for seed in range(12):
+            outcome = run_case(case_from_seed(DEFAULT_PROFILE, seed), backends)
+            assert outcome.ok, (seed, outcome.divergences())
 
     def test_system_profile_seeds_agree(self):
         for profile in (GENERATOR_PROFILES["r1-soar"], GENERATOR_PROFILES["ilog"]):
@@ -187,8 +181,7 @@ class TestHypothesisFuzz:
 
     @pytest.fixture(scope="class")
     def fleet(self):
-        with MatcherFleet(workers=2) as fleet:
-            yield fleet
+        return MatcherFleet(workers=2)
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(case=fuzz_cases(DEFAULT_PROFILE))
