@@ -44,7 +44,13 @@ import sys
 from typing import Optional, Sequence
 
 from .analysis import render_series, render_table
-from .ops5 import MATCHER_NAMES, Ops5Error, ProductionSystem, parse_wme_specs
+from .ops5 import (
+    MATCHER_NAMES,
+    Ops5Error,
+    ProductionSystem,
+    matcher_named,
+    parse_wme_specs,
+)
 from .psim import MachineConfig, simulate as run_simulation, sweep_processors
 from .rete import ReteNetwork, collect_stats
 from .trace import capture_trace, load_trace, save_trace
@@ -52,16 +58,25 @@ from .workloads import PAPER_SYSTEMS, generate_trace, profile_named
 from .workloads.programs import ALL_PROGRAMS
 
 
-def _build_matcher(args):
+def _build_matcher(args, recorder=None):
     """Construct the requested matcher through the engine registry.
 
     Every backend -- current and future -- goes through
     :func:`~repro.ops5.engine.matcher_named`; ``--workers`` is forwarded
-    to the parallel backend (the only one that takes it).
+    to the parallel backend (the only one that takes it) and refused
+    for every other one rather than silently ignored.
     """
     from .serve.session import build_matcher
 
-    return build_matcher(args.matcher, workers=getattr(args, "workers", None))
+    workers = getattr(args, "workers", None)
+    if args.matcher == "parallel":
+        return matcher_named("parallel", workers=workers, recorder=recorder)
+    if workers is not None:
+        raise Ops5Error(
+            f"--workers is only meaningful for --matcher parallel, "
+            f"not {args.matcher!r}"
+        )
+    return build_matcher(args.matcher, recorder=recorder)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -86,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--verify", action="store_true",
         help="audit the matcher's internal state after the run "
-             "(rete and compiled matchers)",
+             "(rete, compiled and parallel matchers)",
     )
 
     sub.add_parser(
@@ -366,7 +381,7 @@ def _run_and_report(args, system: ProductionSystem) -> int:
             problems = check_kernel(system.matcher)
         else:
             print(
-                "error: --verify requires a rete or compiled matcher",
+                "error: --verify requires a rete, compiled or parallel matcher",
                 file=sys.stderr,
             )
             return 2
@@ -520,12 +535,8 @@ def _cmd_profile(args) -> int:
         write_chrome_trace,
         write_jsonl,
     )
-    from .serve.session import build_matcher
-
     recorder = Recorder()
-    matcher = build_matcher(
-        args.matcher, workers=getattr(args, "workers", None), recorder=recorder
-    )
+    matcher = _build_matcher(args, recorder=recorder)
     if args.demo:
         module = ALL_PROGRAMS[args.demo]
         system = module.build(matcher=matcher, recorder=recorder)

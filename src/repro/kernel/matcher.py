@@ -24,9 +24,26 @@ so measurements reflect only real WM traffic (the interpreted Rete's
 ``add_production`` folds existing WM the same way).
 
 Each WME change is one :class:`~repro.kernel.runtime.KernelRuntime`
-entry (``add_wme`` / ``remove_wme``: alpha dispatch, store edit,
-subscribers); this class only mirrors working memory and records the
-entry's counter deltas.
+entry per partition (``add_wme`` / ``remove_wme``: alpha dispatch,
+store edit, subscribers); this class only mirrors working memory and
+records the entries' counter deltas.
+
+Partitions
+----------
+``CompiledMatcher(partitions=N)`` splits the ruleset into N bins
+(:func:`~repro.psim.partition.assign_productions`) and attaches one
+runtime per non-empty bin to the matcher's single conflict set;
+``matcher_named("parallel", workers=N)`` is this matcher.  A change goes
+to every runtime in turn, on the caller's thread (a runtime whose
+partition has no condition element of the WME's class drops it at one
+dict probe), and every runtime increments the matcher's one effort
+list, so a change is one ``MatchStats`` row whatever N is.  Partitions
+hold disjoint productions, so their conflict-set edits touch disjoint
+keys and commute: there is no merge step, and the firing sequence is
+the same for every N.  What a partition costs is the first-level groups
+the single kernel shares (``kernel_summary()["partitions"]``): the
+paper's loss of node sharing, measured live.  One partition, the
+default, takes the same path.
 
 Oracle mode
 -----------
@@ -46,9 +63,10 @@ from ..ops5.errors import Ops5Error
 from ..ops5.matcher import ChangeRecord, Matcher
 from ..ops5.production import Production
 from ..ops5.wme import WME
-from .cache import CompiledRuleset, cache_stats
+from ..psim.partition import Partition, assign_productions
+from .cache import cache_stats
 from .codegen import sharing_summary
-from .runtime import KernelRuntime
+from .runtime import KernelRuntime, alpha_index_summary
 from .shared import SharedKernel, shared_kernel, shared_kernel_stats
 
 __all__ = ["CompiledMatcher", "KernelRuntime"]
@@ -61,13 +79,20 @@ class CompiledMatcher(Matcher):
         self,
         oracle: bool = False,
         recorder: Optional[Recorder] = None,
+        partitions: int = 1,
     ) -> None:
         super().__init__()
+        if partitions < 1:
+            raise Ops5Error("partitions must be >= 1")
+        self.partitions = partitions
         self._recorder = recorder if recorder is not None else NULL_RECORDER
         self._productions: dict[str, Production] = {}
         self._wmes: dict[int, WME] = {}
-        self._rt: Optional[KernelRuntime] = None
-        self._kernel: Optional[SharedKernel] = None
+        #: [node activations, comparisons, tokens built], incremented by
+        #: every partition's generated code; read as deltas per change.
+        self._counters = [0, 0, 0]
+        self._runtimes: list[KernelRuntime] = []
+        self._kernels: list[SharedKernel] = []
         self._dirty = True
         self._compiles = 0
         self._replayed = 0
@@ -110,9 +135,11 @@ class CompiledMatcher(Matcher):
             self._rebuild()
         self._wmes[wme.timetag] = wme
         stats = self.stats
-        counters = self._rt.counters
+        counters = self._counters
         activations, comparisons, tokens = counters
-        affected = self._rt.add_wme(wme)
+        affected = 0
+        for runtime in self._runtimes:
+            affected += runtime.add_wme(wme)
         # MatchStats.record, inline: this is every ``make``'s path.
         stats.total_changes += 1
         stats.total_affected_productions += affected
@@ -128,9 +155,11 @@ class CompiledMatcher(Matcher):
         if self._dirty:
             self._rebuild()
         stats = self.stats
-        counters = self._rt.counters
+        counters = self._counters
         activations, comparisons, tokens = counters
-        affected = self._rt.remove_wme(wme)
+        affected = 0
+        for runtime in self._runtimes:
+            affected += runtime.remove_wme(wme)
         stats.total_changes += 1
         stats.total_affected_productions += affected
         stats.total_node_activations += counters[0] - activations
@@ -143,7 +172,7 @@ class CompiledMatcher(Matcher):
     def _audit(self, kind: str, wme: WME, affected: int, *before: int) -> None:
         """Off the default path: the change's row, the oracle's shadow."""
         if self.stats.changes is not None:
-            effort = (now - then for now, then in zip(self._rt.counters, before))
+            effort = (now - then for now, then in zip(self._counters, before))
             self.stats.changes.append(ChangeRecord(kind, wme.cls, affected, *effort))
         if self._oracle is not None:
             getattr(self._oracle, f"{kind}_wme")(wme)
@@ -151,28 +180,38 @@ class CompiledMatcher(Matcher):
 
     # -- compilation -------------------------------------------------------
 
+    def partition_snapshot(self) -> list[Partition]:
+        """The production -> partition distribution (a pure function of
+        the ruleset: every rebuild re-partitions from scratch)."""
+        return assign_productions(list(self._productions.values()), self.partitions)
+
     def _rebuild(self) -> None:
-        productions = list(self._productions.values())
+        partitions = self.partition_snapshot()
         with self._recorder.span(
             "kernel:compile",
             cat="kernel",
-            productions=len(productions),
+            productions=len(self._productions),
             wmes=len(self._wmes),
+            partitions=len(partitions),
         ):
             # Process-wide immutable half: codegen + compile() + module
             # exec happen at most once per ruleset shape, in the shared
             # registry.  This call is a pure lookup on the warm path.
-            kernel = shared_kernel(productions)
+            built = [
+                (shared_kernel(p.productions), p.productions)
+                for p in partitions
+                if p.productions
+            ]
             self.conflict_set.clear()
             # Per-session mutable half: fresh closures over the shared
-            # code object, then a quiet O(WM) replay from the mirror --
+            # code objects, then a quiet O(WM) replay from the mirror --
             # no per-change stats rows, counter deltas absorbed below.
-            self._rt = kernel.attach(
-                self.conflict_set,
-                productions,
-                (self._wmes[t] for t in sorted(self._wmes)),
-            )
-            self._kernel = kernel
+            wmes = self.current_wmes()
+            self._runtimes = [
+                kernel.attach(self.conflict_set, productions, wmes, self._counters)
+                for kernel, productions in built
+            ]
+            self._kernels = [kernel for kernel, _productions in built]
             self._compiles += 1
             self._dirty = False
             self._replayed += len(self._wmes)
@@ -188,7 +227,7 @@ class CompiledMatcher(Matcher):
             raise Ops5Error(
                 "compiled kernel diverged from Rete oracle after "
                 f"{context}: missing={missing[:5]!r} extra={extra[:5]!r} "
-                f"(ruleset {self._kernel.digest if self._kernel else '?'})"
+                f"(rulesets {[k.digest for k in self._kernels]})"
             )
 
     # -- introspection -----------------------------------------------------
@@ -202,43 +241,50 @@ class CompiledMatcher(Matcher):
         return [self._wmes[t] for t in sorted(self._wmes)]
 
     @property
-    def runtime(self) -> Optional[KernelRuntime]:
-        """The live built kernel state, or None before first compile."""
-        return self._rt
+    def runtimes(self) -> list[KernelRuntime]:
+        """The live per-partition kernel states (none before first compile)."""
+        return self._runtimes
 
     @property
-    def _ruleset(self) -> Optional[CompiledRuleset]:
-        """The cache entry behind the current kernel (back-compat)."""
-        return self._kernel.ruleset if self._kernel else None
-
-    @property
-    def shared(self) -> Optional[SharedKernel]:
-        """The process-wide kernel this session is attached to."""
-        return self._kernel
+    def kernels(self) -> list[SharedKernel]:
+        """The process-wide kernels the partitions are attached to."""
+        return self._kernels
 
     @property
     def generated_source(self) -> Optional[str]:
-        """Source of the current kernel (debugging / docs examples)."""
-        return self._kernel.ruleset.source if self._kernel else None
+        """Source of the current kernels (debugging / docs examples)."""
+        if not self._kernels:
+            return None
+        return "\n".join(kernel.ruleset.source for kernel in self._kernels)
 
     def state_size(self) -> int:
         """Rows across all stores (parity with ReteNetwork.state_size)."""
-        if self._rt is None:
-            return 0
-        return self._rt.state_size()
+        return sum(runtime.state_size() for runtime in self._runtimes)
 
     def kernel_summary(self) -> dict:
         """The ``kernel`` section of the unified metrics snapshot."""
-        runtime = self._rt
+        runtimes = self._runtimes
+        stores = [store for runtime in runtimes for store in runtime.stores]
+        partitions = self.partition_snapshot()
         return {
             "compiles": self._compiles,
-            "ruleset_digest": self._kernel.digest if self._kernel else None,
-            "stores": len(runtime.stores) if runtime else 0,
-            "store_rows": sum(len(s) for s in runtime.stores) if runtime else 0,
-            "columns": sum(len(s.cols) for s in runtime.stores) if runtime else 0,
-            "subscriptions": runtime.subscriptions if runtime else 0,
-            "alpha_index": runtime.alpha_index_summary() if runtime else None,
+            "ruleset_digest": ",".join(k.digest for k in self._kernels) or None,
+            "stores": len(stores),
+            "store_rows": sum(len(s) for s in stores),
+            "columns": sum(len(s.cols) for s in stores),
+            "subscriptions": sum(runtime.subscriptions for runtime in runtimes),
+            "alpha_index": alpha_index_summary(runtimes) if runtimes else None,
             "sharing": sharing_summary(self.productions),
+            # What partitioning costs: each partition regroups its own
+            # slice, against the single kernel's ``sharing.sizes``.
+            "partitions": {
+                "count": len(partitions),
+                "productions": [len(p.productions) for p in partitions],
+                "weights": [p.weight for p in partitions],
+                "group_sizes": [
+                    sharing_summary(p.productions)["sizes"] for p in partitions
+                ],
+            },
             "replayed_wmes": self._replayed,
             "oracle": self._oracle is not None,
             "cache": cache_stats(),

@@ -29,7 +29,7 @@ from ..ops5.production import Instantiation, Production
 from ..ops5.wme import WME, is_number, same_type, values_equal
 from .layout import AlphaStore
 
-__all__ = ["KernelRuntime"]
+__all__ = ["KernelRuntime", "alpha_index_summary"]
 
 
 _store_index = attrgetter("index")
@@ -91,6 +91,7 @@ class KernelRuntime:
     def __init__(self, conflict_set, productions: list[Production]) -> None:
         #: [node activations, comparisons, tokens built] -- the generated
         #: code increments these; the matcher snapshots deltas per change.
+        #: ``SharedKernel.attach`` swaps in a matcher's shared list.
         self.counters = [0, 0, 0]
         self.cs_insert = conflict_set.insert
         self.cs_delete = conflict_set.delete_key
@@ -190,17 +191,20 @@ class KernelRuntime:
         for wme in wmes:
             self.add_wme(wme)
 
-    def alpha_index_summary(self) -> dict:
-        """Shape of the dispatch table (``kernel_summary``'s block)."""
-        tails = [len(tail) for _groups, tail in self.by_class.values()]
-        return {
-            "classes": len(self.by_class),
-            "groups": sum(len(groups) for groups, _tail in self.by_class.values()),
-            "indexed_stores": len(self.stores) - sum(tails),
-            "linear_tail_stores": sum(tails),
-            "largest_tail": max(tails, default=0),
-        }
-
     def state_size(self) -> int:
         """Rows across all stores (parity with ReteNetwork.state_size)."""
         return sum(len(s) for s in self.stores)
+
+
+def alpha_index_summary(runtimes: Sequence[KernelRuntime]) -> dict:
+    """Shape of the dispatch tables, summed over *runtimes*
+    (``kernel_summary``'s ``alpha_index`` block)."""
+    tables = [rt.by_class.values() for rt in runtimes]
+    tails = [len(tail) for table in tables for _groups, tail in table]
+    return {
+        "classes": sum(len(table) for table in tables),
+        "groups": sum(len(groups) for table in tables for groups, _tail in table),
+        "indexed_stores": sum(len(rt.stores) for rt in runtimes) - sum(tails),
+        "linear_tail_stores": sum(tails),
+        "largest_tail": max(tails, default=0),
+    }

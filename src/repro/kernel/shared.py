@@ -20,7 +20,7 @@ and the multi-tenant serve benchmark measures it end to end.
 from __future__ import annotations
 
 import threading
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from ..ops5.production import Production
 from ..ops5.wme import WME
@@ -60,14 +60,19 @@ class SharedKernel:
         conflict_set,
         productions: Sequence[Production],
         wmes: Iterable[WME] = (),
+        counters: Optional[list[int]] = None,
     ) -> KernelRuntime:
         """Build one session's private match state on this kernel.
 
         *wmes* (timetag order) are replayed into the fresh runtime, so
         the cost of this call is closure construction plus O(|wmes|) --
-        no codegen, no ``compile()``, no module ``exec``.
+        no codegen, no ``compile()``, no module ``exec``.  *counters*,
+        when given, is the effort list the generated code increments in
+        place of a fresh one: the partitions of one matcher share one.
         """
         runtime = KernelRuntime(conflict_set, list(productions))
+        if counters is not None:
+            runtime.counters = counters
         self.build_fn(runtime)
         runtime.replay(wmes)
         with self._lock:

@@ -20,31 +20,31 @@ __all__ = ["check_kernel"]
 def check_kernel(matcher: CompiledMatcher) -> list[str]:
     """Audit a compiled matcher's state; return problem descriptions."""
     problems: list[str] = []
-    runtime = matcher.runtime
     wmes = matcher.current_wmes()
-    if runtime is not None:
-        by_tag = {w.timetag: w for w in wmes}
+    by_tag = {w.timetag: w for w in wmes}
+    for part, runtime in enumerate(matcher.runtimes):
         for index, store in enumerate(runtime.stores):
+            where = f"partition {part} store {index}"
             for timetag, wme in store.rows.items():
                 if by_tag.get(timetag) is not wme:
                     problems.append(
-                        f"store {index}: row {timetag} is not the WM mirror's WME"
+                        f"{where}: row {timetag} is not the WM mirror's WME"
                     )
                 if store.predicate is not None and not store.predicate(wme):
                     problems.append(
-                        f"store {index}: row {timetag} fails its alpha predicate"
+                        f"{where}: row {timetag} fails its alpha predicate"
                     )
             for attr, col in store.cols.items():
                 if col.keys() != store.rows.keys():
                     problems.append(
-                        f"store {index}: column {attr!r} keys diverge from rows"
+                        f"{where}: column {attr!r} keys diverge from rows"
                     )
                     continue
                 for timetag, encoded in col.items():
                     expected = encode_value(store.rows[timetag].get(attr))
                     if encoded != expected:
                         problems.append(
-                            f"store {index}: column {attr!r} row {timetag} "
+                            f"{where}: column {attr!r} row {timetag} "
                             f"holds {encoded}, expected {expected}"
                         )
             for wme in wmes:
@@ -52,7 +52,7 @@ def check_kernel(matcher: CompiledMatcher) -> list[str]:
                     continue
                 if store.predicate is None or store.predicate(wme):
                     problems.append(
-                        f"store {index}: WME {wme.timetag} passes the alpha "
+                        f"{where}: WME {wme.timetag} passes the alpha "
                         "tests but is missing from the store"
                     )
 

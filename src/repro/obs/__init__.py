@@ -8,8 +8,8 @@ layers share:
 
 * :mod:`~repro.obs.recorder` -- the structured event/span recorder
   (near-zero cost when disabled) that the engine, the Rete network
-  (via :class:`~repro.rete.instrument.RecorderListener`), the parallel
-  executor, and the serve layer all report into;
+  (via :class:`~repro.rete.instrument.RecorderListener`), the compiled
+  kernel, and the serve layer all report into;
 * :mod:`~repro.obs.metrics` -- the versioned snapshot schema unifying
   :class:`~repro.ops5.matcher.MatchStats`,
   :class:`~repro.serve.stats.Telemetry`, and the Rete structural

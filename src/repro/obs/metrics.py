@@ -23,11 +23,10 @@ Snapshot shape (sections appear when their source exists)::
                    "selects", "members_examined"},
       "rete":     {"nodes", "nodes_by_kind", "sharing_ratio",
                    "alpha_wmes", "beta_tokens"},
-      "parallel": {"workers", "shards", "productions_per_shard",
-                   "shard_weights", "shard_group_sizes"},
       "kernel":   {"compiles", "ruleset_digest", "stores", "store_rows",
                    "columns", "subscriptions", "alpha_index", "sharing",
-                   "replayed_wmes", "oracle", "cache", "shared"},
+                   "partitions", "replayed_wmes", "oracle", "cache",
+                   "shared"},
       "serve":    Telemetry.snapshot(),
       "recorder": {"enabled", "events"},
     }
@@ -125,31 +124,9 @@ def _matcher_sections(matcher) -> dict:
     from ..kernel.matcher import CompiledMatcher
 
     if isinstance(matcher, CompiledMatcher):
-        # Codegen rollup: compiles, cache hit/miss, store shape, and the
-        # structural digest identifying the generated kernel.
+        # Codegen rollup: compiles, cache hit/miss, store shape, the
+        # structural digest and, per partition, what sharing it kept.
         sections["kernel"] = matcher.kernel_summary()
-        return sections
-
-    try:
-        from ..parallel.executor import ParallelMatcher
-    except ImportError:  # pragma: no cover - parallel is always present
-        return sections
-    if isinstance(matcher, ParallelMatcher):
-        from ..kernel.codegen import sharing_summary
-
-        partitions = matcher.partition_snapshot()
-        sections["parallel"] = {
-            "workers": matcher.workers,
-            "shards": len(partitions),
-            "productions_per_shard": [len(p.productions) for p in partitions],
-            "shard_weights": [p.weight for p in partitions],
-            # Each partition's first-level groups, to set against the
-            # serial kernel's ``sharing.sizes``: the node sharing a
-            # partition cost.
-            "shard_group_sizes": [
-                sharing_summary(p.productions)["sizes"] for p in partitions
-            ],
-        }
     return sections
 
 

@@ -48,7 +48,7 @@ MATCHER_DESCRIPTIONS = {
     "rete-indexed": "Rete with hash-indexed join memories",
     "oflazer": "Oflazer-style combination matcher (counter-based join states)",
     "compiled": "per-ruleset generated kernel over columnar memories (src/repro/kernel)",
-    "parallel": "the compiled kernel over a partitioned ruleset, one conflict set (serial)",
+    "parallel": "compiled over a partitioned ruleset: --workers kernels, one conflict set (loss of node sharing)",
 }
 
 
@@ -56,8 +56,9 @@ def matcher_named(name: str, **kwargs) -> Matcher:
     """Build a matcher backend by name (see :data:`MATCHER_NAMES`).
 
     Keyword arguments are forwarded to the backend's constructor --
-    e.g. ``matcher_named("parallel", workers=4)`` or
-    ``matcher_named("rete", listener=...)``.  Imports are deferred so the
+    e.g. ``matcher_named("rete", listener=...)``; ``"parallel"`` is
+    ``CompiledMatcher(partitions=...)`` under its old keywords
+    (``matcher_named("parallel", workers=4)``).  Imports are deferred so the
     ``ops5`` package keeps no static dependency on any matcher package.
     """
     key = name.lower()
@@ -81,17 +82,37 @@ def matcher_named(name: str, **kwargs) -> Matcher:
         from ..oflazer import CombinationMatcher
 
         return CombinationMatcher(**kwargs)
-    if key == "compiled":
+    if key in ("compiled", "parallel"):
         from ..kernel.matcher import CompiledMatcher
 
+        if key == "parallel":
+            kwargs["partitions"] = _parallel_partitions(
+                kwargs.pop("workers", None), kwargs.pop("transport", "local")
+            )
         return CompiledMatcher(**kwargs)
-    if key == "parallel":
-        from ..parallel.executor import ParallelMatcher
-
-        return ParallelMatcher(**kwargs)
     raise Ops5Error(
         f"unknown matcher backend {name!r}; known: {', '.join(MATCHER_NAMES)}"
     )
+
+
+def _parallel_partitions(workers: Optional[int], transport: str) -> int:
+    """``parallel``'s old spelling of ``CompiledMatcher(partitions=)``.
+
+    *workers* is the partition count: None means 2, and 0 and 1 both
+    mean one.  ``"local"`` is the one *transport* left; the removed
+    process transports raise.
+    """
+    if transport != "local":
+        raise Ops5Error(
+            f"transport {transport!r} is not available: the process "
+            "transports (pipe, ring, auto) were removed; partitions "
+            "live in the caller's address space ('local')"
+        )
+    if workers is None:
+        return 2
+    if workers < 0:
+        raise Ops5Error("workers must be >= 0")
+    return max(1, workers)
 
 
 class EngineListener:

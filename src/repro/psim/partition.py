@@ -20,12 +20,20 @@ per-production costs of the *very trace being replayed* -- an oracle no
 compile-time partitioner has.  Even so, static assignment loses: the
 work per change is bursty and the heavy productions collide on the same
 processors.
+
+The same packing, over static weights, splits a live ruleset for the
+partitioned compiled matcher (:func:`assign_productions`,
+``CompiledMatcher(partitions=N)``): every production's memories live in
+exactly one partition, so the first-level groups the serial kernel
+shares are split -- the paper's "loss of node sharing", measured live.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
+from typing import Sequence
 
+from ..ops5.production import Production
 from ..trace.events import Trace
 from .granularity import Schedule, build_schedule
 from .machine import GRANULARITY_PRODUCTION, MachineConfig
@@ -63,6 +71,40 @@ def lpt_partition(costs: dict[str, float], processors: int) -> dict[str, int]:
         assignment[production] = target
         loads[target] += costs[production]
     return assignment
+
+
+@dataclass
+class Partition:
+    """One partition's share of a live ruleset."""
+
+    index: int
+    productions: list[Production] = field(default_factory=list)
+    weight: float = 0.0
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        """The production names placed here, in ruleset order."""
+        return tuple(p.name for p in self.productions)
+
+
+def assign_productions(
+    productions: Sequence[Production], partitions: int
+) -> list[Partition]:
+    """Deterministically balance *productions* over *partitions* bins.
+
+    The packing is :func:`lpt_partition` over each production's
+    specificity (the elementary test count LEX uses); a partition lists
+    its productions in the caller's order, so one partition is the
+    ruleset as given.
+    """
+    weights = {p.name: float(p.specificity) for p in productions}
+    placed = lpt_partition(weights, partitions)
+    bins = [Partition(i) for i in range(partitions)]
+    for production in productions:
+        target = bins[placed[production.name]]
+        target.productions.append(production)
+        target.weight += weights[production.name]
+    return bins
 
 
 def partition_imbalance(costs: dict[str, float], assignment: dict[str, int],

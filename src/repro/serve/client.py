@@ -263,7 +263,6 @@ class RuleClient:
         self,
         program: str = "",
         matcher: str = "rete",
-        workers: Optional[int] = None,
         strategy: str = "lex",
         max_pending: Optional[int] = None,
         name: Optional[str] = None,
@@ -273,7 +272,6 @@ class RuleClient:
             "create_session",
             program=program,
             matcher=matcher,
-            workers=workers,
             strategy=strategy,
             max_pending=max_pending,
             name=name,

@@ -106,7 +106,6 @@ def replay(
     client_index: int = 0,
     program: str = closure.PROGRAM,
     matcher: str = "rete",
-    workers: Optional[int] = None,
     max_pending: Optional[int] = None,
     session: Optional[str] = None,
     destroy: bool = True,
@@ -125,7 +124,6 @@ def replay(
             session = client.create_session(
                 program=program,
                 matcher=matcher,
-                workers=workers,
                 max_pending=max_pending,
             )
         result = ClientResult(client=client_index, session=session)
@@ -162,7 +160,6 @@ def run_load(
     shared_session: bool = False,
     program: str = closure.PROGRAM,
     matcher: str = "rete",
-    workers: Optional[int] = None,
     max_pending: Optional[int] = None,
     **trace_kwargs,
 ) -> dict:
@@ -180,7 +177,6 @@ def run_load(
             shared = control.create_session(
                 program=program,
                 matcher=matcher,
-                workers=workers,
                 max_pending=max_pending,
             )
         before = control.stats()["totals"]
@@ -201,7 +197,6 @@ def run_load(
                     client_index=index,
                     program=program,
                     matcher=matcher,
-                    workers=workers,
                     max_pending=max_pending,
                     session=shared,
                 )
@@ -289,8 +284,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="all clients target one session (the backpressure scenario)",
     )
     parser.add_argument("--matcher", default="rete")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="partitions for --matcher parallel")
     parser.add_argument("--max-pending", type=int, default=None,
                         help="session queue bound (server default: 64)")
     parser.add_argument("--batches", type=int, default=DEFAULT_BATCHES)
@@ -337,7 +330,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             trace=trace,
             shared_session=args.shared_session,
             matcher=args.matcher,
-            workers=args.workers,
             max_pending=args.max_pending,
             **trace_kwargs,
         )

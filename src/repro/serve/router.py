@@ -835,7 +835,7 @@ class RuleRouter(Endpoint):
         config = {
             key: forwarded[key]
             for key in (
-                "program", "matcher", "workers", "strategy", "max_pending", "tenant"
+                "program", "matcher", "strategy", "max_pending", "tenant"
             )
             if forwarded.get(key) is not None
         }

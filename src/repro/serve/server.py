@@ -10,7 +10,7 @@ reject requests with backpressure while a session is busy.
 
 Server-level operations (handled inline on the loop)::
 
-    {"op": "create_session", "program": ..., "matcher": ..., "workers": ...,
+    {"op": "create_session", "program": ..., "matcher": ...,
      "strategy": ..., "max_pending": ..., "name": ..., "tenant": ...}
     {"op": "import_session", "config": {...}, "state": {...}, "name": ...}
     {"op": "destroy_session", "session": id}
@@ -34,7 +34,9 @@ Every reply carries ``ok``; failures add ``error`` (backpressure
 rejections add ``retry_after`` + ``queue_depth``; tenant-quota
 rejections answer ``error: "quota"`` -- retrying cannot help until the
 tenant frees a session; a ``name`` that is not a non-empty UTF-8 string
-answers ``error: "bad_name"``).
+answers ``error: "bad_name"``; a create or imported config naming the
+removed ``workers`` or ``transport`` option answers
+``error: "removed_option"``).
 """
 
 from __future__ import annotations
@@ -51,7 +53,13 @@ from ..ops5.errors import (
 )
 from .durability import validate_engine_state
 from .loop import Endpoint, LoopThread
-from .session import DEFAULT_MAX_PENDING, DEFAULT_TENANT, Refused, SessionManager
+from .session import (
+    DEFAULT_MAX_PENDING,
+    DEFAULT_TENANT,
+    Refused,
+    SessionManager,
+    check_session_options,
+)
 from .stats import Telemetry, live_threads
 
 
@@ -120,18 +128,10 @@ class RuleServer(Endpoint):
     async def _op_create_session(self, request: dict) -> dict:
         if self._draining:
             raise Ops5Error("server is shutting down")
-        # Configs journalled before the process transports were removed
-        # may still name one; only the surviving value is honoured.
-        transport = request.get("transport")
-        if transport not in (None, "local"):
-            raise Ops5Error(
-                f"transport {transport!r} is not available: the process "
-                "match transports were removed (only 'local' remains)"
-            )
+        check_session_options(request)
         session = self.sessions.create(
             program=request.get("program", ""),
             matcher=request.get("matcher", "rete"),
-            workers=request.get("workers"),
             strategy=request.get("strategy", "lex"),
             max_pending=request.get("max_pending"),
             name=request.get("name"),
@@ -163,6 +163,7 @@ class RuleServer(Endpoint):
                 "error": "bad_state",
                 "detail": "config must be a JSON object",
             }
+        check_session_options(config)
         state = request.get("state")
         if state is not None:
             problem = validate_engine_state(state)

@@ -90,6 +90,31 @@ class BadSessionName(Refused):
     code = "bad_name"
 
 
+class RemovedOption(Refused):
+    """The request names a session option this server no longer has."""
+
+    code = "removed_option"
+
+
+#: Options a ``create_session`` request or an imported config may no
+#: longer name.  ``matcher="parallel"`` runs its registry default of
+#: partitions everywhere, so a session keeps its shape across migrate
+#: and restore; a config journalled with either option is refused, not
+#: silently reshaped.
+REMOVED_OPTIONS = ("workers", "transport")
+
+
+def check_session_options(config: dict) -> None:
+    """Refuse a session config naming a :data:`REMOVED_OPTIONS` key."""
+    named = [key for key in REMOVED_OPTIONS if config.get(key) is not None]
+    if named:
+        raise RemovedOption(
+            f"session option {', '.join(named)} was removed: the process "
+            "transports are gone and matcher='parallel' always runs its "
+            "default partitions"
+        )
+
+
 def check_session_name(name) -> None:
     """Refuse a client-chosen *name* (None = mint one) that is not a
     non-empty, UTF-8-encodable string: it is sorted beside minted ids,
@@ -199,29 +224,21 @@ def clear_program_cache() -> None:
         _PROGRAM_MISSES = 0
 
 
-def build_matcher(name: str, workers: Optional[int] = None, recorder=None):
+def build_matcher(name: str, recorder=None):
     """Build a matcher backend for a session via the engine registry.
 
-    ``workers`` is honoured for the parallel backend and rejected for
-    every other one rather than silently ignored.  An enabled *recorder*
-    is threaded into backends that can use it: the parallel and
-    compiled matchers take it directly (``kernel:compile`` spans), Rete
-    backends get a :class:`~repro.rete.RecorderListener`
+    An enabled *recorder* is threaded into backends that can use it: the
+    compiled and parallel matchers take it directly (``kernel:compile``
+    spans), Rete backends get a :class:`~repro.rete.RecorderListener`
     (per-activation spans).
     """
-    if name == "parallel":
-        return matcher_named(name, workers=workers, recorder=recorder)
-    if workers is not None:
-        raise Ops5Error(
-            f"workers={workers} is only meaningful for matcher='parallel', "
-            f"not {name!r}"
-        )
-    if recorder is not None and recorder.enabled and name in ("rete", "rete-indexed"):
-        from ..rete import RecorderListener
+    if recorder is not None and recorder.enabled:
+        if name in ("rete", "rete-indexed"):
+            from ..rete import RecorderListener
 
-        return matcher_named(name, listener=RecorderListener(recorder))
-    if recorder is not None and recorder.enabled and name == "compiled":
-        return matcher_named(name, recorder=recorder)
+            return matcher_named(name, listener=RecorderListener(recorder))
+        if name in ("compiled", "parallel"):
+            return matcher_named(name, recorder=recorder)
     return matcher_named(name)
 
 
@@ -273,7 +290,6 @@ class Session:
         session_id: str,
         program: str = "",
         matcher: str = "rete",
-        workers: Optional[int] = None,
         strategy: str = "lex",
         max_pending: int = DEFAULT_MAX_PENDING,
         recorder=None,
@@ -294,7 +310,7 @@ class Session:
         self.fault_plan = fault_plan
         self.system = ProductionSystem(
             shared_program(program),
-            matcher=build_matcher(matcher, workers, recorder=self.recorder),
+            matcher=build_matcher(matcher, recorder=self.recorder),
             strategy=strategy,
             recorder=self.recorder,
         )
@@ -627,7 +643,6 @@ class SessionManager:
         self,
         program: str = "",
         matcher: str = "rete",
-        workers: Optional[int] = None,
         strategy: str = "lex",
         max_pending: Optional[int] = None,
         name: Optional[str] = None,
@@ -643,7 +658,6 @@ class SessionManager:
             session_id,
             program=program,
             matcher=matcher,
-            workers=workers,
             strategy=strategy,
             max_pending=max_pending
             if max_pending is not None

@@ -12,7 +12,7 @@ feeds them to the cross-matcher differential harness: every generated
 ``(ruleset, stream)`` pair must produce bit-identical conflict sets,
 firing sequences, output, and final memories across every matcher
 backend (naive, TREAT, Rete, indexed Rete, Oflazer, the compiled kernel,
-and the parallel backend's thread shards).
+and the compiled kernel over a partitioned ruleset, ``parallel``).
 
 Three consumers share the machinery:
 
@@ -40,6 +40,7 @@ import random
 import time
 import zlib
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from ..ops5.actions import Action, Constant, Halt, Make, Modify, Remove, VariableRef, Write
@@ -51,7 +52,7 @@ from ..ops5.condition import (
     Test,
     VariableTest,
 )
-from ..ops5.engine import ProductionSystem
+from ..ops5.engine import ProductionSystem, matcher_named
 from ..ops5.errors import Ops5Error, ValidationError
 from ..ops5.parser import Program, parse_program
 from ..ops5.production import Production
@@ -577,7 +578,7 @@ def fuzz_cases(profile: GeneratorProfile = DEFAULT_PROFILE):
 
 
 # ---------------------------------------------------------------------------
-# The differential harness: serial matchers + the parallel backend
+# The differential harness: every registered matcher
 # ---------------------------------------------------------------------------
 
 #: The serial matcher backends every case runs through.  ``compiled`` is
@@ -661,25 +662,8 @@ class MatcherFleet:
 
     def backends(self) -> dict[str, Callable[[], object]]:
         """Label -> zero-argument matcher factory, fleet-wide."""
-        from ..kernel.matcher import CompiledMatcher
-        from ..naive import NaiveMatcher
-        from ..oflazer import CombinationMatcher
-        from ..parallel import ParallelMatcher
-        from ..rete import ReteNetwork
-        from ..treat import TreatMatcher
-
-        serial_factories: dict[str, Callable[[], object]] = {
-            "naive": NaiveMatcher,
-            "treat": TreatMatcher,
-            "rete": ReteNetwork,
-            "rete-indexed": lambda: ReteNetwork(indexed=True),
-            "oflazer": CombinationMatcher,
-            "compiled": CompiledMatcher,
-        }
-        factories = {
-            name: serial_factories[name] for name in self._serial
-        }
-        factories["parallel"] = lambda: ParallelMatcher(workers=self._workers)
+        factories = {name: partial(matcher_named, name) for name in self._serial}
+        factories["parallel"] = partial(matcher_named, "parallel", workers=self._workers)
         return factories
 
     def labels(self) -> list[str]:

@@ -238,6 +238,23 @@ class TestVerifyFlag:
                      "--matcher", "compiled", "--verify"]) == 0
         assert "verified consistent" in capsys.readouterr().out
 
+    def test_verify_covers_every_partition(self, capsys, tmp_path):
+        from repro.cli import main
+
+        program = tmp_path / "p.ops5"
+        program.write_text(
+            "(p go (a ^v <x>) --> (remove 1))\n"
+            "(p see (a ^v <x>) (b ^v <x>) --> (make seen ^v <x>))\n"
+            "(p mark (b ^v <x>) - (seen ^v <x>) --> (make c ^v <x>))"
+        )
+        wmes = tmp_path / "m.wmes"
+        wmes.write_text("(a ^v 1) (a ^v 2) (b ^v 1) (b ^v 3)")
+        for workers in ("2", "3"):
+            assert main(["run", str(program), "--wmes", str(wmes),
+                         "--matcher", "parallel", "--workers", workers,
+                         "--verify"]) == 0
+            assert "verified consistent" in capsys.readouterr().out
+
 
 class TestMatchersCommand:
     def test_lists_every_registered_matcher(self, capsys):

@@ -164,7 +164,7 @@ def test_r1_soar_table_shape():
     program = emit_system_program(profile_named("r1-soar"))
     system = ProductionSystem(program.source, matcher="compiled")
     system.add("item", lane="l", kind="k0", val=10)  # first change compiles
-    runtime = system.matcher.runtime
+    (runtime,) = system.matcher.runtimes
     shape = {
         cls: ([(attrs, sum(map(len, table.values()))) for attrs, table in groups], len(tail))
         for cls, (groups, tail) in runtime.by_class.items()

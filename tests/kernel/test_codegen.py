@@ -99,7 +99,7 @@ class TestAlphaSemantics:
             analysis = production.analysis[0]
             # Stores are built in plan-index order, so the plan's index
             # addresses the runtime's store list directly.
-            store = matcher.runtime.stores[use[(p_idx, 0)].index]
+            store = matcher.runtimes[0].stores[use[(p_idx, 0)].index]
             for attrs in self.CANDIDATES:
                 wme = WME("item", attrs)
                 wme.timetag = 1

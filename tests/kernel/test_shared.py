@@ -90,7 +90,7 @@ class TestWarmAttach:
             assert cache_stats()["misses"] == 1
             assert cache_stats()["hits"] == i + 1
             assert shared_kernel_stats()["execs"] == 1
-            assert matcher.shared is first.shared
+            assert matcher.kernels == first.kernels
 
     def test_warm_attach_does_not_grow_the_symbol_table(self):
         seed = CompiledMatcher()
@@ -133,14 +133,14 @@ class TestSessionIsolation:
         a.add_wme(wm_a.add(WME("block", {"color": "red", "size": 3})))
         b.add_wme(wm_b.add(WME("goal", {"want": "blue"})))
 
-        assert a.shared is b.shared
-        assert a.runtime is not b.runtime
+        assert a.kernels == b.kernels
+        assert a.runtimes[0] is not b.runtimes[0]
         # Row counts: a's block WME passes both block stores' predicates.
         assert a.state_size() == 3 and b.state_size() == 1
         # Conflict sets diverge: a matched, b's block is absent.
         assert {k[0] for k in a.conflict_set.snapshot()} == {"match"}
         assert {k[0] for k in b.conflict_set.snapshot()} == {"absent"}
         # Mutating one session leaves the other's stores untouched.
-        rows_b = {s.cls: dict(s.rows) for s in b.runtime.stores}
+        rows_b = {s.cls: dict(s.rows) for s in b.runtimes[0].stores}
         a.add_wme(wm_a.add(WME("block", {"color": "red", "size": 9})))
-        assert {s.cls: dict(s.rows) for s in b.runtime.stores} == rows_b
+        assert {s.cls: dict(s.rows) for s in b.runtimes[0].stores} == rows_b

@@ -30,7 +30,6 @@ from repro.kernel.codegen import sharing_summary
 from repro.ops5 import ProductionSystem, parse_program
 from repro.ops5.production import Instantiation
 from repro.ops5.wme import WME, WorkingMemory
-from repro.parallel import ParallelMatcher
 from repro.rete import ReteNetwork
 from repro.workloads.programs import ALL_PROGRAMS, SYSTEM_PROGRAMS
 
@@ -343,8 +342,8 @@ stream_ops = st.one_of(
 )
 
 
-def check_stream(ops) -> None:
-    matcher = CompiledMatcher(oracle=True)
+def check_stream(ops, partitions=1) -> None:
+    matcher = CompiledMatcher(oracle=True, partitions=partitions)
     system = ProductionSystem(ADVERSARIAL, matcher=matcher)
     loaded = {p.name for p in RULES}
     for op in ops:
@@ -365,7 +364,9 @@ def check_stream(ops) -> None:
         else:
             system.run(max_cycles=op[1])
     audit(matcher)
-    assert sum(matcher.kernel_summary()["sharing"]["sizes"]) == len(loaded)
+    summary = matcher.kernel_summary()
+    assert sum(summary["sharing"]["sizes"]) == len(loaded)
+    assert sum(map(sum, summary["partitions"]["group_sizes"])) == len(loaded)
 
 
 def test_adversarial_ruleset_groups():
@@ -376,6 +377,9 @@ def test_adversarial_ruleset_groups():
 @given(ops=st.lists(stream_ops, min_size=30, max_size=90))
 def test_random_stream_under_the_oracle(ops):
     check_stream(ops)
+    # The same stream with the ruleset split in two: the oracle shadows
+    # both partitions' edits of the one conflict set.
+    check_stream(ops, partitions=2)
 
 
 @pytest.mark.fuzz
@@ -383,6 +387,7 @@ def test_random_stream_under_the_oracle(ops):
 @given(ops=st.lists(stream_ops, min_size=30, max_size=300))
 def test_random_stream_under_the_oracle_long(ops):
     check_stream(ops)
+    check_stream(ops, partitions=2)
 
 
 # -- the six system programs, every backend ------------------------------------
@@ -399,27 +404,23 @@ def _stat_rows(stats):
 @pytest.mark.parametrize("name", sorted(SYSTEM_PROGRAMS))
 def test_system_programs_agree_stat_rows_included(name):
     """Firings equal the node-walking Rete's; the per-change stat rows of
-    the serial kernel, one schedulerless shard and two thread shards are
-    equal to each other -- the counters describe the logical, unshared
-    network, which no partition changes -- and sum to the totals read at
-    the parent commit, before any production shared a first level."""
+    the kernel on one, two and three partitions, each under the Rete
+    oracle, are equal to each other -- the counters describe the
+    logical, unshared network, which no partition changes -- and sum to
+    ``UNSHARED_TOTALS``, read before any production shared a first
+    level."""
     mod = SYSTEM_PROGRAMS[name]
     reference = mod.run(matcher=ReteNetwork())
     rows = []
-    for make in (
-        lambda: CompiledMatcher(oracle=True),
-        lambda: ParallelMatcher(workers=0),
-        lambda: ParallelMatcher(workers=2),
-    ):
-        matcher = make()
+    for partitions in (1, 2, 3):
+        matcher = CompiledMatcher(oracle=True, partitions=partitions)
         system = mod.build(matcher=matcher, history=True)
         result = system.run(max_cycles=mod.EMITTED.max_cycles)
         assert [(c.production, c.timetags) for c in result.cycles] == [
             (c.production, c.timetags) for c in reference.cycles
         ]
         rows.append(_stat_rows(system.matcher.stats))
-        if isinstance(matcher, CompiledMatcher):
-            audit(matcher)
+        audit(matcher)
     assert rows[0] == rows[1] == rows[2]
     totals = tuple(sum(row[i] for row in rows[0]) for i in (2, 3, 4, 5))
     assert (len(rows[0]),) + totals == UNSHARED_TOTALS[name]

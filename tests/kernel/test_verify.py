@@ -10,8 +10,8 @@ SRC = """
 """
 
 
-def _loaded(items):
-    matcher = CompiledMatcher()
+def _loaded(items, partitions=1):
+    matcher = CompiledMatcher(partitions=partitions)
     for production in parse_program(SRC).productions:
         matcher.add_production(production)
     memory = WorkingMemory()
@@ -41,17 +41,29 @@ class TestChecker:
     def test_detects_dropped_store_row(self):
         matcher, wmes = _loaded([("block", {"color": "red"})])
         store = next(
-            s for s in matcher.runtime.stores if wmes[0].timetag in s.rows
+            s for s in matcher.runtimes[0].stores if wmes[0].timetag in s.rows
         )
         del store.rows[wmes[0].timetag]  # sabotage: row gone, columns stay
         problems = check_kernel(matcher)
         assert problems and any("diverge" in p or "missing" in p for p in problems)
 
+    def test_detects_a_store_sabotaged_in_the_second_partition(self):
+        matcher, wmes = _loaded(
+            [("goal", {"want": "red"}), ("block", {"color": "red"})], partitions=2
+        )
+        assert len(matcher.runtimes) == 2 and check_kernel(matcher) == []
+        store = next(
+            s for s in matcher.runtimes[1].stores if wmes[1].timetag in s.rows
+        )
+        del store.rows[wmes[1].timetag]  # sabotage: row gone, columns stay
+        problems = check_kernel(matcher)
+        assert problems and all(p.startswith("partition 1 ") for p in problems)
+
     def test_detects_corrupted_dispatch_table(self):
         """A table entry that loses a store is a false negative: the
         auditor's own linear scan of every predicate names the WME."""
         matcher, _ = _loaded([("goal", {"want": "red"})])
-        matcher.runtime.by_class["block"] = ((), ())  # sabotage: no candidates
+        matcher.runtimes[0].by_class["block"] = ((), ())  # sabotage: no candidates
         memory = WorkingMemory()
         memory.reserve_timetags(10)
         matcher.add_wme(memory.add(WME("block", {"color": "red"})))
@@ -64,7 +76,7 @@ class TestChecker:
     def test_detects_corrupted_column_encoding(self):
         matcher, wmes = _loaded([("block", {"color": "red"})])
         store = next(
-            s for s in matcher.runtime.stores if wmes[0].timetag in s.rows
+            s for s in matcher.runtimes[0].stores if wmes[0].timetag in s.rows
         )
         attr, col = next(iter(store.cols.items()))
         col[wmes[0].timetag] ^= 0xFFFF  # sabotage the encoded value

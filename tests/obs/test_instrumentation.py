@@ -1,13 +1,13 @@
 """The recorder threaded through the live layers.
 
-Engine cycles, Rete activations, parallel shard batches, and serve
-requests all land on one Recorder timeline; these tests pin the event
+Engine cycles, Rete activations, kernel compiles, and serve requests
+all land on one Recorder timeline; these tests pin the event
 vocabulary each layer emits and the counters the spans must agree with.
 """
 
 from repro.obs import Recorder, snapshot
+from repro.kernel import CompiledMatcher
 from repro.ops5 import ProductionSystem
-from repro.parallel import ParallelMatcher
 from repro.rete import RecorderListener, ReteNetwork
 from repro.serve.session import Session, SessionManager
 from repro.workloads.programs import hanoi
@@ -102,7 +102,7 @@ class TestReteActivationSpans:
 class TestParallelSpans:
     def test_one_compile_span_on_the_engine_lane(self):
         recorder = Recorder()
-        matcher = ParallelMatcher(workers=2, recorder=recorder)
+        matcher = CompiledMatcher(partitions=2, recorder=recorder)
         hanoi.build(3, matcher=matcher, recorder=recorder).run()
         assert not by_cat(recorder, "parallel")
         (compile_span,) = [e for e in recorder.events if e.name == "kernel:compile"]
@@ -111,7 +111,7 @@ class TestParallelSpans:
 
     def test_parallel_run_snapshot_consistent_with_engine(self):
         recorder = Recorder()
-        matcher = ParallelMatcher(workers=0, recorder=recorder)
+        matcher = CompiledMatcher(partitions=1, recorder=recorder)
         system = hanoi.build(3, matcher=matcher, recorder=recorder)
         system.run()
         data = snapshot(system, recorder=recorder)

@@ -1,9 +1,9 @@
 """The unified metrics snapshot and its cross-section consistency."""
 
 from repro.obs import SCHEMA, consistency_problems, snapshot
+from repro.kernel import CompiledMatcher
 from repro.obs.recorder import Recorder
-from repro.ops5 import ProductionSystem, parse_program
-from repro.parallel import ParallelMatcher
+from repro.ops5 import ProductionSystem, matcher_named, parse_program
 from repro.serve.stats import Telemetry
 from repro.workloads.programs import blocks, hanoi
 
@@ -57,24 +57,26 @@ class TestSnapshotSections:
             "largest_group": 5,
             "left_memories_saved": 4,
         }
+        assert kernel["partitions"]["group_sizes"] == [[5]]
         # What a partition costs: the same five rules in two partitions.
-        split = snapshot(blocks.build(matcher=ParallelMatcher(workers=2)))["parallel"]
-        assert sorted(map(tuple, split["shard_group_sizes"])) == [(2,), (3,)]
+        split = snapshot(blocks.build(matcher=CompiledMatcher(partitions=2)))["kernel"]
+        assert sorted(map(tuple, split["partitions"]["group_sizes"])) == [(2,), (3,)]
+        assert split["sharing"] == kernel["sharing"]
 
     def test_parallel_section(self):
-        system = hanoi.build(3, matcher=ParallelMatcher(workers=0))
+        """``parallel`` has no section of its own: its partitions are the
+        ``kernel`` section's per-partition block."""
+        system = hanoi.build(3, matcher=matcher_named("parallel", workers=0))
         system.run()
         data = snapshot(system)
         assert "rete" not in data and "scheduler" not in data
         assert "faults" not in data and "transport" not in data
-        parallel = data["parallel"]
-        assert set(parallel) == {
-            "workers", "shards", "productions_per_shard", "shard_weights",
-            "shard_group_sizes",
-        }
-        assert parallel["workers"] == 0
-        assert parallel["shards"] == 1
-        assert sum(parallel["productions_per_shard"]) == 5
+        assert "parallel" not in data
+        partitions = data["kernel"]["partitions"]
+        assert set(partitions) == {"count", "productions", "weights", "group_sizes"}
+        assert partitions["count"] == 1
+        assert sum(partitions["productions"]) == 5
+        assert consistency_problems(data) == []
 
     def test_conflict_set_section(self):
         system = hanoi.build(3)

@@ -2,7 +2,7 @@
 
 The paper's measurements are only reproducible if both layers are
 deterministic: the discrete-event simulator must return bit-equal
-results for equal inputs, and the partitioned matcher must produce
+results for equal inputs, and the partitioned kernel must produce
 identical runs for every partition count and across repeated runs.
 That guarantee follows from disjoint per-production conflict-set edits
 plus totally-ordered conflict resolution; these tests pin it.
@@ -10,10 +10,12 @@ plus totally-ordered conflict resolution; these tests pin it.
 
 import pytest
 
-from repro.parallel import ParallelMatcher, run_recorded
+from repro.kernel import CompiledMatcher
 from repro.psim import MachineConfig, simulate
 from repro.rete import ReteNetwork
 from repro.trace import capture_trace
+from repro.workloads.generator import drive_case
+from tests.workloads.test_generator import setup_case
 
 CLOSURE = """
 (p base (parent ^from <x> ^to <y>) - (anc ^from <x> ^to <y>)
@@ -51,23 +53,26 @@ def test_simulator_is_bit_equal_across_runs():
 
 @pytest.mark.parametrize("program,setup", [(CLOSURE, CHAIN), (COUNTDOWN, COUNT_SETUP)])
 def test_live_executor_identical_across_worker_counts(program, setup):
-    reference = run_recorded(program, setup, ReteNetwork())
-    for workers in (0, 1, 2, 3):
-        matcher = ParallelMatcher(workers=workers)
-        assert run_recorded(program, setup, matcher) == reference
+    case = setup_case(program, setup)
+    reference = drive_case(ReteNetwork(), case, max_cycles=200)
+    assert reference.fired
+    for partitions in (1, 2, 3):
+        matcher = CompiledMatcher(partitions=partitions)
+        assert drive_case(matcher, case, max_cycles=200) == reference
 
 
 def test_live_executor_identical_across_repeated_runs():
-    first = run_recorded(CLOSURE, CHAIN, ParallelMatcher(workers=2))
-    second = run_recorded(CLOSURE, CHAIN, ParallelMatcher(workers=2))
+    case = setup_case(CLOSURE, CHAIN)
+    first = drive_case(CompiledMatcher(partitions=2), case)
+    second = drive_case(CompiledMatcher(partitions=2), case)
     assert first == second
 
 
 def test_partitioning_is_stable_across_runs():
-    """Same program, same worker count -> same production placement."""
+    """Same program, same partition count -> same production placement."""
     def placement():
-        matcher = ParallelMatcher(workers=3)
-        run_recorded(CLOSURE, CHAIN, matcher)
+        matcher = CompiledMatcher(partitions=3)
+        drive_case(matcher, setup_case(CLOSURE, CHAIN))
         return [p.names for p in matcher.partition_snapshot()]
 
     assert placement() == placement()

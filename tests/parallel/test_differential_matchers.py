@@ -2,11 +2,13 @@
 
 Hypothesis generates random OPS5 programs (joins, predicates, negations)
 and random working-memory scripts; naive, TREAT, Rete, indexed Rete,
-Oflazer, the serial compiled kernel, and the partitioned matcher must
-hold identical conflict sets after every change, and -- for programs
-with right-hand sides -- produce identical firing sequences, outputs,
-and final memories.  Serial ``compiled`` is the parallel backend's own
-kernel unpartitioned, so the pair compares partitioning and nothing else.
+Oflazer, the compiled kernel, and the same kernel over a partitioned
+ruleset must hold identical conflict sets after every change, and --
+for programs with right-hand sides -- produce identical firing
+sequences, outputs, and final memories.  ``compiled`` and ``parallel``
+differ in the partition count only, so the pair compares partitioning
+and nothing else.  Full runs go through the fuzzer's own harness
+(``run_case``), so there is one definition of "every observable".
 """
 
 from hypothesis import given, settings, strategies as st
@@ -25,9 +27,10 @@ from repro.ops5.condition import (
 )
 from repro.ops5.production import Production
 from repro.ops5.wme import WME, WorkingMemory
-from repro.parallel import ParallelMatcher, compare_backends
 from repro.rete import ReteNetwork
 from repro.treat import TreatMatcher
+from repro.workloads.generator import MatcherFleet, run_case
+from tests.workloads.test_generator import setup_case
 
 CLASSES = ["c1", "c2", "c3"]
 ATTRIBUTES = ["a", "b"]
@@ -172,24 +175,14 @@ def test_all_matchers_agree_on_conflict_sets(program, script):
     assert _drive(ReteNetwork(indexed=True), program, script) == reference
     assert _drive(CombinationMatcher(), program, script) == reference
     assert _drive(CompiledMatcher(), program, script) == reference
-    assert _drive(ParallelMatcher(workers=2), program, script) == reference
+    assert _drive(CompiledMatcher(partitions=2), program, script) == reference
 
 
 @settings(max_examples=100, deadline=None, database=None)
 @given(program=programs(with_actions=True), setup=st.lists(wme_specs(), min_size=1, max_size=6))
 def test_all_matchers_agree_on_firing_sequences(program, setup):
     """Full recognize--act runs: identical firings, output, final WM."""
-    report = compare_backends(
-        program,
-        setup,
-        {
-            "naive": NaiveMatcher,
-            "treat": TreatMatcher,
-            "rete": ReteNetwork,
-            "oflazer": CombinationMatcher,
-            "compiled": CompiledMatcher,
-            "parallel": lambda: ParallelMatcher(workers=2),
-        },
-        max_cycles=40,
+    outcome = run_case(
+        setup_case(program, setup), MatcherFleet(workers=2).backends(), max_cycles=40
     )
-    assert report.agree, report.divergences()
+    assert outcome.ok, outcome.divergences()

@@ -1,6 +1,7 @@
-"""Unit tests for the partitioned matcher's moving parts.
+"""Unit tests for the partitioned kernel's moving parts.
 
-The differential harness (test_differential_matchers.py) and
+``matcher="parallel"`` is ``CompiledMatcher(partitions=N)``.  The
+differential harness (test_differential_matchers.py) and
 test_partitioned.py prove the end-to-end semantics; these tests pin
 down the individual mechanisms -- partitioning, late and removed
 productions, argument checks -- so a regression points at the broken
@@ -9,15 +10,14 @@ part directly.
 
 import pytest
 
-from repro.ops5 import Ops5Error, ProductionSystem, parse_program
+from repro.kernel import CompiledMatcher
+from repro.ops5 import Ops5Error, ProductionSystem, matcher_named, parse_program
 from repro.ops5.wme import WME, WorkingMemory
-from repro.parallel import (
-    ParallelMatcher,
-    assign_productions,
-    compare_backends,
-    measure_sharing_loss,
-)
+from repro.psim.partition import assign_productions
 from repro.rete import ReteNetwork
+from repro.workloads.generator import run_case
+from repro.workloads.programs import r1_soar
+from tests.workloads.test_generator import setup_case
 
 CLOSURE = """
 (p base (parent ^from <x> ^to <y>) - (anc ^from <x> ^to <y>)
@@ -53,25 +53,29 @@ def test_assign_productions_handles_more_shards_than_rules():
 
 
 def test_sharing_loss_is_at_least_one():
-    loss = measure_sharing_loss(assign_productions(_closure_productions(), 2))
-    assert loss.distributed_nodes >= loss.serial_nodes
-    assert loss.factor >= 1.0
+    """Partitions regroup their own slices: never fewer first-level
+    groups than the single kernel, and on r1-soar strictly more."""
+    matcher = CompiledMatcher(partitions=2)
+    r1_soar.build(matcher=matcher)
+    summary = matcher.kernel_summary()
+    serial = summary["sharing"]["groups"]
+    distributed = sum(map(len, summary["partitions"]["group_sizes"]))
+    assert distributed / serial > 1.0
 
 
 # -- matcher behaviour ---------------------------------------------------------
 
 
 def test_inline_matcher_matches_serial_rete():
-    report = compare_backends(
-        CLOSURE,
-        CHAIN,
-        {"rete": ReteNetwork, "parallel": lambda: ParallelMatcher(workers=0)},
+    outcome = run_case(
+        setup_case(CLOSURE, CHAIN),
+        {"rete": ReteNetwork, "parallel": lambda: matcher_named("parallel", workers=0)},
     )
-    assert report.agree, report.divergences()
+    assert outcome.ok, outcome.divergences()
 
 
 def test_late_production_backfills_existing_memory():
-    matcher = ParallelMatcher(workers=0)
+    matcher = CompiledMatcher(partitions=1)
     memory = WorkingMemory()
     for cls, attrs in CHAIN:
         matcher.add_wme(memory.add(WME(cls, attrs)))
@@ -85,7 +89,7 @@ def test_late_production_backfills_existing_memory():
 
 
 def test_remove_production_retracts_its_instantiations():
-    matcher = ParallelMatcher(workers=2)
+    matcher = CompiledMatcher(partitions=2)
     base, step = _closure_productions()
     matcher.add_production(base)
     matcher.add_production(step)
@@ -100,7 +104,7 @@ def test_remove_production_retracts_its_instantiations():
 
 def test_remove_production_in_same_batch_as_wme_changes():
     """A rule removed before anyone read the conflict set leaves no trace."""
-    matcher = ParallelMatcher(workers=0)
+    matcher = CompiledMatcher(partitions=1)
     base, step = _closure_productions()
     matcher.add_production(base)
     memory = WorkingMemory()
@@ -111,7 +115,7 @@ def test_remove_production_in_same_batch_as_wme_changes():
 
 
 def test_duplicate_production_and_unknown_removal_raise():
-    matcher = ParallelMatcher(workers=0)
+    matcher = CompiledMatcher(partitions=2)
     base, _ = _closure_productions()
     matcher.add_production(base)
     with pytest.raises(Ops5Error):
@@ -122,16 +126,18 @@ def test_duplicate_production_and_unknown_removal_raise():
 
 def test_remove_unknown_wme_raises():
     with pytest.raises(Ops5Error):
-        ParallelMatcher(workers=0).remove_wme(WorkingMemory().add(WME("a", {})))
+        CompiledMatcher(partitions=2).remove_wme(WorkingMemory().add(WME("a", {})))
 
 
 def test_negative_worker_count_rejected():
     with pytest.raises(Ops5Error):
-        ParallelMatcher(workers=-1)
+        matcher_named("parallel", workers=-1)
+    with pytest.raises(Ops5Error):
+        CompiledMatcher(partitions=0)
 
 
 def test_partition_snapshot_before_and_after_start():
-    matcher = ParallelMatcher(workers=2)
+    matcher = CompiledMatcher(partitions=2)
     base, step = _closure_productions()
     matcher.add_production(base)
     matcher.add_production(step)
@@ -139,12 +145,13 @@ def test_partition_snapshot_before_and_after_start():
     assert sorted(n for names in preview for n in names) == ["base", "step"]
     matcher.add_wme(WorkingMemory().add(WME("parent", {"from": "a", "to": "b"})))
     assert [p.names for p in matcher.partition_snapshot()] == preview
-    assert len(matcher._runtimes) == 2
+    assert len(matcher.runtimes) == 2
 
 
 def test_engine_runs_with_parallel_string_backend():
     system = ProductionSystem(CLOSURE, matcher="parallel")
-    assert system.matcher.workers == 2
+    assert isinstance(system.matcher, CompiledMatcher)
+    assert system.matcher.partitions == 2
     for cls, attrs in CHAIN:
         system.add(cls, **attrs)
     result = system.run()

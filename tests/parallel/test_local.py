@@ -1,7 +1,7 @@
 """The six system programs on the partitioned kernel, against Rete.
 
-test_partitioned.py compares ``parallel`` with ``compiled``; this is the
-outer link of the chain, both against the node-walking Rete, plus a
+test_partitioned.py compares partition counts with each other; this is
+the outer link of the chain, both against the node-walking Rete, plus a
 kernel attached to a run in progress.
 """
 
@@ -10,10 +10,10 @@ import pytest
 from repro.kernel.matcher import CompiledMatcher
 from repro.kernel.shared import shared_kernel
 from repro.ops5.conflict import ConflictSet
-from repro.parallel import ParallelMatcher
-from repro.parallel.validate import run_recorded
 from repro.rete import ReteNetwork
+from repro.workloads.generator import drive_case
 from repro.workloads.programs import SYSTEM_PROGRAMS
+from tests.workloads.test_generator import setup_case
 
 CLOSURE = """
 (p base (parent ^from <x> ^to <y>) - (anc ^from <x> ^to <y>)
@@ -34,15 +34,15 @@ def _firings(result):
 @pytest.mark.parametrize("name", sorted(SYSTEM_PROGRAMS))
 def test_system_program_bit_identical(name):
     """Every system-class program fires as on the node-walking Rete on
-    the unpartitioned kernel, on one partition and on two -- all three
+    the single kernel, on two partitions and on three -- all three
     drive the one ``KernelRuntime`` entry -- and a kernel attached
     mid-run (``replay``) re-derives Rete's conflict set."""
     mod = SYSTEM_PROGRAMS[name]
     reference = mod.run(matcher=ReteNetwork())
     assert reference.fired > 0
     subjects = [("compiled", mod.run(matcher=CompiledMatcher()))]
-    for workers in (0, 2):
-        subjects.append((workers, mod.run(matcher=ParallelMatcher(workers=workers))))
+    for partitions in (2, 3):
+        subjects.append((partitions, mod.run(matcher=CompiledMatcher(partitions=partitions))))
     for label, subject in subjects:
         assert _firings(subject) == _firings(reference), label
         assert subject.halted == reference.halted, label
@@ -61,9 +61,11 @@ def test_system_program_bit_identical(name):
 
 
 def test_bulk_load_matches_the_unpartitioned_kernel():
-    """Hundreds of adds before the first conflict-set read, then a run:
-    every conflict set along the way is the unpartitioned kernel's."""
+    """Hundreds of adds, then a run: every conflict set along the way
+    (after each add and after each cycle) is the unpartitioned kernel's."""
     facts = [("parent", {"from": f"n{i}", "to": f"n{i + 1}"}) for i in range(240)]
-    reference = run_recorded(CLOSURE, facts, CompiledMatcher(), max_cycles=60)
-    subject = run_recorded(CLOSURE, facts, ParallelMatcher(workers=2), max_cycles=60)
+    case = setup_case(CLOSURE, facts)
+    reference = drive_case(CompiledMatcher(), case, max_cycles=60)
+    subject = drive_case(CompiledMatcher(partitions=2), case, max_cycles=60)
+    assert len(reference.fired) == 60
     assert subject == reference

@@ -1,12 +1,13 @@
-"""``matcher="parallel"`` is serial ``compiled`` with the ruleset partitioned.
+"""``matcher="parallel"`` is ``CompiledMatcher(partitions=N)``.
 
 Everything observable about a run -- firings, the conflict set after
 every cycle, final working memory, ``MatchStats`` totals and per-change
-rows -- must be ``CompiledMatcher``'s for every partition count, across
-ruleset edits with working memory resident, and without a thread.  The
-``PARENT_TOTALS`` literals were read from the thread-shard matcher this
-one replaced (commit 83e575b, identical for workers 0, 1, 2, 4 and
-rules + 3), so they pin the old backend's measurements too.
+rows -- must be the one-partition kernel's for every partition count,
+across ruleset edits with working memory resident, and without a
+thread.  The ``PARENT_TOTALS`` literals were read from the thread-shard
+matcher the partitioned kernel replaced (commit 83e575b, identical for
+workers 0, 1, 2, 4 and rules + 3), so they pin the old backend's
+measurements too.
 """
 
 import threading
@@ -14,8 +15,7 @@ import threading
 import pytest
 
 from repro.kernel.matcher import CompiledMatcher
-from repro.ops5 import ProductionSystem, parse_program
-from repro.parallel import ParallelMatcher
+from repro.ops5 import ProductionSystem, matcher_named, parse_program
 from repro.workloads.programs import SYSTEM_PROGRAMS, closure
 
 PROGRAMS = {**SYSTEM_PROGRAMS, "closure": closure}
@@ -66,11 +66,11 @@ def test_every_partition_count_is_the_serial_kernel(name):
     assert len(reference["rows"]) == reference["totals"][0]
     rules = len(parse_program(mod.PROGRAM).productions)
     for workers in (0, 1, 2, 4, rules + 3):
-        matcher = ParallelMatcher(workers=workers)
+        matcher = matcher_named("parallel", workers=workers)
         assert _observe(mod.build(matcher=matcher, history=True)) == reference, workers
-        sizes = [len(p.productions) for p in matcher.partition_snapshot()]
+        sizes = matcher.kernel_summary()["partitions"]["productions"]
         assert len(sizes) == max(1, workers) and sum(sizes) == rules
-        assert len(matcher._runtimes) == min(max(1, workers), rules)
+        assert len(matcher.runtimes) == min(max(1, workers), rules)
 
 
 EDITED = parse_program(
@@ -111,7 +111,7 @@ def test_ruleset_edits_with_resident_memory(strategy):
     reference = _edited_run(CompiledMatcher(), strategy)
     assert reference[-1]["fired"]
     for workers in (1, 2, 3):
-        assert _edited_run(ParallelMatcher(workers=workers), strategy) == reference
+        assert _edited_run(CompiledMatcher(partitions=workers), strategy) == reference
 
 
 def test_a_class_no_partition_mentions():
@@ -119,7 +119,7 @@ def test_a_class_no_partition_mentions():
     alpha table: a zero row, and the retract is as quiet."""
     system = ProductionSystem(
         "(p emit (seed ^n <n>) --> (make orphan ^n <n>) (remove 1))",
-        matcher=ParallelMatcher(workers=2),
+        matcher=CompiledMatcher(partitions=2),
         history=True,
     )
     system.add("seed", n=7)
@@ -138,7 +138,7 @@ def test_a_class_no_partition_mentions():
 
 def test_no_thread_is_ever_started():
     before = threading.active_count()
-    matcher = ParallelMatcher(workers=4)
+    matcher = CompiledMatcher(partitions=4)
     assert closure.run(matcher=matcher).fired == 21
     assert threading.active_count() == before
     del matcher

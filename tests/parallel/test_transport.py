@@ -1,18 +1,27 @@
-"""What is left of the ``transport`` seam: one legal value, ``"local"``.
+"""What is left of the ``transport`` and ``workers`` seams.
 
 The process transports (pipe, ring, auto) were deleted with the
-interpreted shards they carried.  The keyword survives on
-:class:`ParallelMatcher` because callers outside this tree pass
-``transport="local"``; everything else must be refused by name, at the
-matcher, at the server's ``create_session`` op, and when a durable
-router replays a session config journalled before the removal.
+interpreted shards they carried.  ``matcher_named("parallel",
+workers=N, transport="local")`` survives because callers outside this
+tree spell it that way; every other transport is refused by name.  The
+rule server has neither option: a session's ``parallel`` matcher runs
+its default partitions on every worker, so ``create_session``,
+``import_session`` and a durable router replaying a journalled config
+refuse both instead of honouring them on one worker and dropping them
+on the next.
 """
 
 import pytest
 
 from repro.ops5 import Ops5Error, matcher_named
-from repro.parallel import ParallelMatcher
-from repro.serve import DurabilityStore, RouterThread, RuleClient, ServerError, ServerThread
+from repro.serve import (
+    DurabilityStore,
+    RouterFleet,
+    RouterThread,
+    RuleClient,
+    ServerError,
+    ServerThread,
+)
 from repro.workloads.programs import closure
 
 CHAIN = [("parent", {"from": f"n{i}", "to": f"n{i + 1}"}) for i in range(5)]
@@ -21,42 +30,46 @@ CHAIN = [("parent", {"from": f"n{i}", "to": f"n{i + 1}"}) for i in range(5)]
 def test_matcher_rejects_unknown_transport():
     for transport in ("pipe", "ring", "auto", "telepathy"):
         with pytest.raises(Ops5Error, match="removed"):
-            ParallelMatcher(workers=1, transport=transport)
+            matcher_named("parallel", workers=1, transport=transport)
     # The benchmark's spelling still builds the one backend there is.
-    assert matcher_named("parallel", workers=2, transport="local").workers == 2
+    assert matcher_named("parallel", workers=2, transport="local").partitions == 2
 
 
-def test_create_session_request_accepts_only_the_local_transport():
-    with ServerThread() as server, RuleClient(server.address) as client:
-        kept = client.request(
-            "create_session", program=closure.PROGRAM, matcher="parallel",
-            workers=1, transport="local",
-        )["session"]
+@pytest.mark.parametrize("front", [ServerThread, RouterFleet], ids=["server", "router"])
+def test_create_session_request_refuses_workers_and_transport(front):
+    with front() as server, RuleClient(server.address) as client:
+        kept = client.create_session(program=closure.PROGRAM, matcher="parallel")
         client.assert_wmes(kept, CHAIN, run=True)
-        with pytest.raises(ServerError, match="'ring' is not available"):
+        for option in ({"workers": 1}, {"transport": "local"}, {"transport": "ring"}):
+            with pytest.raises(ServerError, match="removed_option"):
+                client.request(
+                    "create_session", program=closure.PROGRAM, matcher="parallel",
+                    **option,
+                )
+        with pytest.raises(ServerError, match="removed_option"):
             client.request(
-                "create_session", program=closure.PROGRAM, matcher="parallel",
-                workers=1, transport="ring",
+                "create_session", program=closure.PROGRAM, matcher="rete", workers=2
             )
         assert client.list_sessions() == [kept]
         client.destroy_session(kept)
 
 
 def test_stored_config_naming_a_removed_transport_is_refused(tmp_path):
-    """A config journalled before the removal: ``local`` resumes, a
-    process transport is reported lost instead of crashing the router."""
-    base = {"program": closure.PROGRAM, "matcher": "parallel", "workers": 1,
-            "tenant": "default"}
+    """Configs journalled before the removal: one naming neither option
+    resumes; one naming a transport or a partition count is reported
+    lost instead of crashing the router or coming back reshaped."""
+    base = {"program": closure.PROGRAM, "matcher": "parallel", "tenant": "default"}
     store = DurabilityStore(str(tmp_path))
-    store.register("kept", {**base, "transport": "local"})
+    store.register("kept", base)
     store.register("gone", {**base, "transport": "pipe"})
+    store.register("resized", {**base, "workers": 4})
     worker = ServerThread()
     router = RouterThread(worker_addresses=[worker.address], durability=store)
     try:
         with RuleClient(router.address) as client:
             assert client.list_sessions() == ["kept"]
             assert client.assert_wmes("kept", CHAIN, run=True)["run"]["fired"] > 0
-            assert client.stats()["router"]["lost_sessions"] == ["gone"]
+            assert client.stats()["router"]["lost_sessions"] == ["gone", "resized"]
     finally:
         router.stop()
         worker.stop()

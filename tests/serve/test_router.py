@@ -298,6 +298,26 @@ class TestMigration:
                 assert stats["sessions"][sid]["worker"] == moved["to"]
                 client.destroy_session(sid)
 
+    def test_migrated_parallel_session_keeps_its_partitions(self):
+        """The export config names no partition count, and none is
+        needed: the ``parallel`` session's per-partition ``kernel``
+        block reads the same on the target worker as on the source."""
+        with RouterFleet(workers=2) as fleet:
+            with RuleClient(fleet.address) as client:
+                sid = client.create_session(
+                    program=closure.PROGRAM, matcher="parallel"
+                )
+                client.assert_wmes(sid, CHAIN, run=True)
+
+                def partitions():
+                    return client.session_stats(sid)["metrics"]["kernel"]["partitions"]
+
+                before = partitions()
+                assert before["count"] == 2 and sum(before["productions"]) == 2
+                client.request("migrate_session", session=sid)
+                assert partitions() == before
+                client.destroy_session(sid)
+
     def test_migrate_unknown_session_fails_cleanly(self):
         with RouterFleet(workers=2) as fleet:
             with RuleClient(fleet.address) as client:

@@ -47,10 +47,11 @@ def test_full_session_lifecycle(server):
 
 
 @pytest.mark.parametrize(
-    "matcher,workers", [("rete", None), ("treat", None), ("parallel", 2)]
+    "matcher,partitions", [("rete", None), ("treat", None), ("parallel", 2)]
 )
-def test_served_results_bit_identical_to_direct_run(server, matcher, workers):
-    """The acceptance criterion, through a real socket and any backend."""
+def test_served_results_bit_identical_to_direct_run(server, matcher, partitions):
+    """The acceptance criterion, through a real socket and any backend
+    (``parallel`` on its default partitions, read back from stats)."""
     direct = ProductionSystem(closure.PROGRAM, matcher="rete")
     direct.apply_changes([("assert", cls, attrs) for cls, attrs in CHAIN])
     expected = direct.run()
@@ -60,9 +61,7 @@ def test_served_results_bit_identical_to_direct_run(server, matcher, workers):
     )
 
     with RuleClient(server.address) as client:
-        sid = client.create_session(
-            program=closure.PROGRAM, matcher=matcher, workers=workers
-        )
+        sid = client.create_session(program=closure.PROGRAM, matcher=matcher)
         try:
             # Ingest in deliberately ragged batches: 1, 2, then the rest.
             client.assert_wmes(sid, CHAIN[:1])
@@ -77,6 +76,9 @@ def test_served_results_bit_identical_to_direct_run(server, matcher, workers):
                 for cls, attrs, tag in client.query_wm(sid)
             )
             assert served_wm == expected_wm
+            kernel = client.session_stats(sid)["metrics"].get("kernel")
+            if partitions is not None:
+                assert kernel["partitions"]["count"] == partitions
         finally:
             client.destroy_session(sid)
 
@@ -176,7 +178,7 @@ def test_graceful_shutdown_drains_and_reaps():
     harness = ServerThread()
     with RuleClient(harness.address) as client:
         sid = client.create_session(
-            program=closure.PROGRAM, matcher="parallel", workers=2
+            program=closure.PROGRAM, matcher="parallel"
         )
         client.assert_wmes(sid, CHAIN)
         reply = client.shutdown_server()

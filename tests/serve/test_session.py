@@ -8,24 +8,22 @@ tests drive the session's synchronous core (the exact code the server's
 worker threads execute) against a directly-driven engine.
 """
 
-import gc
-
 import pytest
 
+from repro.kernel import CompiledMatcher
 from repro.ops5 import Ops5Error, ProductionSystem
-from repro.serve.session import Session, SessionManager, build_matcher
+from repro.serve.session import (
+    RemovedOption,
+    Session,
+    SessionManager,
+    build_matcher,
+    check_session_options,
+)
 from repro.workloads.programs import closure, hanoi
+from tests.ops5.test_bounded_history import live_objects
 
-#: Every registered backend, in its in-process configuration.  The
-#: process-pool parallel configuration is covered in test_server.py.
-MATCHERS = [
-    ("naive", None),
-    ("treat", None),
-    ("rete", None),
-    ("rete-indexed", None),
-    ("oflazer", None),
-    ("parallel", 0),
-]
+#: Every registered backend (``parallel`` on its default partitions).
+MATCHERS = ["naive", "treat", "rete", "rete-indexed", "oflazer", "compiled", "parallel"]
 
 CHAIN_EDGES = [
     ("parent", {"from": f"n{i}", "to": f"n{i + 1}"}) for i in range(8)
@@ -52,9 +50,9 @@ def _direct_fingerprint(program, scripted):
     return firings, wm, output
 
 
-def _served_fingerprint(program, scripted, matcher, workers):
+def _served_fingerprint(program, scripted, matcher):
     """Run the same operations through a Session's request handlers."""
-    session = Session("t", program=program, matcher=matcher, workers=workers)
+    session = Session("t", program=program, matcher=matcher)
     try:
         firings, output = [], []
         for op in scripted:
@@ -88,14 +86,14 @@ def _closure_script(batch_size, runs_between=False):
 
 
 class TestBatchBoundaryInvariance:
-    @pytest.mark.parametrize("matcher,workers", MATCHERS)
+    @pytest.mark.parametrize("matcher", MATCHERS)
     @pytest.mark.parametrize("batch_size", [1, 3, len(CHAIN_EDGES)])
     def test_closure_bit_identical_to_direct_run(
-        self, matcher, workers, batch_size
+        self, matcher, batch_size
     ):
         script = _closure_script(batch_size)
         expected = _direct_fingerprint(closure.PROGRAM, script)
-        served = _served_fingerprint(closure.PROGRAM, script, matcher, workers)
+        served = _served_fingerprint(closure.PROGRAM, script, matcher)
         assert served == expected
 
     @pytest.mark.parametrize("batch_size", [1, 3, len(CHAIN_EDGES)])
@@ -107,14 +105,12 @@ class TestBatchBoundaryInvariance:
         chunked = _direct_fingerprint(closure.PROGRAM, _closure_script(batch_size))
         assert chunked == reference
 
-    @pytest.mark.parametrize("matcher,workers", [("rete", None), ("parallel", 0)])
-    def test_run_between_batches_matches_direct_interleaving(
-        self, matcher, workers
-    ):
+    @pytest.mark.parametrize("matcher", ["rete", "parallel"])
+    def test_run_between_batches_matches_direct_interleaving(self, matcher):
         """Ingest/run/ingest/run: served == direct at every quiescence."""
         script = _closure_script(3, runs_between=True)
         expected = _direct_fingerprint(closure.PROGRAM, script)
-        served = _served_fingerprint(closure.PROGRAM, script, matcher, workers)
+        served = _served_fingerprint(closure.PROGRAM, script, matcher)
         assert served == expected
 
     def test_hanoi_with_halt_action_matches(self):
@@ -125,7 +121,7 @@ class TestBatchBoundaryInvariance:
         script = [("changes", chunk) for chunk in _chunks(changes, 2)]
         script.append(("run", None))
         expected = _direct_fingerprint(hanoi.PROGRAM, script)
-        served = _served_fingerprint(hanoi.PROGRAM, script, "rete", None)
+        served = _served_fingerprint(hanoi.PROGRAM, script, "rete")
         assert served == expected
         assert len(expected[0]) > hanoi.expected_moves(4)
 
@@ -275,17 +271,10 @@ class TestBoundedRetention:
             window.append([tag for _cls, _attrs, tag in live if tag >= first])
             if len(window) > self.WINDOW:
                 session.perform({"op": "retract", "timetags": window.pop(0)})
-        # Twice, until stable: a refraction key ``(name, (timetags...))``
-        # is untracked only in the pass after the one that untracked its
-        # inner tuple, so one collect counts allocation cadence, not
-        # retention (see tests/ops5/test_bounded_history.py).
-        gc.collect()
-        gc.collect()
-        return len(gc.get_objects())
+        return live_objects()
 
     def test_served_session_is_flat_in_requests_at_constant_wm(self):
-        gc.collect()
-        baseline = len(gc.get_objects())
+        baseline = live_objects()
         session = Session("s", program=self.PROGRAM, matcher="compiled")
         try:
             window: list = []
@@ -308,11 +297,16 @@ class TestBoundedRetention:
 
 class TestBuildMatcher:
     def test_workers_rejected_for_serial_backends(self):
-        with pytest.raises(Ops5Error):
-            build_matcher("rete", workers=2)
+        """No session config names a partition count -- for a serial
+        backend, and for ``parallel`` too."""
+        for matcher in ("rete", "parallel"):
+            with pytest.raises(RemovedOption):
+                check_session_options({"matcher": matcher, "workers": 2})
+        check_session_options({"matcher": "parallel", "workers": None})
 
-    def test_parallel_accepts_workers(self):
-        assert build_matcher("parallel", workers=0).workers == 0
+    def test_parallel_builds_the_partitioned_kernel(self):
+        matcher = build_matcher("parallel")
+        assert isinstance(matcher, CompiledMatcher) and matcher.partitions == 2
 
 
 class TestSessionManager:

@@ -1,8 +1,8 @@
 """The property-based OPS5 program generator and its differential harness.
 
 Tier-1 keeps the fixed-seed slices (determinism, validity, a small
-differential smoke run over every serial backend plus the
-one-partition ``parallel`` matcher, and the injected-bug acceptance test).  The
+differential smoke run over the whole matcher fleet, and the
+injected-bug acceptance test).  The
 open-ended hypothesis campaigns are marked ``fuzz`` and run in CI's
 dedicated fuzz job.
 """
@@ -15,14 +15,15 @@ from hypothesis import given, settings
 from repro.kernel import CompiledMatcher
 from repro.naive import NaiveMatcher
 from repro.oflazer import CombinationMatcher
+from repro.ops5 import Program, parse_program
 from repro.ops5.production import Production
-from repro.parallel import ParallelMatcher
 from repro.rete import ReteNetwork
 from repro.treat import TreatMatcher
 from repro.workloads.generator import (
     DEFAULT_PROFILE,
     FUZZ_PROFILES,
     GENERATOR_PROFILES,
+    FuzzCase,
     MatcherFleet,
     case_from_seed,
     emit_system_program,
@@ -42,6 +43,21 @@ SERIAL_BACKENDS = {
     "oflazer": CombinationMatcher,
     "compiled": CompiledMatcher,
 }
+
+
+def setup_case(program, setup) -> FuzzCase:
+    """A (program, setup) run as a :class:`FuzzCase`: *program* is OPS5
+    source, a ``Program`` or productions, the stream is the setup's adds
+    of ``(class, attrs)`` pairs, so ``drive_case`` / ``run_case`` record
+    it like any generated case."""
+    if isinstance(program, str):
+        program = parse_program(program)
+    if not isinstance(program, Program):
+        program = Program(productions=list(program))
+    stream = tuple(
+        ("add", slot, cls, dict(attrs)) for slot, (cls, attrs) in enumerate(setup)
+    )
+    return FuzzCase(tuple(program.productions), program.literalizations, stream)
 
 
 class BuggyMatcher(NaiveMatcher):
@@ -95,11 +111,10 @@ class TestGeneration:
 
 
 class TestSmokeDifferential:
-    """Tier-1 slice: fixed seeds, serial backends + one-partition parallel."""
+    """Tier-1 slice: fixed seeds, the whole fleet (``parallel`` on 2 partitions)."""
 
     def test_fixed_seeds_agree(self):
-        backends = dict(SERIAL_BACKENDS)
-        backends["parallel-inline"] = lambda: ParallelMatcher(workers=0)
+        backends = MatcherFleet(workers=2).backends()
         for seed in range(12):
             outcome = run_case(case_from_seed(DEFAULT_PROFILE, seed), backends)
             assert outcome.ok, (seed, outcome.divergences())
@@ -164,15 +179,12 @@ class TestEmittedSystems:
         emitted = emit_system_program(
             min(PAPER_SYSTEMS, key=lambda p: p.affected_mean), lanes=2
         )
-        from repro.parallel import compare_backends
-
-        report = compare_backends(
-            emitted.source,
-            emitted.setup,
-            dict(SERIAL_BACKENDS),
+        outcome = run_case(
+            setup_case(emitted.source, emitted.setup),
+            SERIAL_BACKENDS,
             max_cycles=emitted.max_cycles,
         )
-        assert report.agree, report.divergences()
+        assert outcome.ok, outcome.divergences()
 
 
 @pytest.mark.fuzz
