@@ -6,7 +6,8 @@ dispatch is cheap (ROADMAP item 1; CORGI's observation in PAPERS.md).
 This package removes that factor by *compiling* each ruleset, once, to
 specialized Python:
 
-* every production's alpha tests fuse into a single predicate closure;
+* the alpha network becomes one generated add / remove entry per WME
+  class, testing each store's alpha items inline;
 * beta joins become hash-indexed probes over columnar alpha memories
   whose key components are small ints from the process-wide
   :mod:`repro.ops5.symbols` intern table;
@@ -25,7 +26,7 @@ See ``docs/compiled-kernel.md`` for the compilation model.
 
 from .cache import CompiledRuleset, cache_stats, compiled_ruleset, ruleset_fingerprint
 from .codegen import generate_source
-from .layout import AlphaStore, NUMBERS, encode_value
+from .layout import CODES, AlphaStore, encode_value
 from .matcher import CompiledMatcher
 from .runtime import KernelRuntime
 from .shared import (
@@ -38,10 +39,10 @@ from .verify import check_kernel
 
 __all__ = [
     "AlphaStore",
+    "CODES",
     "CompiledMatcher",
     "CompiledRuleset",
     "KernelRuntime",
-    "NUMBERS",
     "SharedKernel",
     "cache_stats",
     "check_kernel",

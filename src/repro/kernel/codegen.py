@@ -5,7 +5,13 @@ single ``build(rt)`` function.  Executing the compiled module and
 calling ``build`` with a :class:`~repro.kernel.matcher.KernelRuntime`
 materialises the whole match network as *closures over local dicts*:
 
-* one fused alpha predicate per distinct (class, alpha tests) store;
+* per WME class, one ``add`` and one ``remove`` entry
+  (``rt.adds[cls]`` / ``rt.removes[cls]``): the alpha network as code.
+  It probes each constant group (:func:`plan_alpha_index`) into a dict
+  of store blocks and runs the class's tail stores inline; a store tests
+  its alpha items, files its row and encoded columns, runs its
+  subscribers (a right activation inline, a group as a call) and ORs
+  its productions' bitmask into the change's affected set;
 * per production, a linear join chain -- for condition element ``i`` a
   left index ``li`` (join key -> {left key -> token}), a right index
   ``ri`` (join key -> {timetag -> WME}), and for negated CEs a blocker
@@ -27,17 +33,22 @@ left keys are the matching timetag tuples (``0`` at negated positions),
 the same identity the interpreted Rete's ``Token.key`` uses, so the
 terminal's conflict-set keys are bit-identical to the oracle's.
 
-The generated source contains *no* production names, no symbol-table
-ids, no variable names and no RHS data (``ops5/rhs.py`` compiles the act
-phase; an instantiation derives its bindings from its WMEs): constants
-are embedded by ``ops5.rhs.literal``, productions are looked up
-positionally from the runtime at build time, and values are encoded only
-when WMEs arrive.  Compiling therefore never touches the intern table,
-and two structurally identical rulesets -- even under different rule,
-variable or action names -- share one code object (``kernel/cache.py``).
+The generated source contains *no* production names, no value codes, no
+variable names and no RHS data (``ops5/rhs.py`` compiles the act phase;
+an instantiation derives its bindings from its WMEs): constants are
+embedded by ``ops5.rhs.literal``, productions are looked up positionally
+from the runtime at build time, affected sets are bitmasks over those
+positions, and values are encoded only when WMEs arrive.  Compiling
+therefore never touches a code table, and two structurally identical
+rulesets -- even under different rule, variable or action names -- share
+one code object (``kernel/cache.py``).
 
 Correctness notes (mirroring the node-walking Rete):
 
+* Alpha tests are ``ops5.condition.wme_passes_alpha``, inlined: a
+  numeric constant is ``==`` plus the ``is_number`` check (``True``
+  compares and hashes equal to ``1``), ordering predicates need two
+  numbers, a symbol constant is plain ``==``.
 * Exactly-once pairing when one WME feeds several CEs of a production:
   each CE's right entry inserts into its own ``ri`` bucket and probes
   the opposite ``li`` within the same call, so whichever of the two
@@ -50,7 +61,9 @@ Correctness notes (mirroring the node-walking Rete):
   sharer's CE-0 activation of the same WME -- which would then pair
   the WME with itself once from the left and again from the right.
 * Deletion is rematch-style: the delete path probes the same indexes
-  and re-evaluates residual tests, exactly like ``JoinNode``.
+  and re-evaluates residual tests, exactly like ``JoinNode``.  It is
+  two-phase per change: every delete subscriber of every store holding
+  the WME runs before any row or column drops.
 * Negated CEs keep a per-left-token blocker count, like
   ``NegativeNode``: 0 -> 1 retracts the downstream token, 1 -> 0
   re-propagates it.
@@ -58,7 +71,8 @@ Correctness notes (mirroring the node-walking Rete):
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+import itertools
+from typing import Callable, Iterator, Sequence
 
 from ..ops5.condition import (
     CEAnalysis,
@@ -74,6 +88,7 @@ from ..ops5.rhs import LITERAL_PRELUDE, literal
 
 __all__ = [
     "StorePlan",
+    "alpha_index_summary",
     "alpha_items",
     "generate_source",
     "plan_alpha_index",
@@ -131,9 +146,9 @@ def alpha_items(analysis: CEAnalysis) -> tuple:
 
 
 class StorePlan:
-    """One shared alpha store: class, fused tests, columns, subscribers."""
+    """One shared alpha store: class, fused tests, columns, readers."""
 
-    __slots__ = ("index", "cls", "items", "columns", "production_names")
+    __slots__ = ("index", "cls", "items", "columns", "mask")
 
     def __init__(self, index: int, cls: str, items: tuple) -> None:
         self.index = index
@@ -141,7 +156,8 @@ class StorePlan:
         self.items = items
         #: Attributes any subscriber's join keys read, in first-need order.
         self.columns: list[str] = []
-        self.production_names: list[str] = []
+        #: Bit ``p`` set for each production position ``p`` reading it.
+        self.mask = 0
 
     def need_column(self, attr: str) -> int:
         """Register *attr* as a column; return its column index."""
@@ -185,8 +201,7 @@ def plan_stores(
                 plan = StorePlan(len(plans), analysis.ce.cls, sig[1])
                 plans.append(plan)
                 by_sig[sig] = plan
-            if production.name not in plan.production_names:
-                plan.production_names.append(production.name)
+            plan.mask |= 1 << p_idx
             use[(p_idx, analysis.index)] = plan
     # Column needs: every equality join key component, both sides.
     for p_idx, production in enumerate(productions):
@@ -206,13 +221,14 @@ def plan_alpha_index(
 
     A store joins the group named by the attributes it tests with a
     constant-equality item, under the constant (one attribute) or tuple
-    of constants it demands; an insert then probes one dict per *group*
-    instead of one predicate per *store*.  Keys are raw values, so
-    ``1``/``1.0`` share an entry as ``_eqn`` equates them and ``"5"``
-    never meets ``5``.  The lookup only narrows candidates -- the fused
-    predicate still runs on each -- so all it owes is no false
-    negatives: a store with no such item, or with one attribute tested
-    twice, stays in the class's linear tail.
+    of constants it demands; a change then probes one dict per *group*
+    instead of testing every *store*.  Keys are raw values, so
+    ``1``/``1.0`` share an entry as OPS5 equates them and ``"5"`` never
+    meets ``5``.  A hit therefore settles the store's constant items,
+    except that ``True`` hits ``1``: the store block still checks a
+    numeric constant's type, and tests every other item.  A store with
+    no constant item, or with one attribute tested twice, stays in the
+    class's linear tail.
     """
     index: dict[str, tuple[dict[tuple, dict], list[int]]] = {}
     for plan in plans:
@@ -235,46 +251,52 @@ def plan_alpha_index(
 # ---------------------------------------------------------------------------
 
 
-def _const_eq(attr: str, type_name: str, value) -> str:
-    if type_name == "str":
-        # A symbol constant: plain == is complete (a number never equals
-        # a str, matching values_equal's symbol/number separation).
-        return f"g({attr!r}) == {value!r}"
-    return f"_eqn(g({attr!r}), {literal(value)})"
+def _read(attr: str) -> str:
+    """The entering WME's value of *attr*: ``WME.get`` without its frame
+    (``a`` is the entry's ``w._attributes.get``)."""
+    return f"a({attr!r}, 'nil')"
+
+
+def _isnum(first: str = "v") -> str:
+    """``is_number(v)``, inline; *first* is the first read of ``v``."""
+    return f"isinstance({first}, _N) and type(v) is not bool"
+
+
+def _num_eq(attr: str, value) -> str:
+    """``values_equal`` against a numeric constant."""
+    return f"(v := {_read(attr)}) == {literal(value)} and {_isnum()}"
 
 
 def _alpha_part(item: tuple) -> str:
     kind = item[0]
-    if kind == "const":
-        _, attr, type_name, value = item
-        return _const_eq(attr, type_name, value)
+    if kind == "const" or (kind == "pred" and item[2] == "="):
+        attr, type_name, value = item[1], item[-2], item[-1]
+        if type_name == "str":
+            # A symbol constant: plain == is complete (a number never
+            # equals a str, matching values_equal's separation).
+            return f"{_read(attr)} == {value!r}"
+        return _num_eq(attr, value)
     if kind == "disj":
         _, attr, typed_values = item
-        listing = ", ".join(literal(v) for _t, v in typed_values)
-        return f"_anyeq(g({attr!r}), ({listing},))"
+        symbols = [literal(v) for t, v in typed_values if t == "str"]
+        numbers = [literal(v) for t, v in typed_values if t != "str"]
+        parts = [f" in {_tuple_literal(symbols)}"] if symbols else []
+        if numbers:
+            parts.append(f" in {_tuple_literal(numbers)} and {_isnum()}")
+        return f"((v := {_read(attr)}){' or v'.join(parts)})"
     if kind == "pred":
         _, attr, op, type_name, value = item
         numeric = type_name != "str"
-        if op == "=":
-            return _const_eq(attr, type_name, value)
         if op == "<>":
-            if numeric:
-                return f"not _eqn(g({attr!r}), {literal(value)})"
-            return f"g({attr!r}) != {value!r}"
+            return f"not ({_num_eq(attr, value)})" if numeric else f"{_read(attr)} != {value!r}"
+        number = _isnum(f"v := {_read(attr)}")
         if op == "<=>":
-            return f"_num(g({attr!r}))" if numeric else f"not _num(g({attr!r}))"
+            return number if numeric else f"not ({number})"
         # Ordering predicate: a symbolic constant operand can never
         # match (Predicate.apply requires both sides numeric).
-        if not numeric:
-            return "False"
-        helper = _ORDERING[Predicate(op)]
-        return f"{helper}(g({attr!r}), {literal(value)})"
+        return f"{number} and v {op} {literal(value)}" if numeric else "False"
     _, attr_a, attr_b = item
-    return f"_veq(g({attr_a!r}), g({attr_b!r}))"
-
-
-def _alpha_expr(items: tuple) -> str:
-    return " and ".join(_alpha_part(item) for item in items)
+    return f"_veq({_read(attr_a)}, {_read(attr_b)})"
 
 
 def _residual_expr(
@@ -328,10 +350,6 @@ def _token_key(
             for jt in eq
         ]
     )
-
-
-def _store_tuple(indexes: Sequence[int]) -> str:
-    return _tuple_literal([f"S{index}" for index in indexes])
 
 
 def _key_literal(key) -> str:
@@ -414,52 +432,59 @@ def _emit_left(emit, memory: str, tkey: str, joins: Sequence[tuple], add: bool) 
         emit(f"            {down}(tok + (None,), lk + (0,))")
 
 
-def _emit_right(emit, p_idx: int, i: int, analysis: CEAnalysis, li: str, wkey: str) -> None:
-    """Level *i*'s right activations: index the WME under *wkey*, probe
-    the left memory *li* (the group's at level 1)."""
+def _right_body(
+    p_idx: int, i: int, analysis: CEAnalysis, li: str, wkey: str, add: bool
+) -> list[str]:
+    """Level *i*'s right activation, unindented lines for its store's
+    block: index the entering ``w`` / ``wt`` under *wkey*, probe the
+    left memory *li* (the group's at level 1).  It binds ``key``, ``d``,
+    ``b``, ``lk``, ``tok``, ``n`` and ``wg``, never ``w`` or ``wt``."""
+    lines: list[str] = []
+    emit = lines.append
     _eq, residual = _split_tests(analysis)
     guard = _residual_expr(residual, i, lambda a: f"wg({a!r})")
     nc = f"nc{p_idx}_{i}"
     down = f"p{p_idx}_l{i + 1}"
-    for add in (True, False):
-        emit(f"    def p{p_idx}_r{i}_{'a' if add else 'd'}(w):")
-        emit("        ctr[0] += 1")
-        emit("        wt = w.timetag")
-        emit(f"        key = {wkey}")
-        _emit_memory_edit(emit, f"ri{p_idx}_{i}", "wt", "w", add)
-        emit(f"        b = {li}.get(key)")
-        emit("        if b:")
-        emit("            ctr[1] += len(b)")
-        if guard:
-            emit("            wg = w.get")
-        emit("            for lk, tok in b.items():")
-        pad = " " * 16
-        if guard:
-            emit(f"{pad}if {guard}:")
-            pad += "    "
-        if not analysis.ce.negated:
-            emit(f"{pad}{down}_{'a' if add else 'd'}(tok + (w,), lk + (wt,))")
-        elif add:
-            # A first blocker (0 -> 1) retracts the downstream token ...
-            emit(f"{pad}n = {nc}[lk]")
-            emit(f"{pad}{nc}[lk] = n + 1")
-            emit(f"{pad}if not n:")
-            emit(f"{pad}    {down}_d(tok + (None,), lk + (0,))")
-        else:
-            # ... and the last one leaving (1 -> 0) re-propagates it.
-            emit(f"{pad}n = {nc}[lk] - 1")
-            emit(f"{pad}{nc}[lk] = n")
-            emit(f"{pad}if not n:")
-            emit(f"{pad}    {down}_a(tok + (None,), lk + (0,))")
+    emit("        ctr[0] += 1")
+    emit(f"        key = {wkey}")
+    _emit_memory_edit(emit, f"ri{p_idx}_{i}", "wt", "w", add)
+    emit(f"        b = {li}.get(key)")
+    emit("        if b:")
+    emit("            ctr[1] += len(b)")
+    if guard:
+        emit("            wg = w.get")
+    emit("            for lk, tok in b.items():")
+    pad = " " * 16
+    if guard:
+        emit(f"{pad}if {guard}:")
+        pad += "    "
+    if not analysis.ce.negated:
+        emit(f"{pad}{down}_{'a' if add else 'd'}(tok + (w,), lk + (wt,))")
+    elif add:
+        # A first blocker (0 -> 1) retracts the downstream token ...
+        emit(f"{pad}n = {nc}[lk]")
+        emit(f"{pad}{nc}[lk] = n + 1")
+        emit(f"{pad}if not n:")
+        emit(f"{pad}    {down}_d(tok + (None,), lk + (0,))")
+    else:
+        # ... and the last one leaving (1 -> 0) re-propagates it.
+        emit(f"{pad}n = {nc}[lk] - 1")
+        emit(f"{pad}{nc}[lk] = n")
+        emit(f"{pad}if not n:")
+        emit(f"{pad}    {down}_a(tok + (None,), lk + (0,))")
+    return [line[8:] for line in lines]
 
 
 def _emit_production(
-    out: list[str], p_idx: int, production: Production, use: dict, group: int | None
+    out: list[str], p_idx: int, production: Production, use: dict, group: int | None,
+    rights: dict,
 ) -> None:
-    """Everything private to one production: terminal, join levels two
-    and deeper, every level's right activations.  Its first-level left
-    side lives in first-level group *group* (``_emit_group``), whose
-    left memory its level-1 right activations probe."""
+    """Everything private to one production: terminal and join levels
+    two and deeper; every level's right activation goes to *rights*
+    (``p{k}_r{i}`` -> add and remove bodies) for its store's block.  Its
+    first-level left side lives in first-level group *group*
+    (``_emit_group``), whose left memory its level-1 right activations
+    probe."""
     analyses = production.analysis
     depth = len(analyses)
     emit = out.append
@@ -500,7 +525,10 @@ def _emit_production(
                 _emit_left(
                     emit, li, _token_key(eq, use, p_idx), [(p_idx, i, analyses[i])], add
                 )
-        _emit_right(emit, p_idx, i, analyses[i], li, _wme_key(eq, use[(p_idx, i)]))
+        wkey = _wme_key(eq, use[(p_idx, i)])
+        rights[f"{pre}_r{i}"] = tuple(
+            _right_body(p_idx, i, analyses[i], li, wkey, add) for add in (True, False)
+        )
 
     if depth == 1:
         # Entry of a single-CE production: CE 0 straight to the terminal.
@@ -599,64 +627,14 @@ def _emit_group(
         _emit_left(emit, f"gl{g_idx}", tkey, joins, add)
 
 
-def generate_source(productions: Sequence[Production]) -> str:
-    """The generated module's source: ``def build(rt): ...``."""
-    plans, use = plan_stores(productions)
-    out: list[str] = [
-        "# generated by repro.kernel.codegen -- do not edit",
-        "def build(rt):",
-        "    _veq = rt.veq; _same = rt.same; _num = rt.num; _eqn = rt.eqn",
-        "    _lt = rt.lt; _le = rt.le; _gt = rt.gt; _ge = rt.ge",
-        "    _anyeq = rt.anyeq",
-        "    ctr = rt.counters",
-        "    cs_insert = rt.cs_insert; cs_delete = rt.cs_delete",
-        "    Inst = rt.instantiation",
-        "    P = rt.productions",
-        f"    {LITERAL_PRELUDE}",
-    ]
-    emit = out.append
-
-    for plan in plans:
-        expr = _alpha_expr(plan.items)
-        pred_name = "None"
-        if expr:
-            pred_name = f"a{plan.index}"
-            emit(f"    def a{plan.index}(w):")
-            emit("        g = w.get")
-            emit(f"        return {expr}")
-        columns = ", ".join(repr(c) for c in plan.columns)
-        names = ", ".join(repr(n) for n in plan.production_names)
-        emit(
-            f"    S{plan.index} = rt.store({plan.index}, {plan.cls!r}, "
-            f"({columns}{',' if plan.columns else ''}), {pred_name}, "
-            f"({names}{',' if plan.production_names else ''}))"
-        )
-        for c_idx, attr in enumerate(plan.columns):
-            emit(f"    c{plan.index}_{c_idx} = S{plan.index}.cols[{attr!r}]")
-
-    # The alpha dispatch table (see plan_alpha_index): a one-attribute
-    # group is probed by the bare value, a wider one by the value tuple.
-    emit("    rt.index_stores({")
-    for cls, (groups, tail) in plan_alpha_index(plans).items():
-        emit(f"        {cls!r}: ((")
-        for attrs, table in groups.items():
-            probe = attrs[0] if len(attrs) == 1 else attrs
-            entries = ", ".join(
-                f"{_key_literal(key)}: {_store_tuple(indexes)}" for key, indexes in table.items()
-            )
-            emit(f"            ({probe!r}, {{{entries}}}),")
-        emit(f"        ), {_store_tuple(tail)}),")
-    emit("    })")
-
-    first_level = list(plan_groups(productions, use).items())
+def _plan_subscribers(
+    productions: Sequence[Production], use: dict, first_level: list
+) -> dict[int, list[str]]:
+    """Store index -> the activation pairs it calls, in subscription
+    order: a group once, where its first member's CE 0 would; every
+    later CE at its (production, CE) position."""
     group_of = {p: g for g, (_sig, members) in enumerate(first_level) for p in members}
-    for p_idx, production in enumerate(productions):
-        _emit_production(out, p_idx, production, use, group_of.get(p_idx))
-    for g_idx, (signature, members) in enumerate(first_level):
-        _emit_group(out, g_idx, signature, members, productions)
-
-    # A group subscribes once, where its first member's CE 0 would;
-    # every later CE keeps its (production, CE) position.
+    subscribers: dict[int, list[str]] = {}
     for p_idx, production in enumerate(productions):
         depth = len(production.analysis)
         for i in range(depth):
@@ -666,6 +644,203 @@ def generate_source(productions: Sequence[Production]) -> str:
                 if first_level[g_idx][1][0] != p_idx:
                     continue
                 entry = f"g{g_idx}"
-            emit(f"    rt.subscribe(S{use[(p_idx, i)].index}, {entry}_a, {entry}_d)")
+            subscribers.setdefault(use[(p_idx, i)].index, []).append(entry)
+    return subscribers
+
+
+def alpha_index_summary(partitions: Sequence[Sequence[Production]]) -> dict:
+    """``kernel_summary()["alpha_index"]``: the shape of the class
+    entries' dispatch, summed over a matcher's *partitions*."""
+    tails: list[int] = []
+    groups = stores = 0
+    for productions in partitions:
+        plans, _use = plan_stores(productions)
+        stores += len(plans)
+        for class_groups, tail in plan_alpha_index(plans).values():
+            groups += len(class_groups)
+            tails.append(len(tail))
+    return {
+        "classes": len(tails),
+        "groups": groups,
+        "indexed_stores": stores - sum(tails),
+        "linear_tail_stores": sum(tails),
+        "largest_tail": max(tails, default=0),
+    }
+
+
+def _store_test(plan: StorePlan, keyed: bool) -> str:
+    """*plan*'s alpha tests; a *keyed* store's constant items are settled
+    by its group's dict hit (see ``_emit_entries``)."""
+    return " and ".join(
+        _alpha_part(item) for item in plan.items if not (keyed and item[0] == "const")
+    )
+
+
+def _filing(plan: StorePlan) -> str:
+    """File the row and its encoded columns."""
+    s = plan.index
+    columns = [f"c{s}_{j}[wt] = C[{_read(attr)}]" for j, attr in enumerate(plan.columns)]
+    return "; ".join([f"r{s}[wt] = w", *columns])
+
+
+def _drop(plan: StorePlan) -> str:
+    s = plan.index
+    return "del " + ", ".join([f"r{s}[wt]"] + [f"c{s}_{j}[wt]" for j in range(len(plan.columns))])
+
+
+def _emit_add(emit, plan: StorePlan, test: str, body, pad: str) -> None:
+    """One store's add in a multi-store block or a tail: if the WME
+    passes, file it, run the subscribers, join the store's mask."""
+    if test:
+        emit(f"{pad}if {test}:")
+        pad += "    "
+    for line in [_filing(plan), *body(plan.index, True), f"m |= m{plan.index}"]:
+        emit(pad + line)
+
+
+def _emit_blocks(emit, n: int, plans: list[StorePlan], body) -> None:
+    """One dispatch target's add block ``t{n}(w, a, wt)`` and remove
+    block ``q{n}(w, wt, x)`` (``x``: 0 runs the delete subscribers of the
+    stores holding the WME, 1 drops their rows and columns), returning
+    the mask of the stores touched; one store returns early, unnested."""
+    emit(f"    def t{n}(w, a, wt):")
+    if len(plans) == 1:
+        (plan,) = plans
+        s, test = plan.index, _store_test(plan, True)
+        if test:
+            emit(f"        if not ({test}): return 0")
+        emit(f"        {_filing(plan)}")
+        for line in [*body(s, True), f"return m{s}"]:
+            emit(f"        {line}")
+        emit(f"    def q{n}(w, wt, x):")
+        emit(f"        if wt not in r{s}: return 0")
+        emit(f"        if x: {_drop(plan)}; return 0")
+        for line in [*body(s, False), f"return m{s}"]:
+            emit(f"        {line}")
+        return
+    emit("        m = 0")
+    for plan in plans:
+        _emit_add(emit, plan, _store_test(plan, True), body, "        ")
+    emit("        return m")
+    emit(f"    def q{n}(w, wt, x):")
+    emit("        m = 0")
+    for plan in plans:
+        s = plan.index
+        emit(f"        if wt in r{s}:")
+        emit(f"            if x: {_drop(plan)}")
+        emit("            else:")
+        for line in [*body(s, False), f"m |= m{s}"]:
+            emit(f"                {line}")
+    emit("        return m")
+
+
+def _emit_entries(
+    emit, c: int, groups: dict, tail: list, plans, body, blocks: Iterator[int]
+) -> None:
+    """The class's entry pair ``A{c}`` / ``R{c}``: probe each constant
+    group into its dicts of blocks (``T`` / ``Q``), run the tail inline,
+    return the number of affected productions.  A dict hit is ``==`` on
+    every constant of the key: OPS5 equality once the probed value is
+    an OPS5 value (``True == 1`` is not), which the add entry checks
+    where a key holds a number.  *blocks* numbers blocks module-wide."""
+    probes, guards = [], []
+    for g, (attrs, table) in enumerate(groups.items()):
+        adds, removes = [], []
+        for constants, indexes in table.items():
+            n = next(blocks)
+            _emit_blocks(emit, n, [plans[s] for s in indexes], body)
+            adds.append(f"{_key_literal(constants)}: t{n}")
+            removes.append(f"{_key_literal(constants)}: q{n}")
+        emit(f"    T{c}_{g} = {{{', '.join(adds)}}}")
+        emit(f"    Q{c}_{g} = {{{', '.join(removes)}}}")
+        reads = [_read(attr) for attr in attrs]
+        probes.append(reads[0] if len(reads) == 1 else _tuple_literal(reads))
+        parts = ["k"] if len(attrs) == 1 else [f"k[{i}]" for i in range(len(attrs))]
+        keys = [key if len(attrs) > 1 else (key,) for key in table]
+        numeric = [any(type(key[i]) is not str for key in keys) for i in range(len(parts))]
+        guards.append("".join(
+            f"isinstance({part}, _V) and type({part}) is not bool and "
+            for part, check in zip(parts, numeric) if check
+        ))
+    emit(f"    def A{c}(w):")
+    emit("        a = w._attributes.get; wt = w.timetag; m = 0")
+    for g, (probe, guard) in enumerate(zip(probes, guards)):
+        emit(f"        k = {probe}; b = {guard}T{c}_{g}.get(k)")
+        emit("        if b: m |= b(w, a, wt)")
+    for s in tail:
+        _emit_add(emit, plans[s], _store_test(plans[s], False), body, "        ")
+    emit("        return m.bit_count()")
+    # Two-phase: every delete subscriber before any row or column drops.
+    emit(f"    def R{c}(w):")
+    emit(f"        {'a = w._attributes.get; ' if probes else ''}wt = w.timetag; m = 0")
+    for g, probe in enumerate(probes):
+        emit(f"        b{g} = Q{c}_{g}.get({probe})")
+        emit(f"        if b{g}: m |= b{g}(w, wt, 0)")
+    for s in tail:
+        emit(f"        if wt in r{s}:")
+        for line in [*body(s, False), f"m |= m{s}"]:
+            emit(f"            {line}")
+    for g in range(len(probes)):
+        emit(f"        if b{g}: b{g}(w, wt, 1)")
+    for s in tail:
+        emit(f"        if wt in r{s}: {_drop(plans[s])}")
+    emit("        return m.bit_count()")
+
+
+def generate_source(productions: Sequence[Production]) -> str:
+    """The generated module's source: ``def build(rt): ...``."""
+    plans, use = plan_stores(productions)
+    out: list[str] = [
+        "# generated by repro.kernel.codegen -- do not edit",
+        "def build(rt):",
+        "    _veq = rt.veq; _same = rt.same; C = rt.codes",
+        "    _N = (int, float); _V = (str, int, float)",
+        "    _lt = rt.lt; _le = rt.le; _gt = rt.gt; _ge = rt.ge",
+        "    ctr = rt.counters",
+        "    cs_insert = rt.cs_insert; cs_delete = rt.cs_delete",
+        "    Inst = rt.instantiation",
+        "    P = rt.productions",
+        f"    {LITERAL_PRELUDE}",
+    ]
+    emit = out.append
+
+    # Stores: the affected-set bitmask, rows and columns in one line.
+    for plan in plans:
+        s = plan.index
+        names = [f"r{s}"] + [f"c{s}_{j}" for j in range(len(plan.columns))]
+        columns = "".join(f", {attr!r}" for attr in plan.columns)
+        emit(
+            f"    m{s} = {hex(plan.mask)}; {', '.join(names)}{',' if len(names) == 1 else ''}"
+            f" = rt.store({plan.cls!r}, m{s}{columns})"
+        )
+
+    first_level = list(plan_groups(productions, use).items())
+    group_of = {p: g for g, (_sig, members) in enumerate(first_level) for p in members}
+    rights: dict[str, tuple[list[str], list[str]]] = {}
+    for p_idx, production in enumerate(productions):
+        _emit_production(out, p_idx, production, use, group_of.get(p_idx), rights)
+    for g_idx, (signature, members) in enumerate(first_level):
+        _emit_group(out, g_idx, signature, members, productions)
+
+    subscribers = _plan_subscribers(productions, use, first_level)
+
+    def body(store: int, add: bool) -> list[str]:
+        """A store's subscribers, in order: a right activation inline (it
+        has no other caller), a group or single-CE entry as a call."""
+        lines: list[str] = []
+        for entry in subscribers[store]:
+            if entry in rights:
+                lines += rights[entry][0 if add else 1]
+            else:
+                lines.append(f"{entry}_{'a' if add else 'd'}(w)")
+        return lines
+
+    classes = list(plan_alpha_index(plans).items())
+    blocks = itertools.count()
+    for c, (_cls, (groups, tail)) in enumerate(classes):
+        _emit_entries(emit, c, groups, tail, plans, body, blocks)
+    for table, entry in (("adds", "A"), ("removes", "R")):
+        pairs = ", ".join(f"{cls!r}: {entry}{c}" for c, (cls, _) in enumerate(classes))
+        emit(f"    rt.{table} = {{{pairs}}}")
     out.append("")
     return "\n".join(out)

@@ -4,141 +4,86 @@ The generated join code never hashes a string and never probes a
 per-token dict of attribute values.  Both properties come from the
 layout in this module:
 
-* :func:`encode_value` maps every OPS5 value to one small ``int``:
-  symbols to ``2 * intern_id + 1`` (odd) through the process-wide
-  :data:`~repro.ops5.symbols.SYMBOLS` table, numbers to ``2 * num_id``
-  (even) through the :data:`NUMBERS` table.  The parity bit replaces
-  the type mask the interpreted Rete appends to its index keys: a
-  symbol id can never collide with a number id.  :data:`NUMBERS` keys
-  its dict by the numeric value itself, so ``1`` and ``1.0`` share an
-  id exactly as :func:`~repro.ops5.wme.values_equal` equates them.
-  (``bool`` is not an OPS5 value -- ``Value = str | int | float`` -- so
-  the ``True == 1`` dict collision cannot arise from parsed programs.)
+* :data:`CODES` maps every OPS5 value to one small ``int``, equal iff
+  :func:`~repro.ops5.wme.values_equal` says so.  It is a dict keyed by
+  the value itself -- dict equality *is* OPS5 equality on OPS5 values:
+  ``1`` and ``1.0`` share a code, a ``str`` never equals a number, NaN
+  never equals itself -- so a generated store encodes a column with one
+  subscript (``C[v]``) and only an unseen value takes ``__missing__``.
 
 * :class:`AlphaStore` is one alpha memory shared by every condition
   element with the same (class, fused alpha tests) signature.  Besides
   the ``timetag -> WME`` row dict it keeps one *column* per attribute
-  that any subscriber's join keys reference: ``timetag -> encoded
-  value``.  A generated join builds its hash key with one dict probe
-  per component (the column dict is bound to a local variable in the
-  generated closure) instead of ``wme.get(attr)`` plus an intern probe
-  per component per activation.
-
-Column removal on WME deletion is two-phase (see
-``kernel/matcher.py``): all delete subscriptions fire first, then rows
-and columns drop, because a token being retracted builds its key from
-the columns of its constituent WMEs -- including the one being deleted.
+  that any subscriber's join keys reference: ``timetag -> code``, so a
+  generated join builds its hash key with one dict probe per component.
+  The generated class entries (``kernel/codegen.py``) test, file and
+  drop rows themselves; the store is their state, not an object they
+  call.  Removal is two-phase there: every delete subscriber of the
+  change runs first, then rows and columns drop, because a token being
+  retracted builds its key from the columns of its constituent WMEs --
+  including the one being deleted.
 """
 
 from __future__ import annotations
 
 import threading
 
-from ..ops5.symbols import intern_id
 from ..ops5.wme import WME
 
-__all__ = ["AlphaStore", "NUMBERS", "NumberTable", "encode_value"]
+__all__ = ["AlphaStore", "CODES", "ValueCodes", "encode_value"]
 
 
-class NumberTable:
-    """Dense ``number -> int`` intern table (the numeric half of
-    :func:`encode_value`).
+class ValueCodes(dict):
+    """The process-wide ``value -> int`` table (see module docs): a miss
+    allocates the next code under a lock, so concurrent sessions never
+    give one value two codes.  It grows with the distinct values ever
+    encoded."""
 
-    The dict key is the number itself: Python dict equality already
-    equates ``1`` and ``1.0`` (equal hash, equal value), which is
-    precisely OPS5's numeric equality, so both spellings share one id.
-    Thread-safety mirrors :class:`~repro.ops5.symbols.SymbolTable`:
-    the hit path is a plain dict probe; only a miss takes the lock.
-    """
-
-    __slots__ = ("_ids", "_lock")
+    __slots__ = ("_lock",)
 
     def __init__(self) -> None:
-        self._ids: dict = {}
+        super().__init__()
         self._lock = threading.Lock()
 
-    def __len__(self) -> int:
-        return len(self._ids)
-
-    def number_id(self, value) -> int:
-        ident = self._ids.get(value)
-        if ident is not None:
-            return ident
+    def __missing__(self, value) -> int:
         with self._lock:
-            return self._ids.setdefault(value, len(self._ids))
+            return self.setdefault(value, len(self))
 
 
-#: The process-wide number table; shares the encoded-id space with
-#: :data:`~repro.ops5.symbols.SYMBOLS` via the parity bit.
-NUMBERS = NumberTable()
+#: The one code table every kernel encodes its columns through.
+CODES = ValueCodes()
 
-_number_id = NUMBERS.number_id
-
-
-def encode_value(value) -> int:
-    """One int per OPS5 value, equal iff :func:`values_equal` says so."""
-    if type(value) is str:
-        return (intern_id(value) << 1) | 1
-    return _number_id(value) << 1
+#: ``encode_value(v)`` is ``CODES[v]`` (verification and tests).
+encode_value = CODES.__getitem__
 
 
 class AlphaStore:
-    """One columnar alpha memory: rows, join-key columns, subscribers.
+    """One columnar alpha memory: rows, join-key columns, productions.
 
     Shared by every CE (across all productions of the ruleset) whose
     class and fused alpha tests coincide -- the same sharing the
-    interpreted Rete gets from its alpha-memory registry.
-    ``production_names`` is the union of subscribing productions, which
-    gives the paper's *affected productions* count per change without
-    walking the beta network.
+    interpreted Rete gets from its alpha-memory registry.  ``mask`` has
+    bit ``p`` set for each production *position* ``p`` (in the runtime's
+    production list) reading the store; the generated entries OR it into
+    the change's affected set, which gives the paper's *affected
+    productions* count without walking the beta network and without a
+    production name in the shared code.
     """
 
-    __slots__ = (
-        "index",
-        "cls",
-        "predicate",
-        "production_names",
-        "rows",
-        "cols",
-        "add_subs",
-        "del_subs",
-        "_col_items",
-    )
+    __slots__ = ("index", "cls", "mask", "rows", "cols")
 
-    def __init__(
-        self,
-        index: int,
-        cls: str,
-        columns: tuple[str, ...],
-        predicate,
-        production_names: frozenset[str],
-    ) -> None:
-        #: Position in the runtime's store list: the visiting order.
+    def __init__(self, index: int, cls: str, mask: int, columns: tuple[str, ...]) -> None:
+        #: Position in the runtime's store list (the plan's store index).
         self.index = index
         self.cls = cls
-        #: Fused alpha predicate closure, or ``None`` for class-only CEs.
-        self.predicate = predicate
-        self.production_names = production_names
+        self.mask = mask
         self.rows: dict[int, WME] = {}
         self.cols: dict[str, dict[int, int]] = {attr: {} for attr in columns}
-        self.add_subs: list = []
-        self.del_subs: list = []
-        self._col_items = tuple(self.cols.items())
 
-    def insert(self, wme: WME) -> None:
-        """Add a row; encode every subscribed column once."""
-        timetag = wme.timetag
-        self.rows[timetag] = wme
-        get = wme.get
-        for attr, col in self._col_items:
-            col[timetag] = encode_value(get(attr))
-
-    def remove(self, wme: WME) -> None:
-        """Drop a row and its column entries (after delete propagation)."""
-        timetag = wme.timetag
-        del self.rows[timetag]
-        for _attr, col in self._col_items:
-            del col[timetag]
+    @property
+    def productions(self) -> tuple[int, ...]:
+        """The positions in ``mask``, ascending."""
+        return tuple(p for p in range(self.mask.bit_length()) if self.mask >> p & 1)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -146,5 +91,5 @@ class AlphaStore:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"AlphaStore({self.cls}, rows={len(self.rows)}, "
-            f"cols={list(self.cols)}, prods={sorted(self.production_names)})"
+            f"cols={list(self.cols)}, productions={list(self.productions)})"
         )

@@ -23,10 +23,11 @@ rows, and per-change counter deltas are snapshotted after the rebuild,
 so measurements reflect only real WM traffic (the interpreted Rete's
 ``add_production`` folds existing WM the same way).
 
-Each WME change is one :class:`~repro.kernel.runtime.KernelRuntime`
-entry per partition (``add_wme`` / ``remove_wme``: alpha dispatch,
-store edit, subscribers); this class only mirrors working memory and
-records the entries' counter deltas.
+Each WME change is one call per partition of the generated entry for
+its class (``runtime.adds[cls]`` / ``runtime.removes[cls]``: the alpha
+network, store edits, subscribers -- the probe ``KernelRuntime.add_wme``
+/ ``remove_wme`` make, inline); this class only mirrors working memory
+and records the entries' counter deltas.
 
 Partitions
 ----------
@@ -65,8 +66,8 @@ from ..ops5.production import Production
 from ..ops5.wme import WME
 from ..psim.partition import Partition, assign_productions
 from .cache import cache_stats
-from .codegen import sharing_summary
-from .runtime import KernelRuntime, alpha_index_summary
+from .codegen import alpha_index_summary, sharing_summary
+from .runtime import KernelRuntime
 from .shared import SharedKernel, shared_kernel, shared_kernel_stats
 
 __all__ = ["CompiledMatcher", "KernelRuntime"]
@@ -138,8 +139,11 @@ class CompiledMatcher(Matcher):
         counters = self._counters
         activations, comparisons, tokens = counters
         affected = 0
+        cls = wme.cls
         for runtime in self._runtimes:
-            affected += runtime.add_wme(wme)
+            entry = runtime.adds.get(cls)
+            if entry is not None:
+                affected += entry(wme)
         # MatchStats.record, inline: this is every ``make``'s path.
         stats.total_changes += 1
         stats.total_affected_productions += affected
@@ -158,8 +162,11 @@ class CompiledMatcher(Matcher):
         counters = self._counters
         activations, comparisons, tokens = counters
         affected = 0
+        cls = wme.cls
         for runtime in self._runtimes:
-            affected += runtime.remove_wme(wme)
+            entry = runtime.removes.get(cls)
+            if entry is not None:
+                affected += entry(wme)
         stats.total_changes += 1
         stats.total_affected_productions += affected
         stats.total_node_activations += counters[0] - activations
@@ -266,14 +273,18 @@ class CompiledMatcher(Matcher):
         runtimes = self._runtimes
         stores = [store for runtime in runtimes for store in runtime.stores]
         partitions = self.partition_snapshot()
+        slices = [runtime.productions for runtime in runtimes]
+        sizes = [sharing_summary(p.productions)["sizes"] for p in partitions]
         return {
             "compiles": self._compiles,
             "ruleset_digest": ",".join(k.digest for k in self._kernels) or None,
             "stores": len(stores),
             "store_rows": sum(len(s) for s in stores),
             "columns": sum(len(s.cols) for s in stores),
-            "subscriptions": sum(runtime.subscriptions for runtime in runtimes),
-            "alpha_index": alpha_index_summary(runtimes) if runtimes else None,
+            # One per CE, less the CE 0s a first-level group shares.
+            "subscriptions": sum(len(p.analysis) for ps in slices for p in ps)
+            - sum(sum(s) - len(s) for s in sizes) if runtimes else 0,
+            "alpha_index": alpha_index_summary(slices) if runtimes else None,
             "sharing": sharing_summary(self.productions),
             # What partitioning costs: each partition regroups its own
             # slice, against the single kernel's ``sharing.sizes``.
@@ -281,9 +292,7 @@ class CompiledMatcher(Matcher):
                 "count": len(partitions),
                 "productions": [len(p.productions) for p in partitions],
                 "weights": [p.weight for p in partitions],
-                "group_sizes": [
-                    sharing_summary(p.productions)["sizes"] for p in partitions
-                ],
+                "group_sizes": sizes,
             },
             "replayed_wmes": self._replayed,
             "oracle": self._oracle is not None,

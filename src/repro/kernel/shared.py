@@ -74,7 +74,9 @@ class SharedKernel:
         if counters is not None:
             runtime.counters = counters
         self.build_fn(runtime)
-        runtime.replay(wmes)
+        # Quiet: no stats rows; the caller absorbs the counter deltas.
+        for wme in wmes:
+            runtime.add_wme(wme)
         with self._lock:
             self.attaches += 1
         return runtime

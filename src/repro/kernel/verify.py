@@ -1,16 +1,19 @@
 """Kernel verification: store invariants plus a one-shot Rete check.
 
 :func:`check_kernel` is the compiled counterpart of the Rete
-``check_network`` hook used by ``repro run --verify``: it audits the
-columnar stores against the WM mirror (membership, column/row
-consistency, encoded values) and then replays the whole session through
-a fresh node-walking :class:`~repro.rete.ReteNetwork`, comparing
-conflict sets.  It returns a list of human-readable problems -- empty
-means the kernel state is exactly what the interpreted Rete would hold.
+``check_network`` hook used by ``repro run --verify``.  It audits each
+partition's stores against the plan, the WM mirror and the *interpreted*
+alpha tests (``ops5.condition.wme_passes_alpha`` of each store's
+condition elements -- never the generated entries it checks), column
+encodings, and then replays the whole session through a fresh
+node-walking :class:`~repro.rete.ReteNetwork`, comparing conflict sets.
+An empty list of problems means the kernel holds what Rete would.
 """
 
 from __future__ import annotations
 
+from ..ops5.condition import wme_passes_alpha
+from .codegen import plan_stores
 from .layout import encode_value
 from .matcher import CompiledMatcher
 
@@ -23,16 +26,23 @@ def check_kernel(matcher: CompiledMatcher) -> list[str]:
     wmes = matcher.current_wmes()
     by_tag = {w.timetag: w for w in wmes}
     for part, runtime in enumerate(matcher.runtimes):
-        for index, store in enumerate(runtime.stores):
-            where = f"partition {part} store {index}"
+        plans, use = plan_stores(runtime.productions)
+        readers: list[list] = [[] for _plan in plans]
+        for (p_idx, ce), plan in use.items():
+            readers[plan.index].append(runtime.productions[p_idx].analysis[ce])
+        shapes = [(s.cls, list(s.cols), s.mask) for s in runtime.stores]
+        if shapes != [(p.cls, p.columns, p.mask) for p in plans]:
+            problems.append(f"partition {part}: stores differ from the plan")
+        for store, ces in zip(runtime.stores, readers):
+            where = f"partition {part} store {store.index}"
             for timetag, wme in store.rows.items():
                 if by_tag.get(timetag) is not wme:
                     problems.append(
                         f"{where}: row {timetag} is not the WM mirror's WME"
                     )
-                if store.predicate is not None and not store.predicate(wme):
+                if not all(wme_passes_alpha(wme, ce) for ce in ces):
                     problems.append(
-                        f"{where}: row {timetag} fails its alpha predicate"
+                        f"{where}: row {timetag} fails its alpha tests"
                     )
             for attr, col in store.cols.items():
                 if col.keys() != store.rows.keys():
@@ -50,7 +60,7 @@ def check_kernel(matcher: CompiledMatcher) -> list[str]:
             for wme in wmes:
                 if wme.cls != store.cls or wme.timetag in store.rows:
                     continue
-                if store.predicate is None or store.predicate(wme):
+                if all(wme_passes_alpha(wme, ce) for ce in ces):
                     problems.append(
                         f"{where}: WME {wme.timetag} passes the alpha "
                         "tests but is missing from the store"

@@ -20,7 +20,7 @@ can observe cycles and changes without the engine knowing about traces.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .conflict import Strategy, strategy_named
 from .errors import ExecutionError, DuplicateProductionError, Ops5Error
@@ -28,6 +28,24 @@ from .matcher import Matcher
 from .parser import Program, parse_program
 from .production import Instantiation, Production
 from .wme import Value, WME, WorkingMemory
+
+#: What an attribute value may be: an OPS5 symbol or number.
+_VALUE_TYPES = (str, int, float)
+
+
+def _check_values(attributes) -> None:
+    """Refuse a client's attributes unless every value is an OPS5 value."""
+    if attributes is not None and not isinstance(attributes, Mapping):
+        raise ExecutionError(f"attributes must map names to values, got {attributes!r}")
+    for name, value in (attributes or {}).items():
+        # Exact types first: the common case costs one probe per value.
+        if type(value) not in _VALUE_TYPES and (
+            isinstance(value, bool) or not isinstance(value, _VALUE_TYPES)
+        ):
+            raise ExecutionError(
+                f"attribute {name!r} value {value!r} is neither a symbol nor a number"
+            )
+
 
 #: The matcher backends :func:`matcher_named` knows how to build.
 MATCHER_NAMES = (
@@ -360,7 +378,18 @@ class ProductionSystem:
         a new batch (see :meth:`resume`): quiescence is a statement
         about the old working memory, not about the new one.  A ``halt``
         action's stop stays sticky -- the program asked to stop.
+
+        Batches arrive from clients, so every asserted or modified value
+        must be an OPS5 value -- a ``str``, ``int`` or ``float``, never a
+        ``bool`` (the rule ``validate_engine_state`` applies to a
+        checkpoint) -- or the whole batch is refused with
+        :class:`ExecutionError` before it touches any state.  The
+        trusted in-process path (:meth:`add`, :meth:`add_wme`, RHS
+        actions) is not checked.
         """
+        for change in changes:
+            if change[0] in ("assert", "modify") and len(change) == 3:
+                _check_values(change[2])
         if self._halted and self._halt_reason == "no satisfied production":
             self.resume()
         result = BatchResult()

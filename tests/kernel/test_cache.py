@@ -6,9 +6,11 @@ process-wide symbol table -- fingerprinting and codegen work on strings,
 never ``intern_id``.
 """
 
+import re
+
 import pytest
 
-from repro.kernel import CompiledMatcher, cache_stats, compiled_ruleset
+from repro.kernel import CODES, CompiledMatcher, cache_stats, compiled_ruleset
 from repro.kernel.cache import clear_cache, ruleset_fingerprint
 from repro.ops5 import parse_program
 from repro.ops5.symbols import SYMBOLS
@@ -45,6 +47,45 @@ class TestCacheReuse:
         b = compiled_ruleset(parse_program(RENAMED).productions)
         assert b is a
 
+    def test_renamed_copies_keep_their_own_names_out_of_the_shared_kernel(self):
+        """The kernel is shared by fingerprint, which has no names, so the
+        code holds none: a store's productions are positions, and each
+        runtime resolves them against its own production list."""
+        first = "(p alpha (goal ^want <c>) (block ^color <c>) --> (halt))\n" \
+                "(p beta (goal ^want <c> ^size > 2) --> (halt))"
+        second = first.replace("alpha", "gamma").replace("beta", "delta")
+        totals = []
+        readers = []
+        for source in (first, second):
+            matcher = CompiledMatcher()
+            for production in parse_program(source).productions:
+                matcher.add_production(production)
+            memory = WorkingMemory()
+            for cls, attrs in (("goal", {"want": "red", "size": 3}), ("block", {"color": "red"})):
+                matcher.add_wme(memory.add(WME(cls, attrs)))
+            matcher.remove_wme(memory.by_timetag(1))
+            (runtime,) = matcher.runtimes
+            readers.append([
+                sorted(runtime.productions[p].name for p in store.productions)
+                for store in runtime.stores
+            ])
+            stats = matcher.stats
+            totals.append((stats.total_changes, stats.total_affected_productions,
+                           stats.total_node_activations, stats.total_comparisons,
+                           stats.total_tokens_built))
+            source_text = matcher.generated_source
+        a, b = compiled_ruleset(parse_program(first).productions), compiled_ruleset(
+            parse_program(second).productions
+        )
+        assert a is b and a.code is b.code and source_text == a.source
+        assert not {"alpha", "beta", "gamma", "delta"} & set(re.findall(r"\w+", a.source))
+        assert readers == [
+            [["alpha"], ["alpha"], ["beta"]],
+            [["gamma"], ["gamma"], ["delta"]],
+        ]
+        # The totals the kernel read when names were still baked in.
+        assert totals[0] == totals[1] == (3, 5, 11, 2, 3)
+
     def test_renamed_variables_and_other_actions_share_the_code_object(self):
         # Bindings are derived from an instantiation's WMEs and the act
         # phase is compiled per production (ops5/rhs.py): neither
@@ -74,10 +115,11 @@ class TestInternTableRegression:
         productions = parse_program(SRC).productions
         compiled_ruleset(productions)  # first compile may be preceded by
         before = len(SYMBOLS)          # parse-time interning; snapshot now
+        codes = len(CODES)
         for _ in range(3):
             compiled_ruleset(parse_program(SRC).productions)
             compiled_ruleset(parse_program(RENAMED).productions)
-        assert len(SYMBOLS) == before
+        assert (len(SYMBOLS), len(CODES)) == (before, codes)
         assert cache_stats()["size"] == 1
 
     def test_matcher_rebuild_does_not_grow_the_symbol_table(self):

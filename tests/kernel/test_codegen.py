@@ -63,13 +63,15 @@ class TestGeneratedSource:
 
 
 class TestAlphaSemantics:
-    """Fused store predicates must agree with ``wme_passes_alpha``."""
+    """The generated class entries file a WME exactly where
+    ``wme_passes_alpha`` says."""
 
     SRC = """
       (p p1 (item ^color red ^size > 2) --> (halt))
       (p p2 (item ^color << red blue >> ^size <> 3) --> (halt))
       (p p3 (item ^left <x> ^right <x>) --> (halt))
       (p p4 (item ^size < 10) --> (halt))
+      (p p5 (item ^size 3 ^color <=> red) --> (halt))
     """
 
     CANDIDATES = [
@@ -81,8 +83,11 @@ class TestAlphaSemantics:
         {"left": "a", "right": "a"},
         {"left": "a", "right": "b"},
         {"left": 1, "right": 1.0},
+        {"left": 1, "right": True},
         {"size": "big"},  # ordering against a symbol is always False
         {"size": 9.5},
+        {"size": True, "color": "red"},
+        {"size": 3.0, "color": 7},
         {},
     ]
 
@@ -94,18 +99,20 @@ class TestAlphaSemantics:
         for production in productions:
             matcher.add_production(production)
         matcher._rebuild()
+        (runtime,) = matcher.runtimes
         _, use = plan_stores(productions)
-        for p_idx, production in enumerate(productions):
-            analysis = production.analysis[0]
-            # Stores are built in plan-index order, so the plan's index
-            # addresses the runtime's store list directly.
-            store = matcher.runtimes[0].stores[use[(p_idx, 0)].index]
-            for attrs in self.CANDIDATES:
-                wme = WME("item", attrs)
-                wme.timetag = 1
-                expected = wme_passes_alpha(wme, analysis)
-                got = store.predicate is None or store.predicate(wme)
-                assert got == expected, (production.name, attrs)
+        for timetag, attrs in enumerate(self.CANDIDATES, 1):
+            wme = WME("item", attrs)
+            wme.timetag = timetag
+            runtime.add_wme(wme)
+            for p_idx, production in enumerate(productions):
+                # Stores are built in plan-index order, so the plan's index
+                # addresses the runtime's store list directly.
+                store = runtime.stores[use[(p_idx, 0)].index]
+                expected = wme_passes_alpha(wme, production.analysis[0])
+                assert (timetag in store.rows) == expected, (production.name, attrs)
+            runtime.remove_wme(wme)
+            assert runtime.state_size() == 0
 
     def test_alpha_items_canonical_across_attribute_order(self):
         a = _productions("(p x (item ^color red ^size 2) --> (halt))")

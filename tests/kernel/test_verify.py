@@ -60,10 +60,10 @@ class TestChecker:
         assert problems and all(p.startswith("partition 1 ") for p in problems)
 
     def test_detects_corrupted_dispatch_table(self):
-        """A table entry that loses a store is a false negative: the
-        auditor's own linear scan of every predicate names the WME."""
+        """A class entry that files nothing is a false negative: the
+        auditor's own scan of the interpreted alpha tests names the WME."""
         matcher, _ = _loaded([("goal", {"want": "red"})])
-        matcher.runtimes[0].by_class["block"] = ((), ())  # sabotage: no candidates
+        matcher.runtimes[0].adds["block"] = lambda wme: 0  # sabotage: no store
         memory = WorkingMemory()
         memory.reserve_timetags(10)
         matcher.add_wme(memory.add(WME("block", {"color": "red"})))
@@ -72,6 +72,13 @@ class TestChecker:
             "WME 10 passes the alpha tests but is missing from the store" in p
             for p in problems
         )
+
+    def test_detects_a_row_that_fails_its_alpha_tests(self):
+        matcher, wmes = _loaded([("goal", {"want": "red"})])
+        store = next(s for s in matcher.runtimes[0].stores if s.cls == "block")
+        store.rows[wmes[0].timetag] = wmes[0]  # sabotage: a goal in a block store
+        problems = check_kernel(matcher)
+        assert any("fails its alpha tests" in p for p in problems)
 
     def test_detects_corrupted_column_encoding(self):
         matcher, wmes = _loaded([("block", {"color": "red"})])

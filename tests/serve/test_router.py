@@ -42,6 +42,20 @@ class TestFrontDoor:
             assert client.ping(payload="x")["pong"] == "x"
             assert client.list_sessions() == []
 
+    def test_a_value_that_is_not_a_symbol_or_number_is_a_typed_refusal(self, fleet):
+        with RuleClient(fleet.address) as client:
+            sid = client.create_session(program=closure.PROGRAM)
+            try:
+                with pytest.raises(ServerError, match="neither a symbol nor a number"):
+                    client.assert_wmes(sid, [["parent", {"from": "n0", "to": [1]}]])
+                with pytest.raises(ServerError, match="neither a symbol nor a number"):
+                    client.assert_wmes(sid, [["parent", {"from": "n0", "to": True}]])
+                assert client.query_wm(sid) == []
+                reply = client.assert_wmes(sid, CHAIN, run=True)
+                assert reply["run"]["fired"] == closure.expected_chain_facts(6)
+            finally:
+                client.destroy_session(sid)
+
     def test_sessions_spread_and_round_trip(self, fleet):
         """Many sessions land across workers; each one works end to end."""
         expected = closure.expected_chain_facts(6)

@@ -9,6 +9,7 @@ import pytest
 
 from repro.ops5 import ProductionSystem
 from repro.serve import BackpressureError, RuleClient, ServerError, ServerThread
+from repro.serve.durability import validate_engine_state
 from repro.workloads.programs import closure
 
 CHAIN = [["parent", {"from": f"n{i}", "to": f"n{i + 1}"}] for i in range(6)]
@@ -118,6 +119,26 @@ def test_errors_are_replies_not_disconnects(server):
             # The connection and the session both survived all of that.
             assert client.ping()["ok"] is True
             assert sid in client.list_sessions()
+        finally:
+            client.destroy_session(sid)
+
+
+def test_a_value_that_is_not_a_symbol_or_number_is_a_typed_refusal(server):
+    """Lists, objects, booleans and null never reach working memory: the
+    reply is an error, the session holds what it held before, and its
+    state still exports as a valid checkpoint."""
+    with RuleClient(server.address) as client:
+        sid = client.create_session(program=closure.PROGRAM, matcher="compiled")
+        try:
+            client.assert_wmes(sid, CHAIN[:1])
+            for bad in ([1, 2], {"k": 1}, True, None):
+                with pytest.raises(ServerError, match="neither a symbol nor a number"):
+                    client.assert_wmes(sid, [["parent", {"from": "n9", "to": bad}]])
+                with pytest.raises(ServerError, match="neither a symbol nor a number"):
+                    client.request("modify", session=sid, changes=[[1, {"to": bad}]])
+            assert client.query_wm(sid) == [["parent", CHAIN[0][1], 1]]
+            exported = client.request("export", session=sid)
+            assert validate_engine_state(exported["state"]) is None
         finally:
             client.destroy_session(sid)
 
