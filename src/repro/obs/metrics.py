@@ -141,7 +141,7 @@ def snapshot(
     Side-effect free: matcher statistics are read through
     :meth:`~repro.ops5.matcher.Matcher.peek_stats` (and the conflict set
     through ``peek_conflict_set``) -- safe to call from the server's
-    event loop while the session's worker thread is matching.
+    event loop between two slices of a session's op.
     """
     data: dict = {
         "schema": SCHEMA,

@@ -47,6 +47,10 @@ def _check_values(attributes) -> None:
             )
 
 
+#: Fields of each change kind of an ``apply_changes`` batch, kind included.
+_CHANGE_ARITY = {"assert": 3, "retract": 2, "modify": 3}
+
+
 #: The matcher backends :func:`matcher_named` knows how to build.
 MATCHER_NAMES = (
     "naive",
@@ -379,42 +383,64 @@ class ProductionSystem:
         about the old working memory, not about the new one.  A ``halt``
         action's stop stays sticky -- the program asked to stop.
 
-        Batches arrive from clients, so every asserted or modified value
-        must be an OPS5 value -- a ``str``, ``int`` or ``float``, never a
-        ``bool`` (the rule ``validate_engine_state`` applies to a
-        checkpoint) -- or the whole batch is refused with
-        :class:`ExecutionError` before it touches any state.  The
-        trusted in-process path (:meth:`add`, :meth:`add_wme`, RHS
-        actions) is not checked.
+        Batches arrive from clients, so the whole batch is checked by
+        :meth:`check_changes` first and refused with
+        :class:`ExecutionError` before it touches any state -- working
+        memory, the conflict set and the timetag counter -- if any change
+        is malformed.  What the check cannot see is a timetag that names
+        no live element: that ``retract`` or ``modify`` fails *mid-batch*,
+        after the changes before it landed.  The trusted in-process path
+        (:meth:`add`, :meth:`add_wme`, RHS actions) is not checked.
         """
-        for change in changes:
-            if change[0] in ("assert", "modify") and len(change) == 3:
-                _check_values(change[2])
+        self.check_changes(changes)
         if self._halted and self._halt_reason == "no satisfied production":
             self.resume()
         result = BatchResult()
         for change in changes:
             kind = change[0]
             if kind == "assert":
-                _, cls, attrs = change
-                result.added.append(self.add_wme(WME(cls, attrs)))
+                result.added.append(self.add_wme(WME(change[1], change[2])))
             elif kind == "retract":
                 wme = self.memory.by_timetag(change[1])
                 self.remove_wme(wme)
                 result.removed.append(wme.timetag)
-            elif kind == "modify":
+            else:
                 _, timetag, updates = change
                 wme = self.memory.by_timetag(timetag)
                 replacement = wme.with_updates(updates or {})
                 self.remove_wme(wme)
                 result.removed.append(timetag)
                 result.added.append(self.add_wme(replacement))
-            else:
-                raise ExecutionError(
-                    f"unknown change kind {kind!r}; "
-                    "expected 'assert', 'retract', or 'modify'"
-                )
         return result
+
+    def check_changes(self, changes: Sequence[ChangeSpec]) -> None:
+        """Raise :class:`ExecutionError` unless every change of *changes*
+        can be applied: a known kind with its number of fields, a
+        non-empty class symbol, an ``int`` timetag (not a ``bool``), and
+        attribute values that are OPS5 values -- a ``str``, ``int`` or
+        ``float``, never a ``bool`` (the rule ``validate_engine_state``
+        applies to a checkpoint).  Touches nothing."""
+        for change in changes:
+            kind = change[0] if change else None
+            arity = _CHANGE_ARITY.get(kind) if isinstance(kind, str) else None
+            if arity is None:
+                raise ExecutionError(
+                    f"unknown change kind {kind!r}; expected 'assert', 'retract', or 'modify'"
+                )
+            if len(change) != arity:
+                raise ExecutionError(
+                    f"a {kind!r} change takes {arity - 1} field(s) after its kind, "
+                    f"got {list(change[1:])!r}"
+                )
+            if kind == "assert":
+                if not isinstance(change[1], str) or not change[1]:
+                    raise ExecutionError(
+                        f"WME class must be a non-empty symbol, got {change[1]!r}"
+                    )
+            elif type(change[1]) is not int:  # a bool would name timetag 1 or 0
+                raise ExecutionError(f"timetag must be an integer, got {change[1]!r}")
+            if arity == 3:
+                _check_values(change[2])
 
     def reset(self) -> None:
         """Clear working memory, refraction memory, and run state.

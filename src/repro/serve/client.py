@@ -323,10 +323,5 @@ class RuleClient:
     def query_wm(self, session: str) -> list:
         return self.call("query", session=session, what="wm")["wmes"]
 
-    def query_conflict_set(self, session: str) -> list:
-        return self.call("query", session=session, what="conflict-set")[
-            "instantiations"
-        ]
-
     def session_stats(self, session: str) -> dict:
         return self.call("query", session=session, what="stats")["stats"]

@@ -14,7 +14,8 @@ process (docs/fault-tolerance.md).
 
 Supervision is heartbeat/liveness detection, fence, respawn with
 backoff, restore, and a structured event trail; the unit is a whole
-rule-server process with its own event loop and session threads.
+rule-server process: one OS thread, its event loop, hosting every
+session of the worker.
 """
 
 from __future__ import annotations
@@ -86,7 +87,11 @@ class WorkerProcess:
             env=_worker_environment(),
             text=True,
         )
-        self.address = self._await_announce(spawn_timeout)
+        try:
+            self.address = self._await_announce(spawn_timeout)
+        except BaseException:  # an interrupt mid-spawn must not orphan the child
+            self.kill()
+            raise
         self._drain = threading.Thread(target=self._drain_stdout, daemon=True)
         self._drain.start()
 

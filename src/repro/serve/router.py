@@ -1114,8 +1114,8 @@ class RouterFleet(LoopThread):
 
     The embedded form of the scale-out topology.  Threads of one
     process share a GIL, so a loop per worker buys no parallelism and
-    costs two cross-thread hand-offs per request; here the router and
-    its workers are coroutines of one ``repro-fleet`` loop.  They still
+    costs two cross-thread hand-offs per request; here the router, its
+    workers and their sessions share one ``repro-fleet`` thread.  They still
     talk through loopback sockets, :class:`WorkerLink` pools and the
     wire protocol -- the code path of a process fleet, not a shortcut
     beside it.  ``repro serve --workers N`` builds exactly this.

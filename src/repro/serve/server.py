@@ -3,10 +3,10 @@
 One :class:`RuleServer` listens on a local TCP port (or a unix-domain
 socket), speaks the length-prefixed JSON protocol of
 :mod:`repro.serve.protocol`, and multiplexes any number of client
-connections onto any number of engine sessions.  The event loop only
-routes: all engine work happens on per-session worker threads, so the
-loop stays free to answer pings, report stats, and -- crucially --
-reject requests with backpressure while a session is busy.
+connections onto any number of engine sessions -- all on one event loop
+thread.  A session's ops run on the loop in slices, so between two
+slices of a long op the loop answers pings and stats, serves other
+sessions, and rejects requests with backpressure.
 
 Server-level operations (handled inline on the loop)::
 
@@ -19,7 +19,7 @@ Server-level operations (handled inline on the loop)::
     {"op": "ping"}
     {"op": "shutdown"}                   # graceful drain, then exit
 
-Session operations (queued, executed in order on the session thread)::
+Session operations (executed one at a time per session, in order)::
 
     {"op": "assert", "session": id, "wmes": [[cls, {attrs}], ...],
      "run": bool?, "max_cycles": n?}
@@ -45,22 +45,18 @@ import asyncio
 from typing import Optional
 
 from ..ops5 import Ops5Error
-from ..ops5.errors import (
-    DuplicateProductionError,
-    ExecutionError,
-    ParseError,
-    ValidationError,
-)
+from ..ops5.errors import DuplicateProductionError, ExecutionError, ParseError, ValidationError
 from .durability import validate_engine_state
 from .loop import Endpoint, LoopThread
-from .session import (
-    DEFAULT_MAX_PENDING,
-    DEFAULT_TENANT,
-    Refused,
-    SessionManager,
-    check_session_options,
-)
+from .session import DEFAULT_MAX_PENDING, DEFAULT_TENANT, Refused, SessionManager
+from .session import check_session_options
 from .stats import Telemetry, live_threads
+
+
+class BadState(Refused):
+    """An imported session payload that cannot be restored."""
+
+    code = "bad_state"
 
 
 class RuleServer(Endpoint):
@@ -79,11 +75,7 @@ class RuleServer(Endpoint):
     ) -> None:
         super().__init__(host, port, unix_path)
         self.sessions = SessionManager(
-            default_max_pending=max_pending,
-            recorder=recorder,
-            fault_plan=fault_plan,
-            tenant_quotas=tenant_quotas,
-            default_tenant_quota=default_tenant_quota,
+            max_pending, recorder, fault_plan, tenant_quotas, default_tenant_quota
         )
         self.telemetry = Telemetry()
 
@@ -91,7 +83,7 @@ class RuleServer(Endpoint):
 
     async def shutdown(self) -> None:
         """Graceful exit: stop accepting, drain every session (replies
-        to queued work still leave), reap pools, close connections."""
+        to queued work still leave), close connections."""
         if self._draining:
             return
         self._draining = True
@@ -157,19 +149,12 @@ class RuleServer(Endpoint):
             raise Ops5Error("server is shutting down")
         config = request.get("config") or {}
         if not isinstance(config, dict):
-            self.telemetry.errors += 1
-            return {
-                "ok": False,
-                "error": "bad_state",
-                "detail": "config must be a JSON object",
-            }
+            raise BadState("config must be a JSON object")
         check_session_options(config)
         state = request.get("state")
-        if state is not None:
-            problem = validate_engine_state(state)
-            if problem is not None:
-                self.telemetry.errors += 1
-                return {"ok": False, "error": "bad_state", "detail": problem}
+        problem = None if state is None else validate_engine_state(state)
+        if problem is not None:
+            raise BadState(problem)
         try:
             session = self.sessions.create(
                 program=config.get("program", ""),
@@ -180,22 +165,14 @@ class RuleServer(Endpoint):
                 tenant=config.get("tenant", DEFAULT_TENANT),
                 state=state,
             )
-        except (
-            ParseError,
-            ValidationError,
-            DuplicateProductionError,
-            ExecutionError,
-            ValueError,
-            TypeError,
-            KeyError,
-        ) as error:
+        except (ParseError, ValidationError, DuplicateProductionError, ExecutionError,
+                ValueError, TypeError, KeyError) as error:
             # A payload that passed the shape check but still failed the
             # engine -- an unparseable program in the config, firings
             # referencing unknown productions -- is the same class of
             # bad input.  (Quota and duplicate-name errors keep their
             # own types: those are caller mistakes, not bad payloads.)
-            self.telemetry.errors += 1
-            return {"ok": False, "error": "bad_state", "detail": str(error)}
+            raise BadState(str(error)) from None
         return {"ok": True, "session": session.id}
 
     async def _op_destroy_session(self, request: dict) -> dict:

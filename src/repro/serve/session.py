@@ -1,40 +1,33 @@
 """Sessions: one long-lived :class:`ProductionSystem` per client context.
 
 A :class:`Session` is the unit of isolation in the rule server: it owns
-an engine (with any registered matcher backend), a bounded request
-queue served by a single worker thread that applies requests strictly
-in arrival order, and its own telemetry.  The :class:`SessionManager`
-creates, looks up, and tears down sessions, and rolls their telemetry
-up into the server-wide view.
+an engine (with any registered matcher backend), a bounded FIFO of
+requests waiting their turn, and its own telemetry.  The
+:class:`SessionManager` creates, looks up, and tears down sessions, and
+rolls their telemetry up into the server-wide view.
 
-Ordering and determinism
-------------------------
-All requests for one session are submitted straight to its
-single-thread executor -- that executor's FIFO is the session's only
-queue -- and are executed one at a time on the session's dedicated
-thread.  WME batches are applied through the engine's
-:meth:`~repro.ops5.engine.ProductionSystem.apply_changes` -- which never
-fires rules -- and conflict resolution happens only on explicit ``run``
-requests.  A logical change stream therefore produces bit-identical
-working memory and firing sequences no matter how it is chunked into
-batches, which is the property the acceptance tests pin down.
+Ordering.  A session executes its requests one at a time, in arrival
+order, on the worker's event loop -- there is no session thread.  A
+request to an idle session starts at once, in the coroutine that
+dispatched it; one to a busy session waits its turn.  Each op is written
+once, as a generator of *slices* (a ``run`` yields every :data:`SLICE`
+cycles, a change batch every :data:`SLICE` changes): :meth:`Session.submit`
+lets the loop serve other work at each boundary, :meth:`Session.perform`
+runs the slices back to back.  Batches go through the engine's
+:meth:`~repro.ops5.engine.ProductionSystem.apply_changes`, which never
+fires rules, so a change stream yields bit-identical working memory and
+firings however it is cut into batches, slices or ``run`` requests.
 
-Backpressure
-------------
-Each session's queue holds at most ``max_pending`` requests (the one
-executing does not count).  A request arriving at a full queue is
-rejected *immediately* (never enqueued, session state untouched) with
-``error: "backpressure"`` and a ``retry_after`` hint derived from the
-session's median latency and current queue depth.  Clients retry;
-nothing is silently dropped.
+Backpressure.  At most ``max_pending`` requests wait (the executing one
+does not count); one more is rejected at once, untouched, with ``error:
+"backpressure"`` and a ``retry_after`` hint from the median latency and
+the queue depth.  Clients retry; nothing is silently dropped.
 
-Deadlines
----------
-A request may carry ``"deadline": seconds``; if the reply is not ready
-in time the *caller* gets ``error: "deadline"`` immediately.  The
-request itself is not interrupted -- the worker thread cannot be
-preempted mid-engine-op -- so its side effects still land in order; only
-the reply is abandoned.
+Deadlines.  A request may carry ``"deadline": seconds``.  One that
+expires while waiting its turn never runs (``error: "deadline"``,
+``started: false``).  One that expires while executing answers
+``started: true`` at its next slice boundary; its remaining slices still
+finish, in order, before the next request starts.
 """
 
 from __future__ import annotations
@@ -44,15 +37,14 @@ import itertools
 import os
 import threading
 import time
-from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter, deque
 from typing import Any, Optional
 
-from ..faults.plan import SLOW as FAULT_SLOW
-from ..faults.plan import FaultPlan
+from ..faults.plan import SLOW as FAULT_SLOW, FaultPlan
 from ..obs import metrics as obs_metrics
 from ..obs.recorder import NULL_RECORDER
-from ..ops5 import EngineListener, Ops5Error, ProductionSystem, matcher_named
+from ..ops5 import BatchResult, EngineListener, ExecutionError, Ops5Error
+from ..ops5 import ProductionSystem, matcher_named
 from ..ops5.parser import Program, parse_program
 from ..ops5.wme import WME
 from .stats import Telemetry
@@ -66,9 +58,9 @@ MAX_RETRY_AFTER = 2.0
 #: Tenant a session belongs to when the client names none.
 DEFAULT_TENANT = "default"
 
-
-class SessionClosed(Ops5Error):
-    """The session was destroyed while the request waited."""
+#: Cycles of a ``run``, or changes of a batch, between two yields to the
+#: event loop (K; its sweep is in EXPERIMENTS.md, "One thread per worker").
+SLICE = 64
 
 
 class Refused(Ops5Error):
@@ -109,9 +101,8 @@ def check_session_options(config: dict) -> None:
     named = [key for key in REMOVED_OPTIONS if config.get(key) is not None]
     if named:
         raise RemovedOption(
-            f"session option {', '.join(named)} was removed: the process "
-            "transports are gone and matcher='parallel' always runs its "
-            "default partitions"
+            f"session option {', '.join(named)} was removed: the process transports "
+            "are gone and matcher='parallel' always runs its default partitions"
         )
 
 
@@ -136,12 +127,8 @@ class TenantBook:
     fleet's placements.  Tenants without a quota of their own fall back
     to *default_quota* (None = unlimited)."""
 
-    def __init__(
-        self,
-        quotas: Optional[dict[str, int]] = None,
-        default_quota: Optional[int] = None,
-        scope: str = "",
-    ) -> None:
+    def __init__(self, quotas: Optional[dict[str, int]] = None,
+                 default_quota: Optional[int] = None, scope: str = "") -> None:
         self.quotas = dict(quotas or {})
         self.default_quota = default_quota
         self.scope = scope
@@ -176,62 +163,43 @@ class TenantBook:
 
 # -- shared parsed programs ---------------------------------------------------
 #
-# Multi-tenant serving means thousands of sessions loading the *same*
-# program text.  Parsing is cheap next to codegen, but per-session
-# parsing also produced per-session Production objects -- which defeated
-# the kernel cache's per-production fingerprint memo (keyed by object
-# identity) and re-interned nothing but still re-walked every CE.
-# Caching the parsed Program shares one set of immutable Production
-# objects across every session of a ruleset, so a warm session create
-# does no parsing and its fingerprint lookup is a pure memo hit.
+# Thousands of sessions load the *same* program text.  One parse per
+# text shares one set of immutable Production objects across them, so a
+# warm create does no parsing and the kernel cache's fingerprint memo
+# (keyed by object identity) is a pure hit.
 
 _PROGRAMS: dict[str, Program] = {}
-_PROGRAMS_LOCK = threading.Lock()
-_PROGRAM_HITS = 0
-_PROGRAM_MISSES = 0
+_PROGRAMS_LOCK = threading.Lock()  # server threads of one process share it
+_PROGRAM_COUNTS: Counter = Counter()
 
 
 def shared_program(source: str) -> Program:
     """The (cached) parse of *source*; Productions are shared, immutable."""
-    global _PROGRAM_HITS, _PROGRAM_MISSES
+    program = _PROGRAMS.get(source)
     with _PROGRAMS_LOCK:
-        program = _PROGRAMS.get(source)
-        if program is not None:
-            _PROGRAM_HITS += 1
-            return program
-        _PROGRAM_MISSES += 1
-    program = parse_program(source)
-    with _PROGRAMS_LOCK:
-        return _PROGRAMS.setdefault(source, program)
+        _PROGRAM_COUNTS["misses" if program is None else "hits"] += 1
+    if program is None:
+        program = _PROGRAMS.setdefault(source, parse_program(source))
+    return program
 
 
 def program_cache_stats() -> dict:
     """Process-wide program-cache counters (tests and metrics)."""
-    with _PROGRAMS_LOCK:
-        return {
-            "hits": _PROGRAM_HITS,
-            "misses": _PROGRAM_MISSES,
-            "size": len(_PROGRAMS),
-        }
+    hits, misses = _PROGRAM_COUNTS["hits"], _PROGRAM_COUNTS["misses"]
+    return {"hits": hits, "misses": misses, "size": len(_PROGRAMS)}
 
 
 def clear_program_cache() -> None:
     """Drop cached parses and counters (test isolation)."""
-    global _PROGRAM_HITS, _PROGRAM_MISSES
-    with _PROGRAMS_LOCK:
-        _PROGRAMS.clear()
-        _PROGRAM_HITS = 0
-        _PROGRAM_MISSES = 0
+    _PROGRAMS.clear()
+    _PROGRAM_COUNTS.clear()
 
 
 def build_matcher(name: str, recorder=None):
-    """Build a matcher backend for a session via the engine registry.
-
-    An enabled *recorder* is threaded into backends that can use it: the
-    compiled and parallel matchers take it directly (``kernel:compile``
-    spans), Rete backends get a :class:`~repro.rete.RecorderListener`
-    (per-activation spans).
-    """
+    """Build a matcher backend for a session via the engine registry,
+    threading an enabled *recorder* into backends that can use it
+    (compiled / parallel: ``kernel:compile`` spans; Rete: a
+    :class:`~repro.rete.RecorderListener`, per-activation spans)."""
     if recorder is not None and recorder.enabled:
         if name in ("rete", "rete-indexed"):
             from ..rete import RecorderListener
@@ -245,6 +213,15 @@ def build_matcher(name: str, recorder=None):
 def encode_wme(wme: WME) -> list:
     """JSON-ready view of one working-memory element."""
     return [wme.cls, dict(wme.attributes), wme.timetag]
+
+
+def _max_cycles(request: dict) -> Optional[int]:
+    """The request's ``max_cycles``: None or an ``int`` >= 0, else refused
+    before the op changes anything."""
+    value = request.get("max_cycles")
+    if value is None or (type(value) is int and value >= 0):
+        return value
+    raise ExecutionError(f"max_cycles must be a non-negative integer, got {value!r}")
 
 
 class _DeltaLog(EngineListener):
@@ -283,7 +260,7 @@ class _DeltaLog(EngineListener):
 
 
 class Session:
-    """One client context: an engine plus its queue, thread, telemetry."""
+    """One client context: an engine plus its FIFO and telemetry."""
 
     def __init__(
         self,
@@ -303,15 +280,12 @@ class Session:
         self.matcher_name = matcher
         self.strategy_name = strategy
         self.tenant = tenant
-        #: Source text, kept verbatim: the migration payload re-creates
-        #: the session from it on the receiving worker.
+        #: Source text, verbatim: a migration re-creates the session from it.
         self.program = program
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         self.fault_plan = fault_plan
         self.system = ProductionSystem(
-            shared_program(program),
-            matcher=build_matcher(matcher, recorder=self.recorder),
-            strategy=strategy,
+            shared_program(program), build_matcher(matcher, self.recorder), strategy,
             recorder=self.recorder,
         )
         if state is not None:
@@ -323,24 +297,21 @@ class Session:
         self.max_pending = max_pending
         #: Executed-request ordinal stream (session-site fault addresses).
         self._request_ordinal = 0
-        #: The session's one queue *and* its one thread: a single-worker
-        #: executor runs submissions strictly in order.
-        self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix=f"repro-serve-{session_id}"
-        )
-        # queue_depth = accepted - abandoned - started; each counter has
-        # one writer (the loop, the loop, the session thread).
-        self._accepted = 0
-        self._abandoned = 0
-        self._started = 0
+        #: Requests waiting their turn, oldest first: each future is set
+        #: True when the op ahead hands the session on.
+        self._waiters: deque[asyncio.Future] = deque()
+        #: A request owns the session: it executes, or was just handed it.
+        self._busy = False
+        #: The rest of an op that outlived its caller (a strong reference).
+        self._rest: Optional[asyncio.Task] = None
         self._closed = False
 
-    # -- the queue (event-loop side) -------------------------------------------
+    # -- the queue (event loop) ------------------------------------------------
 
     @property
     def queue_depth(self) -> int:
-        """Accepted requests not yet started (the executing one excluded)."""
-        return self._accepted - self._abandoned - self._started
+        """Requests waiting their turn (the executing one excluded)."""
+        return len(self._waiters)
 
     def retry_after(self) -> float:
         """Backpressure retry hint: median latency x queue occupancy."""
@@ -348,27 +319,19 @@ class Session:
         return min(MAX_RETRY_AFTER, per_request * (self.queue_depth + 1))
 
     async def submit(self, request: dict) -> dict:
-        """Enqueue *request* and wait for its reply.
+        """Execute *request* in its FIFO turn, on this coroutine; its reply.
 
-        Returns the backpressure rejection (without enqueueing) when the
-        queue is full; converts engine errors into error replies so one
-        bad request never tears down the connection or the session.  A
-        ``"deadline"`` field bounds the wait: expiry answers the caller
-        with ``error: "deadline"`` right away, cancelling the queued
-        request if it has not started (a started request still completes
-        on the worker thread; only its reply is dropped).  The deadline
-        reply carries ``started``, telling the caller -- and the durable
-        router's journal -- whether the request executed despite the
-        dropped reply.
+        Answers the backpressure rejection when the queue is full, and an
+        engine error as an error reply, so one bad request never tears
+        down the connection or the session.  An idle session starts the
+        op at once: no task, no future, no thread hop.
         """
         if self._closed:
             return {"ok": False, "error": f"session {self.id!r} is closed"}
         deadline = request.get("deadline")
-        if deadline is not None and (
-            not isinstance(deadline, (int, float)) or deadline <= 0
-        ):
+        if deadline is not None and (not isinstance(deadline, (int, float)) or deadline <= 0):
             return {"ok": False, "error": "deadline must be a positive number"}
-        if self.queue_depth >= self.max_pending:
+        if len(self._waiters) >= self.max_pending:
             self.telemetry.rejected += 1
             return {
                 "ok": False,
@@ -376,62 +339,132 @@ class Session:
                 "retry_after": self.retry_after(),
                 "queue_depth": self.queue_depth,
             }
-        self._accepted += 1
         accepted = time.perf_counter()
-        work = self._executor.submit(self._execute, request, accepted)
+        expiry = None if deadline is None else asyncio.get_running_loop().time() + deadline
+        if not self._busy:
+            self._busy = True
+        elif not await self._turn(expiry):
+            return self._late(deadline, started=False)
+        self.telemetry.queue_wait.record(time.perf_counter() - accepted)
+        reply = await self._execute(self._steps(request), expiry)
+        if reply is None:
+            return self._late(deadline, started=True)
+        if reply["ok"]:
+            self.telemetry.latency.record(time.perf_counter() - accepted)
+        return reply
+
+    def _late(self, deadline: float, started: bool) -> dict:
+        self.telemetry.deadline_exceeded += 1
+        return {"ok": False, "error": "deadline", "deadline": deadline,
+                "started": started, "queue_depth": self.queue_depth}
+
+    async def _turn(self, expiry: Optional[float]) -> bool:
+        """Wait in the FIFO until the session is handed to this request
+        (True), or until the loop time *expiry* (False: it never runs)."""
+        loop = asyncio.get_running_loop()
+        turn = loop.create_future()
+        self._waiters.append(turn)
+        timer = None if expiry is None else loop.call_at(expiry, self._expire, turn)
         try:
-            reply = await asyncio.wait_for(asyncio.wrap_future(work), deadline)
-        except asyncio.TimeoutError:
-            reply = None
+            return await turn
+        except asyncio.CancelledError:
+            if not turn.cancelled() and turn.result():
+                self._release()  # handed the session as its caller left
+            elif turn in self._waiters:
+                self._waiters.remove(turn)
+            raise
+        finally:
+            if timer is not None:
+                timer.cancel()
+
+    def _expire(self, turn: asyncio.Future) -> None:
+        if not turn.done():
+            self._waiters.remove(turn)
+            turn.set_result(False)
+
+    def _release(self) -> None:
+        """The owning op ended: hand the session to the oldest waiter."""
+        while self._waiters:
+            turn = self._waiters.popleft()
+            if not turn.done():
+                turn.set_result(True)
+                return
+        self._busy = False
+
+    async def _execute(self, steps, expiry=None, pause=None) -> Optional[dict]:
+        """Drive *steps*, an op's slices, to its reply, awaiting
+        :meth:`_pause` at each boundary (first *pause*, when resuming);
+        the op owns the session until it ends.  At a boundary an op with
+        an *expiry* (loop time) moves its rest to a task, answering None
+        if that is still running at the expiry; a cancelled caller moves
+        it there too, so the op always finishes before the next starts.
+        """
+        owner = True
+        try:
+            while True:
+                if pause is not None:
+                    if expiry is not None:
+                        owner = False
+                        self._rest = rest = asyncio.ensure_future(
+                            self._execute(steps, None, pause)
+                        )
+                        left = expiry - asyncio.get_running_loop().time()
+                        await asyncio.wait((rest,), timeout=left)
+                        return rest.result() if rest.done() else None
+                    try:
+                        await self._pause(pause)
+                    except asyncio.CancelledError:
+                        owner = False
+                        self._rest = asyncio.ensure_future(self._execute(steps))
+                        raise
+                pause = next(steps)
+        except StopIteration as done:
+            return done.value
         except Ops5Error as error:
             self.telemetry.errors += 1
             return {"ok": False, "error": str(error)}
         finally:
-            # Leaving without a result (deadline, or the caller's task
-            # was cancelled): a request still queued must never run.
-            # cancel() fails iff the work is running or done, so
-            # work.cancelled() below is exactly "never started".
-            if work.cancel():
-                self._abandoned += 1
-        if reply is None:
-            self.telemetry.deadline_exceeded += 1
-            return {
-                "ok": False,
-                "error": "deadline",
-                "deadline": deadline,
-                "started": not work.cancelled(),
-                "queue_depth": self.queue_depth,
-            }
-        self.telemetry.latency.record(time.perf_counter() - accepted)
-        return reply
+            if owner:
+                self._release()
+
+    async def _pause(self, seconds: float) -> None:
+        """The slice boundary: the loop serves other work for *seconds*
+        (an injected straggler's stall; 0 is one turn of the loop)."""
+        await asyncio.sleep(seconds)
 
     async def drain_and_close(self) -> None:
-        """Finish every queued request, then release engine resources."""
+        """Finish every queued request, then close the session."""
         if self._closed:
             return
         self._closed = True
-        # The executor is FIFO: once this marker ran, everything accepted
-        # before it has -- without blocking the loop on shutdown(wait).
-        await asyncio.wrap_future(self._executor.submit(int))
-        self.close_resources()
+        if self._busy:
+            await self._turn(None)  # FIFO: everything accepted earlier ran
+            self._release()
 
     def close_resources(self) -> None:
-        """Synchronously finish queued work, then reap the worker thread."""
-        self._executor.shutdown(wait=True)
+        """Refuse further requests (a session holds no thread or pool)."""
+        self._closed = True
 
-    # -- request execution (worker thread) -----------------------------------
-
-    def _execute(self, request: dict, accepted: float) -> dict:
-        """Session-thread entry: stamp the start, then :meth:`perform`."""
-        self._started += 1
-        self.telemetry.queue_wait.record(time.perf_counter() - accepted)
-        return self.perform(request)
+    # -- one op, two drivers ----------------------------------------------------
 
     def perform(self, request: dict) -> dict:
-        """Execute one request against the engine; returns the reply.
+        """Execute one request to completion on the calling thread: the
+        slices :meth:`submit` runs, back to back, with no queue (a
+        straggler fault sleeps the thread).  Engine errors raise."""
+        steps = self._steps(request)
+        try:
+            while True:
+                pause = next(steps)
+                if pause:
+                    time.sleep(pause)
+        except StopIteration as done:
+            return done.value
 
-        Runs on the session's worker thread, one request at a time.
-        """
+    def _steps(self, request: dict):
+        """*request*'s op as slices: yields the seconds to pause at each
+        boundary (0: just let the loop run), returns the reply, and
+        raises :class:`Ops5Error` for a refused request or an injected
+        ``error`` fault."""
         op = request.get("op")
         handler = self._OPS.get(op)
         if handler is None:
@@ -442,66 +475,82 @@ class Session:
         if self.fault_plan is not None:
             spec = self.fault_plan.session_fault(ordinal)
             if spec is not None:
-                if spec.kind == FAULT_SLOW:
-                    time.sleep(spec.seconds)
-                else:
-                    raise Ops5Error(
-                        f"injected session fault at request {ordinal}"
-                    )
+                if spec.kind != FAULT_SLOW:
+                    raise Ops5Error(f"injected session fault at request {ordinal}")
+                yield spec.seconds  # a straggler: stalled, still executing
         with self.recorder.span(
             f"request:{op}", "serve", session=self.id, queue_depth=self.queue_depth
         ):
-            return handler(self, request)
+            reply = handler(self, request)
+            if not isinstance(reply, dict):  # a sliced op's generator
+                reply = yield from reply
+            return reply
 
-    def _op_assert(self, request: dict) -> dict:
-        changes = [
-            ("assert", cls, attrs) for cls, attrs in request.get("wmes", ())
-        ]
-        result = self.system.apply_changes(changes)
-        self.telemetry.wme_changes += result.total_changes
+    def _op_assert(self, request: dict):
+        max_cycles = _max_cycles(request) if request.get("run") else None
+        changes = [("assert", cls, attrs) for cls, attrs in request.get("wmes", ())]
+        result = yield from self._apply(changes)
         reply = {"ok": True, "timetags": result.timetags}
         if request.get("run"):
-            reply["run"] = self._run(request.get("max_cycles"))
+            reply["run"] = yield from self._run(max_cycles)
         return reply
 
-    def _op_retract(self, request: dict) -> dict:
+    def _op_retract(self, request: dict):
         changes = [("retract", tag) for tag in request.get("timetags", ())]
-        result = self.system.apply_changes(changes)
-        self.telemetry.wme_changes += result.total_changes
+        result = yield from self._apply(changes)
         return {"ok": True, "removed": result.removed}
 
-    def _op_modify(self, request: dict) -> dict:
-        changes = [
-            ("modify", tag, updates)
-            for tag, updates in request.get("changes", ())
-        ]
-        result = self.system.apply_changes(changes)
-        self.telemetry.wme_changes += result.total_changes
+    def _op_modify(self, request: dict):
+        changes = [("modify", tag, updates) for tag, updates in request.get("changes", ())]
+        result = yield from self._apply(changes)
         return {"ok": True, "timetags": result.timetags, "removed": result.removed}
 
-    def _op_apply(self, request: dict) -> dict:
+    def _op_apply(self, request: dict):
         """The general form: a heterogeneous ordered change batch."""
         changes = [tuple(change) for change in request.get("changes", ())]
-        result = self.system.apply_changes(changes)
-        self.telemetry.wme_changes += result.total_changes
+        result = yield from self._apply(changes)
         return {"ok": True, "timetags": result.timetags, "removed": result.removed}
 
-    def _op_run(self, request: dict) -> dict:
-        return {"ok": True, **self._run(request.get("max_cycles"))}
+    def _op_run(self, request: dict):
+        return {"ok": True, **(yield from self._run(_max_cycles(request)))}
 
-    def _run(self, max_cycles: Optional[int]) -> dict:
-        result = self.system.run(max_cycles)
-        self.telemetry.firings += result.fired
+    def _apply(self, changes: list):
+        """Apply *changes* :data:`SLICE` at a time; the batch's result.
+        A longer batch is checked whole before its first slice lands."""
+        system = self.system
+        if len(changes) <= SLICE:
+            result = system.apply_changes(changes)
+        else:
+            system.check_changes(changes)
+            result = BatchResult()
+            for start in range(0, len(changes), SLICE):
+                if start:
+                    yield 0
+                part = system.apply_changes(changes[start : start + SLICE])
+                result.added += part.added
+                result.removed += part.removed
         self.telemetry.wme_changes += result.total_changes
+        return result
+
+    def _run(self, max_cycles: Optional[int]):
+        """Run to a halt or *max_cycles* firings, :data:`SLICE` cycles at
+        a time; the ``run`` reply's fields."""
+        system = self.system
+        result = system.run(SLICE if max_cycles is None else min(SLICE, max_cycles))
+        cycles = result.cycles
+        while not (result.halted or len(cycles) == max_cycles):
+            yield 0
+            left = SLICE if max_cycles is None else max_cycles - len(cycles)
+            result = system.run(min(SLICE, left))
+            cycles += result.cycles
+        self.telemetry.firings += len(cycles)
+        self.telemetry.wme_changes += sum(cycle.changes for cycle in cycles)
         return {
-            "fired": result.fired,
+            "fired": len(cycles),
             "halted": result.halted,
             "halt_reason": result.halt_reason,
-            "output": list(result.output),
-            "firings": [
-                [cycle.production, list(cycle.timetags)]
-                for cycle in result.cycles
-            ],
+            "output": result.output,
+            "firings": [[cycle.production, list(cycle.timetags)] for cycle in cycles],
         }
 
     def _op_query(self, request: dict) -> dict:
@@ -512,10 +561,7 @@ class Session:
                 "wmes": [encode_wme(w) for w in self.system.memory.snapshot()],
             }
         if what == "conflict-set":
-            members = sorted(
-                (name, list(tags))
-                for name, tags in self.system.conflict_set.snapshot()
-            )
+            members = sorted((n, list(tags)) for n, tags in self.system.conflict_set.snapshot())
             return {"ok": True, "instantiations": [list(m) for m in members]}
         if what == "stats":
             return {"ok": True, "stats": self.describe()}
@@ -524,18 +570,16 @@ class Session:
         )
 
     def _op_export(self, request: dict) -> dict:
-        """The migration payload: config + engine state, JSON-ready.
-
-        Runs through the session queue like any other op, so the export
-        is strictly ordered against in-flight changes -- everything the
-        session acknowledged is in the blob, nothing later is.
+        """The migration payload: config + engine state, JSON-ready,
+        ordered through the session's FIFO like any op (everything
+        acknowledged is in it, nothing later).
 
         A checkpointing caller sends ``since``, the ``mark`` of the last
-        export it persisted.  If this session's delta log started at
-        that export the reply carries a ``repro.engine-delta/1`` record
-        in place of the state; in every other case (first marked export,
-        restored session, lost reply, dropped log) the full state.
-        Either way a fresh ``mark`` comes back and the log restarts.
+        export it persisted.  If this session's delta log started at that
+        export the reply carries a ``repro.engine-delta/1`` record instead
+        of the state; otherwise (first marked export, restored session,
+        lost reply, dropped log) the full state.  Either way a fresh
+        ``mark`` comes back and the log restarts.
         """
         system = self.system
         reply = {"ok": True}
@@ -574,13 +618,10 @@ class Session:
     def describe(self) -> dict:
         """JSON-ready session status (one row of the ``stats`` reply).
 
-        Side-effect-free with respect to engine state, and safe to call
-        from the event loop while the worker thread mutates working
-        memory: every engine read here is a point read or a
-        snapshot-copy, and matcher stats flow through ``peek_stats``.
+        Side-effect-free (matcher stats flow through ``peek_stats``).
+        On the loop it sees a session between two slices, never inside
+        one.  The telemetry rows (two window sorts) are built once.
         """
-        # The telemetry rows (two window sorts) are built once and
-        # shared with the unified snapshot.
         serve = self.telemetry.snapshot()
         metrics = obs_metrics.snapshot(self.system, recorder=self.recorder)
         metrics["serve"] = serve
@@ -603,13 +644,11 @@ class Session:
 class SessionManager:
     """Creates, resolves, and tears down the server's sessions.
 
-    Admission control lives here: a *tenant* (client account, team,
-    workload) may hold at most its quota of concurrent sessions on this
-    server.  Quotas are per-worker -- the front-door router applies the
-    same check fleet-wide before a create ever reaches a worker -- and a
-    create over quota raises :class:`QuotaExceeded`, which the server
-    answers as a ``quota`` error (not backpressure: retrying will not
-    help until the tenant destroys a session).
+    Admission control lives here: a *tenant* may hold at most its quota
+    of concurrent sessions on this server (the router applies the same
+    check fleet-wide first).  A create over quota raises
+    :class:`QuotaExceeded`, answered as a ``quota`` error -- retrying
+    cannot help until the tenant destroys a session.
     """
 
     def __init__(
@@ -654,20 +693,12 @@ class SessionManager:
         if session_id in self._sessions:
             raise Ops5Error(f"session {session_id!r} already exists")
         self.tenants.admit(tenant, self._live_tenants())
-        session = Session(
-            session_id,
-            program=program,
-            matcher=matcher,
-            strategy=strategy,
-            max_pending=max_pending
-            if max_pending is not None
-            else self.default_max_pending,
-            recorder=self.recorder,
-            fault_plan=self.fault_plan,
-            tenant=tenant,
-            state=state,
+        if max_pending is None:
+            max_pending = self.default_max_pending
+        session = self._sessions[session_id] = Session(
+            session_id, program, matcher, strategy, max_pending,
+            self.recorder, self.fault_plan, tenant, state,
         )
-        self._sessions[session_id] = session
         return session
 
     def get(self, session_id: Any) -> Session:
@@ -677,18 +708,15 @@ class SessionManager:
         return session
 
     async def destroy(self, session_id: str) -> None:
-        """Remove the session, finish its queued work, reap its pool."""
+        """Remove the session and finish its queued work."""
         session = self.get(session_id)
         del self._sessions[session_id]  # no new submissions from here on
         await session.drain_and_close()
         self._retired.absorb(session.telemetry)
 
     async def drain_all(self) -> None:
-        """Graceful shutdown: drain and close every session.
-
-        Re-checks the registry on every step so a concurrent
-        ``destroy_session`` request cannot race it into a double free.
-        """
+        """Graceful shutdown: drain and close every session, re-reading
+        the registry each step (a concurrent destroy cannot double-free)."""
         while self._sessions:
             await self.destroy(next(iter(self._sessions)))
 
@@ -704,17 +732,10 @@ class SessionManager:
         for session in self._sessions.values():
             total.absorb(session.telemetry)
             sessions[session.id] = session.describe()
-        snapshot = total.snapshot()
-        # The rollup's clock is its own construction time; report the
-        # aggregate counters but not a meaningless uptime-derived rate.
-        del snapshot["uptime_seconds"]
-        del snapshot["wme_changes_per_second"]
-        del snapshot["firings_per_second"]
-        del snapshot["latency"]
-        del snapshot["queue_wait"]
+        # The rollup's clock is its own construction time: counters only.
         return {
             "schema": obs_metrics.SCHEMA,
             "sessions": sessions,
             "tenants": self.tenant_stats(),
-            "totals": snapshot,
+            "totals": total.counters(),
         }

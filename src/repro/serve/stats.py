@@ -6,10 +6,8 @@ layer keeps exactly those totals, per session and server-wide, plus the
 request-latency distribution a service operator actually watches
 (p50/p95/p99 over a sliding window of recent requests).
 
-Everything here is plain synchronous bookkeeping; the event loop and
-the session worker threads both touch it only under the single-writer
-discipline the session queue enforces, so no locking is needed beyond
-CPython's atomic attribute updates.
+Everything here is plain synchronous bookkeeping, written and read on
+the worker's one event loop thread, so none of it needs a lock.
 """
 
 from __future__ import annotations
@@ -26,8 +24,9 @@ MEDIAN_REFRESH = 64
 
 
 def live_threads() -> int:
-    """Live ``repro-*`` threads in this process: event loops, session
-    threads, committers (the ``threads`` figure of a ``stats`` header)."""
+    """Live ``repro-*`` threads in this process: embedded event loops and
+    journal committers (the ``threads`` figure of a ``stats`` header).
+    Sessions have no thread of their own."""
     return sum(t.name.startswith("repro-") for t in threading.enumerate())
 
 
@@ -64,9 +63,6 @@ class LatencyWindow:
         """
         if any(not 0 <= p <= 100 for p in ps):
             raise ValueError("percentile must be in [0, 100]")
-        # Copying a deque of floats runs no bytecode, so a record() on
-        # another thread (queue wait is stamped on the session thread)
-        # cannot land mid-copy.
         ordered = sorted(self._samples)
         if not ordered:
             return [0.0] * len(ps)
@@ -129,7 +125,7 @@ class Telemetry:
     firings: int = 0
     #: Accept -> reply, stamped on the event loop.
     latency: LatencyWindow = field(default_factory=LatencyWindow)
-    #: Accept (loop) -> start of execution (session thread).
+    #: Accept -> start of execution: the wait for the session's turn.
     queue_wait: LatencyWindow = field(default_factory=LatencyWindow)
     started: float = field(default_factory=time.monotonic)
 
@@ -148,24 +144,22 @@ class Telemetry:
         elapsed = self.uptime
         return self.firings / elapsed if elapsed else 0.0
 
+    #: The fields a rollup sums (the rest are clocks and windows).
+    COUNTERS = ("requests", "errors", "rejected", "deadline_exceeded", "wme_changes", "firings")
+
     def absorb(self, other: "Telemetry") -> None:
         """Fold *other*'s counters into this one (server-wide rollup)."""
-        self.requests += other.requests
-        self.errors += other.errors
-        self.rejected += other.rejected
-        self.deadline_exceeded += other.deadline_exceeded
-        self.wme_changes += other.wme_changes
-        self.firings += other.firings
+        for name in self.COUNTERS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+
+    def counters(self) -> dict:
+        """The :data:`COUNTERS` alone (the ``totals`` of a rollup)."""
+        return {name: getattr(self, name) for name in self.COUNTERS}
 
     def snapshot(self) -> dict:
         """A JSON-ready view (the payload of a ``stats`` reply)."""
         return {
-            "requests": self.requests,
-            "errors": self.errors,
-            "rejected": self.rejected,
-            "deadline_exceeded": self.deadline_exceeded,
-            "wme_changes": self.wme_changes,
-            "firings": self.firings,
+            **self.counters(),
             "uptime_seconds": self.uptime,
             "wme_changes_per_second": self.wme_changes_per_second,
             "firings_per_second": self.firings_per_second,

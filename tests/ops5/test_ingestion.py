@@ -78,3 +78,44 @@ def test_the_trusted_in_process_path_is_not_checked():
     system = ProductionSystem(SRC, matcher="compiled")
     system.add("b", x=(1, 2))
     assert system.memory.snapshot()[0].get("x") == (1, 2)
+
+
+#: Changes that could not be applied whole, and what each used to do
+#: after the changes before it in the batch had landed.
+MALFORMED = [
+    ("assert", "a"),  # ValueError: too few fields
+    ("retract",),  # IndexError
+    ("bogus", 1),  # unknown kind
+    (),  # IndexError
+    ("assert", "a", {}, "extra"),
+    ("retract", 1, {}),
+    ("modify", 1),
+    ("assert", 5, {}),  # class is not a symbol
+    ("assert", "", {}),
+    ("retract", True),  # a bool names timetag 1
+    ("modify", True, {"x": 2}),
+    ("retract", 1.0),
+    ("retract", "1"),
+    ([1], "a", {}),  # an unhashable kind
+]
+
+
+@pytest.mark.parametrize("matcher", ["compiled", "rete"])
+@pytest.mark.parametrize("bad", MALFORMED, ids=repr)
+def test_a_malformed_change_is_refused_before_the_batch_lands(matcher, bad):
+    system = ProductionSystem(SRC, matcher=matcher)
+    (b,) = system.apply_changes([("assert", "b", {"x": 1})]).added
+    before = _state(system)
+    with pytest.raises(ExecutionError):
+        system.apply_changes([("assert", "a", {"x": 1}), bad])
+    assert _state(system) == before  # WM, CS and the timetag counter
+    with pytest.raises(ExecutionError):
+        system.check_changes([bad])
+
+
+def test_a_missing_timetag_is_still_a_mid_batch_error():
+    """Liveness is the one thing the up-front check cannot see."""
+    system = ProductionSystem(SRC, matcher="compiled")
+    with pytest.raises(Exception, match="no WME with timetag 99"):
+        system.apply_changes([("assert", "a", {"x": 1}), ("retract", 99)])
+    assert len(system.memory) == 1

@@ -2,10 +2,12 @@
 
 import asyncio
 import random
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.faults import ERROR, SESSION, SLOW, FaultPlan, FaultSpec
+from repro.serve import ServerThread
 from repro.serve.client import BackpressureError, RuleClient
 from repro.serve.session import Session
 
@@ -128,6 +130,34 @@ def test_expired_queued_request_never_executes():
         assert session.telemetry.requests == 2
 
     asyncio.run(_closing(Session("t", program=CLOSURE, fault_plan=plan), body))
+
+
+def test_a_straggling_session_does_not_stall_its_worker():
+    """A ``slow`` fault is an awaited sleep on the worker's one loop:
+    while one session straggles, a ping and an op on another session of
+    the same worker are answered."""
+    plan = FaultPlan([FaultSpec(kind=SLOW, site=SESSION, at=1, seconds=2.0)])
+    with ServerThread(fault_plan=plan) as harness, RuleClient(
+        harness.address
+    ) as client, ThreadPoolExecutor(max_workers=1) as pool:
+        slow = client.create_session(program=CLOSURE)
+        other = client.create_session(program=CLOSURE)
+        client.assert_wmes(slow, _edges(1))  # its request 0; request 1 straggles
+
+        def straggle():
+            with RuleClient(harness.address) as own:
+                return own.assert_wmes(slow, _edges(2))
+
+        pending = pool.submit(straggle)
+        for _ in range(100_000):  # each turn is a stats RPC the loop answered
+            if client.stats()["sessions"][slow]["requests"] == 2:
+                break
+        else:
+            pytest.fail("the straggler never started")
+        assert client.ping(payload=5)["pong"] == 5
+        assert client.assert_wmes(other, _edges(1))["timetags"] == [1]
+        assert not pending.done()  # still asleep
+        assert pending.result(30)["timetags"] == [2, 3]
 
 
 # -- client backoff -----------------------------------------------------------

@@ -658,6 +658,23 @@ class TestProcessFleetChaos:
             assert result["address"] is not None
             assert fleet.alive(0)
 
+    def test_an_interrupt_mid_spawn_orphans_no_worker(self, monkeypatch):
+        """A ``SystemExit`` / ``KeyboardInterrupt`` landing while a worker
+        is still announcing (a signal handler on the spawning thread)
+        used to leave the child running outside every fleet's books."""
+        from repro.serve.fleet import WorkerProcess
+
+        spawned = []
+
+        def interrupted(self, timeout):
+            spawned.append(self.process)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(WorkerProcess, "_await_announce", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            WorkerProcess()
+        assert spawned[0].poll() is not None  # killed and reaped
+
     def test_fleet_chaos_harness_verdict(self):
         from repro.faults import fleet_chaos
 

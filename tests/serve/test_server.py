@@ -143,6 +143,33 @@ def test_a_value_that_is_not_a_symbol_or_number_is_a_typed_refusal(server):
             client.destroy_session(sid)
 
 
+def test_a_malformed_change_or_max_cycles_is_refused_before_anything_lands(server):
+    """A change of unknown kind, wrong arity or a non-int timetag
+    anywhere in a batch, or a ``max_cycles`` that is not an int >= 0,
+    answers a typed error -- not ``internal`` -- and nothing lands."""
+    with RuleClient(server.address) as client:
+        sid = client.create_session(program=closure.PROGRAM, matcher="compiled")
+        try:
+            good = ["assert", *CHAIN[0]]
+            for bad in (["assert", "parent"], ["retract"], ["bogus", 1], ["retract", True]):
+                with pytest.raises(ServerError) as refused:
+                    client.request("apply", session=sid, changes=[good, bad])
+                assert not refused.value.reply["error"].startswith("internal")
+            for bad in ("5", True, 2.5, -1):
+                with pytest.raises(ServerError, match="max_cycles must be"):
+                    client.assert_wmes(sid, CHAIN[:1], run=True, max_cycles=bad)
+                with pytest.raises(ServerError, match="max_cycles must be"):
+                    client.request("run", session=sid, max_cycles=bad)
+            assert client.query_wm(sid) == []
+            assert client.request("query", session=sid, what="conflict-set") == {
+                "ok": True,
+                "instantiations": [],
+            }
+            assert client.assert_wmes(sid, CHAIN[:1])["timetags"] == [1]
+        finally:
+            client.destroy_session(sid)
+
+
 def test_backpressure_rejects_then_recovers():
     """A hammered one-deep queue rejects loudly but loses nothing."""
     with ServerThread() as harness:

@@ -4,15 +4,21 @@ The acceptance bar for the serving layer: for every workload and every
 matcher backend, results served through batched ingestion are
 bit-identical to a direct :class:`ProductionSystem` run -- same firing
 sequence, same final working memory -- regardless of batch size.  These
-tests drive the session's synchronous core (the exact code the server's
-worker threads execute) against a directly-driven engine.
+tests drive the session's synchronous driver (the same op code, slice
+for slice, that the server's loop drives) against a directly-driven
+engine.
 """
+
+import asyncio
+import json
+import random
 
 import pytest
 
 from repro.kernel import CompiledMatcher
 from repro.ops5 import Ops5Error, ProductionSystem
 from repro.serve.session import (
+    SLICE,
     RemovedOption,
     Session,
     SessionManager,
@@ -124,6 +130,97 @@ class TestBatchBoundaryInvariance:
         served = _served_fingerprint(hanoi.PROGRAM, script, "rete")
         assert served == expected
         assert len(expected[0]) > hanoi.expected_moves(4)
+
+
+def _seeded_stream(seed, session, length=60):
+    """Requests over a small graph whose runs and batches span several
+    slices; retracts and modifies name timetags from *session*'s replies,
+    so the stream is built by driving it."""
+    rng = random.Random(seed)
+    live, sent, replies = [], [], []
+    for _ in range(length):
+        roll = rng.random()
+        if roll < 0.45:
+            count = rng.choice([1, 2, 5, SLICE + 9, 2 * SLICE + 1])
+            wmes = [edge(rng.randrange(12), rng.randrange(12)) for _ in range(count)]
+            request = {"op": "assert", "wmes": wmes}
+            if rng.random() < 0.4:
+                request["run"] = True
+                request["max_cycles"] = rng.choice([None, 0, 7, SLICE, 3 * SLICE + 5])
+        elif roll < 0.7:
+            request = {"op": "run", "max_cycles": rng.choice([None, 1, SLICE + 1, 5 * SLICE])}
+        elif roll < 0.85 and live:
+            request = {"op": "retract", "timetags": rng.sample(live, min(len(live), 3))}
+        elif roll < 0.95 and live:
+            tag = rng.choice(live)
+            request = {"op": "apply", "changes": [["modify", tag, {"to": "m"}], ["retract", 10**6]]}
+        else:
+            request = {"op": "query", "what": rng.choice(["wm", "conflict-set"])}
+        try:
+            reply = session.perform(request)
+        except Ops5Error as error:
+            reply = {"ok": False, "error": str(error)}
+        sent.append(request)
+        replies.append(reply)
+        wm = session.perform({"op": "query", "what": "wm"})["wmes"]
+        live = [tag for cls, _, tag in wm if cls == "parent"]
+    return sent, replies
+
+
+def edge(a, b):
+    return ["parent", {"from": f"v{a}", "to": f"v{b}"}]
+
+
+class TestTwoDrivers:
+    """One op implementation: ``perform`` runs its slices back to back,
+    ``submit`` yields to the loop between them; the replies are the same
+    bytes, and the firings are the serial engine's."""
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_perform_and_submit_reply_byte_identically(self, seed):
+        sync = Session("a", program=closure.PROGRAM, matcher="compiled")
+        sent, replies = _seeded_stream(seed, sync)
+        spanned = [r for r in replies if r.get("ok") and r.get("fired", 0) > SLICE]
+        assert len(spanned) >= 2  # runs of several slices were exercised
+
+        async def submitted():
+            session = Session("b", program=closure.PROGRAM, matcher="compiled")
+            try:
+                return [await session.submit(request) for request in sent]
+            finally:
+                await session.drain_and_close()
+
+        assert [json.dumps(r, sort_keys=True) for r in asyncio.run(submitted())] == [
+            json.dumps(r, sort_keys=True) for r in replies
+        ]
+        # The serial engine over the same stream fires the same rows.
+        serial = ProductionSystem(closure.PROGRAM, matcher="compiled")
+        for request, reply in zip(sent, replies):
+            op, changes = request["op"], None
+            if op == "assert":
+                changes = [("assert", cls, attrs) for cls, attrs in request["wmes"]]
+            elif op == "retract":
+                changes = [("retract", tag) for tag in request["timetags"]]
+            elif op == "apply":
+                changes = [tuple(change) for change in request["changes"]]
+            if changes is not None:
+                try:
+                    serial.apply_changes(changes)
+                except Ops5Error:
+                    continue  # a mid-batch error: the earlier changes landed
+            if op == "run" or request.get("run"):
+                fired = serial.run(request.get("max_cycles"))
+                assert (reply["run"] if op == "assert" else reply)["firings"] == [
+                    [c.production, list(c.timetags)] for c in fired.cycles
+                ]
+
+    def test_a_long_batch_is_checked_before_its_first_slice(self):
+        session = Session("t", program=closure.PROGRAM, matcher="compiled")
+        batch = [["assert", *edge(i, i + 1)] for i in range(2 * SLICE)] + [["retract"]]
+        with pytest.raises(Ops5Error, match="retract"):
+            session.perform({"op": "apply", "changes": batch})
+        assert len(session.system.memory) == 0
+        assert session.system.memory.next_timetag == 1
 
 
 class TestResumeSemantics:

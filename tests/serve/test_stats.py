@@ -175,12 +175,12 @@ class TestOneSortPerRead:
                 for _ in range(5):
                     assert (await session.submit({"op": "run"}))["ok"]
                 baseline = len(sorts)
-                session._accepted += 1  # a full queue, without a race
+                session._waiters.append(None)  # a full queue, without a race
                 hints = {
                     (await session.submit({"op": "run"}))["retry_after"]
                     for _ in range(500)
                 }
-                session._accepted -= 1
+                session._waiters.clear()
                 # median latency x (queue depth + 1), from at most one sort.
                 assert hints == {2 * session.telemetry.latency.recent_p50}
                 assert len(sorts) - baseline <= 1

@@ -1,13 +1,14 @@
 """The serve threading model: one loop per process (or embedded fleet),
-one thread per session, one queue per session.
+no session threads, one FIFO per session.
 
-Structural tests, no timing: a request marked ``"hold": name`` parks
-inside ``Session.perform`` on its session thread until the test
-releases it, so "while a long run executes" is a state the test owns
-rather than a race it hopes to win.
+Structural tests, no timing: a request marked ``"hold": name`` starts
+its op at a slice boundary and parks there -- an await on the loop --
+until the test releases it, so "while a long run executes" is a state
+the test owns rather than a race it hopes to win.
 """
 
 import asyncio
+import os
 import subprocess
 import sys
 import textwrap
@@ -16,9 +17,11 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.ops5 import ProductionSystem
 from repro.serve import (
     BackpressureError,
     DurabilityStore,
+    ProcessRouterFleet,
     RouterFleet,
     RuleClient,
     RuleRouter,
@@ -28,12 +31,13 @@ from repro.serve import (
     Session,
     WorkerLink,
 )
+from repro.serve.session import SLICE
 from repro.workloads.programs import closure
 
 WAIT = 30  # seconds; an upper bound on every blocking step, never a pace
 
-#: Deadline of a request meant to expire while *executing* (parked on
-#: its session thread): long enough that an idle session has started it.
+#: Deadline of a request meant to expire while *executing* (parked at
+#: its first slice boundary): long enough that an idle session started it.
 OVERRUN = 0.25
 
 
@@ -42,40 +46,62 @@ def edge(a, b):
 
 
 class Hold:
-    """Parks every request carrying ``"hold": name`` until released."""
+    """Parks every request carrying ``"hold": name`` until released.
+
+    The held op starts at a slice boundary (``Session._steps`` yields a
+    gate first) and the boundary awaits the gate (``Session._pause``), so
+    the loop keeps serving while it is parked.  Releases may come from
+    any thread.
+    """
 
     def __init__(self, monkeypatch) -> None:
         self.entered = threading.Semaphore(0)
         self._lock = threading.Lock()
-        self._events: dict[str, threading.Event] = {}
+        self._gates: dict[str, tuple] = {}  # name -> (loop, asyncio.Event)
+        self._released: set[str] = set()
         self._open = False
-        perform = Session.perform
+        steps, pause = Session._steps, Session._pause
 
-        def held(session, request):
+        def held_steps(session, request):
             name = request.get("hold")
             if name:
-                self.entered.release()
-                assert self._event(name).wait(WAIT), "test never released the hold"
-            return perform(session, request)
+                yield self._gate(name)
+            return (yield from steps(session, request))
 
-        monkeypatch.setattr(Session, "perform", held)
+        async def held_pause(session, seconds):
+            if not isinstance(seconds, asyncio.Event):
+                return await pause(session, seconds)
+            self.entered.release()
+            await asyncio.wait_for(seconds.wait(), WAIT)  # else: never released
 
-    def _event(self, name):
+        monkeypatch.setattr(Session, "_steps", held_steps)
+        monkeypatch.setattr(Session, "_pause", held_pause)
+
+    def _gate(self, name):
         with self._lock:
-            event = self._events.setdefault(name, threading.Event())
-            if self._open:
-                event.set()
-            return event
+            if name not in self._gates:
+                self._gates[name] = (asyncio.get_running_loop(), asyncio.Event())
+            gate = self._gates[name][1]
+            if self._open or name in self._released:
+                gate.set()
+            return gate
+
+    def _wake(self, names):
+        for name in names:
+            if name in self._gates:
+                loop, gate = self._gates[name]
+                if not loop.is_closed():
+                    loop.call_soon_threadsafe(gate.set)
 
     def release(self, *held_names):
-        for name in held_names:
-            self._event(name).set()
+        with self._lock:
+            self._released.update(held_names)
+            self._wake(held_names)
 
     def release_all(self):
         with self._lock:
             self._open = True
-            for event in self._events.values():
-                event.set()
+            self._wake(list(self._gates))
 
     def wait_entered(self, count=1):
         for _ in range(count):
@@ -118,7 +144,7 @@ def sessions_on_both_workers(client, count):
 
 
 class TestOneLoop:
-    def test_fleet_is_one_loop_thread_plus_one_thread_per_session(self, monkeypatch):
+    def test_fleet_is_one_thread(self, monkeypatch):
         idents = {"router": set(), "server": set()}
         for kind, cls in (("router", RuleRouter), ("server", RuleServer)):
             dispatch = cls.dispatch
@@ -131,17 +157,15 @@ class TestOneLoop:
         before = names("repro-")
         with RouterFleet(workers=2) as fleet, RuleClient(fleet.address) as client:
             placed = sessions_on_both_workers(client, 2)
-            sids = placed[0] + placed[1]
-            for sid in sids:
+            for sid in placed[0] + placed[1]:
                 client.assert_wmes(sid, [edge("a", "b")], run=True)
             assert names("repro-fleet") == ["repro-fleet"]
-            assert names("repro-serve-") == sorted(f"repro-serve-{s}_0" for s in sids)
-            assert names("repro-serve") == names("repro-serve-")  # no worker loops
+            assert names("repro-serve") == []  # no session threads, no worker loops
             assert names("repro-router") == []
             header = client.stats()["router"]
-            assert header["threads"] == 1 + len(sids)
-            assert header["workers"][0]["server"]["threads"] == 1 + len(sids)
-            # Router and both workers' handlers ran on that one thread.
+            assert header["threads"] == 1
+            assert header["workers"][0]["server"]["threads"] == 1
+            # Router, both workers and every session op ran on that thread.
             assert idents["router"] == idents["server"]
             assert len(idents["router"]) == 1
         assert names("repro-") == before
@@ -152,8 +176,8 @@ class TestOneLoop:
             busy, other = placed[0][0], placed[1][0]
             running = pool.submit(send, fleet.address, "run", session=busy, hold="run")
             hold.wait_entered()
-            # The engine op is parked on its session thread; the loop
-            # that carries router and both workers is not.
+            # The engine op is parked at a slice boundary; the loop that
+            # carries router and both workers serves on.
             assert client.ping(payload=7)["pong"] == 7
             assert client.assert_wmes(other, [edge("a", "b")], run=True)["ok"]
             queued = pool.submit(
@@ -259,6 +283,34 @@ class TestOneQueue:
 
         on_session(body)
 
+    def test_a_cancelled_caller_leaves_the_fifo_in_order(self, hold):
+        """Cancelling a queued request's caller drops it unrun; cancelling
+        an executing one's caller at a slice boundary cuts that pause short
+        but still finishes the op before the next request starts."""
+
+        async def body(session):
+            held = asyncio.create_task(
+                session.submit({"op": "assert", "wmes": [edge("a", "b")], "hold": "first"})
+            )
+            await until_entered(hold)
+            dropped = asyncio.create_task(
+                session.submit({"op": "assert", "wmes": [edge("never", "runs")]})
+            )
+            await asyncio.sleep(0)
+            assert session.queue_depth == 1
+            dropped.cancel()
+            held.cancel()  # parked at its first boundary, so it has started
+            await asyncio.gather(held, dropped, return_exceptions=True)
+            assert held.cancelled() and dropped.cancelled()
+            assert session.queue_depth == 0
+            # The cancelled op's rest ran first, in a task of its own.
+            after = await session.submit({"op": "assert", "wmes": [edge("b", "c")]})
+            assert after["timetags"] == [2]
+            final = await session.submit({"op": "query", "what": "wm"})
+            assert [attrs["from"] for _, attrs, _ in final["wmes"]] == ["a", "b"]
+
+        on_session(body)
+
     def test_drain_and_close_finishes_queued_work(self, hold):
         async def main():
             session = Session("t", program=closure.PROGRAM)
@@ -280,7 +332,7 @@ class TestOneQueue:
             replies = await asyncio.gather(held, *queued)
             assert all(reply["ok"] for reply in replies)
             assert len(session.system.memory) == 3
-            assert names("repro-serve-t") == []
+            assert names("repro-serve") == []  # nothing to reap
 
         asyncio.run(main())
 
@@ -312,6 +364,62 @@ class TestOneQueue:
                 assert bundle.last_seq == 3
         finally:
             store.close()
+
+
+# -- leg 3: slices --------------------------------------------------------------
+
+
+class TestSlices:
+    def test_a_one_wme_request_is_answered_between_two_slices_of_a_run(
+        self, monkeypatch, pool
+    ):
+        """Counted in slices, not wall time: while a run of many slices is
+        held at its second boundary, a 1-WME request to another session of
+        the same worker is answered; then the run takes its remaining
+        slices and fires what the serial engine fires."""
+        chain = [edge(f"n{i}", f"n{i + 1}") for i in range(30)]  # 465 firings
+        boundaries: dict[str, int] = {}
+        held: dict = {}
+        parked = threading.Event()
+        pause = Session._pause
+
+        async def counting(session, seconds):
+            boundaries[session.id] = boundaries.get(session.id, 0) + 1
+            if session.id == "long" and boundaries["long"] == 2:
+                held["loop"], held["gate"] = asyncio.get_running_loop(), asyncio.Event()
+                parked.set()
+                await asyncio.wait_for(held["gate"].wait(), WAIT)
+            await pause(session, seconds)
+
+        monkeypatch.setattr(Session, "_pause", counting)
+        with ServerThread() as harness, RuleClient(harness.address, timeout=WAIT) as client:
+            for name in ("long", "short"):
+                client.create_session(program=closure.PROGRAM, name=name)
+            client.assert_wmes("long", chain)
+            running = pool.submit(send, harness.address, "run", session="long")
+            assert parked.wait(WAIT)
+            assert client.assert_wmes("short", [edge("a", "b")])["timetags"] == [1]
+            assert boundaries == {"long": 2}  # the run took no slice meanwhile
+            held["loop"].call_soon_threadsafe(held["gate"].set)
+            ran = running.result(WAIT)
+        serial = ProductionSystem(closure.PROGRAM, matcher="compiled")
+        serial.apply_changes([("assert", cls, attrs) for cls, attrs in chain])
+        expected = serial.run()
+        assert ran["fired"] == expected.fired == 465
+        assert ran["firings"] == [[c.production, list(c.timetags)] for c in expected.cycles]
+        assert boundaries == {"long": expected.fired // SLICE}
+
+
+@pytest.mark.chaos
+def test_a_worker_process_is_one_thread():
+    """Four sessions that served ops, and their worker process is still
+    exactly one OS thread (the router and its committer live elsewhere)."""
+    with ProcessRouterFleet(workers=1) as fleet, RuleClient(fleet.address, timeout=WAIT) as client:
+        sids = [client.create_session(program=closure.PROGRAM) for _ in range(4)]
+        for sid in sids:
+            client.assert_wmes(sid, [edge("a", "b"), edge("b", "c")], run=True)
+            assert client.run(sid)["halted"]
+        assert os.listdir(f"/proc/{fleet.worker_pid(0)}/task") == [str(fleet.worker_pid(0))]
 
 
 # -- the link pool -------------------------------------------------------------
