@@ -587,9 +587,9 @@ def _cmd_profile(args) -> int:
     conflict_set = data["conflict_set"]
     print(
         f"-- conflict set: {conflict_set['size']} members; "
-        f"{conflict_set['selects']} selects examined "
+        f"{conflict_set['selects']} selects walked "
         f"{conflict_set['members_examined'] / max(1, conflict_set['selects']):.2f} "
-        "members each"
+        "ranked members each"
     )
     return 0
 

@@ -19,15 +19,16 @@ construction plus WM replay, zero codegen.  Once WMEs exist, a production edit r
 immediately -- the engine may inspect the conflict set right after --
 by clearing the conflict set and replaying the WM mirror through the
 fresh kernel in timetag order.  Replay is *quiet*: no per-change stats
-rows, and per-change counter deltas are snapshotted after the rebuild,
-so measurements reflect only real WM traffic (the interpreted Rete's
-``add_production`` folds existing WM the same way).
+rows, and the effort counters are set back to their pre-replay values
+after it, so measurements reflect only real WM traffic (the interpreted
+Rete's ``add_production`` folds existing WM the same way).
 
 Each WME change is one call per partition of the generated entry for
 its class (``runtime.adds[cls]`` / ``runtime.removes[cls]``: the alpha
 network, store edits, subscribers -- the probe ``KernelRuntime.add_wme``
 / ``remove_wme`` make, inline); this class only mirrors working memory
-and records the entries' counter deltas.
+and counts the change.  The effort totals need no bookkeeping here: the
+generated code increments ``MatchStats.effort`` itself.
 
 Partitions
 ----------
@@ -89,9 +90,9 @@ class CompiledMatcher(Matcher):
         self._recorder = recorder if recorder is not None else NULL_RECORDER
         self._productions: dict[str, Production] = {}
         self._wmes: dict[int, WME] = {}
-        #: [node activations, comparisons, tokens built], incremented by
-        #: every partition's generated code; read as deltas per change.
-        self._counters = [0, 0, 0]
+        #: [node activations, comparisons, tokens built]: the stats' own
+        #: effort list, incremented by every partition's generated code.
+        self._counters = self.stats.effort
         self._runtimes: list[KernelRuntime] = []
         self._kernels: list[SharedKernel] = []
         self._dirty = True
@@ -136,8 +137,8 @@ class CompiledMatcher(Matcher):
             self._rebuild()
         self._wmes[wme.timetag] = wme
         stats = self.stats
-        counters = self._counters
-        activations, comparisons, tokens = counters
+        audit = stats.changes is not None or self._oracle is not None
+        before = tuple(self._counters) if audit else None
         affected = 0
         cls = wme.cls
         for runtime in self._runtimes:
@@ -147,11 +148,8 @@ class CompiledMatcher(Matcher):
         # MatchStats.record, inline: this is every ``make``'s path.
         stats.total_changes += 1
         stats.total_affected_productions += affected
-        stats.total_node_activations += counters[0] - activations
-        stats.total_comparisons += counters[1] - comparisons
-        stats.total_tokens_built += counters[2] - tokens
-        if stats.changes is not None or self._oracle is not None:
-            self._audit("add", wme, affected, activations, comparisons, tokens)
+        if audit:
+            self._audit("add", wme, affected, before)
 
     def remove_wme(self, wme: WME) -> None:
         if wme.timetag not in self._wmes:
@@ -159,8 +157,8 @@ class CompiledMatcher(Matcher):
         if self._dirty:
             self._rebuild()
         stats = self.stats
-        counters = self._counters
-        activations, comparisons, tokens = counters
+        audit = stats.changes is not None or self._oracle is not None
+        before = tuple(self._counters) if audit else None
         affected = 0
         cls = wme.cls
         for runtime in self._runtimes:
@@ -169,14 +167,11 @@ class CompiledMatcher(Matcher):
                 affected += entry(wme)
         stats.total_changes += 1
         stats.total_affected_productions += affected
-        stats.total_node_activations += counters[0] - activations
-        stats.total_comparisons += counters[1] - comparisons
-        stats.total_tokens_built += counters[2] - tokens
-        if stats.changes is not None or self._oracle is not None:
-            self._audit("remove", wme, affected, activations, comparisons, tokens)
+        if audit:
+            self._audit("remove", wme, affected, before)
         del self._wmes[wme.timetag]
 
-    def _audit(self, kind: str, wme: WME, affected: int, *before: int) -> None:
+    def _audit(self, kind: str, wme: WME, affected: int, before: tuple) -> None:
         """Off the default path: the change's row, the oracle's shadow."""
         if self.stats.changes is not None:
             effort = (now - then for now, then in zip(self._counters, before))
@@ -212,12 +207,15 @@ class CompiledMatcher(Matcher):
             self.conflict_set.clear()
             # Per-session mutable half: fresh closures over the shared
             # code objects, then a quiet O(WM) replay from the mirror --
-            # no per-change stats rows, counter deltas absorbed below.
+            # no per-change stats rows, and the effort it counted undone.
             wmes = self.current_wmes()
+            counters = self._counters
+            quiet = counters[:]
             self._runtimes = [
-                kernel.attach(self.conflict_set, productions, wmes, self._counters)
+                kernel.attach(self.conflict_set, productions, wmes, counters)
                 for kernel, productions in built
             ]
+            counters[:] = quiet
             self._kernels = [kernel for kernel, _productions in built]
             self._compiles += 1
             self._dirty = False

@@ -64,8 +64,8 @@ class KernelRuntime:
 
     def __init__(self, conflict_set, productions: list[Production]) -> None:
         #: [node activations, comparisons, tokens built] -- the generated
-        #: code increments these; the matcher snapshots deltas per change.
-        #: ``SharedKernel.attach`` swaps in a matcher's shared list.
+        #: code increments these.  ``SharedKernel.attach`` swaps in a
+        #: matcher's shared list (its ``MatchStats.effort``).
         self.counters = [0, 0, 0]
         self.cs_insert = conflict_set.insert
         self.cs_delete = conflict_set.delete_key

@@ -74,7 +74,7 @@ class SharedKernel:
         if counters is not None:
             runtime.counters = counters
         self.build_fn(runtime)
-        # Quiet: no stats rows; the caller absorbs the counter deltas.
+        # Quiet: no stats rows; the caller undoes the replay's effort.
         for wme in wmes:
             runtime.add_wme(wme)
         with self._lock:

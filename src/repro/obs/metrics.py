@@ -77,8 +77,9 @@ def conflict_set_section(conflict_set: ConflictSet) -> dict:
     """Conflict-set churn and what conflict resolution cost.
 
     ``members_examined / selects`` is the mean number of members
-    ``Strategy.select`` looked at per cycle: the width of the buckets it
-    walked, against ``size`` for a full scan.
+    ``Strategy.select`` looked at per cycle: those it walked from the
+    top of the kept ranking down to the first un-fired one (1 while the
+    dominant member has not fired), against ``size`` for a full scan.
     """
     return {
         "size": len(conflict_set),

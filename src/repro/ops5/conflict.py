@@ -19,13 +19,15 @@ them to fire:
 The conflict set is maintained *incrementally* by matchers: matchers call
 :meth:`ConflictSet.insert` / :meth:`ConflictSet.delete` as tokens reach
 or leave their terminal nodes (Rete), or after per-cycle recomputation
-(TREAT, naive).
+(TREAT, naive).  Once a strategy selects from it, the set keeps one
+*ranking* by that strategy's order key, each key built once, and a
+cycle walks it from the top to the first un-fired member.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import Callable, Iterable, Iterator, Optional, ValuesView
+from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import Ops5Error
 from .production import Instantiation
@@ -41,32 +43,32 @@ class ConflictSet:
 
     **Ordering contract.**  Iteration, :meth:`members` and
     :meth:`snapshot` cover every member, fired or not, in insertion
-    order.  Beside that the set keeps a *dominance index* for
-    :meth:`Strategy.select`: members bucketed by their *lead* -- the
-    leading timetag of the selecting strategy's order
-    (:attr:`Strategy._lead`) -- with the leads in one ascending list.
-    A member with a newer lead dominates every member with an older
-    one, so ``select`` walks the leads from the newest and ranks only
-    the first bucket that holds an un-fired member; inside a bucket the
-    order is insertion order, which is what breaks ties under a custom
-    ``_order_key``.  The index is built by the first ``select`` and
-    maintained by every edit from then on; a set nobody selects from
-    (a kernel attached outside an engine) never pays for it, and
-    selecting with a different lead (a LEX/MEA switch) or after
-    :meth:`clear` rebuilds it.
+    order.  Beside that the set keeps one *ranking* for
+    :meth:`Strategy.select`: every member in ascending order of the
+    selecting strategy's ``_order_key``, so the dominant member is last
+    and ``select`` walks down from there to the first un-fired one.
+    Each member's key is built once, when it arrives, and remembered
+    for its delete; equal keys rank the member that arrived first
+    higher, as ``Strategy.order()``'s stable sort does.  The ranking is
+    built by the first :meth:`first_unfired` and kept by every edit from
+    then on; a set nobody selects from (a kernel attached outside an
+    engine) never pays for it, and ranking by a different order (a
+    LEX/MEA switch) or after :meth:`clear` rebuilds it.
     """
 
     def __init__(self) -> None:
         self._members: dict[tuple, Instantiation] = {}
-        #: The strategy's lead method the index is built for; None = no index.
-        self._lead: Optional[Callable[[Instantiation], int]] = None
-        #: lead -> {key: member}, and the leads in ascending order.
-        self._buckets: dict[int, dict[tuple, Instantiation]] = {}
-        self._leads: list[int] = []
+        #: The order function the ranking is kept by; None = no ranking.
+        self._order: Optional[Callable[[Instantiation], tuple]] = None
+        #: ``(order key, -arrival, member)`` entries, ascending, and each
+        #: member's entry by its key (what a delete looks up).
+        self._ranking: list[tuple] = []
+        self._entries: dict[tuple, tuple] = {}
+        self._arrivals = 0
         self.total_inserts = 0
         self.total_deletes = 0
-        #: ``select`` calls served, and the members in the buckets they
-        #: walked (bumped once per call, not per member).
+        #: ``select`` calls served, and the members they walked from the
+        #: top of the ranking down to the first un-fired one.
         self.selects = 0
         self.members_examined = 0
 
@@ -91,18 +93,17 @@ class ConflictSet:
             raise Ops5Error(f"duplicate conflict-set insert of {instantiation!r}")
         self._members[key] = instantiation
         self.total_inserts += 1
-        if self._lead is not None:
-            lead = self._lead(instantiation)
-            bucket = self._buckets.get(lead)
-            if bucket is None:
-                bucket = self._buckets[lead] = {}
-                leads = self._leads
-                # New instantiations almost always lead with the newest timetag.
-                if not leads or lead > leads[-1]:
-                    leads.append(lead)
-                else:
-                    insort(leads, lead)
-            bucket[key] = instantiation
+        if self._order is not None:
+            self._arrivals += 1
+            entry = self._entries[key] = (
+                self._order(instantiation), -self._arrivals, instantiation
+            )
+            ranking = self._ranking
+            # A new instantiation almost always holds the newest timetag.
+            if not ranking or entry > ranking[-1]:
+                ranking.append(entry)
+            else:
+                insort(ranking, entry)
 
     def delete(self, instantiation: Instantiation) -> None:
         """Remove an instantiation; deleting an absent key is an error."""
@@ -115,30 +116,26 @@ class ConflictSet:
         materialising an :class:`Instantiation` -- the generated
         kernels bind it as ``cs_delete``.
         """
-        instantiation = self._members.pop(key, None)
-        if instantiation is None:
+        if self._members.pop(key, None) is None:
             raise Ops5Error(f"conflict-set delete of absent key {key!r}")
         self.total_deletes += 1
-        if self._lead is not None:
-            lead = self._lead(instantiation)
-            bucket = self._buckets[lead]
-            del bucket[key]
-            if not bucket:
-                del self._buckets[lead]
-                leads = self._leads
-                del leads[bisect_left(leads, lead)]
+        if self._order is not None:
+            ranking = self._ranking
+            entry = self._entries.pop(key)
+            # What leaves is almost always what just fired: the top.
+            del ranking[-1 if ranking[-1] is entry else bisect_left(ranking, entry)]
 
     def get(self, key: tuple) -> Optional[Instantiation]:
         """The instantiation with identity *key*, or None."""
         return self._members.get(key)
 
     def clear(self) -> None:
-        """Retract every member (counted as deletes) and drop the index."""
+        """Retract every member (counted as deletes) and drop the ranking."""
         self.total_deletes += len(self._members)
         self._members.clear()
-        self._lead = None
-        self._buckets = {}
-        self._leads = []
+        self._order = None
+        self._ranking = []
+        self._entries = {}
 
     def snapshot(self) -> frozenset[tuple]:
         """The current membership as a frozen set of instantiation keys."""
@@ -147,16 +144,33 @@ class ConflictSet:
     def members(self) -> list[Instantiation]:
         return list(self._members.values())
 
-    def newest_first(
-        self, lead: Callable[[Instantiation], int]
-    ) -> Iterator[ValuesView[Instantiation]]:
-        """The members sharing a *lead*, bucket by bucket, newest lead first."""
-        if lead != self._lead:
-            buckets: dict[int, dict[tuple, Instantiation]] = {}
-            for key, instantiation in self._members.items():
-                buckets.setdefault(lead(instantiation), {})[key] = instantiation
-            self._lead, self._buckets, self._leads = lead, buckets, sorted(buckets)
-        return map(dict.values, map(self._buckets.__getitem__, reversed(self._leads)))
+    def first_unfired(self, order: Callable, already_fired: Callable) -> Optional[Instantiation]:
+        """The dominant member by *order* whose key has not fired, or None:
+        a walk down from the top of the ranking, which is built here for a
+        new *order* and kept by every edit after."""
+        if order != self._order:
+            self._rank(order)
+        ranking = self._ranking
+        at = len(ranking)
+        selected = None
+        while at:
+            at -= 1
+            member = ranking[at][2]
+            if not already_fired(member.key):
+                selected = member
+                break
+        self.selects += 1
+        self.members_examined += len(ranking) - at
+        return selected
+
+    def _rank(self, order: Callable[[Instantiation], tuple]) -> None:
+        entries = [
+            (order(member), -arrival, member)
+            for arrival, member in enumerate(self._members.values())
+        ]
+        self._entries = dict(zip(self._members, entries))
+        entries.sort()
+        self._order, self._ranking, self._arrivals = order, entries, len(entries)
 
 
 def _lex_order_key(instantiation: Instantiation) -> tuple:
@@ -168,11 +182,12 @@ def _lex_order_key(instantiation: Instantiation) -> tuple:
     in Python is already lexicographic-with-shorter-first-on-prefix, which
     is exactly the OPS5 rule, so the bare tuple works: ``(5, 3) < (5, 3, 1)``.
     """
+    production = instantiation.production
     return (
         instantiation.recency_key,
-        instantiation.production.specificity,
+        production.specificity,
         # Deterministic arbitrary tie-break so runs are reproducible.
-        instantiation.production.name,
+        production.name,
         instantiation.timetags,
     )
 
@@ -199,26 +214,16 @@ def _mea_order_key(instantiation: Instantiation) -> tuple:
 class Strategy:
     """A conflict-resolution strategy: picks the instantiation to fire.
 
-    ``_order_key`` is the dominance rule.  ``_lead`` only names its
-    leading timetag so a :class:`ConflictSet` can bucket by it: a
-    greater lead must imply a greater ``_order_key``.  A subclass that
-    overrides ``_order_key`` alone therefore falls back to one bucket
-    (correct for any order) unless it restates ``_lead`` beside it.
+    ``_order_key`` is the whole rule: the greatest key dominates, and of
+    equal keys the member that arrived first.  A subclass overrides
+    ``_order_key`` alone; a :class:`ConflictSet` keeps its members
+    ranked by it.
     """
 
     name: str = "abstract"
 
-    def __init_subclass__(cls, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
-        if "_order_key" in cls.__dict__ and "_lead" not in cls.__dict__:
-            cls._lead = Strategy._lead
-
     def _order_key(self, instantiation: Instantiation) -> tuple:
         raise NotImplementedError
-
-    def _lead(self, instantiation: Instantiation) -> int:
-        """No leading timetag declared: every member shares one bucket."""
-        return 0
 
     def select(
         self,
@@ -229,31 +234,15 @@ class Strategy:
 
         ``already_fired`` implements refraction: it reports whether an
         instantiation key has fired before.  It is asked per candidate
-        on every call -- nothing assumes a fired key stays fired -- so a
-        leading bucket that holds only fired members is skipped again
-        next time.  A plain iterable is ranked whole.
+        on every call -- nothing assumes a fired key stays fired.  On a
+        :class:`ConflictSet` this walks the kept ranking from the top to
+        the first un-fired member; a plain iterable is ranked whole.
         """
-        indexed = isinstance(conflict_set, ConflictSet)
-        groups = conflict_set.newest_first(self._lead) if indexed else (conflict_set,)
-        order_key = self._order_key
-        best: Optional[Instantiation] = None
-        best_key: Optional[tuple] = None
-        examined = 0
-        for group in groups:
-            if indexed:
-                examined += len(group)
-            for instantiation in group:
-                if already_fired(instantiation.key):
-                    continue
-                key = order_key(instantiation)
-                if best_key is None or key > best_key:
-                    best, best_key = instantiation, key
-            if best is not None:
-                break
-        if indexed:
-            conflict_set.selects += 1
-            conflict_set.members_examined += examined
-        return best
+        if isinstance(conflict_set, ConflictSet):
+            return conflict_set.first_unfired(self._order_key, already_fired)
+        return next(
+            (i for i in self.order(conflict_set) if not already_fired(i.key)), None
+        )
 
     def order(self, conflict_set: Iterable[Instantiation]) -> list[Instantiation]:
         """The full dominance order, best first (for inspection/tests)."""
@@ -264,27 +253,14 @@ class LexStrategy(Strategy):
     """The OPS5 LEX strategy: recency, then specificity."""
 
     name = "lex"
-
-    def _order_key(self, instantiation: Instantiation) -> tuple:
-        return _lex_order_key(instantiation)
-
-    def _lead(self, instantiation: Instantiation) -> int:
-        """The newest matched timetag (real timetags are >= 1)."""
-        recency = instantiation.recency_key
-        return recency[0] if recency else 0
+    _order_key = staticmethod(_lex_order_key)
 
 
 class MeaStrategy(Strategy):
     """The OPS5 MEA strategy: first-CE recency first, then LEX."""
 
     name = "mea"
-
-    def _order_key(self, instantiation: Instantiation) -> tuple:
-        return _mea_order_key(instantiation)
-
-    def _lead(self, instantiation: Instantiation) -> int:
-        """The first CE's timetag (see :func:`_mea_order_key`)."""
-        return instantiation.timetags[0] if instantiation.timetags else 0
+    _order_key = staticmethod(_mea_order_key)
 
 
 def strategy_named(name: str) -> Strategy:

@@ -47,6 +47,9 @@ def _check_values(attributes) -> None:
             )
 
 
+#: The halt reason of an engine that found no un-fired instantiation.
+QUIESCENT = "no satisfied production"
+
 #: Fields of each change kind of an ``apply_changes`` batch, kind included.
 _CHANGE_ARITY = {"assert": 3, "retract": 2, "modify": 3}
 
@@ -235,7 +238,8 @@ class ProductionSystem:
     strategy:
         "lex" (default), "mea", or a :class:`Strategy` instance.
     listener:
-        Optional :class:`EngineListener`.
+        Optional :class:`EngineListener`; without one (the default) a
+        change or a firing pays one ``is None`` test, and no call.
     recorder:
         Optional :class:`~repro.obs.Recorder`.  When attached and
         enabled, the engine records a span per recognize--act phase
@@ -269,7 +273,7 @@ class ProductionSystem:
             matcher = matcher_named(matcher)
         self.matcher = matcher
         self.strategy = strategy_named(strategy) if isinstance(strategy, str) else strategy
-        self.listener = listener or EngineListener()
+        self.listener = listener
         if recorder is None:
             from ..obs.recorder import NULL_RECORDER  # layering: obs depends on nothing here
 
@@ -343,7 +347,8 @@ class ProductionSystem:
         self.total_wme_changes += 1
         if self.recorder.enabled:
             self.recorder.instant("wm:add", "wm", wme_class=wme.cls, timetag=wme.timetag)
-        self.listener.on_change(self.cycle, "add", wme)
+        if self.listener is not None:
+            self.listener.on_change(self.cycle, "add", wme)
         return wme
 
     def remove_wme(self, wme: WME) -> None:
@@ -353,7 +358,8 @@ class ProductionSystem:
         self.total_wme_changes += 1
         if self.recorder.enabled:
             self.recorder.instant("wm:remove", "wm", wme_class=wme.cls, timetag=wme.timetag)
-        self.listener.on_change(self.cycle, "remove", wme)
+        if self.listener is not None:
+            self.listener.on_change(self.cycle, "remove", wme)
 
     def load_memory(self, specs: Sequence[tuple[str, dict[str, Value]]]) -> list[WME]:
         """Bulk-insert (class, attributes) pairs (see ``parse_wme_specs``)."""
@@ -393,7 +399,7 @@ class ProductionSystem:
         (:meth:`add`, :meth:`add_wme`, RHS actions) is not checked.
         """
         self.check_changes(changes)
-        if self._halted and self._halt_reason == "no satisfied production":
+        if self._halted and self._halt_reason == QUIESCENT:
             self.resume()
         result = BatchResult()
         for change in changes:
@@ -572,13 +578,24 @@ class ProductionSystem:
 
         Long-running services alternate ingestion and run-to-quiescence
         on one engine; a quiescence halt only describes the working
-        memory that produced it.  Refraction memory is kept: resuming
+        memory that produced it (:meth:`run`, :meth:`step` and a batch
+        re-open one themselves).  Refraction memory is kept: resuming
         never re-fires an instantiation that already fired.
         """
         self._halted = False
         self._halt_reason = "running"
 
+    def _wake(self) -> None:
+        """Re-open a quiescence halt once the conflict set has gained a
+        member since it (changes by any path may satisfy a production);
+        with nothing new it stands.  A ``halt`` action stays sticky."""
+        if self._halted and self._halt_reason == QUIESCENT:
+            if self.conflict_set.total_inserts != self._quiesced_at:
+                self.resume()
+
     _halt_reason = "running"
+    #: The conflict set's ``total_inserts`` at the last quiescence halt.
+    _quiesced_at: Optional[int] = None
 
     def halt(self) -> None:
         """Stop after the current firing (what a ``halt`` action calls)."""
@@ -603,6 +620,7 @@ class ProductionSystem:
         Returns None (and marks the engine halted) when the conflict set
         holds no un-fired instantiation, or after a ``halt`` action.
         """
+        self._wake()
         fired = self._cycle()
         return fired[0] if fired else None
 
@@ -613,19 +631,20 @@ class ProductionSystem:
         # Branch (rather than rely on the null span) because this is
         # the engine's innermost loop: disabled observability must not
         # even build the span's kwargs.
+        conflict_set = self.matcher.conflict_set
         if self.recorder.enabled:
             with self.recorder.span("select", "engine", cycle=self.cycle + 1):
                 selected = self.strategy.select(
-                    self.conflict_set, self._fired_keys.__contains__
+                    conflict_set, self._fired_keys.__contains__
                 )
         else:
-            selected = self.strategy.select(
-                self.conflict_set, self._fired_keys.__contains__
-            )
+            selected = self.strategy.select(conflict_set, self._fired_keys.__contains__)
         if selected is None:
             self._halted = True
-            self._halt_reason = "no satisfied production"
-            self.listener.on_halt(self.cycle, "no satisfied production")
+            self._halt_reason = QUIESCENT
+            self._quiesced_at = conflict_set.total_inserts
+            if self.listener is not None:
+                self.listener.on_halt(self.cycle, QUIESCENT)
             return None
         self.cycle += 1
         self.total_firings += 1
@@ -635,7 +654,8 @@ class ProductionSystem:
         record = CycleRecord(self.cycle, selected.production.name, selected.timetags)
         if self.cycles is not None:
             self.cycles.append(record)
-        self.listener.on_cycle(self.cycle, selected)
+        if self.listener is not None:
+            self.listener.on_cycle(self.cycle, selected)
         if self.recorder.enabled:
             with self.recorder.span(
                 "fire", "engine", cycle=self.cycle, production=selected.production.name
@@ -643,13 +663,15 @@ class ProductionSystem:
                 selected.production.fire(self, selected.wmes, record)
         else:
             selected.production.fire(self, selected.wmes, record)
-        if self._halted:
+        if self._halted and self.listener is not None:
             self.listener.on_halt(self.cycle, "halt action")
         return selected, record
 
     def run(self, max_cycles: Optional[int] = None) -> RunResult:
         """Run until halt (or *max_cycles* firings); return a summary."""
         cycles: list[CycleRecord] = []
+        if max_cycles is None or max_cycles > 0:
+            self._wake()
         while not self._halted and (max_cycles is None or len(cycles) < max_cycles):
             fired = self._cycle()
             if fired is None:

@@ -49,22 +49,16 @@ class MatchStats:
     the list of :class:`ChangeRecord`, otherwise ``None``.
     """
 
-    __slots__ = (
-        "changes",
-        "total_changes",
-        "total_comparisons",
-        "total_tokens_built",
-        "total_affected_productions",
-        "total_node_activations",
-    )
+    __slots__ = ("changes", "total_changes", "total_affected_productions", "effort")
 
     def __init__(self) -> None:
         self.changes: list[ChangeRecord] | None = None
         self.total_changes = 0
-        self.total_comparisons = 0
-        self.total_tokens_built = 0
         self.total_affected_productions = 0
-        self.total_node_activations = 0
+        #: [node activations, comparisons, tokens built]: the running
+        #: effort sums, kept in a list so a matcher may increment them in
+        #: place (the compiled kernel's generated code increments this one).
+        self.effort = [0, 0, 0]
 
     def keep_rows(self) -> None:
         """Retain one :class:`ChangeRecord` per change from now on."""
@@ -82,10 +76,11 @@ class MatchStats:
     ) -> None:
         """Count one finished change (and file its row, if rows are kept)."""
         self.total_changes += 1
-        self.total_comparisons += comparisons
-        self.total_tokens_built += tokens_built
         self.total_affected_productions += affected_productions
-        self.total_node_activations += node_activations
+        effort = self.effort
+        effort[0] += node_activations
+        effort[1] += comparisons
+        effort[2] += tokens_built
         if self.changes is not None:
             self.changes.append(
                 ChangeRecord(
@@ -97,6 +92,10 @@ class MatchStats:
                     tokens_built,
                 )
             )
+
+    total_node_activations = property(lambda self: self.effort[0])
+    total_comparisons = property(lambda self: self.effort[1])
+    total_tokens_built = property(lambda self: self.effort[2])
 
     @property
     def mean_affected_productions(self) -> float:

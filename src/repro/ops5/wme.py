@@ -84,11 +84,13 @@ class WME:
         if not isinstance(cls, str) or not cls:
             raise WorkingMemoryError(f"WME class must be a non-empty symbol, got {cls!r}")
         self.cls = cls
-        # The one copy (the caller keeps its mapping).  Absent attributes
-        # read as nil, so storing explicit nils is redundant.
-        self._attributes = (
-            {a: v for a, v in attributes.items() if v != NIL} if attributes else {}
-        )
+        # The one copy (the caller keeps its mapping; ``**`` refuses a
+        # non-mapping).  Absent attributes read as nil, so storing explicit
+        # nils is redundant -- filtered only when there is one.
+        attrs = {**attributes} if attributes else {}
+        if NIL in attrs.values():
+            attrs = {a: v for a, v in attrs.items() if v != NIL}
+        self._attributes = attrs
         #: Timetag assigned by :class:`WorkingMemory`; 0 means "not in WM".
         self.timetag: int = 0
 

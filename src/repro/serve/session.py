@@ -256,7 +256,7 @@ class _DeltaLog(EngineListener):
     def _bound(self) -> None:
         system = self.system
         if len(self.added) + len(self.removed) + len(self.fired) > len(system.memory):
-            system.listener = EngineListener()
+            system.listener = None
 
 
 class Session:

@@ -1,11 +1,12 @@
-"""The dominance index fires what a full ranking fires, and ranks less.
+"""The kept ranking fires what a full ranking fires, and ranks less.
 
 Differential: every engine here selects through the conflict set's
-dominance index; the reference engine's strategy re-sorts the whole
+kept ranking; the reference engine's strategy re-sorts the whole
 conflict set with ``Strategy.order()`` each cycle and takes the first
-un-fired element.  Complexity guard: ``_order_key`` calls per ``select``
-equal the un-fired members of the leading bucket -- an exact count, no
-timing.
+un-fired element.  Complexity guard: ``_order_key`` is called once per
+member that arrives while the set is ranked, plus once per member at
+the first ``select``, and never by a later ``select`` -- exact counts,
+no timing.
 """
 
 import dataclasses
@@ -20,7 +21,8 @@ from repro.workloads.profiles import PAPER_SYSTEMS, profile_named
 #: The ``resolve_wide`` shape: 100 lanes in working memory before the
 #: first cycle, so the conflict set opens 700 wide.  Tasks are asserted
 #: first and items in reverse lane order, so the newest item (LEX's
-#: lead) and the newest task (MEA's) belong to opposite ends of the burst.
+#: leading timetag) and the newest task (MEA's) belong to opposite ends
+#: of the burst.
 BURST = emit_system_program(profile_named("r1-soar"), lanes=100)
 BURST = dataclasses.replace(
     BURST,
@@ -91,26 +93,24 @@ def test_lex_and_mea_disagree_on_the_burst(reference):
 
 
 class _Counting:
-    """Mixin: count ``_order_key`` calls and predict them per ``select``."""
+    """Mixin: count ``_order_key`` calls, per ``select`` and in all."""
 
     def __init__(self) -> None:
         self.key_calls = 0
         self.selects = 0
         self.members_seen = 0
+        #: (|CS|, total inserts) when the first select ranked the set.
+        self.ranked_at = None
 
     def _order_key(self, instantiation):
         self.key_calls += 1
         return super()._order_key(instantiation)
 
     def select(self, conflict_set, already_fired):
-        # Independently of the index: group by lead, newest first, and
-        # count the un-fired members of the first group that has any.
-        groups: dict[int, int] = {}
-        for instantiation in conflict_set:
-            if not already_fired(instantiation.key):
-                lead = self._lead(instantiation)
-                groups[lead] = groups.get(lead, 0) + 1
-        expected = groups[max(groups)] if groups else 0
+        expected = 0
+        if self.ranked_at is None:
+            self.ranked_at = (len(conflict_set), conflict_set.total_inserts)
+            expected = len(conflict_set)
         before = self.key_calls
         selected = super().select(conflict_set, already_fired)
         assert self.key_calls - before == expected
@@ -120,26 +120,27 @@ class _Counting:
 
 
 class CountingLex(_Counting, LexStrategy):
-    _lead = LexStrategy._lead
+    pass
 
 
 class CountingMea(_Counting, MeaStrategy):
-    _lead = MeaStrategy._lead
+    pass
 
 
 @pytest.mark.parametrize("strategy_class", [CountingLex, CountingMea])
-def test_order_keys_built_per_select_are_bounded_by_the_leading_bucket(strategy_class):
+def test_order_keys_built_once_per_member(strategy_class):
     strategy = strategy_class()
     system = ProductionSystem(BURST.source, matcher="compiled", strategy=strategy)
     system.load_memory(BURST.setup)
     assert system.run(BURST.max_cycles).fired == BURST.expected_firings()
-    # Per select the count is asserted exactly (above); over the run the
-    # conflict set averaged hundreds of members and a select ranked a
-    # handful -- the branches of one lane, never the lanes of the burst.
-    assert strategy.members_seen / strategy.selects > 300
-    assert strategy.key_calls / strategy.selects <= BURST.branches
+    # Per select the count is asserted exactly (above): |CS| at the
+    # first, none after.  Over the run: one key per member, ever.
     conflict_set = system.conflict_set
+    size, inserts = strategy.ranked_at
+    assert size > 300  # the burst opens wide
+    assert strategy.key_calls == size + conflict_set.total_inserts - inserts
+    assert strategy.members_seen / strategy.selects > 300
     assert conflict_set.selects == strategy.selects
-    # Every firing here retracts its own instantiation, so no walked
-    # bucket held a fired member: examined == ranked.
-    assert conflict_set.members_examined == strategy.key_calls
+    # Every firing here retracts its own instantiation, so the top of
+    # the ranking is never a fired member: each select walks one.
+    assert conflict_set.members_examined == conflict_set.selects

@@ -141,6 +141,28 @@ class TestDynamicRulesetEdits:
         compiled.remove_production("find")
         assert len(compiled.conflict_set) == 0
 
+    @pytest.mark.parametrize("partitions", [1, 2])
+    def test_a_rebuild_replay_counts_no_effort(self, partitions):
+        _, rete, memory = _loaded(JOIN + NEGATED)
+        compiled = CompiledMatcher(partitions=partitions)
+        for production in rete.productions:
+            compiled.add_production(production)
+        stats = compiled.stats  # held across the rebuild, as callers do
+        for cls, attrs in [("goal", {"want": "red"}), ("block", {"color": "red"})]:
+            wme = memory.add(WME(cls, attrs))
+            compiled.add_wme(wme)
+            rete.add_wme(wme)
+        effort = (stats.total_node_activations, stats.total_tokens_built)
+        assert effort[0] > 0 and effort[1] > 0
+        late = parse_program("(p late (goal ^want <c>) (block ^color <c>) --> (halt))")
+        compiled.add_production(late.productions[0])  # rebuild: quiet replay
+        assert compiled.kernel_summary()["replayed_wmes"] == 2
+        assert (stats.total_node_activations, stats.total_tokens_built) == effort
+        assert stats.total_changes == 2
+        # ... and the same object keeps counting real changes.
+        compiled.add_wme(memory.add(WME("block", {"color": "red"})))
+        assert stats.total_node_activations > effort[0]
+
     def test_lazy_compile_while_wm_empty(self):
         compiled = CompiledMatcher()
         for production in parse_program(JOIN + NEGATED).productions:

@@ -214,13 +214,8 @@ class _BySpecificityOnly(Strategy):
         return (instantiation.production.specificity,)
 
 
-class TestLeadContract:
-    def test_builtin_leads_are_the_leading_timetag_of_their_order(self):
-        inst = _inst(_production("p", ces=3), 4, 9, 2)
-        assert LexStrategy()._lead(inst) == 9 == LexStrategy()._order_key(inst)[0][0]
-        assert MeaStrategy()._lead(inst) == 4 == MeaStrategy()._order_key(inst)[0]
-
-    def test_overriding_only_the_order_degrades_to_one_bucket(self):
+class TestOrderKeyContract:
+    def test_overriding_only_the_order_key_selects_by_it(self):
         class Oldest(LexStrategy):
             def _order_key(self, instantiation):
                 return tuple(-t for t in instantiation.recency_key)
@@ -229,26 +224,28 @@ class TestLeadContract:
         cs = ConflictSet()
         for tag in (3, 1, 2):
             cs.insert(_inst(production, tag))
-        # LEX's lead would rank timetag 3 first; the inherited lead is
-        # dropped with the order it described.
         oldest = Oldest()
+        # LEX would pick timetag 3; the override alone decides.
         assert oldest.select(cs, lambda key: False).timetags == (1,)
-        assert len(list(cs.newest_first(oldest._lead))) == 1
+        cs.insert(_inst(production, 0))
+        assert oldest.select(cs, lambda key: False).timetags == (0,)
+        assert oldest.select(cs, {("p", (0,))}.__contains__).timetags == (1,)
+        assert [m.timetags for m in oldest.order(cs)] == [(0,), (1,), (2,), (3,)]
 
-    def test_restating_the_lead_keeps_the_buckets(self):
-        class Counting(LexStrategy):
-            _lead = LexStrategy._lead
-
-            def _order_key(self, instantiation):
-                return super()._order_key(instantiation)
-
-        production = _production("p")
+    def test_equal_keys_go_to_the_member_that_arrived_first(self):
         cs = ConflictSet()
-        for tag in (3, 1, 2):
-            cs.insert(_inst(production, tag))
-        counting = Counting()
-        assert counting.select(cs, lambda key: False).timetags == (3,)
-        assert len(list(cs.newest_first(counting._lead))) == 3
+        plain, specific = _production("plain"), _production("specific", extra_tests=2)
+        by_specificity = _BySpecificityOnly()
+        first = _inst(plain, 5)
+        cs.insert(first)
+        assert by_specificity.select(cs, lambda key: False) is first  # ranked now
+        cs.insert(_inst(plain, 9))
+        cs.insert(_inst(plain, 7))
+        assert by_specificity.select(cs, lambda key: False) is first
+        top = _inst(specific, 1)
+        cs.insert(top)
+        assert by_specificity.select(cs, lambda key: False) is top
+        assert by_specificity.order(cs)[:2] == [top, first]
 
 
 _MODEL_PRODUCTIONS = (
@@ -262,11 +259,15 @@ _MODEL_STRATEGIES = (LexStrategy(), MeaStrategy(), _BySpecificityOnly())
 
 
 class ConflictSetModel(RuleBasedStateMachine):
-    """The index against the obvious model: a dict plus ``order()``.
+    """The kept ranking against the obvious model: a dict plus ``order()``.
 
-    Timetags come from a range of six, so prefix-recency ties, equal
-    leads with different specificity and emptied-then-refilled buckets
-    all happen within a few steps.
+    After every rule, ``select`` on the set must be the first un-fired
+    member of ``Strategy.order()`` over the model, and it must have
+    walked exactly the members ranked above that one.  Timetags come
+    from a range of six, so prefix-recency ties, equal first timetags
+    with different specificity and emptied-then-refilled sets all happen
+    within a few steps; ``_BySpecificityOnly`` ties on purpose, so the
+    arrival order of equal keys is checked too.
     """
 
     def __init__(self):
@@ -324,6 +325,13 @@ class ConflictSetModel(RuleBasedStateMachine):
     def mark_fired(self, data):
         self.fired.add(self._draw_member(data).key)
 
+    @rule()
+    def fire(self):
+        # The engine's own refraction: what select picks is marked fired.
+        selected = self.strategy.select(self.cs, self.fired.__contains__)
+        if selected is not None:
+            self.fired.add(selected.key)
+
     @precondition(lambda self: self.fired)
     @rule(data=st.data())
     def unmark_fired(self, data):
@@ -337,11 +345,14 @@ class ConflictSetModel(RuleBasedStateMachine):
     @invariant()
     def select_is_the_first_unfired_of_order(self):
         members = list(self.model.values())
-        expected = next(
-            (i for i in self.strategy.order(members) if i.key not in self.fired),
-            None,
-        )
+        ordered = self.strategy.order(members)
+        unfired = [n for n, i in enumerate(ordered) if i.key not in self.fired]
+        expected = ordered[unfired[0]] if unfired else None
+        examined = self.cs.members_examined
         assert self.strategy.select(self.cs, self.fired.__contains__) is expected
+        assert self.cs.members_examined - examined == (
+            unfired[0] + 1 if unfired else len(members)
+        )
         assert self.strategy.select(members, self.fired.__contains__) is expected
 
     @invariant()
@@ -353,5 +364,10 @@ class ConflictSetModel(RuleBasedStateMachine):
 
 TestConflictSetModel = ConflictSetModel.TestCase
 TestConflictSetModel.settings = settings(
-    max_examples=60, stateful_step_count=40, deadline=None
+    max_examples=60, stateful_step_count=40, deadline=None, derandomize=True, database=None
 )
+
+
+@pytest.mark.fuzz
+class TestConflictSetModelLong(ConflictSetModel.TestCase):
+    settings = settings(max_examples=1000, stateful_step_count=80, deadline=None, database=None)

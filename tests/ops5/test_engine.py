@@ -3,12 +3,14 @@
 import pytest
 
 from repro.ops5 import (
+    WME,
     DuplicateProductionError,
     EngineListener,
     ExecutionError,
     ProductionSystem,
     parse_program,
 )
+from repro.ops5.engine import QUIESCENT
 from repro.naive import NaiveMatcher
 from repro.rete import ReteNetwork
 
@@ -171,6 +173,120 @@ class TestListener:
         ps = ProductionSystem(COUNTER, strategy="mea")
         ps.add("counter", n=1)
         assert ps.run().fired == 2
+
+    def test_no_listener_by_default(self):
+        ps = ProductionSystem(COUNTER)
+        assert ps.listener is None
+        ps.add("counter", n=1)
+        assert ps.run().fired == 2
+
+
+COPY = "(p copy (a ^x <v>) - (block ^x <v>) --> (make b ^x <v>))"
+
+
+@pytest.fixture(params=["compiled", "rete"])
+def quiescent(request):
+    """An engine that fired once and then found nothing to fire."""
+    ps = ProductionSystem(COPY, matcher=request.param)
+    ps.add("a", x=1)
+    assert ps.run().fired == 1
+    assert ps.halted
+    return ps
+
+
+class TestQuiescenceIsRechecked:
+    """A quiescence halt describes the working memory of its cycle;
+    ``run`` and ``step`` check it again, whatever path the changes
+    since then took.  A ``halt`` action stays sticky."""
+
+    def test_run_after_add(self, quiescent):
+        quiescent.add("a", x=2)
+        result = quiescent.run()
+        assert (result.fired, result.halted, result.halt_reason) == (1, True, QUIESCENT)
+        assert [c.timetags for c in result.cycles] == [(3,)]
+
+    def test_step_after_add_wme(self, quiescent):
+        wme = quiescent.add_wme(WME("a", {"x": 2}))
+        assert quiescent.step().wmes == (wme,)
+        assert quiescent.step() is None and quiescent.halted
+
+    def test_run_after_load_memory(self, quiescent):
+        quiescent.load_memory([("a", {"x": 2}), ("a", {"x": 3})])
+        assert quiescent.run().fired == 2
+
+    def test_run_after_remove_wme_unblocks(self, quiescent):
+        blocker = quiescent.add("block", x=5)
+        quiescent.add("a", x=5)
+        assert quiescent.run().fired == 0
+        quiescent.remove_wme(blocker)
+        assert quiescent.run().fired == 1
+
+    def test_nothing_new_stays_quiescent(self, quiescent):
+        for _ in range(2):
+            result = quiescent.run()
+            assert (result.fired, result.halted, result.halt_reason) == (0, True, QUIESCENT)
+            assert quiescent.step() is None and quiescent.halted
+
+    @pytest.mark.parametrize("matcher", ["compiled", "rete"])
+    def test_nothing_new_is_not_checked_again(self, matcher):
+        # No select, no second halt event: a re-run costs what it did.
+        halts = []
+
+        class Halts(EngineListener):
+            def on_halt(self, cycle, reason):
+                halts.append(reason)
+
+        ps = ProductionSystem(COPY, matcher=matcher, listener=Halts())
+        ps.add("a", x=1)
+        ps.run()
+        selects = ps.conflict_set.selects
+        ps.add("b", x=7)  # satisfies nothing
+        ps.run()
+        ps.step()
+        assert (ps.conflict_set.selects, halts) == (selects, [QUIESCENT])
+        ps.add("a", x=2)
+        assert ps.run().fired == 1
+        assert halts == [QUIESCENT, QUIESCENT]
+
+    @pytest.mark.parametrize("max_cycles", [0, -1])
+    def test_no_cycles_check_nothing(self, quiescent, max_cycles):
+        quiescent.add("a", x=2)
+        result = quiescent.run(max_cycles=max_cycles)
+        assert (result.fired, result.halted, result.halt_reason) == (0, True, QUIESCENT)
+        assert quiescent.export_state()["halted"]
+        assert quiescent.run().fired == 1
+
+    def test_a_halt_action_stays_sticky(self, quiescent):
+        quiescent.add_production(parse_program("(p stop (b ^x 2) --> (halt))").productions[0])
+        quiescent.add("a", x=2)
+        assert quiescent.run().fired == 2  # copy, then stop
+        quiescent.add("a", x=3)
+        for _ in range(2):
+            result = quiescent.run()
+            assert (result.fired, result.halt_reason) == (0, "halt action")
+            assert quiescent.step() is None
+        quiescent.resume()
+        assert quiescent.run().fired == 1
+
+    def test_a_batch_still_clears_the_flag_at_once(self, quiescent):
+        # What serve replies and describe() report after a batch.
+        quiescent.apply_changes([("assert", "a", {"x": 2})])
+        assert not quiescent.halted
+        assert quiescent.run().fired == 1
+
+    def test_an_explicit_resume_is_no_longer_needed_and_harmless(self, quiescent):
+        quiescent.add("a", x=2)
+        state = quiescent.export_state()
+        assert state["halted"] and state["halt_reason"] == QUIESCENT
+        fired = []
+        for resume in (False, True):
+            target = ProductionSystem(COPY, matcher="compiled")
+            target.restore_state(state)
+            if resume:
+                target.resume()
+            result = target.run()
+            fired.append([(c.production, c.timetags) for c in result.cycles])
+        assert fired[0] == fired[1] == [("copy", (3,))]
 
 
 class TestReset:
