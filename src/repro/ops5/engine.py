@@ -476,7 +476,8 @@ class ProductionSystem:
 
         The blob is JSON-serialisable and matcher-independent: working
         memory with *original* timetags, the refraction memory (fired
-        instantiation keys), the recognize--act counters, halt state,
+        instantiation keys, bar those naming a removed timetag: they can
+        never match again), the recognize--act counters, halt state,
         and accumulated ``write`` output.  Match state (alpha rows, join
         indexes, conflict set) is deliberately excluded -- it is a pure
         function of (ruleset, working memory) and re-derives on restore,
@@ -493,7 +494,7 @@ class ProductionSystem:
                 for wme in self.memory.snapshot()
             ],
             "fired": sorted(
-                [name, list(timetags)] for name, timetags in self._fired_keys
+                [name, list(tags)] for name, tags in self._live(self._fired_keys)
             ),
             "output": list(self.output),
             **self._run_state(),
@@ -517,15 +518,16 @@ class ProductionSystem:
         """What :meth:`export_state` says now that it did not say at an
         earlier export, from the *net* changes a listener recorded in
         between: WMEs *added* and still live, timetags *removed* that
-        the earlier blob held, instantiation keys *fired*, and ``write``
-        lines from index *output_from* on.  Costs what changed, not what
-        working memory holds; ``repro.serve.durability.fold`` applies it.
+        the earlier blob held, instantiation keys *fired* (the live ones,
+        as in the state), and ``write`` lines from index *output_from*
+        on.  Costs what changed, not what working memory holds;
+        ``repro.serve.durability.fold`` applies it.
         """
         return {
             "schema": self.DELTA_SCHEMA,
             "added": [[w.timetag, w.cls, dict(w.attributes)] for w in added],
             "removed": list(removed),
-            "fired": [[name, list(timetags)] for name, timetags in fired],
+            "fired": [[name, list(tags)] for name, tags in self._live(fired)],
             "output": self.output[output_from:],
             **self._run_state(),
         }
@@ -691,6 +693,11 @@ class ProductionSystem:
     #: Prune the fired-instantiation set once it reaches this size.
     _refraction_gc_threshold = 512
 
+    def _live(self, keys) -> list:
+        """The refraction *keys* whose timetags are all in working memory."""
+        live = self.memory.has_timetag
+        return [key for key in keys if all(map(live, key[1]))]
+
     def _prune_refraction_memory(self) -> None:
         """Drop fired keys that can never match again.
 
@@ -702,10 +709,7 @@ class ProductionSystem:
         a point read per timetag, so a prune costs O(fired keys), not
         O(working memory).
         """
-        live = self.memory.has_timetag
-        self._fired_keys = {
-            key for key in self._fired_keys if all(map(live, key[1]))
-        }
+        self._fired_keys = set(self._live(self._fired_keys))
         # Avoid thrashing when most keys are still live: next GC only
         # after the set grows substantially again.
         self._refraction_gc_threshold = max(512, 2 * len(self._fired_keys))

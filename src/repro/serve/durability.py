@@ -18,16 +18,18 @@ The router appends every accepted mutating op to the WAL *before* the
 reply leaves for the client, so the journal is always at least as new as
 anything a client has seen acknowledged.  Periodic checkpoints persist
 what the session's engine *changed* since the previous one (Section 3.1:
-cost must follow the <0.5% of working memory that changes, not what it
-holds): a ``repro.engine-delta/1`` line naming the seq it extends and
-the seq it reaches, appended and fsynced **before** the journal is
-compacted past that seq.  Once the appended deltas weigh as much as the
-base, the store asks for a full ``export_state`` blob again and rewrites
-the file (:meth:`DurabilityStore.checkpoint_mark`) -- amortised O(1) per
-change, a load never folds more than 2x the base.  Recovery is
-``import_session`` of base + deltas (:func:`fold`) plus a replay of the
-journal tail -- O(blob + tail) instead of O(journal), which is the
-Section 3.1 c1-vs-c3 ratio as a recovery-latency knob.
+cost must follow the <0.5% of working memory that changes): a
+``repro.engine-delta/1`` line naming the seq it extends and the seq it
+reaches, appended and fsynced **before** the journal is compacted past
+that seq.  Once the appended deltas weigh as much as the base, the store
+asks for a full ``export_state`` blob again and rewrites the file
+(:meth:`DurabilityStore.checkpoint_mark`) -- amortised O(1) per change,
+a load never folds more than 2x the base.  The worker encodes either
+record (:func:`encode_record`); the store splices that text in, never
+decoding it.  Recovery is ``import_session`` of base + deltas
+(:func:`fold`) plus a replay of the journal tail -- O(blob + tail)
+instead of O(journal), which is the Section 3.1 c1-vs-c3 ratio as a
+recovery-latency knob.
 
 Everything read back from disk is treated as untrusted input: truncated
 trailing WAL lines (a crash mid-append) are dropped, a torn, corrupt or
@@ -151,6 +153,13 @@ def validate_engine_state(state) -> Optional[str]:
     ):
         return "output must be a list of strings"
     return None
+
+
+def encode_record(record: dict) -> str:
+    """A marked export's record as the store splices it in: compact JSON,
+    a full state's keys sorted like the envelope it lands in."""
+    full = record["schema"] == ENGINE_STATE_SCHEMA
+    return json.dumps(record, separators=(",", ":"), sort_keys=full)
 
 
 class _Fold:
@@ -330,8 +339,10 @@ class DurabilityStore:
     def _ckpt_path(self, sid: str) -> str:
         return os.path.join(self.root, f"{_encode_sid(sid)}.ckpt.json")
 
-    def _write_atomic(self, path: str, payload: dict) -> int:
-        text = json.dumps(payload, separators=(",", ":"), sort_keys=True) + "\n"
+    def _write_atomic(self, path: str, payload: dict, state: str = "") -> int:
+        """Replace *path* by *payload* as sorted-key JSON, *state* spliced in last."""
+        text = json.dumps(payload, separators=(",", ":"), sort_keys=True)
+        text = f'{text[:-1]},"state":{state}}}\n' if state else text + "\n"
         self._write(f"{path}.tmp", "w", text)
         os.replace(f"{path}.tmp", path)
         return len(text)
@@ -490,28 +501,24 @@ class DurabilityStore:
         return chain.mark
 
     def save_checkpoint(
-        self, session_id: str, seq: int, config: dict, state: dict, mark: str = ""
+        self, session_id: str, seq: int, config: dict, state: str, mark: str = ""
     ) -> None:
         """Persist a full checkpoint covering every op up to *seq* as
         the file's new base, then compact the journal to its uncovered
-        tail.  *mark* is the export's, when later deltas may extend it."""
-        size = self._write_atomic(
-            self._ckpt_path(session_id),
-            {
-                "schema": CHECKPOINT_SCHEMA,
-                "id": session_id,
-                "seq": seq,
-                "config": dict(config),
-                "state": state,
-            },
-        )
+        tail.  *state* is a marked export's ``state_json`` (a dict, as
+        ``benchmarks/e2e`` passes, is encoded first), *mark* the export's own."""
+        if not isinstance(state, str):
+            state = encode_record(state)
+        envelope = {"schema": CHECKPOINT_SCHEMA, "id": session_id, "seq": seq, "config": config}
+        size = self._write_atomic(self._ckpt_path(session_id), envelope, state)
         self._chains.pop(session_id, None)
         if mark:
             self._chains[session_id] = _Chain(mark, seq, size, 0)
         self._compact(session_id, seq, size)
 
-    def append_delta(self, session_id: str, seq: int, delta: dict, mark: str) -> bool:
-        """Extend the session's checkpoint to *seq* by one delta line.
+    def append_delta(self, session_id: str, seq: int, delta: str, since: str, mark: str) -> bool:
+        """Extend the session's checkpoint to *seq* by one delta line:
+        a marked export's ``delta_json`` text and the mark it names.
 
         The line is flushed (and fsynced) before the journal is
         compacted past *seq*: a crash in between leaves ops on the
@@ -520,11 +527,9 @@ class DurabilityStore:
         so is any after a failed append: the next export will be full.
         """
         chain = self._chains.pop(session_id, None)
-        if chain is None or delta.get("since") != chain.mark:
+        if chain is None or since != chain.mark:
             return False
-        line = json.dumps(
-            {"extends": chain.seq, "seq": seq, "delta": delta}, separators=(",", ":")
-        ) + "\n"
+        line = f'{{"extends":{chain.seq},"seq":{seq},"delta":{delta}}}\n'
         self._write(self._ckpt_path(session_id), "a", line)
         self._chains[session_id] = _Chain(
             mark, seq, chain.base_bytes, chain.delta_bytes + len(line)

@@ -671,24 +671,22 @@ class RuleRouter(Endpoint):
         self, session_id: str, placement: _Placement, full: bool = False
     ) -> None:
         """Export under the placement lock (the caller holds it) and
-        persist: a delta while the session can still name the export the
-        store last persisted, else -- or when *full* -- the whole state."""
+        persist, as the text the worker encoded: a delta while the session
+        can still name the export the store last persisted, else -- or
+        when *full* -- the whole state."""
         store = self.durability
         since = "" if full else store.checkpoint_mark(session_id)
         try:
             reply = await self.workers[placement.worker].call(
                 {"op": "export", "session": session_id, "since": since}
             )
-            if "delta" in reply:
-                if not store.append_delta(
-                    session_id, placement.seq, reply["delta"], reply["mark"]
-                ):
+            if "delta_json" in reply:
+                delta = reply["delta_json"], reply["since"], reply["mark"]
+                if not store.append_delta(session_id, placement.seq, *delta):
                     return  # refused: still due, and the next one is full
-            elif reply.get("ok"):
-                store.save_checkpoint(
-                    session_id, placement.seq, reply["config"], reply["state"],
-                    reply["mark"],
-                )
+            elif "state_json" in reply:
+                state = reply["config"], reply["state_json"], reply["mark"]
+                store.save_checkpoint(session_id, placement.seq, *state)
             else:
                 return
         except Exception:

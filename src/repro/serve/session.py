@@ -47,6 +47,7 @@ from ..ops5 import BatchResult, EngineListener, ExecutionError, Ops5Error
 from ..ops5 import ProductionSystem, matcher_named
 from ..ops5.parser import Program, parse_program
 from ..ops5.wme import WME
+from .durability import encode_record
 from .stats import Telemetry
 
 #: Default bound on a session's request queue.
@@ -575,11 +576,11 @@ class Session:
         acknowledged is in it, nothing later).
 
         A checkpointing caller sends ``since``, the ``mark`` of the last
-        export it persisted.  If this session's delta log started at that
-        export the reply carries a ``repro.engine-delta/1`` record instead
-        of the state; otherwise (first marked export, restored session,
-        lost reply, dropped log) the full state.  Either way a fresh
-        ``mark`` comes back and the log restarts.
+        export it persisted, and gets text the store writes as it is: a
+        ``repro.engine-delta/1`` record as ``delta_json`` (and ``since``)
+        if this session's delta log started at that export, otherwise
+        (first marked export, restored session, lost reply, dropped log)
+        ``state_json``.  Either way a fresh ``mark`` restarts the log.
         """
         system = self.system
         reply = {"ok": True}
@@ -588,10 +589,11 @@ class Session:
             reply["mark"] = os.urandom(8).hex()
             system.listener = _DeltaLog(system, reply["mark"])
             if isinstance(log, _DeltaLog) and log.mark == request["since"]:
-                reply["delta"] = system.export_delta(
+                delta = system.export_delta(
                     log.added.values(), log.removed, log.fired, log.output_from
                 )
-                reply["delta"]["since"] = log.mark
+                reply["since"] = delta["since"] = log.mark
+                reply["delta_json"] = encode_record(delta)
                 return reply
         reply["config"] = {
             "program": self.program,
@@ -600,7 +602,10 @@ class Session:
             "max_pending": self.max_pending,
             "tenant": self.tenant,
         }
-        reply["state"] = system.export_state()
+        if "since" in request:
+            reply["state_json"] = encode_record(system.export_state())
+        else:
+            reply["state"] = system.export_state()
         return reply
 
     _OPS = {

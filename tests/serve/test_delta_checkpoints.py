@@ -3,19 +3,29 @@
 The property (``fold(base, deltas...)`` is the live engine's state, and
 an engine restored from it continues bit-identically), the crash points
 of the one-file base + deltas layout, the session-side log's lifecycle,
-and the linearity the whole design exists for.  The end-to-end kill
-test over real worker processes is ``chaos``-marked.
+exports that carry live refraction keys only, the file format (the
+worker's text spliced in is ``json.dumps`` of the whole, byte for byte,
+and files written by re-encoding still load), and the linearity the
+whole design exists for.  The end-to-end kill test over real worker
+processes is ``chaos``-marked.
 """
 
 import json
 import os
+import tempfile
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from repro.serve import DurabilityStore, RuleClient, validate_engine_state
-from repro.serve.durability import fold
+from repro.serve.durability import (
+    CHECKPOINT_SCHEMA,
+    ENGINE_DELTA_SCHEMA,
+    ENGINE_STATE_SCHEMA,
+    encode_record,
+    fold,
+)
 from repro.serve.session import Session, _DeltaLog
 
 PROGRAM = """
@@ -43,13 +53,6 @@ PROGRAM = """
 MATCHERS = ("compiled", "rete")
 
 
-def live_only(state: dict) -> dict:
-    """*state* without refraction keys that name a dead timetag."""
-    live = {row[0] for row in state["wmes"]}
-    fired = [key for key in state["fired"] if live.issuperset(key[1])]
-    return {**state, "fired": fired}
-
-
 class Checkpointer:
     """What a durable router keeps for one session, without the router:
     the last persisted base, the deltas after it, and the mark."""
@@ -66,12 +69,14 @@ class Checkpointer:
 
     def checkpoint(self) -> str:
         reply = self.export()
-        if "delta" in reply:
-            assert reply["delta"]["since"] == self.mark
-            self.deltas.append(reply["delta"])
+        if "delta_json" in reply:
+            delta = json.loads(reply["delta_json"])
+            assert reply["since"] == delta["since"] == self.mark
+            self.deltas.append(delta)
             kind = "delta"
         else:
-            self.base, self.deltas, kind = reply["state"], [], "full"
+            self.base, self.deltas = json.loads(reply["state_json"]), []
+            kind = "full"
         self.mark = reply["mark"]
         self.kinds.append(kind)
         return kind
@@ -140,12 +145,12 @@ def check_fold_property(matcher: str, script: list) -> None:
                 lost = False
                 folded = keeper.folded()
                 assert validate_engine_state(folded) is None
-                assert folded == live_only(session.system.export_state())
+                assert folded == session.system.export_state()
             else:
                 apply_step(session, step)
         keeper.checkpoint()
         folded = keeper.folded()
-        assert folded == live_only(session.system.export_state())
+        assert folded == session.system.export_state()
         # The fold is a migration payload like any other: an engine
         # restored from it continues the firing sequence bit-identically.
         restored = Session("copy", program=PROGRAM, matcher=matcher, state=folded)
@@ -156,8 +161,8 @@ def check_fold_property(matcher: str, script: list) -> None:
         ours, theirs = session.system, restored.system
         assert theirs_fired == ours_fired
         assert theirs_fired, "the continuation fired nothing"
-        assert live_only(theirs.export_state()) == {
-            **live_only(ours.export_state()),
+        assert theirs.export_state() == {
+            **ours.export_state(),
             # restore_state restarts the change counter at the replay.
             "total_wme_changes": theirs.total_wme_changes,
         }
@@ -168,7 +173,7 @@ def check_fold_property(matcher: str, script: list) -> None:
 
 
 class TestFoldProperty:
-    """(a) fold(base, deltas...) == export_state() modulo dead keys."""
+    """(a) fold(base, deltas...) == export_state()."""
 
     @pytest.mark.parametrize("matcher", MATCHERS)
     @settings(max_examples=40, deadline=None, database=None, derandomize=True)
@@ -243,13 +248,15 @@ class TestSessionLog:
         try:
             session.perform({"op": "assert", "wmes": PRELOAD})
             first = session.perform({"op": "export", "since": ""})
-            assert "state" in first and first["mark"]
+            assert set(first) == {"ok", "mark", "config", "state_json"}
+            assert first["mark"]
             assert isinstance(session.system.listener, _DeltaLog)
             session.perform({"op": "assert", "wmes": [["kill", {"v": 9}]]})
             assert "state" in session.perform({"op": "export"})  # a migration read
             second = session.perform({"op": "export", "since": first["mark"]})
-            assert [row[1] for row in second["delta"]["added"]] == ["kill"]
-            assert "state" not in second and "config" not in second
+            assert set(second) == {"ok", "mark", "since", "delta_json"}
+            delta = json.loads(second["delta_json"])
+            assert [row[1] for row in delta["added"]] == ["kill"]
         finally:
             session.close_resources()
 
@@ -264,11 +271,88 @@ class TestSessionLog:
             session.perform({"op": "retract", "timetags": [3]})
             assert session.system.listener is None
             again = session.perform({"op": "export", "since": mark})
-            assert "state" in again and "delta" not in again
+            assert "state_json" in again and "delta_json" not in again
             # Re-armed from the new full export.
             assert isinstance(session.system.listener, _DeltaLog)
         finally:
             session.close_resources()
+
+
+def fire_and_kill(session: Session) -> None:
+    """After ``PRELOAD`` has run: ``age`` fires on both v=0 items and its
+    ``modify`` removes the item its key names (a dead key, with one live
+    timetag), and ``link`` fires keys that stay live."""
+    session.perform(
+        {
+            "op": "assert",
+            "wmes": [["tick", {"n": 0}], ["item", {"v": 9, "age": "young"}]],
+            "run": True,
+        }
+    )
+
+
+def every_fired_key(system) -> list:
+    """The refraction memory as an export without the live-key filter
+    would write it."""
+    return sorted([name, list(tags)] for name, tags in system._fired_keys)
+
+
+class TestLiveRefractionKeys:
+    """Exports keep only refraction keys whose timetags are all live:
+    timetags are never reused, so any other key can never fire again."""
+
+    def test_exports_name_no_dead_timetag(self):
+        session = Session("s", program=PROGRAM, matcher="compiled")
+        try:
+            session.perform({"op": "assert", "wmes": PRELOAD, "run": True})
+            mark = session.perform({"op": "export", "since": ""})["mark"]
+            fire_and_kill(session)
+            system = session.system
+            live = system.memory.has_timetag
+            assert any(
+                any(map(live, tags)) and not all(map(live, tags))
+                for _, tags in system._fired_keys
+            ), "no key with a live and a dead timetag to drop"
+            assert {name for name, _ in system.listener.fired} == {"age", "link"}
+            reply = session.perform({"op": "export", "since": mark})
+            delta, state = json.loads(reply["delta_json"]), system.export_state()
+            assert {name for name, _ in delta["fired"]} == {"link"}
+            assert len(state["fired"]) < len(every_fired_key(system))
+            for record in (delta, state):
+                assert record["fired"]
+                for _, tags in record["fired"]:
+                    assert all(map(live, tags)), record["fired"]
+        finally:
+            session.close_resources()
+
+    @pytest.mark.parametrize("matcher", MATCHERS)
+    def test_a_restored_engine_fires_the_same_with_or_without_dead_keys(self, matcher):
+        session = Session("s", program=PROGRAM, matcher=matcher)
+        sessions = [session]
+        try:
+            session.perform({"op": "assert", "wmes": PRELOAD, "run": True})
+            fire_and_kill(session)
+            state = session.system.export_state()
+            unfiltered = {**state, "fired": every_fired_key(session.system)}
+            assert unfiltered != state
+            for blob in (state, unfiltered):
+                sessions.append(
+                    Session("copy", program=PROGRAM, matcher=matcher, state=blob)
+                )
+            script = CONTINUATION + [
+                ("assert", [("kill", {"v": 0}), ("tick", {"n": 9})]),
+                ("run", 60),
+            ]
+            fired = [[], [], []]
+            for step in script:
+                for index, each in enumerate(sessions):
+                    fired[index] += apply_step(each, step)
+            assert fired[0] and fired[1] == fired[0] and fired[2] == fired[0]
+            filtered, kept_dead = (each.system for each in sessions[1:])
+            assert filtered.export_state() == kept_dead.export_state()
+        finally:
+            for each in sessions:
+                each.close_resources()
 
 
 def grown_session(name="s1", wmes=40):
@@ -284,11 +368,13 @@ def checkpoint(store: DurabilityStore, session: Session, seq: int) -> str:
     reply = session.perform(
         {"op": "export", "since": store.checkpoint_mark(session.id)}
     )
-    if "delta" in reply:
-        assert store.append_delta(session.id, seq, reply["delta"], reply["mark"])
+    if "delta_json" in reply:
+        assert store.append_delta(
+            session.id, seq, reply["delta_json"], reply["since"], reply["mark"]
+        )
         return "delta"
     store.save_checkpoint(
-        session.id, seq, reply["config"], reply["state"], reply["mark"]
+        session.id, seq, reply["config"], reply["state_json"], reply["mark"]
     )
     return "full"
 
@@ -334,7 +420,7 @@ class TestCrashPoints:
             bundle = store.load("s1")
             assert bundle.notes == [] and bundle.records == []
             assert bundle.checkpoint["seq"] == 4
-            assert bundle.checkpoint["state"] == live_only(session.system.export_state())
+            assert bundle.checkpoint["state"] == session.system.export_state()
             stats = store.stats()
             assert (stats["checkpoints"], stats["checkpoints_full"]) == (4, 1)
             assert stats["checkpoints_delta"] == 3
@@ -390,9 +476,7 @@ class TestCrashPoints:
                 bundle = reopened.load("s1")
                 assert bundle.checkpoint["seq"] == 3 and bundle.records == []
                 assert bundle.last_seq == 3  # seq 3 still journaled, and covered
-                assert bundle.checkpoint["state"] == live_only(
-                    session.system.export_state()
-                )
+                assert bundle.checkpoint["state"] == session.system.export_state()
                 # A store that did not write the file asks for a full export.
                 assert reopened.checkpoint_mark("s1") == ""
             finally:
@@ -469,15 +553,15 @@ class TestCrashPoints:
             lost = session.perform(
                 {"op": "export", "since": store.checkpoint_mark("s1")}
             )
-            assert "delta" in lost
+            assert "delta_json" in lost
             session.perform({"op": "assert", "wmes": [["kill", {"v": 78}]]})
             assert journal_and_checkpoint(store, session, [3]) == ["full"]
             bundle = store.load("s1")
             assert bundle.notes == []
-            assert bundle.checkpoint["state"] == live_only(session.system.export_state())
+            assert bundle.checkpoint["state"] == session.system.export_state()
             # And the store itself refuses a delta it cannot place.
-            stale = dict(lost["delta"])
-            assert store.append_delta("s1", 4, stale, "m") is False
+            stale = (lost["delta_json"], lost["since"])
+            assert store.append_delta("s1", 4, *stale, "m") is False
             assert store.checkpoint_mark("s1") == ""
             assert store.load("s1").checkpoint["seq"] == 3
         finally:
@@ -504,6 +588,153 @@ class TestCrashPoints:
             assert size == store._chains["s1"].base_bytes
         finally:
             session.close_resources()
+
+
+SEPARATORS = (",", ":")
+symbols = st.one_of(
+    st.sampled_from(['"', "\\", 'a"b\\c', "\u00e9t\u00e9", "\u2603", "\u2028", "\u65e5"]),
+    st.text(min_size=1, max_size=6),
+)
+numbers = st.one_of(
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+rows = st.lists(
+    st.tuples(symbols, st.dictionaries(symbols, st.one_of(symbols, numbers), max_size=3)),
+    max_size=5,
+)
+
+
+def run_state(next_timetag: int) -> dict:
+    return {
+        "next_timetag": next_timetag, "cycle": 2, "total_firings": 2,
+        "total_wme_changes": next_timetag - 1, "halted": False, "halt_reason": "",
+    }
+
+
+def check_splices(session_id, program, base_rows, added_rows, output) -> None:
+    """The store's full file and delta line, spliced from the worker's
+    text, against ``json.dumps`` of the same payload and row, byte for
+    byte, and the load of what it wrote against ``fold``."""
+    top = len(base_rows) + len(added_rows) + 1
+    state = {
+        "schema": ENGINE_STATE_SCHEMA,
+        "wmes": [[tag, cls, attrs] for tag, (cls, attrs) in enumerate(base_rows, 1)],
+        "fired": [["p", [1]]] if base_rows else [],
+        "output": output,
+        **run_state(len(base_rows) + 1),
+    }
+    delta = {  # in the order export_delta writes it, ``since`` last
+        "schema": ENGINE_DELTA_SCHEMA,
+        "added": [
+            [tag, cls, attrs]
+            for tag, (cls, attrs) in enumerate(added_rows, len(base_rows) + 1)
+        ],
+        "removed": [1] if base_rows else [],
+        "fired": [["p", [top - 1]]] if added_rows else [],
+        "output": output[::-1],
+        **run_state(top),
+        "since": "m1",
+    }
+    config = {"program": program, "matcher": "compiled"}
+    with tempfile.TemporaryDirectory() as root:
+        store = DurabilityStore(root)
+        try:
+            # The text a worker sends: encode_record's, as _op_export does.
+            store.save_checkpoint(session_id, 3, config, encode_record(state), "m1")
+            assert store.append_delta(session_id, 5, encode_record(delta), "m1", "m2")
+            with open(store._ckpt_path(session_id), "rb") as handle:
+                written = handle.read()
+            bundle = store.load(session_id)
+        finally:
+            store.close()
+    full = {
+        "schema": CHECKPOINT_SCHEMA, "id": session_id, "seq": 3,
+        "config": config, "state": state,
+    }
+    line = {"extends": 3, "seq": 5, "delta": delta}
+    assert written == (
+        json.dumps(full, separators=SEPARATORS, sort_keys=True) + "\n"
+        + json.dumps(line, separators=SEPARATORS) + "\n"
+    ).encode()
+    assert bundle.checkpoint["seq"] == 5
+    assert bundle.checkpoint["state"] == fold(state, delta)
+
+
+class TestFormat:
+    """(f) the store splices the worker's text into what it writes, and
+    the file is what ``json.dumps`` of the whole would have been."""
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(
+        session_id=symbols, program=symbols, base_rows=rows, added_rows=rows,
+        output=st.lists(symbols, max_size=3),
+    )
+    def test_spliced_file_and_line_are_json_dumps_byte_for_byte(
+        self, session_id, program, base_rows, added_rows, output
+    ):
+        check_splices(session_id, program, base_rows, added_rows, output)
+
+    @pytest.mark.fuzz
+    @settings(max_examples=800, deadline=None, database=None)
+    @given(
+        session_id=symbols, program=symbols, base_rows=rows, added_rows=rows,
+        output=st.lists(symbols, max_size=3),
+    )
+    def test_spliced_file_and_line_are_json_dumps_byte_for_byte_long(
+        self, session_id, program, base_rows, added_rows, output
+    ):
+        check_splices(session_id, program, base_rows, added_rows, output)
+
+    def test_a_file_written_the_old_way_loads_and_recovers_identically(self, store):
+        """Before the splice the store wrote ``json.dumps`` of the rows it
+        had decoded, refraction keys with dead timetags included."""
+        session = Session("s1", program=PROGRAM, matcher="compiled")
+        restored = None
+        try:
+            store.register("s1", {"program": PROGRAM})
+            session.perform({"op": "assert", "wmes": PRELOAD, "run": True})
+            assert checkpoint(store, session, 1) == "full"
+            log = session.system.listener
+            fire_and_kill(session)
+            old_delta = {
+                **session.system.export_delta(
+                    log.added.values(), log.removed, log.fired, log.output_from
+                ),
+                "fired": [[name, list(tags)] for name, tags in log.fired],
+                "since": log.mark,
+            }
+            assert checkpoint(store, session, 2) == "delta"
+            path = store._ckpt_path("s1")
+            with open(path) as handle:
+                base, new_line = handle.read().splitlines()
+            new_delta = json.loads(new_line)["delta"]
+            # The only difference: the keys that can never fire again.
+            live = session.system.memory.has_timetag
+            assert new_delta == {
+                **old_delta,
+                "fired": [key for key in old_delta["fired"] if all(map(live, key[1]))],
+            }
+            assert new_delta != old_delta
+            new = store.load("s1")
+            old_base = json.loads(base)
+            with open(path, "w") as handle:
+                handle.write(json.dumps(old_base, separators=SEPARATORS, sort_keys=True))
+                handle.write("\n")
+                line = {"extends": 1, "seq": 2, "delta": old_delta}
+                handle.write(json.dumps(line, separators=SEPARATORS) + "\n")
+            old = store.load("s1")
+            assert old == new and old.notes == []
+            assert old.checkpoint["state"] == session.system.export_state()
+            restored = Session(
+                "copy", program=PROGRAM, matcher="compiled", state=old.checkpoint["state"]
+            )
+            for step in CONTINUATION:
+                assert apply_step(restored, step) == apply_step(session, step)
+        finally:
+            session.close_resources()
+            if restored is not None:
+                restored.close_resources()
 
 
 class TestLinearity:

@@ -15,7 +15,7 @@ import hypothesis.strategies as st
 
 from repro.ops5 import ProductionSystem
 from repro.serve import DurabilityStore, validate_engine_state
-from repro.serve.durability import _encode_sid
+from repro.serve.durability import _encode_sid, encode_record
 from repro.workloads.programs import closure
 
 
@@ -32,6 +32,11 @@ def engine_state() -> dict:
     system.add("parent", **{"from": "a", "to": "b"})
     system.run()
     return system.export_state()
+
+
+def engine_state_json() -> str:
+    """:func:`engine_state` as a marked export's ``state_json`` text."""
+    return encode_record(engine_state())
 
 
 class TestJournalRoundTrip:
@@ -68,7 +73,7 @@ class TestJournalRoundTrip:
         """A name reused after destroy starts a fresh journal."""
         store.register("s1", {"program": "old"})
         store.append("s1", 1, {"op": "run"})
-        store.save_checkpoint("s1", 1, {"program": "old"}, engine_state())
+        store.save_checkpoint("s1", 1, {"program": "old"}, engine_state_json())
         store.register("s1", {"program": "new"})
         bundle = store.load("s1")
         assert bundle.config == {"program": "new"}
@@ -85,11 +90,10 @@ class TestJournalRoundTrip:
 
 class TestCheckpoints:
     def test_checkpoint_bounds_the_tail(self, store):
-        state = engine_state()
         store.register("s1", {"program": "p"})
         for seq in range(1, 6):
             store.append("s1", seq, {"op": "run", "n": seq})
-        store.save_checkpoint("s1", 3, {"program": "p"}, state)
+        store.save_checkpoint("s1", 3, {"program": "p"}, engine_state_json())
         store.append("s1", 6, {"op": "run", "n": 6})
         bundle = store.load("s1")
         assert bundle.used_checkpoint and bundle.checkpoint["seq"] == 3
@@ -102,7 +106,7 @@ class TestCheckpoints:
             store.append("s1", seq, {"op": "run", "n": seq})
         wal = store._wal_path("s1")
         before = os.path.getsize(wal)
-        store.save_checkpoint("s1", 8, {"program": "p"}, engine_state())
+        store.save_checkpoint("s1", 8, {"program": "p"}, engine_state_json())
         assert os.path.getsize(wal) < before
         bundle = store.load("s1")
         assert bundle.records == []
@@ -114,7 +118,7 @@ class TestCheckpoints:
     def test_corrupt_checkpoint_falls_back_to_full_replay(self, store):
         store.register("s1", {"program": "p"})
         store.append("s1", 1, {"op": "run"})
-        store.save_checkpoint("s1", 1, {"program": "p"}, engine_state())
+        store.save_checkpoint("s1", 1, {"program": "p"}, engine_state_json())
         store.append("s1", 2, {"op": "run"})
         with open(store._ckpt_path("s1"), "w") as handle:
             handle.write('{"schema": "repro.session-checkpoint/1", "seq": ')
@@ -144,7 +148,7 @@ class TestCheckpoints:
 
     def test_config_recoverable_from_checkpoint_alone(self, store):
         store.register("s1", {"program": "p"})
-        store.save_checkpoint("s1", 1, {"program": "p"}, engine_state())
+        store.save_checkpoint("s1", 1, {"program": "p"}, engine_state_json())
         os.remove(store._meta_path("s1"))
         bundle = store.load("s1")
         assert bundle.config == {"program": "p"}
