@@ -16,9 +16,9 @@ Two halves:
   (25% tolerance) -- the CI perf-smoke step for the codegen path.
 
 Measurement discipline: programs are parsed once (parsing is not match
-work); the codegen cache is warmed before timing so the committed
-numbers reflect the steady state the cache is designed to provide (one
-compile per ruleset *shape*, ever); rete and compiled samples are taken
+work); the shared-kernel registry is warmed before timing so the
+committed numbers reflect the steady state it is designed to provide
+(one compile per ruleset *shape*, ever); rete and compiled samples are taken
 in the same interleaved rounds so host drift hits both sides equally.
 Cold compile cost is reported separately, not gated.
 
@@ -45,7 +45,7 @@ if os.path.join(REPO, "src") not in sys.path:
 
 import pytest  # noqa: E402
 
-from repro.kernel import CompiledMatcher, cache_stats  # noqa: E402
+from repro.kernel import CompiledMatcher, shared_kernel_stats  # noqa: E402
 from repro.naive import NaiveMatcher  # noqa: E402
 from repro.oflazer import CombinationMatcher  # noqa: E402
 from repro.ops5 import ProductionSystem, parse_program  # noqa: E402
@@ -166,12 +166,12 @@ def measure_program(name: str, module, reps: int) -> dict:
         label: runner(label, factory) for label, factory in MATCHERS.items()
     }
 
-    # Cold compile: the one-time codegen + exec cost the cache absorbs.
-    misses_before = cache_stats()["misses"]
+    # Cold compile: the one-time codegen + exec cost the registry absorbs.
+    misses_before = shared_kernel_stats()["misses"]
     started = time.perf_counter()
     fns["compiled"]()
     cold_seconds = time.perf_counter() - started
-    cold = cache_stats()["misses"] > misses_before
+    cold = shared_kernel_stats()["misses"] > misses_before
 
     for fn in fns.values():  # warm every backend once
         fn()
@@ -209,7 +209,7 @@ def measure(profile_name: str) -> dict:
             name: measure_program(name, module, reps)
             for name, module in SYSTEM_PROGRAMS.items()
         },
-        "cache": cache_stats(),
+        "kernels": shared_kernel_stats(),
     }
 
 
@@ -225,10 +225,10 @@ def report(measured: dict) -> None:
             f"speedup {row['speedup_vs_rete']:.2f}x   "
             f"cold run {row['cold_run_seconds'] * 1e3:.1f} ms"
         )
-    cache = measured["cache"]
+    kernels = measured["kernels"]
     print(
-        f"codegen cache: {cache['misses']} compiles, {cache['hits']} hits, "
-        f"{cache['size']} rulesets"
+        f"kernel registry: {kernels['misses']} compiles, {kernels['hits']} hits, "
+        f"{kernels['kernels']} kernels"
     )
 
 

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..ops5.engine import ProductionSystem
-from ..rete.network import ReteNetwork
 from ..trace.events import Trace
+from .measurements import run_sampled
 
 
 @dataclass(frozen=True)
@@ -61,21 +61,13 @@ def measure_program(
     build: Callable[..., ProductionSystem], name: str, max_cycles: int | None = None
 ) -> ParallelismFactors:
     """Run a real program and extract the three factors."""
-    system = build(matcher=ReteNetwork(), history=True)
-    sizes: list[int] = []
-    fired = 0
-    while not system.halted and (max_cycles is None or fired < max_cycles):
-        sizes.append(len(system.memory))
-        if system.step() is None:
-            break
-        fired += 1
-
+    system, sizes, cycles = run_sampled(build, max_cycles)
     stats = system.matcher.stats
     affected = [c.affected_productions for c in stats.changes]
-    result_changes = [c.changes for c in system.cycles[:fired]] or [0]
+    result_changes = [c.changes for c in cycles] or [0]
     return ParallelismFactors(
         workload=name,
-        cycles=fired,
+        cycles=len(cycles),
         mean_memory_size=sum(sizes) / len(sizes) if sizes else 0.0,
         mean_changes_per_cycle=sum(result_changes) / len(result_changes),
         mean_affected_per_change=(sum(affected) / len(affected)) if affected else 0.0,

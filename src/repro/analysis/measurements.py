@@ -30,7 +30,7 @@ from ..ops5.condition import (
     Test,
     VariableTest,
 )
-from ..ops5.engine import ProductionSystem
+from ..ops5.engine import CycleRecord, ProductionSystem
 from ..ops5.production import Production
 from ..rete.network import ReteNetwork
 from ..rete.stats import collect_stats
@@ -201,12 +201,18 @@ class DynamicStatistics:
         ]
 
 
-def measure_dynamic(
-    build: Callable[..., ProductionSystem],
-    program_name: str = "program",
-    max_cycles: int | None = None,
-) -> DynamicStatistics:
-    """Run *build()* under Rete and tabulate the run's behaviour."""
+def run_sampled(
+    build: Callable[..., ProductionSystem], max_cycles: int | None = None
+) -> tuple[ProductionSystem, list[int], list[CycleRecord]]:
+    """Run *build()* under Rete, with history, sampling WM size per cycle.
+
+    The one step-and-sample loop behind :func:`measure_dynamic`,
+    :func:`~repro.analysis.affected.measure_program` and
+    :func:`~repro.analysis.statesaving.compare_matchers`.  Returns the
+    engine, the WM size before each cycle (the last sample is the
+    quiescent one when the run ends without a firing), and the records
+    of the cycles that fired.
+    """
     system = build(matcher=ReteNetwork(), history=True)
     sizes: list[int] = []
     fired = 0
@@ -215,20 +221,28 @@ def measure_dynamic(
         if system.step() is None:
             break
         fired += 1
+    return system, sizes, system.cycles[:fired]
 
+
+def measure_dynamic(
+    build: Callable[..., ProductionSystem],
+    program_name: str = "program",
+    max_cycles: int | None = None,
+) -> DynamicStatistics:
+    """Run *build()* under Rete and tabulate the run's behaviour."""
+    system, sizes, cycles = run_sampled(build, max_cycles)
     match_stats = system.matcher.stats
     network = collect_stats(system.matcher)
     affected = [c.affected_productions for c in match_stats.changes]
     activations = [c.node_activations for c in match_stats.changes]
-    per_firing = [c.changes for c in system.cycles[:fired]]
 
     return DynamicStatistics(
         program=program_name,
-        firings=fired,
+        firings=len(cycles),
         changes=match_stats.total_changes,
         peak_memory=max(sizes, default=0),
         mean_memory=_mean(sizes),
-        mean_changes_per_firing=_mean(per_firing),
+        mean_changes_per_firing=_mean([c.changes for c in cycles]),
         mean_affected_per_change=_mean(affected),
         max_affected_per_change=max(affected, default=0),
         mean_activations_per_change=_mean(activations),

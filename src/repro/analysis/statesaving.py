@@ -23,13 +23,13 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..naive.matcher import NaiveMatcher
-from ..ops5.engine import ProductionSystem, RunResult
-from ..rete.network import ReteNetwork
+from ..ops5.engine import ProductionSystem
 from ..trace.costmodel import (
     C1_INSTRUCTIONS_PER_INSERT,
     C2_INSTRUCTIONS_PER_DELETE,
     C3_INSTRUCTIONS_PER_WME,
 )
+from .measurements import run_sampled
 
 
 @dataclass(frozen=True)
@@ -117,42 +117,21 @@ def compare_matchers(
     ``build`` must accept a ``matcher=`` keyword (the programs in
     :mod:`repro.workloads.programs` all do).
     """
-    rete_system = build(matcher=ReteNetwork(), history=True)
-    sizes: list[int] = []
-    rete_result = _run_tracking_size(rete_system, sizes, max_cycles)
+    rete_system, sizes, cycles = run_sampled(build, max_cycles)
 
     naive_system = build(matcher=NaiveMatcher())
     naive_result = naive_system.run(max_cycles)
-    if naive_result.fired != rete_result.fired:  # pragma: no cover - matcher bug tripwire
+    if naive_result.fired != len(cycles):  # pragma: no cover - matcher bug tripwire
         raise AssertionError(
-            f"matchers disagree on {name}: rete fired {rete_result.fired}, "
+            f"matchers disagree on {name}: rete fired {len(cycles)}, "
             f"naive fired {naive_result.fired}"
         )
 
     return EmpiricalComparison(
         program=name,
-        cycles=rete_result.fired,
+        cycles=len(cycles),
         mean_memory_size=sum(sizes) / len(sizes) if sizes else 0.0,
-        mean_changes_per_cycle=rete_result.mean_changes_per_firing,
+        mean_changes_per_cycle=sum(c.changes for c in cycles) / len(cycles) if cycles else 0.0,
         rete_comparisons=rete_system.matcher.stats.total_comparisons,
         naive_comparisons=naive_system.matcher.stats.total_comparisons,
-    )
-
-
-def _run_tracking_size(
-    system: ProductionSystem, sizes: list[int], max_cycles: int | None
-) -> RunResult:
-    """Step the engine, sampling working-memory size per cycle."""
-    fired = 0
-    while not system.halted and (max_cycles is None or fired < max_cycles):
-        sizes.append(len(system.memory))
-        if system.step() is None:
-            break
-        fired += 1
-    return RunResult(
-        fired=fired,
-        halted=system.halted,
-        halt_reason="",
-        cycles=list(system.cycles[-fired:]) if fired else [],
-        output=list(system.output),
     )

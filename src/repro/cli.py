@@ -58,7 +58,7 @@ from .workloads import PAPER_SYSTEMS, generate_trace, profile_named
 from .workloads.programs import ALL_PROGRAMS
 
 
-def _build_matcher(args, recorder=None):
+def _matcher_from_args(args, recorder=None):
     """Construct the requested matcher through the engine registry.
 
     Every backend -- current and future -- goes through
@@ -66,17 +66,15 @@ def _build_matcher(args, recorder=None):
     to the parallel backend (the only one that takes it) and refused
     for every other one rather than silently ignored.
     """
-    from .serve.session import build_matcher
-
     workers = getattr(args, "workers", None)
     if args.matcher == "parallel":
-        return matcher_named("parallel", workers=workers, recorder=recorder)
+        return matcher_named("parallel", recorder, workers=workers)
     if workers is not None:
         raise Ops5Error(
             f"--workers is only meaningful for --matcher parallel, "
             f"not {args.matcher!r}"
         )
-    return build_matcher(args.matcher, recorder=recorder)
+    return matcher_named(args.matcher, recorder)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -344,7 +342,7 @@ def _load_system(args, matcher) -> ProductionSystem:
 
 
 def _cmd_run(args) -> int:
-    return _run_and_report(args, _load_system(args, _build_matcher(args)))
+    return _run_and_report(args, _load_system(args, _matcher_from_args(args)))
 
 
 def _run_and_report(args, system: ProductionSystem) -> int:
@@ -395,7 +393,7 @@ def _run_and_report(args, system: ProductionSystem) -> int:
 
 def _cmd_demo(args) -> int:
     module = ALL_PROGRAMS[args.name]
-    result = module.run(matcher=_build_matcher(args))
+    result = module.run(matcher=_matcher_from_args(args))
     for line in result.output:
         print(line)
     print(f"-- fired {result.fired} productions; {result.halt_reason}")
@@ -536,7 +534,7 @@ def _cmd_profile(args) -> int:
         write_jsonl,
     )
     recorder = Recorder()
-    matcher = _build_matcher(args, recorder=recorder)
+    matcher = _matcher_from_args(args, recorder=recorder)
     if args.demo:
         module = ALL_PROGRAMS[args.demo]
         system = module.build(matcher=matcher, recorder=recorder)

@@ -9,11 +9,13 @@ specialized Python:
 * the alpha network becomes one generated add / remove entry per WME
   class, testing each store's alpha items inline;
 * beta joins become hash-indexed probes over columnar alpha memories
-  whose key components are small ints from the process-wide
-  :mod:`repro.ops5.symbols` intern table;
-* the generated module is cached by a structural LHS fingerprint, so
-  re-loading the same ruleset (or the same ruleset under new production
-  names) reuses the same code object and never re-interns a symbol.
+  whose key components are small ints from the process-wide value-code
+  table, :data:`repro.ops5.symbols.CODES`;
+* one process-wide registry (``kernel/shared.py``) keyed by a structural
+  LHS fingerprint (``kernel/cache.py``) generates, compiles and exec's
+  each ruleset shape once, so re-loading the same ruleset (or the same
+  ruleset under new production names) attaches to the same kernel and
+  never encodes a value.
 
 The node-walking Rete stays in the tree as the differential oracle:
 ``CompiledMatcher(oracle=True)`` shadows every change through a
@@ -24,7 +26,7 @@ against all interpreted matchers on every generated program.
 See ``docs/compiled-kernel.md`` for the compilation model.
 """
 
-from .cache import CompiledRuleset, cache_stats, compiled_ruleset, ruleset_fingerprint
+from .cache import ruleset_fingerprint
 from .codegen import generate_source
 from .layout import CODES, AlphaStore, encode_value
 from .matcher import CompiledMatcher
@@ -41,13 +43,10 @@ __all__ = [
     "AlphaStore",
     "CODES",
     "CompiledMatcher",
-    "CompiledRuleset",
     "KernelRuntime",
     "SharedKernel",
-    "cache_stats",
     "check_kernel",
     "clear_shared_kernels",
-    "compiled_ruleset",
     "encode_value",
     "generate_source",
     "ruleset_fingerprint",

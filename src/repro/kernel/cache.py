@@ -1,4 +1,4 @@
-"""Codegen cache keyed by a structural ruleset fingerprint.
+"""Structural ruleset fingerprints: the key of the shared-kernel registry.
 
 Compiling a ruleset costs codegen plus ``compile()``; the result depends
 only on the *shape* of the LHSs (classes, alpha tests, join tests) --
@@ -11,30 +11,22 @@ fingerprint captures exactly that shape:
   ``"5"`` fingerprint differently (their generated tests differ);
 * production, ruleset and variable names are *not* included, so
   reloading the same program -- or a copy with its rules or variables
-  renamed -- hits the cache and reuses the same code object.
+  renamed -- lands on the same kernel (``kernel/shared.py``).
 
-Neither fingerprinting nor codegen ever calls ``intern_id``: loading a
-cached ruleset does not grow the symbol table (regression-tested in
+Neither fingerprinting nor codegen encodes a value: loading a ruleset
+never grows :data:`~repro.ops5.symbols.CODES` (regression-tested in
 ``tests/kernel/test_cache.py``).
 """
 
 from __future__ import annotations
 
-import hashlib
-import threading
 from typing import Sequence
 
 from ..ops5.condition import CEAnalysis
 from ..ops5.production import Production
-from .codegen import alpha_items, generate_source
+from .codegen import alpha_items
 
-__all__ = [
-    "CompiledRuleset",
-    "cache_stats",
-    "clear_cache",
-    "compiled_ruleset",
-    "ruleset_fingerprint",
-]
+__all__ = ["clear_cache", "ruleset_fingerprint"]
 
 
 def _ce_fingerprint(analysis: CEAnalysis) -> tuple:
@@ -72,53 +64,6 @@ def ruleset_fingerprint(productions: Sequence[Production]) -> tuple:
     return tuple(_production_fingerprint(p) for p in productions)
 
 
-class CompiledRuleset:
-    """One cache entry: fingerprint, generated source, code object."""
-
-    __slots__ = ("fingerprint", "digest", "source", "code")
-
-    def __init__(self, fingerprint: tuple, source: str) -> None:
-        self.fingerprint = fingerprint
-        #: Short stable hex id for traces, summaries and bench reports.
-        self.digest = hashlib.sha256(repr(fingerprint).encode()).hexdigest()[:16]
-        self.source = source
-        self.code = compile(source, f"<kernel:{self.digest}>", "exec")
-
-
-_CACHE: dict[tuple, CompiledRuleset] = {}
-_LOCK = threading.Lock()
-_HITS = 0
-_MISSES = 0
-
-
-def compiled_ruleset(productions: Sequence[Production]) -> CompiledRuleset:
-    """The (cached) compiled module for *productions*."""
-    global _HITS, _MISSES
-    fingerprint = ruleset_fingerprint(productions)
-    with _LOCK:
-        entry = _CACHE.get(fingerprint)
-        if entry is not None:
-            _HITS += 1
-            return entry
-        _MISSES += 1
-    # Codegen outside the lock: racing compiles of the same ruleset are
-    # rare and benign (last writer wins; code objects are equivalent).
-    entry = CompiledRuleset(fingerprint, generate_source(productions))
-    with _LOCK:
-        return _CACHE.setdefault(fingerprint, entry)
-
-
-def cache_stats() -> dict:
-    """Process-wide cache counters (``repro.metrics`` kernel section)."""
-    with _LOCK:
-        return {"hits": _HITS, "misses": _MISSES, "size": len(_CACHE)}
-
-
 def clear_cache() -> None:
-    """Drop entries, counters and the fingerprint memo (test isolation)."""
-    global _HITS, _MISSES
-    with _LOCK:
-        _CACHE.clear()
-        _PROD_FP.clear()
-        _HITS = 0
-        _MISSES = 0
+    """Drop the fingerprint memo (test isolation)."""
+    _PROD_FP.clear()

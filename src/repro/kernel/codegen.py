@@ -41,7 +41,7 @@ from the runtime at build time, affected sets are bitmasks over those
 positions, and values are encoded only when WMEs arrive.  Compiling
 therefore never touches a code table, and two structurally identical
 rulesets -- even under different rule, variable or action names -- share
-one code object (``kernel/cache.py``).
+one kernel (``kernel/shared.py``).
 
 Correctness notes (mirroring the node-walking Rete):
 

@@ -1,15 +1,13 @@
-"""Columnar alpha memories and the int encoding of OPS5 values.
+"""Columnar alpha memories keyed on the process-wide value codes.
 
 The generated join code never hashes a string and never probes a
 per-token dict of attribute values.  Both properties come from the
 layout in this module:
 
-* :data:`CODES` maps every OPS5 value to one small ``int``, equal iff
-  :func:`~repro.ops5.wme.values_equal` says so.  It is a dict keyed by
-  the value itself -- dict equality *is* OPS5 equality on OPS5 values:
-  ``1`` and ``1.0`` share a code, a ``str`` never equals a number, NaN
-  never equals itself -- so a generated store encodes a column with one
-  subscript (``C[v]``) and only an unseen value takes ``__missing__``.
+* every column value is a code from :data:`~repro.ops5.symbols.CODES`,
+  the one process-wide ``value -> int`` table (equal codes iff
+  :func:`~repro.ops5.wme.values_equal`), so a generated store encodes a
+  column with one subscript (``C[v]``).
 
 * :class:`AlphaStore` is one alpha memory shared by every condition
   element with the same (class, fused alpha tests) signature.  Besides
@@ -26,35 +24,10 @@ layout in this module:
 
 from __future__ import annotations
 
-import threading
-
+from ..ops5.symbols import CODES, ValueCodes, encode_value
 from ..ops5.wme import WME
 
 __all__ = ["AlphaStore", "CODES", "ValueCodes", "encode_value"]
-
-
-class ValueCodes(dict):
-    """The process-wide ``value -> int`` table (see module docs): a miss
-    allocates the next code under a lock, so concurrent sessions never
-    give one value two codes.  It grows with the distinct values ever
-    encoded."""
-
-    __slots__ = ("_lock",)
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._lock = threading.Lock()
-
-    def __missing__(self, value) -> int:
-        with self._lock:
-            return self.setdefault(value, len(self))
-
-
-#: The one code table every kernel encodes its columns through.
-CODES = ValueCodes()
-
-#: ``encode_value(v)`` is ``CODES[v]`` (verification and tests).
-encode_value = CODES.__getitem__
 
 
 class AlphaStore:

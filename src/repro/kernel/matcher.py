@@ -2,9 +2,10 @@
 
 :class:`CompiledMatcher` is a drop-in peer of the interpreted matchers
 (``matcher_named("compiled")``).  It keeps the canonical WM mirror and
-production list, compiles the ruleset on demand (cached by structural
-fingerprint, see ``kernel/cache.py``), and dispatches each WME change to
-the generated subscriber closures.
+production list, compiles the ruleset on demand (through the
+process-wide registry keyed by structural fingerprint, see
+``kernel/shared.py``), and dispatches each WME change to the generated
+class entries.
 
 Rebuild policy
 --------------
@@ -66,7 +67,6 @@ from ..ops5.matcher import ChangeRecord, Matcher
 from ..ops5.production import Production
 from ..ops5.wme import WME
 from ..psim.partition import Partition, assign_productions
-from .cache import cache_stats
 from .codegen import alpha_index_summary, sharing_summary
 from .runtime import KernelRuntime
 from .shared import SharedKernel, shared_kernel, shared_kernel_stats
@@ -260,7 +260,7 @@ class CompiledMatcher(Matcher):
         """Source of the current kernels (debugging / docs examples)."""
         if not self._kernels:
             return None
-        return "\n".join(kernel.ruleset.source for kernel in self._kernels)
+        return "\n".join(kernel.source for kernel in self._kernels)
 
     def state_size(self) -> int:
         """Rows across all stores (parity with ReteNetwork.state_size)."""
@@ -294,6 +294,5 @@ class CompiledMatcher(Matcher):
             },
             "replayed_wmes": self._replayed,
             "oracle": self._oracle is not None,
-            "cache": cache_stats(),
             "shared": shared_kernel_stats(),
         }

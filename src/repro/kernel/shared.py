@@ -4,27 +4,30 @@ The serve layer's scaling premise (ROADMAP item 3) is that millions of
 users run the *same* rulesets, so the expensive artifacts of a compiled
 ruleset -- codegen, ``compile()``, module ``exec`` -- should be paid
 once per process, not once per session.  :func:`shared_kernel` is that
-registry: it resolves a production list to a :class:`SharedKernel`
-through the structural-fingerprint cache (``kernel/cache.py``) and
-exec's the generated module exactly once, keeping the resulting
-``build`` function for every later attach.
+registry: it maps a production list's structural fingerprint
+(``kernel/cache.py``) to a :class:`SharedKernel`, and on a miss -- under
+the registry's one lock -- generates, compiles and exec's the module,
+keeping the resulting ``build`` function for every later attach.
 
 ``SharedKernel.attach`` then materialises a private
 :class:`~repro.kernel.runtime.KernelRuntime` for one session: closure
 construction over the pre-compiled code plus an O(working-memory)
 replay.  The N-th session of a ruleset performs **zero** codegen --
-``tests/kernel/test_shared.py`` pins that with the cache-hit counters,
-and the multi-tenant serve benchmark measures it end to end.
+``tests/kernel/test_shared.py`` pins that with the registry's hit and
+miss counters, and the multi-tenant serve benchmark measures it end to
+end.
 """
 
 from __future__ import annotations
 
+import hashlib
 import threading
 from typing import Iterable, Optional, Sequence
 
 from ..ops5.production import Production
 from ..ops5.wme import WME
-from .cache import CompiledRuleset, compiled_ruleset
+from .cache import ruleset_fingerprint
+from .codegen import generate_source
 from .runtime import KernelRuntime
 
 __all__ = ["SharedKernel", "clear_shared_kernels", "shared_kernel", "shared_kernel_stats"]
@@ -33,27 +36,24 @@ __all__ = ["SharedKernel", "clear_shared_kernels", "shared_kernel", "shared_kern
 class SharedKernel:
     """The immutable, process-wide half of one compiled ruleset.
 
-    Holds the cache entry (fingerprint, source, code object) plus the
-    exec'd ``build`` function.  Everything here is stateless with
-    respect to sessions: attaching never mutates the kernel beyond the
-    attach counter, and two runtimes attached to one kernel share no
-    mutable match state.
+    Holds the digest, the generated source and the exec'd ``build``
+    function.  Everything here is stateless with respect to sessions:
+    attaching never mutates the kernel beyond the attach counter, and
+    two runtimes attached to one kernel share no mutable match state.
     """
 
-    __slots__ = ("ruleset", "build_fn", "attaches", "_lock")
+    __slots__ = ("digest", "source", "build_fn", "attaches")
 
-    def __init__(self, ruleset: CompiledRuleset) -> None:
-        self.ruleset = ruleset
+    def __init__(self, fingerprint: tuple, source: str) -> None:
+        #: Short stable hex id for traces, summaries and bench reports.
+        self.digest = hashlib.sha256(repr(fingerprint).encode()).hexdigest()[:16]
+        self.source = source
         namespace: dict = {}
-        exec(ruleset.code, namespace)  # noqa: S102 - our own codegen
+        code = compile(source, f"<kernel:{self.digest}>", "exec")
+        exec(code, namespace)  # noqa: S102 - our own codegen
         self.build_fn = namespace["build"]
         #: Runtimes ever built from this kernel (sessions + rebuilds).
         self.attaches = 0
-        self._lock = threading.Lock()
-
-    @property
-    def digest(self) -> str:
-        return self.ruleset.digest
 
     def attach(
         self,
@@ -77,7 +77,7 @@ class SharedKernel:
         # Quiet: no stats rows; the caller undoes the replay's effort.
         for wme in wmes:
             runtime.add_wme(wme)
-        with self._lock:
+        with _LOCK:
             self.attaches += 1
         return runtime
 
@@ -85,52 +85,48 @@ class SharedKernel:
         return f"SharedKernel({self.digest}, attaches={self.attaches})"
 
 
-_KERNELS: dict[str, SharedKernel] = {}
+_KERNELS: dict[tuple, SharedKernel] = {}
 _LOCK = threading.Lock()
-_EXECS = 0
+_COUNTS = {"hits": 0, "misses": 0}
 
 
 def shared_kernel(productions: Sequence[Production]) -> SharedKernel:
     """The (cached) process-wide kernel for *productions*.
 
-    Resolution goes through :func:`~repro.kernel.cache.compiled_ruleset`
-    -- so structurally identical rulesets, even under different
-    production names, land on one kernel -- and the generated module is
-    exec'd at most once per kernel per process.
+    Structurally identical rulesets, even under different production
+    names, land on one kernel, and its module is generated, compiled and
+    exec'd at most once per process.
     """
-    global _EXECS
-    ruleset = compiled_ruleset(productions)
-    kernel = _KERNELS.get(ruleset.digest)
-    if kernel is not None:
-        return kernel
+    fingerprint = ruleset_fingerprint(productions)
     with _LOCK:
-        kernel = _KERNELS.get(ruleset.digest)
-        if kernel is None:
-            kernel = SharedKernel(ruleset)
-            _KERNELS[ruleset.digest] = kernel
-            _EXECS += 1
+        kernel = _KERNELS.get(fingerprint)
+        if kernel is not None:
+            _COUNTS["hits"] += 1
+            return kernel
+        _COUNTS["misses"] += 1
+        kernel = _KERNELS[fingerprint] = SharedKernel(
+            fingerprint, generate_source(productions)
+        )
         return kernel
 
 
 def shared_kernel_stats() -> dict:
     """Process-wide registry counters (metrics ``kernel.shared`` block).
 
-    ``execs`` counts generated-module executions -- the last per-session
-    cost the registry eliminates -- and ``attaches`` total runtimes ever
-    built; ``attaches - execs`` is therefore the number of warm,
-    codegen-free session attaches this process has served.
+    ``misses`` counts codegen + ``compile()`` + module exec, one per
+    kernel; ``hits`` the lookups that paid none of it; ``attaches`` the
+    runtimes ever built (sessions and rebuilds).
     """
     with _LOCK:
         return {
             "kernels": len(_KERNELS),
-            "execs": _EXECS,
+            **_COUNTS,
             "attaches": sum(k.attaches for k in _KERNELS.values()),
         }
 
 
 def clear_shared_kernels() -> None:
     """Drop the registry and its counters (test isolation)."""
-    global _EXECS
     with _LOCK:
         _KERNELS.clear()
-        _EXECS = 0
+        _COUNTS.update(hits=0, misses=0)

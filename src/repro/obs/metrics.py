@@ -25,8 +25,7 @@ Snapshot shape (sections appear when their source exists)::
                    "alpha_wmes", "beta_tokens"},
       "kernel":   {"compiles", "ruleset_digest", "stores", "store_rows",
                    "columns", "subscriptions", "alpha_index", "sharing",
-                   "partitions", "replayed_wmes", "oracle", "cache",
-                   "shared"},
+                   "partitions", "replayed_wmes", "oracle", "shared"},
       "serve":    Telemetry.snapshot(),
       "recorder": {"enabled", "events"},
     }
@@ -125,7 +124,7 @@ def _matcher_sections(matcher) -> dict:
     from ..kernel.matcher import CompiledMatcher
 
     if isinstance(matcher, CompiledMatcher):
-        # Codegen rollup: compiles, cache hit/miss, store shape, the
+        # Codegen rollup: compiles, registry hit/miss, store shape, the
         # structural digest and, per partition, what sharing it kept.
         sections["kernel"] = matcher.kernel_summary()
     return sections

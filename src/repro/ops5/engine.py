@@ -77,14 +77,19 @@ MATCHER_DESCRIPTIONS = {
 }
 
 
-def matcher_named(name: str, **kwargs) -> Matcher:
+def matcher_named(name: str, recorder=None, **kwargs) -> Matcher:
     """Build a matcher backend by name (see :data:`MATCHER_NAMES`).
 
     Keyword arguments are forwarded to the backend's constructor --
     e.g. ``matcher_named("rete", listener=...)``; ``"parallel"`` is
     ``CompiledMatcher(partitions=...)`` under its old keywords
-    (``matcher_named("parallel", workers=4)``).  Imports are deferred so the
-    ``ops5`` package keeps no static dependency on any matcher package.
+    (``matcher_named("parallel", workers=4)``).  An enabled *recorder*
+    is wired in where the backend can use it: ``kernel:compile`` spans
+    for ``compiled`` / ``parallel``, per-activation spans through a
+    :class:`~repro.rete.RecorderListener` for ``rete`` /
+    ``rete-indexed``; the other backends ignore it.  Imports are deferred
+    so the ``ops5`` package keeps no static dependency on any matcher
+    package.
     """
     key = name.lower()
     if key == "naive":
@@ -95,14 +100,17 @@ def matcher_named(name: str, **kwargs) -> Matcher:
         from ..treat import TreatMatcher
 
         return TreatMatcher(**kwargs)
-    if key == "rete":
+    traced = recorder is not None and recorder.enabled
+    if key in ("rete", "rete-indexed"):
         from ..rete.network import ReteNetwork
 
+        if key == "rete-indexed":
+            kwargs["indexed"] = True
+        if traced:
+            from ..rete.instrument import RecorderListener
+
+            kwargs["listener"] = RecorderListener(recorder)
         return ReteNetwork(**kwargs)
-    if key == "rete-indexed":
-        from ..rete.network import ReteNetwork
-
-        return ReteNetwork(indexed=True, **kwargs)
     if key == "oflazer":
         from ..oflazer import CombinationMatcher
 
@@ -114,6 +122,8 @@ def matcher_named(name: str, **kwargs) -> Matcher:
             kwargs["partitions"] = _parallel_partitions(
                 kwargs.pop("workers", None), kwargs.pop("transport", "local")
             )
+        if traced:
+            kwargs["recorder"] = recorder
         return CompiledMatcher(**kwargs)
     raise Ops5Error(
         f"unknown matcher backend {name!r}; known: {', '.join(MATCHER_NAMES)}"

@@ -1,72 +1,55 @@
-"""Symbol interning: OPS5 symbols as small, dense integer ids.
+"""The value-code table: every OPS5 value as one small, dense ``int``.
 
 The paper's PSM reaches its 9400 wme-changes/sec only because a
 scheduling operation costs about one bus cycle (Section 5); every
 software analogue of that number starts with making the *unit of work*
-small.  The hash-indexed Rete join memories (``JoinNode._token_key`` /
-``_wme_key``) and the compiled kernel's columnar stores
-(``kernel/layout.py``) hash and compare symbol values over and over.
+small.  Both hashed matchers build join keys over and over -- the
+compiled kernel's columnar stores (``kernel/layout.py``) and the
+hash-indexed Rete's join memories (``JoinNode._token_key`` /
+``_wme_key``) -- so both key on codes from this one table: C-speed
+hashing and equality over ints, the Hiperfact observation that
+fact-layout interning is the first-order lever for Rete-family
+throughput.
 
-A :class:`SymbolTable` maps each distinct symbol string to a dense
-``int`` id, one allocation per *distinct* symbol ever seen, so join
-keys carry ints (C-speed hashing and equality) -- the Hiperfact
-observation that fact-layout interning, not algorithmic novelty, is the
-first-order lever for Rete-family throughput.  Everything interns
-through the process-wide table (:data:`SYMBOLS`, via
-:func:`intern_id`); ids are process-local.
+:data:`CODES` is a dict keyed by the value itself, and dict equality
+*is* OPS5 equality on OPS5 values: ``1`` and ``1.0`` share a code, a
+``str`` never equals a number, NaN never equals itself.  So equal codes
+mean :func:`~repro.ops5.wme.values_equal` values, a key needs no type
+tag, and encoding is one subscript (``CODES[v]``); only an unseen value
+takes ``__missing__``.  Codes are process-local.
 
-Numbers are never interned: OPS5 equality compares ``1`` and ``1.0``
-equal but a symbol never equals a number, so join keys tag interned
-positions with a type mask (see ``rete/nodes.py``).
+Growth: the table keeps one entry per distinct value any matcher ever
+encoded (symbols and numbers alike) for the life of the process; it is
+not bounded.  Parsing, fingerprinting and codegen never encode, so
+loading a ruleset -- cached or not -- adds nothing; working-memory
+traffic does.
 """
 
 from __future__ import annotations
 
 import threading
 
-__all__ = ["SymbolTable", "SYMBOLS", "intern_id"]
+__all__ = ["CODES", "ValueCodes", "encode_value"]
 
 
-class SymbolTable:
-    """A dense ``str <-> int`` intern table.
+class ValueCodes(dict):
+    """The process-wide ``value -> int`` table (see module docs): a miss
+    allocates the next code under a lock, so concurrent sessions never
+    give one value two codes."""
 
-    Ids are assigned sequentially from 0 in intern order.  Interning is
-    thread-safe: the read path is a plain dict probe (atomic under the
-    GIL); only a miss takes the lock, so concurrent sessions interning
-    the same new symbol cannot race two different ids onto it.
-    """
-
-    __slots__ = ("_ids", "_texts", "_lock")
+    __slots__ = ("_lock",)
 
     def __init__(self) -> None:
-        self._ids: dict[str, int] = {}
-        self._texts: list[str] = []
+        super().__init__()
         self._lock = threading.Lock()
 
-    def __len__(self) -> int:
-        return len(self._texts)
-
-    def intern_id(self, text: str) -> int:
-        """The id for *text*, allocating the next one on first sight."""
-        ident = self._ids.get(text)
-        if ident is not None:
-            return ident
+    def __missing__(self, value) -> int:
         with self._lock:
-            ident = self._ids.get(text)
-            if ident is None:
-                ident = len(self._texts)
-                self._texts.append(text)
-                self._ids[text] = ident
-            return ident
-
-    def text_of(self, ident: int) -> str:
-        """The symbol string for *ident* (raises ``IndexError`` if unknown)."""
-        return self._texts[ident]
+            return self.setdefault(value, len(self))
 
 
-#: The process-wide table: Rete join keys and the compiled kernel's
-#: columns share this one id space.
-SYMBOLS = SymbolTable()
+#: The one code table every matcher encodes its join keys through.
+CODES = ValueCodes()
 
-#: Bound method lookup hoisted once -- the hot paths call this a lot.
-intern_id = SYMBOLS.intern_id
+#: ``encode_value(v)`` is ``CODES[v]`` (verification and tests).
+encode_value = CODES.__getitem__

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 from ..ops5.condition import JoinTest
 from ..ops5.errors import Ops5Error
 from ..ops5.production import Instantiation, Production
-from ..ops5.symbols import intern_id
+from ..ops5.symbols import CODES
 from ..ops5.wme import WME
 from .token import Token
 
@@ -270,39 +270,20 @@ class JoinNode(ReteNode):
         self.right_index: dict[tuple, dict[int, WME]] = {}
         self.rebuild_indexes()
 
-    # Join keys intern symbol strings to dense ints (one dict probe on a
-    # table that converges to the program's vocabulary), so bucket lookup
-    # hashes and compares machine ints instead of strings.  Interned ids
-    # could collide with genuine numeric values (id 5 vs the number 5),
-    # and OPS5 equality makes 1 == 1.0 but never symbol == number, so the
-    # key carries a bitmask of which positions hold interned symbols as
-    # its final element: (id 5, mask bit set) never equals (number 5,
-    # bit clear), while raw numbers keep Python's cross-type hash/eq.
+    # Join keys are tuples of value codes (``ops5.symbols.CODES``, the
+    # table the compiled kernel's columns use): equal codes iff OPS5-equal
+    # values, so a bucket holds exactly the candidates an equality scan
+    # would pass, while hashing and comparing machine ints.
 
     def _token_key(self, token: Token) -> tuple:
-        values = []
-        mask = 0
-        for i, test in enumerate(self.eq_tests):
+        key = []
+        for test in self.eq_tests:
             other = token.wme_at(test.other_ce)
-            v = other.get(test.other_attribute) if other else None
-            if type(v) is str:
-                v = intern_id(v)
-                mask |= 1 << i
-            values.append(v)
-        values.append(mask)
-        return tuple(values)
+            key.append(CODES[other.get(test.other_attribute) if other else None])
+        return tuple(key)
 
     def _wme_key(self, wme: WME) -> tuple:
-        values = []
-        mask = 0
-        for i, test in enumerate(self.eq_tests):
-            v = wme.get(test.own_attribute)
-            if type(v) is str:
-                v = intern_id(v)
-                mask |= 1 << i
-            values.append(v)
-        values.append(mask)
-        return tuple(values)
+        return tuple([CODES[wme.get(test.own_attribute)] for test in self.eq_tests])
 
     def rebuild_indexes(self) -> None:
         """Compute both hash indexes from the backing memories (called

@@ -38,13 +38,7 @@ from .fleet import ProcessFleet, ProcessRouterFleet, WorkerProcess
 from .protocol import MAX_FRAME, Disconnected, ProtocolError
 from .router import RouterFleet, RouterThread, RuleRouter, WorkerLink
 from .server import RuleServer, ServerThread, run_server
-from .session import (
-    DEFAULT_MAX_PENDING,
-    QuotaExceeded,
-    Session,
-    SessionManager,
-    build_matcher,
-)
+from .session import DEFAULT_MAX_PENDING, QuotaExceeded, Session, SessionManager
 from .stats import LatencyWindow, Telemetry
 
 __all__ = [
@@ -72,7 +66,6 @@ __all__ = [
     "Telemetry",
     "WorkerLink",
     "WorkerProcess",
-    "build_matcher",
     "run_server",
     "validate_engine_state",
 ]

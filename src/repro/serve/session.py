@@ -166,7 +166,7 @@ class TenantBook:
 #
 # Thousands of sessions load the *same* program text.  One parse per
 # text shares one set of immutable Production objects across them, so a
-# warm create does no parsing and the kernel cache's fingerprint memo
+# warm create does no parsing and the kernel registry's fingerprint memo
 # (keyed by object identity) is a pure hit.
 
 _PROGRAMS: dict[str, Program] = {}
@@ -184,7 +184,7 @@ def shared_program(source: str) -> Program:
     return program
 
 
-def program_cache_stats() -> dict:
+def shared_program_stats() -> dict:
     """Process-wide program-cache counters (tests and metrics)."""
     hits, misses = _PROGRAM_COUNTS["hits"], _PROGRAM_COUNTS["misses"]
     return {"hits": hits, "misses": misses, "size": len(_PROGRAMS)}
@@ -194,21 +194,6 @@ def clear_program_cache() -> None:
     """Drop cached parses and counters (test isolation)."""
     _PROGRAMS.clear()
     _PROGRAM_COUNTS.clear()
-
-
-def build_matcher(name: str, recorder=None):
-    """Build a matcher backend for a session via the engine registry,
-    threading an enabled *recorder* into backends that can use it
-    (compiled / parallel: ``kernel:compile`` spans; Rete: a
-    :class:`~repro.rete.RecorderListener`, per-activation spans)."""
-    if recorder is not None and recorder.enabled:
-        if name in ("rete", "rete-indexed"):
-            from ..rete import RecorderListener
-
-            return matcher_named(name, listener=RecorderListener(recorder))
-        if name in ("compiled", "parallel"):
-            return matcher_named(name, recorder=recorder)
-    return matcher_named(name)
 
 
 def encode_wme(wme: WME) -> list:
@@ -286,7 +271,7 @@ class Session:
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         self.fault_plan = fault_plan
         self.system = ProductionSystem(
-            shared_program(program), build_matcher(matcher, self.recorder), strategy,
+            shared_program(program), matcher_named(matcher, self.recorder), strategy,
             recorder=self.recorder,
         )
         if state is not None:

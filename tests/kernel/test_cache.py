@@ -1,19 +1,20 @@
-"""Codegen cache behaviour and the intern-table regression.
+"""Kernel reuse by structural fingerprint and the value-code regression.
 
-The satellite contract: compiling the same ruleset twice must hit the
-cache (the *same* code object comes back) and must not grow the
-process-wide symbol table -- fingerprinting and codegen work on strings,
-never ``intern_id``.
+The contract: compiling the same ruleset twice must land on the one
+registry entry (the *same* kernel and build function come back), and
+neither fingerprinting nor codegen may encode a value -- loading a
+ruleset never grows :data:`~repro.ops5.symbols.CODES`.
 """
 
 import re
+import uuid
 
 import pytest
 
-from repro.kernel import CODES, CompiledMatcher, cache_stats, compiled_ruleset
+from repro.kernel import CODES, CompiledMatcher, clear_shared_kernels, shared_kernel
+from repro.kernel import shared_kernel_stats
 from repro.kernel.cache import clear_cache, ruleset_fingerprint
 from repro.ops5 import parse_program
-from repro.ops5.symbols import SYMBOLS
 from repro.ops5.wme import WME, WorkingMemory
 
 SRC = """
@@ -24,27 +25,36 @@ SRC = """
 RENAMED = SRC.replace("find", "locate").replace("quiet", "silent")
 
 
+def unseen(src):
+    """*src* plus a production whose constants no one has encoded yet, so
+    encoding them anywhere on the load path would grow the table."""
+    tag = uuid.uuid4().hex
+    return src + f"(p probe (goal ^want s{tag} ^size {int(tag[:12], 16)}) --> (halt))"
+
+
 @pytest.fixture(autouse=True)
 def fresh_cache():
     clear_cache()
+    clear_shared_kernels()
     yield
     clear_cache()
+    clear_shared_kernels()
 
 
 class TestCacheReuse:
     def test_recompile_returns_same_code_object(self):
         productions = parse_program(SRC).productions
-        first = compiled_ruleset(productions)
-        second = compiled_ruleset(parse_program(SRC).productions)
+        first = shared_kernel(productions)
+        second = shared_kernel(parse_program(SRC).productions)
         assert second is first
-        assert second.code is first.code
-        assert cache_stats() == {"hits": 1, "misses": 1, "size": 1}
+        assert second.build_fn is first.build_fn
+        assert shared_kernel_stats() == {"kernels": 1, "hits": 1, "misses": 1, "attaches": 0}
 
     def test_renamed_productions_share_the_code_object(self):
         # Names are bound at build time, not compiled in: a renamed copy
         # of the same LHS shapes is the same kernel.
-        a = compiled_ruleset(parse_program(SRC).productions)
-        b = compiled_ruleset(parse_program(RENAMED).productions)
+        a = shared_kernel(parse_program(SRC).productions)
+        b = shared_kernel(parse_program(RENAMED).productions)
         assert b is a
 
     def test_renamed_copies_keep_their_own_names_out_of_the_shared_kernel(self):
@@ -74,10 +84,10 @@ class TestCacheReuse:
                            stats.total_node_activations, stats.total_comparisons,
                            stats.total_tokens_built))
             source_text = matcher.generated_source
-        a, b = compiled_ruleset(parse_program(first).productions), compiled_ruleset(
+        a, b = shared_kernel(parse_program(first).productions), shared_kernel(
             parse_program(second).productions
         )
-        assert a is b and a.code is b.code and source_text == a.source
+        assert a is b and source_text == a.source
         assert not {"alpha", "beta", "gamma", "delta"} & set(re.findall(r"\w+", a.source))
         assert readers == [
             [["alpha"], ["alpha"], ["beta"]],
@@ -90,16 +100,16 @@ class TestCacheReuse:
         # Bindings are derived from an instantiation's WMEs and the act
         # phase is compiled per production (ops5/rhs.py): neither
         # variable names nor RHS data reach the match module.
-        a = compiled_ruleset(parse_program(SRC).productions)
+        a = shared_kernel(parse_program(SRC).productions)
         other = SRC.replace("<c>", "<colour>").replace("(halt)", "(make seen ^c <colour>)")
-        b = compiled_ruleset(parse_program(other).productions)
+        b = shared_kernel(parse_program(other).productions)
         assert b is a and "colour" not in b.source and "seen" not in b.source
 
     def test_changed_shape_misses(self):
-        compiled_ruleset(parse_program(SRC).productions)
+        shared_kernel(parse_program(SRC).productions)
         changed = SRC.replace("^size > 2", "^size > 3")
-        compiled_ruleset(parse_program(changed).productions)
-        assert cache_stats()["misses"] == 2
+        shared_kernel(parse_program(changed).productions)
+        assert shared_kernel_stats()["misses"] == 2
 
     def test_fingerprint_distinguishes_value_types(self):
         # 5, 5.0 and "5" generate different tests, so they must not
@@ -112,15 +122,14 @@ class TestCacheReuse:
 
 class TestInternTableRegression:
     def test_recompiles_do_not_grow_the_symbol_table(self):
-        productions = parse_program(SRC).productions
-        compiled_ruleset(productions)  # first compile may be preceded by
-        before = len(SYMBOLS)          # parse-time interning; snapshot now
-        codes = len(CODES)
-        for _ in range(3):
-            compiled_ruleset(parse_program(SRC).productions)
-            compiled_ruleset(parse_program(RENAMED).productions)
-        assert (len(SYMBOLS), len(CODES)) == (before, codes)
-        assert cache_stats()["size"] == 1
+        src = unseen(SRC)
+        renamed = src.replace("find", "locate").replace("quiet", "silent")
+        before = len(CODES)
+        for _ in range(3):  # one cold compile, then hits
+            shared_kernel(parse_program(src).productions)
+            shared_kernel(parse_program(renamed).productions)
+        assert len(CODES) == before
+        assert shared_kernel_stats()["kernels"] == 1
 
     def test_matcher_rebuild_does_not_grow_the_symbol_table(self):
         matcher = CompiledMatcher()
@@ -129,11 +138,12 @@ class TestInternTableRegression:
         memory = WorkingMemory()
         matcher.add_wme(memory.add(WME("goal", {"want": "red"})))
         matcher.add_wme(memory.add(WME("block", {"color": "red", "size": 3})))
-        before = len(SYMBOLS)
+        before = len(CODES)
         # A production edit with WM non-empty forces an immediate rebuild
-        # (cache hit + quiet replay); the table must not move.
-        late = parse_program("(p late (goal ^want <c>) --> (halt))").productions[0]
+        # (a cold compile of the new shape, then a hit back on the old
+        # one, each with a quiet replay); the table must not move.
+        late = parse_program(unseen("")).productions[0]
         matcher.add_production(late)
-        matcher.remove_production("late")
-        assert len(SYMBOLS) == before
+        matcher.remove_production("probe")
+        assert len(CODES) == before
         assert matcher.kernel_summary()["compiles"] == 3

@@ -4,15 +4,18 @@ The tentpole contract for multi-tenant serve: the N-th matcher built
 over an already-compiled ruleset performs **zero** codegen -- no cache
 miss, no module exec -- and its setup cost is closure construction plus
 an O(working-memory) replay.  Sessions share the code object and build
-function but never any mutable match state, and attaching never grows
-the process-wide symbol intern table.
+function but never any mutable match state, and building or attaching
+never grows the process-wide value-code table.
 """
+
+import sys
+import threading
+import uuid
 
 import pytest
 
 from repro.kernel import (
     CompiledMatcher,
-    cache_stats,
     clear_shared_kernels,
     shared_kernel,
     shared_kernel_stats,
@@ -20,7 +23,7 @@ from repro.kernel import (
 from repro.kernel.cache import clear_cache
 from repro.ops5 import parse_program
 from repro.ops5.conflict import ConflictSet
-from repro.ops5.symbols import SYMBOLS
+from repro.ops5.symbols import CODES
 from repro.ops5.wme import WME, WorkingMemory
 
 SRC = """
@@ -50,9 +53,7 @@ class TestRegistry:
         b = shared_kernel(_fresh_productions())
         c = shared_kernel(_fresh_productions(RENAMED))
         assert b is a and c is a
-        stats = shared_kernel_stats()
-        assert stats["kernels"] == 1
-        assert stats["execs"] == 1
+        assert shared_kernel_stats() == {"kernels": 1, "hits": 2, "misses": 1, "attaches": 0}
 
     def test_different_shapes_get_distinct_kernels(self):
         a = shared_kernel(_fresh_productions())
@@ -65,21 +66,52 @@ class TestRegistry:
         for _ in range(3):
             kernel.attach(ConflictSet(), _fresh_productions())
         assert kernel.attaches == 3
-        assert shared_kernel_stats() == {"kernels": 1, "execs": 1, "attaches": 3}
+        assert shared_kernel_stats() == {"kernels": 1, "hits": 0, "misses": 1, "attaches": 3}
+
+
+    def test_concurrent_first_lookups_compile_once(self):
+        """Racing sessions of a new shape: one miss (one codegen and one
+        exec), one kernel, and every attach counted."""
+        kernels, errors = [], []
+        barrier = threading.Barrier(6)
+
+        def session():
+            try:
+                barrier.wait(timeout=30)
+                kernel = shared_kernel(_fresh_productions())
+                for _ in range(20):
+                    kernel.attach(ConflictSet(), _fresh_productions())
+                kernels.append(kernel)
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=session) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        assert len(kernels) == 6 and all(k is kernels[0] for k in kernels)
+        assert shared_kernel_stats() == {"kernels": 1, "hits": 5, "misses": 1, "attaches": 120}
 
 
 class TestWarmAttach:
     def test_nth_matcher_performs_zero_codegen(self):
-        # Cold first session: one miss, one exec.
+        # Cold first session: one miss (codegen, compile, exec).
         first = CompiledMatcher()
         for p in _fresh_productions():
             first.add_production(p)
         memory = WorkingMemory()
         first.add_wme(memory.add(WME("goal", {"want": "red"})))
-        assert cache_stats()["misses"] == 1
-        assert shared_kernel_stats()["execs"] == 1
+        assert shared_kernel_stats()["misses"] == 1
 
-        # Warm sessions: the miss and exec counters must not move.
+        # Warm sessions: the miss counter must not move.
         for i in range(8):
             matcher = CompiledMatcher()
             for p in _fresh_productions():
@@ -87,26 +119,30 @@ class TestWarmAttach:
             wm = WorkingMemory()
             matcher.add_wme(wm.add(WME("goal", {"want": "red"})))
             matcher.add_wme(wm.add(WME("block", {"color": "red", "size": 3})))
-            assert cache_stats()["misses"] == 1
-            assert cache_stats()["hits"] == i + 1
-            assert shared_kernel_stats()["execs"] == 1
+            assert shared_kernel_stats()["misses"] == 1
+            assert shared_kernel_stats()["hits"] == i + 1
             assert matcher.kernels == first.kernels
 
     def test_warm_attach_does_not_grow_the_symbol_table(self):
+        # Constants no one has encoded, so encoding one while building
+        # the kernel would show; the WM value is encoded up front.
+        tag = uuid.uuid4().hex
+        src = SRC + f"(p probe (goal ^want s{tag} ^size {int(tag[:12], 16)}) --> (halt))"
+        CODES["red"]
+        before = len(CODES)
         seed = CompiledMatcher()
-        for p in _fresh_productions():
+        for p in _fresh_productions(src):
             seed.add_production(p)
         wm = WorkingMemory()
         seed.add_wme(wm.add(WME("goal", {"want": "red"})))
-        before = len(SYMBOLS)
         for _ in range(5):
             matcher = CompiledMatcher()
-            # Same parsed productions: nothing left to intern anywhere.
-            for p in seed.productions:
+            for p in _fresh_productions(src):
                 matcher.add_production(p)
             session_wm = WorkingMemory()
             matcher.add_wme(session_wm.add(WME("goal", {"want": "red"})))
-        assert len(SYMBOLS) == before
+        assert len(CODES) == before
+        assert shared_kernel_stats()["misses"] == 1
 
     def test_attach_replays_existing_wm(self):
         kernel = shared_kernel(_fresh_productions())

@@ -3,8 +3,8 @@
 Covers the tentpole contracts at the session layer:
 
 * N sessions of one ruleset share a single compiled kernel -- the N-th
-  create is all cache hits (no codegen, no module exec) and never grows
-  the process-wide symbol intern table;
+  create is all registry hits (no codegen, no module exec) and no create
+  grows the process-wide value-code table;
 * ``describe()``/``stats()`` snapshots taken concurrently with working-
   memory mutation are consistent and side-effect-free;
 * tenant quotas gate session admission, at the manager and -- with the
@@ -16,20 +16,21 @@ Covers the tentpole contracts at the session layer:
 
 import asyncio
 import threading
+import uuid
 
 import pytest
 
-from repro.kernel import cache_stats, clear_shared_kernels, shared_kernel_stats
+from repro.kernel import clear_shared_kernels, shared_kernel_stats
 from repro.kernel.cache import clear_cache
 from repro.ops5 import ProductionSystem
-from repro.ops5.symbols import SYMBOLS
+from repro.ops5.symbols import CODES
 from repro.serve import RouterFleet, RuleClient, ServerError
 from repro.serve.session import (
     QuotaExceeded,
     Session,
     SessionManager,
     clear_program_cache,
-    program_cache_stats,
+    shared_program_stats,
 )
 from repro.workloads.programs import closure
 
@@ -68,27 +69,35 @@ class TestSharedKernelAcrossSessions:
         finally:
             for s in sessions:
                 s.close_resources()
-        assert cache_stats()["misses"] == 1
-        assert cache_stats()["size"] == 1
-        assert shared_kernel_stats()["execs"] == 1
-        assert shared_kernel_stats()["attaches"] >= 6
+        stats = shared_kernel_stats()
+        assert (stats["kernels"], stats["misses"]) == (1, 1)
+        assert stats["attaches"] >= 6
         # The program text parsed once; later sessions reused it.
-        assert program_cache_stats() == {"hits": 5, "misses": 1, "size": 1}
+        assert shared_program_stats() == {"hits": 5, "misses": 1, "size": 1}
         # All sessions computed the same result.
         assert len({r["fired"] for r in replies}) == 1
 
     def test_sessions_never_grow_the_intern_table_per_session(self):
-        seed = Session("seed", program=CLOSURE, matcher="compiled")
+        """Creating a session encodes no value; only working-memory
+        traffic does, and these sessions' WM values are encoded up front.
+        The program carries constants no one has encoded, so a kernel
+        build that encoded one would show."""
+        tag = uuid.uuid4().hex
+        program = CLOSURE + f"(p probe (parent ^from s{tag} ^to {int(tag[:12], 16)}) --> (halt))"
+        for _cls, attrs in EDGES:
+            for value in attrs.values():
+                CODES[value]
+        before = len(CODES)
+        seed = Session("seed", program=program, matcher="compiled")
         try:
             _drive(seed)
-            before = len(SYMBOLS)
             for i in range(4):
-                session = Session(f"s{i}", program=CLOSURE, matcher="compiled")
+                session = Session(f"s{i}", program=program, matcher="compiled")
                 try:
                     _drive(session)
                 finally:
                     session.close_resources()
-            assert len(SYMBOLS) == before
+            assert len(CODES) == before
         finally:
             seed.close_resources()
 
@@ -221,8 +230,7 @@ class TestTenantQuotas:
                     for sid in admitted:
                         client.assert_wmes(sid, EDGES)
                         assert client.run(sid)["firings"] == expected
-        assert cache_stats()["misses"] == 1
-        assert shared_kernel_stats()["execs"] == 1
+        assert shared_kernel_stats()["misses"] == 1
 
 
 class TestExportImport:

@@ -16,13 +16,14 @@ import random
 import pytest
 
 from repro.kernel import CompiledMatcher
-from repro.ops5 import Ops5Error, ProductionSystem
+from repro.obs.recorder import NULL_RECORDER, Recorder
+from repro.ops5 import Ops5Error, ProductionSystem, matcher_named
+from repro.rete import RecorderListener
 from repro.serve.session import (
     SLICE,
     RemovedOption,
     Session,
     SessionManager,
-    build_matcher,
     check_session_options,
 )
 from repro.workloads.programs import closure, hanoi
@@ -402,8 +403,24 @@ class TestBuildMatcher:
         check_session_options({"matcher": "parallel", "workers": None})
 
     def test_parallel_builds_the_partitioned_kernel(self):
-        matcher = build_matcher("parallel")
+        matcher = matcher_named("parallel")
         assert isinstance(matcher, CompiledMatcher) and matcher.partitions == 2
+
+    def test_an_enabled_recorder_is_wired_where_the_backend_uses_it(self):
+        """Sessions and the CLI build through ``matcher_named`` alone: an
+        enabled recorder reaches Rete as a listener and the kernel as its
+        recorder; a disabled one, or another backend, changes nothing."""
+        recorder = Recorder()
+        for name in ("rete", "rete-indexed"):
+            assert isinstance(matcher_named(name, recorder).listener, RecorderListener)
+            assert not isinstance(
+                matcher_named(name, NULL_RECORDER).listener, RecorderListener
+            )
+        for name in ("compiled", "parallel"):
+            assert matcher_named(name, recorder)._recorder is recorder
+            assert matcher_named(name, NULL_RECORDER)._recorder is NULL_RECORDER
+        assert matcher_named("rete-indexed", recorder).indexed
+        matcher_named("treat", recorder)  # accepted, unused
 
 
 class TestSessionManager:
