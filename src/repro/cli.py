@@ -180,38 +180,34 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--workers", type=int, default=0,
-        help="run N worker servers behind a front-door router at the "
-             "given address (0 = single server, no router)",
+        help="spawn N worker server processes behind a durable front-door "
+             "router at the given address: sessions survive worker SIGKILL "
+             "via the write-ahead journal (0 = single server, no router; "
+             "see docs/fault-tolerance.md)",
     )
     serve.add_argument(
         "--tenant-quota", type=int, default=None,
         help="max concurrent sessions per tenant (default: unlimited)",
     )
     serve.add_argument(
-        "--processes", action="store_true",
-        help="spawn the --workers as real OS processes under a durable "
-             "supervisor: sessions survive worker SIGKILL via the "
-             "write-ahead journal (see docs/fault-tolerance.md)",
-    )
-    serve.add_argument(
         "--durability-dir", default=None,
-        help="journal + checkpoint directory for --processes "
+        help="journal + checkpoint directory for --workers "
              "(default: a temporary directory deleted on exit; name one "
              "to make sessions survive router restarts too)",
     )
     serve.add_argument(
         "--checkpoint-every", type=int, default=16,
         help="checkpoint a session every N journaled ops under "
-             "--processes (0 = journal-only replay)",
+             "--workers (0 = journal-only replay)",
     )
     serve.add_argument(
         "--heartbeat-interval", type=float, default=0.5,
-        help="seconds between worker liveness probes under --processes",
+        help="seconds between worker liveness probes under --workers",
     )
     serve.add_argument(
         "--fsync", action="store_true",
         help="fsync the session journal before acknowledging each op "
-             "under --processes (survives host power loss, not just "
+             "under --workers (survives host power loss, not just "
              "worker death)",
     )
     serve.add_argument(
@@ -327,22 +323,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_system(args, matcher) -> ProductionSystem:
+def _read_program(args) -> tuple[str, list]:
+    """The ``--file`` program's source and its ``--wmes`` memory (or [])."""
     with open(args.file) as handle:
         source = handle.read()
-    system = ProductionSystem(
-        source,
-        matcher=matcher,
-        strategy=getattr(args, "strategy", "lex"),
-    )
+    setup = []
     if args.wmes:
         with open(args.wmes) as handle:
-            system.load_memory(parse_wme_specs(handle.read()))
-    return system
+            setup = parse_wme_specs(handle.read())
+    return source, setup
 
 
 def _cmd_run(args) -> int:
-    return _run_and_report(args, _load_system(args, _matcher_from_args(args)))
+    matcher = _matcher_from_args(args)
+    source, setup = _read_program(args)
+    system = ProductionSystem(source, matcher=matcher, strategy=args.strategy)
+    system.load_memory(setup)
+    return _run_and_report(args, system)
 
 
 def _run_and_report(args, system: ProductionSystem) -> int:
@@ -418,12 +415,7 @@ def _cmd_simulate(args) -> int:
     elif args.trace:
         trace = load_trace(args.trace)
     else:
-        with open(args.file) as handle:
-            source = handle.read()
-        setup = []
-        if args.wmes:
-            with open(args.wmes) as handle:
-                setup = parse_wme_specs(handle.read())
+        source, setup = _read_program(args)
         trace, _, _ = capture_trace(source, setup, name=args.file)
     result = run_simulation(
         trace, _machine_from(args), record_placements=args.gantt
@@ -452,15 +444,9 @@ def _cmd_measure(args) -> int:
         productions = parse_program(module.PROGRAM).productions
         builder = module.build
     else:
-        with open(args.file) as handle:
-            source = handle.read()
+        source, setup = _read_program(args)
         name = args.file
-        program = parse_program(source)
-        productions = program.productions
-        setup = []
-        if args.wmes:
-            with open(args.wmes) as handle:
-                setup = parse_wme_specs(handle.read())
+        productions = parse_program(source).productions
 
         def builder(**kwargs):
             system = ProductionSystem(source, **kwargs)
@@ -481,12 +467,7 @@ def _cmd_trace(args) -> int:
             profile_named(args.system), seed=args.seed, firings=args.firings
         )
     else:
-        with open(args.file) as handle:
-            source = handle.read()
-        setup = []
-        if args.wmes:
-            with open(args.wmes) as handle:
-                setup = parse_wme_specs(handle.read())
+        source, setup = _read_program(args)
         trace, result, _ = capture_trace(
             source, setup, name=args.file, max_cycles=args.max_cycles
         )
@@ -539,14 +520,11 @@ def _cmd_profile(args) -> int:
         module = ALL_PROGRAMS[args.demo]
         system = module.build(matcher=matcher, recorder=recorder)
     else:
-        with open(args.file) as handle:
-            source = handle.read()
+        source, setup = _read_program(args)
         system = ProductionSystem(
             source, matcher=matcher, strategy=args.strategy, recorder=recorder
         )
-        if args.wmes:
-            with open(args.wmes) as handle:
-                system.load_memory(parse_wme_specs(handle.read()))
+        system.load_memory(setup)
     result = system.run(args.max_cycles)
     data = snapshot(system, recorder=recorder)
 
@@ -599,18 +577,15 @@ def _cmd_serve(args) -> int:
         args.max_pending if args.max_pending is not None else DEFAULT_MAX_PENDING
     )
 
-    if args.processes:
-        # Durable topology: N worker OS processes under a supervisor,
-        # one router journaling every state-changing op so sessions
-        # survive worker death (docs/fault-tolerance.md).
-        import time as _time
-
+    if args.workers > 0:
+        # N worker OS processes under a supervisor, one router journaling
+        # every state-changing op so sessions survive worker death
+        # (docs/fault-tolerance.md).
         from .serve import ProcessRouterFleet
 
-        workers = args.workers if args.workers and args.workers > 0 else 2
         try:
             with ProcessRouterFleet(
-                workers=workers,
+                workers=args.workers,
                 durability_dir=args.durability_dir,
                 checkpoint_every=args.checkpoint_every,
                 heartbeat_interval=args.heartbeat_interval,
@@ -622,52 +597,14 @@ def _cmd_serve(args) -> int:
                 unix_path=args.socket,
                 default_tenant_quota=args.tenant_quota,
             ) as fleet:
-                where = (
-                    args.socket
-                    if args.socket
-                    else "%s:%s" % fleet.address
-                )
-                journals = fleet.durability.root
+                where = args.socket if args.socket else "%s:%s" % fleet.address
                 print(
-                    f"routing on {where} ({workers} process workers, "
-                    f"journals in {journals})",
+                    f"routing on {where} ({args.workers} process workers, "
+                    f"journals in {fleet.durability.root})",
                     flush=True,
                 )
-                while True:
-                    _time.sleep(3600)
-        except KeyboardInterrupt:
-            print("interrupted; fleet drained", file=sys.stderr)
-        return 0
-
-    if args.workers and args.workers > 0:
-        # Scale-out topology: N in-process worker servers on ephemeral
-        # ports, one router at the requested address fanning sessions
-        # over them (docs/serve.md, "Multi-tenant scale-out").
-        import time as _time
-
-        from .serve import RouterFleet
-
-        try:
-            with RouterFleet(
-                workers=args.workers,
-                worker_kwargs={
-                    "max_pending": max_pending,
-                    "default_tenant_quota": args.tenant_quota,
-                },
-                host=args.host,
-                port=args.port,
-                unix_path=args.socket,
-                default_tenant_quota=args.tenant_quota,
-            ) as fleet:
-                if args.socket:
-                    print(f"routing on {args.socket} "
-                          f"({args.workers} workers)", flush=True)
-                else:
-                    host, port = fleet.address
-                    print(f"routing on {host}:{port} "
-                          f"({args.workers} workers)", flush=True)
-                while True:
-                    _time.sleep(3600)
+                # Serves until a ``shutdown`` request stops the router.
+                fleet.router_thread.join()
         except KeyboardInterrupt:
             print("interrupted; fleet drained", file=sys.stderr)
         return 0

@@ -16,15 +16,14 @@ program per process.  This package is that serving layer:
 * :mod:`~repro.serve.router` -- the front-door router
   (:class:`RuleRouter`) hashing sessions over N workers, with
   fleet-wide tenant quotas, live session migration, and one recovery
-  path for failed workers; :class:`RouterFleet` embeds the whole
-  topology;
+  path for failed workers; :class:`RouterFleet` embeds a whole
+  store-less fleet on one thread, the test and benchmark harness;
 * :mod:`~repro.serve.client` -- the blocking reference client;
 * :mod:`~repro.serve.durability` -- the per-session write-ahead
   journal + checkpoint store that makes worker death survivable;
 * :mod:`~repro.serve.fleet` -- real worker OS processes under a
-  supervisor (heartbeat, fencing, restart backoff, rolling restarts);
-* :mod:`~repro.serve.loadgen` -- trace replay from N concurrent
-  clients, measuring sustained throughput and tail latency;
+  supervisor (heartbeat, fencing, restart backoff, rolling restarts):
+  ``repro serve --workers N``;
 * :mod:`~repro.serve.stats` -- the counters and percentile windows
   behind the ``stats`` requests.
 

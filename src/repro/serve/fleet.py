@@ -41,7 +41,7 @@ DEFAULT_RESTART_BACKOFF = 0.2
 DEFAULT_RESTART_BACKOFF_MAX = 5.0
 
 #: Respawns per worker slot before the supervisor gives up on it.
-DEFAULT_MAX_RESTARTS = 5
+MAX_RESTARTS = 5
 
 
 def _worker_environment() -> dict:
@@ -72,7 +72,6 @@ class WorkerProcess:
         self,
         max_pending: Optional[int] = None,
         default_tenant_quota: Optional[int] = None,
-        spawn_timeout: float = SPAWN_TIMEOUT,
     ) -> None:
         command = [sys.executable, "-u", "-m", "repro", "serve", "--port", "0"]
         if max_pending is not None:
@@ -88,7 +87,7 @@ class WorkerProcess:
             text=True,
         )
         try:
-            self.address = self._await_announce(spawn_timeout)
+            self.address = self._await_announce(SPAWN_TIMEOUT)
         except BaseException:  # an interrupt mid-spawn must not orphan the child
             self.kill()
             raise
@@ -170,7 +169,6 @@ class ProcessFleet:
         default_tenant_quota: Optional[int] = None,
         restart_backoff: float = DEFAULT_RESTART_BACKOFF,
         restart_backoff_max: float = DEFAULT_RESTART_BACKOFF_MAX,
-        max_restarts: int = DEFAULT_MAX_RESTARTS,
     ) -> None:
         if workers < 1:
             raise Ops5Error("a process fleet needs at least one worker")
@@ -178,7 +176,6 @@ class ProcessFleet:
         self.default_tenant_quota = default_tenant_quota
         self.restart_backoff = restart_backoff
         self.restart_backoff_max = restart_backoff_max
-        self.max_restarts = max_restarts
         self.restarts: list[int] = [0] * workers
         self.events: list[dict] = []
         #: Guards shared state (processes/restarts/events) -- held only
@@ -244,7 +241,7 @@ class ProcessFleet:
         with self._slot_locks[index]:
             self.fence(index)
             with self._lock:
-                if self.restarts[index] >= self.max_restarts:
+                if self.restarts[index] >= MAX_RESTARTS:
                     self.processes[index] = None
                     self.events.append(
                         {
@@ -312,7 +309,7 @@ class ProcessFleet:
                 "alive": [self.alive(i) for i in range(len(self.processes))],
                 "pids": [self.pid(i) for i in range(len(self.processes))],
                 "restarts": list(self.restarts),
-                "max_restarts": self.max_restarts,
+                "max_restarts": MAX_RESTARTS,
                 "events": list(self.events),
             }
 
@@ -327,7 +324,7 @@ class ProcessRouterFleet:
     """The durable scale-out topology: real worker processes, a durable
     router, and the supervisor wiring between them.
 
-    ``repro serve --workers N --processes`` builds exactly this.  Every
+    ``repro serve --workers N`` builds exactly this.  Every
     placed session survives ``kill -9`` of its worker: accepted ops are
     journaled by the router before the reply leaves, checkpoints bound
     the replay tail, and the heartbeat loop (or the first failed call)
@@ -342,8 +339,6 @@ class ProcessRouterFleet:
         heartbeat_interval: Optional[float] = 0.5,
         max_pending: Optional[int] = None,
         restart_backoff: float = DEFAULT_RESTART_BACKOFF,
-        restart_backoff_max: float = DEFAULT_RESTART_BACKOFF_MAX,
-        max_restarts: int = DEFAULT_MAX_RESTARTS,
         fsync: bool = False,
         commit_window: float = 0.0,
         **router_kwargs,
@@ -365,8 +360,6 @@ class ProcessRouterFleet:
                 workers=workers,
                 max_pending=max_pending,
                 restart_backoff=restart_backoff,
-                restart_backoff_max=restart_backoff_max,
-                max_restarts=max_restarts,
             )
             self.router_thread = RouterThread(
                 worker_addresses=self.fleet.addresses,

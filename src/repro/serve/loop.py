@@ -188,7 +188,11 @@ class LoopThread:
         loop = self._loop
         if loop is not None and loop.is_running():
             asyncio.run_coroutine_threadsafe(self.front.shutdown(), loop)
-        self._thread.join(timeout=timeout)
+        self.join(timeout)
+
+    def join(self, timeout: Optional[float] = None) -> None:
+        """Block until the loop has stopped (``stop()`` or a ``shutdown`` request)."""
+        self._thread.join(timeout)
 
     def __enter__(self):
         return self

@@ -3,10 +3,11 @@
 Scaling the serve layer *out*: a :class:`RuleRouter` speaks the same
 length-prefixed JSON protocol as a
 :class:`~repro.serve.server.RuleServer`, so existing clients (the
-blocking :class:`RuleClient`, the load generator) point at it unchanged
--- but behind it every session lives on one of N workers: rule servers
-in their own processes, or (:class:`RouterFleet`) coroutines of the
-router's own event loop, reached through the same sockets either way.
+blocking :class:`RuleClient`, the benchmark's clients) point at it
+unchanged -- but behind it every session lives on one of N workers: rule
+servers in their own processes, or (:class:`RouterFleet`, the test and
+benchmark harness) coroutines of the router's own event loop, reached
+through the same sockets either way.
 
 Placement and naming
 --------------------
@@ -1110,21 +1111,17 @@ class RouterThread(LoopThread):
 class RouterFleet(LoopThread):
     """N workers plus a router on ONE event-loop thread, one address.
 
-    The embedded form of the scale-out topology.  Threads of one
-    process share a GIL, so a loop per worker buys no parallelism and
-    costs two cross-thread hand-offs per request; here the router, its
-    workers and their sessions share one ``repro-fleet`` thread.  They still
-    talk through loopback sockets, :class:`WorkerLink` pools and the
-    wire protocol -- the code path of a process fleet, not a shortcut
-    beside it.  ``repro serve --workers N`` builds exactly this.
+    A test and benchmark harness, not a product mode: threads of one
+    process share a GIL, so N in-process workers serve no faster than
+    one (EXPERIMENTS.md, "In-process fleets: measured, deleted");
+    ``repro serve --workers N`` is the process fleet.  The router, its
+    workers and their sessions share one ``repro-fleet`` thread and
+    still talk through loopback sockets, :class:`WorkerLink` pools and
+    the wire protocol -- the code path of a process fleet, not a
+    shortcut beside it.
     """
 
-    def __init__(
-        self,
-        workers: int = 2,
-        worker_kwargs: Optional[dict] = None,
-        **router_kwargs,
-    ) -> None:
+    def __init__(self, workers: int = 2, **router_kwargs) -> None:
         if workers < 1:
             raise Ops5Error("a fleet needs at least one worker")
 
@@ -1132,7 +1129,7 @@ class RouterFleet(LoopThread):
             # Shutdown order is list order: router (and its links)
             # first, then the servers drain their sessions.
             for _ in range(workers):
-                server = RuleServer(**(worker_kwargs or {}))
+                server = RuleServer()
                 await server.start()
                 endpoints.append(server)
             router = RuleRouter(

@@ -254,7 +254,7 @@ def run_server(
 
 
 class ServerThread(LoopThread):
-    """A rule server on a background thread (tests, benchmarks, loadgen).
+    """A rule server on a background thread (tests, benchmarks).
 
     Starts the event loop, waits until the socket is bound, and exposes
     :attr:`address`.  :meth:`stop` requests a graceful drain and joins

@@ -675,6 +675,36 @@ class TestProcessFleetChaos:
             WorkerProcess()
         assert spawned[0].poll() is not None  # killed and reaped
 
+    def test_cli_fleet_exits_on_shutdown_request(self):
+        """`repro serve --workers 1` returns 0 once a client's shutdown
+        has drained the router and its worker, like a lone server."""
+        import subprocess
+        import sys
+
+        from repro.serve.fleet import _worker_environment
+
+        process = subprocess.Popen(
+            [sys.executable, "-u", "-m", "repro", "serve", "--port", "0",
+             "--workers", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+            env=_worker_environment(),
+        )
+        try:
+            announce = process.stdout.readline()
+            assert announce.startswith("routing on "), announce
+            host, _, port = announce.split()[2].rpartition(":")
+            with RuleClient((host, int(port))) as client:
+                sid = client.create_session(program=closure.PROGRAM)
+                reply = client.assert_wmes(sid, CHAIN, run=True)
+                assert reply["run"]["fired"] == closure.expected_chain_facts(6)
+                client.shutdown_server()
+            assert process.wait(timeout=30) == 0
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+            process.stdout.close()
+
     def test_fleet_chaos_harness_verdict(self):
         from repro.faults import fleet_chaos
 

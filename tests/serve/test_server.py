@@ -221,6 +221,86 @@ def test_backpressure_rejects_then_recovers():
             control.destroy_session(sid)
 
 
+def _replay_chains(address, sid, prefix, batches, length, on_retry=None):
+    """Assert *batches* disjoint closure chains into *sid*, each followed
+    by a run, through ``RuleClient.call``; returns the firings replied."""
+    fired = 0
+    with RuleClient(address) as client:
+        for batch in range(batches):
+            wmes = [
+                ["parent", {"from": f"{prefix}{batch}.{i}", "to": f"{prefix}{batch}.{i + 1}"}]
+                for i in range(length)
+            ]
+            client.call("assert", session=sid, wmes=wmes, on_retry=on_retry)
+            fired += client.call("run", session=sid, on_retry=on_retry)["fired"]
+    return fired
+
+
+def _in_threads(count, target):
+    """Run ``target(index)`` on *count* threads; returns results, errors."""
+    results, errors = [], []
+
+    def body(index):
+        try:
+            results.append(target(index))
+        except Exception as error:  # pragma: no cover - reported below
+            errors.append(error)
+
+    threads = [threading.Thread(target=body, args=(i,)) for i in range(count)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    return results, errors
+
+
+def test_shared_session_engages_backpressure_without_loss():
+    """Four clients on one session with a one-deep queue: ``call`` sleeps
+    out every rejection, and the work done is exact.  A 12-edge chain's
+    run is 78 cycles, past one 64-cycle slice, so requests arrive while
+    it yields and the queue fills."""
+    with ServerThread() as harness, RuleClient(harness.address) as control:
+        sid = control.create_session(program=closure.PROGRAM, max_pending=1)
+        rejections = []
+        fired, errors = _in_threads(
+            4,
+            lambda i: _replay_chains(
+                harness.address, sid, f"c{i}.", 2, 12, on_retry=rejections.append
+            ),
+        )
+        assert errors == []
+        assert rejections
+        expected = 4 * 2 * closure.expected_chain_facts(12)
+        assert sum(fired) == expected
+        stats = control.session_stats(sid)
+        assert stats["firings"] == expected
+        assert stats["rejected"] == len(rejections)
+        control.destroy_session(sid)
+
+
+def test_server_totals_match_client_sums_across_destroyed_sessions():
+    """Concurrent clients, one session each, destroyed afterwards: the
+    server's rolled-up totals equal what the clients were answered."""
+    with ServerThread() as harness, RuleClient(harness.address) as control:
+        before = control.stats()["totals"]
+
+        def client(index):
+            with RuleClient(harness.address) as own:
+                sid = own.create_session(program=closure.PROGRAM)
+                fired = _replay_chains(harness.address, sid, f"c{index}.", 2, 4)
+                own.destroy_session(sid)
+                return fired
+
+        fired, errors = _in_threads(2, client)
+        assert errors == []
+        after = control.stats()["totals"]
+        expected = 2 * 2 * closure.expected_chain_facts(4)
+        assert sum(fired) == expected
+        assert after["firings"] - before["firings"] == expected
+        assert after["wme_changes"] - before["wme_changes"] == expected + 2 * 2 * 4
+        assert control.list_sessions() == []
+
+
 def test_graceful_shutdown_drains_and_reaps():
     """Shutdown finishes in-flight work and leaves no worker processes."""
     harness = ServerThread()
@@ -231,7 +311,7 @@ def test_graceful_shutdown_drains_and_reaps():
         client.assert_wmes(sid, CHAIN)
         reply = client.shutdown_server()
         assert reply["draining_sessions"] == 1
-        harness._thread.join(timeout=30)
+        harness.join(30)
         assert not harness._thread.is_alive()
     for _ in range(100):
         if not multiprocessing.active_children():
@@ -245,7 +325,7 @@ def test_requests_after_shutdown_are_refused():
     with RuleClient(harness.address) as client:
         client.create_session(program=closure.PROGRAM, name="gone")
         client.shutdown_server()
-        harness._thread.join(timeout=30)
+        harness.join(30)
     with pytest.raises((ConnectionError, OSError)):
         probe = RuleClient(harness.address)
         probe.ping()
