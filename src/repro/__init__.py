@@ -24,33 +24,21 @@ Quickstart::
     ''')
     ps.add("greeting", to="world")
     print(ps.run().output)   # ['hello world']
+
+Importing ``repro`` loads :mod:`repro.ops5` and nothing else: a served
+worker process (``repro serve``) imports only the serving path, so the
+research layers above are imported from their own packages
+(``from repro.psim import simulate``), never from the root.
 """
 
 from .ops5 import ProductionSystem, Production, WME, parse_program
-from .rete import ReteNetwork
-from .treat import TreatMatcher
-from .naive import NaiveMatcher
-from .oflazer import CombinationMatcher
-from .trace import CostModel, Trace, capture_trace
-from .psim import MachineConfig, SimulationResult, simulate, sweep_processors
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "CombinationMatcher",
-    "CostModel",
-    "MachineConfig",
-    "NaiveMatcher",
     "Production",
     "ProductionSystem",
-    "ReteNetwork",
-    "SimulationResult",
-    "Trace",
-    "TreatMatcher",
     "WME",
-    "capture_trace",
     "parse_program",
-    "simulate",
-    "sweep_processors",
     "__version__",
 ]

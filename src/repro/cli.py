@@ -43,7 +43,6 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .analysis import render_series, render_table
 from .ops5 import (
     MATCHER_NAMES,
     Ops5Error,
@@ -51,11 +50,53 @@ from .ops5 import (
     matcher_named,
     parse_wme_specs,
 )
-from .psim import MachineConfig, simulate as run_simulation, sweep_processors
-from .rete import ReteNetwork, collect_stats
-from .trace import capture_trace, load_trace, save_trace
-from .workloads import PAPER_SYSTEMS, generate_trace, profile_named
-from .workloads.programs import ALL_PROGRAMS
+
+# Each subcommand imports the research layers it runs: ``repro serve``
+# is a worker's entry point, and a worker imports only the serving path.
+
+
+class _Choices:
+    """Argparse choices loaded on first use, by *load*.  ``add_argument``
+    formats the choices of an argument with no ``metavar`` when the
+    parser is built, so each use of one names a ``metavar``."""
+
+    def __init__(self, load) -> None:
+        self._load = load
+
+    def __iter__(self):
+        return iter(self._load())
+
+    def __contains__(self, value) -> bool:
+        return value in self._load()
+
+
+def _program_names() -> list[str]:
+    from .workloads.programs import ALL_PROGRAMS
+
+    return sorted(ALL_PROGRAMS)
+
+
+def _system_names() -> list[str]:
+    from .workloads import PAPER_SYSTEMS
+
+    return [profile.name for profile in PAPER_SYSTEMS]
+
+
+_PROGRAMS = _Choices(_program_names)
+_SYSTEMS = _Choices(_system_names)
+
+
+def _at_least_zero(kind):
+    """An argparse ``type``: *kind* (int or float), refused below 0."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not value >= 0:
+            raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__
+    return parse
 
 
 def _matcher_from_args(args, recorder=None):
@@ -108,7 +149,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     demo = sub.add_parser("demo", help="run a bundled example program")
-    demo.add_argument("name", choices=sorted(ALL_PROGRAMS))
+    demo.add_argument(
+        "name", choices=_PROGRAMS, metavar="NAME", help="one of: %(choices)s"
+    )
     demo.add_argument("--matcher", choices=sorted(MATCHER_NAMES), default="rete")
     demo.add_argument(
         "--workers", type=int, default=None,
@@ -118,8 +161,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="replay a workload on the PSM model")
     source = sim.add_mutually_exclusive_group(required=True)
     source.add_argument(
-        "--system", choices=[p.name for p in PAPER_SYSTEMS],
-        help="one of the paper's calibrated systems",
+        "--system", choices=_SYSTEMS, metavar="SYSTEM",
+        help="one of the paper's calibrated systems: %(choices)s",
     )
     source.add_argument("--file", help="capture a trace from an OPS5 program file")
     source.add_argument("--trace", help="replay a saved trace (JSON, see 'trace')")
@@ -144,7 +187,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     measure_source = measure.add_mutually_exclusive_group(required=True)
     measure_source.add_argument("--file", help="OPS5 program file")
-    measure_source.add_argument("--demo", choices=sorted(ALL_PROGRAMS))
+    measure_source.add_argument(
+        "--demo", choices=_PROGRAMS, metavar="NAME", help="one of: %(choices)s"
+    )
     measure.add_argument("--wmes", help="initial memory for --file runs")
     measure.add_argument("--max-cycles", type=int, default=None)
 
@@ -152,8 +197,8 @@ def _build_parser() -> argparse.ArgumentParser:
     trace_source = trace_cmd.add_mutually_exclusive_group(required=True)
     trace_source.add_argument("--file", help="OPS5 program file")
     trace_source.add_argument(
-        "--system", choices=[p.name for p in PAPER_SYSTEMS],
-        help="generate a calibrated synthetic trace instead",
+        "--system", choices=_SYSTEMS, metavar="SYSTEM",
+        help="generate a calibrated synthetic trace instead: %(choices)s",
     )
     trace_cmd.add_argument("--wmes", help="initial memory for --file runs")
     trace_cmd.add_argument("--out", required=True, help="output JSON path")
@@ -196,13 +241,14 @@ def _build_parser() -> argparse.ArgumentParser:
              "to make sessions survive router restarts too)",
     )
     serve.add_argument(
-        "--checkpoint-every", type=int, default=16,
+        "--checkpoint-every", type=_at_least_zero(int), default=16,
         help="checkpoint a session every N journaled ops under "
              "--workers (0 = journal-only replay)",
     )
     serve.add_argument(
-        "--heartbeat-interval", type=float, default=0.5,
-        help="seconds between worker liveness probes under --workers",
+        "--heartbeat-interval", type=_at_least_zero(float), default=0.5,
+        help="seconds between worker liveness probes under --workers "
+             "(0 = no heartbeat)",
     )
     serve.add_argument(
         "--fsync", action="store_true",
@@ -211,7 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "worker death)",
     )
     serve.add_argument(
-        "--commit-window", type=float, default=0.0,
+        "--commit-window", type=_at_least_zero(float), default=0.0,
         help="group-commit window in seconds for --fsync: batch journal "
              "fsyncs behind one barrier per window (0 = fsync every op)",
     )
@@ -223,7 +269,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     profile_source = profile.add_mutually_exclusive_group(required=True)
     profile_source.add_argument("--file", help="OPS5 program file")
-    profile_source.add_argument("--demo", choices=sorted(ALL_PROGRAMS))
+    profile_source.add_argument(
+        "--demo", choices=_PROGRAMS, metavar="NAME", help="one of: %(choices)s"
+    )
     profile.add_argument("--wmes", help="initial memory for --file runs")
     profile.add_argument("--matcher", choices=sorted(MATCHER_NAMES), default="rete")
     profile.add_argument(
@@ -260,7 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--crashes", type=int, default=1,
                        help="worker kills to schedule")
     chaos.add_argument(
-        "--checkpoint-every", type=int, default=8,
+        "--checkpoint-every", type=_at_least_zero(int), default=8,
         help="checkpoint a session every N journalled ops",
     )
     chaos.add_argument("--report-out", help="write the chaos report as JSON")
@@ -273,7 +321,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="assert+run rounds applied to every session",
     )
     chaos.add_argument(
-        "--heartbeat-interval", type=float, default=0.5,
+        "--heartbeat-interval", type=_at_least_zero(float), default=0.5,
         help="worker liveness probe period in seconds",
     )
     chaos.add_argument(
@@ -357,6 +405,8 @@ def _run_and_report(args, system: ProductionSystem) -> int:
             f"mean affected productions {stats.mean_affected_productions:.2f}, "
             f"{stats.total_comparisons} comparisons"
         )
+        from .rete import ReteNetwork, collect_stats
+
         if isinstance(system.matcher, ReteNetwork):
             network = collect_stats(system.matcher)
             print(
@@ -365,9 +415,9 @@ def _run_and_report(args, system: ProductionSystem) -> int:
             )
     if args.verify:
         from .kernel.matcher import CompiledMatcher
+        from .rete import ReteNetwork, check_network
 
         if isinstance(system.matcher, ReteNetwork):
-            from .rete import check_network
 
             problems = check_network(system.matcher)
         elif isinstance(system.matcher, CompiledMatcher):
@@ -389,6 +439,8 @@ def _run_and_report(args, system: ProductionSystem) -> int:
 
 
 def _cmd_demo(args) -> int:
+    from .workloads.programs import ALL_PROGRAMS
+
     module = ALL_PROGRAMS[args.name]
     result = module.run(matcher=_matcher_from_args(args))
     for line in result.output:
@@ -397,17 +449,11 @@ def _cmd_demo(args) -> int:
     return 0
 
 
-def _machine_from(args) -> MachineConfig:
-    return MachineConfig(
-        processors=args.processors,
-        mips=args.mips,
-        scheduler=args.scheduler,
-        granularity=args.granularity,
-        firing_batch=args.firing_batch,
-    )
-
-
 def _cmd_simulate(args) -> int:
+    from .psim import MachineConfig, render_gantt, simulate as run_simulation
+    from .trace import capture_trace, load_trace
+    from .workloads import generate_trace, profile_named
+
     if args.system:
         trace = generate_trace(
             profile_named(args.system), seed=args.seed, firings=args.firings
@@ -417,13 +463,16 @@ def _cmd_simulate(args) -> int:
     else:
         source, setup = _read_program(args)
         trace, _, _ = capture_trace(source, setup, name=args.file)
-    result = run_simulation(
-        trace, _machine_from(args), record_placements=args.gantt
+    machine = MachineConfig(
+        processors=args.processors,
+        mips=args.mips,
+        scheduler=args.scheduler,
+        granularity=args.granularity,
+        firing_batch=args.firing_batch,
     )
+    result = run_simulation(trace, machine, record_placements=args.gantt)
     print(result.summary())
     if args.gantt:
-        from .psim import render_gantt
-
         print(render_gantt(result))
     print(
         f"   work: serial {result.serial_cost:,.0f} instr, executed "
@@ -435,8 +484,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_measure(args) -> int:
-    from .analysis import measure_dynamic, measure_static
+    from .analysis import measure_dynamic, measure_static, render_table
     from .ops5 import parse_program
+    from .workloads.programs import ALL_PROGRAMS
 
     if args.demo:
         module = ALL_PROGRAMS[args.demo]
@@ -462,6 +512,9 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_trace(args) -> int:
+    from .trace import capture_trace, save_trace
+    from .workloads import generate_trace, profile_named
+
     if args.system:
         trace = generate_trace(
             profile_named(args.system), seed=args.seed, firings=args.firings
@@ -481,6 +534,10 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_figures(args) -> int:
+    from .analysis import render_series
+    from .psim import MachineConfig, sweep_processors
+    from .workloads import PAPER_SYSTEMS, generate_trace
+
     counts = [1, 2, 4, 8, 16, 32, 48, 64]
     concurrency: dict[str, list[float]] = {}
     speed: dict[str, list[float]] = {}
@@ -514,6 +571,8 @@ def _cmd_profile(args) -> int:
         write_chrome_trace,
         write_jsonl,
     )
+    from .workloads.programs import ALL_PROGRAMS
+
     recorder = Recorder()
     matcher = _matcher_from_args(args, recorder=recorder)
     if args.demo:

@@ -106,6 +106,15 @@ def _matcher_sections(matcher) -> dict:
     """Backend-specific sections (imports deferred: obs must not force
     every matcher package into memory just to report on one)."""
     sections: dict[str, dict] = {}
+    from ..kernel.matcher import CompiledMatcher
+
+    if isinstance(matcher, CompiledMatcher):
+        # Codegen rollup: compiles, registry hit/miss, store shape, the
+        # structural digest and, per partition, what sharing it kept.
+        # Checked first: a served compiled session never loads Rete.
+        sections["kernel"] = matcher.kernel_summary()
+        return sections
+
     from ..rete.network import ReteNetwork
 
     if isinstance(matcher, ReteNetwork):
@@ -119,14 +128,6 @@ def _matcher_sections(matcher) -> dict:
             "alpha_wmes": stats.alpha_wmes,
             "beta_tokens": stats.beta_tokens,
         }
-        return sections
-
-    from ..kernel.matcher import CompiledMatcher
-
-    if isinstance(matcher, CompiledMatcher):
-        # Codegen rollup: compiles, registry hit/miss, store shape, the
-        # structural digest and, per partition, what sharing it kept.
-        sections["kernel"] = matcher.kernel_summary()
     return sections
 
 

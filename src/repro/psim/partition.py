@@ -31,12 +31,14 @@ shares are split -- the paper's "loss of node sharing", measured live.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from ..ops5.production import Production
-from ..trace.events import Trace
-from .granularity import Schedule, build_schedule
-from .machine import GRANULARITY_PRODUCTION, MachineConfig
+
+if TYPE_CHECKING:  # the live partitioner (a served worker) loads no simulator
+    from ..trace.events import Trace
+    from .granularity import Schedule
+    from .machine import MachineConfig
 
 
 def production_costs(trace: Trace) -> dict[str, float]:
@@ -129,6 +131,9 @@ def build_partitioned_schedule(
     partitioning only makes sense per production; fine-grain node tasks
     cannot be pinned without replicating node state everywhere).
     """
+    from .granularity import build_schedule
+    from .machine import GRANULARITY_PRODUCTION
+
     config = replace(config, granularity=GRANULARITY_PRODUCTION)
     assignment = lpt_partition(production_costs(trace), config.processors)
     schedule = build_schedule(trace, config)
@@ -148,7 +153,8 @@ def simulate_partitioned(trace: Trace, config: MachineConfig):
     Returns (result, assignment, imbalance) so callers can report both
     the performance and the packing quality.
     """
-    from .simulator import simulate_schedule  # local: avoid import cycle
+    from .machine import GRANULARITY_PRODUCTION
+    from .simulator import simulate_schedule
 
     schedule, assignment = build_partitioned_schedule(trace, config)
     result = simulate_schedule(

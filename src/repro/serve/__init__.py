@@ -31,40 +31,22 @@ See ``docs/serve.md`` for the protocol and lifecycle reference and
 ``docs/fault-tolerance.md`` for the durability/recovery contract.
 """
 
-from .client import Address, BackpressureError, RuleClient, ServerError
-from .durability import DurabilityStore, RecoveryBundle, validate_engine_state
-from .fleet import ProcessFleet, ProcessRouterFleet, WorkerProcess
-from .protocol import MAX_FRAME, Disconnected, ProtocolError
-from .router import RouterFleet, RouterThread, RuleRouter, WorkerLink
-from .server import RuleServer, ServerThread, run_server
-from .session import DEFAULT_MAX_PENDING, QuotaExceeded, Session, SessionManager
-from .stats import LatencyWindow, Telemetry
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Address",
-    "BackpressureError",
-    "DEFAULT_MAX_PENDING",
-    "Disconnected",
-    "DurabilityStore",
-    "LatencyWindow",
-    "MAX_FRAME",
-    "ProcessFleet",
-    "ProcessRouterFleet",
-    "ProtocolError",
-    "QuotaExceeded",
-    "RecoveryBundle",
-    "RouterFleet",
-    "RouterThread",
-    "RuleClient",
-    "RuleRouter",
-    "RuleServer",
-    "ServerError",
-    "ServerThread",
-    "Session",
-    "SessionManager",
-    "Telemetry",
-    "WorkerLink",
-    "WorkerProcess",
-    "run_server",
-    "validate_engine_state",
-]
+#: The package's names by submodule, each imported on first use: a
+#: ``repro serve`` worker process never loads the client, the router or
+#: the supervisor.
+_EXPORTS = {
+    ".client": ("Address", "BackpressureError", "RuleClient", "ServerError"),
+    ".durability": ("DurabilityStore", "RecoveryBundle", "validate_engine_state"),
+    ".fleet": ("ProcessFleet", "ProcessRouterFleet", "WorkerProcess"),
+    ".protocol": ("MAX_FRAME", "Disconnected", "ProtocolError"),
+    ".router": ("RouterFleet", "RouterThread", "RuleRouter", "WorkerLink"),
+    ".server": ("RuleServer", "ServerThread", "run_server"),
+    ".session": ("DEFAULT_MAX_PENDING", "QuotaExceeded", "Session", "SessionManager"),
+    ".stats": ("LatencyWindow", "Telemetry"),
+}
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)
+
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)

@@ -52,6 +52,8 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Optional
 
+from ..ops5.errors import Ops5Error
+
 __all__ = [
     "DurabilityStore",
     "RecoveryBundle",
@@ -306,7 +308,9 @@ class DurabilityStore:
         #: ops ride on the page cache (lost only if the whole *host*
         #: dies inside the window; worker kills lose nothing, since the
         #: router holding the WAL survives them).
-        self.commit_window = max(0.0, commit_window)
+        if not commit_window >= 0:
+            raise Ops5Error(f"commit_window must be >= 0, got {commit_window}")
+        self.commit_window = commit_window
         os.makedirs(self.root, exist_ok=True)
         self._wal_handles: dict[str, object] = {}
         self._lock = threading.Lock()

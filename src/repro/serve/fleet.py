@@ -61,10 +61,11 @@ class WorkerProcess:
     """One rule-server worker as a child OS process.
 
     The worker is the unmodified ``repro serve`` CLI entry point bound
-    to an ephemeral port; its one-line announce (``serving on
-    host:port``) is parsed from stdout, after which a drain thread keeps
-    the pipe from filling.  SIGKILL-ing the process loses every session
-    it hosts -- which is exactly the failure the durability layer exists
+    to an ephemeral port.  Constructing one launches the child;
+    :meth:`await_announce` then parses its one-line announce (``serving
+    on host:port``) from stdout and starts a drain thread that keeps the
+    pipe from filling.  SIGKILL-ing the process loses every session it
+    hosts -- which is exactly the failure the durability layer exists
     to undo.
     """
 
@@ -79,6 +80,7 @@ class WorkerProcess:
         if default_tenant_quota is not None:
             command += ["--tenant-quota", str(default_tenant_quota)]
         self.command = command
+        self.address: Optional[tuple] = None
         self.process = subprocess.Popen(
             command,
             stdout=subprocess.PIPE,
@@ -86,17 +88,9 @@ class WorkerProcess:
             env=_worker_environment(),
             text=True,
         )
-        try:
-            self.address = self._await_announce(SPAWN_TIMEOUT)
-        except BaseException:  # an interrupt mid-spawn must not orphan the child
-            self.kill()
-            raise
-        self._drain = threading.Thread(target=self._drain_stdout, daemon=True)
-        self._drain.start()
 
-    def _await_announce(self, timeout: float) -> tuple:
-        """Parse ``serving on host:port`` from the child's stdout."""
-        deadline = time.monotonic() + timeout
+    def await_announce(self) -> None:
+        """Parse ``serving on host:port`` into :attr:`address`, then drain."""
         result: dict = {}
 
         def read() -> None:
@@ -105,20 +99,21 @@ class WorkerProcess:
 
         reader = threading.Thread(target=read, daemon=True)
         reader.start()
-        reader.join(timeout=max(0.0, deadline - time.monotonic()))
+        reader.join(SPAWN_TIMEOUT)
         line = result.get("line", "")
         if reader.is_alive() or not line.startswith("serving on "):
             self.kill()
             raise Ops5Error(
-                f"worker process did not announce within {timeout}s "
+                f"worker process did not announce within {SPAWN_TIMEOUT}s "
                 f"(got {line!r})"
             )
         host, _, port = line[len("serving on "):].strip().rpartition(":")
         try:
-            return (host, int(port))
+            self.address = (host, int(port))
         except ValueError:
             self.kill()
             raise Ops5Error(f"unparseable worker announce {line!r}") from None
+        threading.Thread(target=self._drain_stdout, daemon=True).start()
 
     def _drain_stdout(self) -> None:
         try:
@@ -185,19 +180,23 @@ class ProcessFleet:
         #: Per-slot spawn serialisation: concurrent respawn/restart of
         #: the same worker index must not race each other.
         self._slot_locks = [threading.Lock() for _ in range(workers)]
-        self.processes: list[Optional[WorkerProcess]] = []
-        try:
-            for _ in range(workers):
-                self.processes.append(self._spawn())
-        except BaseException:
-            self.stop()
-            raise
+        self.processes: list[Optional[WorkerProcess]] = self._spawn(workers)
 
-    def _spawn(self) -> WorkerProcess:
-        return WorkerProcess(
-            max_pending=self.max_pending,
-            default_tenant_quota=self.default_tenant_quota,
-        )
+    def _spawn(self, count: int) -> list[WorkerProcess]:
+        """Launch *count* workers, then await their announces: they start
+        up concurrently.  On any failure or interrupt, every child
+        launched is killed and reaped before the exception propagates."""
+        launched: list[WorkerProcess] = []
+        try:
+            for _ in range(count):
+                launched.append(WorkerProcess(self.max_pending, self.default_tenant_quota))
+            for process in launched:
+                process.await_announce()
+        except BaseException:
+            for process in launched:
+                process.kill()
+            raise
+        return launched
 
     @property
     def addresses(self) -> list:
@@ -259,7 +258,7 @@ class ProcessFleet:
                 self.restarts[index] += 1
                 restarts = self.restarts[index]
             time.sleep(backoff)
-            process = self._spawn()
+            [process] = self._spawn(1)
             with self._lock:
                 self.processes[index] = process
                 self.events.append(
@@ -284,7 +283,7 @@ class ProcessFleet:
             process = self.processes[index]
             if process is not None:
                 process.terminate()
-            process = self._spawn()
+            [process] = self._spawn(1)
             with self._lock:
                 self.processes[index] = process
                 self.events.append(
@@ -344,18 +343,20 @@ class ProcessRouterFleet:
         **router_kwargs,
     ) -> None:
         from .durability import DurabilityStore
-        from .router import RouterThread
+        from .router import RouterThread, check_router_settings
 
+        check_router_settings(checkpoint_every, heartbeat_interval)
         self._tmpdir: Optional[tempfile.TemporaryDirectory] = None
         if durability_dir is None:
             self._tmpdir = tempfile.TemporaryDirectory(prefix="repro-fleet-")
             durability_dir = self._tmpdir.name
-        self.durability = DurabilityStore(
-            durability_dir, fsync=fsync, commit_window=commit_window
-        )
+        self.durability: Optional[DurabilityStore] = None
         self.fleet: Optional[ProcessFleet] = None
         self.router_thread = None
         try:
+            self.durability = DurabilityStore(
+                durability_dir, fsync=fsync, commit_window=commit_window
+            )
             self.fleet = ProcessFleet(
                 workers=workers,
                 max_pending=max_pending,
@@ -401,7 +402,8 @@ class ProcessRouterFleet:
         if self.fleet is not None:
             self.fleet.stop()
             self.fleet = None
-        self.durability.close()
+        if self.durability is not None:
+            self.durability.close()
         if self._tmpdir is not None:
             self._tmpdir.cleanup()
             self._tmpdir = None

@@ -210,6 +210,17 @@ class WorkerLink:
         }
 
 
+def check_router_settings(
+    checkpoint_every: Optional[int], heartbeat_interval: Optional[float]
+) -> None:
+    """Refuse a negative period: ``None`` or 0 turns either off, and a
+    negative heartbeat's ``asyncio.sleep`` returns at once (a ping storm)."""
+    if checkpoint_every is not None and not checkpoint_every >= 0:
+        raise Ops5Error(f"checkpoint_every must be >= 0, got {checkpoint_every}")
+    if heartbeat_interval is not None and not heartbeat_interval >= 0:
+        raise Ops5Error(f"heartbeat_interval must be >= 0, got {heartbeat_interval}")
+
+
 def _unreachable(link: WorkerLink, error: Exception) -> dict:
     return {
         "ok": False,
@@ -256,6 +267,7 @@ class RuleRouter(Endpoint):
     ) -> None:
         if not worker_addresses:
             raise Ops5Error("a router needs at least one worker address")
+        check_router_settings(checkpoint_every, heartbeat_interval)
         super().__init__(host, port, unix_path)
         self.workers = [
             WorkerLink(address, index)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _build_parser, main
 
 PROGRAM = """
 (p go (a ^v <x>) --> (write got <x>) (remove 1))
@@ -316,3 +316,63 @@ class TestProfileCommand:
     def test_profile_requires_a_workload(self, capsys):
         with pytest.raises(SystemExit):
             main(["profile"])
+
+
+class TestArgumentChecks:
+    """The CLI refuses bad arguments with argparse's exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["demo", "no-such"],
+            ["measure", "--demo", "no-such"],
+            ["profile", "--demo", "no-such"],
+            ["simulate", "--system", "bogus"],
+            ["trace", "--system", "bogus", "--out", "unused.json"],
+        ],
+    )
+    def test_an_unknown_name_is_an_invalid_choice(self, capsys, argv):
+        """The bundled programs and paper systems are loaded only when
+        an argument names one, and still checked by argparse."""
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        error = capsys.readouterr().err
+        assert "invalid choice: " in error
+        assert "'closure'" in error or "'vt'" in error  # the choices are listed
+
+    def test_help_lists_the_choices(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["demo", "--help"])
+        assert "closure" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--heartbeat-interval", "-1"],
+            ["serve", "--heartbeat-interval", "nan"],
+            ["serve", "--checkpoint-every", "-1"],
+            ["serve", "--commit-window", "-0.5"],
+            ["chaos", "--heartbeat-interval", "-1"],
+            ["chaos", "--checkpoint-every", "-1"],
+        ],
+    )
+    def test_a_negative_period_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_:
+            _build_parser().parse_args(argv)
+        assert exit_.value.code == 2
+        assert "must be >= 0" in capsys.readouterr().err
+
+    def test_a_malformed_number_still_names_its_type(self, capsys):
+        with pytest.raises(SystemExit):
+            _build_parser().parse_args(["serve", "--checkpoint-every", "x"])
+        assert "invalid int value: 'x'" in capsys.readouterr().err
+
+    def test_zero_periods_are_accepted(self):
+        args = _build_parser().parse_args(
+            ["serve", "--heartbeat-interval", "0", "--checkpoint-every", "0",
+             "--commit-window", "0"]
+        )
+        assert (args.heartbeat_interval, args.checkpoint_every, args.commit_window) == (
+            0.0, 0, 0.0
+        )

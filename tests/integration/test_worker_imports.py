@@ -1,0 +1,89 @@
+"""A served worker imports only the serving path.
+
+``repro serve`` is the entry point of every fleet worker process, and a
+worker's start-up time is a fleet's start-up and recovery time
+(docs/fault-tolerance.md).  This guard runs a real worker under
+``python -X importtime``, drives a compiled session through it, and
+reads the import log: no research layer may load.  It found the
+stats op loading the Rete package (``obs.metrics`` checked for a
+``ReteNetwork`` before a ``CompiledMatcher``).
+"""
+
+import subprocess
+import sys
+
+from repro.serve import RuleClient
+from repro.serve.fleet import _worker_environment
+from repro.workloads.programs import closure
+
+#: Modules a worker must never import, nor any submodule of them.
+FORBIDDEN = (
+    [f"repro.{layer}" for layer in (
+        "analysis", "machines", "workloads", "trace", "rete", "treat", "naive", "oflazer",
+    )]
+    + [f"repro.psim.{module}" for module in (
+        "simulator", "granularity", "des", "bounds", "gantt", "machine", "metrics",
+    )]
+    + [f"repro.serve.{module}" for module in ("router", "client", "fleet")]
+)
+
+
+def imported_modules(log: str) -> set[str]:
+    """Module names in a ``-X importtime`` log (``self | cumulative | name``)."""
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in log.splitlines()
+        if line.startswith("import time:") and line.count("|") == 2
+    }
+
+
+def forbidden_in(modules: set[str]) -> list[str]:
+    return sorted(
+        name
+        for name in modules
+        if any(name == root or name.startswith(root + ".") for root in FORBIDDEN)
+    )
+
+
+def test_forbidden_in_reads_submodules():
+    assert forbidden_in({"repro.rete", "repro.rete.nodes", "repro.psim.partition",
+                         "repro.serve.server", "repro.workloadsx"}) == [
+        "repro.rete", "repro.rete.nodes",
+    ]
+
+
+def test_a_worker_serving_a_compiled_session_imports_no_research_layer(tmp_path):
+    log_path = tmp_path / "imports.log"
+    with open(log_path, "w") as log:
+        worker = subprocess.Popen(
+            [sys.executable, "-X", "importtime", "-u", "-m", "repro", "serve",
+             "--port", "0"],
+            stdout=subprocess.PIPE, stderr=log, text=True, env=_worker_environment(),
+        )
+        try:
+            announce = worker.stdout.readline()
+            assert announce.startswith("serving on "), announce
+            host, _, port = announce.split()[2].rpartition(":")
+            with RuleClient((host, int(port))) as client:
+                sid = client.create_session(program=closure.PROGRAM, matcher="compiled")
+                chain = [["parent", {"from": f"n{i}", "to": f"n{i + 1}"}] for i in range(4)]
+                reply = client.assert_wmes(sid, chain, run=True)
+                assert reply["run"]["fired"] == closure.expected_chain_facts(4)
+                # What a durable router also asks of a worker: checkpoint
+                # exports (marked and unmarked) and the stats heartbeat.
+                assert client.request("export", session=sid, since=0)["ok"]
+                assert client.request("export", session=sid)["ok"]
+                assert client.session_stats(sid)["firings"] == reply["run"]["fired"]
+                assert client.stats()["ok"]
+        finally:
+            worker.kill()
+            worker.wait()
+            worker.stdout.close()
+    modules = imported_modules(log_path.read_text())
+    # The log sees every import, a package's lazy exports included, and
+    # covers the session: the kernel was imported to serve it.
+    assert {
+        "repro.serve.server", "repro.serve.session", "repro.kernel.matcher",
+        "repro.psim.partition",
+    } <= modules
+    assert forbidden_in(modules) == []

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from repro.ops5 import ProductionSystem
+from repro.ops5 import Ops5Error, ProductionSystem
 from repro.serve import DurabilityStore, validate_engine_state
 from repro.serve.durability import _encode_sid, encode_record
 from repro.workloads.programs import closure
@@ -269,6 +269,12 @@ class TestValidateEngineState:
 class TestGroupCommit:
     """The WAL's group-commit window: one fsync barrier absorbs many
     appends, strict recovery semantics are unchanged."""
+
+    def test_a_negative_window_is_refused(self, tmp_path):
+        """It used to be clamped to 0 without a word."""
+        with pytest.raises(Ops5Error, match="commit_window must be >= 0"):
+            DurabilityStore(str(tmp_path / "never"), fsync=True, commit_window=-1)
+        assert not (tmp_path / "never").exists()
 
     def test_window_batches_fsyncs(self, tmp_path):
         import time

@@ -10,6 +10,7 @@ criterion end to end: every placed session recovers bit-identically,
 """
 
 import asyncio
+import io
 import os
 import threading
 import time
@@ -17,7 +18,7 @@ import time
 import pytest
 
 from repro.faults import SESSION, SLOW, FaultPlan, FaultSpec
-from repro.ops5 import ProductionSystem
+from repro.ops5 import Ops5Error, ProductionSystem
 from repro.serve import (
     Disconnected,
     DurabilityStore,
@@ -58,6 +59,25 @@ def snapshot_wm(client, sid):
         [cls, sorted(attrs.items()), tag]
         for cls, attrs, tag in client.query_wm(sid)
     )
+
+
+class TestProcessRouterFleetSettings:
+    """A negative period or commit window is refused before any worker
+    process is launched."""
+
+    @pytest.mark.parametrize(
+        "setting",
+        [{"heartbeat_interval": -1}, {"checkpoint_every": -1}, {"commit_window": -1.0}],
+    )
+    def test_a_negative_setting_launches_nothing(self, monkeypatch, tmp_path, setting):
+        from repro.serve import fleet
+
+        def launch(**kwargs):
+            raise AssertionError("a worker was launched")
+
+        monkeypatch.setattr(fleet, "ProcessFleet", launch)
+        with pytest.raises(Ops5Error, match="must be >= 0"):
+            fleet.ProcessRouterFleet(durability_dir=str(tmp_path), **setting)
 
 
 class TestDurableThreadWorkers:
@@ -662,18 +682,84 @@ class TestProcessFleetChaos:
         """A ``SystemExit`` / ``KeyboardInterrupt`` landing while a worker
         is still announcing (a signal handler on the spawning thread)
         used to leave the child running outside every fleet's books."""
-        from repro.serve.fleet import WorkerProcess
+        from repro.serve.fleet import ProcessFleet, WorkerProcess
 
         spawned = []
 
-        def interrupted(self, timeout):
+        def interrupted(self):
             spawned.append(self.process)
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(WorkerProcess, "_await_announce", interrupted)
+        monkeypatch.setattr(WorkerProcess, "await_announce", interrupted)
         with pytest.raises(KeyboardInterrupt):
-            WorkerProcess()
+            ProcessFleet(workers=1)
         assert spawned[0].poll() is not None  # killed and reaped
+
+    def _start_failing_second_announce(self, monkeypatch, fail):
+        """Start ``ProcessFleet(workers=3)`` with *fail* replacing the
+        second announce wait; returns (children launched, how many were
+        launched at each wait)."""
+        from repro.serve.fleet import ProcessFleet, WorkerProcess
+
+        launched, seen_at_wait = [], []
+        launch, announce = WorkerProcess.__init__, WorkerProcess.await_announce
+
+        def counted_launch(self, *args, **kwargs):
+            launch(self, *args, **kwargs)
+            launched.append(self.process)
+
+        def second_fails(self):
+            seen_at_wait.append(len(launched))
+            if len(seen_at_wait) == 2:
+                fail(self, announce)
+            else:
+                announce(self)
+
+        monkeypatch.setattr(WorkerProcess, "__init__", counted_launch)
+        monkeypatch.setattr(WorkerProcess, "await_announce", second_fails)
+        with pytest.raises((Ops5Error, KeyboardInterrupt)):
+            ProcessFleet(workers=3)
+        return launched, seen_at_wait
+
+    def _assert_all_reaped(self, launched):
+        assert len(launched) == 3
+        for child in launched:
+            assert child.poll() is not None  # killed and reaped
+            with pytest.raises(ProcessLookupError):
+                os.kill(child.pid, 0)  # no pid left alive
+
+    def test_a_failed_announce_at_concurrent_start_orphans_no_worker(
+        self, monkeypatch
+    ):
+        """Fleet start launches every worker before it awaits any
+        announce; the second worker's announce fails (the real wait reads
+        a line that is no announce), and all three children -- the
+        announced one and the one never awaited too -- are killed and
+        reaped."""
+
+        def garbled(worker, announce):
+            worker.process.stdout.close()
+            worker.process.stdout = io.StringIO("Traceback (most recent call last):\n")
+            announce(worker)
+
+        launched, seen_at_wait = self._start_failing_second_announce(
+            monkeypatch, garbled
+        )
+        assert seen_at_wait == [3, 3]  # all launched before the first wait
+        self._assert_all_reaped(launched)
+
+    def test_an_interrupt_at_concurrent_start_orphans_no_worker(self, monkeypatch):
+        """A ``KeyboardInterrupt`` landing while the announces are
+        awaited kills and reaps every launched child."""
+
+        def interrupt(worker, announce):
+            raise KeyboardInterrupt
+
+        launched, seen_at_wait = self._start_failing_second_announce(
+            monkeypatch, interrupt
+        )
+        assert seen_at_wait == [3, 3]
+        self._assert_all_reaped(launched)
 
     def test_cli_fleet_exits_on_shutdown_request(self):
         """`repro serve --workers 1` returns 0 once a client's shutdown

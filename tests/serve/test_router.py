@@ -9,7 +9,7 @@ import asyncio
 
 import pytest
 
-from repro.ops5 import ProductionSystem
+from repro.ops5 import Ops5Error, ProductionSystem
 from repro.serve import (
     DurabilityStore,
     RouterFleet,
@@ -34,6 +34,40 @@ def _expected_run():
     direct = ProductionSystem(closure.PROGRAM, matcher="rete")
     direct.apply_changes([("assert", cls, attrs) for cls, attrs in CHAIN])
     return direct.run()
+
+
+class TestSettings:
+    """A negative period is refused, the way ``max_pending < 1`` is: a
+    negative heartbeat interval made ``asyncio.sleep`` return at once
+    (a ping storm), and ``checkpoint_every=-1`` checkpointed every op."""
+
+    WORKERS = [("127.0.0.1", 9)]
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"checkpoint_every": -1},
+            {"heartbeat_interval": -1},
+            {"heartbeat_interval": -0.5},
+            {"heartbeat_interval": float("nan")},
+        ],
+    )
+    def test_a_negative_period_is_refused(self, setting):
+        with pytest.raises(Ops5Error, match="must be >= 0"):
+            RuleRouter(worker_addresses=self.WORKERS, **setting)
+
+    @pytest.mark.parametrize("off", [None, 0])
+    def test_none_or_zero_turns_a_period_off(self, off):
+        router = RuleRouter(
+            worker_addresses=self.WORKERS, checkpoint_every=off, heartbeat_interval=off
+        )
+        assert router.checkpoint_every == 0
+        assert not router.heartbeat_interval
+
+    def test_a_router_thread_with_a_negative_heartbeat_never_starts(self):
+        with pytest.raises(RuntimeError, match="failed to start") as failure:
+            RouterThread(worker_addresses=self.WORKERS, heartbeat_interval=-1)
+        assert isinstance(failure.value.__cause__, Ops5Error)
 
 
 class TestFrontDoor:
