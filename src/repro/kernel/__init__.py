@@ -9,13 +9,12 @@ specialized Python:
 * the alpha network becomes one generated add / remove entry per WME
   class, testing each store's alpha items inline;
 * beta joins become hash-indexed probes over columnar alpha memories
-  whose key components are small ints from the process-wide value-code
-  table, :data:`repro.ops5.symbols.CODES`;
+  whose key components are the WMEs' own values (a dict compares them
+  the way OPS5 does);
 * one process-wide registry (``kernel/shared.py``) keyed by a structural
   LHS fingerprint (``kernel/cache.py``) generates, compiles and exec's
   each ruleset shape once, so re-loading the same ruleset (or the same
-  ruleset under new production names) attaches to the same kernel and
-  never encodes a value.
+  ruleset under new production names) attaches to the same kernel.
 
 The node-walking Rete stays in the tree as the differential oracle:
 ``CompiledMatcher(oracle=True)`` shadows every change through a
@@ -28,7 +27,7 @@ See ``docs/compiled-kernel.md`` for the compilation model.
 
 from .cache import ruleset_fingerprint
 from .codegen import generate_source
-from .layout import CODES, AlphaStore, encode_value
+from .layout import AlphaStore
 from .matcher import CompiledMatcher
 from .runtime import KernelRuntime
 from .shared import (
@@ -41,13 +40,11 @@ from .verify import check_kernel
 
 __all__ = [
     "AlphaStore",
-    "CODES",
     "CompiledMatcher",
     "KernelRuntime",
     "SharedKernel",
     "check_kernel",
     "clear_shared_kernels",
-    "encode_value",
     "generate_source",
     "ruleset_fingerprint",
     "shared_kernel",

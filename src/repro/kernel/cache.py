@@ -13,9 +13,10 @@ fingerprint captures exactly that shape:
   reloading the same program -- or a copy with its rules or variables
   renamed -- lands on the same kernel (``kernel/shared.py``).
 
-Neither fingerprinting nor codegen encodes a value: loading a ruleset
-never grows :data:`~repro.ops5.symbols.CODES` (regression-tested in
-``tests/kernel/test_cache.py``).
+A production's fingerprint is computed once and kept on the production
+(``Production.fingerprint``), so warm rebuilds -- one per session
+attach -- do not re-walk every CE, and the fingerprint goes away with
+its program.
 """
 
 from __future__ import annotations
@@ -41,21 +42,10 @@ def _ce_fingerprint(analysis: CEAnalysis) -> tuple:
     )
 
 
-# Per-production fingerprint memo, keyed by object identity.  Rebuilds
-# on a warm kernel happen once per session attach; without the memo each
-# one re-walks every CE of every production, making attach cost scale
-# with network size.  Entries hold a strong reference to the production
-# (Production has __slots__ without __weakref__), so an id() is never
-# reused while its entry is live; clear_cache() drops the memo.
-_PROD_FP: dict[int, tuple[Production, tuple]] = {}
-
-
 def _production_fingerprint(production: Production) -> tuple:
-    entry = _PROD_FP.get(id(production))
-    if entry is not None and entry[0] is production:
-        return entry[1]
-    fp = tuple(_ce_fingerprint(a) for a in production.analysis)
-    _PROD_FP[id(production)] = (production, fp)
+    fp = production.fingerprint
+    if fp is None:
+        fp = production.fingerprint = tuple(_ce_fingerprint(a) for a in production.analysis)
     return fp
 
 
@@ -65,5 +55,6 @@ def ruleset_fingerprint(productions: Sequence[Production]) -> tuple:
 
 
 def clear_cache() -> None:
-    """Drop the fingerprint memo (test isolation)."""
-    _PROD_FP.clear()
+    """Nothing left to clear: fingerprints live on their productions.
+
+    Kept only because ``benchmarks/e2e/measure.py`` still calls it."""

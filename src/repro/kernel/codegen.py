@@ -9,7 +9,7 @@ materialises the whole match network as *closures over local dicts*:
   (``rt.adds[cls]`` / ``rt.removes[cls]``): the alpha network as code.
   It probes each constant group (:func:`plan_alpha_index`) into a dict
   of store blocks and runs the class's tail stores inline; a store tests
-  its alpha items, files its row and encoded columns, runs its
+  its alpha items, files its row and its columns, runs its
   subscribers (a right activation inline, a group as a call) and ORs
   its productions' bitmask into the change's affected set;
 * per production, a linear join chain -- for condition element ``i`` a
@@ -25,23 +25,26 @@ materialises the whole match network as *closures over local dicts*:
   stay private to their production;
 * a terminal that edits the conflict set directly.
 
-Join keys are tuples (or bare ints) of encoded column values read
+Join keys are tuples (or bare values) of the attribute values read
 straight out of the :class:`~repro.kernel.layout.AlphaStore` columns --
-one dict probe per component, no string hashing, no method dispatch.
-Tokens are plain tuples of WMEs (``None`` at negated positions) and
-left keys are the matching timetag tuples (``0`` at negated positions),
-the same identity the interpreted Rete's ``Token.key`` uses, so the
-terminal's conflict-set keys are bit-identical to the oracle's.
+one dict probe per component, no method dispatch.  A dict compares
+OPS5 values the way OPS5 does (``1`` and ``1.0`` share a bucket, a
+``str`` never equals a number; ``bool`` and NaN are refused at
+ingestion), so a bucket holds exactly the candidates an equality scan
+would pass.  Tokens are plain tuples of WMEs (``None`` at negated
+positions) and left keys are the matching timetag tuples (``0`` at
+negated positions), the same identity the interpreted Rete's
+``Token.key`` uses, so the terminal's conflict-set keys are
+bit-identical to the oracle's.
 
-The generated source contains *no* production names, no value codes, no
-variable names and no RHS data (``ops5/rhs.py`` compiles the act phase;
-an instantiation derives its bindings from its WMEs): constants are
+The generated source contains *no* production names, no variable names
+and no RHS data (``ops5/rhs.py`` compiles the act phase; an
+instantiation derives its bindings from its WMEs): constants are
 embedded by ``ops5.rhs.literal``, productions are looked up positionally
-from the runtime at build time, affected sets are bitmasks over those
-positions, and values are encoded only when WMEs arrive.  Compiling
-therefore never touches a code table, and two structurally identical
-rulesets -- even under different rule, variable or action names -- share
-one kernel (``kernel/shared.py``).
+from the runtime at build time, and affected sets are bitmasks over
+those positions.  So two structurally identical rulesets -- even under
+different rule, variable or action names -- share one kernel
+(``kernel/shared.py``).
 
 Correctness notes (mirroring the node-walking Rete):
 
@@ -327,7 +330,7 @@ def _col_var(plan: StorePlan, attr: str) -> str:
 
 
 def _key_expr(components: list[str]) -> str:
-    """A hash key from encoded components: bare int, tuple, or the
+    """A hash key from column values: a bare value, a tuple, or the
     shared single bucket ``0`` when the join has no equality tests."""
     if not components:
         return "0"
@@ -677,9 +680,9 @@ def _store_test(plan: StorePlan, keyed: bool) -> str:
 
 
 def _filing(plan: StorePlan) -> str:
-    """File the row and its encoded columns."""
+    """File the row and its columns (the WME's values)."""
     s = plan.index
-    columns = [f"c{s}_{j}[wt] = C[{_read(attr)}]" for j, attr in enumerate(plan.columns)]
+    columns = [f"c{s}_{j}[wt] = {_read(attr)}" for j, attr in enumerate(plan.columns)]
     return "; ".join([f"r{s}[wt] = w", *columns])
 
 
@@ -793,7 +796,7 @@ def generate_source(productions: Sequence[Production]) -> str:
     out: list[str] = [
         "# generated by repro.kernel.codegen -- do not edit",
         "def build(rt):",
-        "    _veq = rt.veq; _same = rt.same; C = rt.codes",
+        "    _veq = rt.veq; _same = rt.same",
         "    _N = (int, float); _V = (str, int, float)",
         "    _lt = rt.lt; _le = rt.le; _gt = rt.gt; _ge = rt.ge",
         "    ctr = rt.counters",

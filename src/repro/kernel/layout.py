@@ -1,19 +1,15 @@
-"""Columnar alpha memories keyed on the process-wide value codes.
+"""Columnar alpha memories: the stores the generated join code probes.
 
-The generated join code never hashes a string and never probes a
-per-token dict of attribute values.  Both properties come from the
-layout in this module:
-
-* every column value is a code from :data:`~repro.ops5.symbols.CODES`,
-  the one process-wide ``value -> int`` table (equal codes iff
-  :func:`~repro.ops5.wme.values_equal`), so a generated store encodes a
-  column with one subscript (``C[v]``).
+The generated join code never probes a per-token dict of attribute
+values.  That property comes from the layout in this module:
 
 * :class:`AlphaStore` is one alpha memory shared by every condition
   element with the same (class, fused alpha tests) signature.  Besides
   the ``timetag -> WME`` row dict it keeps one *column* per attribute
-  that any subscriber's join keys reference: ``timetag -> code``, so a
-  generated join builds its hash key with one dict probe per component.
+  that any subscriber's join keys reference: ``timetag -> value`` (the
+  WME's own value object, ``nil`` when unassigned), so a generated join
+  builds its hash key with one dict probe per component and a key
+  compares values the way OPS5 does (see ``kernel/codegen.py``).
   The generated class entries (``kernel/codegen.py``) test, file and
   drop rows themselves; the store is their state, not an object they
   call.  Removal is two-phase there: every delete subscriber of the
@@ -24,10 +20,9 @@ layout in this module:
 
 from __future__ import annotations
 
-from ..ops5.symbols import CODES, ValueCodes, encode_value
-from ..ops5.wme import WME
+from ..ops5.wme import WME, Value
 
-__all__ = ["AlphaStore", "CODES", "ValueCodes", "encode_value"]
+__all__ = ["AlphaStore"]
 
 
 class AlphaStore:
@@ -51,7 +46,7 @@ class AlphaStore:
         self.cls = cls
         self.mask = mask
         self.rows: dict[int, WME] = {}
-        self.cols: dict[str, dict[int, int]] = {attr: {} for attr in columns}
+        self.cols: dict[str, dict[int, Value]] = {attr: {} for attr in columns}
 
     @property
     def productions(self) -> tuple[int, ...]:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from ..ops5.production import Instantiation, Production
 from ..ops5.wme import WME, is_number, same_type, values_equal
-from .layout import CODES, AlphaStore
+from .layout import AlphaStore
 
 __all__ = ["KernelRuntime"]
 
@@ -53,14 +53,13 @@ class KernelRuntime:
     __slots__ = ("counters", "cs_insert", "cs_delete", "instantiation",
                  "productions", "stores", "adds", "removes")
 
-    # Join-test helpers and the value codes, shared by every kernel.
+    # Join-test helpers, shared by every kernel.
     veq = staticmethod(values_equal)
     same = staticmethod(same_type)
     lt = staticmethod(_lt)
     le = staticmethod(_le)
     gt = staticmethod(_gt)
     ge = staticmethod(_ge)
-    codes = CODES
 
     def __init__(self, conflict_set, productions: list[Production]) -> None:
         #: [node activations, comparisons, tokens built] -- the generated

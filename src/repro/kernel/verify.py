@@ -5,7 +5,7 @@
 partition's stores against the plan, the WM mirror and the *interpreted*
 alpha tests (``ops5.condition.wme_passes_alpha`` of each store's
 condition elements -- never the generated entries it checks), column
-encodings, and then replays the whole session through a fresh
+values, and then replays the whole session through a fresh
 node-walking :class:`~repro.rete.ReteNetwork`, comparing conflict sets.
 An empty list of problems means the kernel holds what Rete would.
 """
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from ..ops5.condition import wme_passes_alpha
 from .codegen import plan_stores
-from .layout import encode_value
 from .matcher import CompiledMatcher
 
 __all__ = ["check_kernel"]
@@ -50,12 +49,14 @@ def check_kernel(matcher: CompiledMatcher) -> list[str]:
                         f"{where}: column {attr!r} keys diverge from rows"
                     )
                     continue
-                for timetag, encoded in col.items():
-                    expected = encode_value(store.rows[timetag].get(attr))
-                    if encoded != expected:
+                # Identity, not ``!=``: a column holds the WME's own value
+                # object (``nil`` is one interned string everywhere).
+                for timetag, value in col.items():
+                    expected = store.rows[timetag].get(attr)
+                    if value is not expected:
                         problems.append(
                             f"{where}: column {attr!r} row {timetag} "
-                            f"holds {encoded}, expected {expected}"
+                            f"holds {value!r}, expected {expected!r}"
                         )
             for wme in wmes:
                 if wme.cls != store.cls or wme.timetag in store.rows:

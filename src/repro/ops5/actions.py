@@ -91,7 +91,8 @@ _ARITH: Mapping[str, Callable[[float, float], float]] = {
 class Compute(Expression):
     """``(compute a <op> b <op> c ...)`` evaluated left to right.
 
-    All operands must evaluate to numbers.  Results that are whole floats
+    All operands must evaluate to numbers, and a NaN result (``inf - inf``)
+    is an error: OPS5 has no NaN.  Results that are whole floats
     are normalised back to ``int`` so arithmetic on integers stays in the
     integers (OPS5 numbers are integers in the common implementations).
     """
@@ -123,6 +124,8 @@ class Compute(Expression):
                 raise ExecutionError("compute: division by zero") from None
         if isinstance(acc, float) and acc.is_integer():
             acc = int(acc)
+        elif acc != acc:
+            raise ExecutionError("compute: result is not a number")
         return acc
 
     def variables(self) -> list[str]:

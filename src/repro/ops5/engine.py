@@ -39,9 +39,11 @@ def _check_values(attributes) -> None:
         raise ExecutionError(f"attributes must map names to values, got {attributes!r}")
     for name, value in (attributes or {}).items():
         # Exact types first: the common case costs one probe per value.
-        if type(value) not in _VALUE_TYPES and (
+        # NaN is refused too: unequal to itself, it would join only by
+        # identity, and only in the hashed matchers.
+        if (type(value) not in _VALUE_TYPES and (
             isinstance(value, bool) or not isinstance(value, _VALUE_TYPES)
-        ):
+        )) or (isinstance(value, float) and value != value):
             raise ExecutionError(
                 f"attribute {name!r} value {value!r} is neither a symbol nor a number"
             )

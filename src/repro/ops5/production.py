@@ -28,13 +28,14 @@ class Production:
     :class:`~repro.ops5.errors.ValidationError` immediately, so a loaded
     program is structurally sound before any matching happens.
 
-    Productions are immutable after construction and hashable by name;
-    a program never contains two productions with the same name.
+    Productions are immutable after construction (``fingerprint`` is a
+    cache, filled once) and hashable by name; a program never contains
+    two productions with the same name.
     """
 
     __slots__ = (
         "name", "conditions", "actions", "analysis", "positive_indices", "specificity",
-        "binding_sites", "fire", "rhs_source",
+        "binding_sites", "fire", "rhs_source", "fingerprint",
     )
 
     def __init__(
@@ -66,6 +67,9 @@ class Production:
         )
         #: The RHS, generated: ``fire(engine, wmes, record)`` and its source.
         self.fire, self.rhs_source = compile_rhs(self)
+        #: The LHS's structural fingerprint (``kernel.cache``), filled on
+        #: first use.
+        self.fingerprint: tuple | None = None
 
     def _validate_rhs(self) -> None:
         problems = actions_are_valid(self.actions, [ce.negated for ce in self.conditions])

@@ -57,8 +57,13 @@ def _divide(op, a, b):
 
 
 def _whole(value):
-    """Whole floats back to ``int`` (see :class:`Compute`)."""
-    return int(value) if isinstance(value, float) and value.is_integer() else value
+    """Whole floats back to ``int`` (see :class:`Compute`); NaN refused."""
+    if isinstance(value, float):
+        if value.is_integer():
+            return int(value)
+        if value != value:
+            raise ExecutionError("compute: result is not a number")
+    return value
 
 
 _GLOBALS = dict(

@@ -29,7 +29,6 @@ from typing import TYPE_CHECKING, Callable, Optional
 from ..ops5.condition import JoinTest
 from ..ops5.errors import Ops5Error
 from ..ops5.production import Instantiation, Production
-from ..ops5.symbols import CODES
 from ..ops5.wme import WME
 from .token import Token
 
@@ -270,20 +269,20 @@ class JoinNode(ReteNode):
         self.right_index: dict[tuple, dict[int, WME]] = {}
         self.rebuild_indexes()
 
-    # Join keys are tuples of value codes (``ops5.symbols.CODES``, the
-    # table the compiled kernel's columns use): equal codes iff OPS5-equal
-    # values, so a bucket holds exactly the candidates an equality scan
-    # would pass, while hashing and comparing machine ints.
+    # Join keys are tuples of the values themselves: a dict compares OPS5
+    # values the way OPS5 does (``1`` and ``1.0`` share a bucket, a symbol
+    # never equals a number; ``bool`` and NaN are refused at ingestion),
+    # so a bucket holds exactly the candidates an equality scan would pass.
 
     def _token_key(self, token: Token) -> tuple:
         key = []
         for test in self.eq_tests:
             other = token.wme_at(test.other_ce)
-            key.append(CODES[other.get(test.other_attribute) if other else None])
+            key.append(other.get(test.other_attribute) if other else None)
         return tuple(key)
 
     def _wme_key(self, wme: WME) -> tuple:
-        return tuple([CODES[wme.get(test.own_attribute)] for test in self.eq_tests])
+        return tuple([wme.get(test.own_attribute) for test in self.eq_tests])
 
     def rebuild_indexes(self) -> None:
         """Compute both hash indexes from the backing memories (called

@@ -113,7 +113,11 @@ def validate_engine_state(state) -> Optional[str]:
         for name, value in attrs.items():
             if not isinstance(name, str):
                 return f"attribute name {name!r} is not a string"
-            if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, (str, int, float))
+                or value != value  # NaN
+            ):
                 return (
                     f"attribute {name!r} value {value!r} is neither "
                     "a symbol nor a number"

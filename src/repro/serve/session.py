@@ -166,8 +166,8 @@ class TenantBook:
 #
 # Thousands of sessions load the *same* program text.  One parse per
 # text shares one set of immutable Production objects across them, so a
-# warm create does no parsing and the kernel registry's fingerprint memo
-# (keyed by object identity) is a pure hit.
+# warm create does no parsing and reads each production's kept
+# structural fingerprint.
 
 _PROGRAMS: dict[str, Program] = {}
 _PROGRAMS_LOCK = threading.Lock()  # server threads of one process share it

@@ -1,20 +1,22 @@
-"""Kernel reuse by structural fingerprint and the value-code regression.
+"""Kernel reuse by structural fingerprint, and a heap that stays flat.
 
 The contract: compiling the same ruleset twice must land on the one
 registry entry (the *same* kernel and build function come back), and
-neither fingerprinting nor codegen may encode a value -- loading a
-ruleset never grows :data:`~repro.ops5.symbols.CODES`.
+nothing in the match layer grows with traffic -- neither the values a
+session has seen nor the engines built and dropped leave state behind.
 """
 
+import gc
 import re
+import tracemalloc
 import uuid
 
 import pytest
 
-from repro.kernel import CODES, CompiledMatcher, clear_shared_kernels, shared_kernel
+from repro.kernel import CompiledMatcher, clear_shared_kernels, shared_kernel
 from repro.kernel import shared_kernel_stats
-from repro.kernel.cache import clear_cache, ruleset_fingerprint
-from repro.ops5 import parse_program
+from repro.kernel.cache import ruleset_fingerprint
+from repro.ops5 import ProductionSystem, parse_program
 from repro.ops5.wme import WME, WorkingMemory
 
 SRC = """
@@ -26,18 +28,15 @@ RENAMED = SRC.replace("find", "locate").replace("quiet", "silent")
 
 
 def unseen(src):
-    """*src* plus a production whose constants no one has encoded yet, so
-    encoding them anywhere on the load path would grow the table."""
+    """*src* plus a production with constants no other test uses."""
     tag = uuid.uuid4().hex
     return src + f"(p probe (goal ^want s{tag} ^size {int(tag[:12], 16)}) --> (halt))"
 
 
 @pytest.fixture(autouse=True)
 def fresh_cache():
-    clear_cache()
     clear_shared_kernels()
     yield
-    clear_cache()
     clear_shared_kernels()
 
 
@@ -120,30 +119,75 @@ class TestCacheReuse:
         assert fp_int != fp_float
 
 
-class TestInternTableRegression:
-    def test_recompiles_do_not_grow_the_symbol_table(self):
+class TestLoadPath:
+    def test_recompiles_land_on_one_kernel(self):
         src = unseen(SRC)
         renamed = src.replace("find", "locate").replace("quiet", "silent")
-        before = len(CODES)
         for _ in range(3):  # one cold compile, then hits
             shared_kernel(parse_program(src).productions)
             shared_kernel(parse_program(renamed).productions)
-        assert len(CODES) == before
         assert shared_kernel_stats()["kernels"] == 1
 
-    def test_matcher_rebuild_does_not_grow_the_symbol_table(self):
+    def test_matcher_rebuild_compiles_each_shape_once(self):
         matcher = CompiledMatcher()
         for production in parse_program(SRC).productions:
             matcher.add_production(production)
         memory = WorkingMemory()
         matcher.add_wme(memory.add(WME("goal", {"want": "red"})))
         matcher.add_wme(memory.add(WME("block", {"color": "red", "size": 3})))
-        before = len(CODES)
         # A production edit with WM non-empty forces an immediate rebuild
         # (a cold compile of the new shape, then a hit back on the old
-        # one, each with a quiet replay); the table must not move.
+        # one, each with a quiet replay).
         late = parse_program(unseen("")).productions[0]
         matcher.add_production(late)
         matcher.remove_production("probe")
-        assert len(CODES) == before
         assert matcher.kernel_summary()["compiles"] == 3
+
+
+def _growth_per_step(step, steps=3) -> list[int]:
+    """Traced live-heap growth (bytes) of each of *steps* calls of
+    ``step(k)``, after one warm-up call (dict tables reach their size)."""
+    def live():
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+
+    tracemalloc.start()
+    try:
+        step(0)
+        growth, before = [], live()
+        for k in range(1, steps + 1):
+            step(k)
+            now = live()
+            growth.append(now - before)
+            before = now
+        return growth
+    finally:
+        tracemalloc.stop()
+
+
+class TestHeapStaysFlat:
+    """The match state costs what the current working memory costs: a
+    value leaves with the last WME holding it, a fingerprint with its
+    program (the paper's state-saving argument, Section 3.1)."""
+
+    def test_retracted_unique_symbols_leave_nothing_behind(self):
+        ps = ProductionSystem(SRC, matcher="compiled")
+        ps.add("goal", want="red")
+
+        def batch(k):  # 10^4 values never seen before, in a join column
+            wmes = [ps.add("block", color=f"u{k}-{i}", size=3) for i in range(10_000)]
+            for wme in wmes:
+                ps.remove_wme(wme)
+
+        growth = _growth_per_step(batch)
+        assert max(growth) < 100_000, growth
+        assert ps.matcher.kernel_summary()["compiles"] == 1
+
+    def test_dropped_engines_leave_nothing_behind(self):
+        def build_and_drop(_k):
+            for _ in range(200):
+                ProductionSystem(SRC, matcher="compiled").add("goal", want="red")
+
+        growth = _growth_per_step(build_and_drop)
+        assert max(growth) < 100_000, growth
+        assert shared_kernel_stats()["kernels"] == 1

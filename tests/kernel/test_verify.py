@@ -86,9 +86,16 @@ class TestChecker:
             s for s in matcher.runtimes[0].stores if wmes[0].timetag in s.rows
         )
         attr, col = next(iter(store.cols.items()))
-        col[wmes[0].timetag] ^= 0xFFFF  # sabotage the encoded value
+        col[wmes[0].timetag] = "blue"  # sabotage: another WME's value
         problems = check_kernel(matcher)
-        assert problems and any("column" in p for p in problems)
+        assert problems and any("column 'color'" in p and "'blue'" in p for p in problems)
+
+    def test_unassigned_and_nan_columns_pass(self):
+        # A column holds the WME's own value object: nil for an unset
+        # attribute, and a NaN (possible through in-process ``add``)
+        # that ``!=`` would call corrupt.
+        matcher, _ = _loaded([("goal", {}), ("block", {"color": float("nan")})])
+        assert check_kernel(matcher) == []
 
     def test_detects_conflict_set_divergence(self):
         matcher, wmes = _loaded([

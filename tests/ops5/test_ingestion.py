@@ -8,11 +8,13 @@ Before the check a list raised ``TypeError`` from inside the kernel with
 the WME already in working memory, and a ``true`` was stored, joined as
 ``1`` by the compiled kernel only, and then failed the checkpoint
 validator, so a durable session holding one could not be restored.
+OPS5 has no NaN either: one joined itself in the hashed matchers (a dict
+finds a key by identity first) and nothing in the others.
 """
 
 import pytest
 
-from repro.ops5 import ProductionSystem
+from repro.ops5 import MATCHER_NAMES, ProductionSystem
 from repro.ops5.errors import ExecutionError
 from repro.serve.durability import validate_engine_state
 
@@ -21,7 +23,7 @@ SRC = """
   (p one  (a ^x 1) --> (write one))
 """
 
-NOT_VALUES = [[1, 2], {"k": 1}, True, False, None, (1,)]
+NOT_VALUES = [[1, 2], {"k": 1}, True, False, None, (1,), float("nan")]
 
 
 def _state(system):
@@ -70,6 +72,34 @@ def test_every_ops5_value_is_accepted():
     added = system.apply_changes([("assert", "b", {"x": v}) for v in values]).added
     assert [w.get("x") for w in added] == values
     assert validate_engine_state(system.export_state()) is None
+
+
+def test_a_nan_state_is_refused():
+    system = ProductionSystem(SRC, matcher="compiled")
+    system.add("b", x=1)
+    state = system.export_state()
+    state["wmes"][0][2]["x"] = float("nan")
+    problem = validate_engine_state(state)
+    assert problem is not None and "neither a symbol nor a number" in problem
+
+
+#: A NaN made on the RHS from a client's ``inf``, filed on both sides
+#: of a join: before ``compute`` refused it, ``compiled`` and
+#: ``rete-indexed`` wrote ``joined`` and the other matchers did not.
+NAN_JOIN = """
+  (p mk (a ^v <x>) --> (bind <n> (compute <x> - <x>)) (make b ^v <n>) (make c ^v <n>) (remove 1))
+  (p j (b ^v <y>) (c ^v <y>) --> (write joined))
+"""
+
+
+@pytest.mark.parametrize("matcher", MATCHER_NAMES)
+def test_compute_refuses_to_make_a_nan_on_every_matcher(matcher):
+    system = ProductionSystem(NAN_JOIN, matcher=matcher)
+    system.apply_changes([("assert", "a", {"v": float("inf")})])
+    with pytest.raises(ExecutionError, match="compute: result is not a number"):
+        system.run()
+    assert system.output == []
+    assert [w.cls for w in system.memory.snapshot()] == ["a"]
 
 
 def test_the_trusted_in_process_path_is_not_checked():

@@ -1,66 +1,91 @@
-"""Properties of the value-code table.
+"""Symbols and numbers as join keys: the values themselves.
 
-Two invariants everything keyed on value codes rests on: equal codes
-mean OPS5-equal values (and codes are dense), and a symbol's code can
-never be mistaken for an equal number in a join key.
+Both hashed matchers -- the compiled kernel's columns and the indexed
+Rete's ``JoinNode`` keys -- file a WME under its attribute values and
+let a dict find its partners.  That is correct only if dict equality
+*is* OPS5 equality (:func:`~repro.ops5.wme.values_equal`) on every value
+a WME may hold: ``1`` joins ``1.0`` and ``-0.0`` joins ``0``, a symbol
+never joins an equal-looking number, and an int past 2**53 does not
+join the float it rounds to.
 """
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from repro.kernel import CODES as KERNEL_CODES
-from repro.ops5 import parse_program
-from repro.ops5.symbols import CODES, encode_value
-from repro.ops5.wme import WME, values_equal
-from repro.rete.network import ReteNetwork
+from repro.ops5 import ProductionSystem
+from repro.ops5.wme import values_equal
 
+#: One equality test (a bare key) and two (a tuple key, ``^w`` always "k").
+PROGRAMS = {
+    "bare": "(p pair (left ^v <x>) (right ^v <x>) --> (halt))",
+    "tuple": "(p pair (left ^w <y> ^v <x>) (right ^w <y> ^v <x>) --> (halt))",
+}
 
-def make_wme(cls, attrs, timetag):
-    wme = WME(cls, attrs)
-    wme.timetag = timetag
-    return wme
+HASHED = ("compiled", "rete-indexed")
 
+EDGES = (0, -0.0, 0.0, 1, 1.0, "1", 7, 7.0, float("inf"), float("-inf"),
+         2**53 + 1, float(2**53 + 1), 2**53, "inf", "0")
 
 values = st.one_of(
-    st.text(max_size=20), st.integers(-5, 5), st.floats(-5, 5, allow_nan=False)
+    st.text(max_size=6),
+    st.integers(-5, 5),
+    st.floats(-5, 5, allow_nan=False),
+    st.sampled_from(EDGES),
 )
 
 
-@given(st.lists(values, max_size=40))
-@settings(max_examples=50, deadline=None)
-def test_intern_table_is_a_bijection(items):
-    codes = [encode_value(v) for v in items]
-    # Same value -> same code, and codes partition values exactly as
-    # OPS5 equality does (1 and 1.0 share one; "1" and 1 never do).
-    assert codes == [CODES[v] for v in items]
-    for a, code_a in zip(items, codes):
-        for b, code_b in zip(items, codes):
-            assert (code_a == code_b) == values_equal(a, b), (a, b)
-    assert sorted(CODES.values()) == list(range(len(CODES)))
-    # One table per process: the kernel's columns use this very object.
-    assert KERNEL_CODES is CODES
+def _twin(value):
+    """An equal value, as a different object where the type allows."""
+    return (value + "!")[:-1] if isinstance(value, str) else value
+
+
+pairs = st.one_of(
+    st.tuples(values, values),
+    values.map(lambda v: (v, _twin(v))),
+    st.tuples(st.sampled_from(EDGES), st.sampled_from(EDGES)),
+)
+
+
+def joined(matcher: str, shape: str, left, right, left_first: bool) -> bool:
+    ps = ProductionSystem(PROGRAMS[shape], matcher=matcher)
+    sides = [("left", left), ("right", right)]
+    for cls, value in sides if left_first else sides[::-1]:
+        ps.add(cls, v=value, w="k")
+    return len(ps.conflict_set) == 1
+
+
+def check_keys_join_as_values_equal(pair):
+    left, right = pair
+    expected = values_equal(left, right)
+    for matcher in HASHED:
+        for shape in PROGRAMS:
+            for left_first in (True, False):
+                got = joined(matcher, shape, left, right, left_first)
+                assert got == expected, (matcher, shape, left_first, left, right)
 
 
 def test_symbol_ids_never_collide_with_numbers_in_join_keys():
-    """A symbol whose code happens to equal a numeric join value must not
-    hash-collide into the same bucket and produce phantom matches."""
-    program = parse_program(
-        """
-        (p pair (left ^v <x>) (right ^v <x>) --> (make hit))
-        """
-    )
-    network = ReteNetwork(indexed=True)  # the join keys under test
-    for production in program.productions:
-        network.add_production(production)
-    sym = "collider"
-    ident = CODES[sym]
-    assert CODES[ident] != CODES[sym]  # the number gets a code of its own
-    # A number equal to the symbol's code on the opposite side.
-    network.add_wme(make_wme("left", {"v": sym}, 1))
-    network.add_wme(make_wme("right", {"v": ident}, 2))
-    assert len(network.conflict_set) == 0
-    network.add_wme(make_wme("right", {"v": sym}, 3))
-    assert len(network.conflict_set) == 1
-    # Numbers still join by OPS5 equality: 7 and 7.0 land in one bucket.
-    network.add_wme(make_wme("left", {"v": 7}, 4))
-    network.add_wme(make_wme("right", {"v": 7.0}, 5))
-    assert len(network.conflict_set) == 2
+    """A symbol never joins an equal-looking number; numbers join by
+    OPS5 equality, so 7 joins 7.0."""
+    for matcher in HASHED:
+        for shape in PROGRAMS:
+            assert not joined(matcher, shape, "7", 7, True)
+            assert not joined(matcher, shape, 7, "7", False)
+            assert joined(matcher, shape, "collider", "collider", True)
+            assert joined(matcher, shape, 7, 7.0, True)
+            assert joined(matcher, shape, 7.0, 7, False)
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@example(pair=(2**53 + 1, float(2**53 + 1)))
+@example(pair=("1", 1))
+@given(pair=pairs)
+def test_hashed_matchers_join_exactly_when_values_equal(pair):
+    check_keys_join_as_values_equal(pair)
+
+
+@pytest.mark.fuzz
+@settings(max_examples=3000, deadline=None, database=None)
+@given(pair=pairs)
+def test_hashed_matchers_join_exactly_when_values_equal_long(pair):
+    check_keys_join_as_values_equal(pair)

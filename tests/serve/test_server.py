@@ -124,14 +124,15 @@ def test_errors_are_replies_not_disconnects(server):
 
 
 def test_a_value_that_is_not_a_symbol_or_number_is_a_typed_refusal(server):
-    """Lists, objects, booleans and null never reach working memory: the
-    reply is an error, the session holds what it held before, and its
-    state still exports as a valid checkpoint."""
+    """Lists, objects, booleans, null and NaN (a JSON ``NaN`` decodes to
+    one) never reach working memory: the reply is an error, the session
+    holds what it held before, and its state still exports as a valid
+    checkpoint."""
     with RuleClient(server.address) as client:
         sid = client.create_session(program=closure.PROGRAM, matcher="compiled")
         try:
             client.assert_wmes(sid, CHAIN[:1])
-            for bad in ([1, 2], {"k": 1}, True, None):
+            for bad in ([1, 2], {"k": 1}, True, None, float("nan")):
                 with pytest.raises(ServerError, match="neither a symbol nor a number"):
                     client.assert_wmes(sid, [["parent", {"from": "n9", "to": bad}]])
                 with pytest.raises(ServerError, match="neither a symbol nor a number"):
@@ -378,6 +379,9 @@ def test_import_session_rejects_bad_state_payloads(server):
                     state={**state, "wmes": [[True, "c", {}]]})
             refused("duplicate", config=config,
                     state={**state, "wmes": [[1, "c", {}], [1, "d", {}]]})
+            refused("neither a symbol nor a number", config=config,
+                    state={**state, "wmes": [[1, "c", {"v": float("nan")}]],
+                           "next_timetag": 2})
             refused("next_timetag", config=config,
                     state={**state, "next_timetag": 0})
             refused("halted", config=config, state={**state, "halted": "no"})
