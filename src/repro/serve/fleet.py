@@ -36,9 +36,9 @@ __all__ = ["ProcessFleet", "ProcessRouterFleet", "WorkerProcess"]
 #: Seconds a fresh worker process gets to bind its socket and announce.
 SPAWN_TIMEOUT = 30.0
 
-#: Restart backoff: base * 2**restarts, capped.
-DEFAULT_RESTART_BACKOFF = 0.2
-DEFAULT_RESTART_BACKOFF_MAX = 5.0
+#: Restart backoff, seconds: RESTART_BACKOFF * 2**restarts, capped.
+RESTART_BACKOFF = 0.2
+RESTART_BACKOFF_MAX = 5.0
 
 #: Respawns per worker slot before the supervisor gives up on it.
 MAX_RESTARTS = 5
@@ -162,15 +162,11 @@ class ProcessFleet:
         workers: int = 2,
         max_pending: Optional[int] = None,
         default_tenant_quota: Optional[int] = None,
-        restart_backoff: float = DEFAULT_RESTART_BACKOFF,
-        restart_backoff_max: float = DEFAULT_RESTART_BACKOFF_MAX,
     ) -> None:
         if workers < 1:
             raise Ops5Error("a process fleet needs at least one worker")
         self.max_pending = max_pending
         self.default_tenant_quota = default_tenant_quota
-        self.restart_backoff = restart_backoff
-        self.restart_backoff_max = restart_backoff_max
         self.restarts: list[int] = [0] * workers
         self.events: list[dict] = []
         #: Guards shared state (processes/restarts/events) -- held only
@@ -252,8 +248,7 @@ class ProcessFleet:
                     )
                     return None
                 backoff = min(
-                    self.restart_backoff * (2 ** self.restarts[index]),
-                    self.restart_backoff_max,
+                    RESTART_BACKOFF * (2 ** self.restarts[index]), RESTART_BACKOFF_MAX
                 )
                 self.restarts[index] += 1
                 restarts = self.restarts[index]
@@ -337,7 +332,6 @@ class ProcessRouterFleet:
         checkpoint_every: int = 16,
         heartbeat_interval: Optional[float] = 0.5,
         max_pending: Optional[int] = None,
-        restart_backoff: float = DEFAULT_RESTART_BACKOFF,
         fsync: bool = False,
         commit_window: float = 0.0,
         **router_kwargs,
@@ -357,11 +351,7 @@ class ProcessRouterFleet:
             self.durability = DurabilityStore(
                 durability_dir, fsync=fsync, commit_window=commit_window
             )
-            self.fleet = ProcessFleet(
-                workers=workers,
-                max_pending=max_pending,
-                restart_backoff=restart_backoff,
-            )
+            self.fleet = ProcessFleet(workers=workers, max_pending=max_pending)
             self.router_thread = RouterThread(
                 worker_addresses=self.fleet.addresses,
                 durability=self.durability,

@@ -52,8 +52,8 @@ replaced when a ``supervisor`` (e.g. a
 :class:`~repro.serve.fleet.ProcessFleet`) is attached, and each session
 is rebuilt from what the store holds for it -- on the replacement, else
 on the surviving workers.  A router without a store holds nothing: it
-answers ``worker_unreachable`` and, once ``failure_threshold`` calls in
-a row have failed (one timeout is a suspicion, not a verdict), reports
+answers ``worker_unreachable`` and, once :data:`FAILURE_THRESHOLD` calls
+in a row have failed (one timeout is a suspicion, not a verdict), reports
 the worker's sessions in ``lost_sessions``.  It never tries to migrate a
 session off a suspect worker.
 
@@ -98,7 +98,7 @@ from .stats import Telemetry, live_threads
 __all__ = ["RouterFleet", "RouterThread", "RuleRouter", "WorkerLink"]
 
 #: Consecutive call failures that turn a suspicion into a verdict.
-DEFAULT_FAILURE_THRESHOLD = 3
+FAILURE_THRESHOLD = 3
 
 #: Retry hint handed to clients whose session is mid-migration (also
 #: used while a durable session is mid-recovery).
@@ -259,7 +259,6 @@ class RuleRouter(Endpoint):
         unix_path: Optional[str] = None,
         tenant_quotas: Optional[dict] = None,
         default_tenant_quota: Optional[int] = None,
-        failure_threshold: int = DEFAULT_FAILURE_THRESHOLD,
         durability=None,
         supervisor=None,
         checkpoint_every: Optional[int] = DEFAULT_CHECKPOINT_EVERY,
@@ -274,7 +273,6 @@ class RuleRouter(Endpoint):
             for index, address in enumerate(worker_addresses)
         ]
         self.tenants = TenantBook(tenant_quotas, default_tenant_quota, "fleet-wide ")
-        self.failure_threshold = failure_threshold
         #: A DurabilityStore, or None: nothing journaled, so a failed
         #: worker's sessions have nothing to come back from.
         self.durability = durability
@@ -397,10 +395,10 @@ class RuleRouter(Endpoint):
         A *suspect* failure -- a ping, or a call nothing was journaled
         for -- may be a slow worker rather than a dead one, and acting
         on it would leave live session copies running unfenced; it
-        becomes a verdict after ``failure_threshold`` in a row.
+        becomes a verdict after :data:`FAILURE_THRESHOLD` in a row.
         """
         nothing = {"replies": {}, "lost": set()}
-        if suspect and link.consecutive_failures < self.failure_threshold:
+        if suspect and link.consecutive_failures < FAILURE_THRESHOLD:
             return nothing
         if link.generation != generation and link.index not in self._recoveries:
             return self._last_recovery.get(link.index, nothing)
@@ -575,8 +573,12 @@ class RuleRouter(Endpoint):
 
     async def _resume_from_store(self) -> None:
         """Cold start over an existing store: restore every journaled
-        session (a router restart must not lose the fleet's state)."""
+        session (a router restart must not lose the fleet's state).  A
+        worker that cannot be reached is failed like any other, once
+        every session is placed: its sessions come back through
+        :meth:`_recover_worker`."""
         top_minted = 0
+        unreachable: list[WorkerLink] = []
         for session_id in self.durability.sessions():
             if session_id in self.placements:
                 continue
@@ -595,13 +597,19 @@ class RuleRouter(Endpoint):
             placement.seq = bundle.last_seq
             placement.migrating = True
             self.placements[session_id] = placement
+            if target in unreachable:
+                continue
             outcome = await self._restore_session(
                 session_id, target, event="resumed"
             )
-            if outcome is None:
+            if outcome is None and target.consecutive_failures:
+                unreachable.append(target)  # a transport failure, not a refusal
+            elif outcome is None:
                 self._mark_lost(session_id, target.index, "resume failed")
         if top_minted:
             self._ids = itertools.count(top_minted + 1)
+        for link in unreachable:
+            await self._recover_worker(link, link.generation, "unreachable at resume")
 
     async def _heartbeat_loop(self) -> None:
         """Proactive liveness: don't wait for a client op to trip over a

@@ -69,13 +69,12 @@ class RuleServer(Endpoint):
         unix_path: Optional[str] = None,
         max_pending: int = DEFAULT_MAX_PENDING,
         recorder=None,
-        fault_plan=None,
         tenant_quotas: Optional[dict] = None,
         default_tenant_quota: Optional[int] = None,
     ) -> None:
         super().__init__(host, port, unix_path)
         self.sessions = SessionManager(
-            max_pending, recorder, fault_plan, tenant_quotas, default_tenant_quota
+            max_pending, recorder, tenant_quotas, default_tenant_quota
         )
         self.telemetry = Telemetry()
 

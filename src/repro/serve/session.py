@@ -37,10 +37,10 @@ import itertools
 import os
 import threading
 import time
+import weakref
 from collections import Counter, deque
 from typing import Any, Optional
 
-from ..faults.plan import SLOW as FAULT_SLOW, FaultPlan
 from ..obs import metrics as obs_metrics
 from ..obs.recorder import NULL_RECORDER
 from ..ops5 import BatchResult, EngineListener, ExecutionError, Ops5Error
@@ -167,9 +167,11 @@ class TenantBook:
 # Thousands of sessions load the *same* program text.  One parse per
 # text shares one set of immutable Production objects across them, so a
 # warm create does no parsing and reads each production's kept
-# structural fingerprint.
+# structural fingerprint.  The table is weak: a parse lives as long as
+# a session holds it, so a tenant sending ever-new programs does not
+# grow the process.
 
-_PROGRAMS: dict[str, Program] = {}
+_PROGRAMS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 _PROGRAMS_LOCK = threading.Lock()  # server threads of one process share it
 _PROGRAM_COUNTS: Counter = Counter()
 
@@ -185,7 +187,8 @@ def shared_program(source: str) -> Program:
 
 
 def shared_program_stats() -> dict:
-    """Process-wide program-cache counters (tests and metrics)."""
+    """Process-wide program-cache counters (tests and metrics); ``size``
+    counts the parses some live session holds."""
     hits, misses = _PROGRAM_COUNTS["hits"], _PROGRAM_COUNTS["misses"]
     return {"hits": hits, "misses": misses, "size": len(_PROGRAMS)}
 
@@ -256,7 +259,6 @@ class Session:
         strategy: str = "lex",
         max_pending: int = DEFAULT_MAX_PENDING,
         recorder=None,
-        fault_plan: Optional[FaultPlan] = None,
         tenant: str = DEFAULT_TENANT,
         state: Optional[dict] = None,
     ) -> None:
@@ -269,9 +271,10 @@ class Session:
         #: Source text, verbatim: a migration re-creates the session from it.
         self.program = program
         self.recorder = recorder if recorder is not None else NULL_RECORDER
-        self.fault_plan = fault_plan
+        #: The shared parse: held here, it stays in :func:`shared_program`'s table.
+        self.parsed = shared_program(program)
         self.system = ProductionSystem(
-            shared_program(program), matcher_named(matcher, self.recorder), strategy,
+            self.parsed, matcher_named(matcher, self.recorder), strategy,
             recorder=self.recorder,
         )
         if state is not None:
@@ -281,8 +284,6 @@ class Session:
             self.system.restore_state(state)
         self.telemetry = Telemetry()
         self.max_pending = max_pending
-        #: Executed-request ordinal stream (session-site fault addresses).
-        self._request_ordinal = 0
         #: Requests waiting their turn, oldest first: each future is set
         #: True when the op ahead hands the session on.
         self._waiters: deque[asyncio.Future] = deque()
@@ -415,7 +416,7 @@ class Session:
 
     async def _pause(self, seconds: float) -> None:
         """The slice boundary: the loop serves other work for *seconds*
-        (an injected straggler's stall; 0 is one turn of the loop)."""
+        (0, one turn of the loop, is all an op yields)."""
         await asyncio.sleep(seconds)
 
     async def drain_and_close(self) -> None:
@@ -435,35 +436,24 @@ class Session:
 
     def perform(self, request: dict) -> dict:
         """Execute one request to completion on the calling thread: the
-        slices :meth:`submit` runs, back to back, with no queue (a
-        straggler fault sleeps the thread).  Engine errors raise."""
+        slices :meth:`submit` runs, back to back, with no queue.  Engine
+        errors raise."""
         steps = self._steps(request)
         try:
             while True:
-                pause = next(steps)
-                if pause:
-                    time.sleep(pause)
+                next(steps)
         except StopIteration as done:
             return done.value
 
     def _steps(self, request: dict):
         """*request*'s op as slices: yields the seconds to pause at each
-        boundary (0: just let the loop run), returns the reply, and
-        raises :class:`Ops5Error` for a refused request or an injected
-        ``error`` fault."""
+        boundary (always 0: just let the loop run), returns the reply,
+        and raises :class:`Ops5Error` for a refused request."""
         op = request.get("op")
         handler = self._OPS.get(op)
         if handler is None:
             raise Ops5Error(f"unknown session operation {op!r}")
         self.telemetry.requests += 1
-        ordinal = self._request_ordinal
-        self._request_ordinal += 1
-        if self.fault_plan is not None:
-            spec = self.fault_plan.session_fault(ordinal)
-            if spec is not None:
-                if spec.kind != FAULT_SLOW:
-                    raise Ops5Error(f"injected session fault at request {ordinal}")
-                yield spec.seconds  # a straggler: stalled, still executing
         with self.recorder.span(
             f"request:{op}", "serve", session=self.id, queue_depth=self.queue_depth
         ):
@@ -645,13 +635,11 @@ class SessionManager:
         self,
         default_max_pending: int = DEFAULT_MAX_PENDING,
         recorder=None,
-        fault_plan: Optional[FaultPlan] = None,
         tenant_quotas: Optional[dict[str, int]] = None,
         default_tenant_quota: Optional[int] = None,
     ) -> None:
         self.default_max_pending = default_max_pending
         self.recorder = recorder if recorder is not None else NULL_RECORDER
-        self.fault_plan = fault_plan
         self.tenants = TenantBook(tenant_quotas, default_tenant_quota)
         self._sessions: dict[str, Session] = {}
         self._ids = itertools.count(1)
@@ -687,7 +675,7 @@ class SessionManager:
             max_pending = self.default_max_pending
         session = self._sessions[session_id] = Session(
             session_id, program, matcher, strategy, max_pending,
-            self.recorder, self.fault_plan, tenant, state,
+            self.recorder, tenant, state,
         )
         return session
 

@@ -4,9 +4,10 @@
 worker's start-up time is a fleet's start-up and recovery time
 (docs/fault-tolerance.md).  This guard runs a real worker under
 ``python -X importtime``, drives a compiled session through it, and
-reads the import log: no research layer may load.  It found the
-stats op loading the Rete package (``obs.metrics`` checked for a
-``ReteNetwork`` before a ``CompiledMatcher``).
+reads the import log: no research layer, and no test harness, may
+load.  It found the stats op loading the Rete package (``obs.metrics``
+checked for a ``ReteNetwork`` before a ``CompiledMatcher``), and every
+session loading the chaos harness (``repro.faults``).
 """
 
 import subprocess
@@ -20,6 +21,7 @@ from repro.workloads.programs import closure
 FORBIDDEN = (
     [f"repro.{layer}" for layer in (
         "analysis", "machines", "workloads", "trace", "rete", "treat", "naive", "oflazer",
+        "faults",
     )]
     + [f"repro.psim.{module}" for module in (
         "simulator", "granularity", "des", "bounds", "gantt", "machine", "metrics",

@@ -123,9 +123,10 @@ class TestLoadPath:
     def test_recompiles_land_on_one_kernel(self):
         src = unseen(SRC)
         renamed = src.replace("find", "locate").replace("quiet", "silent")
+        held = []  # the registry is weak: a kernel lives while someone holds it
         for _ in range(3):  # one cold compile, then hits
-            shared_kernel(parse_program(src).productions)
-            shared_kernel(parse_program(renamed).productions)
+            held.append(shared_kernel(parse_program(src).productions))
+            held.append(shared_kernel(parse_program(renamed).productions))
         assert shared_kernel_stats()["kernels"] == 1
 
     def test_matcher_rebuild_compiles_each_shape_once(self):
@@ -184,6 +185,9 @@ class TestHeapStaysFlat:
         assert ps.matcher.kernel_summary()["compiles"] == 1
 
     def test_dropped_engines_leave_nothing_behind(self):
+        live = ProductionSystem(SRC, matcher="compiled")
+        live.add("goal", want="red")  # holds the one kernel the others attach to
+
         def build_and_drop(_k):
             for _ in range(200):
                 ProductionSystem(SRC, matcher="compiled").add("goal", want="red")
@@ -191,3 +195,4 @@ class TestHeapStaysFlat:
         growth = _growth_per_step(build_and_drop)
         assert max(growth) < 100_000, growth
         assert shared_kernel_stats()["kernels"] == 1
+        assert shared_kernel_stats()["misses"] == 1

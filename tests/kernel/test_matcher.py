@@ -192,30 +192,6 @@ class TestErrorContracts:
             compiled.remove_wme(stray)
 
 
-class TestOracleMode:
-    def test_bundled_programs_run_clean_under_oracle(self):
-        from repro.workloads.programs import hanoi, monkey
-
-        result = hanoi.run(3, matcher=CompiledMatcher(oracle=True))
-        assert result.halted and result.fired == 14
-        result = monkey.run(matcher=CompiledMatcher(oracle=True))
-        assert result.halted
-
-    def test_oracle_reports_divergence(self):
-        compiled, _, memory = _loaded(JOIN)
-        oracle = CompiledMatcher(oracle=True)
-        for production in parse_program(JOIN).productions:
-            oracle.add_production(production)
-        goal = memory.add(WME("goal", {"want": "red"}))
-        oracle.add_wme(goal)
-        # Sabotage the kernel's conflict set behind the oracle's back.
-        block = memory.add(WME("block", {"color": "red"}))
-        oracle.add_wme(block)
-        oracle.conflict_set.delete_key(("find", (goal.timetag, block.timetag)))
-        with pytest.raises(Ops5Error, match="diverged"):
-            oracle.add_wme(memory.add(WME("block", {"color": "blue"})))
-
-
 class TestEngineIntegration:
     def test_matcher_named_returns_compiled(self):
         from repro.ops5.engine import matcher_named

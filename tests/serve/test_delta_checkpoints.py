@@ -778,7 +778,7 @@ class TestProcessFleetDeltaRecovery:
 
     EVERY = 4
 
-    def test_kill_recovers_from_base_plus_deltas(self):
+    def test_kill_recovers_from_base_plus_deltas(self, monkeypatch):
         from repro.serve import ProcessRouterFleet
 
         from tests.serve.test_fleet import snapshot_wm
@@ -786,8 +786,9 @@ class TestProcessFleetDeltaRecovery:
         def batch(i):
             return [["kill", {"v": 10 * i + k}] for k in range(3)]
 
+        monkeypatch.setattr("repro.serve.fleet.RESTART_BACKOFF", 0.05)
         with ProcessRouterFleet(
-            workers=2, restart_backoff=0.05, checkpoint_every=self.EVERY
+            workers=2, checkpoint_every=self.EVERY
         ) as fleet, RuleClient(fleet.address) as client:
             sids = [
                 client.create_session(program=PROGRAM, name=f"k{i}", matcher="compiled")

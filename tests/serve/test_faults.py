@@ -6,10 +6,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.faults import ERROR, SESSION, SLOW, FaultPlan, FaultSpec
 from repro.serve import ServerThread
 from repro.serve.client import BackpressureError, RuleClient
 from repro.serve.session import Session
+from tests.serve.conftest import inject_fault
 
 CLOSURE = """
 (p base (parent ^from <x> ^to <y>) - (anc ^from <x> ^to <y>)
@@ -55,9 +55,9 @@ def test_engine_error_mid_batch_leaves_session_usable():
     asyncio.run(_closing(Session("t", program=CLOSURE), body))
 
 
-def test_injected_session_fault_is_a_structured_error():
-    """A session-site ERROR fault exercises the same reply path."""
-    plan = FaultPlan([FaultSpec(kind=ERROR, site=SESSION, at=1)])
+def test_injected_session_fault_is_a_structured_error(monkeypatch):
+    """An injected ``error`` fault exercises the same reply path."""
+    inject_fault(monkeypatch, "error", at=1)
 
     async def body(session):
         first = await session.submit({"op": "assert", "wmes": _edges(1)})
@@ -68,15 +68,16 @@ def test_injected_session_fault_is_a_structured_error():
         third = await session.submit({"op": "query", "what": "wm"})
         assert third["ok"]
         assert session.queue_depth == 0
+        assert session.telemetry.errors == 1
 
-    asyncio.run(_closing(Session("t", program=CLOSURE, fault_plan=plan), body))
+    asyncio.run(_closing(Session("t", program=CLOSURE), body))
 
 
 # -- per-request deadlines ----------------------------------------------------
 
 
-def test_deadline_expiry_answers_immediately_and_is_counted():
-    plan = FaultPlan([FaultSpec(kind=SLOW, site=SESSION, at=0, seconds=0.4)])
+def test_deadline_expiry_answers_immediately_and_is_counted(monkeypatch):
+    inject_fault(monkeypatch, "slow", at=0, seconds=0.4)
 
     async def body(session):
         slow = await session.submit(
@@ -91,12 +92,12 @@ def test_deadline_expiry_answers_immediately_and_is_counted():
         }
         assert session.telemetry.deadline_exceeded == 1
         # The session is still healthy afterwards (the slow request
-        # finished on the worker thread; only its reply was dropped).
+        # finished on the loop; only its reply was dropped).
         fine = await session.submit({"op": "assert", "wmes": _edges(1)})
         assert fine["ok"]
         assert session.queue_depth == 0
 
-    asyncio.run(_closing(Session("t", program=CLOSURE, fault_plan=plan), body))
+    asyncio.run(_closing(Session("t", program=CLOSURE), body))
 
 
 def test_deadline_must_be_positive():
@@ -107,10 +108,10 @@ def test_deadline_must_be_positive():
     asyncio.run(_closing(Session("t", program=CLOSURE), body))
 
 
-def test_expired_queued_request_never_executes():
+def test_expired_queued_request_never_executes(monkeypatch):
     """A request whose deadline lapses while still queued is skipped at
     dequeue time -- it must not burn worker time or count as executed."""
-    plan = FaultPlan([FaultSpec(kind=SLOW, site=SESSION, at=0, seconds=0.3)])
+    inject_fault(monkeypatch, "slow", at=0, seconds=0.3)
 
     async def body(session):
         blocker = asyncio.create_task(
@@ -129,15 +130,15 @@ def test_expired_queued_request_never_executes():
         assert final["wmes"] == []
         assert session.telemetry.requests == 2
 
-    asyncio.run(_closing(Session("t", program=CLOSURE, fault_plan=plan), body))
+    asyncio.run(_closing(Session("t", program=CLOSURE), body))
 
 
-def test_a_straggling_session_does_not_stall_its_worker():
+def test_a_straggling_session_does_not_stall_its_worker(monkeypatch):
     """A ``slow`` fault is an awaited sleep on the worker's one loop:
     while one session straggles, a ping and an op on another session of
     the same worker are answered."""
-    plan = FaultPlan([FaultSpec(kind=SLOW, site=SESSION, at=1, seconds=2.0)])
-    with ServerThread(fault_plan=plan) as harness, RuleClient(
+    inject_fault(monkeypatch, "slow", at=1, seconds=2.0)
+    with ServerThread() as harness, RuleClient(
         harness.address
     ) as client, ThreadPoolExecutor(max_workers=1) as pool:
         slow = client.create_session(program=CLOSURE)

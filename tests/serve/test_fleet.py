@@ -17,7 +17,6 @@ import time
 
 import pytest
 
-from repro.faults import SESSION, SLOW, FaultPlan, FaultSpec
 from repro.ops5 import Ops5Error, ProductionSystem
 from repro.serve import (
     Disconnected,
@@ -28,13 +27,16 @@ from repro.serve import (
 )
 from repro.serve.router import RouterThread, RuleRouter
 from repro.workloads.programs import closure
+from tests.serve.conftest import inject_fault
 
 CHAIN = [["parent", {"from": f"n{i}", "to": f"n{i + 1}"}] for i in range(6)]
 
-#: Every session's first executed request straggles well past any
-#: deadline used below -- the slow op the deadline tests queue behind
-#: (addressed by ordinal, so a restored session's replay straggles too).
-SLOW_FIRST_OP = FaultPlan([FaultSpec(kind=SLOW, site=SESSION, at=0, seconds=0.5)])
+
+def slow_first_op(monkeypatch):
+    """Every session's first executed request straggles well past any
+    deadline used below -- the slow op the deadline tests queue behind
+    (counted per session, so a restored session's replay straggles too)."""
+    inject_fault(monkeypatch, "slow", at=0, seconds=0.5)
 
 
 def reference_state(batches):
@@ -180,6 +182,63 @@ class TestDurableThreadWorkers:
             workers2[0].stop()
             store2.close()
 
+    def test_cold_start_over_a_dead_worker_recovers_its_sessions(self, tmp_path):
+        """A router cold-started beside a worker that is already dead
+        fails that worker like any other: the sessions hashed to it come
+        back on the survivor from the store, none is lost."""
+        store = DurabilityStore(str(tmp_path))
+        workers = [ServerThread(), ServerThread()]
+        router = RouterThread(
+            worker_addresses=[w.address for w in workers], durability=store
+        )
+        with RuleClient(router.address) as client:
+            sids = [
+                client.create_session(program=closure.PROGRAM, matcher="compiled")
+                for _ in range(6)
+            ]
+            for sid in sids:
+                client.assert_wmes(sid, CHAIN[:3], run=True)
+            placed = {sid: router.router.placements[sid].worker for sid in sids}
+        router.stop()
+        workers[1].stop()
+        stranded = sorted(sid for sid in sids if placed[sid] == 1)
+        assert stranded == ["r1", "r2", "r3"]
+
+        router = RouterThread(
+            worker_addresses=[workers[0].address, workers[1].address],
+            durability=store,
+        )
+        try:
+            assert router.router.lost_sessions == []
+            assert sorted(router.router.recovered_sessions) == stranded
+            _, ref_wm = reference_state([CHAIN[:3]])
+            with RuleClient(router.address) as client:
+                assert client.list_sessions() == sorted(sids)
+                for sid in sids:
+                    assert snapshot_wm(client, sid) == ref_wm
+        finally:
+            router.stop()
+            workers[0].stop()
+            store.close()
+
+    def test_cold_start_marks_a_refused_session_lost_and_keeps_its_worker(self, tmp_path):
+        """A live worker's refusal is about the session, not the worker:
+        that session is lost, and the worker keeps serving the rest."""
+        store = DurabilityStore(str(tmp_path))
+        store.register("bad", {"program": "(p broken (a"})
+        store.register("good", {"program": closure.PROGRAM})
+        worker = ServerThread()
+        router = RouterThread(worker_addresses=[worker.address], durability=store)
+        try:
+            assert router.router.lost_sessions == ["bad"]
+            assert router.router.workers[0].healthy
+            with RuleClient(router.address) as client:
+                assert client.assert_wmes("good", CHAIN[:2], run=True)["run"]["fired"] == 3
+        finally:
+            router.stop()
+            worker.stop()
+            store.close()
+
     def test_cold_start_survives_digit_like_client_names(self, tmp_path):
         """``str.isdigit`` admits ``²`` and ``٣``; ``int`` rejects the
         first.  One client-chosen ``r²`` in the store must not stop the
@@ -245,16 +304,14 @@ class TestDurableJournalCorrectness:
     """The journal must record exactly what executed (review findings:
     deadline tombstones, destroy-vs-checkpoint serialisation)."""
 
-    def test_unstarted_deadline_op_is_tombstoned_not_replayed(self, tmp_path):
+    def test_unstarted_deadline_op_is_tombstoned_not_replayed(self, tmp_path, monkeypatch):
         """A journaled op whose deadline expires while still queued at
         the worker never executes and answers ``error: "deadline"`` --
         so recovery must not replay it, or the restored state would
         diverge from the acknowledged pre-crash history."""
+        slow_first_op(monkeypatch)
         store = DurabilityStore(str(tmp_path))
-        workers = [
-            ServerThread(fault_plan=SLOW_FIRST_OP),
-            ServerThread(fault_plan=SLOW_FIRST_OP),
-        ]
+        workers = [ServerThread(), ServerThread()]
         router = RouterThread(
             worker_addresses=[w.address for w in workers],
             durability=store,
@@ -402,14 +459,10 @@ class TestDurableHeartbeat:
         assert doomed, "placement hash spread must cover both workers"
         return sids, doomed
 
-    def test_ping_failures_below_threshold_do_not_recover(self, tmp_path):
+    def test_ping_failures_below_threshold_do_not_recover(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("repro.serve.router.FAILURE_THRESHOLD", 10_000)
         workers = [ServerThread(), ServerThread()]
-        store, router = self._router(
-            tmp_path,
-            workers,
-            heartbeat_interval=0.05,
-            failure_threshold=10_000,
-        )
+        store, router = self._router(tmp_path, workers, heartbeat_interval=0.05)
         try:
             with RuleClient(router.address) as client:
                 sids, doomed = self._sessions_on_worker(client, router, 0)
@@ -434,15 +487,11 @@ class TestDurableHeartbeat:
             store.close()
 
     def test_heartbeat_recovers_after_threshold_without_supervisor(
-        self, tmp_path
+        self, tmp_path, monkeypatch
     ):
+        monkeypatch.setattr("repro.serve.router.FAILURE_THRESHOLD", 2)
         workers = [ServerThread(), ServerThread()]
-        store, router = self._router(
-            tmp_path,
-            workers,
-            heartbeat_interval=0.05,
-            failure_threshold=2,
-        )
+        store, router = self._router(tmp_path, workers, heartbeat_interval=0.05)
         try:
             with RuleClient(router.address) as client:
                 sids, doomed = self._sessions_on_worker(client, router, 0)
@@ -554,11 +603,14 @@ class TestClientReconnect:
 class TestProcessFleetChaos:
     """SIGKILL real worker OS processes; the acceptance criterion."""
 
+    @pytest.fixture(autouse=True)
+    def quick_restarts(self, monkeypatch):
+        monkeypatch.setattr("repro.serve.fleet.RESTART_BACKOFF", 0.05)
+
     def _fleet(self, **kwargs):
         from repro.serve import ProcessRouterFleet
 
         kwargs.setdefault("workers", 2)
-        kwargs.setdefault("restart_backoff", 0.05)
         return ProcessRouterFleet(**kwargs)
 
     def test_sigkill_recovers_every_session_bit_identical(self):
@@ -654,15 +706,15 @@ class TestProcessFleetChaos:
                     client.assert_wmes(sid, CHAIN[3:], run=True)
                     assert snapshot_wm(client, sid) == ref_wm
 
-    def test_snapshot_is_not_blocked_by_respawn_backoff(self):
+    def test_snapshot_is_not_blocked_by_respawn_backoff(self, monkeypatch):
         """snapshot() (behind the router's stats op) must stay
         responsive while a respawn sleeps out its backoff + spawn --
         the fleet lock is not held across either."""
         from repro.serve.fleet import ProcessFleet
 
-        with ProcessFleet(
-            workers=1, restart_backoff=1.5, restart_backoff_max=1.5
-        ) as fleet:
+        monkeypatch.setattr("repro.serve.fleet.RESTART_BACKOFF", 1.5)
+        monkeypatch.setattr("repro.serve.fleet.RESTART_BACKOFF_MAX", 1.5)
+        with ProcessFleet(workers=1) as fleet:
             fleet.kill(0)
             result = {}
             spinner = threading.Thread(

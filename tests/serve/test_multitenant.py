@@ -10,7 +10,9 @@ Covers the tentpole contracts at the session layer:
   one-kernel contract and bit-identical firings -- through a router
   fleet;
 * export/import continues a session bit-identically (the migration
-  path the router builds on).
+  path the router builds on);
+* a parse and a kernel live as long as a session holds them, so a
+  tenant sending ever-new programs does not grow the worker.
 """
 
 import asyncio
@@ -21,7 +23,7 @@ import pytest
 
 from repro.kernel import clear_shared_kernels, shared_kernel_stats
 from repro.ops5 import ProductionSystem
-from repro.serve import RouterFleet, RuleClient, ServerError
+from repro.serve import RouterFleet, RuleClient, ServerError, ServerThread
 from repro.serve.session import (
     QuotaExceeded,
     Session,
@@ -30,6 +32,7 @@ from repro.serve.session import (
     shared_program_stats,
 )
 from repro.workloads.programs import closure
+from tests.kernel.test_cache import _growth_per_step
 
 CLOSURE = closure.PROGRAM
 
@@ -257,3 +260,28 @@ class TestExportImport:
         assert continued["firings"] == tail["firings"]
         # And pre+post firings together cover the single-session run.
         assert len(continued["firings"]) < len(full["firings"])
+
+
+class TestHeapStaysFlat:
+    """A served program costs what its live sessions cost (Section 3.1):
+    its parse and its kernel leave with the last session holding them."""
+
+    def test_distinct_programs_through_destroyed_sessions_leave_nothing(self):
+        # Each program has its own constants (its own parse and kernel)
+        # under one production name and action, so the act phase's
+        # bounded per-text compile cache sees one text.
+        def program(tag):
+            return f"(p probe (goal ^want {tag}) (block ^color <c> ^size > 2) --> (halt))"
+
+        with ServerThread() as harness, RuleClient(harness.address) as client:
+
+            def churn(k):
+                for i in range(100):
+                    sid = client.create_session(program=program(f"r{k}-{i}"), matcher="compiled")
+                    client.assert_wmes(sid, [["goal", {"want": f"r{k}-{i}"}]])
+                    client.destroy_session(sid)
+
+            growth = _growth_per_step(churn)
+        assert max(growth) < 100_000, growth
+        assert shared_kernel_stats()["kernels"] == shared_program_stats()["size"] == 0
+        assert shared_kernel_stats()["misses"] == shared_program_stats()["misses"] == 400

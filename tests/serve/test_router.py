@@ -374,16 +374,14 @@ class TestMigration:
 
 
 class TestDemotion:
-    def test_dead_worker_is_demoted_and_sessions_evacuate(self):
+    def test_dead_worker_is_demoted_and_sessions_evacuate(self, monkeypatch):
         """Kill one worker out from under a store-less router: after
         the failure streak it takes the one recovery path, which has
         nothing to restore from -- its sessions are reported lost, and
         new sessions land on the survivor."""
+        monkeypatch.setattr("repro.serve.router.FAILURE_THRESHOLD", 2)
         workers = [ServerThread(), ServerThread()]
-        router = RouterThread(
-            worker_addresses=[w.address for w in workers],
-            failure_threshold=2,
-        )
+        router = RouterThread(worker_addresses=[w.address for w in workers])
         try:
             with RuleClient(router.address) as client:
                 # Pin one session per worker by minting names that hash
@@ -442,19 +440,17 @@ class TestDemotion:
 
 @pytest.mark.chaos
 class TestRouterChaos:
-    def test_fleet_survives_seeded_worker_churn(self):
+    def test_fleet_survives_seeded_worker_churn(self, monkeypatch):
         """Seeded chaos through the router: drive sessions while one
         worker dies mid-run; every surviving session still answers and
         the router's books balance (no session both lost and placed)."""
         import random
 
+        monkeypatch.setattr("repro.serve.router.FAILURE_THRESHOLD", 2)
         rng = random.Random(7410)
         victim_index = -1
         workers = [ServerThread() for _ in range(3)]
-        router = RouterThread(
-            worker_addresses=[w.address for w in workers],
-            failure_threshold=2,
-        )
+        router = RouterThread(worker_addresses=[w.address for w in workers])
         try:
             with RuleClient(router.address) as client:
                 sids = [

@@ -1,8 +1,8 @@
 """The serve threading model: one loop per process (or embedded fleet),
 no session threads, one FIFO per session.
 
-Structural tests, no timing: a request marked ``"hold": name`` starts
-its op at a slice boundary and parks there -- an await on the loop --
+Structural tests, no timing: a request marked ``"hold": name`` (the
+``hold`` fixture of ``conftest.py``) starts its op at a slice boundary and parks there -- an await on the loop --
 until the test releases it, so "while a long run executes" is a state
 the test owns rather than a race it hopes to win.
 """
@@ -33,8 +33,7 @@ from repro.serve import (
 )
 from repro.serve.session import SLICE
 from repro.workloads.programs import closure
-
-WAIT = 30  # seconds; an upper bound on every blocking step, never a pace
+from tests.serve.conftest import WAIT
 
 #: Deadline of a request meant to expire while *executing* (parked at
 #: its first slice boundary): long enough that an idle session started it.
@@ -43,76 +42,6 @@ OVERRUN = 0.25
 
 def edge(a, b):
     return ["parent", {"from": a, "to": b}]
-
-
-class Hold:
-    """Parks every request carrying ``"hold": name`` until released.
-
-    The held op starts at a slice boundary (``Session._steps`` yields a
-    gate first) and the boundary awaits the gate (``Session._pause``), so
-    the loop keeps serving while it is parked.  Releases may come from
-    any thread.
-    """
-
-    def __init__(self, monkeypatch) -> None:
-        self.entered = threading.Semaphore(0)
-        self._lock = threading.Lock()
-        self._gates: dict[str, tuple] = {}  # name -> (loop, asyncio.Event)
-        self._released: set[str] = set()
-        self._open = False
-        steps, pause = Session._steps, Session._pause
-
-        def held_steps(session, request):
-            name = request.get("hold")
-            if name:
-                yield self._gate(name)
-            return (yield from steps(session, request))
-
-        async def held_pause(session, seconds):
-            if not isinstance(seconds, asyncio.Event):
-                return await pause(session, seconds)
-            self.entered.release()
-            await asyncio.wait_for(seconds.wait(), WAIT)  # else: never released
-
-        monkeypatch.setattr(Session, "_steps", held_steps)
-        monkeypatch.setattr(Session, "_pause", held_pause)
-
-    def _gate(self, name):
-        with self._lock:
-            if name not in self._gates:
-                self._gates[name] = (asyncio.get_running_loop(), asyncio.Event())
-            gate = self._gates[name][1]
-            if self._open or name in self._released:
-                gate.set()
-            return gate
-
-    def _wake(self, names):
-        for name in names:
-            if name in self._gates:
-                loop, gate = self._gates[name]
-                if not loop.is_closed():
-                    loop.call_soon_threadsafe(gate.set)
-
-    def release(self, *held_names):
-        with self._lock:
-            self._released.update(held_names)
-            self._wake(held_names)
-
-    def release_all(self):
-        with self._lock:
-            self._open = True
-            self._wake(list(self._gates))
-
-    def wait_entered(self, count=1):
-        for _ in range(count):
-            assert self.entered.acquire(timeout=WAIT), "held request never started"
-
-
-@pytest.fixture
-def hold(monkeypatch):
-    gate = Hold(monkeypatch)
-    yield gate
-    gate.release_all()
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.kernel import CompiledMatcher
 from repro.naive import NaiveMatcher
 from repro.oflazer import CombinationMatcher
 from repro.rete import ReteNetwork
@@ -117,11 +118,11 @@ class TestClosure:
         assert result.halt_reason == "no satisfied production"
 
 
-MATCHERS = [ReteNetwork, TreatMatcher, NaiveMatcher, CombinationMatcher]
+MATCHERS = [ReteNetwork, TreatMatcher, NaiveMatcher, CombinationMatcher, CompiledMatcher]
 
 
 class TestMatcherAgreementOnPrograms:
-    """Every program behaves identically under all three matchers."""
+    """Every program behaves identically under every matcher."""
 
     @pytest.mark.parametrize("matcher_cls", MATCHERS)
     def test_hanoi(self, matcher_cls):
