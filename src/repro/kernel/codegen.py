@@ -14,8 +14,9 @@ materialises the whole match network as *closures over local dicts*:
   its productions' bitmask into the change's affected set;
 * per production, a linear join chain -- for condition element ``i`` a
   left index ``li`` (join key -> {left key -> token}), a right index
-  ``ri`` (join key -> {timetag -> WME}), and for negated CEs a blocker
-  count ``nc`` (left key -> int);
+  ``ri`` (join key -> the one WME filed under it, or {timetag -> WME}
+  once two are: ``KernelRuntime.file`` / ``unfile``), and for negated
+  CEs a blocker count ``nc`` (left key -> int);
 * per *first-level group* (``plan_groups``: the productions whose CE 0
   reads one store under one guard and whose first join hashes the same
   CE-0 columns), ONE level-1 left memory ``gl`` and one fused CE-0
@@ -373,19 +374,30 @@ def _tuple_literal(parts: list[str]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _emit_memory_edit(emit, memory: str, slot: str, value: str, add: bool) -> None:
-    """File *value* under ``memory[key][slot]``, or drop it and prune
-    the emptied bucket."""
+def _emit_left_edit(emit, memory: str, add: bool) -> None:
+    """File ``tok`` under ``memory[key][lk]``, or drop it and prune the
+    emptied bucket."""
     if add:
         emit(f"        d = {memory}.get(key)")
         emit("        if d is None:")
         emit(f"            d = {memory}[key] = {{}}")
-        emit(f"        d[{slot}] = {value}")
+        emit("        d[lk] = tok")
     else:
         emit(f"        d = {memory}[key]")
-        emit(f"        del d[{slot}]")
+        emit("        del d[lk]")
         emit("        if not d:")
         emit(f"            del {memory}[key]")
+
+
+def _emit_members(emit, ri: str) -> None:
+    """Bind ``b`` to the WMEs filed in right index *ri* under ``key`` --
+    its dict's values, or the lone WME as a 1-tuple -- count them as
+    comparisons and open a loop binding each to ``w``."""
+    emit(f"        b = {ri}.get(key)")
+    emit("        if b is not None:")
+    emit("            b = b.values() if type(b) is dict else (b,)")
+    emit("            ctr[1] += len(b)")
+    emit("            for w in b:")
 
 
 def _emit_left(emit, memory: str, tkey: str, joins: Sequence[tuple], add: bool) -> None:
@@ -394,11 +406,11 @@ def _emit_left(emit, memory: str, tkey: str, joins: Sequence[tuple], add: bool) 
     analysis)`` of *joins* against its own right index -- a positive CE
     probes it, a negated CE settles its own blocker count -- and call
     the level below.  One join for a private level; every member of a
-    first-level group inline.  The probe loops rebind ``w`` / ``wt``,
-    so a caller reads its entering WME before this runs.
+    first-level group inline.  The probe loops rebind ``w``, so a
+    caller reads its entering WME before this runs.
     """
     emit(f"        key = {tkey}")
-    _emit_memory_edit(emit, memory, "lk", "tok", add)
+    _emit_left_edit(emit, memory, add)
     for p_idx, i, analysis in joins:
         _eq, residual = _split_tests(analysis)
         guard = _residual_expr(residual, i, lambda a: f"w.get({a!r})")
@@ -406,27 +418,22 @@ def _emit_left(emit, memory: str, tkey: str, joins: Sequence[tuple], add: bool) 
         nc = f"nc{p_idx}_{i}"
         down = f"p{p_idx}_l{i + 1}_{'a' if add else 'd'}"
         if not analysis.ce.negated:
-            emit(f"        b = {ri}.get(key)")
-            emit("        if b:")
-            emit("            ctr[1] += len(b)")
-            emit("            for wt, w in b.items():")
+            _emit_members(emit, ri)
             pad = " " * 16
             if guard:
                 emit(f"{pad}if {guard}:")
                 pad += "    "
-            emit(f"{pad}{down}(tok + (w,), lk + (wt,))")
+            emit(f"{pad}{down}(tok + (w,), lk + (w.timetag,))")
             continue
         if add:
-            emit(f"        b = {ri}.get(key)")
             if guard:
                 emit("        n = 0")
-                emit("        if b:")
-                emit("            ctr[1] += len(b)")
-                emit("            for w in b.values():")
+                _emit_members(emit, ri)
                 emit(f"                if {guard}:")
                 emit("                    n += 1")
             else:
-                emit("        n = len(b) if b else 0")
+                emit(f"        b = {ri}.get(key)")
+                emit("        n = 0 if b is None else len(b) if type(b) is dict else 1")
                 emit("        ctr[1] += n")
             emit(f"        {nc}[lk] = n")
             emit("        if not n:")
@@ -440,7 +447,7 @@ def _right_body(
 ) -> list[str]:
     """Level *i*'s right activation, unindented lines for its store's
     block: index the entering ``w`` / ``wt`` under *wkey*, probe the
-    left memory *li* (the group's at level 1).  It binds ``key``, ``d``,
+    left memory *li* (the group's at level 1).  It binds ``key``,
     ``b``, ``lk``, ``tok``, ``n`` and ``wg``, never ``w`` or ``wt``."""
     lines: list[str] = []
     emit = lines.append
@@ -450,7 +457,8 @@ def _right_body(
     down = f"p{p_idx}_l{i + 1}"
     emit("        ctr[0] += 1")
     emit(f"        key = {wkey}")
-    _emit_memory_edit(emit, f"ri{p_idx}_{i}", "wt", "w", add)
+    ri = f"ri{p_idx}_{i}"
+    emit(f"        fi({ri}, key, wt, w)" if add else f"        uf({ri}, key, wt)")
     emit(f"        b = {li}.get(key)")
     emit("        if b:")
     emit("            ctr[1] += len(b)")
@@ -799,6 +807,7 @@ def generate_source(productions: Sequence[Production]) -> str:
         "    _veq = rt.veq; _same = rt.same",
         "    _N = (int, float); _V = (str, int, float)",
         "    _lt = rt.lt; _le = rt.le; _gt = rt.gt; _ge = rt.ge",
+        "    fi = rt.file; uf = rt.unfile",
         "    ctr = rt.counters",
         "    cs_insert = rt.cs_insert; cs_delete = rt.cs_delete",
         "    Inst = rt.instantiation",

@@ -8,7 +8,8 @@ serve story):
   :class:`~repro.kernel.shared.SharedKernel`, built once per ruleset
   *shape* and shared by every session running it;
 * the **mutable state** -- :class:`~repro.kernel.layout.AlphaStore`
-  rows/columns, the beta index dicts the generated closures capture,
+  rows/columns, the beta index dicts the generated closures capture
+  (a right index's one-member bucket is the WME itself: :func:`_file`),
   blocker counts, and the conflict-set edits -- lives here, one
   :class:`KernelRuntime` per session.
 
@@ -45,6 +46,30 @@ def _ge(a, b) -> bool:
     return is_number(a) and is_number(b) and a >= b
 
 
+def _file(index: dict, key, wt: int, w: WME) -> None:
+    """File *w* in a right index: a key's one member is the WME itself,
+    a second promotes the bucket to a ``{timetag: WME}`` dict."""
+    b = index.get(key)
+    if b is None:
+        index[key] = w
+    elif type(b) is dict:
+        b[wt] = w
+    else:
+        index[key] = {b.timetag: b, wt: w}
+
+
+def _unfile(index: dict, key, wt: int) -> None:
+    """Drop *wt* from a right index: a dict left with one member demotes
+    to that WME, and a key left with none goes."""
+    b = index[key]
+    if type(b) is not dict:
+        del index[key]
+        return
+    del b[wt]
+    if len(b) == 1:
+        (index[key],) = b.values()
+
+
 class KernelRuntime:
     """Everything a generated ``build(rt)`` needs, plus the built state:
     ``build`` binds the helpers below, calls :meth:`store` per alpha
@@ -60,6 +85,9 @@ class KernelRuntime:
     le = staticmethod(_le)
     gt = staticmethod(_gt)
     ge = staticmethod(_ge)
+    # Right-index edits, shared by every kernel.
+    file = staticmethod(_file)
+    unfile = staticmethod(_unfile)
 
     def __init__(self, conflict_set, productions: list[Production]) -> None:
         #: [node activations, comparisons, tokens built] -- the generated

@@ -16,6 +16,7 @@ Covers the tentpole contracts at the session layer:
 """
 
 import asyncio
+import gc
 import threading
 import uuid
 
@@ -31,6 +32,8 @@ from repro.serve.session import (
     clear_program_cache,
     shared_program_stats,
 )
+from repro.workloads.generator import emit_system_program
+from repro.workloads.profiles import profile_named
 from repro.workloads.programs import closure
 from tests.kernel.test_cache import _growth_per_step
 
@@ -285,3 +288,33 @@ class TestHeapStaysFlat:
         assert max(growth) < 100_000, growth
         assert shared_kernel_stats()["kernels"] == shared_program_stats()["size"] == 0
         assert shared_kernel_stats()["misses"] == shared_program_stats()["misses"] == 400
+
+    def test_a_lane_costs_its_wmes_and_little_else(self):
+        """The r1-soar program without its ``ctx`` WME (the halt rule
+        never fires), fed lanes of 7 ``item`` asserts and a ``task``: a
+        run leaves 28 WMEs per lane (7 items, 21 marks).  With a
+        right-index bucket of one being the WME itself, what else a lane
+        keeps is well under two objects; with a one-entry dict per join
+        slot it was 63 more (90 per lane in all)."""
+        program = emit_system_program(profile_named("r1-soar")).source
+        session = Session("census", program=program, matcher="compiled")
+
+        def lanes(first, count):
+            for k in range(first, first + count):
+                items = [["item", {"lane": f"L{k}", "kind": f"k{b}", "val": 10 + b}]
+                         for b in range(7)]
+                session.perform(
+                    {"op": "assert", "wmes": [*items, ["task", {"stage": 0, "lane": f"L{k}"}]],
+                     "run": True}
+                )
+
+        def tracked():
+            gc.collect()
+            return len(gc.get_objects())
+
+        lanes(0, 10)  # warm: kernel built, act-phase texts compiled
+        before = tracked()
+        lanes(10, 100)
+        per_lane = (tracked() - before) / 100
+        assert len(session.system.memory) == 110 * 28
+        assert per_lane <= 30, per_lane
