@@ -20,7 +20,8 @@ work); the shared-kernel registry is warmed before timing so the
 committed numbers reflect the steady state it is designed to provide
 (one compile per ruleset *shape*, ever); rete and compiled samples are taken
 in the same interleaved rounds so host drift hits both sides equally.
-Cold compile cost is reported separately, not gated.
+Cold compile cost -- the first run's time and the traced peak memory of
+building the kernel from scratch -- is reported separately, not gated.
 
 Usage::
 
@@ -38,6 +39,7 @@ import os
 import platform
 import sys
 import time
+import tracemalloc
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if os.path.join(REPO, "src") not in sys.path:
@@ -45,7 +47,9 @@ if os.path.join(REPO, "src") not in sys.path:
 
 import pytest  # noqa: E402
 
-from repro.kernel import CompiledMatcher, shared_kernel_stats  # noqa: E402
+from repro.kernel import CompiledMatcher, SharedKernel, shared_kernel_stats  # noqa: E402
+from repro.kernel.cache import ruleset_fingerprint  # noqa: E402
+from repro.kernel.codegen import generate_parts  # noqa: E402
 from repro.naive import NaiveMatcher  # noqa: E402
 from repro.oflazer import CombinationMatcher  # noqa: E402
 from repro.ops5 import ProductionSystem, parse_program  # noqa: E402
@@ -142,6 +146,18 @@ def _best_interleaved(fns: dict, reps: int) -> dict:
     return best
 
 
+def cold_compile_peak(productions) -> int:
+    """Traced peak bytes of building *productions*' kernel from scratch
+    (codegen, ``compile()`` and exec of every part), beside the registry
+    so a kept kernel does not make it warm."""
+    tracemalloc.start()
+    try:
+        SharedKernel(ruleset_fingerprint(productions), generate_parts(productions))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def measure_program(name: str, module, reps: int) -> dict:
     """One system program, every serial backend, parse excluded."""
     program = parse_program(module.PROGRAM)
@@ -177,6 +193,7 @@ def measure_program(name: str, module, reps: int) -> dict:
     fns["compiled"]()
     cold_seconds = time.perf_counter() - started
     cold = shared_kernel_stats()["misses"] > misses_before
+    cold_peak = cold_compile_peak(program.productions)
 
     for fn in fns.values():  # warm every backend once
         fn()
@@ -189,6 +206,7 @@ def measure_program(name: str, module, reps: int) -> dict:
         "expected_firings": expected,
         "cold_run_seconds": cold_seconds,
         "cold_compile": cold,
+        "cold_compile_peak_bytes": cold_peak,
     }
     for label, seconds in best.items():
         row[label] = {
@@ -228,7 +246,8 @@ def report(measured: dict) -> None:
         print(
             f"  {name:<8} rete {rete:7.0f}/s   compiled {comp:7.0f}/s   "
             f"speedup {row['speedup_vs_rete']:.2f}x   "
-            f"cold run {row['cold_run_seconds'] * 1e3:.1f} ms"
+            f"cold run {row['cold_run_seconds'] * 1e3:.1f} ms, "
+            f"compile peak {row['cold_compile_peak_bytes'] / 1e6:.1f} MB"
         )
     kernels = measured["kernels"]
     print(

@@ -1,9 +1,10 @@
-"""Rete-to-Python codegen: one generated module per ruleset.
+"""Rete-to-Python codegen: one generated kernel per ruleset.
 
-:func:`generate_source` turns a production list into the source of a
-single ``build(rt)`` function.  Executing the compiled module and
-calling ``build`` with a :class:`~repro.kernel.matcher.KernelRuntime`
-materialises the whole match network as *closures over local dicts*:
+:func:`generate_parts` turns a production list into the body of one
+factory, cut into parts (``_cut_parts``) that ``kernel/shared.py``
+compiles one at a time.  Calling them in order with a
+:class:`~repro.kernel.matcher.KernelRuntime` materialises the whole
+match network as *closures over local dicts*:
 
 * per WME class, one ``add`` and one ``remove`` entry
   (``rt.adds[cls]`` / ``rt.removes[cls]``): the alpha network as code.
@@ -94,6 +95,7 @@ __all__ = [
     "StorePlan",
     "alpha_index_summary",
     "alpha_items",
+    "generate_parts",
     "generate_source",
     "plan_alpha_index",
     "plan_groups",
@@ -799,30 +801,31 @@ def _emit_entries(
 
 
 def generate_source(productions: Sequence[Production]) -> str:
-    """The generated module's source: ``def build(rt): ...``."""
+    """The kernel's text: every part of :func:`generate_parts`, in order."""
+    return "".join(text for text, _imports, _exports in generate_parts(productions))
+
+
+def generate_parts(productions: Sequence[Production]) -> list[tuple[str, tuple, tuple]]:
+    """The kernel as parts ``(text, imports, exports)``: calling each
+    ``part{k}`` in order on ``rt`` and what earlier ones return builds it."""
     plans, use = plan_stores(productions)
     out: list[str] = [
-        "# generated by repro.kernel.codegen -- do not edit",
-        "def build(rt):",
-        "    _veq = rt.veq; _same = rt.same",
-        "    _N = (int, float); _V = (str, int, float)",
-        "    _lt = rt.lt; _le = rt.le; _gt = rt.gt; _ge = rt.ge",
-        "    fi = rt.file; uf = rt.unfile",
-        "    ctr = rt.counters",
-        "    cs_insert = rt.cs_insert; cs_delete = rt.cs_delete",
-        "    Inst = rt.instantiation",
-        "    P = rt.productions",
-        f"    {LITERAL_PRELUDE}",
+        "    _veq, _same, _lt, _le, _gt, _ge = rt.veq, rt.same, rt.lt, rt.le, rt.gt, rt.ge",
+        "    _N, _V = (int, float), (str, int, float)",
+        "    fi, uf, ctr, P = rt.file, rt.unfile, rt.counters, rt.productions",
+        "    cs_insert, cs_delete, Inst = rt.cs_insert, rt.cs_delete, rt.instantiation",
+        *(f"    {statement}" for statement in LITERAL_PRELUDE.split("; ")),
     ]
     emit = out.append
 
-    # Stores: the affected-set bitmask, rows and columns in one line.
+    # Stores: the affected-set bitmask, then rows and columns.
     for plan in plans:
         s = plan.index
         names = [f"r{s}"] + [f"c{s}_{j}" for j in range(len(plan.columns))]
         columns = "".join(f", {attr!r}" for attr in plan.columns)
+        emit(f"    m{s} = {hex(plan.mask)}")
         emit(
-            f"    m{s} = {hex(plan.mask)}; {', '.join(names)}{',' if len(names) == 1 else ''}"
+            f"    {', '.join(names)}{',' if len(names) == 1 else ''}"
             f" = rt.store({plan.cls!r}, m{s}{columns})"
         )
 
@@ -854,5 +857,50 @@ def generate_source(productions: Sequence[Production]) -> str:
     for table, entry in (("adds", "A"), ("removes", "R")):
         pairs = ", ".join(f"{cls!r}: {entry}{c}" for c, (cls, _) in enumerate(classes))
         emit(f"    rt.{table} = {{{pairs}}}")
-    out.append("")
-    return "\n".join(out)
+    return _cut_parts(out)
+
+
+#: Lines per part: ``compile()`` transiently needs ~130 bytes per byte of
+#: source, so compiled a part at a time a kernel peaks at one part's cost.
+PART_LINES = 150
+
+#: Every character that cannot be in a name, to a space (``_cut_parts``).
+_NON_WORD = str.maketrans({c: " " for c in map(chr, range(128)) if not c.isalnum() and c != "_"})
+
+
+def _cut_parts(body: list[str]) -> list[tuple[str, tuple, tuple]]:
+    """Cut one factory's body into parts of at most ``PART_LINES`` lines
+    at top-level statements (a longer statement is a part alone).
+
+    A statement defines the names before its first `` = `` (codegen
+    writes no data there) or the function it ``def``s, each once.  A
+    part takes the earlier names its text mentions as parameters and
+    returns the ones later parts take, so every closure captures the
+    cells it would in one function (a quoted name adds a spare one)."""
+    starts = [i for i, line in enumerate(body) if line[4] != " "] + [len(body)]
+    cuts, parts = [], []  # where each part starts; the names it defines
+    for start, end in zip(starts, starts[1:]):
+        if not cuts or end - cuts[-1] > PART_LINES:
+            cuts.append(start)
+            parts.append([])
+        line = body[start]
+        if line.startswith("def ", 4):
+            parts[-1].append(line[8:line.index("(")])
+        else:
+            targets = line[4:line.index(" = ")].rstrip(",").split(", ")
+            parts[-1] += [name for name in targets if "." not in name]
+    spans = list(zip(cuts, cuts[1:] + [len(body)]))
+    rank, imports = {"rt": -1}, []
+    for names, (a, b) in zip(parts, spans):
+        used = set(" ".join(body[a:b]).translate(_NON_WORD).split())
+        imports.append(tuple(sorted(used.intersection(rank), key=rank.__getitem__)))
+        rank.update((name, len(rank)) for name in names)
+    imported = set().union(*imports)
+    result = []
+    for k, ((a, b), names, takes) in enumerate(zip(spans, parts, imports)):
+        gives = tuple(name for name in names if name in imported)
+        head = "# generated by repro.kernel.codegen -- do not edit\n" if k == 0 else ""
+        tail = f"    return [{', '.join(gives)}]"
+        lines = [f"def part{k}({', '.join(takes)}):", *body[a:b], tail]
+        result.append((head + "\n".join(lines) + "\n", takes, gives))
+    return result

@@ -59,6 +59,7 @@ drives a node-walking :class:`~repro.rete.ReteNetwork` beside it.
 
 from __future__ import annotations
 
+from copy import deepcopy
 from typing import Iterable, Optional
 
 from ..obs.recorder import NULL_RECORDER, Recorder
@@ -97,6 +98,7 @@ class CompiledMatcher(Matcher):
         self._dirty = True
         self._compiles = 0
         self._replayed = 0
+        self._shape: Optional[dict] = None  # kernel_summary's, per rebuild
 
     # -- production edits -------------------------------------------------
 
@@ -113,6 +115,7 @@ class CompiledMatcher(Matcher):
         self._after_ruleset_edit()
 
     def _after_ruleset_edit(self) -> None:
+        self._shape = None
         if self._wmes:
             # The engine may read the conflict set before the next WME
             # change, so fold the edit in now.
@@ -205,6 +208,7 @@ class CompiledMatcher(Matcher):
             self._kernels = [kernel for kernel, _productions in built]
             self._compiles += 1
             self._dirty = False
+            self._shape = None
             self._replayed += len(self._wmes)
 
     # -- introspection -----------------------------------------------------
@@ -239,31 +243,36 @@ class CompiledMatcher(Matcher):
         return sum(runtime.state_size() for runtime in self._runtimes)
 
     def kernel_summary(self) -> dict:
-        """The ``kernel`` section of the unified metrics snapshot."""
+        """The ``kernel`` section of the unified metrics snapshot; the
+        ruleset-shaped blocks are planned once per ruleset and rebuild."""
         runtimes = self._runtimes
         stores = [store for runtime in runtimes for store in runtime.stores]
-        partitions = self.partition_snapshot()
-        slices = [runtime.productions for runtime in runtimes]
-        sizes = [sharing_summary(p.productions)["sizes"] for p in partitions]
+        if self._shape is None:
+            partitions = self.partition_snapshot()
+            slices = [runtime.productions for runtime in runtimes]
+            sizes = [sharing_summary(p.productions)["sizes"] for p in partitions]
+            self._shape = {
+                # One per CE, less the CE 0s a first-level group shares.
+                "subscriptions": sum(len(p.analysis) for ps in slices for p in ps)
+                - sum(sum(s) - len(s) for s in sizes) if runtimes else 0,
+                "alpha_index": alpha_index_summary(slices) if runtimes else None,
+                "sharing": sharing_summary(self.productions),
+                # What partitioning costs: each partition regroups its own
+                # slice, against the single kernel's ``sharing.sizes``.
+                "partitions": {
+                    "count": len(partitions),
+                    "productions": [len(p.productions) for p in partitions],
+                    "weights": [p.weight for p in partitions],
+                    "group_sizes": sizes,
+                },
+            }
         return {
             "compiles": self._compiles,
             "ruleset_digest": ",".join(k.digest for k in self._kernels) or None,
             "stores": len(stores),
             "store_rows": sum(len(s) for s in stores),
             "columns": sum(len(s.cols) for s in stores),
-            # One per CE, less the CE 0s a first-level group shares.
-            "subscriptions": sum(len(p.analysis) for ps in slices for p in ps)
-            - sum(sum(s) - len(s) for s in sizes) if runtimes else 0,
-            "alpha_index": alpha_index_summary(slices) if runtimes else None,
-            "sharing": sharing_summary(self.productions),
-            # What partitioning costs: each partition regroups its own
-            # slice, against the single kernel's ``sharing.sizes``.
-            "partitions": {
-                "count": len(partitions),
-                "productions": [len(p.productions) for p in partitions],
-                "weights": [p.weight for p in partitions],
-                "group_sizes": sizes,
-            },
+            **deepcopy(self._shape),  # a caller's edit must not reach the next call
             "replayed_wmes": self._replayed,
             "shared": shared_kernel_stats(),
         }

@@ -3,8 +3,8 @@
 A compiled ruleset splits in two (ROADMAP item 3, the multi-tenant
 serve story):
 
-* the **immutable artifact** -- generated source, code object, exec'd
-  ``build`` function -- lives process-wide in
+* the **immutable artifact** -- generated source, its exec'd parts and
+  the ``build`` function chaining them -- lives process-wide in
   :class:`~repro.kernel.shared.SharedKernel`, built once per ruleset
   *shape* and shared by every session running it;
 * the **mutable state** -- :class:`~repro.kernel.layout.AlphaStore`
@@ -14,7 +14,7 @@ serve story):
   :class:`KernelRuntime` per session.
 
 Attaching a session to a warm kernel therefore costs closure
-construction (one ``build`` call over the already-compiled code object)
+construction (one ``build`` call over the already-compiled parts)
 plus a working-memory replay -- never codegen, ``compile()``, or module
 ``exec``.  Each runtime's stores and index dicts are private: sessions
 share the code, never the state, which is the copy-on-write discipline
@@ -71,9 +71,9 @@ def _unfile(index: dict, key, wt: int) -> None:
 
 
 class KernelRuntime:
-    """Everything a generated ``build(rt)`` needs, plus the built state:
-    ``build`` binds the helpers below, calls :meth:`store` per alpha
-    store and installs its class entries in ``adds`` / ``removes``."""
+    """Everything the generated kernel's parts need, plus the built state:
+    they bind the helpers below, call :meth:`store` per alpha store and
+    install the class entries in ``adds`` / ``removes``."""
 
     __slots__ = ("counters", "cs_insert", "cs_delete", "instantiation",
                  "productions", "stores", "adds", "removes")
@@ -107,7 +107,7 @@ class KernelRuntime:
         self.removes: dict = {}
 
     def store(self, cls: str, mask: int, *columns: str) -> tuple:
-        """A new store's ``(rows, *columns)`` dicts (called from ``build``)."""
+        """A new store's ``(rows, *columns)`` dicts (called by the generated code)."""
         store = AlphaStore(len(self.stores), cls, mask, columns)
         self.stores.append(store)
         return (store.rows, *store.cols.values())

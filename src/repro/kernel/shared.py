@@ -6,8 +6,9 @@ ruleset -- codegen, ``compile()``, module ``exec`` -- should be paid
 once per process, not once per session.  :func:`shared_kernel` is that
 registry: it maps a production list's structural fingerprint
 (``kernel/cache.py``) to a :class:`SharedKernel`, and on a miss -- under
-the registry's one lock -- generates, compiles and exec's the module,
-keeping the resulting ``build`` function for every later attach.
+the registry's one lock -- generates the kernel's parts and compiles
+and exec's each on its own (the compile's transient memory is one
+part's, not the ruleset's), keeping their chain for every later attach.
 
 ``SharedKernel.attach`` then materialises a private
 :class:`~repro.kernel.runtime.KernelRuntime` for one session: closure
@@ -27,12 +28,13 @@ from __future__ import annotations
 import hashlib
 import threading
 import weakref
+from functools import partial
 from typing import Iterable, Optional, Sequence
 
 from ..ops5.production import Production
 from ..ops5.wme import WME
 from .cache import ruleset_fingerprint
-from .codegen import generate_source
+from .codegen import generate_parts
 from .runtime import KernelRuntime
 
 __all__ = ["SharedKernel", "clear_shared_kernels", "shared_kernel", "shared_kernel_stats"]
@@ -41,22 +43,26 @@ __all__ = ["SharedKernel", "clear_shared_kernels", "shared_kernel", "shared_kern
 class SharedKernel:
     """The immutable, process-wide half of one compiled ruleset.
 
-    Holds the digest, the generated source and the exec'd ``build``
-    function.  Everything here is stateless with respect to sessions:
-    attaching never mutates the kernel beyond the attach counter, and
-    two runtimes attached to one kernel share no mutable match state.
+    Holds the digest, the generated source (every part, as compiled) and
+    the ``build`` function chaining the exec'd parts.  Everything here is
+    stateless with respect to sessions: attaching never mutates the
+    kernel beyond the attach counter, and two runtimes attached to one
+    kernel share no mutable match state.
     """
 
     __slots__ = ("digest", "source", "build_fn", "attaches", "__weakref__")
 
-    def __init__(self, fingerprint: tuple, source: str) -> None:
+    def __init__(self, fingerprint: tuple, parts: Sequence[tuple[str, tuple, tuple]]) -> None:
         #: Short stable hex id for traces, summaries and bench reports.
         self.digest = hashlib.sha256(repr(fingerprint).encode()).hexdigest()[:16]
-        self.source = source
-        namespace: dict = {}
-        code = compile(source, f"<kernel:{self.digest}>", "exec")
-        exec(code, namespace)  # noqa: S102 - our own codegen
-        self.build_fn = namespace["build"]
+        self.source = "".join(text for text, _imports, _exports in parts)
+        steps = []
+        for k, (text, imports, exports) in enumerate(parts):
+            namespace: dict = {}
+            code = compile(text, f"<kernel:{self.digest}:part{k}>", "exec")
+            exec(code, namespace)  # noqa: S102 - our own codegen
+            steps.append((namespace[f"part{k}"], imports, exports))
+        self.build_fn = partial(_build, tuple(steps))
         #: Runtimes ever built from this kernel (sessions + rebuilds).
         self.attaches = 0
 
@@ -90,6 +96,13 @@ class SharedKernel:
         return f"SharedKernel({self.digest}, attaches={self.attaches})"
 
 
+def _build(steps: tuple, rt: KernelRuntime) -> None:
+    """Call the parts in order, each on the names it imports."""
+    names = {"rt": rt}
+    for part, imports, exports in steps:
+        names.update(zip(exports, part(*map(names.__getitem__, imports))))
+
+
 _KERNELS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 _LOCK = threading.Lock()
 _COUNTS = {"hits": 0, "misses": 0}
@@ -110,7 +123,7 @@ def shared_kernel(productions: Sequence[Production]) -> SharedKernel:
             return kernel
         _COUNTS["misses"] += 1
         kernel = _KERNELS[fingerprint] = SharedKernel(
-            fingerprint, generate_source(productions)
+            fingerprint, generate_parts(productions)
         )
         return kernel
 

@@ -14,38 +14,21 @@ Two sources of match work drive the evaluation:
   generator and differential fuzzing harness (``docs/workloads.md``).
 """
 
-from .profiles import (
-    DAA,
-    EP_SOAR,
-    ILOG,
-    MUD,
-    PAPER_SYSTEMS,
-    PARALLEL_FIRING_SYSTEMS,
-    R1_SOAR,
-    SystemProfile,
-    VT,
-    profile_named,
-)
-from .generator import GENERATOR_PROFILES, case_from_seed, emit_system_program, fuzz
-from .synthetic import SyntheticGenerator, generate_trace
-from .programs import ALL_PROGRAMS
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ALL_PROGRAMS",
-    "GENERATOR_PROFILES",
-    "DAA",
-    "EP_SOAR",
-    "ILOG",
-    "MUD",
-    "PAPER_SYSTEMS",
-    "PARALLEL_FIRING_SYSTEMS",
-    "R1_SOAR",
-    "SyntheticGenerator",
-    "SystemProfile",
-    "VT",
-    "case_from_seed",
-    "emit_system_program",
-    "fuzz",
-    "generate_trace",
-    "profile_named",
-]
+#: The package's names by submodule, each imported on first use:
+#: ``import repro.workloads.generator`` (the benchmark's load generator,
+#: ``repro fuzz``) loads neither the bundled programs nor the trace layer.
+_EXPORTS = {
+    ".profiles": (
+        "DAA", "EP_SOAR", "ILOG", "MUD", "PAPER_SYSTEMS", "PARALLEL_FIRING_SYSTEMS",
+        "R1_SOAR", "SystemProfile", "VT", "profile_named",
+    ),
+    ".generator": ("GENERATOR_PROFILES", "case_from_seed", "emit_system_program", "fuzz"),
+    ".synthetic": ("SyntheticGenerator", "generate_trace"),
+    ".programs": ("ALL_PROGRAMS",),
+}
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)
+
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)

@@ -8,6 +8,11 @@ reads the import log: no research layer, and no test harness, may
 load.  It found the stats op loading the Rete package (``obs.metrics``
 checked for a ``ReteNetwork`` before a ``CompiledMatcher``), and every
 session loading the chaos harness (``repro.faults``).
+
+The program generator gets the same guard: the benchmark's load
+generator and ``repro fuzz`` import it alone, and it found the
+``repro.workloads`` package loading every bundled program, the
+synthetic traces and, through them, the trace layer and Rete.
 """
 
 import subprocess
@@ -29,6 +34,11 @@ FORBIDDEN = (
     + [f"repro.serve.{module}" for module in ("router", "client", "fleet")]
 )
 
+#: Modules ``import repro.workloads.generator`` must never import.
+GENERATOR_FORBIDDEN = (
+    "repro.workloads.programs", "repro.workloads.synthetic", "repro.trace", "repro.rete",
+)
+
 
 def imported_modules(log: str) -> set[str]:
     """Module names in a ``-X importtime`` log (``self | cumulative | name``)."""
@@ -39,11 +49,11 @@ def imported_modules(log: str) -> set[str]:
     }
 
 
-def forbidden_in(modules: set[str]) -> list[str]:
+def forbidden_in(modules: set[str], roots=FORBIDDEN) -> list[str]:
     return sorted(
         name
         for name in modules
-        if any(name == root or name.startswith(root + ".") for root in FORBIDDEN)
+        if any(name == root or name.startswith(root + ".") for root in roots)
     )
 
 
@@ -89,3 +99,13 @@ def test_a_worker_serving_a_compiled_session_imports_no_research_layer(tmp_path)
         "repro.psim.partition",
     } <= modules
     assert forbidden_in(modules) == []
+
+
+def test_the_program_generator_loads_no_bundled_program_or_trace_layer():
+    log = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", "import repro.workloads.generator"],
+        capture_output=True, text=True, env=_worker_environment(), check=True,
+    ).stderr
+    modules = imported_modules(log)
+    assert {"repro.workloads", "repro.workloads.generator", "repro.ops5.engine"} <= modules
+    assert forbidden_in(modules, GENERATOR_FORBIDDEN) == []

@@ -23,8 +23,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.kernel import CompiledMatcher
-from repro.kernel.codegen import generate_source, plan_alpha_index, plan_stores
+from repro.kernel import CompiledMatcher, SharedKernel
+from repro.kernel.codegen import generate_parts, generate_source, plan_alpha_index, plan_stores
 from repro.kernel.runtime import KernelRuntime
 from repro.ops5 import ProductionSystem, parse_program
 from repro.ops5.condition import (
@@ -136,11 +136,7 @@ FORCED_WMES = [
 def _runtime(ces, conflict_set) -> KernelRuntime:
     """A built runtime straight from codegen (no process-wide cache)."""
     productions = [Production(f"p{i}", [ce], []) for i, ce in enumerate(ces)]
-    namespace: dict = {}
-    exec(compile(generate_source(productions), "<alpha-entries>", "exec"), namespace)
-    runtime = KernelRuntime(conflict_set, productions)
-    namespace["build"](runtime)
-    return runtime
+    return SharedKernel((), generate_parts(productions)).attach(conflict_set, productions)
 
 
 def check_entries_equal_interpreted_scan(ces, wme_specs) -> None:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.kernel.codegen import alpha_items, generate_source, plan_stores
+from repro.kernel.codegen import alpha_items, generate_parts, generate_source, plan_stores
 from repro.ops5 import MATCHER_NAMES, ProductionSystem, parse_program
 from repro.ops5.condition import wme_passes_alpha
 from repro.ops5.wme import WME
@@ -55,11 +55,15 @@ class TestGeneratedSource:
         )
         assert generate_source(productions) == generate_source(productions)
 
-    def test_source_is_a_single_build_function(self):
+    def test_source_is_a_chain_of_part_functions(self):
         productions = _productions("(p one (goal ^want red) --> (halt))")
+        parts = generate_parts(productions)
         source = generate_source(productions)
-        assert "def build(rt):" in source.splitlines()[1]
-        compile(source, "<test>", "exec")  # must be valid Python
+        assert source == "".join(text for text, _imports, _exports in parts)
+        assert source.splitlines()[1] == "def part0(rt):"
+        for k, (text, _imports, _exports) in enumerate(parts):
+            assert f"def part{k}(" in text
+            compile(text, "<test>", "exec")  # each part is valid Python alone
 
 
 class TestAlphaSemantics:

@@ -1,11 +1,14 @@
 """Compiled-matcher semantics: differential vs Rete, edits, contracts."""
 
+import json
+
 import pytest
 
-from repro.kernel import CompiledMatcher
+from repro.kernel import CompiledMatcher, codegen
 from repro.ops5 import Ops5Error, parse_program
 from repro.ops5.wme import WME, WorkingMemory, make_wme
 from repro.rete import ReteNetwork
+from repro.workloads.programs import SYSTEM_PROGRAMS
 
 
 def _loaded(source):
@@ -205,3 +208,27 @@ class TestEngineIntegration:
         system = closure.build(closure.chain(5), matcher=CompiledMatcher())
         system.run(5000)
         assert closure.derived_facts(system) == expected
+
+
+class TestKernelSummary:
+    @pytest.mark.parametrize("partitions", [1, 2])
+    def test_the_ruleset_is_planned_once_per_rebuild(self, monkeypatch, partitions):
+        """``stats`` describes every session on a worker's loop: a second
+        summary plans no store, and says what the first said, until a
+        production edit changes the ruleset."""
+        system = SYSTEM_PROGRAMS["r1-soar"].build(matcher=CompiledMatcher(partitions=partitions))
+        matcher = system.matcher
+        first = matcher.kernel_summary()
+        plans = []
+        real = codegen.plan_stores
+        monkeypatch.setattr(codegen, "plan_stores", lambda ps: plans.append(ps) or real(ps))
+        second = matcher.kernel_summary()
+        assert json.dumps(second) == json.dumps(first) and plans == []
+        second["sharing"]["sizes"].clear()  # a caller's edit stays its own
+        assert matcher.kernel_summary()["sharing"] == first["sharing"]
+        halt = next(p for p in matcher.productions if p.name == "r1-soar-halt")
+        system.remove_production(halt.name)  # WM is not empty: rebuilds now
+        plans.clear()
+        edited = matcher.kernel_summary()
+        assert plans and sum(edited["sharing"]["sizes"]) == sum(first["sharing"]["sizes"]) - 1
+        assert edited["compiles"] == first["compiles"] + 1

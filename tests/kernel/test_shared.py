@@ -7,8 +7,10 @@ an O(working-memory) replay.  Sessions share the code object and build
 function but never any mutable match state.
 """
 
+import re
 import sys
 import threading
+import tracemalloc
 import uuid
 
 import pytest
@@ -22,6 +24,7 @@ from repro.kernel import (
 from repro.ops5 import parse_program
 from repro.ops5.conflict import ConflictSet
 from repro.ops5.wme import WME, WorkingMemory
+from repro.workloads.programs import SYSTEM_PROGRAMS
 
 SRC = """
   (p match (goal ^want <c>) (block ^color <c> ^size > 2) --> (halt))
@@ -170,3 +173,38 @@ class TestSessionIsolation:
         rows_b = {s.cls: dict(s.rows) for s in b.runtimes[0].stores}
         a.add_wme(wm_a.add(WME("block", {"color": "red", "size": 9})))
         assert {s.cls: dict(s.rows) for s in b.runtimes[0].stores} == rows_b
+
+
+class TestCompileMemory:
+    """A cold build compiles the kernel a part at a time, so its traced
+    peak is about the largest part's ``compile()`` plus the code kept,
+    not ~130 bytes per byte of the whole kernel: compiled as one
+    function, r1-soar's peaked at 17.5 MB and four renamed copies of it
+    at 70 MB."""
+
+    @staticmethod
+    def _cold_peak(productions) -> int:
+        tracemalloc.start()
+        try:
+            shared_kernel(productions)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_r1_soar(self):
+        productions = parse_program(SYSTEM_PROGRAMS["r1-soar"].PROGRAM).productions
+        assert self._cold_peak(productions) <= 4_000_000
+        assert shared_kernel_stats()["misses"] == 1
+
+    def test_four_renamed_copies_of_r1_soar(self):
+        source = SYSTEM_PROGRAMS["r1-soar"].PROGRAM
+        classes = {a.ce.cls for p in parse_program(source).productions for a in p.analysis}
+        pattern = rf"\((literalize |make )?({'|'.join(classes)})\b"
+        copies = "\n".join(
+            re.sub(pattern, rf"(\g<1>\g<2>{k}", source.replace("(p ", f"(p c{k}-"))
+            for k in range(4)
+        )
+        productions = parse_program(copies).productions
+        assert len({a.ce.cls for p in productions for a in p.analysis}) == 4 * len(classes)
+        assert self._cold_peak(productions) <= 8_000_000
+        assert shared_kernel_stats()["misses"] == 1
