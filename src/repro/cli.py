@@ -819,6 +819,11 @@ def _cmd_fuzz(args) -> int:
         f"{report.elapsed:.1f}s across {len(report.backends)} backends "
         f"({', '.join(report.backends)})"
     )
+    if report.unfinished is not None:
+        print(
+            f"-- unfinished: case seed {report.unfinished} was cut off by the "
+            "budget (neither agreement nor a mismatch)"
+        )
     for counter in report.counterexamples:
         shrunk = counter.shrunk
         print(

@@ -10,9 +10,9 @@ match network as *closures over local dicts*:
   (``rt.adds[cls]`` / ``rt.removes[cls]``): the alpha network as code.
   It probes each constant group (:func:`plan_alpha_index`) into a dict
   of store blocks and runs the class's tail stores inline; a store tests
-  its alpha items, files its row and its columns, runs its
-  subscribers (a right activation inline, a group as a call) and ORs
-  its productions' bitmask into the change's affected set;
+  its alpha items, files its row, runs its subscribers (a right
+  activation inline, a group as a call) and ORs its productions'
+  bitmask into the change's affected set;
 * per production, a linear join chain -- for condition element ``i`` a
   left index ``li`` (join key -> {left key -> token}), a right index
   ``ri`` (join key -> the one WME filed under it, or {timetag -> WME}
@@ -20,16 +20,18 @@ match network as *closures over local dicts*:
   CEs a blocker count ``nc`` (left key -> int);
 * per *first-level group* (``plan_groups``: the productions whose CE 0
   reads one store under one guard and whose first join hashes the same
-  CE-0 columns), ONE level-1 left memory ``gl`` and one fused CE-0
+  attributes of CE 0), ONE level-1 left memory ``gl`` and one fused CE-0
   activation pair ``g{n}_a`` / ``g{n}_d`` that builds the token once
   and runs every member's first join inline -- Rete's node sharing,
   one level deep.  Right indexes, blocker counts and every deeper level
   stay private to their production;
 * a terminal that edits the conflict set directly.
 
-Join keys are tuples (or bare values) of the attribute values read
-straight out of the :class:`~repro.kernel.layout.AlphaStore` columns --
-one dict probe per component, no method dispatch.  A dict compares
+Join keys are tuples (or bare values) of attribute values read straight
+from the WMEs: the entering WME's through the entry's
+``a = w._attributes.get``, a token's from the WME at the joined CE's
+position (``tok[k]._attributes.get``) -- no second copy of working
+memory, no method dispatch.  A dict compares
 OPS5 values the way OPS5 does (``1`` and ``1.0`` share a bucket, a
 ``str`` never equals a number; ``bool`` and NaN are refused at
 ingestion), so a bucket holds exactly the candidates an equality scan
@@ -66,9 +68,9 @@ Correctness notes (mirroring the node-walking Rete):
   sharer's CE-0 activation of the same WME -- which would then pair
   the WME with itself once from the left and again from the right.
 * Deletion is rematch-style: the delete path probes the same indexes
-  and re-evaluates residual tests, exactly like ``JoinNode``.  It is
-  two-phase per change: every delete subscriber of every store holding
-  the WME runs before any row or column drops.
+  and re-evaluates residual tests, exactly like ``JoinNode``.  A remove
+  mirrors an add: each store holding the WME runs its delete
+  subscribers, then drops its row.
 * Negated CEs keep a per-left-token blocker count, like
   ``NegativeNode``: 0 -> 1 retracts the downstream token, 1 -> 0
   re-propagates it.
@@ -152,26 +154,16 @@ def alpha_items(analysis: CEAnalysis) -> tuple:
 
 
 class StorePlan:
-    """One shared alpha store: class, fused tests, columns, readers."""
+    """One shared alpha store: class, fused tests, readers."""
 
-    __slots__ = ("index", "cls", "items", "columns", "mask")
+    __slots__ = ("index", "cls", "items", "mask")
 
     def __init__(self, index: int, cls: str, items: tuple) -> None:
         self.index = index
         self.cls = cls
         self.items = items
-        #: Attributes any subscriber's join keys read, in first-need order.
-        self.columns: list[str] = []
         #: Bit ``p`` set for each production position ``p`` reading it.
         self.mask = 0
-
-    def need_column(self, attr: str) -> int:
-        """Register *attr* as a column; return its column index."""
-        try:
-            return self.columns.index(attr)
-        except ValueError:
-            self.columns.append(attr)
-            return len(self.columns) - 1
 
 
 def _split_tests(analysis: CEAnalysis) -> tuple[list[JoinTest], list[JoinTest]]:
@@ -209,14 +201,6 @@ def plan_stores(
                 by_sig[sig] = plan
             plan.mask |= 1 << p_idx
             use[(p_idx, analysis.index)] = plan
-    # Column needs: every equality join key component, both sides.
-    for p_idx, production in enumerate(productions):
-        for analysis in production.analysis:
-            eq, _residual = _split_tests(analysis)
-            own = use[(p_idx, analysis.index)]
-            for jt in eq:
-                own.need_column(jt.own_attribute)
-                use[(p_idx, jt.other_ce)].need_column(jt.other_attribute)
     return plans, use
 
 
@@ -328,13 +312,9 @@ def _residual_expr(
     return " and ".join(parts)
 
 
-def _col_var(plan: StorePlan, attr: str) -> str:
-    return f"c{plan.index}_{plan.columns.index(attr)}"
-
-
 def _key_expr(components: list[str]) -> str:
-    """A hash key from column values: a bare value, a tuple, or the
-    shared single bucket ``0`` when the join has no equality tests."""
+    """A hash key from WME values: a bare value, a tuple, or the shared
+    single bucket ``0`` when the join has no equality tests."""
     if not components:
         return "0"
     if len(components) == 1:
@@ -342,19 +322,16 @@ def _key_expr(components: list[str]) -> str:
     return "(" + ", ".join(components) + ")"
 
 
-def _wme_key(eq: Sequence[JoinTest], own_plan: StorePlan) -> str:
-    return _key_expr([f"{_col_var(own_plan, jt.own_attribute)}[wt]" for jt in eq])
+def _wme_key(eq: Sequence[JoinTest]) -> str:
+    """The entering WME's side of a join key."""
+    return _key_expr([_read(jt.own_attribute) for jt in eq])
 
 
-def _token_key(
-    eq: Sequence[JoinTest], use: dict, p_idx: int
-) -> str:
+def _token_key(eq: Sequence[JoinTest]) -> str:
+    """A token's side: each component read from the WME at its CE's
+    position (an equality join's other CE is positive)."""
     return _key_expr(
-        [
-            f"{_col_var(use[(p_idx, jt.other_ce)], jt.other_attribute)}"
-            f"[lk[{jt.other_ce}]]"
-            for jt in eq
-        ]
+        [f"tok[{jt.other_ce}]._attributes.get({jt.other_attribute!r}, 'nil')" for jt in eq]
     )
 
 
@@ -444,21 +421,20 @@ def _emit_left(emit, memory: str, tkey: str, joins: Sequence[tuple], add: bool) 
         emit(f"            {down}(tok + (None,), lk + (0,))")
 
 
-def _right_body(
-    p_idx: int, i: int, analysis: CEAnalysis, li: str, wkey: str, add: bool
-) -> list[str]:
+def _right_body(p_idx: int, i: int, analysis: CEAnalysis, li: str, add: bool) -> list[str]:
     """Level *i*'s right activation, unindented lines for its store's
-    block: index the entering ``w`` / ``wt`` under *wkey*, probe the
-    left memory *li* (the group's at level 1).  It binds ``key``,
-    ``b``, ``lk``, ``tok``, ``n`` and ``wg``, never ``w`` or ``wt``."""
+    block: index the entering ``w`` / ``wt`` under its join key (read
+    through the block's ``a``), probe the left memory *li* (the group's
+    at level 1).  It binds ``key``, ``b``, ``lk``, ``tok``, ``n`` and
+    ``wg``, never ``w``, ``a`` or ``wt``."""
     lines: list[str] = []
     emit = lines.append
-    _eq, residual = _split_tests(analysis)
+    eq, residual = _split_tests(analysis)
     guard = _residual_expr(residual, i, lambda a: f"wg({a!r})")
     nc = f"nc{p_idx}_{i}"
     down = f"p{p_idx}_l{i + 1}"
     emit("        ctr[0] += 1")
-    emit(f"        key = {wkey}")
+    emit(f"        key = {_wme_key(eq)}")
     ri = f"ri{p_idx}_{i}"
     emit(f"        fi({ri}, key, wt, w)" if add else f"        uf({ri}, key, wt)")
     emit(f"        b = {li}.get(key)")
@@ -489,8 +465,7 @@ def _right_body(
 
 
 def _emit_production(
-    out: list[str], p_idx: int, production: Production, use: dict, group: int | None,
-    rights: dict,
+    out: list[str], p_idx: int, production: Production, group: int | None, rights: dict
 ) -> None:
     """Everything private to one production: terminal and join levels
     two and deeper; every level's right activation goes to *rights*
@@ -535,12 +510,9 @@ def _emit_production(
             for add in (True, False):
                 emit(f"    def {pre}_l{i}_{'a' if add else 'd'}(tok, lk):")
                 emit("        ctr[0] += 1; ctr[2] += 1" if add else "        ctr[0] += 1")
-                _emit_left(
-                    emit, li, _token_key(eq, use, p_idx), [(p_idx, i, analyses[i])], add
-                )
-        wkey = _wme_key(eq, use[(p_idx, i)])
+                _emit_left(emit, li, _token_key(eq), [(p_idx, i, analyses[i])], add)
         rights[f"{pre}_r{i}"] = tuple(
-            _right_body(p_idx, i, analyses[i], li, wkey, add) for add in (True, False)
+            _right_body(p_idx, i, analyses[i], li, add) for add in (True, False)
         )
 
     if depth == 1:
@@ -574,7 +546,7 @@ def plan_groups(
     """First-level groups: the multi-CE productions (by index) that
     share one left memory and one fused CE-0 activation, keyed by what
     makes their first-level token sets and buckets coincide -- (CE-0
-    store index, CE-0 guard, level-1 token key over CE-0's columns).
+    store index, CE-0 guard, level-1 token key over CE-0's attributes).
     In first-member order; a production alone under its signature is a
     group of one."""
     groups: dict[tuple[int, str, str], list[int]] = {}
@@ -584,7 +556,7 @@ def plan_groups(
             signature = (
                 use[(p_idx, 0)].index,
                 _guard0(production),
-                _token_key(eq, use, p_idx),
+                _token_key(eq),
             )
             groups.setdefault(signature, []).append(p_idx)
     return groups
@@ -689,62 +661,43 @@ def _store_test(plan: StorePlan, keyed: bool) -> str:
     )
 
 
-def _filing(plan: StorePlan) -> str:
-    """File the row and its columns (the WME's values)."""
+def _edit(s: int, body, add: bool) -> list[str]:
+    """Store *s*'s edit, mirrored: an add files the row, then runs the
+    subscribers; a remove runs them, then drops the row."""
+    return [f"r{s}[wt] = w", *body(s, True)] if add else [*body(s, False), f"del r{s}[wt]"]
+
+
+def _emit_store(emit, plan: StorePlan, keyed: bool, body, pad: str, add: bool) -> None:
+    """One store in a multi-store block or a tail: if the WME passes
+    (add) or is filed (remove), edit the store and join its mask."""
     s = plan.index
-    columns = [f"c{s}_{j}[wt] = {_read(attr)}" for j, attr in enumerate(plan.columns)]
-    return "; ".join([f"r{s}[wt] = w", *columns])
-
-
-def _drop(plan: StorePlan) -> str:
-    s = plan.index
-    return "del " + ", ".join([f"r{s}[wt]"] + [f"c{s}_{j}[wt]" for j in range(len(plan.columns))])
-
-
-def _emit_add(emit, plan: StorePlan, test: str, body, pad: str) -> None:
-    """One store's add in a multi-store block or a tail: if the WME
-    passes, file it, run the subscribers, join the store's mask."""
+    test = _store_test(plan, keyed) if add else f"wt in r{s}"
     if test:
         emit(f"{pad}if {test}:")
         pad += "    "
-    for line in [_filing(plan), *body(plan.index, True), f"m |= m{plan.index}"]:
+    for line in [*_edit(s, body, add), f"m |= m{s}"]:
         emit(pad + line)
 
 
 def _emit_blocks(emit, n: int, plans: list[StorePlan], body) -> None:
-    """One dispatch target's add block ``t{n}(w, a, wt)`` and remove
-    block ``q{n}(w, wt, x)`` (``x``: 0 runs the delete subscribers of the
-    stores holding the WME, 1 drops their rows and columns), returning
-    the mask of the stores touched; one store returns early, unnested."""
-    emit(f"    def t{n}(w, a, wt):")
-    if len(plans) == 1:
-        (plan,) = plans
-        s, test = plan.index, _store_test(plan, True)
-        if test:
+    """One dispatch target's add block ``t{n}`` and remove block
+    ``q{n}``, both ``(w, a, wt)``, returning the mask of the stores
+    touched; one store returns early, unnested."""
+    for add in (True, False):
+        emit(f"    def {'t' if add else 'q'}{n}(w, a, wt):")
+        if len(plans) > 1:
+            emit("        m = 0")
+            for plan in plans:
+                _emit_store(emit, plan, True, body, "        ", add)
+            emit("        return m")
+            continue
+        s = plans[0].index
+        if not add:
+            emit(f"        if wt not in r{s}: return 0")
+        elif test := _store_test(plans[0], True):
             emit(f"        if not ({test}): return 0")
-        emit(f"        {_filing(plan)}")
-        for line in [*body(s, True), f"return m{s}"]:
+        for line in [*_edit(s, body, add), f"return m{s}"]:
             emit(f"        {line}")
-        emit(f"    def q{n}(w, wt, x):")
-        emit(f"        if wt not in r{s}: return 0")
-        emit(f"        if x: {_drop(plan)}; return 0")
-        for line in [*body(s, False), f"return m{s}"]:
-            emit(f"        {line}")
-        return
-    emit("        m = 0")
-    for plan in plans:
-        _emit_add(emit, plan, _store_test(plan, True), body, "        ")
-    emit("        return m")
-    emit(f"    def q{n}(w, wt, x):")
-    emit("        m = 0")
-    for plan in plans:
-        s = plan.index
-        emit(f"        if wt in r{s}:")
-        emit(f"            if x: {_drop(plan)}")
-        emit("            else:")
-        for line in [*body(s, False), f"m |= m{s}"]:
-            emit(f"                {line}")
-    emit("        return m")
 
 
 def _emit_entries(
@@ -775,29 +728,18 @@ def _emit_entries(
             f"isinstance({part}, _V) and type({part}) is not bool and "
             for part, check in zip(parts, numeric) if check
         ))
-    emit(f"    def A{c}(w):")
-    emit("        a = w._attributes.get; wt = w.timetag; m = 0")
-    for g, (probe, guard) in enumerate(zip(probes, guards)):
-        emit(f"        k = {probe}; b = {guard}T{c}_{g}.get(k)")
-        emit("        if b: m |= b(w, a, wt)")
-    for s in tail:
-        _emit_add(emit, plans[s], _store_test(plans[s], False), body, "        ")
-    emit("        return m.bit_count()")
-    # Two-phase: every delete subscriber before any row or column drops.
-    emit(f"    def R{c}(w):")
-    emit(f"        {'a = w._attributes.get; ' if probes else ''}wt = w.timetag; m = 0")
-    for g, probe in enumerate(probes):
-        emit(f"        b{g} = Q{c}_{g}.get({probe})")
-        emit(f"        if b{g}: m |= b{g}(w, wt, 0)")
-    for s in tail:
-        emit(f"        if wt in r{s}:")
-        for line in [*body(s, False), f"m |= m{s}"]:
-            emit(f"            {line}")
-    for g in range(len(probes)):
-        emit(f"        if b{g}: b{g}(w, wt, 1)")
-    for s in tail:
-        emit(f"        if wt in r{s}: {_drop(plans[s])}")
-    emit("        return m.bit_count()")
+    for add in (True, False):
+        emit(f"    def {'A' if add else 'R'}{c}(w):")
+        emit("        a = w._attributes.get; wt = w.timetag; m = 0")
+        for g, (probe, guard) in enumerate(zip(probes, guards)):
+            if add:
+                emit(f"        k = {probe}; b = {guard}T{c}_{g}.get(k)")
+            else:
+                emit(f"        b = Q{c}_{g}.get({probe})")
+            emit("        if b: m |= b(w, a, wt)")
+        for s in tail:
+            _emit_store(emit, plans[s], False, body, "        ", add)
+        emit("        return m.bit_count()")
 
 
 def generate_source(productions: Sequence[Production]) -> str:
@@ -818,22 +760,16 @@ def generate_parts(productions: Sequence[Production]) -> list[tuple[str, tuple, 
     ]
     emit = out.append
 
-    # Stores: the affected-set bitmask, then rows and columns.
+    # Stores: the affected-set bitmask, then the rows.
     for plan in plans:
-        s = plan.index
-        names = [f"r{s}"] + [f"c{s}_{j}" for j in range(len(plan.columns))]
-        columns = "".join(f", {attr!r}" for attr in plan.columns)
-        emit(f"    m{s} = {hex(plan.mask)}")
-        emit(
-            f"    {', '.join(names)}{',' if len(names) == 1 else ''}"
-            f" = rt.store({plan.cls!r}, m{s}{columns})"
-        )
+        emit(f"    m{plan.index} = {hex(plan.mask)}")
+        emit(f"    r{plan.index} = rt.store({plan.cls!r}, m{plan.index})")
 
     first_level = list(plan_groups(productions, use).items())
     group_of = {p: g for g, (_sig, members) in enumerate(first_level) for p in members}
     rights: dict[str, tuple[list[str], list[str]]] = {}
     for p_idx, production in enumerate(productions):
-        _emit_production(out, p_idx, production, use, group_of.get(p_idx), rights)
+        _emit_production(out, p_idx, production, group_of.get(p_idx), rights)
     for g_idx, (signature, members) in enumerate(first_level):
         _emit_group(out, g_idx, signature, members, productions)
 

@@ -1,32 +1,24 @@
-"""Columnar alpha memories: the stores the generated join code probes.
+"""Alpha memories: the stores the generated class entries edit.
 
-The generated join code never probes a per-token dict of attribute
-values.  That property comes from the layout in this module:
-
-* :class:`AlphaStore` is one alpha memory shared by every condition
-  element with the same (class, fused alpha tests) signature.  Besides
-  the ``timetag -> WME`` row dict it keeps one *column* per attribute
-  that any subscriber's join keys reference: ``timetag -> value`` (the
-  WME's own value object, ``nil`` when unassigned), so a generated join
-  builds its hash key with one dict probe per component and a key
-  compares values the way OPS5 does (see ``kernel/codegen.py``).
-  The generated class entries (``kernel/codegen.py``) test, file and
-  drop rows themselves; the store is their state, not an object they
-  call.  Removal is two-phase there: every delete subscriber of the
-  change runs first, then rows and columns drop, because a token being
-  retracted builds its key from the columns of its constituent WMEs --
-  including the one being deleted.
+:class:`AlphaStore` is one alpha memory shared by every condition
+element with the same (class, fused alpha tests) signature: a
+``timetag -> WME`` row dict and the mask of the productions reading it.
+The generated class entries (``kernel/codegen.py``) test, file and drop
+rows themselves; the store is their state, not an object they call.
+Join keys read the WMEs a row or token already holds, so a store keeps
+no second copy of their values, and a remove mirrors an add: a store's
+delete subscribers run, then its row drops.
 """
 
 from __future__ import annotations
 
-from ..ops5.wme import WME, Value
+from ..ops5.wme import WME
 
 __all__ = ["AlphaStore"]
 
 
 class AlphaStore:
-    """One columnar alpha memory: rows, join-key columns, productions.
+    """One alpha memory: rows and the productions reading them.
 
     Shared by every CE (across all productions of the ruleset) whose
     class and fused alpha tests coincide -- the same sharing the
@@ -38,15 +30,14 @@ class AlphaStore:
     production name in the shared code.
     """
 
-    __slots__ = ("index", "cls", "mask", "rows", "cols")
+    __slots__ = ("index", "cls", "mask", "rows")
 
-    def __init__(self, index: int, cls: str, mask: int, columns: tuple[str, ...]) -> None:
+    def __init__(self, index: int, cls: str, mask: int) -> None:
         #: Position in the runtime's store list (the plan's store index).
         self.index = index
         self.cls = cls
         self.mask = mask
         self.rows: dict[int, WME] = {}
-        self.cols: dict[str, dict[int, Value]] = {attr: {} for attr in columns}
 
     @property
     def productions(self) -> tuple[int, ...]:
@@ -59,5 +50,5 @@ class AlphaStore:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"AlphaStore({self.cls}, rows={len(self.rows)}, "
-            f"cols={list(self.cols)}, productions={list(self.productions)})"
+            f"productions={list(self.productions)})"
         )

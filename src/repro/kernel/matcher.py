@@ -271,7 +271,6 @@ class CompiledMatcher(Matcher):
             "ruleset_digest": ",".join(k.digest for k in self._kernels) or None,
             "stores": len(stores),
             "store_rows": sum(len(s) for s in stores),
-            "columns": sum(len(s.cols) for s in stores),
             **deepcopy(self._shape),  # a caller's edit must not reach the next call
             "replayed_wmes": self._replayed,
             "shared": shared_kernel_stats(),

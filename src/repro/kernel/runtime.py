@@ -8,7 +8,7 @@ serve story):
   :class:`~repro.kernel.shared.SharedKernel`, built once per ruleset
   *shape* and shared by every session running it;
 * the **mutable state** -- :class:`~repro.kernel.layout.AlphaStore`
-  rows/columns, the beta index dicts the generated closures capture
+  rows, the beta index dicts the generated closures capture
   (a right index's one-member bucket is the WME itself: :func:`_file`),
   blocker counts, and the conflict-set edits -- lives here, one
   :class:`KernelRuntime` per session.
@@ -106,11 +106,11 @@ class KernelRuntime:
         self.adds: dict = {}
         self.removes: dict = {}
 
-    def store(self, cls: str, mask: int, *columns: str) -> tuple:
-        """A new store's ``(rows, *columns)`` dicts (called by the generated code)."""
-        store = AlphaStore(len(self.stores), cls, mask, columns)
+    def store(self, cls: str, mask: int) -> dict:
+        """A new store's row dict (called by the generated code)."""
+        store = AlphaStore(len(self.stores), cls, mask)
         self.stores.append(store)
-        return (store.rows, *store.cols.values())
+        return store.rows
 
     def add_wme(self, wme: WME) -> int:
         """Insert *wme*; return the number of affected productions."""

@@ -4,8 +4,8 @@
 ``check_network`` hook used by ``repro run --verify``.  It audits each
 partition's stores against the plan, the WM mirror and the *interpreted*
 alpha tests (``ops5.condition.wme_passes_alpha`` of each store's
-condition elements -- never the generated entries it checks), column
-values, and then replays the whole session through a fresh
+condition elements -- never the generated entries it checks), and
+then replays the whole session through a fresh
 node-walking :class:`~repro.rete.ReteNetwork`, comparing conflict sets.
 An empty list of problems means the kernel holds what Rete would.
 """
@@ -29,8 +29,8 @@ def check_kernel(matcher: CompiledMatcher) -> list[str]:
         readers: list[list] = [[] for _plan in plans]
         for (p_idx, ce), plan in use.items():
             readers[plan.index].append(runtime.productions[p_idx].analysis[ce])
-        shapes = [(s.cls, list(s.cols), s.mask) for s in runtime.stores]
-        if shapes != [(p.cls, p.columns, p.mask) for p in plans]:
+        shapes = [(s.cls, s.mask) for s in runtime.stores]
+        if shapes != [(p.cls, p.mask) for p in plans]:
             problems.append(f"partition {part}: stores differ from the plan")
         for store, ces in zip(runtime.stores, readers):
             where = f"partition {part} store {store.index}"
@@ -43,21 +43,6 @@ def check_kernel(matcher: CompiledMatcher) -> list[str]:
                     problems.append(
                         f"{where}: row {timetag} fails its alpha tests"
                     )
-            for attr, col in store.cols.items():
-                if col.keys() != store.rows.keys():
-                    problems.append(
-                        f"{where}: column {attr!r} keys diverge from rows"
-                    )
-                    continue
-                # Identity, not ``!=``: a column holds the WME's own value
-                # object (``nil`` is one interned string everywhere).
-                for timetag, value in col.items():
-                    expected = store.rows[timetag].get(attr)
-                    if value is not expected:
-                        problems.append(
-                            f"{where}: column {attr!r} row {timetag} "
-                            f"holds {value!r}, expected {expected!r}"
-                        )
             for wme in wmes:
                 if wme.cls != store.cls or wme.timetag in store.rows:
                     continue

@@ -24,7 +24,7 @@ Snapshot shape (sections appear when their source exists)::
       "rete":     {"nodes", "nodes_by_kind", "sharing_ratio",
                    "alpha_wmes", "beta_tokens"},
       "kernel":   {"compiles", "ruleset_digest", "stores", "store_rows",
-                   "columns", "subscriptions", "alpha_index", "sharing",
+                   "subscriptions", "alpha_index", "sharing",
                    "partitions", "replayed_wmes", "shared"},
       "serve":    Telemetry.snapshot(),
       "recorder": {"enabled", "events"},

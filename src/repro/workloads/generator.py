@@ -615,10 +615,25 @@ class CaseRecord:
     halted: bool
 
 
+class CaseCut(Exception):
+    """A case's run passed the campaign's deadline (``time.monotonic``)."""
+
+
+def _check_deadline(deadline: Optional[float]) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise CaseCut
+
+
 def drive_case(
-    matcher, case: FuzzCase, strategy: str = "lex", max_cycles: int = 40
+    matcher,
+    case: FuzzCase,
+    strategy: str = "lex",
+    max_cycles: int = 40,
+    deadline: Optional[float] = None,
 ) -> CaseRecord:
-    """Run *case* on *matcher* and reduce the run to a :class:`CaseRecord`."""
+    """Run *case* on *matcher* and reduce the run to a :class:`CaseRecord`;
+    raise :class:`CaseCut` once *deadline* has passed after a stream op
+    or a cycle."""
     system = ProductionSystem(case.program(), matcher=matcher, strategy=strategy)
     live: dict[int, object] = {}
     stream_sets = []
@@ -629,6 +644,7 @@ def drive_case(
         else:
             system.remove_wme(live.pop(op[1]))
         stream_sets.append(system.conflict_set.snapshot())
+        _check_deadline(deadline)
     fired = []
     cycle_sets = []
     while len(fired) < max_cycles:
@@ -637,6 +653,7 @@ def drive_case(
             break
         fired.append((instantiation.production.name, instantiation.timetags))
         cycle_sets.append(system.conflict_set.snapshot())
+        _check_deadline(deadline)
     return CaseRecord(
         stream_sets=tuple(stream_sets),
         fired=tuple(fired),
@@ -678,6 +695,9 @@ class CaseOutcome:
     records: dict[str, CaseRecord] = field(default_factory=dict)
     errors: dict[str, str] = field(default_factory=dict)
     roundtrip: list[str] = field(default_factory=list)
+    #: The deadline passed mid-run: no verdict, neither agreement nor a
+    #: counterexample (``ok`` and ``kind`` describe only what ran).
+    cut: bool = False
 
     @property
     def errors_agree(self) -> bool:
@@ -771,6 +791,7 @@ def run_case(
     backends: Mapping[str, Callable[[], object]],
     strategy: str = "lex",
     max_cycles: int = 40,
+    deadline: Optional[float] = None,
 ) -> CaseOutcome:
     """One case through every backend; asymmetric exceptions are failures.
 
@@ -778,16 +799,21 @@ def run_case(
     divergence as a wrong conflict set -- the fuzzer reports both kinds
     and the shrinker minimises both.  A program every backend rejects
     with the identical error is agreement (see
-    :attr:`CaseOutcome.errors_agree`).
+    :attr:`CaseOutcome.errors_agree`).  Past *deadline* the run stops
+    at the next stream op, cycle or backend, marked ``cut``.
     """
     outcome = CaseOutcome(case=case)
     outcome.roundtrip = roundtrip_problems(case)
     for name in sorted(backends):
         try:
+            _check_deadline(deadline)
             matcher = backends[name]()
             outcome.records[name] = drive_case(
-                matcher, case, strategy=strategy, max_cycles=max_cycles
+                matcher, case, strategy=strategy, max_cycles=max_cycles, deadline=deadline
             )
+        except CaseCut:
+            outcome.cut = True
+            break
         except Exception as error:  # noqa: BLE001 - any crash is a finding
             outcome.errors[name] = f"{type(error).__name__}: {error}"
     return outcome
@@ -990,6 +1016,8 @@ class FuzzReport:
     iterations: int
     backends: list[str]
     counterexamples: list[CounterExample] = field(default_factory=list)
+    #: Seed of the case the deadline cut off mid-run, if one was.
+    unfinished: Optional[int] = None
 
     @property
     def ok(self) -> bool:
@@ -1007,6 +1035,7 @@ class FuzzReport:
             "backends": self.backends,
             "mismatches": len(self.counterexamples),
             "counterexamples": [c.snapshot() for c in self.counterexamples],
+            "unfinished_case_seed": self.unfinished,
         }
 
 
@@ -1034,7 +1063,10 @@ def fuzz(
     report row reproduces via :func:`case_from_seed` regardless of how
     far the budget let the original campaign run.  *backends* overrides
     the fleet (used by the injected-bug tests); by default every
-    :class:`MatcherFleet` backend runs.
+    :class:`MatcherFleet` backend runs.  The budget is checked after
+    every stream op and cycle, not only between cases: a case it cuts
+    off is recorded as ``unfinished``, neither agreement nor a
+    counterexample, and ends the campaign.
     """
     start = time.monotonic()
     deadline = start + budget
@@ -1048,35 +1080,39 @@ def fuzz(
         iterations=0,
         backends=sorted(backends),
     )
+    run = partial(
+        run_case, backends=backends, strategy=strategy, max_cycles=max_cycles,
+        deadline=deadline,
+    )
     iteration = 0
     while time.monotonic() < deadline:
         if iterations is not None and iteration >= iterations:
             break
         case_seed = _case_seed_for(seed, iteration)
         case = case_from_seed(profile, case_seed)
-        outcome = run_case(
-            case, backends, strategy=strategy, max_cycles=max_cycles
-        )
+        outcome = run(case)
+        if outcome.cut:
+            report.unfinished = case_seed
+            break
         if on_case is not None:
             on_case(iteration, outcome)
         if not outcome.ok:
             def still_fails(candidate: FuzzCase) -> bool:
-                return not run_case(
-                    candidate, backends, strategy=strategy, max_cycles=max_cycles
-                ).ok
+                verdict = run(candidate)
+                return not (verdict.cut or verdict.ok)
 
             shrunk, attempts = shrink_case(
                 case, still_fails, max_attempts=shrink_attempts, deadline=deadline
             )
-            final = run_case(
-                shrunk, backends, strategy=strategy, max_cycles=max_cycles
-            )
+            final = run(shrunk)
+            if final.cut or final.ok:
+                final = outcome
             report.counterexamples.append(
                 CounterExample(
                     iteration=iteration,
                     case_seed=case_seed,
-                    kind=final.kind if not final.ok else outcome.kind,
-                    divergences=final.divergences() or outcome.divergences(),
+                    kind=final.kind,
+                    divergences=final.divergences(),
                     original=case,
                     shrunk=shrunk,
                     shrink_attempts=attempts,

@@ -156,8 +156,6 @@ def check_entries_equal_interpreted_scan(ces, wme_specs) -> None:
         assert runtime.add_wme(wme) == len(affected), (wme, affected)
         membership = [timetag in store.rows for store in runtime.stores]
         assert membership == passes, (wme, membership, passes)
-        for store in runtime.stores:
-            assert all(col.keys() == store.rows.keys() for col in store.cols.values())
         added.append((wme, len(affected)))
     # One instantiation per (single-CE production, WME its store holds).
     assert len(conflict_set) == sum(
@@ -166,7 +164,7 @@ def check_entries_equal_interpreted_scan(ces, wme_specs) -> None:
     for wme, affected in reversed(added):
         assert runtime.remove_wme(wme) == affected, wme
     assert runtime.state_size() == 0 and len(conflict_set) == 0
-    assert all(not col for store in runtime.stores for col in store.cols.values())
+    assert all(not store.rows for store in runtime.stores)
 
 
 @settings(max_examples=150, deadline=None, database=None, derandomize=True)

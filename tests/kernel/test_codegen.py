@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.kernel import shared_kernel
 from repro.kernel.codegen import alpha_items, generate_parts, generate_source, plan_stores
 from repro.ops5 import MATCHER_NAMES, ProductionSystem, parse_program
 from repro.ops5.condition import wme_passes_alpha
-from repro.ops5.wme import WME
+from repro.ops5.conflict import ConflictSet
+from repro.ops5.wme import WME, WorkingMemory
 
 
 def _productions(source):
@@ -36,16 +38,19 @@ class TestStorePlanning:
         assert len(plans) == 2
         assert use[(0, 0)] is not use[(1, 0)]
 
-    def test_join_columns_registered_on_both_sides(self):
-        productions = _productions(
-            "(p find (goal ^want <c>) (block ^color <c>) --> (halt))"
-        )
-        plans, use = plan_stores(productions)
-        assert "want" in use[(0, 0)].columns
-        assert "color" in use[(0, 1)].columns
-
 
 class TestGeneratedSource:
+    def test_join_keys_read_both_sides_wmes(self):
+        """The level-1 key reads ``^want`` from the token's CE-0 WME and
+        the right activation ``^color`` from the entering WME: a store is
+        its rows alone, with no copy of either value."""
+        source = generate_source(
+            _productions("(p find (goal ^want <c>) (block ^color <c>) --> (halt))")
+        )
+        assert "        key = tok[0]._attributes.get('want', 'nil')\n" in source
+        assert "        key = a('color', 'nil')\n" in source
+        assert "    r0 = rt.store('goal', m0)\n    m1 = 0x1\n    r1 = rt.store('block', m1)\n" in source
+
     def test_source_is_deterministic(self):
         productions = _productions(
             """
@@ -64,6 +69,37 @@ class TestGeneratedSource:
         for k, (text, _imports, _exports) in enumerate(parts):
             assert f"def part{k}(" in text
             compile(text, "<test>", "exec")  # each part is valid Python alone
+
+
+class TestRemoval:
+    def test_a_row_drops_right_after_its_own_delete_subscribers(self):
+        """A remove mirrors an add, one pass over the stores: ``solo``'s
+        store (a keyed block) retracts while both stores hold the WME,
+        then drops its row before the tail store retracts ``pair``."""
+        productions = _productions(
+            """
+            (p pair (a ^v <x>) (b ^v <x>) --> (halt))
+            (p solo (b ^v 1) --> (halt))
+            """
+        )
+        _plans, use = plan_stores(productions)
+        holders = []
+
+        class Watched(ConflictSet):
+            def delete_key(self, key):
+                holders.append((key[0], {s.index for s in runtime.stores if wt in s.rows}))
+                super().delete_key(key)
+
+        runtime = shared_kernel(productions).attach(Watched(), productions)
+        memory = WorkingMemory()
+        runtime.add_wme(memory.add(WME("a", {"v": 1})))
+        b = memory.add(WME("b", {"v": 1}))
+        wt = b.timetag
+        assert runtime.add_wme(b) == 2
+        assert runtime.remove_wme(b) == 2
+        solo, pair = use[(1, 0)].index, use[(0, 1)].index
+        assert holders == [("solo", {solo, pair}), ("pair", {pair})]
+        assert runtime.state_size() == 1
 
 
 class TestAlphaSemantics:

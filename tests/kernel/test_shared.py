@@ -7,11 +7,13 @@ an O(working-memory) replay.  Sessions share the code object and build
 function but never any mutable match state.
 """
 
+import gc
 import re
 import sys
 import threading
 import tracemalloc
 import uuid
+from types import CellType
 
 import pytest
 
@@ -208,3 +210,28 @@ class TestCompileMemory:
         assert len({a.ce.cls for p in productions for a in p.analysis}) == 4 * len(classes)
         assert self._cold_peak(productions) <= 8_000_000
         assert shared_kernel_stats()["misses"] == 1
+
+
+class TestAttachCells:
+    """An attach builds the closures over one session's state; what they
+    capture is what a session costs beyond its working memory.  Join
+    keys read the WMEs a token holds, so a store is its rows alone and
+    no column dict is captured: r1-soar's attach made 1,166 cells while
+    stores kept a column per joined attribute, 1,088 without."""
+
+    @staticmethod
+    def _cells() -> int:
+        gc.collect()
+        return sum(type(o) is CellType for o in gc.get_objects())
+
+    def test_an_r1_soar_attach_creates_at_most_1100_cells(self):
+        productions = parse_program(SYSTEM_PROGRAMS["r1-soar"].PROGRAM).productions
+        kernel = shared_kernel(productions)
+        kernel.attach(ConflictSet(), productions)  # warm: nothing left to build lazily
+        before = self._cells()
+        runtime = kernel.attach(ConflictSet(), productions)
+        assert self._cells() - before <= 1_100
+        assert runtime.stores
+        for store in runtime.stores:
+            held = [name for name in type(store).__slots__ if type(getattr(store, name)) is dict]
+            assert held == ["rows"], store

@@ -1,7 +1,7 @@
 """Node sharing in the compiled kernel: first-level groups.
 
 Productions whose first CE reads one alpha store, under one CE-0 guard,
-and whose first join hashes the same CE-0 columns share ONE left memory
+and whose first join hashes the same CE-0 attributes share ONE left memory
 and ONE fused CE-0 activation (``g{n}_a`` / ``g{n}_d``); right indexes,
 blocker counts and everything below the first join stay private.  Every
 case here runs on a :class:`Shadowed` matcher -- a node-walking Rete
@@ -305,8 +305,11 @@ def test_keyless_and_two_column_first_joins():
     source = driven.matcher.generated_source
     # cross + void file every token under the single bucket ``0`` ...
     assert re.search(r"def g\d+_a\(w\):\n(?:.*\n){2}        key = 0\n", source)
-    # ... two + two-n under both CE-0 columns.
-    assert re.search(r"key = \(c\d+_\d+\[lk\[0\]\], c\d+_\d+\[lk\[0\]\]\)", source)
+    # ... two + two-n under both attributes, read from CE 0's WME.
+    assert (
+        "key = (tok[0]._attributes.get('x', 'nil'), tok[0]._attributes.get('y', 'nil'))"
+        in source
+    )
 
 
 def test_the_entering_wme_is_read_before_any_member_loop_rebinds_w():
@@ -355,7 +358,7 @@ def test_ruleset_edits_at_run_time_regroup_and_replay():
 
 #: Fourteen rules, twelve of them on the class-only ``t`` store: a
 #: six-member group (self-join, negated members, a residual right test,
-#: a three-CE member), a guarded pair, a keyless pair, a two-column
+#: a three-CE member), a guarded pair, a keyless pair, a two-attribute
 #: pair; plus a constant-tested CE 0 and a group on ``u``.  Right-hand
 #: sides make and remove the very WMEs the joins and blockers read.
 ADVERSARIAL = """

@@ -1,6 +1,6 @@
 """Symbols and numbers as join keys: the values themselves.
 
-Both hashed matchers -- the compiled kernel's columns and the indexed
+Both hashed matchers -- the compiled kernel's join keys and the indexed
 Rete's ``JoinNode`` keys -- file a WME under its attribute values and
 let a dict find its partners.  That is correct only if dict equality
 *is* OPS5 equality (:func:`~repro.ops5.wme.values_equal`) on every value

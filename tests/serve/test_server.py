@@ -11,6 +11,7 @@ from repro.ops5 import ProductionSystem
 from repro.serve import BackpressureError, RuleClient, ServerError, ServerThread
 from repro.serve.durability import validate_engine_state
 from repro.workloads.programs import closure
+from tests.serve.conftest import WAIT
 
 CHAIN = [["parent", {"from": f"n{i}", "to": f"n{i + 1}"}] for i in range(6)]
 
@@ -255,22 +256,41 @@ def _in_threads(count, target):
     return results, errors
 
 
-def test_shared_session_engages_backpressure_without_loss():
+def test_shared_session_engages_backpressure_without_loss(hold):
     """Four clients on one session with a one-deep queue: ``call`` sleeps
-    out every rejection, and the work done is exact.  A 12-edge chain's
-    run is 78 cycles, past one 64-cycle slice, so requests arrive while
-    it yields and the queue fills."""
+    out every rejection, and the work done is exact.  The session's first
+    op, a ``run`` on an empty WM, is held at a slice boundary until a
+    client is rejected, so the queue is full while the clients send: one
+    request waits behind the held op and the next is refused."""
     with ServerThread() as harness, RuleClient(harness.address) as control:
         sid = control.create_session(program=closure.PROGRAM, max_pending=1)
         rejections = []
-        fired, errors = _in_threads(
-            4,
-            lambda i: _replay_chains(
-                harness.address, sid, f"c{i}.", 2, 12, on_retry=rejections.append
-            ),
-        )
+
+        def rejected(reply):
+            rejections.append(reply)
+            hold.release("first")
+
+        held = []
+        with RuleClient(harness.address) as first:
+            parked = threading.Thread(
+                target=lambda: held.append(first.request("run", session=sid, hold="first"))
+            )
+            parked.start()
+            try:
+                hold.wait_entered()
+                fired, errors = _in_threads(
+                    4,
+                    lambda i: _replay_chains(
+                        harness.address, sid, f"c{i}.", 2, 12, on_retry=rejected
+                    ),
+                )
+            finally:
+                hold.release("first")
+                parked.join(WAIT)
+        assert not parked.is_alive()
         assert errors == []
         assert rejections
+        assert held[0]["fired"] == 0
         expected = 4 * 2 * closure.expected_chain_facts(12)
         assert sum(fired) == expected
         stats = control.session_stats(sid)

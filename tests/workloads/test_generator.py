@@ -8,6 +8,7 @@ dedicated fuzz job.
 """
 
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -164,6 +165,34 @@ class TestInjectedBug:
         assert failing(shrunk)
         assert len(shrunk.productions) <= len(case.productions)
         assert len(shrunk.stream) <= len(case.stream)
+
+
+class SleepyMatcher(NaiveMatcher):
+    """Correct, but every WME change takes ``PAUSE`` seconds."""
+
+    PAUSE = 0.25
+
+    def add_wme(self, wme):
+        time.sleep(self.PAUSE)
+        return super().add_wme(wme)
+
+    def remove_wme(self, wme):
+        time.sleep(self.PAUSE)
+        return super().remove_wme(wme)
+
+
+class TestBudget:
+    def test_a_case_past_the_budget_is_cut_after_one_op(self):
+        """Case seed 0 has six stream ops (1.5 s on the sleepy backend),
+        so only a deadline checked inside the case stops near 0.5 s."""
+        budget = 0.5
+        report = fuzz(
+            seed=0, budget=budget, backends={"naive": NaiveMatcher, "sleepy": SleepyMatcher}
+        )
+        assert report.elapsed < budget + SleepyMatcher.PAUSE + 0.4, report.elapsed
+        assert report.unfinished == 0 and report.iterations == 0
+        assert report.ok and not report.counterexamples
+        assert json.loads(json.dumps(report.snapshot()))["unfinished_case_seed"] == 0
 
 
 class TestEmittedSystems:
