@@ -1,4 +1,4 @@
-"""The compiled match kernel: per-ruleset codegen over columnar memories.
+"""The compiled match kernel: per-ruleset codegen over hashed alpha stores.
 
 The interpreted Rete walks one Python method call per node activation --
 the per-candidate constant factor that dominates serial throughput once
@@ -8,9 +8,9 @@ specialized Python:
 
 * the alpha network becomes one generated add / remove entry per WME
   class, testing each store's alpha items inline;
-* beta joins become hash-indexed probes over columnar alpha memories
-  whose key components are the WMEs' own values (a dict compares them
-  the way OPS5 does);
+* beta joins become hash-indexed probes whose key components are read
+  from the WMEs a row or token already holds (a dict compares them the
+  way OPS5 does);
 * one process-wide registry (``kernel/shared.py``) keyed by a structural
   LHS fingerprint (``kernel/cache.py``) generates, compiles and exec's
   each ruleset shape once, so re-loading the same ruleset (or the same

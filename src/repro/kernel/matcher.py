@@ -1,11 +1,11 @@
 """The compiled matcher: drives generated kernels behind the Matcher ABC.
 
 :class:`CompiledMatcher` is a drop-in peer of the interpreted matchers
-(``matcher_named("compiled")``).  It keeps the canonical WM mirror and
-production list, compiles the ruleset on demand (through the
-process-wide registry keyed by structural fingerprint, see
-``kernel/shared.py``), and dispatches each WME change to the generated
-class entries.
+(``matcher_named("compiled")``).  It keeps the production list, reads
+the engine's working memory (``Matcher.memory``), compiles the ruleset
+on demand (through the process-wide registry keyed by structural
+fingerprint, see ``kernel/shared.py``), and dispatches each WME change
+to the generated class entries.
 
 Rebuild policy
 --------------
@@ -16,10 +16,13 @@ compile, not N.  The immutable half (codegen, ``compile()``, module
 ``exec``) lives in the process-wide :mod:`~repro.kernel.shared`
 registry, so a rebuild on an already-seen ruleset shape is just a fresh
 :class:`~repro.kernel.runtime.KernelRuntime` attach -- closure
-construction plus WM replay, zero codegen.  Once WMEs exist, a production edit rebuilds
-immediately -- the engine may inspect the conflict set right after --
-by clearing the conflict set and replaying the WM mirror through the
-fresh kernel in timetag order.  Replay is *quiet*: no per-change stats
+construction plus WM replay, zero codegen.  Once WMEs exist, a
+production edit rebuilds immediately -- the engine may inspect the
+conflict set right after -- by clearing the conflict set and replaying
+working memory through the fresh kernel in timetag order.  The lazy
+compile runs inside the first ``add_wme``, when working memory already
+holds the entering WME: it replays the rest, and that WME is then
+matched once, as a change.  Replay is *quiet*: no per-change stats
 rows, and the effort counters are set back to their pre-replay values
 after it, so measurements reflect only real WM traffic (the interpreted
 Rete's ``add_production`` folds existing WM the same way).
@@ -27,9 +30,9 @@ Rete's ``add_production`` folds existing WM the same way).
 Each WME change is one call per partition of the generated entry for
 its class (``runtime.adds[cls]`` / ``runtime.removes[cls]``: the alpha
 network, store edits, subscribers -- the probe ``KernelRuntime.add_wme``
-/ ``remove_wme`` make, inline); this class only mirrors working memory
-and counts the change.  The effort totals need no bookkeeping here: the
-generated code increments ``MatchStats.effort`` itself.
+/ ``remove_wme`` make, inline); this class only counts the change.  The
+effort totals need no bookkeeping here: the generated code increments
+``MatchStats.effort`` itself.
 
 Partitions
 ----------
@@ -89,7 +92,6 @@ class CompiledMatcher(Matcher):
         self.partitions = partitions
         self._recorder = recorder if recorder is not None else NULL_RECORDER
         self._productions: dict[str, Production] = {}
-        self._wmes: dict[int, WME] = {}
         #: [node activations, comparisons, tokens built]: the stats' own
         #: effort list, incremented by every partition's generated code.
         self._counters = self.stats.effort
@@ -116,7 +118,7 @@ class CompiledMatcher(Matcher):
 
     def _after_ruleset_edit(self) -> None:
         self._shape = None
-        if self._wmes:
+        if self.memory:
             # The engine may read the conflict set before the next WME
             # change, so fold the edit in now.
             self._rebuild()
@@ -127,8 +129,7 @@ class CompiledMatcher(Matcher):
 
     def add_wme(self, wme: WME) -> None:
         if self._dirty:
-            self._rebuild()
-        self._wmes[wme.timetag] = wme
+            self._rebuild(wme)
         stats = self.stats
         audit = stats.changes is not None
         before = tuple(self._counters) if audit else None
@@ -145,10 +146,6 @@ class CompiledMatcher(Matcher):
             self._audit("add", wme, affected, before)
 
     def remove_wme(self, wme: WME) -> None:
-        if wme.timetag not in self._wmes:
-            raise Ops5Error(f"WME {wme!r} was never added")
-        if self._dirty:
-            self._rebuild()
         stats = self.stats
         audit = stats.changes is not None
         before = tuple(self._counters) if audit else None
@@ -162,7 +159,6 @@ class CompiledMatcher(Matcher):
         stats.total_affected_productions += affected
         if audit:
             self._audit("remove", wme, affected, before)
-        del self._wmes[wme.timetag]
 
     def _audit(self, kind: str, wme: WME, affected: int, before: tuple) -> None:
         """Off the default path: the change's stats row."""
@@ -176,13 +172,17 @@ class CompiledMatcher(Matcher):
         the ruleset: every rebuild re-partitions from scratch)."""
         return assign_productions(list(self._productions.values()), self.partitions)
 
-    def _rebuild(self) -> None:
+    def _rebuild(self, entering: Optional[WME] = None) -> None:
+        """Attach fresh runtimes and replay working memory into them,
+        less *entering*: the WME whose ``add_wme`` is compiling, which
+        that call then matches as a change."""
         partitions = self.partition_snapshot()
+        wmes = [wme for wme in self.memory.snapshot() if wme is not entering]
         with self._recorder.span(
             "kernel:compile",
             cat="kernel",
             productions=len(self._productions),
-            wmes=len(self._wmes),
+            wmes=len(wmes),
             partitions=len(partitions),
         ):
             # Process-wide immutable half: codegen + compile() + module
@@ -195,9 +195,8 @@ class CompiledMatcher(Matcher):
             ]
             self.conflict_set.clear()
             # Per-session mutable half: fresh closures over the shared
-            # code objects, then a quiet O(WM) replay from the mirror --
-            # no per-change stats rows, and the effort it counted undone.
-            wmes = self.current_wmes()
+            # code objects, then a quiet O(WM) replay -- no per-change
+            # stats rows, and the effort it counted undone.
             counters = self._counters
             quiet = counters[:]
             self._runtimes = [
@@ -209,17 +208,13 @@ class CompiledMatcher(Matcher):
             self._compiles += 1
             self._dirty = False
             self._shape = None
-            self._replayed += len(self._wmes)
+            self._replayed += len(wmes)
 
     # -- introspection -----------------------------------------------------
 
     @property
     def productions(self) -> Iterable[Production]:
         return list(self._productions.values())
-
-    def current_wmes(self) -> list[WME]:
-        """The WM mirror, in timetag order (verify hooks)."""
-        return [self._wmes[t] for t in sorted(self._wmes)]
 
     @property
     def runtimes(self) -> list[KernelRuntime]:
@@ -239,7 +234,9 @@ class CompiledMatcher(Matcher):
         return "\n".join(kernel.source for kernel in self._kernels)
 
     def state_size(self) -> int:
-        """Rows across all stores (parity with ReteNetwork.state_size)."""
+        """Alpha rows across all partitions' stores: one per (store, WME)
+        pair.  Not :meth:`ReteNetwork.state_size`'s dict -- the kernel
+        keeps no beta tokens to count (ROADMAP item 20)."""
         return sum(runtime.state_size() for runtime in self._runtimes)
 
     def kernel_summary(self) -> dict:

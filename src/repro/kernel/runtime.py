@@ -123,5 +123,5 @@ class KernelRuntime:
         return entry(wme) if entry is not None else 0
 
     def state_size(self) -> int:
-        """Rows across all stores (parity with ReteNetwork.state_size)."""
+        """Alpha rows across this runtime's stores."""
         return sum(len(s) for s in self.stores)

@@ -2,11 +2,12 @@
 
 :func:`check_kernel` is the compiled counterpart of the Rete
 ``check_network`` hook used by ``repro run --verify``.  It audits each
-partition's stores against the plan, the WM mirror and the *interpreted*
-alpha tests (``ops5.condition.wme_passes_alpha`` of each store's
-condition elements -- never the generated entries it checks), and
-then replays the whole session through a fresh
-node-walking :class:`~repro.rete.ReteNetwork`, comparing conflict sets.
+partition's stores against the plan, the engine's working memory
+(``matcher.memory``) and the *interpreted* alpha tests
+(``ops5.condition.wme_passes_alpha`` of each store's condition
+elements -- never the generated entries it checks), and then builds a
+fresh node-walking :class:`~repro.rete.ReteNetwork` over that same
+memory, comparing conflict sets.
 An empty list of problems means the kernel holds what Rete would.
 """
 
@@ -22,8 +23,7 @@ __all__ = ["check_kernel"]
 def check_kernel(matcher: CompiledMatcher) -> list[str]:
     """Audit a compiled matcher's state; return problem descriptions."""
     problems: list[str] = []
-    wmes = matcher.current_wmes()
-    by_tag = {w.timetag: w for w in wmes}
+    memory = matcher.memory
     for part, runtime in enumerate(matcher.runtimes):
         plans, use = plan_stores(runtime.productions)
         readers: list[list] = [[] for _plan in plans]
@@ -35,15 +35,15 @@ def check_kernel(matcher: CompiledMatcher) -> list[str]:
         for store, ces in zip(runtime.stores, readers):
             where = f"partition {part} store {store.index}"
             for timetag, wme in store.rows.items():
-                if by_tag.get(timetag) is not wme:
+                if wme not in memory or wme.timetag != timetag:
                     problems.append(
-                        f"{where}: row {timetag} is not the WM mirror's WME"
+                        f"{where}: row {timetag} is not working memory's WME"
                     )
                 if not all(wme_passes_alpha(wme, ce) for ce in ces):
                     problems.append(
                         f"{where}: row {timetag} fails its alpha tests"
                     )
-            for wme in wmes:
+            for wme in memory:
                 if wme.cls != store.cls or wme.timetag in store.rows:
                     continue
                 if all(wme_passes_alpha(wme, ce) for ce in ces):
@@ -55,11 +55,11 @@ def check_kernel(matcher: CompiledMatcher) -> list[str]:
     # One-shot differential check against the node-walking Rete.
     from ..rete.network import ReteNetwork
 
+    # Built over the same memory: each add_production folds it in.
     reference = ReteNetwork()
+    reference.memory = memory
     for production in matcher.productions:
         reference.add_production(production)
-    for wme in wmes:
-        reference.add_wme(wme)
     ours = matcher.conflict_set.snapshot()
     theirs = reference.conflict_set.snapshot()
     if ours != theirs:

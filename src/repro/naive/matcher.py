@@ -33,7 +33,6 @@ class NaiveMatcher(Matcher):
     def __init__(self) -> None:
         super().__init__()
         self._productions: dict[str, Production] = {}
-        self._memory: list[WME] = []
         # Scratch counters reset per change, accumulated into MatchStats.
         self._comparisons = 0
         self._tokens_built = 0
@@ -57,11 +56,9 @@ class NaiveMatcher(Matcher):
                 self.conflict_set.delete(instantiation)
 
     def add_wme(self, wme: WME) -> None:
-        self._memory.append(wme)
         self._rematch("add", wme)
 
     def remove_wme(self, wme: WME) -> None:
-        self._memory.remove(wme)
         self._rematch("remove", wme)
 
     # -- full recomputation ----------------------------------------------------
@@ -111,13 +108,13 @@ class NaiveMatcher(Matcher):
             return
         ce = production.conditions[index]
         if ce.negated:
-            for wme in self._memory:
+            for wme in self.memory:
                 self._comparisons += 1
                 if ce.match(wme, bindings) is not None:
                     return  # a matching WME kills this branch
             self._extend(production, index + 1, bindings, matched, results)
             return
-        for wme in self._memory:
+        for wme in self.memory:
             self._comparisons += 1
             extended = ce.match(wme, bindings)
             if extended is not None:
@@ -125,8 +122,3 @@ class NaiveMatcher(Matcher):
                 matched.append(wme)
                 self._extend(production, index + 1, extended, matched, results)
                 matched.pop()
-
-    # -- introspection helpers (used by analysis & tests) -----------------------
-
-    def memory_size(self) -> int:
-        return len(self._memory)

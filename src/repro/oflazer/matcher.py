@@ -153,7 +153,6 @@ class CombinationMatcher(Matcher):
         self._states: dict[str, _ProductionState] = {}
         #: Alpha memories for negated CEs: (production, ce index) -> wmes.
         self._neg_amem: dict[tuple[str, int], dict[int, WME]] = {}
-        self._wmes: dict[int, WME] = {}
         self._comparisons = 0
         self._tokens_built = 0
 
@@ -168,13 +167,13 @@ class CombinationMatcher(Matcher):
         self._states[production.name] = state
         for analysis in state.negated:
             self._neg_amem[(production.name, analysis.index)] = {
-                tag: wme
-                for tag, wme in self._wmes.items()
+                wme.timetag: wme
+                for wme in self.memory
                 if wme_passes_alpha(wme, analysis)
             }
         # Fold existing memory in one WME at a time (reusing the
         # incremental machinery keeps one code path).
-        for wme in list(self._wmes.values()):
+        for wme in self.memory:
             self._combine_new_wme(state, wme)
         for partial in state.partials_of(state.positive_indices).values():
             instantiation = self._instantiation(state, partial)
@@ -192,7 +191,6 @@ class CombinationMatcher(Matcher):
     def add_wme(self, wme: WME) -> None:
         self._comparisons = 0
         self._tokens_built = 0
-        self._wmes[wme.timetag] = wme
         affected: set[str] = set()
 
         for name, state in self._states.items():
@@ -217,7 +215,6 @@ class CombinationMatcher(Matcher):
     def remove_wme(self, wme: WME) -> None:
         self._comparisons = 0
         self._tokens_built = 0
-        del self._wmes[wme.timetag]
         affected: set[str] = set()
 
         for instantiation in list(self.conflict_set):
@@ -360,6 +357,3 @@ class CombinationMatcher(Matcher):
                 else:
                     beta += len(partials)
         return {"alpha_wmes": alpha, "beta_tokens": beta}
-
-    def memory_size(self) -> int:
-        return len(self._wmes)

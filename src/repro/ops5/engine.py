@@ -27,7 +27,7 @@ from .errors import ExecutionError, DuplicateProductionError, Ops5Error
 from .matcher import Matcher
 from .parser import Program, parse_program
 from .production import Instantiation, Production
-from .wme import Value, WME, WorkingMemory
+from .wme import Value, WME
 
 #: What an attribute value may be: an OPS5 symbol or number.
 _VALUE_TYPES = (str, int, float)
@@ -74,7 +74,7 @@ MATCHER_DESCRIPTIONS = {
     "rete": "node-walking Rete with incremental beta memories",
     "rete-indexed": "Rete with hash-indexed join memories",
     "oflazer": "Oflazer-style combination matcher (counter-based join states)",
-    "compiled": "per-ruleset generated kernel over columnar memories (src/repro/kernel)",
+    "compiled": "per-ruleset generated kernel over hashed alpha stores (src/repro/kernel)",
     "parallel": "compiled over a partitioned ruleset: --workers kernels, one conflict set (loss of node sharing)",
 }
 
@@ -298,7 +298,7 @@ class ProductionSystem:
         self.total_wme_changes = 0
         #: Lifetime production firings (survives reset(), unlike `cycle`).
         self.total_firings = 0
-        self.memory = WorkingMemory()
+        self.memory = matcher.memory
         self.output: list[str] = []
         self._fired_keys: set[tuple] = set()
         self._halted = False

@@ -20,7 +20,7 @@ from typing import Iterable
 
 from .conflict import ConflictSet
 from .production import Production
-from .wme import WME
+from .wme import WME, WorkingMemory
 
 
 @dataclass(slots=True)
@@ -119,16 +119,17 @@ class Matcher(ABC):
     * ``add_wme`` / ``remove_wme`` must leave :attr:`conflict_set`
       containing exactly the instantiations of all satisfied productions,
       under OPS5 semantics (including negated condition elements).
-    * WMEs must already carry their timetag when passed in (the engine
-      routes every element through
-      :class:`~repro.ops5.wme.WorkingMemory` first).
-    * Productions may be added at any time; the matcher must fold the
-      current working memory into the new production's state.
+    * :attr:`memory` is the working memory, which the matcher only reads:
+      the engine files a WME there before ``add_wme`` and takes it out
+      before ``remove_wme``.
+    * Productions may be added at any time; the matcher must fold
+      :attr:`memory` into the new production's state.
     """
 
     def __init__(self) -> None:
         self.conflict_set = ConflictSet()
         self.stats = MatchStats()
+        self.memory = WorkingMemory()
 
     def peek_stats(self) -> MatchStats:
         """Match statistics *without* side effects.

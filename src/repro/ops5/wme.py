@@ -132,10 +132,8 @@ class WorkingMemory:
     """The OPS5 working memory: a timetagged collection of WMEs.
 
     The working memory is deliberately *passive*: it stores elements and
-    assigns timetags but does not notify matchers.  The
-    :class:`~repro.ops5.engine.ProductionSystem` routes every change to
-    both the working memory and the active matcher so the two can never
-    disagree.
+    assigns timetags but does not notify matchers.  The matcher owns it
+    (``Matcher.memory``); the engine writes it before telling the matcher.
     """
 
     def __init__(self) -> None:

@@ -227,7 +227,7 @@ class NetworkBuilder:
             parent.children.append(amem)
             # Quiet population from current working memory; the CE's alpha
             # semantics are exactly wme_passes_alpha.
-            for wme in net.current_wmes():
+            for wme in net.memory:
                 if wme_passes_alpha(wme, analysis):
                     amem.items[wme.timetag] = wme
             self._register(mem_key, amem)

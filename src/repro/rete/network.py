@@ -62,7 +62,6 @@ class ReteNetwork(Matcher):
         #: Sharing statistics: node creations vs. reuse hits.
         self.nodes_created = 0
         self.nodes_shared = 0
-        self._wmes: dict[int, WME] = {}
         #: Per-class entry points into the alpha network.
         self.class_roots: dict[str, AlphaTestNode] = {}
         #: The dummy top beta memory: left input of every first join.
@@ -173,13 +172,9 @@ class ReteNetwork(Matcher):
     def add_wme(self, wme: WME) -> None:
         """Flow a WME insertion through the network."""
         self._process(wme, ADD)
-        self._wmes[wme.timetag] = wme
 
     def remove_wme(self, wme: WME) -> None:
         """Flow a WME deletion through the network (rematch-style)."""
-        if wme.timetag not in self._wmes:
-            raise Ops5Error(f"WME {wme!r} was never added to this network")
-        del self._wmes[wme.timetag]
         self._process(wme, DELETE)
 
     # -- change propagation ------------------------------------------------------
@@ -212,15 +207,6 @@ class ReteNetwork(Matcher):
         )
 
     # -- introspection -------------------------------------------------------------
-
-    @property
-    def wme_count(self) -> int:
-        """Number of WMEs currently known to the network."""
-        return len(self._wmes)
-
-    def current_wmes(self) -> list[WME]:
-        """A snapshot list of the WMEs currently in the network."""
-        return list(self._wmes.values())
 
     def state_size(self) -> dict[str, int]:
         """Stored-state volume: WMEs in alpha memories, tokens in betas.

@@ -94,7 +94,7 @@ def _neg_expectations(
 def check_network(net: ReteNetwork) -> list[str]:
     """Audit every memory in *net*; return discrepancy descriptions."""
     problems: list[str] = []
-    wmes = net.current_wmes()
+    wmes = list(net.memory)
 
     for name, nodes in net._production_nodes.items():
         production = next(p for p in net.productions if p.name == name)

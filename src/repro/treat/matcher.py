@@ -74,7 +74,6 @@ class TreatMatcher(Matcher):
         #: One representative CE analysis per alpha key (any CE with the
         #: same key has identical alpha semantics).
         self._alpha_reps: dict[tuple, CEAnalysis] = {}
-        self._wmes: dict[int, WME] = {}
         self._comparisons = 0
         self._tokens_built = 0
 
@@ -90,8 +89,8 @@ class TreatMatcher(Matcher):
         for analysis, key in zip(compiled.analyses, compiled.alpha_keys):
             if key not in self._amem:
                 self._amem[key] = {
-                    tag: wme
-                    for tag, wme in self._wmes.items()
+                    wme.timetag: wme
+                    for wme in self.memory
                     if wme_passes_alpha(wme, analysis)
                 }
                 self._alpha_reps[key] = analysis
@@ -114,7 +113,6 @@ class TreatMatcher(Matcher):
     def add_wme(self, wme: WME) -> None:
         self._comparisons = 0
         self._tokens_built = 0
-        self._wmes[wme.timetag] = wme
         affected: set[str] = set()
 
         # Phase 1: update alpha memories (and find where the WME landed).
@@ -145,7 +143,6 @@ class TreatMatcher(Matcher):
     def remove_wme(self, wme: WME) -> None:
         self._comparisons = 0
         self._tokens_built = 0
-        del self._wmes[wme.timetag]
         affected: set[str] = set()
 
         # Phase 1: find which alpha memories held it, and drop it.
@@ -328,6 +325,3 @@ class TreatMatcher(Matcher):
             "alpha_wmes": sum(len(m) for m in self._amem.values()),
             "beta_tokens": 0,
         }
-
-    def memory_size(self) -> int:
-        return len(self._wmes)

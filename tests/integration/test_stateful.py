@@ -41,6 +41,8 @@ class MatcherLockstep(RuleBasedStateMachine):
             "oflazer": CombinationMatcher(),
         }
         self.memory = WorkingMemory()
+        for matcher in self.matchers.values():
+            matcher.memory = self.memory
         self.live_rules: set[str] = set()
         self.counter = 0
 

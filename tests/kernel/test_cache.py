@@ -17,7 +17,7 @@ from repro.kernel import CompiledMatcher, clear_shared_kernels, shared_kernel
 from repro.kernel import shared_kernel_stats
 from repro.kernel.cache import ruleset_fingerprint
 from repro.ops5 import ProductionSystem, parse_program
-from repro.ops5.wme import WME, WorkingMemory
+from repro.ops5.wme import WME
 
 SRC = """
   (p find (goal ^want <c>) (block ^color <c> ^size > 2) --> (halt))
@@ -69,10 +69,12 @@ class TestCacheReuse:
             matcher = CompiledMatcher()
             for production in parse_program(source).productions:
                 matcher.add_production(production)
-            memory = WorkingMemory()
+            memory = matcher.memory
             for cls, attrs in (("goal", {"want": "red", "size": 3}), ("block", {"color": "red"})):
                 matcher.add_wme(memory.add(WME(cls, attrs)))
-            matcher.remove_wme(memory.by_timetag(1))
+            goal = memory.by_timetag(1)
+            memory.remove(goal)
+            matcher.remove_wme(goal)
             (runtime,) = matcher.runtimes
             readers.append([
                 sorted(runtime.productions[p].name for p in store.productions)
@@ -133,7 +135,7 @@ class TestLoadPath:
         matcher = CompiledMatcher()
         for production in parse_program(SRC).productions:
             matcher.add_production(production)
-        memory = WorkingMemory()
+        memory = matcher.memory
         matcher.add_wme(memory.add(WME("goal", {"want": "red"})))
         matcher.add_wme(memory.add(WME("block", {"color": "red", "size": 3})))
         # A production edit with WM non-empty forces an immediate rebuild

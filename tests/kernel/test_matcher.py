@@ -4,19 +4,20 @@ import json
 
 import pytest
 
-from repro.kernel import CompiledMatcher, codegen
+from repro.kernel import CompiledMatcher, check_kernel, codegen
 from repro.ops5 import Ops5Error, parse_program
-from repro.ops5.wme import WME, WorkingMemory, make_wme
+from repro.ops5.wme import WME
 from repro.rete import ReteNetwork
 from repro.workloads.programs import SYSTEM_PROGRAMS
 
 
 def _loaded(source):
     compiled, rete = CompiledMatcher(), ReteNetwork()
+    rete.memory = compiled.memory
     for production in parse_program(source).productions:
         compiled.add_production(production)
         rete.add_production(production)
-    return compiled, rete, WorkingMemory()
+    return compiled, rete, compiled.memory
 
 
 def _differential(source, script):
@@ -34,6 +35,7 @@ def _differential(source, script):
             rete.add_wme(wme)
         else:
             wme = wmes[op[1]]
+            memory.remove(wme)
             compiled.remove_wme(wme)
             rete.remove_wme(wme)
         ours = compiled.conflict_set.snapshot()
@@ -124,8 +126,8 @@ class TestDynamicRulesetEdits:
     def test_add_production_with_wm_nonempty_folds_existing_wm(self):
         compiled, _, memory = _loaded(JOIN)
         goal = memory.add(WME("goal", {"want": "red"}))
-        block = memory.add(WME("block", {"color": "red"}))
         compiled.add_wme(goal)
+        block = memory.add(WME("block", {"color": "red"}))
         compiled.add_wme(block)
         assert len(compiled.conflict_set) == 1
         late = parse_program(
@@ -148,6 +150,7 @@ class TestDynamicRulesetEdits:
     def test_a_rebuild_replay_counts_no_effort(self, partitions):
         _, rete, memory = _loaded(JOIN + NEGATED)
         compiled = CompiledMatcher(partitions=partitions)
+        compiled.memory = memory
         for production in rete.productions:
             compiled.add_production(production)
         stats = compiled.stats  # held across the rebuild, as callers do
@@ -172,8 +175,22 @@ class TestDynamicRulesetEdits:
             compiled.add_production(production)
         # No WMEs yet: both edits fold into the single deferred compile.
         assert compiled.kernel_summary()["compiles"] == 0
-        compiled.add_wme(WorkingMemory().add(WME("goal", {"want": "red"})))
+        compiled.add_wme(compiled.memory.add(WME("goal", {"want": "red"})))
         assert compiled.kernel_summary()["compiles"] == 1
+
+    def test_the_lazy_compile_matches_the_entering_wme_once(self):
+        """Working memory already holds the WME whose ``add_wme`` runs
+        the deferred compile: the replay leaves it out, and it is
+        matched once, as the change it is."""
+        compiled, _, memory = _loaded(JOIN + NEGATED)
+        goal = memory.add(WME("goal", {"want": "red"}))
+        compiled.add_wme(goal)
+        summary = compiled.kernel_summary()
+        assert (summary["compiles"], summary["replayed_wmes"]) == (1, 0)
+        assert summary["store_rows"] == 1
+        assert compiled.conflict_set.snapshot() == {("quiet", (goal.timetag,))}
+        assert compiled.stats.total_changes == 1
+        assert check_kernel(compiled) == []
 
 
 class TestErrorContracts:
@@ -186,13 +203,6 @@ class TestErrorContracts:
         compiled = CompiledMatcher()
         with pytest.raises(Ops5Error):
             compiled.remove_production("ghost")
-
-    def test_remove_never_added_wme_rejected(self):
-        compiled, _, _ = _loaded(JOIN)
-        stray = make_wme("block", color="red")
-        stray.timetag = 99
-        with pytest.raises(Ops5Error):
-            compiled.remove_wme(stray)
 
 
 class TestEngineIntegration:

@@ -24,7 +24,7 @@ leaves the WME filed.
 import re
 
 from repro.ops5 import parse_program
-from repro.ops5.wme import WME, WorkingMemory
+from repro.ops5.wme import WME
 from tests.kernel.test_sharing import Shadowed, _stat_rows, audit
 
 #: One group on ``t`` keyed by ``^x``; every CE 1 reads ``u`` by ``^x``,
@@ -106,7 +106,7 @@ def test_one_key_through_zero_one_two_three_and_back():
     for production in parse_program(RULES).productions:
         matcher.add_production(production)
     matcher.stats.keep_rows()
-    memory = WorkingMemory()
+    memory = matcher.memory
 
     def add(cls, **attrs):
         wme = memory.add(WME(cls, attrs))
@@ -122,6 +122,7 @@ def test_one_key_through_zero_one_two_three_and_back():
         # A left activation probes the bucket in its current shape.
         probe = add("t", x=1, y=6)
         check_shapes(matcher, 1, live)
+        memory.remove(probe)
         matcher.remove_wme(probe)
         rows = _stat_rows(matcher.stats)
         assert rows == DICT_ONLY_ROWS[: len(rows)]
@@ -132,6 +133,7 @@ def test_one_key_through_zero_one_two_three_and_back():
         live.append(add("u", x=1, y=y))
         step()
     for k in (1, 0, 0):  # 3 -> 2 -> 1 -> 0; the demoted survivor is the last filed
+        memory.remove(live[k])
         matcher.remove_wme(live.pop(k))
         step()
     assert _stat_rows(matcher.stats) == DICT_ONLY_ROWS

@@ -107,7 +107,7 @@ class TestWarmAttach:
         first = CompiledMatcher()
         for p in _fresh_productions():
             first.add_production(p)
-        memory = WorkingMemory()
+        memory = first.memory
         first.add_wme(memory.add(WME("goal", {"want": "red"})))
         assert shared_kernel_stats()["misses"] == 1
 
@@ -116,7 +116,7 @@ class TestWarmAttach:
             matcher = CompiledMatcher()
             for p in _fresh_productions():
                 matcher.add_production(p)
-            wm = WorkingMemory()
+            wm = matcher.memory
             matcher.add_wme(wm.add(WME("goal", {"want": "red"})))
             matcher.add_wme(wm.add(WME("block", {"color": "red", "size": 3})))
             assert shared_kernel_stats()["misses"] == 1
@@ -129,13 +129,13 @@ class TestWarmAttach:
         seed = CompiledMatcher()
         for p in _fresh_productions(src):
             seed.add_production(p)
-        wm = WorkingMemory()
+        wm = seed.memory
         seed.add_wme(wm.add(WME("goal", {"want": "red"})))
         for _ in range(5):
             matcher = CompiledMatcher()
             for p in _fresh_productions(src):
                 matcher.add_production(p)
-            session_wm = WorkingMemory()
+            session_wm = matcher.memory
             matcher.add_wme(session_wm.add(WME("goal", {"want": "red"})))
         assert shared_kernel_stats()["misses"] == 1
 
@@ -159,7 +159,7 @@ class TestSessionIsolation:
         for matcher in (a, b):
             for p in _fresh_productions():
                 matcher.add_production(p)
-        wm_a, wm_b = WorkingMemory(), WorkingMemory()
+        wm_a, wm_b = a.memory, b.memory
         a.add_wme(wm_a.add(WME("goal", {"want": "red"})))
         a.add_wme(wm_a.add(WME("block", {"color": "red", "size": 3})))
         b.add_wme(wm_b.add(WME("goal", {"want": "blue"})))

@@ -29,7 +29,7 @@ from repro.kernel import CompiledMatcher, check_kernel
 from repro.kernel.codegen import sharing_summary
 from repro.ops5 import ProductionSystem, parse_program
 from repro.ops5.production import Instantiation
-from repro.ops5.wme import WME, WorkingMemory
+from repro.ops5.wme import WME
 from repro.rete import ReteNetwork
 from repro.workloads.programs import ALL_PROGRAMS, SYSTEM_PROGRAMS
 
@@ -48,9 +48,10 @@ class Shadowed(CompiledMatcher):
     def __init__(self, partitions=1):
         super().__init__(partitions=partitions)
         self.rete = ReteNetwork()
+        self.rete.memory = self.memory
 
-    def _rebuild(self):
-        super()._rebuild()
+    def _rebuild(self, *args):
+        super()._rebuild(*args)
         Shadowed.kept.update(self.kernels)
 
     def _agree(self, edit, *args):
@@ -81,7 +82,7 @@ class Driven:
         self.matcher = Shadowed()
         for production in parse_program(source).productions:
             self.matcher.add_production(production)
-        self.memory = WorkingMemory()
+        self.memory = self.matcher.memory
         self.wmes = []
         self.do(*script)
 
@@ -92,6 +93,7 @@ class Driven:
                 self.wmes.append(self.memory.add(WME(op[1], op[2])))
                 matcher.add_wme(self.wmes[-1])
             elif op[0] == "remove":
+                self.memory.remove(self.wmes[op[1]])
                 matcher.remove_wme(self.wmes[op[1]])
             elif op[0] == "+p":
                 matcher.add_production(parse_program(op[1]).productions[0])
@@ -118,8 +120,8 @@ def audit(matcher):
     reference = ReteNetwork()
     for production in matcher.productions:
         reference.add_production(production)
-    for wme in matcher.current_wmes():
-        reference.add_wme(wme)
+    for wme in matcher.memory.snapshot():
+        reference.add_wme(reference.memory.adopt(wme))
     theirs = {i.key: i.bindings for i in reference.conflict_set.members()}
     for inst in matcher.conflict_set.members():
         assert tuple(w.timetag for w in inst.wmes) == inst.timetags == inst.key[1]

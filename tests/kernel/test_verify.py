@@ -2,7 +2,7 @@
 
 from repro.kernel import CompiledMatcher, check_kernel
 from repro.ops5 import parse_program
-from repro.ops5.wme import WME, WorkingMemory
+from repro.ops5.wme import WME
 
 SRC = """
   (p find (goal ^want <c>) (block ^color <c>) --> (halt))
@@ -14,7 +14,7 @@ def _loaded(items, partitions=1):
     matcher = CompiledMatcher(partitions=partitions)
     for production in parse_program(SRC).productions:
         matcher.add_production(production)
-    memory = WorkingMemory()
+    memory = matcher.memory
     wmes = []
     for cls, attrs in items:
         wme = memory.add(WME(cls, attrs))
@@ -31,6 +31,7 @@ class TestChecker:
             ("block", {"color": "blue"}),
         ])
         assert check_kernel(matcher) == []
+        matcher.memory.remove(wmes[1])
         matcher.remove_wme(wmes[1])
         assert check_kernel(matcher) == []
 
@@ -64,7 +65,7 @@ class TestChecker:
         auditor's own scan of the interpreted alpha tests names the WME."""
         matcher, _ = _loaded([("goal", {"want": "red"})])
         matcher.runtimes[0].adds["block"] = lambda wme: 0  # sabotage: no store
-        memory = WorkingMemory()
+        memory = matcher.memory
         memory.reserve_timetags(10)
         matcher.add_wme(memory.add(WME("block", {"color": "red"})))
         problems = check_kernel(matcher)

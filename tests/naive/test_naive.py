@@ -2,7 +2,7 @@
 
 from repro.naive import NaiveMatcher
 from repro.ops5 import parse_production, parse_program
-from repro.ops5.wme import WME, WorkingMemory
+from repro.ops5.wme import WME
 
 
 class _Session:
@@ -11,7 +11,7 @@ class _Session:
         self.matcher.stats.keep_rows()
         for production in parse_program(source).productions:
             self.matcher.add_production(production)
-        self.memory = WorkingMemory()
+        self.memory = self.matcher.memory
 
     def add(self, cls, **attrs):
         wme = self.memory.add(WME(cls, attrs))

@@ -3,7 +3,7 @@
 
 from repro.oflazer import CombinationMatcher
 from repro.ops5 import parse_production, parse_program
-from repro.ops5.wme import WME, WorkingMemory
+from repro.ops5.wme import WME
 
 
 class _Session:
@@ -12,7 +12,7 @@ class _Session:
         self.matcher.stats.keep_rows()
         for production in parse_program(source).productions:
             self.matcher.add_production(production)
-        self.memory = WorkingMemory()
+        self.memory = self.matcher.memory
 
     def add(self, cls, **attrs):
         wme = self.memory.add(WME(cls, attrs))
@@ -119,7 +119,7 @@ class TestNegation:
 class TestProductionManagement:
     def test_late_addition_matches_memory(self):
         matcher = CombinationMatcher()
-        memory = WorkingMemory()
+        memory = matcher.memory
         for cls, attrs in [("a", {"v": 1}), ("b", {"v": 1})]:
             wme = memory.add(WME(cls, attrs))
             matcher.add_wme(wme)
@@ -145,7 +145,7 @@ class TestStateVolume:
         combo, rete = _Session(source), None
         net = ReteNetwork()
         net.add_production(parse_production(source))
-        memory = WorkingMemory()
+        memory = net.memory = combo.memory
         for cls in ("a", "b", "c"):
             for _ in range(3):
                 wme = memory.add(WME(cls, {}))
@@ -173,14 +173,14 @@ class TestExponentialGrowth:
         number of memories."""
         from repro.rete import ReteNetwork
         from repro.ops5 import parse_production
-        from repro.ops5.wme import WME, WorkingMemory
+        from repro.ops5.wme import WME
 
         def state_total(width, per_class=3):
             classes = " ".join(f"(c{i})" for i in range(width))
             source = f"(p wide {classes} --> (halt))"
             combo = CombinationMatcher()
             combo.add_production(parse_production(source))
-            memory = WorkingMemory()
+            memory = combo.memory
             for i in range(width):
                 for _ in range(per_class):
                     wme = memory.add(WME(f"c{i}", {}))
@@ -197,13 +197,13 @@ class TestExponentialGrowth:
     def test_mid_run_production_removal_keeps_lockstep(self):
         from repro.naive import NaiveMatcher
         from repro.ops5 import parse_production
-        from repro.ops5.wme import WME, WorkingMemory
+        from repro.ops5.wme import WME
 
         combo, naive = CombinationMatcher(), NaiveMatcher()
         for matcher in (combo, naive):
             matcher.add_production(parse_production("(p a (x ^v <k>) (y ^v <k>) --> (halt))"))
             matcher.add_production(parse_production("(p b (x) --> (halt))"))
-        memory = WorkingMemory()
+        memory = naive.memory = combo.memory
         for cls, attrs in [("x", {"v": 1}), ("y", {"v": 1}), ("x", {"v": 2})]:
             wme = memory.add(WME(cls, attrs))
             combo.add_wme(wme)

@@ -26,7 +26,7 @@ from repro.ops5.condition import (
     VariableTest,
 )
 from repro.ops5.production import Production
-from repro.ops5.wme import WME, WorkingMemory
+from repro.ops5.wme import WME
 from repro.rete import ReteNetwork
 from repro.treat import TreatMatcher
 from repro.workloads.generator import MatcherFleet, run_case
@@ -148,7 +148,7 @@ def _drive(matcher, program, script):
     """Apply the script; return conflict-set snapshots after each op."""
     for production in program:
         matcher.add_production(production)
-    memory = WorkingMemory()
+    memory = matcher.memory
     live: list[WME] = []
     snapshots = []
     for op in script:

@@ -12,7 +12,7 @@ import pytest
 
 from repro.kernel import CompiledMatcher
 from repro.ops5 import Ops5Error, ProductionSystem, matcher_named, parse_program
-from repro.ops5.wme import WME, WorkingMemory
+from repro.ops5.wme import WME
 from repro.psim.partition import assign_productions
 from repro.rete import ReteNetwork
 from repro.workloads.generator import run_case
@@ -76,7 +76,7 @@ def test_inline_matcher_matches_serial_rete():
 
 def test_late_production_backfills_existing_memory():
     matcher = CompiledMatcher(partitions=1)
-    memory = WorkingMemory()
+    memory = matcher.memory
     for cls, attrs in CHAIN:
         matcher.add_wme(memory.add(WME(cls, attrs)))
     base, step = _closure_productions()
@@ -84,7 +84,7 @@ def test_late_production_backfills_existing_memory():
     serial = ReteNetwork()
     serial.add_production(base)
     for wme in memory:
-        serial.add_wme(wme)
+        serial.add_wme(serial.memory.adopt(wme))
     assert matcher.conflict_set.snapshot() == serial.conflict_set.snapshot()
 
 
@@ -93,7 +93,7 @@ def test_remove_production_retracts_its_instantiations():
     base, step = _closure_productions()
     matcher.add_production(base)
     matcher.add_production(step)
-    memory = WorkingMemory()
+    memory = matcher.memory
     for cls, attrs in CHAIN:
         matcher.add_wme(memory.add(WME(cls, attrs)))
     assert len(matcher.conflict_set) > 0
@@ -107,7 +107,7 @@ def test_remove_production_in_same_batch_as_wme_changes():
     matcher = CompiledMatcher(partitions=1)
     base, step = _closure_productions()
     matcher.add_production(base)
-    memory = WorkingMemory()
+    memory = matcher.memory
     for cls, attrs in CHAIN:
         matcher.add_wme(memory.add(WME(cls, attrs)))
     matcher.remove_production("base")
@@ -124,11 +124,6 @@ def test_duplicate_production_and_unknown_removal_raise():
         matcher.remove_production("nope")
 
 
-def test_remove_unknown_wme_raises():
-    with pytest.raises(Ops5Error):
-        CompiledMatcher(partitions=2).remove_wme(WorkingMemory().add(WME("a", {})))
-
-
 def test_negative_worker_count_rejected():
     with pytest.raises(Ops5Error):
         matcher_named("parallel", workers=-1)
@@ -143,7 +138,7 @@ def test_partition_snapshot_before_and_after_start():
     matcher.add_production(step)
     preview = [p.names for p in matcher.partition_snapshot()]
     assert sorted(n for names in preview for n in names) == ["base", "step"]
-    matcher.add_wme(WorkingMemory().add(WME("parent", {"from": "a", "to": "b"})))
+    matcher.add_wme(matcher.memory.add(WME("parent", {"from": "a", "to": "b"})))
     assert [p.names for p in matcher.partition_snapshot()] == preview
     assert len(matcher.runtimes) == 2
 

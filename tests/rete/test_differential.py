@@ -19,7 +19,7 @@ from repro.ops5.condition import (
     VariableTest,
 )
 from repro.ops5.production import Production
-from repro.ops5.wme import WME, WorkingMemory
+from repro.ops5.wme import WME
 from repro.rete import ReteNetwork
 from repro.treat import TreatMatcher
 
@@ -118,7 +118,7 @@ def _drive(matcher, program, script):
     """Apply the script; return the conflict-set snapshots after each op."""
     for production in program:
         matcher.add_production(production)
-    memory = WorkingMemory()
+    memory = matcher.memory
     live: list[WME] = []
     snapshots = []
     for op in script:
@@ -159,7 +159,7 @@ def test_late_production_addition_converges(program, script):
     late = ReteNetwork()
     for production in program:
         early.add_production(production)
-    memory_early, memory_late = WorkingMemory(), WorkingMemory()
+    memory_early, memory_late = early.memory, late.memory
     live_early, live_late = [], []
     for op in script:
         for matcher, memory, live in (

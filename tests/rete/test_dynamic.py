@@ -3,7 +3,7 @@
 import pytest
 
 from repro.ops5 import Ops5Error, parse_production
-from repro.ops5.wme import WME, WorkingMemory
+from repro.ops5.wme import WME
 from repro.rete import ReteNetwork
 
 
@@ -15,7 +15,8 @@ def _fill(net, memory, items):
 
 class TestAddProduction:
     def test_existing_memory_matched_at_compile(self):
-        net, memory = ReteNetwork(), WorkingMemory()
+        net = ReteNetwork()
+        memory = net.memory
         _fill(net, memory, [("goal", {"want": "red"}), ("block", {"color": "red"})])
         net.add_production(
             parse_production("(p late (goal ^want <c>) (block ^color <c>) --> (halt))")
@@ -23,7 +24,8 @@ class TestAddProduction:
         assert len(net.conflict_set) == 1
 
     def test_negations_respected_at_compile(self):
-        net, memory = ReteNetwork(), WorkingMemory()
+        net = ReteNetwork()
+        memory = net.memory
         _fill(net, memory, [("goal", {}), ("block", {"color": "red"})])
         net.add_production(
             parse_production("(p late (goal) - (block ^color red) --> (halt))")
@@ -31,7 +33,8 @@ class TestAddProduction:
         assert len(net.conflict_set) == 0
 
     def test_incremental_behaviour_after_late_add(self):
-        net, memory = ReteNetwork(), WorkingMemory()
+        net = ReteNetwork()
+        memory = net.memory
         _fill(net, memory, [("block", {"color": "red"})])
         net.add_production(
             parse_production("(p late (goal ^want <c>) (block ^color <c>) --> (halt))")
@@ -42,7 +45,8 @@ class TestAddProduction:
         assert len(net.conflict_set) == 1
 
     def test_shared_prefix_extension(self):
-        net, memory = ReteNetwork(), WorkingMemory()
+        net = ReteNetwork()
+        memory = net.memory
         net.add_production(
             parse_production("(p short (a ^v <x>) (b ^v <x>) --> (halt))")
         )
@@ -62,7 +66,8 @@ class TestAddProduction:
 
 class TestRemoveProduction:
     def test_instantiations_retracted(self):
-        net, memory = ReteNetwork(), WorkingMemory()
+        net = ReteNetwork()
+        memory = net.memory
         net.add_production(parse_production("(p gone (a) --> (halt))"))
         _fill(net, memory, [("a", {})])
         assert len(net.conflict_set) == 1
@@ -71,7 +76,8 @@ class TestRemoveProduction:
         assert list(net.productions) == []
 
     def test_shared_nodes_survive_sibling_removal(self):
-        net, memory = ReteNetwork(), WorkingMemory()
+        net = ReteNetwork()
+        memory = net.memory
         net.add_production(parse_production("(p one (a ^v 1) --> (halt))"))
         net.add_production(parse_production("(p two (a ^v 1) --> (halt))"))
         _fill(net, memory, [("a", {"v": 1})])
@@ -92,7 +98,8 @@ class TestRemoveProduction:
         assert net.class_roots == {}
 
     def test_removed_production_stops_matching(self):
-        net, memory = ReteNetwork(), WorkingMemory()
+        net = ReteNetwork()
+        memory = net.memory
         net.add_production(parse_production("(p gone (a) --> (halt))"))
         net.remove_production("gone")
         wme = memory.add(WME("a", {}))
@@ -104,7 +111,8 @@ class TestRemoveProduction:
             ReteNetwork().remove_production("ghost")
 
     def test_re_add_after_remove(self):
-        net, memory = ReteNetwork(), WorkingMemory()
+        net = ReteNetwork()
+        memory = net.memory
         production = parse_production("(p cycle (a) --> (halt))")
         net.add_production(production)
         _fill(net, memory, [("a", {})])

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 
 from repro.naive import NaiveMatcher
 from repro.ops5 import parse_program
-from repro.ops5.wme import WME, WorkingMemory
+from repro.ops5.wme import WME
 from repro.rete import ReteNetwork
 
 from tests.rete.test_differential import _drive, change_scripts, programs
@@ -18,7 +18,7 @@ class TestIndexedSemantics:
             net = ReteNetwork(indexed=indexed)
             for production in parse_program(src).productions:
                 net.add_production(production)
-            memory = WorkingMemory()
+            memory = net.memory
             snaps = []
             for cls, attrs in [
                 ("goal", {"want": "red"}),
@@ -38,14 +38,16 @@ class TestIndexedSemantics:
         net = ReteNetwork(indexed=True)
         for production in parse_program(src).productions:
             net.add_production(production)
-        memory = WorkingMemory()
+        memory = net.memory
         a = memory.add(WME("a", {"v": 1}))
         b = memory.add(WME("b", {"v": 1}))
         net.add_wme(a)
         net.add_wme(b)
         assert len(net.conflict_set) == 1
+        memory.remove(b)
         net.remove_wme(b)
         assert len(net.conflict_set) == 0
+        memory.remove(a)
         net.remove_wme(a)
         # Index buckets emptied, not leaked.
         from repro.rete.nodes import JoinNode
@@ -57,7 +59,7 @@ class TestIndexedSemantics:
 
     def test_late_production_initialises_index_from_memory(self):
         net = ReteNetwork(indexed=True)
-        memory = WorkingMemory()
+        memory = net.memory
         for cls, v in [("a", 1), ("b", 1), ("b", 2)]:
             wme = memory.add(WME(cls, {"v": v}))
             net.add_wme(wme)
@@ -71,7 +73,7 @@ class TestIndexedSemantics:
         net = ReteNetwork(indexed=True)
         for production in parse_program(src).productions:
             net.add_production(production)
-        memory = WorkingMemory()
+        memory = net.memory
         for v, w in [(1, 5), (1, 0)]:
             wme = memory.add(WME("n", {"v": v, "w": w}))
             net.add_wme(wme)
@@ -87,7 +89,7 @@ class TestIndexedSemantics:
             net = ReteNetwork(indexed=indexed)
             for production in parse_program(src).productions:
                 net.add_production(production)
-            memory = WorkingMemory()
+            memory = net.memory
             for v in range(40):
                 net.add_wme(memory.add(WME("a", {"v": v})))
             for v in range(40):

@@ -1,7 +1,7 @@
 """Activation instrumentation: the trace the simulator consumes."""
 
 from repro.ops5 import parse_program
-from repro.ops5.wme import WME, WorkingMemory
+from repro.ops5.wme import WME
 from repro.rete import ReteNetwork, RecordingListener
 
 SRC = """
@@ -15,7 +15,7 @@ def _run(events_for):
     net.stats.keep_rows()
     for production in parse_program(SRC).productions:
         net.add_production(production)
-    memory = WorkingMemory()
+    memory = net.memory
     for cls, attrs in events_for:
         wme = memory.add(WME(cls, attrs))
         net.add_wme(wme)
@@ -32,7 +32,7 @@ class TestRecording:
     def test_compile_time_population_is_quiet(self):
         listener = RecordingListener()
         net = ReteNetwork(listener)
-        memory = WorkingMemory()
+        memory = net.memory
         wme = memory.add(WME("block", {"color": "red"}))
         net.add_wme(wme)
         before = len(listener.changes)
@@ -77,8 +77,9 @@ class TestRecording:
     def test_deletions_mirror_additions(self):
         listener, net = _run([("goal", {"want": "red"}), ("block", {"color": "red"})])
         add_events = listener.changes[1][2]
-        wme = next(iter(net.current_wmes()))  # whichever; remove the block
-        block = [w for w in net.current_wmes() if w.cls == "block"][0]
+        wme = next(iter(net.memory))  # whichever; remove the block
+        block = [w for w in net.memory if w.cls == "block"][0]
+        net.memory.remove(block)
         net.remove_wme(block)
         kind, cls, delete_events = listener.changes[-1]
         assert kind == "remove"

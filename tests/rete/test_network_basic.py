@@ -11,7 +11,7 @@ def _net(source: str) -> tuple[ReteNetwork, WorkingMemory]:
     net = ReteNetwork()
     for production in parse_program(source).productions:
         net.add_production(production)
-    return net, WorkingMemory()
+    return net, net.memory
 
 
 def _add(net, memory, cls, **attrs):
@@ -40,8 +40,10 @@ class TestSingleProduction:
         goal = _add(net, memory, "goal", want="red")
         block = _add(net, memory, "block", color="red")
         assert len(net.conflict_set) == 1
+        memory.remove(block)
         net.remove_wme(block)
         assert len(net.conflict_set) == 0
+        memory.remove(goal)
         net.remove_wme(goal)
         assert len(net.conflict_set) == 0
 
@@ -95,6 +97,7 @@ class TestNegation:
         assert len(net.conflict_set) == 1
         blocker = _add(net, memory, "block", color="red")
         assert len(net.conflict_set) == 0
+        memory.remove(blocker)
         net.remove_wme(blocker)
         assert len(net.conflict_set) == 1
 
@@ -103,8 +106,10 @@ class TestNegation:
         _add(net, memory, "goal", want="red")
         b1 = _add(net, memory, "block", color="red")
         b2 = _add(net, memory, "block", color="red")
+        memory.remove(b1)
         net.remove_wme(b1)
         assert len(net.conflict_set) == 0  # b2 still blocks
+        memory.remove(b2)
         net.remove_wme(b2)
         assert len(net.conflict_set) == 1
 
@@ -147,6 +152,7 @@ class TestIncrementalConsistency:
         before = net.state_size()
         c = _add(net, memory, "c", v=1)
         assert len(net.conflict_set) == 1
+        memory.remove(c)
         net.remove_wme(c)
         assert len(net.conflict_set) == 0
         assert net.state_size() == before
@@ -154,9 +160,10 @@ class TestIncrementalConsistency:
     def test_wme_count_tracked(self):
         net, memory = _net("(p x (a) --> (halt))")
         wme = _add(net, memory, "a")
-        assert net.wme_count == 1
+        assert len(net.memory) == 1
+        memory.remove(wme)
         net.remove_wme(wme)
-        assert net.wme_count == 0
+        assert len(net.memory) == 0
 
     def test_stats_record_affected_productions(self):
         net, memory = _net(

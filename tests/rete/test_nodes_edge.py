@@ -3,7 +3,7 @@
 import pytest
 
 from repro.ops5 import Ops5Error, parse_program
-from repro.ops5.wme import WME, WorkingMemory
+from repro.ops5.wme import WME
 from repro.rete import ReteNetwork, assert_network_consistent
 from repro.rete.nodes import DELETE, AlphaMemory, JoinNode, NegativeNode
 
@@ -12,7 +12,7 @@ def _session(source):
     net = ReteNetwork()
     for production in parse_program(source).productions:
         net.add_production(production)
-    return net, WorkingMemory()
+    return net, net.memory
 
 
 def _add(net, memory, cls, **attrs):
@@ -68,6 +68,7 @@ class TestNegativeNodeInternals:
         [neg] = [n for n in net.share_registry.values() if isinstance(n, NegativeNode)]
         counts = sorted(count for _t, count in neg.stored.values())
         assert counts == [0, 1]  # blue unblocked, red blocked
+        memory.remove(blocker)
         net.remove_wme(blocker)
         counts = sorted(count for _t, count in neg.stored.values())
         assert counts == [0, 0]
@@ -114,6 +115,7 @@ class TestAlphaMemoryCorruptedState:
             n for n in net.share_registry.values() if isinstance(n, AlphaMemory)
         ]
         assert wme.timetag in amem.items
+        memory.remove(wme)
         net.remove_wme(wme)
         assert wme.timetag not in amem.items
         assert_network_consistent(net)

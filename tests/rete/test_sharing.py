@@ -99,9 +99,9 @@ class TestStatsSnapshot:
 
     def test_state_volume_counts_live_entries(self):
         net = _net("(p one (a ^v <x>) (b ^v <x>) --> (halt))")
-        from repro.ops5.wme import WME, WorkingMemory
+        from repro.ops5.wme import WME
 
-        memory = WorkingMemory()
+        memory = net.memory
         for cls, v in [("a", 1), ("a", 2), ("b", 1)]:
             wme = memory.add(WME(cls, {"v": v}))
             net.add_wme(wme)

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 
 from repro.ops5 import parse_program
-from repro.ops5.wme import WME, WorkingMemory
+from repro.ops5.wme import WME
 from repro.rete import ReteNetwork, assert_network_consistent, check_network
 
 from tests.rete.test_differential import change_scripts, programs
@@ -13,7 +13,7 @@ def _loaded(source, items):
     net = ReteNetwork()
     for production in parse_program(source).productions:
         net.add_production(production)
-    memory = WorkingMemory()
+    memory = net.memory
     wmes = []
     for cls, attrs in items:
         wme = memory.add(WME(cls, attrs))
@@ -37,6 +37,7 @@ class TestChecker:
              ("block", {"color": "red"})],
         )
         assert check_network(net) == []
+        net.memory.remove(wmes[1])
         net.remove_wme(wmes[1])
         assert check_network(net) == []
 
@@ -93,7 +94,7 @@ def test_internal_state_always_consistent(program, script):
     net = ReteNetwork()
     for production in program:
         net.add_production(production)
-    memory = WorkingMemory()
+    memory = net.memory
     live = []
     for op in script:
         if op[0] == "add":

@@ -1,7 +1,7 @@
 """TREAT matcher semantics and state accounting."""
 
 from repro.ops5 import parse_production, parse_program
-from repro.ops5.wme import WME, WorkingMemory
+from repro.ops5.wme import WME
 from repro.treat import TreatMatcher
 
 
@@ -16,7 +16,7 @@ class _Session:
     def __init__(self, source: str):
         self.matcher = _matcher(source)
         self.matcher.stats.keep_rows()
-        self.memory = WorkingMemory()
+        self.memory = self.matcher.memory
 
     def add(self, cls, **attrs):
         wme = self.memory.add(WME(cls, attrs))
@@ -98,7 +98,7 @@ class TestNegation:
 class TestProductionManagement:
     def test_add_production_against_live_memory(self):
         matcher = TreatMatcher()
-        memory = WorkingMemory()
+        memory = matcher.memory
         wme = memory.add(WME("a", {}))
         matcher.add_wme(wme)
         matcher.add_production(parse_production("(p late (a) --> (halt))"))
