@@ -43,7 +43,9 @@ SOURCE = """
 
 
 def main() -> None:
-    ps = ProductionSystem(SOURCE)  # Rete matcher by default
+    # The default matcher is "compiled", the generated kernel; Rete is
+    # named here for the network statistics printed below.
+    ps = ProductionSystem(SOURCE, matcher="rete")
 
     ps.add("worker", name="ann", doing="nil")
     ps.add("worker", name="bob", doing="nil")

@@ -44,6 +44,7 @@ import sys
 from typing import Optional, Sequence
 
 from .ops5 import (
+    DEFAULT_MATCHER,
     MATCHER_NAMES,
     Ops5Error,
     ProductionSystem,
@@ -129,7 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="execute an OPS5 program file")
     run.add_argument("file", help="OPS5 source file")
     run.add_argument("--wmes", help="file of initial (class ^attr value ...) elements")
-    run.add_argument("--matcher", choices=sorted(MATCHER_NAMES), default="rete")
+    run.add_argument("--matcher", choices=sorted(MATCHER_NAMES), default=DEFAULT_MATCHER)
     run.add_argument(
         "--workers", type=int, default=None,
         help="partitions for --matcher parallel",
@@ -152,7 +153,7 @@ def _build_parser() -> argparse.ArgumentParser:
     demo.add_argument(
         "name", choices=_PROGRAMS, metavar="NAME", help="one of: %(choices)s"
     )
-    demo.add_argument("--matcher", choices=sorted(MATCHER_NAMES), default="rete")
+    demo.add_argument("--matcher", choices=sorted(MATCHER_NAMES), default=DEFAULT_MATCHER)
     demo.add_argument(
         "--workers", type=int, default=None,
         help="partitions for --matcher parallel",
@@ -273,7 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--demo", choices=_PROGRAMS, metavar="NAME", help="one of: %(choices)s"
     )
     profile.add_argument("--wmes", help="initial memory for --file runs")
-    profile.add_argument("--matcher", choices=sorted(MATCHER_NAMES), default="rete")
+    profile.add_argument("--matcher", choices=sorted(MATCHER_NAMES), default=DEFAULT_MATCHER)
     profile.add_argument(
         "--workers", type=int, default=None,
         help="partitions for --matcher parallel",
@@ -399,26 +400,25 @@ def _run_and_report(args, system: ProductionSystem) -> int:
         f"{len(system.memory)} elements in working memory"
     )
     if args.stats:
-        stats = system.matcher.stats
-        print(
-            f"-- {stats.total_changes} wme-changes, "
-            f"mean affected productions {stats.mean_affected_productions:.2f}, "
-            f"{stats.total_comparisons} comparisons"
-        )
-        from .rete import ReteNetwork, collect_stats
+        from .obs.metrics import snapshot
 
-        if isinstance(system.matcher, ReteNetwork):
-            network = collect_stats(system.matcher)
-            print(
-                f"-- rete: {network.total_nodes} nodes, "
-                f"sharing ratio {network.sharing_ratio:.2f}"
-            )
+        data = snapshot(system)
+        match, rete, kernel = data["match"], data.get("rete"), data.get("kernel")
+        print(
+            f"-- {match['wme_changes']} wme-changes, "
+            f"mean affected productions {match['mean_affected_productions']:.2f}, "
+            f"{match['comparisons']} comparisons"
+        )
+        if rete is not None:
+            print(f"-- rete: {rete['nodes']} nodes, sharing ratio {rete['sharing_ratio']:.2f}")
+        if kernel is not None:
+            saved = kernel["sharing"]["left_memories_saved"]
+            print(f"-- kernel: {kernel['stores']} stores, {saved} left memories shared")
     if args.verify:
         from .kernel.matcher import CompiledMatcher
         from .rete import ReteNetwork, check_network
 
         if isinstance(system.matcher, ReteNetwork):
-
             problems = check_network(system.matcher)
         elif isinstance(system.matcher, CompiledMatcher):
             from .kernel import check_kernel

@@ -21,7 +21,7 @@ production edit rebuilds immediately -- the engine may inspect the
 conflict set right after -- by clearing the conflict set and replaying
 working memory through the fresh kernel in timetag order.  The lazy
 compile runs inside the first ``add_wme``, when working memory already
-holds the entering WME: it replays the rest, and that WME is then
+holds the entering WME: it replays the older ones, and that WME is then
 matched once, as a change.  Replay is *quiet*: no per-change stats
 rows, and the effort counters are set back to their pre-replay values
 after it, so measurements reflect only real WM traffic (the interpreted
@@ -129,7 +129,7 @@ class CompiledMatcher(Matcher):
 
     def add_wme(self, wme: WME) -> None:
         if self._dirty:
-            self._rebuild(wme)
+            self._rebuild(wme.timetag)
         stats = self.stats
         audit = stats.changes is not None
         before = tuple(self._counters) if audit else None
@@ -172,12 +172,12 @@ class CompiledMatcher(Matcher):
         the ruleset: every rebuild re-partitions from scratch)."""
         return assign_productions(list(self._productions.values()), self.partitions)
 
-    def _rebuild(self, entering: Optional[WME] = None) -> None:
-        """Attach fresh runtimes and replay working memory into them,
-        less *entering*: the WME whose ``add_wme`` is compiling, which
-        that call then matches as a change."""
+    def _rebuild(self, before: float = float("inf")) -> None:
+        """Attach fresh runtimes and replay the WMEs older than timetag
+        *before* into them: an ``add_wme`` that compiles passes its own,
+        which it then matches as a change; the newer are not given yet."""
         partitions = self.partition_snapshot()
-        wmes = [wme for wme in self.memory.snapshot() if wme is not entering]
+        wmes = [wme for wme in self.memory.snapshot() if wme.timetag < before]
         with self._recorder.span(
             "kernel:compile",
             cat="kernel",

@@ -39,6 +39,7 @@ from .conflict import ConflictSet, LexStrategy, MeaStrategy, Strategy, strategy_
 from .engine import (
     BatchResult,
     CycleRecord,
+    DEFAULT_MATCHER,
     EngineListener,
     MATCHER_NAMES,
     ProductionSystem,
@@ -82,6 +83,7 @@ __all__ = [
     "CompositeListener",
     "BatchResult",
     "CycleRecord",
+    "DEFAULT_MATCHER",
     "DisjunctiveTest",
     "DuplicateProductionError",
     "EngineListener",

@@ -67,6 +67,9 @@ MATCHER_NAMES = (
     "parallel",
 )
 
+#: The backend wherever none is named (engine, CLI, served sessions): the best serial.
+DEFAULT_MATCHER = "compiled"
+
 #: One-line description per backend, for CLI listings (`repro matchers`).
 MATCHER_DESCRIPTIONS = {
     "naive": "re-match every production from scratch each cycle (reference)",
@@ -245,8 +248,7 @@ class ProductionSystem:
     matcher:
         A :class:`Matcher` instance, or a backend name from
         :data:`MATCHER_NAMES` ("rete", "treat", "parallel", ...).
-        Defaults to a fresh Rete network (imported lazily to keep the
-        package layering one-way).
+        Defaults to :data:`DEFAULT_MATCHER`, the compiled kernel.
     strategy:
         "lex" (default), "mea", or a :class:`Strategy` instance.
     listener:
@@ -271,17 +273,13 @@ class ProductionSystem:
     def __init__(
         self,
         productions: Program | str | Iterable[Production] = (),
-        matcher: Matcher | str | None = None,
+        matcher: Matcher | str = DEFAULT_MATCHER,
         strategy: Strategy | str = "lex",
         listener: EngineListener | None = None,
         recorder=None,
         history: bool = False,
     ) -> None:
-        if matcher is None:
-            from ..rete.network import ReteNetwork  # layering: engine may use any matcher
-
-            matcher = ReteNetwork()
-        elif isinstance(matcher, str):
+        if isinstance(matcher, str):
             matcher = matcher_named(matcher)
         self.matcher = matcher
         self.strategy = strategy_named(strategy) if isinstance(strategy, str) else strategy

@@ -262,7 +262,7 @@ class RuleClient:
     def create_session(
         self,
         program: str = "",
-        matcher: str = "rete",
+        matcher: Optional[str] = None,
         strategy: str = "lex",
         max_pending: Optional[int] = None,
         name: Optional[str] = None,

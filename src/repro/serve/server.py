@@ -44,7 +44,7 @@ from __future__ import annotations
 import asyncio
 from typing import Optional
 
-from ..ops5 import Ops5Error
+from ..ops5 import DEFAULT_MATCHER, Ops5Error
 from ..ops5.errors import DuplicateProductionError, ExecutionError, ParseError, ValidationError
 from .durability import validate_engine_state
 from .loop import Endpoint, LoopThread
@@ -122,7 +122,7 @@ class RuleServer(Endpoint):
         check_session_options(request)
         session = self.sessions.create(
             program=request.get("program", ""),
-            matcher=request.get("matcher", "rete"),
+            matcher=request.get("matcher", DEFAULT_MATCHER),
             strategy=request.get("strategy", "lex"),
             max_pending=request.get("max_pending"),
             name=request.get("name"),
@@ -157,7 +157,7 @@ class RuleServer(Endpoint):
         try:
             session = self.sessions.create(
                 program=config.get("program", ""),
-                matcher=config.get("matcher", "rete"),
+                matcher=config.get("matcher", DEFAULT_MATCHER),
                 strategy=config.get("strategy", "lex"),
                 max_pending=config.get("max_pending"),
                 name=request.get("name"),

@@ -44,7 +44,7 @@ from typing import Any, Optional
 from ..obs import metrics as obs_metrics
 from ..obs.recorder import NULL_RECORDER
 from ..ops5 import BatchResult, EngineListener, ExecutionError, Ops5Error
-from ..ops5 import ProductionSystem, matcher_named
+from ..ops5 import DEFAULT_MATCHER, ProductionSystem, matcher_named
 from ..ops5.parser import Program, parse_program
 from ..ops5.wme import WME
 from .durability import encode_record
@@ -255,7 +255,7 @@ class Session:
         self,
         session_id: str,
         program: str = "",
-        matcher: str = "rete",
+        matcher: str = DEFAULT_MATCHER,
         strategy: str = "lex",
         max_pending: int = DEFAULT_MAX_PENDING,
         recorder=None,
@@ -659,7 +659,7 @@ class SessionManager:
     def create(
         self,
         program: str = "",
-        matcher: str = "rete",
+        matcher: str = DEFAULT_MATCHER,
         strategy: str = "lex",
         max_pending: Optional[int] = None,
         name: Optional[str] = None,

@@ -36,10 +36,16 @@ class TestRun:
                          "--matcher", matcher]) == 0
 
     def test_stats_flag(self, capsys, program_file, wmes_file):
-        main(["run", program_file, "--wmes", wmes_file, "--stats"])
+        main(["run", program_file, "--wmes", wmes_file, "--stats", "--matcher", "rete"])
         out = capsys.readouterr().out
         assert "mean affected productions" in out
         assert "rete:" in out
+
+    def test_stats_flag_prints_the_default_kernel_line(self, capsys, program_file, wmes_file):
+        main(["run", program_file, "--wmes", wmes_file, "--stats"])
+        out = capsys.readouterr().out
+        assert "mean affected productions" in out
+        assert "-- kernel: " in out and "rete:" not in out
 
     def test_max_cycles(self, capsys, program_file, wmes_file):
         assert main(["run", program_file, "--wmes", wmes_file,

@@ -9,6 +9,11 @@ load.  It found the stats op loading the Rete package (``obs.metrics``
 checked for a ``ReteNetwork`` before a ``CompiledMatcher``), and every
 session loading the chaos harness (``repro.faults``).
 
+Every default path gets a narrower guard: with no matcher named, the
+engine, ``repro run`` (with and without ``--stats``), ``repro demo``,
+``repro profile`` and a served session run the compiled kernel and never
+load the Rete package.
+
 The program generator gets the same guard: the benchmark's load
 generator and ``repro fuzz`` import it alone, and it found the
 ``repro.workloads`` package loading every bundled program, the
@@ -17,6 +22,8 @@ synthetic traces and, through them, the trace layer and Rete.
 
 import subprocess
 import sys
+
+import pytest
 
 from repro.serve import RuleClient
 from repro.serve.fleet import _worker_environment
@@ -64,7 +71,9 @@ def test_forbidden_in_reads_submodules():
     ]
 
 
-def test_a_worker_serving_a_compiled_session_imports_no_research_layer(tmp_path):
+def served_imports(tmp_path, drive) -> set[str]:
+    """Modules a real ``repro serve`` worker imports while *drive* runs a
+    client against it."""
     log_path = tmp_path / "imports.log"
     with open(log_path, "w") as log:
         worker = subprocess.Popen(
@@ -77,21 +86,33 @@ def test_a_worker_serving_a_compiled_session_imports_no_research_layer(tmp_path)
             assert announce.startswith("serving on "), announce
             host, _, port = announce.split()[2].rpartition(":")
             with RuleClient((host, int(port))) as client:
-                sid = client.create_session(program=closure.PROGRAM, matcher="compiled")
-                chain = [["parent", {"from": f"n{i}", "to": f"n{i + 1}"}] for i in range(4)]
-                reply = client.assert_wmes(sid, chain, run=True)
-                assert reply["run"]["fired"] == closure.expected_chain_facts(4)
-                # What a durable router also asks of a worker: checkpoint
-                # exports (marked and unmarked) and the stats heartbeat.
-                assert client.request("export", session=sid, since=0)["ok"]
-                assert client.request("export", session=sid)["ok"]
-                assert client.session_stats(sid)["firings"] == reply["run"]["fired"]
-                assert client.stats()["ok"]
+                drive(client)
         finally:
             worker.kill()
             worker.wait()
             worker.stdout.close()
-    modules = imported_modules(log_path.read_text())
+    return imported_modules(log_path.read_text())
+
+
+def run_chain(client, sid) -> dict:
+    chain = [["parent", {"from": f"n{i}", "to": f"n{i + 1}"}] for i in range(4)]
+    reply = client.assert_wmes(sid, chain, run=True)
+    assert reply["run"]["fired"] == closure.expected_chain_facts(4)
+    return reply
+
+
+def test_a_worker_serving_a_compiled_session_imports_no_research_layer(tmp_path):
+    def drive(client):
+        sid = client.create_session(program=closure.PROGRAM, matcher="compiled")
+        reply = run_chain(client, sid)
+        # What a durable router also asks of a worker: checkpoint
+        # exports (marked and unmarked) and the stats heartbeat.
+        assert client.request("export", session=sid, since=0)["ok"]
+        assert client.request("export", session=sid)["ok"]
+        assert client.session_stats(sid)["firings"] == reply["run"]["fired"]
+        assert client.stats()["ok"]
+
+    modules = served_imports(tmp_path, drive)
     # The log sees every import, a package's lazy exports included, and
     # covers the session: the kernel was imported to serve it.
     assert {
@@ -99,6 +120,48 @@ def test_a_worker_serving_a_compiled_session_imports_no_research_layer(tmp_path)
         "repro.psim.partition",
     } <= modules
     assert forbidden_in(modules) == []
+
+
+def test_a_session_created_without_a_matcher_runs_the_kernel_and_no_research_layer(
+    tmp_path,
+):
+    def drive(client):
+        sid = client.create_session(program=closure.PROGRAM)
+        run_chain(client, sid)
+        assert client.session_stats(sid)["matcher"] == "compiled"
+
+    modules = served_imports(tmp_path, drive)
+    assert forbidden_in(modules) == []
+    assert "repro.kernel.matcher" in modules
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["-m", "repro", "run", "{ops5}", "--wmes", "{wmes}"],
+        ["-m", "repro", "run", "{ops5}", "--wmes", "{wmes}", "--stats"],
+        ["-m", "repro", "demo", "hanoi"],
+        ["-m", "repro", "profile", "--demo", "hanoi"],
+        ["-c", "from repro.ops5 import ProductionSystem\n"
+               "ps = ProductionSystem('(p r (a ^v <v>) --> (halt))')\n"
+               "ps.add('a', v=1)\n"
+               "assert ps.run().halt_reason == 'halt action'"],
+    ],
+    ids=["run", "run-stats", "demo", "profile", "engine"],
+)
+def test_a_default_path_loads_no_rete(tmp_path, argv):
+    ops5, wmes = tmp_path / "closure.ops5", tmp_path / "chain.wmes"
+    ops5.write_text(closure.PROGRAM)
+    wmes.write_text("(parent ^from a ^to b)\n(parent ^from b ^to c)\n")
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime",
+         *(arg.format(ops5=ops5, wmes=wmes) for arg in argv)],
+        capture_output=True, text=True, env=_worker_environment(),
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    modules = imported_modules(done.stderr)
+    assert forbidden_in(modules, ("repro.rete",)) == []
+    assert "repro.kernel.matcher" in modules
 
 
 def test_the_program_generator_loads_no_bundled_program_or_trace_layer():

@@ -192,6 +192,20 @@ class TestDynamicRulesetEdits:
         assert compiled.stats.total_changes == 1
         assert check_kernel(compiled) == []
 
+    def test_the_lazy_compile_replays_no_wme_filed_after_the_entering_one(self):
+        """Two WMEs filed before the first ``add_wme``: the compile that
+        call runs replays neither, so each matches once, as in Rete."""
+        compiled, rete, memory = _loaded("(p r (a ^x <v>) (b ^x <v>) --> (halt))")
+        wmes = [memory.add(WME("a", {"x": 1})), memory.add(WME("b", {"x": 1}))]
+        for wme in wmes:
+            compiled.add_wme(wme)
+            rete.add_wme(wme)
+        assert compiled.conflict_set.snapshot() == rete.conflict_set.snapshot() == {
+            ("r", (1, 2)),
+        }
+        assert compiled.kernel_summary()["replayed_wmes"] == 0
+        assert check_kernel(compiled) == []
+
 
 class TestErrorContracts:
     def test_duplicate_production_rejected(self):

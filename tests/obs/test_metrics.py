@@ -14,7 +14,7 @@ PROGRAM = """
 
 class TestSnapshotSections:
     def test_rete_engine_snapshot(self):
-        system = hanoi.build(3)
+        system = hanoi.build(3, matcher="rete")
         system.run()
         data = snapshot(system)
         assert data["schema"] == SCHEMA

@@ -182,6 +182,36 @@ class TestDurableThreadWorkers:
             workers2[0].stop()
             store2.close()
 
+    def test_a_journal_naming_no_matcher_resumes_onto_the_default_kernel(self, tmp_path):
+        """A create journaled without ``matcher`` (what a client naming
+        none leaves, also from when the default was Rete) resumes onto
+        today's default, and its continuation fires as the serial engine
+        does: firing sequences do not depend on the backend."""
+        store = DurabilityStore(str(tmp_path))
+        store.register("upgraded", {"program": closure.PROGRAM, "strategy": "lex"})
+        store.append("upgraded", 1, {
+            "op": "assert", "session": "upgraded", "wmes": CHAIN[:3], "run": True,
+        })
+        store.close()
+
+        store = DurabilityStore(str(tmp_path))
+        worker = ServerThread()
+        router = RouterThread(worker_addresses=[worker.address], durability=store)
+        try:
+            assert router.router.lost_sessions == []
+            with RuleClient(router.address) as client:
+                assert client.session_stats("upgraded")["matcher"] == "compiled"
+                reply = client.assert_wmes("upgraded", CHAIN[3:], run=True)
+                ref_firings, ref_wm = reference_state([CHAIN[:3], CHAIN[3:]])
+                # The replayed batch fired the first chain's facts.
+                tail = ref_firings[closure.expected_chain_facts(3):]
+                assert reply["run"]["firings"] == tail
+                assert snapshot_wm(client, "upgraded") == ref_wm
+        finally:
+            router.stop()
+            worker.stop()
+            store.close()
+
     def test_cold_start_over_a_dead_worker_recovers_its_sessions(self, tmp_path):
         """A router cold-started beside a worker that is already dead
         fails that worker like any other: the sessions hashed to it come

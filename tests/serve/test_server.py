@@ -32,7 +32,7 @@ def test_ping_and_list_sessions(server):
 
 def test_full_session_lifecycle(server):
     with RuleClient(server.address) as client:
-        sid = client.create_session(program=closure.PROGRAM, name="life")
+        sid = client.create_session(program=closure.PROGRAM, matcher="rete", name="life")
         try:
             assert sid == "life"
             assert "life" in client.list_sessions()
