@@ -40,6 +40,7 @@ disagree is worse than none.
 
 from __future__ import annotations
 
+import sys
 from typing import TYPE_CHECKING, Optional
 
 from ..ops5.conflict import ConflictSet
@@ -103,21 +104,19 @@ def engine_section(system: "ProductionSystem") -> dict:
 
 
 def _matcher_sections(matcher) -> dict:
-    """Backend-specific sections (imports deferred: obs must not force
-    every matcher package into memory just to report on one)."""
+    """Backend-specific sections.  Each backend class is looked up in
+    ``sys.modules``, never imported: a matcher can only be an instance
+    of a class whose module is loaded, and obs must not load a matcher
+    package just to report on another."""
     sections: dict[str, dict] = {}
-    from ..kernel.matcher import CompiledMatcher
-
-    if isinstance(matcher, CompiledMatcher):
+    kernel = sys.modules.get("repro.kernel.matcher")
+    if kernel is not None and isinstance(matcher, kernel.CompiledMatcher):
         # Codegen rollup: compiles, registry hit/miss, store shape, the
         # structural digest and, per partition, what sharing it kept.
-        # Checked first: a served compiled session never loads Rete.
         sections["kernel"] = matcher.kernel_summary()
         return sections
-
-    from ..rete.network import ReteNetwork
-
-    if isinstance(matcher, ReteNetwork):
+    rete = sys.modules.get("repro.rete.network")
+    if rete is not None and isinstance(matcher, rete.ReteNetwork):
         from ..rete.stats import collect_stats
 
         stats = collect_stats(matcher)

@@ -49,6 +49,15 @@ def _check_values(attributes) -> None:
             )
 
 
+def _rows(wmes, encode) -> list:
+    """A state blob's ``[timetag, class, attributes]`` rows: each WME's
+    attribute dict read in place when the blob goes straight to
+    *encode*, else copied."""
+    if encode is None:
+        return [[w.timetag, w.cls, dict(w._attributes)] for w in wmes]
+    return [[w.timetag, w.cls, w._attributes] for w in wmes]
+
+
 #: The halt reason of an engine that found no un-fired instantiation.
 QUIESCENT = "no satisfied production"
 
@@ -481,7 +490,7 @@ class ProductionSystem:
     #: Version tag carried by every exported state blob.
     STATE_SCHEMA = "repro.engine-state/1"
 
-    def export_state(self) -> dict:
+    def export_state(self, encode=None):
         """Snapshot everything a fresh engine needs to continue this run.
 
         The blob is JSON-serialisable and matcher-independent: working
@@ -495,20 +504,21 @@ class ProductionSystem:
         restoring host pick any matcher backend.
 
         This is the serve layer's session-migration and checkpoint
-        payload.
+        payload.  With *encode* (a checkpoint's encoder), the blob goes
+        to it as built and its result is returned: its rows read each
+        WME's attributes in place, so nothing the caller keeps aliases
+        working memory.  Without, every row holds its own copy.
         """
-        return {
+        state = {
             "schema": self.STATE_SCHEMA,
-            "wmes": [
-                [wme.timetag, wme.cls, dict(wme.attributes)]
-                for wme in self.memory.snapshot()
-            ],
+            "wmes": _rows(self.memory.snapshot(), encode),
             "fired": sorted(
                 [name, list(tags)] for name, tags in self._live(self._fired_keys)
             ),
             "output": list(self.output),
             **self._run_state(),
         }
+        return state if encode is None else encode(state)
 
     def _run_state(self) -> dict:
         """The O(1) part of a state blob: counters and halt state."""
@@ -524,23 +534,25 @@ class ProductionSystem:
     #: Version tag of the incremental form of a state blob.
     DELTA_SCHEMA = "repro.engine-delta/1"
 
-    def export_delta(self, added, removed, fired, output_from: int) -> dict:
+    def export_delta(self, added, removed, fired, output_from: int, encode=None):
         """What :meth:`export_state` says now that it did not say at an
         earlier export, from the *net* changes a listener recorded in
         between: WMEs *added* and still live, timetags *removed* that
         the earlier blob held, instantiation keys *fired* (the live ones,
         as in the state), and ``write`` lines from index *output_from*
         on.  Costs what changed, not what working memory holds;
-        ``repro.serve.durability.fold`` applies it.
+        ``repro.serve.durability.fold`` applies it.  *encode* is
+        :meth:`export_state`'s.
         """
-        return {
+        delta = {
             "schema": self.DELTA_SCHEMA,
-            "added": [[w.timetag, w.cls, dict(w.attributes)] for w in added],
+            "added": _rows(added, encode),
             "removed": list(removed),
             "fired": [[name, list(tags)] for name, tags in self._live(fired)],
             "output": self.output[output_from:],
             **self._run_state(),
         }
+        return delta if encode is None else encode(delta)
 
     def restore_state(self, state: dict) -> None:
         """Rebuild a run from :meth:`export_state` on this (fresh) engine.

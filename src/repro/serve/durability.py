@@ -161,11 +161,17 @@ def validate_engine_state(state) -> Optional[str]:
     return None
 
 
+#: What the store writes is encoded by these two: compact, and sorted.
+_ENCODE = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
+_SORTED = json.JSONEncoder(separators=(",", ":"), sort_keys=True, check_circular=False).encode
+
+
 def encode_record(record: dict) -> str:
     """A marked export's record as the store splices it in: compact JSON,
     a full state's keys sorted like the envelope it lands in."""
-    full = record["schema"] == ENGINE_STATE_SCHEMA
-    return json.dumps(record, separators=(",", ":"), sort_keys=full)
+    if record["schema"] == ENGINE_STATE_SCHEMA:
+        return _SORTED(record)
+    return _ENCODE(record)
 
 
 class _Fold:
@@ -245,6 +251,8 @@ class WalRecord:
 
     seq: int
     request: dict
+    #: The journal line, as written (a compaction copies it).
+    line: str = field(repr=False, compare=False)
 
 
 @dataclass
@@ -349,14 +357,14 @@ class DurabilityStore:
 
     def _write_atomic(self, path: str, payload: dict, state: str = "") -> int:
         """Replace *path* by *payload* as sorted-key JSON, *state* spliced in last."""
-        text = json.dumps(payload, separators=(",", ":"), sort_keys=True)
+        text = _SORTED(payload)
         text = f'{text[:-1]},"state":{state}}}\n' if state else text + "\n"
         self._write(f"{path}.tmp", "w", text)
         os.replace(f"{path}.tmp", path)
         return len(text)
 
     def _write(self, path: str, mode: str, text: str) -> None:
-        with open(path, mode) as handle:
+        with open(path, mode, encoding="utf-8") as handle:
             handle.write(text)
             handle.flush()
             if self.fsync:
@@ -365,26 +373,27 @@ class DurabilityStore:
     def _wal_handle(self, sid: str):
         handle = self._wal_handles.get(sid)
         if handle is None or handle.closed:
-            handle = open(self._wal_path(sid), "a")
+            handle = open(self._wal_path(sid), "a", encoding="utf-8")
             self._wal_handles[sid] = handle
         return handle
 
-    def _append_line(self, sid: str, row: dict) -> None:
-        line = json.dumps(row, separators=(",", ":")) + "\n"
+    def _append_line(self, sid: str, line: str, skip: bool = False) -> None:
+        """Append one journal *line* (a tombstone when *skip*), synced
+        as the policy says, and count it under one lock."""
         handle = self._wal_handle(sid)
         handle.write(line)
         handle.flush()
-        if self.fsync:
-            if self.commit_window > 0:
-                with self._lock:
-                    self._dirty.add(sid)
-                    self._commit_wakeup.notify()
-            else:
-                os.fsync(handle.fileno())
-                with self._lock:
-                    self.fsyncs += 1
+        strict = self.fsync and not self.commit_window
+        if strict:
+            os.fsync(handle.fileno())
         with self._lock:
-            self.bytes_appended += len(line)
+            self.bytes_appended += len(line.encode())  # a client's text may be UTF-8
+            self.appends += not skip
+            self.skips += skip
+            self.fsyncs += strict
+            if self.fsync and not strict:
+                self._dirty.add(sid)
+                self._commit_wakeup.notify()
 
     # -- group commit --------------------------------------------------------
 
@@ -481,11 +490,16 @@ class DurabilityStore:
 
     # -- the write path ------------------------------------------------------
 
-    def append(self, session_id: str, seq: int, request: dict) -> None:
-        """Journal one accepted op *before* its reply is released."""
-        self._append_line(session_id, {"seq": seq, "request": request})
-        with self._lock:
-            self.appends += 1
+    def append(self, session_id: str, seq: int, request) -> None:
+        """Journal one accepted op *before* its reply is released: the
+        payload the client sent, spliced in with its line breaks (JSON
+        whitespace) as spaces; a dict, as ``benchmarks/e2e`` passes, is
+        encoded first."""
+        if isinstance(request, dict):
+            text = _ENCODE(request)
+        else:
+            text = request.decode("utf-8").replace("\n", " ").replace("\r", " ")
+        self._append_line(session_id, f'{{"seq":{seq},"request":{text}}}\n')
 
     def mark_skipped(self, session_id: str, seq: int) -> None:
         """Mark a journaled op the worker definitively did not execute.
@@ -494,9 +508,7 @@ class DurabilityStore:
         replay must not apply them; the tombstone is appended (not
         rewritten in place) so the journal stays append-only.
         """
-        self._append_line(session_id, {"seq": seq, "skip": True})
-        with self._lock:
-            self.skips += 1
+        self._append_line(session_id, f'{{"seq":{seq},"skip":true}}\n', skip=True)
 
     def checkpoint_mark(self, session_id: str) -> str:
         """The ``since`` for the session's next ``export``: the mark the
@@ -549,18 +561,14 @@ class DurabilityStore:
         """Drop the journal records the checkpoint of *size* bytes just
         persisted covers, and count it."""
         records, skipped, _, _ = self._read_wal(session_id)
-        rows = [
-            {"seq": r.seq, "request": r.request} for r in records if r.seq > seq
-        ] + [{"seq": s, "skip": True} for s in sorted(skipped) if s > seq]
+        lines = [r.line for r in records if r.seq > seq] + [
+            f'{{"seq":{s},"skip":true}}\n' for s in sorted(skipped) if s > seq
+        ]
         handle = self._wal_handles.pop(session_id, None)
         if handle is not None:
             handle.close()
         wal = self._wal_path(session_id)
-        self._write(
-            f"{wal}.tmp",
-            "w",
-            "".join(json.dumps(row, separators=(",", ":")) + "\n" for row in rows),
-        )
+        self._write(f"{wal}.tmp", "w", "".join(lines))
         os.replace(f"{wal}.tmp", wal)
         if self.fsync:
             # One barrier for the renames above: a lost checkpoint rename
@@ -587,7 +595,7 @@ class DurabilityStore:
         last_seq = 0
         notes: list[str] = []
         try:
-            with open(self._wal_path(session_id)) as handle:
+            with open(self._wal_path(session_id), encoding="utf-8", errors="replace") as handle:
                 lines = handle.readlines()
         except FileNotFoundError:
             return records, skipped, last_seq, notes
@@ -613,7 +621,7 @@ class DurabilityStore:
             if row.get("skip"):
                 skipped.add(seq)
             elif isinstance(row.get("request"), dict):
-                records.append(WalRecord(seq=seq, request=row["request"]))
+                records.append(WalRecord(seq, row["request"], stripped + "\n"))
             else:
                 notes.append(
                     f"stopped at journal line {index + 1}: no request"

@@ -13,16 +13,19 @@ from __future__ import annotations
 
 import asyncio
 import threading
-from typing import Awaitable, Callable, Optional
+from typing import Awaitable, Callable, Optional, Union
 
-from .protocol import ProtocolError, read_message, write_message
+from ..ops5 import Ops5Error
+from .protocol import ProtocolError, decode_payload, encode_payload, read_payload, write_payload
+from .session import Refused
+from .stats import Telemetry
 
 
 class Endpoint:
     """One listening socket and its open connections.
 
-    Subclasses implement :meth:`dispatch` (request dict -> reply dict)
-    and a ``shutdown`` coroutine that ends with :meth:`_mark_stopped`.
+    Subclasses implement :meth:`_route` and a ``shutdown`` coroutine
+    that ends with :meth:`_mark_stopped`.
     """
 
     def __init__(
@@ -38,6 +41,7 @@ class Endpoint:
         self._handlers: dict[asyncio.Task, asyncio.StreamWriter] = {}
         #: Handlers between reading a request and writing its reply.
         self._busy: set[asyncio.Task] = set()
+        self.telemetry = Telemetry()
 
     @property
     def connections(self) -> int:
@@ -75,7 +79,7 @@ class Endpoint:
         """Close every connection and wait for its handler to return.
 
         ``_draining`` is already set.  Idle handlers (parked in
-        ``read_message``) see EOF; busy ones finish their request,
+        ``read_payload``) see EOF; busy ones finish their request,
         reply, and leave.  Nothing is cancelled: the streams machinery
         reads ``task.exception()`` of a finished handler, which *raises*
         on a cancelled one and prints a traceback per connection.
@@ -90,7 +94,24 @@ class Endpoint:
         if self._stopped is not None:
             self._stopped.set()
 
-    async def dispatch(self, request) -> dict:
+    async def dispatch(self, request, payload: bytes) -> Union[dict, bytes]:
+        """Answer *request*, decoded from *payload*, with a dict or a relayed
+        reply's payload (written back unchanged); a failure is an error reply."""
+        if not isinstance(request, dict):
+            return {"ok": False, "error": "request must be a JSON object"}
+        try:
+            return await self._route(request, payload)
+        except Refused as error:
+            self.telemetry.errors += 1
+            return {"ok": False, "error": error.code, "detail": str(error)}
+        except Ops5Error as error:
+            self.telemetry.errors += 1
+            return {"ok": False, "error": str(error)}
+        except Exception as error:  # defensive: keep the endpoint alive
+            self.telemetry.errors += 1
+            return {"ok": False, "error": f"internal: {type(error).__name__}: {error}"}
+
+    async def _route(self, request: dict, payload: bytes) -> Union[dict, bytes]:
         raise NotImplementedError
 
     async def _handle(
@@ -103,20 +124,22 @@ class Endpoint:
             # replied, one accepted just before the drain never parks.
             while not self._draining:
                 try:
-                    request = await read_message(reader)
+                    payload = await read_payload(reader)
+                    if payload is None:
+                        break
+                    request = decode_payload(payload)
                 except ProtocolError as error:
                     # The stream is unparseable from here on: answer if
                     # possible, then drop the connection.
-                    await write_message(
-                        writer, {"ok": False, "error": f"protocol: {error}"}
-                    )
-                    break
-                if request is None:
+                    reply = {"ok": False, "error": f"protocol: {error}"}
+                    await write_payload(writer, encode_payload(reply))
                     break
                 self._busy.add(task)
                 try:
-                    reply = await self.dispatch(request)
-                    await write_message(writer, reply)
+                    reply = await self.dispatch(request, payload)
+                    if not isinstance(reply, bytes):
+                        reply = encode_payload(reply)
+                    await write_payload(writer, reply)
                 finally:
                     self._busy.discard(task)
         except (ConnectionResetError, BrokenPipeError):

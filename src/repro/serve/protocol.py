@@ -8,8 +8,9 @@ self-delimiting so one connection can pipeline many requests.
 
 Both sides of the conversation are provided here:
 
-* :func:`read_message` / :func:`write_message` -- the asyncio server
-  side (stream reader/writer pairs);
+* :func:`read_payload` / :func:`write_payload` -- the asyncio server
+  side (stream reader/writer pairs), on encoded payloads, so a router
+  relays what it read unchanged;
 * :func:`send_message` / :func:`recv_message` -- the blocking client
   side (plain sockets), used by :mod:`repro.serve.client`.
 
@@ -32,6 +33,10 @@ MAX_FRAME = 16 * 1024 * 1024
 
 _HEADER = struct.Struct(">I")
 
+#: The one encoder: ``json.dumps(message, separators=(",", ":"))``'s
+#: bytes, without its cycle check (a message is a tree).
+_ENCODE = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
+
 
 class ProtocolError(Exception):
     """A malformed, truncated, or oversized frame."""
@@ -46,9 +51,18 @@ class Disconnected(ProtocolError):
     """
 
 
+def encode_payload(message: Any) -> bytes:
+    """Serialise *message* (any JSON-encodable object) into a frame's payload."""
+    return _ENCODE(message).encode("utf-8")
+
+
 def encode_frame(message: Any) -> bytes:
     """Serialise *message* (any JSON-encodable object) into one frame."""
-    payload = json.dumps(message, separators=(",", ":")).encode("utf-8")
+    return frame(encode_payload(message))
+
+
+def frame(payload: bytes) -> bytes:
+    """One frame carrying *payload*, an encoded message."""
     if len(payload) > MAX_FRAME:
         raise ProtocolError(
             f"frame of {len(payload)} bytes exceeds the {MAX_FRAME}-byte limit"
@@ -74,8 +88,8 @@ def _check_length(length: int) -> None:
 # -- asyncio (server) side ------------------------------------------------------
 
 
-async def read_message(reader: asyncio.StreamReader) -> Optional[Any]:
-    """Read one message; return None on clean EOF between frames."""
+async def read_payload(reader: asyncio.StreamReader) -> Optional[bytes]:
+    """Read one frame's payload; return None on clean EOF between frames."""
     try:
         header = await reader.readexactly(_HEADER.size)
     except asyncio.IncompleteReadError as error:
@@ -88,12 +102,12 @@ async def read_message(reader: asyncio.StreamReader) -> Optional[Any]:
         payload = await reader.readexactly(length)
     except asyncio.IncompleteReadError:
         raise ProtocolError("connection closed mid-frame") from None
-    return decode_payload(payload)
+    return payload
 
 
-async def write_message(writer: asyncio.StreamWriter, message: Any) -> None:
-    """Send one message and wait for the transport to accept it."""
-    writer.write(encode_frame(message))
+async def write_payload(writer: asyncio.StreamWriter, payload: bytes) -> None:
+    """Send one frame of *payload* and wait for the transport to accept it."""
+    writer.write(frame(payload))
     await writer.drain()
 
 

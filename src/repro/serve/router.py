@@ -7,7 +7,9 @@ blocking :class:`RuleClient`, the benchmark's clients) point at it
 unchanged -- but behind it every session lives on one of N workers: rule
 servers in their own processes, or (:class:`RouterFleet`, the test and
 benchmark harness) coroutines of the router's own event loop, reached
-through the same sockets either way.
+through the same sockets either way.  A session op is decoded only to
+be routed: its payload, and the worker's reply payload, are relayed
+unchanged; a reply is decoded only to look inside it.
 
 Placement and naming
 --------------------
@@ -61,17 +63,17 @@ Durability
 ----------
 With a :class:`~repro.serve.durability.DurabilityStore` attached, the
 lost-session failure mode disappears: every accepted mutating op is
-appended to the session's write-ahead journal *before* the reply leaves
-the router, periodic checkpoints persist the engine's ``export_state``
-blob, and a dead worker's sessions come back from checkpoint + journal
-tail, bit-identical to a no-fault run.  ``recovered_sessions`` replaces
-``lost_sessions`` in the books.  A per-session lock serialises durable
-forwarding, so journal order is execution order and a checkpoint taken
-under the lock covers exactly the journal prefix it records; the
-migrating-check,
-sequence-number bump, and journal append happen in one synchronous
-block on the event loop, so every append strictly precedes any recovery
-that could replay it.  Ops the worker definitively did not execute --
+appended to the session's write-ahead journal, as the client sent it,
+*before* the reply leaves the router, periodic checkpoints persist the
+engine's ``export_state`` blob, and a dead worker's sessions come back
+from checkpoint + journal tail, bit-identical to a no-fault run.
+``recovered_sessions`` replaces ``lost_sessions`` in the books.  A
+per-session lock serialises durable forwarding, so journal order is
+execution order and a checkpoint taken under the lock covers exactly
+the journal prefix it records; the migrating-check, sequence-number
+bump, and journal append happen in one synchronous block on the event
+loop, so every append strictly precedes any recovery that could replay
+it.  Ops the worker definitively did not execute --
 backpressure rejections, and deadline expiries whose reply reports the
 op never started -- are tombstoned so replay applies exactly what ran.
 The op a worker died on is answered from the recovery replay -- the
@@ -90,10 +92,10 @@ from typing import Optional, Sequence
 
 from ..ops5 import Ops5Error
 from .loop import Endpoint, LoopThread
-from .protocol import ProtocolError, read_message, write_message
+from .protocol import ProtocolError, decode_payload, encode_payload, read_payload, write_payload
 from .server import RuleServer
-from .session import DEFAULT_TENANT, Refused, TenantBook, check_session_name
-from .stats import Telemetry, live_threads
+from .session import DEFAULT_TENANT, TenantBook, check_session_name
+from .stats import live_threads
 
 __all__ = ["RouterFleet", "RouterThread", "RuleRouter", "WorkerLink"]
 
@@ -145,15 +147,15 @@ class WorkerLink:
         host, port = self.address
         return await asyncio.open_connection(host, port)
 
-    async def _round_trip(self, request: dict) -> dict:
+    async def _round_trip(self, payload: bytes) -> bytes:
         generation = self.generation
         self._in_flight += 1
         try:
             conn = self._idle.pop() if self._idle else await self._connect()
             reader, writer = conn
             try:
-                await write_message(writer, request)
-                reply = await read_message(reader)
+                await write_payload(writer, payload)
+                reply = await read_payload(reader)
                 if reply is None:
                     raise ProtocolError(f"worker {self.index} closed the connection")
             except BaseException:
@@ -169,10 +171,11 @@ class WorkerLink:
             writer.close()  # the pool it came from was dropped meanwhile
         return reply
 
-    async def call(self, request: dict, timeout: float = 60.0) -> dict:
-        """One request/reply round trip, connect included in *timeout*."""
+    async def relay(self, payload: bytes, timeout: float = 60.0) -> bytes:
+        """One round trip of an encoded request, connect included in
+        *timeout*: the reply's payload, as the worker wrote it."""
         try:
-            reply = await asyncio.wait_for(self._round_trip(request), timeout)
+            reply = await asyncio.wait_for(self._round_trip(payload), timeout)
         except Exception:
             self.failures += 1
             self.consecutive_failures += 1
@@ -180,6 +183,10 @@ class WorkerLink:
         self.calls += 1
         self.consecutive_failures = 0
         return reply
+
+    async def call(self, request: dict, timeout: float = 60.0) -> dict:
+        """:meth:`relay` of a request the router builds: encoded, its reply decoded."""
+        return decode_payload(await self.relay(encode_payload(request), timeout))
 
     def close(self) -> None:
         """Drop the idle connections; in-flight ones close on return."""
@@ -281,7 +288,6 @@ class RuleRouter(Endpoint):
         self.supervisor = supervisor
         self.checkpoint_every = checkpoint_every or 0
         self.heartbeat_interval = heartbeat_interval
-        self.telemetry = Telemetry()
         self.placements: dict[str, _Placement] = {}
         self.migrations = 0
         self.lost_sessions: list[str] = []
@@ -715,9 +721,9 @@ class RuleRouter(Endpoint):
         placement.ops_since_checkpoint = 0
 
     async def _forward_durable(
-        self, request: dict, session_id: str, placement: _Placement
-    ) -> dict:
-        """Forward one session op under the journal's ordering contract."""
+        self, request: dict, payload: bytes, session_id: str, placement: _Placement
+    ):
+        """Relay one session op's *payload* under the journal's ordering contract."""
         op = request.get("op")
         journal = op in _JOURNALED_OPS
         async with placement.lock:
@@ -732,9 +738,9 @@ class RuleRouter(Endpoint):
                 # lands strictly before any journal-tail read.
                 placement.seq += 1
                 seq = placement.seq
-                self.durability.append(session_id, seq, request)
+                self.durability.append(session_id, seq, payload)
             try:
-                reply = await link.call(request)
+                reply = await link.relay(payload)
             except Exception as error:
                 self.telemetry.errors += 1
                 result = await self._recover_worker(
@@ -756,13 +762,15 @@ class RuleRouter(Endpoint):
                 # Read-only op: retry once against the recovered placement.
                 retry_link = self.workers[placement.worker]
                 try:
-                    return await retry_link.call(request)
+                    return await retry_link.relay(payload)
                 except Exception as retry_error:
                     return _unreachable(retry_link, retry_error)
             if journal:
-                error = reply.get("error")
+                # A worker encodes ``ok`` first: only a refusal is decoded.
+                refused = {} if reply.startswith(b'{"ok":true') else decode_payload(reply)
+                error = refused.get("error")
                 if error == "backpressure" or (
-                    error == "deadline" and not reply.get("started")
+                    error == "deadline" and not refused.get("started")
                 ):
                     # Never enqueued at the worker (backpressure), or
                     # cancelled in its queue before execution began
@@ -778,31 +786,20 @@ class RuleRouter(Endpoint):
 
     # -- request dispatch ---------------------------------------------------
 
-    async def dispatch(self, request) -> dict:
-        if not isinstance(request, dict):
-            return {"ok": False, "error": "request must be a JSON object"}
-        op = request.get("op")
+    async def _route(self, request: dict, payload: bytes):
         self.telemetry.requests += 1
-        try:
-            handler = _ROUTER_OPS.get(op)
-            if handler is not None:
-                return await handler(self, request)
-            return await self._forward_session_op(request)
-        except Refused as error:
-            self.telemetry.errors += 1
-            return {"ok": False, "error": error.code, "detail": str(error)}
-        except Ops5Error as error:
-            self.telemetry.errors += 1
-            return {"ok": False, "error": str(error)}
-        except Exception as error:  # defensive: keep the router alive
-            self.telemetry.errors += 1
-            return {"ok": False, "error": f"internal: {type(error).__name__}: {error}"}
+        handler = _ROUTER_OPS.get(request.get("op"))
+        if handler is not None:
+            return await handler(self, request)
+        return await self._forward_session_op(request, payload)
 
-    async def _call_worker(self, link: WorkerLink, request: dict) -> dict:
-        """Forward to *link*, converting transport failures to replies."""
+    async def _call_worker(self, link: WorkerLink, request):
+        """Send *request* (a dict, or a payload to relay) to *link*; a
+        transport failure becomes a reply."""
         generation = link.generation
+        send = link.relay if isinstance(request, bytes) else link.call
         try:
-            return await link.call(request)
+            return await send(request)
         except Exception as error:
             self.telemetry.errors += 1
             # With a journal a restore loses nothing, so it runs at once
@@ -816,16 +813,16 @@ class RuleRouter(Endpoint):
             )
             return _unreachable(link, error)
 
-    async def _forward_session_op(self, request: dict) -> dict:
+    async def _forward_session_op(self, request: dict, payload: bytes):
         session_id = request.get("session")
         placement = self.placements.get(session_id)
         if placement is None:
             return {"ok": False, "error": f"no session {session_id!r}"}
         if self.durability is not None:
-            return await self._forward_durable(request, session_id, placement)
+            return await self._forward_durable(request, payload, session_id, placement)
         if placement.migrating:
             return self._reject_migrating()
-        return await self._call_worker(self.workers[placement.worker], request)
+        return await self._call_worker(self.workers[placement.worker], payload)
 
     def _reject_migrating(self) -> dict:
         # Well-behaved clients sleep retry_after and re-send; by then

@@ -50,7 +50,7 @@ from .durability import validate_engine_state
 from .loop import Endpoint, LoopThread
 from .session import DEFAULT_MAX_PENDING, DEFAULT_TENANT, Refused, SessionManager
 from .session import check_session_options
-from .stats import Telemetry, live_threads
+from .stats import live_threads
 
 
 class BadState(Refused):
@@ -76,7 +76,6 @@ class RuleServer(Endpoint):
         self.sessions = SessionManager(
             max_pending, recorder, tenant_quotas, default_tenant_quota
         )
-        self.telemetry = Telemetry()
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -93,28 +92,16 @@ class RuleServer(Endpoint):
 
     # -- request dispatch -------------------------------------------------------
 
-    async def dispatch(self, request) -> dict:
+    async def _route(self, request: dict, payload: bytes) -> dict:
         """Route one decoded request to the server or a session."""
-        if not isinstance(request, dict):
-            return {"ok": False, "error": "request must be a JSON object"}
         op = request.get("op")
-        try:
-            if op in _SERVER_OPS:
-                self.telemetry.requests += 1
-                return await _SERVER_OPS[op](self, request)
-            if self._draining:
-                return {"ok": False, "error": "server is shutting down"}
-            session = self.sessions.get(request.get("session"))
-            return await session.submit(request)
-        except Refused as error:
-            self.telemetry.errors += 1
-            return {"ok": False, "error": error.code, "detail": str(error)}
-        except Ops5Error as error:
-            self.telemetry.errors += 1
-            return {"ok": False, "error": str(error)}
-        except Exception as error:  # defensive: keep the server alive
-            self.telemetry.errors += 1
-            return {"ok": False, "error": f"internal: {type(error).__name__}: {error}"}
+        if op in _SERVER_OPS:
+            self.telemetry.requests += 1
+            return await _SERVER_OPS[op](self, request)
+        if self._draining:
+            return {"ok": False, "error": "server is shutting down"}
+        session = self.sessions.get(request.get("session"))
+        return await session.submit(request)
 
     async def _op_create_session(self, request: dict) -> dict:
         if self._draining:

@@ -564,11 +564,11 @@ class Session:
             reply["mark"] = os.urandom(8).hex()
             system.listener = _DeltaLog(system, reply["mark"])
             if isinstance(log, _DeltaLog) and log.mark == request["since"]:
-                delta = system.export_delta(
-                    log.added.values(), log.removed, log.fired, log.output_from
+                reply["since"] = log.mark
+                reply["delta_json"] = system.export_delta(
+                    log.added.values(), log.removed, log.fired, log.output_from,
+                    lambda delta: encode_record({**delta, "since": log.mark}),
                 )
-                reply["since"] = delta["since"] = log.mark
-                reply["delta_json"] = encode_record(delta)
                 return reply
         reply["config"] = {
             "program": self.program,
@@ -578,7 +578,7 @@ class Session:
             "tenant": self.tenant,
         }
         if "since" in request:
-            reply["state_json"] = encode_record(system.export_state())
+            reply["state_json"] = system.export_state(encode_record)
         else:
             reply["state"] = system.export_state()
         return reply

@@ -12,7 +12,8 @@ session loading the chaos harness (``repro.faults``).
 Every default path gets a narrower guard: with no matcher named, the
 engine, ``repro run`` (with and without ``--stats``), ``repro demo``,
 ``repro profile`` and a served session run the compiled kernel and never
-load the Rete package.
+load the Rete package; a statistics report on an interpreted matcher
+loads neither Rete nor the kernel.
 
 The program generator gets the same guard: the benchmark's load
 generator and ``repro fuzz`` import it alone, and it found the
@@ -162,6 +163,34 @@ def test_a_default_path_loads_no_rete(tmp_path, argv):
     modules = imported_modules(done.stderr)
     assert forbidden_in(modules, ("repro.rete",)) == []
     assert "repro.kernel.matcher" in modules
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "{ops5}", "--wmes", "{wmes}", "--stats", "--matcher", "treat"],
+        ["profile", "--demo", "hanoi", "--matcher", "treat"],
+        ["run", "{ops5}", "--wmes", "{wmes}", "--stats", "--matcher", "naive"],
+        ["profile", "--demo", "hanoi", "--matcher", "oflazer"],
+    ],
+    ids=["run-stats-treat", "profile-treat", "run-stats-naive", "profile-oflazer"],
+)
+def test_a_report_on_one_backend_loads_no_other(tmp_path, argv):
+    """``obs.metrics`` reads the backend classes it reports on from
+    ``sys.modules``: a statistics report on an interpreted matcher loads
+    neither the Rete package nor the compiled kernel."""
+    ops5, wmes = tmp_path / "closure.ops5", tmp_path / "chain.wmes"
+    ops5.write_text(closure.PROGRAM)
+    wmes.write_text("(parent ^from a ^to b)\n(parent ^from b ^to c)\n")
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "repro",
+         *(arg.format(ops5=ops5, wmes=wmes) for arg in argv)],
+        capture_output=True, text=True, env=_worker_environment(),
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    modules = imported_modules(done.stderr)
+    assert f"repro.{argv[-1]}" in modules
+    assert forbidden_in(modules, ("repro.rete", "repro.kernel")) == []
 
 
 def test_the_program_generator_loads_no_bundled_program_or_trace_layer():

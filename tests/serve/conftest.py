@@ -16,8 +16,16 @@ import pytest
 
 from repro.ops5 import Ops5Error
 from repro.serve import Session
+from repro.serve.protocol import decode_payload, encode_payload
 
 WAIT = 30  # seconds; an upper bound on every blocking step, never a pace
+
+
+async def routed(router, request: dict) -> dict:
+    """*request* through ``router.dispatch`` as its endpoint hands it
+    over (with its payload); a relayed reply comes back decoded."""
+    reply = await router.dispatch(request, encode_payload(request))
+    return decode_payload(reply) if isinstance(reply, bytes) else reply
 
 
 class Hold:

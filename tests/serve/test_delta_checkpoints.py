@@ -10,8 +10,10 @@ whole design exists for.  The end-to-end kill test over real worker
 processes is ``chaos``-marked.
 """
 
+import hashlib
 import json
 import os
+import random
 import tempfile
 
 import pytest
@@ -735,6 +737,83 @@ class TestFormat:
             session.close_resources()
             if restored is not None:
                 restored.close_resources()
+
+
+def seeded_exports(seed: int) -> list[str]:
+    """The marked exports of one seeded op stream, ``mark`` masked: the
+    texts a worker sends the store, full and delta alike."""
+    rng = random.Random(seed)
+    session = Session("seeded", program=PROGRAM, matcher="compiled")
+    texts, mark = [], ""
+    try:
+        session.perform({"op": "assert", "wmes": PRELOAD})
+        for step in range(60):
+            if step % 6 == 5:
+                reply = session.perform({"op": "export", "since": mark})
+                text = reply.get("delta_json") or reply["state_json"]
+                texts.append(text.replace(mark, "MARK") if mark else text)
+                mark = reply["mark"]
+                continue
+            kind = rng.choice(("assert", "run", "retract", "modify"))
+            if kind == "assert":
+                value = rng.choice((rng.randrange(6), 2.5, "\u00e9t\u00e9", 'a"b\\'))
+                apply_step(session, ("assert", [("item", {"v": value, "age": "young"}),
+                                                ("tick", {"n": rng.randrange(6)})]))
+            else:
+                apply_step(session, (kind, rng.randrange(99), rng.randrange(6)))
+    finally:
+        session.close_resources()
+    return texts
+
+
+class TestInPlaceRows:
+    """A marked export encodes rows that read each WME's attributes in
+    place; a blob handed to a Python caller holds copies."""
+
+    @pytest.mark.parametrize("matcher", MATCHERS)
+    def test_a_mutated_export_changes_nothing_live(self, matcher):
+        session = Session("live", program=PROGRAM, matcher=matcher)
+        twin = Session("twin", program=PROGRAM, matcher=matcher)
+        try:
+            for each in (session, twin):
+                each.perform({"op": "assert", "wmes": PRELOAD, "run": True})
+                each.perform({"op": "export", "since": ""})  # arms the log
+                fire_and_kill(each)
+            system = session.system
+            before = [(w.timetag, w.content_key()) for w in system.memory.snapshot()]
+            state = system.export_state()
+            log = system.listener
+            delta = system.export_delta(
+                log.added.values(), log.removed, log.fired, log.output_from
+            )
+            expected = json.loads(json.dumps(state))
+            assert delta["added"]
+            for row in state["wmes"] + delta["added"]:
+                row[2]["v"] = "mutated"
+                row[2]["extra"] = 1
+            assert [(w.timetag, w.content_key()) for w in system.memory.snapshot()] == before
+            assert system.export_state() == expected
+            for step in CONTINUATION:
+                assert apply_step(session, step) == apply_step(twin, step)
+            assert session.system.export_state() == twin.system.export_state()
+        finally:
+            session.close_resources()
+            twin.close_resources()
+
+    def test_marked_exports_are_the_texts_json_dumps_wrote(self):
+        """Sixty seeded ops, a marked export every sixth: their texts are
+        byte-identical to those the engine wrote when every row was a
+        copy encoded by ``json.dumps`` (this digest)."""
+        texts = seeded_exports(45)
+        # Both kinds: a delta keeps export_delta's key order, a full
+        # state is sorted.
+        assert {text.startswith('{"schema"') for text in texts} == {True, False}
+        digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+        assert digest == SEEDED_EXPORTS_SHA256
+
+
+#: ``seeded_exports(45)`` before rows were read in place.
+SEEDED_EXPORTS_SHA256 = "d9dbc6af5de3ff745fe65034ab89a08e71c2f50fdb4a03d3cda0ceaad7d48f2f"
 
 
 class TestLinearity:

@@ -27,7 +27,7 @@ from repro.serve import (
 )
 from repro.serve.router import RouterThread, RuleRouter
 from repro.workloads.programs import closure
-from tests.serve.conftest import inject_fault
+from tests.serve.conftest import inject_fault, routed
 
 CHAIN = [["parent", {"from": f"n{i}", "to": f"n{i + 1}"}] for i in range(6)]
 
@@ -409,7 +409,8 @@ class TestDurableJournalCorrectness:
                 router = RuleRouter(
                     [worker.address], durability=store, checkpoint_every=0
                 )
-                created = await router.dispatch(
+                created = await routed(
+                    router,
                     {
                         "op": "create_session",
                         "program": closure.PROGRAM,
@@ -417,7 +418,8 @@ class TestDurableJournalCorrectness:
                     }
                 )
                 assert created["ok"]
-                applied = await router.dispatch(
+                applied = await routed(
+                    router,
                     {"op": "assert", "session": "c", "wmes": CHAIN[:2]}
                 )
                 assert applied["ok"]
@@ -440,7 +442,7 @@ class TestDurableJournalCorrectness:
                 )
                 await asyncio.sleep(0.05)  # checkpoint now owns the lock
                 destroy = asyncio.create_task(
-                    router.dispatch({"op": "destroy_session", "session": "c"})
+                    routed(router, {"op": "destroy_session", "session": "c"})
                 )
                 await asyncio.sleep(0.05)
                 assert not destroy.done()  # serialised behind the export

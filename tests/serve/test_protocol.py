@@ -16,10 +16,11 @@ from repro.serve.protocol import (
     ProtocolError,
     decode_payload,
     encode_frame,
-    read_message,
+    encode_payload,
+    read_payload,
     recv_message,
     send_message,
-    write_message,
+    write_payload,
 )
 
 
@@ -80,18 +81,18 @@ def test_async_roundtrip_and_eof():
 
         async def handler(reader, writer):
             while True:
-                message = await read_message(reader)
-                if message is None:
+                payload = await read_payload(reader)
+                if payload is None:
                     break
-                received.append(message)
-                await write_message(writer, {"echo": message})
+                received.append(decode_payload(payload))
+                await write_payload(writer, payload)  # relayed as read
             writer.close()
 
         server = await asyncio.start_server(handler, host="127.0.0.1", port=0)
         host, port = server.sockets[0].getsockname()
         reader, writer = await asyncio.open_connection(host, port)
-        await write_message(writer, {"n": 1})
-        assert await read_message(reader) == {"echo": {"n": 1}}
+        await write_payload(writer, encode_payload({"n": 1}))
+        assert await read_payload(reader) == b'{"n":1}'
         writer.close()
         await writer.wait_closed()
         server.close()
@@ -148,7 +149,7 @@ def test_async_mid_header_close_raises():
         reader, writer = await asyncio.open_connection(host, port)
         try:
             with pytest.raises(ProtocolError):
-                await read_message(reader)
+                await read_payload(reader)
         finally:
             writer.close()
             server.close()

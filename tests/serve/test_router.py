@@ -19,6 +19,7 @@ from repro.serve import (
 )
 from repro.serve.router import RouterThread, RuleRouter
 from repro.workloads.programs import closure
+from tests.serve.conftest import routed
 
 CHAIN = [["parent", {"from": f"n{i}", "to": f"n{i + 1}"}] for i in range(6)]
 
@@ -189,7 +190,8 @@ class TestFleetQuotas:
             try:
                 replies = await asyncio.gather(
                     *(
-                        router.dispatch(
+                        routed(
+                            router,
                             {"op": "create_session", "program": closure.PROGRAM, **extra}
                         )
                         for extra in (first, second)
@@ -265,7 +267,8 @@ class TestMigration:
             store = DurabilityStore(str(tmp_path))
             router = RuleRouter([w.address for w in workers], durability=store)
             try:
-                created = await router.dispatch(
+                created = await routed(
+                    router,
                     {"op": "create_session", "program": closure.PROGRAM, "name": "m"}
                 )
                 assert created["ok"]
@@ -280,16 +283,18 @@ class TestMigration:
 
                 source._connect = slow_first_connect
                 op = asyncio.create_task(
-                    router.dispatch({"op": "assert", "session": "m", "wmes": CHAIN[:1]})
+                    routed(router, {"op": "assert", "session": "m", "wmes": CHAIN[:1]})
                 )
                 await asyncio.sleep(0.05)  # journaled, still connecting
-                moved = await router.dispatch(
+                moved = await routed(
+                    router,
                     {"op": "migrate_session", "session": "m"}
                 )
                 applied = await op
                 assert applied["ok"], applied
                 assert moved["ok"] and moved["from"] == source.index
-                held = await router.dispatch(
+                held = await routed(
+                    router,
                     {"op": "query", "session": "m", "what": "wm"}
                 )
                 assert [row[:2] for row in held["wmes"]] == [CHAIN[0]]

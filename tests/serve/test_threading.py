@@ -78,9 +78,9 @@ class TestOneLoop:
         for kind, cls in (("router", RuleRouter), ("server", RuleServer)):
             dispatch = cls.dispatch
 
-            async def recording(self, request, kind=kind, dispatch=dispatch):
+            async def recording(self, request, payload, kind=kind, dispatch=dispatch):
                 idents[kind].add(threading.get_ident())
-                return await dispatch(self, request)
+                return await dispatch(self, request, payload)
 
             monkeypatch.setattr(cls, "dispatch", recording)
         before = names("repro-")
