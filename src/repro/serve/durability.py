@@ -20,9 +20,11 @@ anything a client has seen acknowledged.  Periodic checkpoints persist
 what the session's engine *changed* since the previous one (Section 3.1:
 cost must follow the <0.5% of working memory that changes): a
 ``repro.engine-delta/1`` line naming the seq it extends and the seq it
-reaches, appended and fsynced **before** the journal is compacted past
-that seq.  Once the appended deltas weigh as much as the base, the store
-asks for a full ``export_state`` blob again and rewrites the file
+reaches.  A checkpoint covers the whole journal (the router appends and
+checkpoints under one lock per session), so once it is durable -- the
+line fsynced, a full file's rename too -- the journal is emptied.  Once
+the appended deltas weigh as much as the base, the store asks for a
+full ``export_state`` blob again and rewrites the file
 (:meth:`DurabilityStore.checkpoint_mark`) -- amortised O(1) per change,
 a load never folds more than 2x the base.  The worker encodes either
 record (:func:`encode_record`); the store splices that text in, never
@@ -251,8 +253,6 @@ class WalRecord:
 
     seq: int
     request: dict
-    #: The journal line, as written (a compaction copies it).
-    line: str = field(repr=False, compare=False)
 
 
 @dataclass
@@ -333,6 +333,8 @@ class DurabilityStore:
         self.checkpoint_bytes = 0
         self.bytes_appended = 0
         self._chains: dict[str, _Chain] = {}
+        #: Last seq appended per session: no checkpoint may stop below it.
+        self._appended: dict[str, int] = {}
         self.fsyncs = 0
         self._dirty: set[str] = set()
         self._committer: Optional[threading.Thread] = None
@@ -433,9 +435,9 @@ class DurabilityStore:
             try:
                 os.fsync(handle.fileno())
             except (OSError, ValueError):
-                # Compacted or dropped since it was dirtied, possibly by
-                # the event loop while this (committer) thread was here:
-                # fileno() of a closed file raises ValueError.
+                # Dropped since it was dirtied, possibly by the event
+                # loop while this (committer) thread was here: fileno()
+                # of a closed file raises ValueError.
                 continue
             synced += 1
         if synced:
@@ -458,6 +460,7 @@ class DurabilityStore:
     def drop(self, session_id: str) -> None:
         """Forget a destroyed session (journal, checkpoint, meta)."""
         self._chains.pop(session_id, None)
+        self._appended.pop(session_id, None)
         handle = self._wal_handles.pop(session_id, None)
         if handle is not None:
             handle.close()
@@ -500,6 +503,7 @@ class DurabilityStore:
         else:
             text = request.decode("utf-8").replace("\n", " ").replace("\r", " ")
         self._append_line(session_id, f'{{"seq":{seq},"request":{text}}}\n')
+        self._appended[session_id] = seq
 
     def mark_skipped(self, session_id: str, seq: int) -> None:
         """Mark a journaled op the worker definitively did not execute.
@@ -522,63 +526,59 @@ class DurabilityStore:
 
     def save_checkpoint(
         self, session_id: str, seq: int, config: dict, state: str, mark: str = ""
-    ) -> None:
+    ) -> bool:
         """Persist a full checkpoint covering every op up to *seq* as
-        the file's new base, then compact the journal to its uncovered
-        tail.  *state* is a marked export's ``state_json`` (a dict, as
-        ``benchmarks/e2e`` passes, is encoded first), *mark* the export's own."""
+        the file's new base, then empty the journal.  *state* is a marked
+        export's ``state_json`` (a dict, as ``benchmarks/e2e`` passes, is
+        encoded first), *mark* the export's own.  Refused (False) below
+        the last seq appended: the journal holds ops it does not cover."""
+        self._chains.pop(session_id, None)
+        if seq < self._appended.get(session_id, 0):
+            return False
         if not isinstance(state, str):
             state = encode_record(state)
         envelope = {"schema": CHECKPOINT_SCHEMA, "id": session_id, "seq": seq, "config": config}
         size = self._write_atomic(self._ckpt_path(session_id), envelope, state)
-        self._chains.pop(session_id, None)
+        if self.fsync:
+            # The rename must outlive a crash before the journal is gone.
+            fd = os.open(self.root, os.O_RDONLY)
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)
         if mark:
             self._chains[session_id] = _Chain(mark, seq, size, 0)
-        self._compact(session_id, seq, size)
+        self._compact(session_id, size)
+        return True
 
     def append_delta(self, session_id: str, seq: int, delta: str, since: str, mark: str) -> bool:
         """Extend the session's checkpoint to *seq* by one delta line:
         a marked export's ``delta_json`` text and the mark it names.
 
-        The line is flushed (and fsynced) before the journal is
-        compacted past *seq*: a crash in between leaves ops on the
-        journal that the delta already covers, never a gap.  A delta
-        that does not extend what this store last wrote is refused, and
-        so is any after a failed append: the next export will be full.
+        The line is flushed (and fsynced) before the journal is emptied:
+        a crash in between leaves covered ops behind, never a gap.
+        Refused: a delta that does not extend what this store last wrote
+        or stops below the last seq appended, and any after a refusal --
+        the next export is full.
         """
         chain = self._chains.pop(session_id, None)
-        if chain is None or since != chain.mark:
+        if chain is None or since != chain.mark or seq < self._appended.get(session_id, 0):
             return False
         line = f'{{"extends":{chain.seq},"seq":{seq},"delta":{delta}}}\n'
         self._write(self._ckpt_path(session_id), "a", line)
         self._chains[session_id] = _Chain(
             mark, seq, chain.base_bytes, chain.delta_bytes + len(line)
         )
-        self._compact(session_id, seq, len(line), delta=1)
+        self._compact(session_id, len(line), delta=1)
         return True
 
-    def _compact(self, session_id: str, seq: int, size: int, delta: int = 0) -> None:
-        """Drop the journal records the checkpoint of *size* bytes just
-        persisted covers, and count it."""
-        records, skipped, _, _ = self._read_wal(session_id)
-        lines = [r.line for r in records if r.seq > seq] + [
-            f'{{"seq":{s},"skip":true}}\n' for s in sorted(skipped) if s > seq
-        ]
-        handle = self._wal_handles.pop(session_id, None)
-        if handle is not None:
-            handle.close()
-        wal = self._wal_path(session_id)
-        self._write(f"{wal}.tmp", "w", "".join(lines))
-        os.replace(f"{wal}.tmp", wal)
+    def _compact(self, session_id: str, size: int, delta: int = 0) -> None:
+        """Empty the journal the durable checkpoint of *size* bytes
+        covers, and count it."""
+        handle = self._wal_handle(session_id)
+        handle.truncate(0)
         if self.fsync:
-            # One barrier for the renames above: a lost checkpoint rename
-            # leaves its journal records gone, a lost journal rename
-            # takes every later append (made to the new file) with it.
-            fd = os.open(self.root, os.O_RDONLY)
-            try:
-                os.fsync(fd)
-            finally:
-                os.close(fd)
+            os.fsync(handle.fileno())
         with self._lock:
             self.checkpoints += 1
             self.checkpoints_delta += delta
@@ -621,7 +621,7 @@ class DurabilityStore:
             if row.get("skip"):
                 skipped.add(seq)
             elif isinstance(row.get("request"), dict):
-                records.append(WalRecord(seq, row["request"], stripped + "\n"))
+                records.append(WalRecord(seq, row["request"]))
             else:
                 notes.append(
                     f"stopped at journal line {index + 1}: no request"
@@ -716,7 +716,7 @@ class DurabilityStore:
             config=config,
             checkpoint=checkpoint,
             records=tail,
-            # A checkpoint may have compacted every record it covers away.
+            # A checkpoint empties the journal of every record it covers.
             last_seq=max(last_seq, floor),
             notes=notes,
         )

@@ -69,16 +69,17 @@ engine's ``export_state`` blob, and a dead worker's sessions come back
 from checkpoint + journal tail, bit-identical to a no-fault run.
 ``recovered_sessions`` replaces ``lost_sessions`` in the books.  A
 per-session lock serialises durable forwarding, so journal order is
-execution order and a checkpoint taken under the lock covers exactly
-the journal prefix it records; the migrating-check, sequence-number
-bump, and journal append happen in one synchronous block on the event
-loop, so every append strictly precedes any recovery that could replay
-it.  Ops the worker definitively did not execute --
-backpressure rejections, and deadline expiries whose reply reports the
-op never started -- are tombstoned so replay applies exactly what ran.
-The op a worker died on is answered from the recovery replay -- the
-journal is the authority, and handing the caller an error would invite
-a retry that double-applies.
+execution order and a checkpoint taken under the lock covers the whole
+journal: the store makes it durable, then empties the journal.  The
+migrating-check, sequence-number bump, and journal append happen in one
+synchronous block on the event loop, so every append strictly precedes
+any recovery that could replay it.  Ops the worker definitively did not
+execute -- backpressure rejections, and deadline expiries whose reply
+reports the op never started -- are tombstoned so replay applies exactly
+what ran.  The op a worker died on is answered from its placement, which
+keeps the reply the restore's replay ended on -- the journal is the
+authority, and handing the caller an error would invite a retry that
+double-applies.
 """
 
 from __future__ import annotations
@@ -238,7 +239,9 @@ def _unreachable(link: WorkerLink, error: Exception) -> dict:
 
 
 class _Placement:
-    __slots__ = ("worker", "tenant", "migrating", "seq", "ops_since_checkpoint", "lock")
+    __slots__ = (
+        "worker", "tenant", "migrating", "seq", "ops_since_checkpoint", "replayed", "lock"
+    )
 
     def __init__(self, worker: Optional[int], tenant: str) -> None:
         #: Index of the hosting worker; None while a create holds the
@@ -251,6 +254,9 @@ class _Placement:
         self.seq = 0
         #: Journaled ops since the last checkpoint (durable routers).
         self.ops_since_checkpoint = 0
+        #: ``(seq, reply)`` the last restore's journal replay ended on:
+        #: the answer to the op that was in flight when its worker failed.
+        self.replayed: tuple = (0, None)
         #: Serialises durable forwarding: journal order == worker order.
         self.lock = asyncio.Lock()
 
@@ -296,9 +302,6 @@ class RuleRouter(Endpoint):
         self._ids = itertools.count(1)
         #: Single-flight recovery: worker index -> in-progress task.
         self._recoveries: dict[int, asyncio.Task] = {}
-        #: Latest completed recovery result per worker index, for calls
-        #: whose failure is observed after the recovery already ran.
-        self._last_recovery: dict[int, dict] = {}
         #: Sessions with a checkpoint task in flight.
         self._checkpointing: set[str] = set()
         self._heartbeat_task: Optional[asyncio.Task] = None
@@ -388,26 +391,26 @@ class RuleRouter(Endpoint):
 
     async def _recover_worker(
         self, link: WorkerLink, generation: int, cause: str, suspect: bool = False
-    ) -> dict:
+    ) -> None:
         """Single-flight recovery of one failed worker: the only thing
         that happens when a worker fails, whoever noticed.
 
         Every caller that observed a failure awaits the same recovery
         task (shielded -- one caller's disconnect must not cancel the
         fleet's recovery).  A failure observed under an older link
-        generation is stale: that worker was already dealt with, so the
-        cached result answers it without fencing a healthy successor.
+        generation is stale: that worker was already dealt with, and
+        the placements hold the outcome, so a healthy successor is not
+        fenced.
 
         A *suspect* failure -- a ping, or a call nothing was journaled
         for -- may be a slow worker rather than a dead one, and acting
         on it would leave live session copies running unfenced; it
         becomes a verdict after :data:`FAILURE_THRESHOLD` in a row.
         """
-        nothing = {"replies": {}, "lost": set()}
         if suspect and link.consecutive_failures < FAILURE_THRESHOLD:
-            return nothing
+            return
         if link.generation != generation and link.index not in self._recoveries:
-            return self._last_recovery.get(link.index, nothing)
+            return
         task = self._recoveries.get(link.index)
         if task is None:
             task = asyncio.get_running_loop().create_task(
@@ -418,13 +421,13 @@ class RuleRouter(Endpoint):
             task.add_done_callback(
                 lambda _t: self._recoveries.pop(link.index, None)
             )
-        return await asyncio.shield(task)
+        await asyncio.shield(task)
 
-    async def _do_recover_worker(self, link: WorkerLink, cause: str) -> dict:
+    async def _do_recover_worker(self, link: WorkerLink, cause: str) -> None:
         started = time.monotonic()
         link.healthy = False
         # Failures still to surface from calls already in flight belong
-        # to this incarnation; the bump lets them read the cached result.
+        # to this incarnation; the bump marks them stale.
         link.close()
         stranded = self._sessions_on(link)
         # Freeze the stranded sessions *before* the first await: any op
@@ -434,15 +437,15 @@ class RuleRouter(Endpoint):
         for session_id in stranded:
             self.placements[session_id].migrating = True
         self._event("worker_failed", worker=link.index, cause=cause, sessions=stranded)
-        replies, lost = await self._rehome(link, stranded, "respawn", "recovered")
+        restored = await self._rehome(link, stranded, "respawn", "recovered")
         respawned = link.healthy  # reset() alone turns it back on
-        if not respawned and replies:
+        if not respawned:
             # Nothing fenced the suspect worker: if it was merely slow
             # rather than dead, its session copies are still live and
             # holding worker-local quota beside the restored ones.
             # Best-effort destroy them; a truly dead worker fails the
             # first call fast and we stop poking.
-            for session_id in sorted(replies):
+            for session_id in restored:
                 try:
                     await link.call(
                         {"op": "destroy_session", "session": session_id},
@@ -450,27 +453,23 @@ class RuleRouter(Endpoint):
                     )
                 except Exception:
                     break
-        result = {"replies": replies, "lost": lost}
-        self._last_recovery[link.index] = result
         self._event(
             "worker_recovered",
             worker=link.index,
             respawned=respawned,
-            sessions=len(replies),
-            lost=sorted(lost),
+            sessions=len(restored),
+            lost=sorted(set(stranded) - set(restored)),
             seconds=time.monotonic() - started,
         )
-        return result
 
     async def _rehome(
         self, link: WorkerLink, stranded: list[str], replace: str, event: str
-    ) -> tuple[dict, set]:
+    ) -> list[str]:
         """Replace *link*'s process (the supervisor's ``respawn`` after
         a crash, its ``restart`` for a roll) and restore the frozen
         *stranded* sessions onto it -- or, with no supervisor or no
         restart budget left, onto the least-loaded survivors.  Returns
-        ``(replies, lost)``: per restored session the ``(seq, reply)``
-        its journal replay ended on, and the ids marked lost.
+        the ids restored; the rest are marked lost.
         """
         target: Optional[WorkerLink] = None
         if self.supervisor is not None:
@@ -480,23 +479,16 @@ class RuleRouter(Endpoint):
             if address is not None:
                 link.reset(address)
                 target = link
-        replies: dict[str, tuple] = {}
-        lost: set[str] = set()
+        restored: list[str] = []
         for session_id in stranded:
             destination = target or self._least_loaded(exclude=link.index)
-            outcome = None
-            if destination is not None:
-                outcome = await self._restore_session(session_id, destination, event)
-            if outcome is None:
-                self._mark_lost(
-                    session_id,
-                    link.index,
-                    "restore failed" if destination else "no healthy target worker",
-                )
-                lost.add(session_id)
+            if destination is None:
+                self._mark_lost(session_id, link.index, "no healthy target worker")
+            elif await self._restore_session(session_id, destination, event):
+                restored.append(session_id)
             else:
-                replies[session_id] = outcome
-        return replies, lost
+                self._mark_lost(session_id, link.index, "restore failed")
+        return restored
 
     async def _install(
         self, target: WorkerLink, session_id: str, config: dict, state, tail=()
@@ -540,29 +532,28 @@ class RuleRouter(Endpoint):
 
     async def _restore_session(
         self, session_id: str, target: WorkerLink, event: str = "recovered"
-    ) -> Optional[tuple]:
-        """Rebuild one session on *target* from checkpoint + journal tail.
-
-        Returns ``(last_seq, last_reply)`` of the replayed tail (``(0,
-        None)`` when the tail was empty) so the caller whose op died in
-        flight can be answered from the replay, or None on failure --
-        which, for a router without a store, is every time.
+    ) -> bool:
+        """Rebuild one session on *target* from checkpoint + journal tail;
+        False on failure -- which, for a router without a store, is every
+        time.  The placement keeps the ``(seq, reply)`` the replay ended
+        on, the answer to an op that died in flight.
         """
         placement = self.placements.get(session_id)
         if placement is None or self.durability is None:
-            return None
+            return False
         bundle = self.durability.load(session_id)
         if bundle is None:
-            return None
+            return False
         checkpoint = bundle.checkpoint or {"config": bundle.config, "state": None}
         installed = await self._install(
             target, session_id, checkpoint["config"], checkpoint["state"],
             bundle.records,
         )
         if not installed["ok"]:
-            return None
+            return False
         placement.worker = target.index
         placement.migrating = False
+        placement.replayed = installed["last"]
         placement.ops_since_checkpoint = len(bundle.records)
         placement.seq = max(placement.seq, bundle.last_seq)
         if event == "recovered":
@@ -575,7 +566,7 @@ class RuleRouter(Endpoint):
             used_checkpoint=bundle.used_checkpoint,
             notes=bundle.notes,
         )
-        return installed["last"]
+        return True
 
     async def _resume_from_store(self) -> None:
         """Cold start over an existing store: restore every journaled
@@ -605,12 +596,11 @@ class RuleRouter(Endpoint):
             self.placements[session_id] = placement
             if target in unreachable:
                 continue
-            outcome = await self._restore_session(
-                session_id, target, event="resumed"
-            )
-            if outcome is None and target.consecutive_failures:
+            if await self._restore_session(session_id, target, event="resumed"):
+                continue
+            if target.consecutive_failures:
                 unreachable.append(target)  # a transport failure, not a refusal
-            elif outcome is None:
+            else:
                 self._mark_lost(session_id, target.index, "resume failed")
         if top_minted:
             self._ids = itertools.count(top_minted + 1)
@@ -662,75 +652,67 @@ class RuleRouter(Endpoint):
         ):
             self._checkpointing.add(session_id)
             asyncio.get_running_loop().create_task(
-                self._checkpoint_session(session_id),
-                name=f"checkpoint-{session_id}",
-            )
+                self._checkpoint(session_id), name=f"checkpoint-{session_id}"
+            ).add_done_callback(lambda _t: self._checkpointing.discard(session_id))
 
-    async def _checkpoint_session(self, session_id: str) -> None:
+    async def _checkpoint(self, session_id: str, roll: Optional[int] = None) -> bool:
         """Persist one session's checkpoint, off the request path.
 
         Holding the placement lock means no op is in flight, so the
         exported blob covers exactly ``placement.seq`` journaled ops --
-        the seq recorded beside it.  Failures are ignored: a checkpoint
-        is an optimisation of the replay, never a correctness event.
-        What is persisted is what changed since the last one (see
-        ``_save_checkpoint``), so the cost follows the ops, not the WM.
-        """
-        try:
-            placement = self.placements.get(session_id)
-            if placement is None:
-                return
-            async with placement.lock:
-                if (
-                    self.placements.get(session_id) is not placement
-                    or placement.migrating
-                ):
-                    # Destroyed (or destroyed-and-recreated under the
-                    # same name) while this task waited for the lock: a
-                    # stale checkpoint landing after the drop would
-                    # resurrect the old incarnation on recovery.
-                    return
-                await self._save_checkpoint(session_id, placement)
-        finally:
-            self._checkpointing.discard(session_id)
+        the seq recorded beside it -- and the store empties the journal.
+        What is persisted is the text the worker encoded: a delta while
+        the store can still name its last export, so the cost follows
+        the ops, not the WM; else the whole state.  Failures are ignored:
+        a checkpoint is an optimisation of the replay, never a
+        correctness event.
 
-    async def _save_checkpoint(
-        self, session_id: str, placement: _Placement, full: bool = False
-    ) -> None:
-        """Export under the placement lock (the caller holds it) and
-        persist, as the text the worker encoded: a delta while the session
-        can still name the export the store last persisted, else -- or
-        when *full* -- the whole state."""
-        store = self.durability
-        since = "" if full else store.checkpoint_mark(session_id)
-        try:
-            reply = await self.workers[placement.worker].call(
-                {"op": "export", "session": session_id, "since": since}
-            )
-            if "delta_json" in reply:
-                delta = reply["delta_json"], reply["since"], reply["mark"]
-                if not store.append_delta(session_id, placement.seq, *delta):
-                    return  # refused: still due, and the next one is full
-            elif "state_json" in reply:
-                state = reply["config"], reply["state_json"], reply["mark"]
-                store.save_checkpoint(session_id, placement.seq, *state)
-            else:
-                return
-        except Exception:
-            return  # the journal alone still restores the session
-        placement.ops_since_checkpoint = 0
+        A rolling restart of worker *roll* checkpoints the whole state
+        and freezes the session in the same lock hold.  Answers whether
+        the session was still current (and, for a roll, on *roll*).
+        """
+        placement = self.placements.get(session_id)
+        if placement is None:
+            return False
+        async with placement.lock:
+            if (
+                self.placements.get(session_id) is not placement
+                or placement.migrating
+                or roll not in (None, placement.worker)
+            ):
+                # Destroyed (or destroyed-and-recreated under the same
+                # name), frozen or moved while this waited for the lock:
+                # a stale checkpoint landing after the drop would
+                # resurrect the old incarnation on recovery.
+                return False
+            store, saved = self.durability, False
+            since = "" if roll is not None else store.checkpoint_mark(session_id)
+            try:
+                reply = await self.workers[placement.worker].call(
+                    {"op": "export", "session": session_id, "since": since}
+                )
+                if "delta_json" in reply:
+                    delta = reply["delta_json"], reply["since"], reply["mark"]
+                    saved = store.append_delta(session_id, placement.seq, *delta)
+                elif "state_json" in reply:
+                    state = reply["config"], reply["state_json"], reply["mark"]
+                    saved = store.save_checkpoint(session_id, placement.seq, *state)
+            except Exception:
+                pass  # the journal alone still restores the session
+            if saved:
+                placement.ops_since_checkpoint = 0
+            if roll is not None:
+                placement.migrating = True
+            return True
 
     async def _forward_durable(
         self, request: dict, payload: bytes, session_id: str, placement: _Placement
     ):
         """Relay one session op's *payload* under the journal's ordering contract."""
-        op = request.get("op")
-        journal = op in _JOURNALED_OPS
+        journal = request.get("op") in _JOURNALED_OPS
         async with placement.lock:
             if placement.migrating:
                 return self._reject_migrating()
-            link = self.workers[placement.worker]
-            generation = link.generation
             seq = 0
             if journal:
                 # No await between the migrating-check and this append:
@@ -739,32 +721,18 @@ class RuleRouter(Endpoint):
                 placement.seq += 1
                 seq = placement.seq
                 self.durability.append(session_id, seq, payload)
-            try:
-                reply = await link.relay(payload)
-            except Exception as error:
-                self.telemetry.errors += 1
-                result = await self._recover_worker(
-                    link, generation, f"{type(error).__name__}: {error}"
-                )
-                if session_id in result["lost"]:
-                    return {
-                        "ok": False,
-                        "error": "session_lost",
-                        "session": session_id,
-                    }
-                if journal:
-                    entry = result["replies"].get(session_id)
-                    if entry is not None and entry[0] == seq and entry[1] is not None:
-                        # The journal replayed this very op on the fresh
-                        # worker; its reply is the authoritative answer.
-                        return entry[1]
-                    return _unreachable(link, error)
-                # Read-only op: retry once against the recovered placement.
-                retry_link = self.workers[placement.worker]
-                try:
-                    return await retry_link.relay(payload)
-                except Exception as retry_error:
-                    return _unreachable(retry_link, retry_error)
+            reply = await self._call_worker(self.workers[placement.worker], payload)
+            if isinstance(reply, dict):  # the call failed; recovery has run
+                if self.placements.get(session_id) is not placement:
+                    return {"ok": False, "error": "session_lost", "session": session_id}
+                if not journal:
+                    # Read-only op: retry once against the recovered placement.
+                    return await self._call_worker(self.workers[placement.worker], payload)
+                if placement.replayed[0] == seq:
+                    # The journal replayed this very op on the fresh
+                    # worker; its reply is the authoritative answer.
+                    return placement.replayed[1]
+                return reply
             if journal:
                 # A worker encodes ``ok`` first: only a refusal is decoded.
                 refused = {} if reply.startswith(b'{"ok":true') else decode_payload(reply)
@@ -939,8 +907,8 @@ class RuleRouter(Endpoint):
         placement = self.placements.get(session_id)
         if placement is None:
             return {"ok": False, "error": f"no session {session_id!r}"}
-        if to is not None and not 0 <= to < len(self.workers):
-            return {"ok": False, "error": f"no worker {to}"}
+        if to is not None and (type(to) is not int or not 0 <= to < len(self.workers)):
+            return {"ok": False, "error": f"no worker {to!r}"}
         # Under the lock the move waits for an op already journaled for
         # the source: forwarded after the export it would be answered
         # "no session", stay live in the journal, and be missing here.
@@ -1010,24 +978,13 @@ class RuleRouter(Endpoint):
         self._rolling = True
         try:
             for link in self.workers:
-                frozen = []
-                for session_id in self._sessions_on(link):
-                    placement = self.placements[session_id]
-                    async with placement.lock:
-                        # Waited for an op, a migrate or a destroy: is
-                        # it still this worker's to freeze?
-                        if (
-                            self.placements.get(session_id) is placement
-                            and placement.worker == link.index
-                            and not placement.migrating
-                        ):
-                            await self._save_checkpoint(
-                                session_id, placement, full=True
-                            )
-                            placement.migrating = True
-                            frozen.append(session_id)
+                frozen = [
+                    session_id
+                    for session_id in self._sessions_on(link)
+                    if await self._checkpoint(session_id, roll=link.index)
+                ]
                 try:
-                    replies, _ = await self._rehome(link, frozen, "restart", "rolled")
+                    restored = await self._rehome(link, frozen, "restart", "rolled")
                 except Exception as error:
                     for session_id in frozen:
                         if session_id in self.placements:  # not destroyed since
@@ -1041,7 +998,7 @@ class RuleRouter(Endpoint):
                     {
                         "worker": link.index,
                         "sessions": len(frozen),
-                        "restored": len(replies),
+                        "restored": len(restored),
                     }
                 )
         finally:

@@ -201,7 +201,7 @@ def clear_program_cache() -> None:
 
 def encode_wme(wme: WME) -> list:
     """JSON-ready view of one working-memory element."""
-    return [wme.cls, dict(wme.attributes), wme.timetag]
+    return [wme.cls, dict(wme._attributes), wme.timetag]
 
 
 def _max_cycles(request: dict) -> Optional[int]:

@@ -366,7 +366,7 @@ def grown_session(name="s1", wmes=40):
 
 
 def checkpoint(store: DurabilityStore, session: Session, seq: int) -> str:
-    """What ``RuleRouter._save_checkpoint`` does, without the router."""
+    """What ``RuleRouter._checkpoint`` does, without the router."""
     reply = session.perform(
         {"op": "export", "since": store.checkpoint_mark(session.id)}
     )
@@ -493,7 +493,8 @@ class TestCrashPoints:
         real_fsync, real_replace = os.fsync, os.replace
 
         def fsync(fd):
-            events.append("fsync")
+            # Whether the journal still holds data at each barrier.
+            events.append(("fsync", os.path.getsize(synced._wal_path("s1")) > 0))
             real_fsync(fd)
 
         def replace(src, dst):
@@ -507,14 +508,16 @@ class TestCrashPoints:
             monkeypatch.setattr(os, "replace", replace)
             assert journal_and_checkpoint(synced, session, [2]) == ["delta"]
             # append (strict policy: its own fsync), delta line + fsync,
-            # journal tmp + fsync, replace, directory fsync.
-            assert events == ["fsync", "fsync", "fsync", ("replace", "s1.wal"), "fsync"]
+            # then the journal's truncation + fsync.
+            kept, emptied = ("fsync", True), ("fsync", False)
+            assert events == [kept, kept, emptied]
             del events[:]
             synced._chains.clear()
             assert journal_and_checkpoint(synced, session, [3]) == ["full"]
+            # append, checkpoint tmp + fsync, its rename, the directory's
+            # fsync, then the journal's truncation + fsync.
             assert events == [
-                "fsync", "fsync", ("replace", "s1.ckpt.json"),
-                "fsync", ("replace", "s1.wal"), "fsync",
+                kept, kept, ("replace", "s1.ckpt.json"), kept, emptied,
             ]
         finally:
             monkeypatch.undo()

@@ -93,12 +93,43 @@ class TestCheckpoints:
         store.register("s1", {"program": "p"})
         for seq in range(1, 6):
             store.append("s1", seq, {"op": "run", "n": seq})
-        store.save_checkpoint("s1", 3, {"program": "p"}, engine_state_json())
+        assert store.save_checkpoint("s1", 5, {"program": "p"}, engine_state_json())
         store.append("s1", 6, {"op": "run", "n": 6})
         bundle = store.load("s1")
-        assert bundle.used_checkpoint and bundle.checkpoint["seq"] == 3
-        assert [r.seq for r in bundle.records] == [4, 5, 6]
+        assert bundle.used_checkpoint and bundle.checkpoint["seq"] == 5
+        assert [r.seq for r in bundle.records] == [6]
         assert bundle.last_seq == 6
+
+    def test_a_checkpoint_below_the_last_append_is_refused(self, store):
+        """The store empties the journal a checkpoint covers, so one that
+        stops short of the last append -- full or delta -- is refused and
+        leaves the files as they were."""
+        config = {"program": "p"}
+        store.register("s1", config)
+        for seq in range(1, 6):
+            store.append("s1", seq, {"op": "run", "n": seq})
+        with open(store._wal_path("s1")) as handle:
+            journal = handle.read()
+        assert store.save_checkpoint("s1", 3, config, engine_state_json(), "m1") is False
+        assert not os.path.exists(store._ckpt_path("s1"))
+        with open(store._wal_path("s1")) as handle:
+            assert handle.read() == journal
+        bundle = store.load("s1")
+        assert not bundle.used_checkpoint
+        assert [r.seq for r in bundle.records] == [1, 2, 3, 4, 5]
+
+        assert store.save_checkpoint("s1", 5, config, engine_state_json(), "m1")
+        store.append("s1", 6, {"op": "run", "n": 6})
+        with open(store._ckpt_path("s1")) as handle:
+            checkpoint = handle.read()
+        with open(store._wal_path("s1")) as handle:
+            journal = handle.read()
+        assert store.append_delta("s1", 5, '{"schema":"x"}', "m1", "m2") is False
+        with open(store._ckpt_path("s1")) as handle:
+            assert handle.read() == checkpoint
+        with open(store._wal_path("s1")) as handle:
+            assert handle.read() == journal
+        assert store.stats()["checkpoints"] == 1
 
     def test_checkpoint_compacts_the_wal_file(self, store):
         store.register("s1", {"program": "p"})

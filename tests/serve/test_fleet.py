@@ -436,10 +436,7 @@ class TestDurableJournalCorrectness:
                     return await original_call(request, timeout)
 
                 link.call = gated_call
-                router._checkpointing.add("c")
-                checkpoint = asyncio.create_task(
-                    router._checkpoint_session("c")
-                )
+                checkpoint = asyncio.create_task(router._checkpoint("c"))
                 await asyncio.sleep(0.05)  # checkpoint now owns the lock
                 destroy = asyncio.create_task(
                     routed(router, {"op": "destroy_session", "session": "c"})
@@ -448,7 +445,7 @@ class TestDurableJournalCorrectness:
                 assert not destroy.done()  # serialised behind the export
 
                 release.set()
-                await checkpoint
+                assert await checkpoint
                 reply = await destroy
                 assert reply["ok"]
                 # The drop is final: nothing resurrects the session.
@@ -565,9 +562,9 @@ class TestDurableHeartbeat:
                     ),
                     router._loop,
                 )
-                result = future.result(timeout=30)
-                assert sorted(result["replies"]) == sorted(doomed)
-                assert result["lost"] == set()
+                assert future.result(timeout=30) is None
+                assert sorted(router.router.recovered_sessions) == sorted(doomed)
+                assert router.router.lost_sessions == []
                 for sid in doomed:
                     assert router.router.placements[sid].worker == 1
                 # The still-alive worker 0 holds no stale copies.

@@ -17,7 +17,7 @@ from repro.serve import (
     ServerError,
     ServerThread,
 )
-from repro.serve.router import RouterThread, RuleRouter
+from repro.serve.router import RouterThread, RuleRouter, _Placement
 from repro.workloads.programs import closure
 from tests.serve.conftest import routed
 
@@ -376,6 +376,78 @@ class TestMigration:
             with RuleClient(fleet.address) as client:
                 with pytest.raises(ServerError, match="no session"):
                     client.request("migrate_session", session="ghost")
+
+    @pytest.mark.parametrize("to", ["1", 1.5, True, -1, 2])
+    def test_migrate_refuses_a_target_that_is_no_worker_index(self, fleet, to):
+        with RuleClient(fleet.address) as client:
+            sid = client.create_session(program=closure.PROGRAM)
+            try:
+                before = fleet.router.placements[sid].worker
+                with pytest.raises(ServerError, match="^no worker "):
+                    client.request("migrate_session", session=sid, to=to)
+                assert fleet.router.placements[sid].worker == before
+                assert fleet.router.migrations == 0
+            finally:
+                client.destroy_session(sid)
+
+
+class TestInFlightAnswer:
+    """After a failed call, a durable op is answered from its placement:
+    ``session_lost`` once the placement is no longer the session's, the
+    reply the restore's replay ended on when that was this op, else
+    ``worker_unreachable``."""
+
+    def _answer(self, tmp_path, recover):
+        """Forward one journaled op whose worker call fails; *recover*
+        stands in for the recovery that ran meanwhile."""
+
+        async def scenario():
+            store = DurabilityStore(str(tmp_path))
+            router = RuleRouter([("127.0.0.1", 9)], durability=store)
+            store.register("s", {"program": closure.PROGRAM})
+            placement = router.placements["s"] = _Placement(0, "default")
+
+            async def failed_call(link, payload):
+                recover(router, placement)
+                return {"ok": False, "error": "worker_unreachable", "worker": 0}
+
+            router._call_worker = failed_call
+            try:
+                return await routed(
+                    router, {"op": "assert", "session": "s", "wmes": CHAIN[:1]}
+                )
+            finally:
+                store.close()
+
+        return asyncio.run(scenario())
+
+    def test_the_replayed_op_is_answered_with_its_replay(self, tmp_path):
+        def replayed(router, placement):
+            placement.replayed = (placement.seq, {"ok": True, "timetags": [1]})
+
+        assert self._answer(tmp_path, replayed) == {"ok": True, "timetags": [1]}
+
+    def test_another_replay_leaves_the_op_unreachable(self, tmp_path):
+        def earlier(router, placement):
+            placement.replayed = (placement.seq - 1, {"ok": True, "timetags": []})
+
+        assert self._answer(tmp_path, earlier)["error"] == "worker_unreachable"
+
+    def test_a_lost_session_is_lost_even_under_a_recreated_name(self, tmp_path):
+        """Recovery lost the session and a create reused its name; both
+        placements hold a replay ending on the op's seq, and neither
+        answers it."""
+
+        def lost_and_recreated(router, placement):
+            reply = {"ok": True, "timetags": [1]}
+            placement.replayed = (placement.seq, reply)
+            router._mark_lost("s", 0, "restore failed")
+            router.placements["s"] = _Placement(0, "default")
+            router.placements["s"].replayed = (placement.seq, reply)
+
+        assert self._answer(tmp_path, lost_and_recreated) == {
+            "ok": False, "error": "session_lost", "session": "s",
+        }
 
 
 class TestDemotion:

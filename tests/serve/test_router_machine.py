@@ -5,19 +5,29 @@ A hypothesis ``RuleBasedStateMachine`` drives one durable
 :class:`RuleRouter` over thread workers through create / op / run /
 forced checkpoint (full and delta) / migrate / stop-a-worker-and-
 replace-it / rolling restart / destroy-and-reuse-the-name / cold
-restart over the same store, in any order.  The model is a direct
-:class:`ProductionSystem` per session fed the *acknowledged* ops; after
-every rule each session's working memory and cumulative firing sequence
-must equal its model's, nothing may be lost, and every session must be
-placed exactly once on a worker that really hosts it.
+restart over the same store (every worker up, or one stopped), in any
+order.  The model is a direct :class:`ProductionSystem` per session fed
+the *acknowledged* ops; after every rule each session's working memory
+and cumulative firing sequence must equal its model's, nothing may be
+lost, and every session must be placed exactly once on a worker that
+really hosts it.
 
 Hand mutations this machine is known to catch (each made it fail):
 ``_restore_session`` skipping the tail replay; ``store.drop`` removed
 from destroy; the ``isascii()`` guard of ``_resume_from_store`` removed;
-``_save_checkpoint`` recording ``placement.seq - 1``.
+``_checkpoint`` recording ``placement.seq - 1``; ``_resume_from_store``
+marking a session lost when its worker is unreachable instead of
+failing the worker; ``_forward_durable`` answering
+``worker_unreachable`` even when ``placement.replayed`` holds the op's
+seq.  Two more are caught by unit tests beside it: ``_forward_durable``
+answering from ``replayed`` without checking that the placement is
+still the session's (``test_router.py``), and the store emptying the
+journal on a checkpoint below the last appended seq instead of refusing
+it (``test_durability.py``).
 """
 
 import asyncio
+import os
 import shutil
 import tempfile
 
@@ -197,15 +207,16 @@ class RouterMachine(RuleBasedStateMachine):
     def checkpoint(self, index, full, pairs):
         """Forced, under the placement lock like the periodic one: a
         delta when the store can still name the last export, else (or
-        when *full*) the whole state."""
+        when *full*) the whole state.  Either empties the journal."""
         sid = self._pick(index)
 
         async def forced():
-            placement = self.router.placements[sid]
-            async with placement.lock:
-                await self.router._save_checkpoint(sid, placement, full=full)
+            if full:  # a store that cannot name the last export asks for all
+                self.store._chains.pop(sid, None)
+            return await self.router._checkpoint(sid)
 
-        self._on_router(forced())
+        assert self._on_router(forced())
+        assert os.path.getsize(self.store._wal_path(sid)) == 0  # all covered
         self._assert(sid, pairs, run=True)
 
     @precondition(lambda self: self.models)
@@ -246,16 +257,26 @@ class RouterMachine(RuleBasedStateMachine):
         self.client.destroy_session(sid)
         del self.models[sid]  # the name is free again
 
-    @rule(index=st.integers(0, 9), pairs=edges)
-    def cold_restart(self, index, pairs):
-        """A new router over the same store and the same live workers."""
+    @rule(index=st.integers(0, 9), pairs=edges, stop=st.booleans())
+    def cold_restart(self, index, pairs, stop):
+        """A new router over the same store and the same workers -- with,
+        when *stop*, the worker a session hashes to stopped: the router
+        fails that worker like any other, and the session comes back on
+        its replacement."""
+        sid = self._pick(index) if stop and self.models else None
+        stopped = self.router._place(sid).index if sid else None
         self._stop_router()
+        if sid:
+            self.workers.threads[stopped].stop()
         self._start_router()
         numbers = [
-            int(sid[1:]) for sid in self.models
-            if sid[0] == "r" and sid[1:].isascii() and sid[1:].isdigit()
+            int(name[1:]) for name in self.models
+            if name[0] == "r" and name[1:].isascii() and name[1:].isdigit()
         ]
         self.minted = max(numbers, default=0)
+        if sid:
+            assert sid in self.router.recovered_sessions
+            assert self.router.workers[stopped].healthy
         self.assert_edges(index, pairs, run=True)
 
     # -- what must hold after every rule ---------------------------------------
