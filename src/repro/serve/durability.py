@@ -22,16 +22,14 @@ cost must follow the <0.5% of working memory that changes): a
 ``repro.engine-delta/1`` line naming the seq it extends and the seq it
 reaches.  A checkpoint covers the whole journal (the router appends and
 checkpoints under one lock per session), so once it is durable -- the
-line fsynced, a full file's rename too -- the journal is emptied.  Once
-the appended deltas weigh as much as the base, the store asks for a
-full ``export_state`` blob again and rewrites the file
-(:meth:`DurabilityStore.checkpoint_mark`) -- amortised O(1) per change,
-a load never folds more than 2x the base.  The worker encodes either
-record (:func:`encode_record`); the store splices that text in, never
-decoding it.  Recovery is ``import_session`` of base + deltas
-(:func:`fold`) plus a replay of the journal tail -- O(blob + tail)
-instead of O(journal), which is the Section 3.1 c1-vs-c3 ratio as a
-recovery-latency knob.
+line fsynced, a full file's rename too -- the journal is emptied.  The
+session answers a full ``export_state`` blob instead once the chain's
+dead weight would reach its live rows (``session._DeltaLog``).  The
+worker encodes either record (:func:`encode_record`); the store splices
+that text in, never decoding it.  Recovery is ``import_session`` of
+base + deltas (:func:`fold`) plus a replay of the journal tail --
+O(blob + tail) instead of O(journal), which is the Section 3.1
+c1-vs-c3 ratio as a recovery-latency knob.
 
 Everything read back from disk is treated as untrusted input: truncated
 trailing WAL lines (a crash mid-append) are dropped, a torn, corrupt or
@@ -242,9 +240,8 @@ def fold(state: dict, *deltas: dict) -> dict:
     return folding.state()
 
 
-#: The checkpoint file the store last wrote for one session: the export
-#: mark and journal seq its last line reaches, and its two sizes.
-_Chain = namedtuple("_Chain", "mark seq base_bytes delta_bytes")
+#: The export mark and journal seq a session's checkpoint file ends on.
+_Chain = namedtuple("_Chain", "mark seq")
 
 
 @dataclass
@@ -516,13 +513,9 @@ class DurabilityStore:
 
     def checkpoint_mark(self, session_id: str) -> str:
         """The ``since`` for the session's next ``export``: the mark the
-        checkpoint file ends on, or "" to ask for a full export -- no
-        file written by this store yet, or (the doubling rule) its
-        appended deltas have reached the size of its base."""
+        checkpoint file ends on, or "" (a full export) if this store wrote none."""
         chain = self._chains.get(session_id)
-        if chain is None or chain.delta_bytes >= chain.base_bytes:
-            return ""
-        return chain.mark
+        return "" if chain is None else chain.mark
 
     def save_checkpoint(
         self, session_id: str, seq: int, config: dict, state: str, mark: str = ""
@@ -547,7 +540,7 @@ class DurabilityStore:
             finally:
                 os.close(fd)
         if mark:
-            self._chains[session_id] = _Chain(mark, seq, size, 0)
+            self._chains[session_id] = _Chain(mark, seq)
         self._compact(session_id, size)
         return True
 
@@ -566,9 +559,7 @@ class DurabilityStore:
             return False
         line = f'{{"extends":{chain.seq},"seq":{seq},"delta":{delta}}}\n'
         self._write(self._ckpt_path(session_id), "a", line)
-        self._chains[session_id] = _Chain(
-            mark, seq, chain.base_bytes, chain.delta_bytes + len(line)
-        )
+        self._chains[session_id] = _Chain(mark, seq)
         self._compact(session_id, len(line), delta=1)
         return True
 
@@ -711,14 +702,13 @@ class DurabilityStore:
             for record in records
             if record.seq > floor and record.seq not in skipped
         ]
+        # A checkpoint empties the journal of every record it covers; no
+        # later one may stop below a record read here but not appended.
+        last_seq = max(last_seq, floor)
+        self._appended[session_id] = max(self._appended.get(session_id, 0), last_seq)
         return RecoveryBundle(
-            session=session_id,
-            config=config,
-            checkpoint=checkpoint,
-            records=tail,
-            # A checkpoint empties the journal of every record it covers.
-            last_seq=max(last_seq, floor),
-            notes=notes,
+            session=session_id, config=config, checkpoint=checkpoint,
+            records=tail, last_seq=last_seq, notes=notes,
         )
 
     # -- bookkeeping ---------------------------------------------------------

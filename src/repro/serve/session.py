@@ -220,11 +220,15 @@ class _DeltaLog(EngineListener):
     on; a session nobody checkpoints never builds one.  Adds and removes
     are kept *net*; fired keys only grow, so a log that outgrows live
     working memory drops itself and the next marked export is full.
+    ``dead`` counts what the chain holds that a fresh export would not
+    (2 per removed timetag, 1 per fired key and per record); a delta that
+    would bring it to live working memory is a full export instead.
     """
 
-    def __init__(self, system: ProductionSystem, mark: str) -> None:
+    def __init__(self, system: ProductionSystem, mark: str, dead: int = 0) -> None:
         self.system = system
         self.mark = mark
+        self.dead = dead
         self.added: dict[int, WME] = {}
         self.removed: list[int] = []
         self.fired: list[tuple] = []
@@ -246,6 +250,12 @@ class _DeltaLog(EngineListener):
         system = self.system
         if len(self.added) + len(self.removed) + len(self.fired) > len(system.memory):
             system.listener = None
+
+    def encode(self, delta: dict) -> Optional[str]:
+        """The record's text, or None once the chain is due a rebase."""
+        self.dead += 2 * len(delta["removed"]) + len(delta["fired"]) + 1
+        if self.dead < len(self.system.memory):
+            return encode_record({**delta, "since": self.mark})
 
 
 class Session:
@@ -554,22 +564,21 @@ class Session:
         export it persisted, and gets text the store writes as it is: a
         ``repro.engine-delta/1`` record as ``delta_json`` (and ``since``)
         if this session's delta log started at that export, otherwise
-        (first marked export, restored session, lost reply, dropped log)
-        ``state_json``.  Either way a fresh ``mark`` restarts the log.
+        (first marked export, restored session, lost reply, dropped log,
+        a rebase) ``state_json``.  Either way a fresh ``mark`` restarts the log.
         """
         system = self.system
         reply = {"ok": True}
         if "since" in request:
-            log = system.listener
+            log, text = system.listener, None
             reply["mark"] = os.urandom(8).hex()
-            system.listener = _DeltaLog(system, reply["mark"])
             if isinstance(log, _DeltaLog) and log.mark == request["since"]:
-                reply["since"] = log.mark
-                reply["delta_json"] = system.export_delta(
-                    log.added.values(), log.removed, log.fired, log.output_from,
-                    lambda delta: encode_record({**delta, "since": log.mark}),
+                text = system.export_delta(
+                    log.added.values(), log.removed, log.fired, log.output_from, log.encode
                 )
-                return reply
+            system.listener = _DeltaLog(system, reply["mark"], log.dead if text else 0)
+            if text is not None:
+                return {**reply, "since": log.mark, "delta_json": text}
         reply["config"] = {
             "program": self.program,
             "matcher": self.matcher_name,

@@ -129,6 +129,15 @@ CONTINUATION = [
 ]
 
 
+def chain_entries(base: dict, deltas: list) -> int:
+    """The rows, removals, refraction keys and records a chain writes
+    after its base's rows: what the rebase rule keeps under twice the
+    live rows (the base's own keys and counters aside)."""
+    return len(base["wmes"]) + sum(
+        len(d["added"]) + len(d["removed"]) + len(d["fired"]) + 1 for d in deltas
+    )
+
+
 def check_fold_property(matcher: str, script: list) -> None:
     session = Session("live", program=PROGRAM, matcher=matcher)
     restored = None
@@ -148,6 +157,8 @@ def check_fold_property(matcher: str, script: list) -> None:
                 folded = keeper.folded()
                 assert validate_engine_state(folded) is None
                 assert folded == session.system.export_state()
+                live = len(session.system.memory)
+                assert chain_entries(keeper.base, keeper.deltas) < 2 * live or kind == "full"
             else:
                 apply_step(session, step)
         keeper.checkpoint()
@@ -572,8 +583,11 @@ class TestCrashPoints:
         finally:
             session.close_resources()
 
-    def test_doubling_rule_asks_for_a_full_export(self, store):
-        """Appended delta bytes >= base bytes -> the next one is full."""
+
+class TestRebase:
+    """The session rebases its chain on dead weight, never on growth."""
+
+    def test_a_growing_session_is_full_once(self, store):
         session = grown_session(wmes=8)
         try:
             store.register("s1", {"program": PROGRAM})
@@ -583,14 +597,50 @@ class TestCrashPoints:
                     {"op": "assert", "wmes": [["kill", {"v": 1000 + seq}]] * 2}
                 )
                 kinds.append(checkpoint(store, session, seq))
-                if kinds.count("full") == 3:
-                    break
-            fulls = [i for i, kind in enumerate(kinds) if kind == "full"]
-            assert len(fulls) == 3, kinds
-            # Each base is bigger, so each run of deltas is longer.
-            assert fulls[2] - fulls[1] > fulls[1] - fulls[0] > 1
-            size = os.path.getsize(store._ckpt_path("s1"))
-            assert size == store._chains["s1"].base_bytes
+            assert kinds == ["full"] + ["delta"] * 38
+            assert store.stats()["checkpoints_full"] == 1
+            assert len(session.system.memory) == 8 + 2 * 39
+        finally:
+            session.close_resources()
+
+    def test_a_retracting_session_is_rebased_at_its_live_rows(self, store):
+        """Each window retracts two rows the chain holds and asserts two:
+        5 dead per delta (2 per removed row, 1 for the record) against
+        20 live rows, so a base takes three deltas and the next is full."""
+        session = grown_session(wmes=20)
+        try:
+            store.register("s1", {"program": PROGRAM})
+            kinds = []
+            for seq in range(1, 17):
+                oldest = [w.timetag for w in session.system.memory.snapshot()][:2]
+                session.perform({"op": "retract", "timetags": oldest})
+                session.perform(
+                    {"op": "assert", "wmes": [["kill", {"v": 1000 + seq}]] * 2}
+                )
+                kinds.append(checkpoint(store, session, seq))
+                with open(store._ckpt_path("s1")) as handle:
+                    lines = [json.loads(line) for line in handle]
+                deltas = [line["delta"] for line in lines[1:]]
+                live = len(session.system.memory)
+                assert chain_entries(lines[0]["state"], deltas) < 2 * live or not deltas
+                assert store.load("s1").checkpoint["state"] == session.system.export_state()
+            assert kinds == (["full"] + ["delta"] * 3) * 4
+        finally:
+            session.close_resources()
+
+    def test_a_session_whose_ops_change_nothing_is_still_rebased(self, store):
+        """Every record supersedes its predecessor's counters: 1 dead
+        each, so 8 live rows take a full export every 8th checkpoint."""
+        session = grown_session(wmes=8)
+        try:
+            store.register("s1", {"program": PROGRAM})
+            kinds = []
+            for seq in range(1, 18):
+                request = {"op": "run"}
+                store.append("s1", seq, request)
+                assert session.perform(request)["firings"] == []
+                kinds.append(checkpoint(store, session, seq))
+            assert kinds == (["full"] + ["delta"] * 7) * 2 + ["full"]
         finally:
             session.close_resources()
 
@@ -889,6 +939,9 @@ class TestProcessFleetDeltaRecovery:
                 # last one land before reading the books.
                 durable = client.stats()["router"]["durability"]
                 assert durable["checkpoints_delta"] >= 2 * len(sids)
+                # Past the first checkpoint the sessions only grow: one
+                # full export each.
+                assert durable["checkpoints_full"] == len(sids)
                 placements = {
                     sid: row["worker"] for sid, row in client.stats()["sessions"].items()
                 }
@@ -896,7 +949,10 @@ class TestProcessFleetDeltaRecovery:
                 doomed = [sid for sid in sids if placements[sid] == victim]
                 for sid in doomed:
                     with open(fleet.durability._ckpt_path(sid)) as handle:
-                        assert len(handle.read().splitlines()) >= 3  # base + 2
+                        base, *rows = [json.loads(line) for line in handle]
+                    assert base["schema"] == CHECKPOINT_SCHEMA
+                    assert len(rows) >= 2
+                    assert {row["delta"]["schema"] for row in rows} == {ENGINE_DELTA_SCHEMA}
                 fleet.kill_worker(victim)
                 replies = {
                     sid: client.assert_wmes(sid, batch(99), run=True) for sid in sids

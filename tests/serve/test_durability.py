@@ -131,6 +131,24 @@ class TestCheckpoints:
             assert handle.read() == journal
         assert store.stats()["checkpoints"] == 1
 
+    def test_a_cold_store_refuses_a_checkpoint_below_what_it_loaded(self, store):
+        """A store that only read the journal (a router cold-started over
+        it) must not empty it of ops the checkpoint does not cover."""
+        config = {"program": "p"}
+        store.register("s1", config)
+        for seq in range(1, 6):
+            store.append("s1", seq, {"op": "run", "n": seq})
+        cold = DurabilityStore(store.root)
+        try:
+            assert cold.load("s1").last_seq == 5
+            assert cold.save_checkpoint("s1", 3, config, engine_state_json(), "m1") is False
+            assert not os.path.exists(cold._ckpt_path("s1"))
+            assert [r.seq for r in cold.load("s1").records] == [1, 2, 3, 4, 5]
+            assert cold.save_checkpoint("s1", 5, config, engine_state_json(), "m1")
+            assert cold.load("s1").records == []
+        finally:
+            cold.close()
+
     def test_checkpoint_compacts_the_wal_file(self, store):
         store.register("s1", {"program": "p"})
         for seq in range(1, 9):
