@@ -414,6 +414,9 @@ def _run_and_report(args, system: ProductionSystem) -> int:
         if kernel is not None:
             saved = kernel["sharing"]["left_memories_saved"]
             print(f"-- kernel: {kernel['stores']} stores, {saved} left memories shared")
+            layouts = kernel["layouts"].items()
+            print("-- layouts: " + ", ".join(
+                f"{cls} {n['width']} fields, {n['overflowed']} overflowed" for cls, n in layouts))
     if args.verify:
         from .kernel.matcher import CompiledMatcher
         from .rete import ReteNetwork, check_network

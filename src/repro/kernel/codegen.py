@@ -28,10 +28,9 @@ match network as *closures over local dicts*:
 * a terminal that edits the conflict set directly.
 
 Join keys are tuples (or bare values) of attribute values read straight
-from the WMEs: the entering WME's through the entry's
-``a = w._attributes.get``, a token's from the WME at the joined CE's
-position (``tok[k]._attributes.get``) -- no second copy of working
-memory, no method dispatch.  A dict compares
+from the WMEs' slots (``ops5.wme.Layout``): ``w._i`` for the entering
+record, ``tok[k]._i`` for the one at the joined CE's position -- no
+second copy of working memory, no call, no dict.  A dict compares
 OPS5 values the way OPS5 does (``1`` and ``1.0`` share a bucket, a
 ``str`` never equals a number; ``bool`` and NaN are refused at
 ingestion), so a bucket holds exactly the candidates an equality scan
@@ -79,7 +78,7 @@ Correctness notes (mirroring the node-walking Rete):
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from ..ops5.condition import (
     CEAnalysis,
@@ -90,8 +89,9 @@ from ..ops5.condition import (
     PredicateTest,
 )
 from ..ops5.errors import Ops5Error
-from ..ops5.production import Production
+from ..ops5.production import Production, claim_layouts
 from ..ops5.rhs import LITERAL_PRELUDE, literal
+from ..ops5.wme import layout_of
 
 __all__ = [
     "StorePlan",
@@ -241,10 +241,10 @@ def plan_alpha_index(
 # ---------------------------------------------------------------------------
 
 
-def _read(attr: str) -> str:
-    """The entering WME's value of *attr*: ``WME.get`` without its frame
-    (``a`` is the entry's ``w._attributes.get``)."""
-    return f"a({attr!r}, 'nil')"
+def _read(cls: str, attr: str, target: str = "w") -> str:
+    """*target*'s value of *attr*, *target* a record of class *cls*: its
+    slot (``Layout.read``), with no call and no dict."""
+    return layout_of(cls).read(attr, target)
 
 
 def _isnum(first: str = "v") -> str:
@@ -252,20 +252,20 @@ def _isnum(first: str = "v") -> str:
     return f"isinstance({first}, _N) and type(v) is not bool"
 
 
-def _num_eq(attr: str, value) -> str:
+def _num_eq(cls: str, attr: str, value) -> str:
     """``values_equal`` against a numeric constant."""
-    return f"(v := {_read(attr)}) == {literal(value)} and {_isnum()}"
+    return f"(v := {_read(cls, attr)}) == {literal(value)} and {_isnum()}"
 
 
-def _alpha_part(item: tuple) -> str:
+def _alpha_part(cls: str, item: tuple) -> str:
     kind = item[0]
     if kind == "const" or (kind == "pred" and item[2] == "="):
         attr, type_name, value = item[1], item[-2], item[-1]
         if type_name == "str":
             # A symbol constant: plain == is complete (a number never
             # equals a str, matching values_equal's separation).
-            return f"{_read(attr)} == {value!r}"
-        return _num_eq(attr, value)
+            return f"{_read(cls, attr)} == {value!r}"
+        return _num_eq(cls, attr, value)
     if kind == "disj":
         _, attr, typed_values = item
         symbols = [literal(v) for t, v in typed_values if t == "str"]
@@ -273,33 +273,30 @@ def _alpha_part(item: tuple) -> str:
         parts = [f" in {_tuple_literal(symbols)}"] if symbols else []
         if numbers:
             parts.append(f" in {_tuple_literal(numbers)} and {_isnum()}")
-        return f"((v := {_read(attr)}){' or v'.join(parts)})"
+        return f"((v := {_read(cls, attr)}){' or v'.join(parts)})"
     if kind == "pred":
         _, attr, op, type_name, value = item
         numeric = type_name != "str"
         if op == "<>":
-            return f"not ({_num_eq(attr, value)})" if numeric else f"{_read(attr)} != {value!r}"
-        number = _isnum(f"v := {_read(attr)}")
+            return f"not ({_num_eq(cls, attr, value)})" if numeric else f"{_read(cls, attr)} != {value!r}"
+        number = _isnum(f"v := {_read(cls, attr)}")
         if op == "<=>":
             return number if numeric else f"not ({number})"
         # Ordering predicate: a symbolic constant operand can never
         # match (Predicate.apply requires both sides numeric).
         return f"{number} and v {op} {literal(value)}" if numeric else "False"
     _, attr_a, attr_b = item
-    return f"_veq({_read(attr_a)}, {_read(attr_b)})"
+    return f"_veq({_read(cls, attr_a)}, {_read(cls, attr_b)})"
 
 
-def _residual_expr(
-    residual: Sequence[JoinTest], ce_index: int, own: Callable[[str], str]
-) -> str:
-    """The per-pair test chain; *own* renders a candidate-WME access."""
+def _residual_expr(analyses: Sequence[CEAnalysis], i: int) -> str:
+    """CE *i*'s per-pair test chain: the candidate is ``w``, a token's
+    WME ``tok[k]``."""
     parts: list[str] = []
-    for jt in residual:
-        a = own(jt.own_attribute)
-        if jt.other_ce == ce_index:
-            b = own(jt.other_attribute)
-        else:
-            b = f"tok[{jt.other_ce}].get({jt.other_attribute!r})"
+    for jt in _split_tests(analyses[i])[1]:
+        a = _read(analyses[i].ce.cls, jt.own_attribute)
+        k = jt.other_ce
+        b = _read(analyses[k].ce.cls, jt.other_attribute, "w" if k == i else f"tok[{k}]")
         p = jt.predicate
         if p is Predicate.EQ:
             parts.append(f"_veq({a}, {b})")
@@ -322,17 +319,18 @@ def _key_expr(components: list[str]) -> str:
     return "(" + ", ".join(components) + ")"
 
 
-def _wme_key(eq: Sequence[JoinTest]) -> str:
+def _wme_key(cls: str, eq: Sequence[JoinTest]) -> str:
     """The entering WME's side of a join key."""
-    return _key_expr([_read(jt.own_attribute) for jt in eq])
+    return _key_expr([_read(cls, jt.own_attribute) for jt in eq])
 
 
-def _token_key(eq: Sequence[JoinTest]) -> str:
+def _token_key(analyses: Sequence[CEAnalysis], eq: Sequence[JoinTest]) -> str:
     """A token's side: each component read from the WME at its CE's
     position (an equality join's other CE is positive)."""
-    return _key_expr(
-        [f"tok[{jt.other_ce}]._attributes.get({jt.other_attribute!r}, 'nil')" for jt in eq]
-    )
+    return _key_expr([
+        _read(analyses[jt.other_ce].ce.cls, jt.other_attribute, f"tok[{jt.other_ce}]")
+        for jt in eq
+    ])
 
 
 def _key_literal(key) -> str:
@@ -382,7 +380,7 @@ def _emit_members(emit, ri: str) -> None:
 def _emit_left(emit, memory: str, tkey: str, joins: Sequence[tuple], add: bool) -> None:
     """Body of a left activation once ``tok`` / ``lk`` are bound: edit
     the left *memory* under *tkey*, then run each ``(production, level,
-    analysis)`` of *joins* against its own right index -- a positive CE
+    analyses)`` of *joins* against its own right index -- a positive CE
     probes it, a negated CE settles its own blocker count -- and call
     the level below.  One join for a private level; every member of a
     first-level group inline.  The probe loops rebind ``w``, so a
@@ -390,9 +388,9 @@ def _emit_left(emit, memory: str, tkey: str, joins: Sequence[tuple], add: bool) 
     """
     emit(f"        key = {tkey}")
     _emit_left_edit(emit, memory, add)
-    for p_idx, i, analysis in joins:
-        _eq, residual = _split_tests(analysis)
-        guard = _residual_expr(residual, i, lambda a: f"w.get({a!r})")
+    for p_idx, i, analyses in joins:
+        analysis = analyses[i]
+        guard = _residual_expr(analyses, i)
         ri = f"ri{p_idx}_{i}"
         nc = f"nc{p_idx}_{i}"
         down = f"p{p_idx}_l{i + 1}_{'a' if add else 'd'}"
@@ -421,27 +419,25 @@ def _emit_left(emit, memory: str, tkey: str, joins: Sequence[tuple], add: bool) 
         emit(f"            {down}(tok + (None,), lk + (0,))")
 
 
-def _right_body(p_idx: int, i: int, analysis: CEAnalysis, li: str, add: bool) -> list[str]:
+def _right_body(p_idx: int, i: int, analyses, li: str, add: bool) -> list[str]:
     """Level *i*'s right activation, unindented lines for its store's
-    block: index the entering ``w`` / ``wt`` under its join key (read
-    through the block's ``a``), probe the left memory *li* (the group's
-    at level 1).  It binds ``key``, ``b``, ``lk``, ``tok``, ``n`` and
-    ``wg``, never ``w``, ``a`` or ``wt``."""
+    block: index the entering ``w`` / ``wt`` under its join key, probe
+    the left memory *li* (the group's at level 1).  It binds ``key``,
+    ``b``, ``lk``, ``tok`` and ``n``, never ``w`` or ``wt``."""
     lines: list[str] = []
     emit = lines.append
-    eq, residual = _split_tests(analysis)
-    guard = _residual_expr(residual, i, lambda a: f"wg({a!r})")
+    analysis = analyses[i]
+    eq, _residual = _split_tests(analysis)
+    guard = _residual_expr(analyses, i)
     nc = f"nc{p_idx}_{i}"
     down = f"p{p_idx}_l{i + 1}"
     emit("        ctr[0] += 1")
-    emit(f"        key = {_wme_key(eq)}")
+    emit(f"        key = {_wme_key(analysis.ce.cls, eq)}")
     ri = f"ri{p_idx}_{i}"
     emit(f"        fi({ri}, key, wt, w)" if add else f"        uf({ri}, key, wt)")
     emit(f"        b = {li}.get(key)")
     emit("        if b:")
     emit("            ctr[1] += len(b)")
-    if guard:
-        emit("            wg = w.get")
     emit("            for lk, tok in b.items():")
     pad = " " * 16
     if guard:
@@ -510,9 +506,9 @@ def _emit_production(
             for add in (True, False):
                 emit(f"    def {pre}_l{i}_{'a' if add else 'd'}(tok, lk):")
                 emit("        ctr[0] += 1; ctr[2] += 1" if add else "        ctr[0] += 1")
-                _emit_left(emit, li, _token_key(eq), [(p_idx, i, analyses[i])], add)
+                _emit_left(emit, li, _token_key(analyses, eq), [(p_idx, i, analyses)], add)
         rights[f"{pre}_r{i}"] = tuple(
-            _right_body(p_idx, i, analyses[i], li, add) for add in (True, False)
+            _right_body(p_idx, i, analyses, li, add) for add in (True, False)
         )
 
     if depth == 1:
@@ -529,13 +525,11 @@ def _guard0(production: Production) -> str:
     """CE 0's intra-element predicate tests (``^b > <x>`` against its
     own ``^a <x>``): they gate token creation, exactly like the
     dummy-top join's own-CE tests."""
-    _eq, residual = _split_tests(production.analysis[0])
-    return _residual_expr(residual, 0, lambda a: f"wg({a!r})")
+    return _residual_expr(production.analysis, 0)
 
 
 def _emit_guard0(emit, guard: str) -> None:
     if guard:
-        emit("        wg = w.get")
         emit(f"        if not ({guard}):")
         emit("            return")
 
@@ -556,7 +550,7 @@ def plan_groups(
             signature = (
                 use[(p_idx, 0)].index,
                 _guard0(production),
-                _token_key(eq),
+                _token_key(production.analysis, eq),
             )
             groups.setdefault(signature, []).append(p_idx)
     return groups
@@ -595,7 +589,7 @@ def _emit_group(
     emit = out.append
     _store, guard, tkey = signature
     n = len(members)
-    joins = [(p_idx, 1, productions[p_idx].analysis[1]) for p_idx in members]
+    joins = [(p_idx, 1, productions[p_idx].analysis) for p_idx in members]
     emit(f"    gl{g_idx} = {{}}")
     for add in (True, False):
         emit(f"    def g{g_idx}_{'a' if add else 'd'}(w):")
@@ -657,7 +651,7 @@ def _store_test(plan: StorePlan, keyed: bool) -> str:
     """*plan*'s alpha tests; a *keyed* store's constant items are settled
     by its group's dict hit (see ``_emit_entries``)."""
     return " and ".join(
-        _alpha_part(item) for item in plan.items if not (keyed and item[0] == "const")
+        _alpha_part(plan.cls, item) for item in plan.items if not (keyed and item[0] == "const")
     )
 
 
@@ -681,10 +675,10 @@ def _emit_store(emit, plan: StorePlan, keyed: bool, body, pad: str, add: bool) -
 
 def _emit_blocks(emit, n: int, plans: list[StorePlan], body) -> None:
     """One dispatch target's add block ``t{n}`` and remove block
-    ``q{n}``, both ``(w, a, wt)``, returning the mask of the stores
+    ``q{n}``, both ``(w, wt)``, returning the mask of the stores
     touched; one store returns early, unnested."""
     for add in (True, False):
-        emit(f"    def {'t' if add else 'q'}{n}(w, a, wt):")
+        emit(f"    def {'t' if add else 'q'}{n}(w, wt):")
         if len(plans) > 1:
             emit("        m = 0")
             for plan in plans:
@@ -701,7 +695,7 @@ def _emit_blocks(emit, n: int, plans: list[StorePlan], body) -> None:
 
 
 def _emit_entries(
-    emit, c: int, groups: dict, tail: list, plans, body, blocks: Iterator[int]
+    emit, c: int, cls: str, groups: dict, tail: list, plans, body, blocks: Iterator[int]
 ) -> None:
     """The class's entry pair ``A{c}`` / ``R{c}``: probe each constant
     group into its dicts of blocks (``T`` / ``Q``), run the tail inline,
@@ -719,7 +713,7 @@ def _emit_entries(
             removes.append(f"{_key_literal(constants)}: q{n}")
         emit(f"    T{c}_{g} = {{{', '.join(adds)}}}")
         emit(f"    Q{c}_{g} = {{{', '.join(removes)}}}")
-        reads = [_read(attr) for attr in attrs]
+        reads = [_read(cls, attr) for attr in attrs]
         probes.append(reads[0] if len(reads) == 1 else _tuple_literal(reads))
         parts = ["k"] if len(attrs) == 1 else [f"k[{i}]" for i in range(len(attrs))]
         keys = [key if len(attrs) > 1 else (key,) for key in table]
@@ -730,13 +724,13 @@ def _emit_entries(
         ))
     for add in (True, False):
         emit(f"    def {'A' if add else 'R'}{c}(w):")
-        emit("        a = w._attributes.get; wt = w.timetag; m = 0")
+        emit("        wt = w.timetag; m = 0")
         for g, (probe, guard) in enumerate(zip(probes, guards)):
             if add:
                 emit(f"        k = {probe}; b = {guard}T{c}_{g}.get(k)")
             else:
                 emit(f"        b = Q{c}_{g}.get({probe})")
-            emit("        if b: m |= b(w, a, wt)")
+            emit("        if b: m |= b(w, wt)")
         for s in tail:
             _emit_store(emit, plans[s], False, body, "        ", add)
         emit("        return m.bit_count()")
@@ -750,6 +744,7 @@ def generate_source(productions: Sequence[Production]) -> str:
 def generate_parts(productions: Sequence[Production]) -> list[tuple[str, tuple, tuple]]:
     """The kernel as parts ``(text, imports, exports)``: calling each
     ``part{k}`` in order on ``rt`` and what earlier ones return builds it."""
+    claim_layouts((p.conditions, p.actions) for p in productions)
     plans, use = plan_stores(productions)
     out: list[str] = [
         "    _veq, _same, _lt, _le, _gt, _ge = rt.veq, rt.same, rt.lt, rt.le, rt.gt, rt.ge",
@@ -788,8 +783,8 @@ def generate_parts(productions: Sequence[Production]) -> list[tuple[str, tuple, 
 
     classes = list(plan_alpha_index(plans).items())
     blocks = itertools.count()
-    for c, (_cls, (groups, tail)) in enumerate(classes):
-        _emit_entries(emit, c, groups, tail, plans, body, blocks)
+    for c, (cls, (groups, tail)) in enumerate(classes):
+        _emit_entries(emit, c, cls, groups, tail, plans, body, blocks)
     for table, entry in (("adds", "A"), ("removes", "R")):
         pairs = ", ".join(f"{cls!r}: {entry}{c}" for c, (cls, _) in enumerate(classes))
         emit(f"    rt.{table} = {{{pairs}}}")

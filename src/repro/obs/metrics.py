@@ -25,7 +25,7 @@ Snapshot shape (sections appear when their source exists)::
                    "alpha_wmes", "beta_tokens"},
       "kernel":   {"compiles", "ruleset_digest", "stores", "store_rows",
                    "subscriptions", "alpha_index", "sharing",
-                   "partitions", "replayed_wmes", "shared"},
+                   "partitions", "replayed_wmes", "layouts", "shared"},
       "serve":    Telemetry.snapshot(),
       "recorder": {"enabled", "events"},
     }

@@ -20,13 +20,14 @@ can observe cycles and changes without the engine knowing about traces.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from collections.abc import Mapping
+from typing import Iterable, Optional, Sequence
 
 from .conflict import Strategy, strategy_named
 from .errors import ExecutionError, DuplicateProductionError, Ops5Error
 from .matcher import Matcher
 from .parser import Program, parse_program
-from .production import Instantiation, Production
+from .production import Instantiation, Production, claim_layouts
 from .wme import Value, WME
 
 #: What an attribute value may be: an OPS5 symbol or number.
@@ -47,15 +48,6 @@ def _check_values(attributes) -> None:
             raise ExecutionError(
                 f"attribute {name!r} value {value!r} is neither a symbol nor a number"
             )
-
-
-def _rows(wmes, encode) -> list:
-    """A state blob's ``[timetag, class, attributes]`` rows: each WME's
-    attribute dict read in place when the blob goes straight to
-    *encode*, else copied."""
-    if encode is None:
-        return [[w.timetag, w.cls, dict(w._attributes)] for w in wmes]
-    return [[w.timetag, w.cls, w._attributes] for w in wmes]
 
 
 #: The halt reason of an engine that found no un-fired instantiation.
@@ -328,6 +320,8 @@ class ProductionSystem:
         self._declared = {
             cls: frozenset(attrs) for cls, attrs in self.literalizations.items()
         }
+        productions = list(productions)
+        claim_layouts((p.conditions, p.actions) for p in productions)
         for production in productions:
             self.add_production(production)
 
@@ -354,8 +348,7 @@ class ProductionSystem:
         be declared (the OPS5 interpreter's element check).
         """
         declared = self._declared.get(wme.cls)
-        # The WME's own key view: ``wme.attributes`` builds a proxy per call.
-        if declared is not None and not wme._attributes.keys() <= declared:
+        if declared is not None and not declared.issuperset(wme._order):
             raise ExecutionError(
                 f"WME of class {wme.cls!r} uses undeclared attribute(s) "
                 f"{sorted(wme.attributes.keys() - declared)}; "
@@ -505,13 +498,13 @@ class ProductionSystem:
 
         This is the serve layer's session-migration and checkpoint
         payload.  With *encode* (a checkpoint's encoder), the blob goes
-        to it as built and its result is returned: its rows read each
-        WME's attributes in place, so nothing the caller keeps aliases
-        working memory.  Without, every row holds its own copy.
+        to it as built and its result is returned.  Each row's attribute
+        dict is built from its record, in the order the element was given
+        them, so nothing a blob holds aliases working memory.
         """
         state = {
             "schema": self.STATE_SCHEMA,
-            "wmes": _rows(self.memory.snapshot(), encode),
+            "wmes": [[w.timetag, w.cls, w.as_dict()] for w in self.memory.snapshot()],
             "fired": sorted(
                 [name, list(tags)] for name, tags in self._live(self._fired_keys)
             ),
@@ -546,7 +539,7 @@ class ProductionSystem:
         """
         delta = {
             "schema": self.DELTA_SCHEMA,
-            "added": _rows(added, encode),
+            "added": [[w.timetag, w.cls, w.as_dict()] for w in added],
             "removed": list(removed),
             "fired": [[name, list(tags)] for name, tags in self._live(fired)],
             "output": self.output[output_from:],

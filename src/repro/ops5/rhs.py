@@ -28,7 +28,7 @@ from typing import Callable
 
 from .actions import _ARITH, Bind, Compute, Constant, Expression, Halt, Make, Modify, Remove, Write
 from .errors import ExecutionError
-from .wme import WME, is_number
+from .wme import is_number, layout_of
 
 #: Binds the names :func:`literal` emits; every generated module runs it.
 LITERAL_PRELUDE = "_inf = float('inf'); _nan = float('nan')"
@@ -67,7 +67,8 @@ def _whole(value):
 
 
 _GLOBALS = dict(
-    WME=WME, ExecutionError=ExecutionError, _number=_number, _divide=_divide, _whole=_whole
+    layout_of=layout_of, ExecutionError=ExecutionError,
+    _number=_number, _divide=_divide, _whole=_whole,
 )
 exec(LITERAL_PRELUDE, _GLOBALS)  # noqa: S102 - the two names literal() emits
 
@@ -77,6 +78,8 @@ class _Body:
     would leave a reference cycle behind per rule per parse)."""
 
     def __init__(self) -> None:
+        #: Module-level lines above ``fire``: the record constructors.
+        self.head: list[str] = []
         self.lines = ["def fire(engine, wmes, record):"]
         self.emit = self.lines.append
         #: OPS5 variable -> the numbered local holding its current value.
@@ -109,19 +112,26 @@ class _Body:
             return atom
         return f"_number({atom})"
 
-    def mapping(self, attributes) -> str:
-        return "{" + ", ".join(f"{literal(a)}: {self.value(e)}" for a, e in attributes) + "}"
+    def record(self, cls: str, attributes, modify: bool) -> tuple[str, str]:
+        """A module-level ``Layout.constructor`` for *attributes* of
+        *cls*, and the values it takes, in the order given."""
+        name = self.fresh("_c")
+        names = "".join(f"{literal(a)}, " for a, _e in attributes)
+        self.head.append(f"{name} = layout_of({literal(cls)}).constructor(({names}), {modify})")
+        return name, "".join(f", {self.value(e)}" for _a, e in attributes)
 
 
 def compile_rhs(production) -> tuple[Callable, str]:
     """``(fire, source)`` for *production*, compiled as ``<rhs:NAME>``."""
     body = _Body()
-    emit, local, value, mapping = body.emit, body.local, body.value, body.mapping
+    emit, local, value = body.emit, body.local, body.value
     mentioned = {v for action in production.actions for v in action.variables()}
+    classes = [production.conditions[i].cls for i in production.positive_indices]
     for variable, position, attribute in production.binding_sites:
         if variable in mentioned:
             local[variable] = body.fresh("v")
-            emit(f"    {local[variable]} = wmes[{position}].get({literal(attribute)})")
+            read = layout_of(classes[position]).read(attribute, f"wmes[{position}]")
+            emit(f"    {local[variable]} = {read}")
     #: CE position -> is its WME still there; its local is ``w{position}``.
     live: dict[int, bool] = {}
     for action in production.actions:
@@ -134,7 +144,8 @@ def compile_rhs(production) -> tuple[Callable, str]:
     for number, action in enumerate(production.actions, 1):
         emit(f"    # {number}: {type(action).__name__.lower()}")
         if isinstance(action, Make):
-            emit(f"    engine.add_wme(WME({literal(action.cls)}, {mapping(action.attributes)}))")
+            make, values = body.record(action.cls, action.attributes, False)
+            emit(f"    engine.add_wme({make}({values[2:]}))")
             emit("    record.adds += 1")
         elif isinstance(action, (Remove, Modify)):
             position = production.ce_position_of(action.ce_index)
@@ -151,9 +162,9 @@ def compile_rhs(production) -> tuple[Callable, str]:
                 emit(f"    engine.remove_wme(w{position})")
                 emit("    record.removes += 1")
             else:
-                updates = mapping(action.attributes)
+                update, values = body.record(classes[position], action.attributes, True)
                 emit(f"    old = w{position}")
-                emit(f"    w{position} = old.with_updates({updates})")
+                emit(f"    w{position} = {update}(old{values})")
                 emit("    engine.remove_wme(old)")
                 emit("    record.removes += 1")
                 emit(f"    engine.add_wme(w{position})")
@@ -174,7 +185,7 @@ def compile_rhs(production) -> tuple[Callable, str]:
             raise ExecutionError(f"unknown action {action!r}")
     if not production.actions:
         emit("    pass")
-    source = "\n".join(body.lines) + "\n"
+    source = "".join(line + "\n" for line in body.head + body.lines)
     # compile() refuses a NUL in the file name.
     return _compiled(f"<rhs:{production.name}>".replace("\0", "?"), source), source
 
@@ -183,6 +194,6 @@ def compile_rhs(production) -> tuple[Callable, str]:
 def _compiled(filename: str, source: str) -> Callable:
     """``fire`` for one generated text: emitting it costs ~10 us a rule,
     ``compile()`` 50-150, and the same programs are parsed over and over."""
-    namespace: dict = {}
-    exec(compile(source, filename, "exec"), _GLOBALS, namespace)  # noqa: S102
+    namespace = dict(_GLOBALS)
+    exec(compile(source, filename, "exec"), namespace)  # noqa: S102
     return namespace["fire"]

@@ -5,22 +5,21 @@ a class name plus attribute--value pairs, e.g.::
 
     (block ^id b1 ^color red ^selected no)
 
-Attributes that are never assigned hold the distinguished value ``nil``
-(:data:`NIL`), matching OPS5 semantics where every field of the underlying
-element vector defaults to ``nil``.
+As in OPS5's element vector, a WME is a record of its class: each class
+name has one process-wide :class:`Layout` of fields, and an attribute
+never assigned holds the distinguished value ``nil`` (:data:`NIL`).
 
 Each WME receives a unique, monotonically increasing integer *timetag* when
 it enters working memory.  Timetags drive the recency comparisons of the
 LEX and MEA conflict-resolution strategies.  OPS5's ``modify`` is a
-*remove + make* pair, so a modified element always gets a fresh timetag;
-this module follows that rule exactly (see
-:meth:`WorkingMemory.modify`).
+*remove + make* pair, so a modified element always gets a fresh timetag.
 """
 
 from __future__ import annotations
 
+import threading
 from types import MappingProxyType
-from typing import Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import WorkingMemoryError
 
@@ -63,69 +62,189 @@ class WME:
 
     WMEs are identity objects: two WMEs with equal content are still
     distinct elements with distinct timetags, exactly as in OPS5 where
-    ``(make goal)`` twice yields two elements.  Equality and hashing are
-    therefore identity-based.
+    ``(make goal)`` twice yields two elements.
 
-    The attribute mapping is copied on construction and must not be
-    mutated afterwards; ``modify`` semantics are remove-and-make.
-
-    Parameters
-    ----------
-    cls:
-        The element class symbol, e.g. ``"goal"``.
-    attributes:
-        Mapping of attribute name to value.  Attributes with value ``nil``
-        are normalised away (absent and ``nil`` are indistinguishable).
+    ``WME(cls, attributes)`` returns a record of the class's
+    :class:`Layout`: slots hold its fields (``nil`` when unassigned),
+    ``_extra`` the attributes outside it (``None`` when none) and
+    ``_order`` the interned tuple of the assigned names as given, so
+    every view reads as the mapping did; explicit ``nil`` values are
+    dropped.  Records are never mutated.  Each record type defines
+    ``get(attribute)`` (the value, or ``nil``) and ``as_dict()``.
     """
 
-    __slots__ = ("cls", "_attributes", "timetag")
+    __slots__ = ("timetag", "_order", "_extra")
+    cls: str
+    _layout: "Layout"
 
-    def __init__(self, cls: str, attributes: Mapping[str, Value] | None = None) -> None:
-        if not isinstance(cls, str) or not cls:
-            raise WorkingMemoryError(f"WME class must be a non-empty symbol, got {cls!r}")
-        self.cls = cls
-        # The one copy (the caller keeps its mapping; ``**`` refuses a
-        # non-mapping).  Absent attributes read as nil, so storing explicit
-        # nils is redundant -- filtered only when there is one.
-        attrs = {**attributes} if attributes else {}
-        if NIL in attrs.values():
-            attrs = {a: v for a, v in attrs.items() if v != NIL}
-        self._attributes = attrs
-        #: Timetag assigned by :class:`WorkingMemory`; 0 means "not in WM".
-        self.timetag: int = 0
-
-    def get(self, attribute: str) -> Value:
-        """Return the value of *attribute*, or ``nil`` when unassigned."""
-        return self._attributes.get(attribute, NIL)
+    def __new__(cls_, cls: str, attributes: Mapping[str, Value] | None = None) -> "WME":
+        layout = LAYOUTS.get(cls) if type(cls) is str else None
+        if layout is None:
+            if not isinstance(cls, str) or not cls:
+                raise WorkingMemoryError(f"WME class must be a non-empty symbol, got {cls!r}")
+            layout = layout_of(cls, attributes or ())
+        return layout.build(attributes)
 
     @property
     def attributes(self) -> Mapping[str, Value]:
         """Read-only view of the explicitly assigned attributes."""
-        return MappingProxyType(self._attributes)
+        return MappingProxyType(self.as_dict())
 
     def with_updates(self, updates: Mapping[str, Value]) -> "WME":
-        """Return a new, un-timetagged WME with *updates* applied.
-
-        This implements the value side of ``modify``: unmentioned
-        attributes carry over, mentioned ones are replaced (and a ``nil``
-        update clears the attribute).
-        """
-        return WME(self.cls, {**self._attributes, **updates})
+        """Return a new, un-timetagged WME with *updates* applied: the
+        value side of ``modify`` (a ``nil`` update clears the attribute)."""
+        return self._layout.build({**self.as_dict(), **updates})
 
     def content_key(self) -> tuple:
-        """A hashable key describing this WME's content (class + attrs).
-
-        Used by tests and by the naive matcher to compare matcher outputs;
-        *not* used for WME identity.
-        """
-        return (self.cls, tuple(sorted(self._attributes.items())))
+        """A hashable key of this WME's content (class + attrs), for
+        comparing matcher outputs; *not* its identity."""
+        return (self.cls, tuple(sorted(self.as_dict().items())))
 
     def __repr__(self) -> str:
-        parts = [self.cls]
-        for attr in sorted(self._attributes):
-            parts.append(f"^{attr} {self._attributes[attr]}")
+        attributes = self.as_dict()
+        parts = [self.cls] + [f"^{attr} {attributes[attr]}" for attr in sorted(attributes)]
         tag = f" @{self.timetag}" if self.timetag else ""
         return f"({' '.join(str(p) for p in parts)}){tag}"
+
+
+#: Class name -> its layout, fixed once (:func:`layout_of`) and kept.
+LAYOUTS: dict[str, "Layout"] = {}
+_LOCK = threading.Lock()
+#: Orders a layout interns; past this a record keeps its own tuple.
+_MAX_SHAPES = 4096
+#: Fields a layout takes from the names that fix it; the rest overflow.
+_MAX_WIDTH = 64
+
+_RECORD = """\
+def get(self, attribute):
+{chain}    extra = self._extra
+    return 'nil' if extra is None else extra.get(attribute, 'nil')
+def as_dict(w):
+    if w._order is NAMES: return {{{fields}}}
+    get = w.get
+    return {{name: get(name) for name in w._order}}
+def build(attributes):
+    w = new(R); w.timetag = 0
+    if not attributes:
+        {clear}w._order = (); w._extra = None
+        return w
+    g = attributes.get
+{fill}    shape = None if 'nil' in attributes.values() else SHAPES.get(tuple(attributes))
+    w._order, extra = shape or layout.shape(attributes)
+    w._extra = extra and layout.overflow({{n: attributes[n] for n in extra}})
+    return w
+"""
+
+
+class Layout:
+    """One class's fixed fields and the record type generated for them: a
+    slot ``_i`` per field (positional, as attribute names need not be
+    identifiers), a ``get`` testing the names in line, ``as_dict`` and
+    :attr:`build` (a record from a mapping).  :meth:`constructor` gives a
+    compiled RHS its positional ``make`` and ``modify``."""
+
+    __slots__ = ("names", "index", "type", "build", "shapes", "overflowed", "_code")
+
+    def __init__(self, cls: str, names: tuple[str, ...]) -> None:
+        self.names, self._code = names, {}
+        self.index = {name: i for i, name in enumerate(names)}
+        #: Given (nil-free) names -> (interned order, names outside or None).
+        self.shapes: dict[tuple, tuple] = {names: (names, None)}
+        #: Records built with an overflow dict (counted on that branch only).
+        self.overflowed = 0
+        slots = [f"_{i}" for i in range(len(names))]
+        pairs = list(zip(map(repr, names), slots))
+        # The type's name never embeds the class name (any string is one).
+        self.type = type("Record", (WME,), {"__slots__": slots, "cls": cls, "_layout": self})
+        namespace = self._exec(_RECORD.format(
+            chain="".join(f"    if attribute == {a}: return self.{s}\n" for a, s in pairs),
+            fields="".join(f"{a}: w.{s}, " for a, s in pairs),
+            clear="".join(f"w.{s} = " for s in slots) + ("'nil'; " if slots else ""),
+            fill="".join(f"    w.{s} = g({a}, 'nil')\n" for a, s in pairs),
+        ), NAMES=names, SHAPES=self.shapes)
+        self.type.get, self.type.as_dict = namespace["get"], namespace["as_dict"]
+        self.build = namespace["build"]
+
+    def _exec(self, source: str, **names) -> dict:
+        namespace = {"new": object.__new__, "R": self.type, "layout": self, **names}
+        exec(source, namespace)  # noqa: S102 - attribute names enter as repr literals
+        return namespace
+
+    def shape(self, attributes: Mapping[str, Value]) -> tuple:
+        """``(order, names outside the layout or None)`` of *attributes*'
+        non-nil names, the order interned while the table has room."""
+        names = tuple(name for name, value in attributes.items() if value != NIL)
+        shape = self.shapes.get(names)
+        if shape is None:
+            shape = (names, tuple(n for n in names if n not in self.index) or None)
+            if len(self.shapes) < _MAX_SHAPES:
+                self.shapes[names] = shape
+        return shape
+
+    def overflow(self, extra: dict) -> dict:
+        """Count one record built with an overflow dict; return the dict."""
+        self.overflowed += 1
+        return extra
+
+    def read(self, attribute: str, target: str) -> str:
+        """Source reading *attribute* of *target*, a record of this class:
+        its slot, or ``get`` for an attribute outside the layout."""
+        i = self.index.get(attribute)
+        return f"{target}._{i}" if i is not None else f"{target}.get({attribute!r})"
+
+    def constructor(self, names: tuple[str, ...], modify: bool):
+        """``make(*values)`` -- a record of *names* set to *values*, given
+        in that order -- or, for *modify*, ``update(old, *values)``: *old*
+        with them set.  Built slot by slot; a ``nil`` value or an *old*
+        with overflow takes :attr:`build`."""
+        code = self._code.get((names, modify))
+        if code is not None:
+            return code
+        xs = [f"x{k}" for k in range(len(names))]
+        given = dict(zip(names, xs))  # a name given twice: its last value
+        outside = "".join(f"{n!r}: {x}, " for n, x in given.items() if n not in self.index)
+        slow = [f"{x} == 'nil'" for x in xs] + ["old._extra is not None"] * modify
+        lines = [f"def code({'old, ' * modify}{', '.join(xs)}):"]
+        if slow:
+            lines.append(f"    if {' or '.join(slow)}: return layout.build({{"
+                         + "**old.as_dict(), " * modify
+                         + "".join(f"{n!r}: {x}, " for n, x in zip(names, xs)) + "})")
+        lines += [
+            "    w = new(R); w.timetag = 0",
+            "    w._order = AFTER.get(old._order) or after(old._order)" if modify
+            else "    w._order = ORDER",
+            *(f"    w._{i} = {given.get(n, f'old._{i}' if modify else repr(NIL))}"
+              for i, n in enumerate(self.names)),
+            f"    w._extra = layout.overflow({{{outside}}})" if outside else "    w._extra = None",
+            "    return w",
+        ]
+        table: dict = {}
+
+        def after(before: tuple) -> tuple:
+            order = self.shape(dict.fromkeys(before + names, 0))[0]
+            if len(table) < _MAX_SHAPES:
+                table[before] = order
+            return order
+
+        code = self._code[names, modify] = self._exec(
+            "\n".join(lines) + "\n", ORDER=self.shape(dict.fromkeys(names, 0))[0],
+            AFTER=table, after=after,
+        )["code"]
+        return code
+
+
+def layout_of(cls: str, names: Iterable[str] = ()) -> Layout:
+    """The process-wide layout of class *cls*, fixed on first need from
+    *names* (its ``literalize``, or the attributes the first ruleset or
+    element names) and never changed: names outside it overflow."""
+    layout = LAYOUTS.get(cls)
+    if layout is None:
+        with _LOCK:
+            layout = LAYOUTS.get(cls)
+            if layout is None:
+                fields = tuple(dict.fromkeys(names))[:_MAX_WIDTH]
+                layout = LAYOUTS[cls] = Layout(cls, fields)
+    return layout
 
 
 class WorkingMemory:

@@ -201,7 +201,7 @@ def clear_program_cache() -> None:
 
 def encode_wme(wme: WME) -> list:
     """JSON-ready view of one working-memory element."""
-    return [wme.cls, dict(wme._attributes), wme.timetag]
+    return [wme.cls, wme.as_dict(), wme.timetag]
 
 
 def _max_cycles(request: dict) -> Optional[int]:
@@ -232,23 +232,30 @@ class _DeltaLog(EngineListener):
         self.added: dict[int, WME] = {}
         self.removed: list[int] = []
         self.fired: list[tuple] = []
+        #: Entries across ``added``, ``removed`` and ``fired``.
+        self.entries = 0
         self.output_from = len(system.output)
 
     def on_change(self, cycle: int, kind: str, wme: WME) -> None:
         if kind == "add":
             self.added[wme.timetag] = wme  # log and memory grew alike
+            self.entries += 1
         else:
             if self.added.pop(wme.timetag, None) is None:
                 self.removed.append(wme.timetag)
+                self.entries += 1
+            else:
+                self.entries -= 1
             self._bound()
 
     def on_cycle(self, cycle: int, fired) -> None:
         self.fired.append(fired.key)
+        self.entries += 1
         self._bound()
 
     def _bound(self) -> None:
         system = self.system
-        if len(self.added) + len(self.removed) + len(self.fired) > len(system.memory):
+        if self.entries > len(system.memory):
             system.listener = None
 
     def encode(self, delta: dict) -> Optional[str]:

@@ -7,7 +7,7 @@ from repro.kernel.codegen import alpha_items, generate_parts, generate_source, p
 from repro.ops5 import MATCHER_NAMES, ProductionSystem, parse_program
 from repro.ops5.condition import wme_passes_alpha
 from repro.ops5.conflict import ConflictSet
-from repro.ops5.wme import WME, WorkingMemory
+from repro.ops5.wme import WME, WorkingMemory, layout_of
 
 
 def _productions(source):
@@ -47,8 +47,10 @@ class TestGeneratedSource:
         source = generate_source(
             _productions("(p find (goal ^want <c>) (block ^color <c>) --> (halt))")
         )
-        assert "        key = tok[0]._attributes.get('want', 'nil')\n" in source
-        assert "        key = a('color', 'nil')\n" in source
+        # Each a slot of its class's record (or ``get``, were the class's
+        # layout fixed without the attribute).
+        assert f"        key = {layout_of('goal').read('want', 'tok[0]')}\n" in source
+        assert f"        key = {layout_of('block').read('color', 'w')}\n" in source
         assert "    r0 = rt.store('goal', m0)\n    m1 = 0x1\n    r1 = rt.store('block', m1)\n" in source
 
     def test_source_is_deterministic(self):

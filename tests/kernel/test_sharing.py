@@ -29,7 +29,7 @@ from repro.kernel import CompiledMatcher, check_kernel
 from repro.kernel.codegen import sharing_summary
 from repro.ops5 import ProductionSystem, parse_program
 from repro.ops5.production import Instantiation
-from repro.ops5.wme import WME
+from repro.ops5.wme import WME, layout_of
 from repro.rete import ReteNetwork
 from repro.workloads.programs import ALL_PROGRAMS, SYSTEM_PROGRAMS
 
@@ -308,10 +308,8 @@ def test_keyless_and_two_column_first_joins():
     # cross + void file every token under the single bucket ``0`` ...
     assert re.search(r"def g\d+_a\(w\):\n(?:.*\n){2}        key = 0\n", source)
     # ... two + two-n under both attributes, read from CE 0's WME.
-    assert (
-        "key = (tok[0]._attributes.get('x', 'nil'), tok[0]._attributes.get('y', 'nil'))"
-        in source
-    )
+    t = layout_of("t")
+    assert f"key = ({t.read('x', 'tok[0]')}, {t.read('y', 'tok[0]')})" in source
 
 
 def test_the_entering_wme_is_read_before_any_member_loop_rebinds_w():
