@@ -28,13 +28,13 @@ match network as *closures over local dicts*:
 * a terminal that edits the conflict set directly.
 
 Join keys are tuples (or bare values) of attribute values read straight
-from the WMEs' slots (``ops5.wme.Layout``): ``w._i`` for the entering
-record, ``tok[k]._i`` for the one at the joined CE's position -- no
-second copy of working memory, no call, no dict.  A dict compares
-OPS5 values the way OPS5 does (``1`` and ``1.0`` share a bucket, a
-``str`` never equals a number; ``bool`` and NaN are refused at
-ingestion), so a bucket holds exactly the candidates an equality scan
-would pass.  Tokens are plain tuples of WMEs (``None`` at negated
+from the WMEs' slots (``ops5.wme.Layout``, held by the text): ``w._i``
+for the entering record, ``tok[k]._i`` for the one at the joined CE's
+position -- no second copy of working memory, no call, no dict (a class
+with no layout reads through ``get``).  A dict compares OPS5 values the
+way OPS5 does (``1`` and ``1.0`` share a bucket, a ``str`` never equals
+a number; ``bool`` and NaN are refused at ingestion), so a bucket holds
+exactly the candidates an equality scan would pass.  Tokens are plain tuples of WMEs (``None`` at negated
 positions) and left keys are the matching timetag tuples (``0`` at
 negated positions), the same identity the interpreted Rete's
 ``Token.key`` uses, so the terminal's conflict-set keys are
@@ -78,6 +78,7 @@ Correctness notes (mirroring the node-walking Rete):
 from __future__ import annotations
 
 import itertools
+import threading
 from typing import Iterator, Sequence
 
 from ..ops5.condition import (
@@ -89,9 +90,9 @@ from ..ops5.condition import (
     PredicateTest,
 )
 from ..ops5.errors import Ops5Error
-from ..ops5.production import Production, claim_layouts
+from ..ops5.production import Production
 from ..ops5.rhs import LITERAL_PRELUDE, literal
-from ..ops5.wme import layout_of
+from ..ops5.wme import live_layout
 
 __all__ = [
     "StorePlan",
@@ -241,10 +242,16 @@ def plan_alpha_index(
 # ---------------------------------------------------------------------------
 
 
+#: Per thread, the layouts one :func:`generate_parts` reads (the live
+#: ones when it starts), which its text holds (``hold_layouts``).
+_SEEN = threading.local()
+
+
 def _read(cls: str, attr: str, target: str = "w") -> str:
     """*target*'s value of *attr*, *target* a record of class *cls*: its
-    slot (``Layout.read``), with no call and no dict."""
-    return layout_of(cls).read(attr, target)
+    slot (``Layout.read``), or ``get`` if the class has no layout."""
+    layout = getattr(_SEEN, "layouts", {}).get(cls)
+    return layout.read(attr, target) if layout else f"{target}.get({attr!r})"
 
 
 def _isnum(first: str = "v") -> str:
@@ -319,18 +326,12 @@ def _key_expr(components: list[str]) -> str:
     return "(" + ", ".join(components) + ")"
 
 
-def _wme_key(cls: str, eq: Sequence[JoinTest]) -> str:
-    """The entering WME's side of a join key."""
-    return _key_expr([_read(cls, jt.own_attribute) for jt in eq])
-
-
 def _token_key(analyses: Sequence[CEAnalysis], eq: Sequence[JoinTest]) -> str:
-    """A token's side: each component read from the WME at its CE's
-    position (an equality join's other CE is positive)."""
-    return _key_expr([
-        _read(analyses[jt.other_ce].ce.cls, jt.other_attribute, f"tok[{jt.other_ce}]")
-        for jt in eq
-    ])
+    """A token's side of a join key: each component read from the WME at
+    its CE's position (an equality join's other CE is positive)."""
+    return _key_expr(
+        [_read(analyses[jt.other_ce].ce.cls, jt.other_attribute, f"tok[{jt.other_ce}]") for jt in eq]
+    )
 
 
 def _key_literal(key) -> str:
@@ -389,12 +390,11 @@ def _emit_left(emit, memory: str, tkey: str, joins: Sequence[tuple], add: bool) 
     emit(f"        key = {tkey}")
     _emit_left_edit(emit, memory, add)
     for p_idx, i, analyses in joins:
-        analysis = analyses[i]
         guard = _residual_expr(analyses, i)
         ri = f"ri{p_idx}_{i}"
         nc = f"nc{p_idx}_{i}"
         down = f"p{p_idx}_l{i + 1}_{'a' if add else 'd'}"
-        if not analysis.ce.negated:
+        if not analyses[i].ce.negated:
             _emit_members(emit, ri)
             pad = " " * 16
             if guard:
@@ -426,13 +426,13 @@ def _right_body(p_idx: int, i: int, analyses, li: str, add: bool) -> list[str]:
     ``b``, ``lk``, ``tok`` and ``n``, never ``w`` or ``wt``."""
     lines: list[str] = []
     emit = lines.append
-    analysis = analyses[i]
-    eq, _residual = _split_tests(analysis)
+    ce = analyses[i].ce
     guard = _residual_expr(analyses, i)
     nc = f"nc{p_idx}_{i}"
     down = f"p{p_idx}_l{i + 1}"
     emit("        ctr[0] += 1")
-    emit(f"        key = {_wme_key(analysis.ce.cls, eq)}")
+    own = [_read(ce.cls, jt.own_attribute) for jt in _split_tests(analyses[i])[0]]
+    emit(f"        key = {_key_expr(own)}")  # the entering WME's side
     ri = f"ri{p_idx}_{i}"
     emit(f"        fi({ri}, key, wt, w)" if add else f"        uf({ri}, key, wt)")
     emit(f"        b = {li}.get(key)")
@@ -443,7 +443,7 @@ def _right_body(p_idx: int, i: int, analyses, li: str, add: bool) -> list[str]:
     if guard:
         emit(f"{pad}if {guard}:")
         pad += "    "
-    if not analysis.ce.negated:
+    if not ce.negated:
         emit(f"{pad}{down}_{'a' if add else 'd'}(tok + (w,), lk + (wt,))")
     elif add:
         # A first blocker (0 -> 1) retracts the downstream token ...
@@ -513,7 +513,7 @@ def _emit_production(
 
     if depth == 1:
         # Entry of a single-CE production: CE 0 straight to the terminal.
-        guard = _guard0(production)
+        guard = _residual_expr(production.analysis, 0)
         for suffix in ("a", "d"):
             emit(f"    def {pre}_r0_{suffix}(w):")
             emit("        ctr[0] += 1")
@@ -521,14 +521,10 @@ def _emit_production(
             emit(f"        {pre}_l1_{suffix}((w,), (w.timetag,))")
 
 
-def _guard0(production: Production) -> str:
-    """CE 0's intra-element predicate tests (``^b > <x>`` against its
-    own ``^a <x>``): they gate token creation, exactly like the
-    dummy-top join's own-CE tests."""
-    return _residual_expr(production.analysis, 0)
-
-
 def _emit_guard0(emit, guard: str) -> None:
+    """CE 0's intra-element predicate tests (``^b > <x>`` against its
+    own ``^a <x>``) gate token creation, exactly like the dummy-top
+    join's own-CE tests."""
     if guard:
         emit(f"        if not ({guard}):")
         emit("            return")
@@ -549,7 +545,7 @@ def plan_groups(
             eq, _residual = _split_tests(production.analysis[1])
             signature = (
                 use[(p_idx, 0)].index,
-                _guard0(production),
+                _residual_expr(production.analysis, 0),
                 _token_key(production.analysis, eq),
             )
             groups.setdefault(signature, []).append(p_idx)
@@ -744,7 +740,7 @@ def generate_source(productions: Sequence[Production]) -> str:
 def generate_parts(productions: Sequence[Production]) -> list[tuple[str, tuple, tuple]]:
     """The kernel as parts ``(text, imports, exports)``: calling each
     ``part{k}`` in order on ``rt`` and what earlier ones return builds it."""
-    claim_layouts((p.conditions, p.actions) for p in productions)
+    _SEEN.layouts = {ce.cls: live_layout(ce.cls) for p in productions for ce in p.conditions}
     plans, use = plan_stores(productions)
     out: list[str] = [
         "    _veq, _same, _lt, _le, _gt, _ge = rt.veq, rt.same, rt.lt, rt.le, rt.gt, rt.ge",
@@ -788,7 +784,10 @@ def generate_parts(productions: Sequence[Production]) -> list[tuple[str, tuple, 
     for table, entry in (("adds", "A"), ("removes", "R")):
         pairs = ", ".join(f"{cls!r}: {entry}{c}" for c, (cls, _) in enumerate(classes))
         emit(f"    rt.{table} = {{{pairs}}}")
-    return _cut_parts(out)
+    held = {cls: layout.names for cls, layout in _SEEN.layouts.items() if layout}
+    del _SEEN.layouts
+    (text, takes, gives), *rest = _cut_parts(out)
+    return [(f"{text}_held = hold_layouts({held!r})\n", takes, gives), *rest]
 
 
 #: Lines per part: ``compile()`` transiently needs ~130 bytes per byte of

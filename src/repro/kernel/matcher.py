@@ -69,7 +69,7 @@ from ..obs.recorder import NULL_RECORDER, Recorder
 from ..ops5.errors import Ops5Error
 from ..ops5.matcher import ChangeRecord, Matcher
 from ..ops5.production import Production
-from ..ops5.wme import LAYOUTS, WME
+from ..ops5.wme import WME, live_layout
 from ..psim.partition import Partition, assign_productions
 from .codegen import alpha_index_summary, sharing_summary
 from .runtime import KernelRuntime
@@ -270,9 +270,8 @@ class CompiledMatcher(Matcher):
             "store_rows": sum(len(s) for s in stores),
             **deepcopy(self._shape),  # a caller's edit must not reach the next call
             "replayed_wmes": self._replayed,
-            # Per class: its record's fields, and records built with overflow.
             "layouts": {cls: {"width": len(l.names), "overflowed": l.overflowed}
                         for cls in sorted({ce.cls for p in self.productions for ce in p.conditions})
-                        if (l := LAYOUTS.get(cls)) is not None},
+                        if (l := live_layout(cls)) is not None},
             "shared": shared_kernel_stats(),
         }

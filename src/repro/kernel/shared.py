@@ -32,7 +32,7 @@ from functools import partial
 from typing import Iterable, Optional, Sequence
 
 from ..ops5.production import Production
-from ..ops5.wme import WME
+from ..ops5.wme import WME, hold_layouts
 from .cache import ruleset_fingerprint
 from .codegen import generate_parts
 from .runtime import KernelRuntime
@@ -58,7 +58,7 @@ class SharedKernel:
         self.source = "".join(text for text, _imports, _exports in parts)
         steps = []
         for k, (text, imports, exports) in enumerate(parts):
-            namespace: dict = {}
+            namespace: dict = {"hold_layouts": hold_layouts}
             code = compile(text, f"<kernel:{self.digest}:part{k}>", "exec")
             exec(code, namespace)  # noqa: S102 - our own codegen
             steps.append((namespace[f"part{k}"], imports, exports))

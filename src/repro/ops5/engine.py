@@ -23,12 +23,13 @@ from dataclasses import dataclass, field
 from collections.abc import Mapping
 from typing import Iterable, Optional, Sequence
 
+from .actions import Make, Modify
 from .conflict import Strategy, strategy_named
 from .errors import ExecutionError, DuplicateProductionError, Ops5Error
 from .matcher import Matcher
 from .parser import Program, parse_program
-from .production import Instantiation, Production, claim_layouts
-from .wme import Value, WME
+from .production import Instantiation, Production
+from .wme import Layout, Value, WME, layout_of
 
 #: What an attribute value may be: an OPS5 symbol or number.
 _VALUE_TYPES = (str, int, float)
@@ -48,6 +49,19 @@ def _check_values(attributes) -> None:
             raise ExecutionError(
                 f"attribute {name!r} value {value!r} is neither a symbol nor a number"
             )
+
+
+def _claim_layouts(declared: Mapping, productions: Sequence[Production]) -> dict[str, Layout]:
+    named: dict[str, list[str]] = {cls: list(names) for cls, names in declared.items()}
+    for production in productions:
+        conditions = production.conditions
+        for ce in conditions:
+            named.setdefault(ce.cls, []).extend(ce.tests)
+        for action in production.actions:
+            if isinstance(action, (Make, Modify)):
+                cls = action.cls if isinstance(action, Make) else conditions[action.ce_index - 1].cls
+                named.setdefault(cls, []).extend(attribute for attribute, _e in action.attributes)
+    return {cls: layout_of(cls, names) for cls, names in named.items()}
 
 
 #: The halt reason of an engine that found no un-fired instantiation.
@@ -321,7 +335,10 @@ class ProductionSystem:
             cls: frozenset(attrs) for cls, attrs in self.literalizations.items()
         }
         productions = list(productions)
-        claim_layouts((p.conditions, p.actions) for p in productions)
+        #: The layout of each class the ruleset names (``ops5.wme``),
+        #: fixed from its ``literalize``, else from every attribute the
+        #: rules test, make or modify, and held while the engine lives.
+        self.layouts = _claim_layouts(self.literalizations, productions)
         for production in productions:
             self.add_production(production)
 

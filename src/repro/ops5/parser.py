@@ -58,8 +58,8 @@ from .condition import (
     VariableTest,
 )
 from .errors import ParseError
-from .production import Production, claim_layouts
-from .wme import Value, layout_of
+from .production import Production
+from .wme import Value
 
 
 @dataclass(frozen=True)
@@ -184,7 +184,6 @@ class _Parser:
             if head.kind == "symbol" and head.text == "literalize":
                 name, attributes = self._parse_literalize()
                 program.literalizations[name] = attributes
-                layout_of(name, attributes)
             elif head.kind == "symbol" and head.text == "p":
                 program.productions.append(self._parse_production(program))
             else:
@@ -193,8 +192,6 @@ class _Parser:
                     head.line,
                     head.column,
                 )
-        # An undeclared class is laid out from what the whole program names.
-        claim_layouts((p.conditions, p.actions) for p in program.productions)
         return program
 
     def _parse_literalize(self) -> tuple[str, tuple[str, ...]]:

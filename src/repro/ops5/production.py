@@ -10,32 +10,13 @@ instantiations.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
-from .actions import Action, Bind, Make, Modify, actions_are_valid
+from .actions import Action, Bind, actions_are_valid
 from .condition import Bindings, CEAnalysis, ConditionElement, analyze_lhs, binding_sites
 from .errors import ValidationError
 from .rhs import compile_rhs
-from .wme import WME, layout_of
-
-
-def claim_layouts(rules: Iterable[tuple[Sequence[ConditionElement], Sequence[Action]]]) -> None:
-    """Fix the layout of each class the ``(conditions, actions)`` *rules*
-    name that has none yet: the attributes they test, make or modify."""
-    named: dict[str, list[str]] = {}
-    for conditions, actions in rules:
-        for ce in conditions:
-            named.setdefault(ce.cls, []).extend(ce.tests)
-        for action in actions:
-            if isinstance(action, Modify) and 0 < action.ce_index <= len(conditions):
-                cls = conditions[action.ce_index - 1].cls
-            elif isinstance(action, Make):
-                cls = action.cls
-            else:
-                continue
-            named.setdefault(cls, []).extend(attribute for attribute, _e in action.attributes)
-    for cls, names in named.items():
-        layout_of(cls, names)
+from .wme import WME
 
 
 class Production:
@@ -54,7 +35,7 @@ class Production:
 
     __slots__ = (
         "name", "conditions", "actions", "analysis", "positive_indices", "specificity",
-        "binding_sites", "_fire", "_rhs_source", "fingerprint",
+        "binding_sites", "fire", "rhs_source", "fingerprint",
     )
 
     def __init__(
@@ -84,30 +65,11 @@ class Production:
             (variable, self.positive_indices.index(ce), attribute)
             for variable, ce, attribute in binding_sites(self.analysis)
         )
-        self._fire: Callable | None = None
-        self._rhs_source = ""
+        #: The RHS, generated: ``fire(engine, wmes, record)`` and its source.
+        self.fire, self.rhs_source = compile_rhs(self)
         #: The LHS's structural fingerprint (``kernel.cache``), filled on
         #: first use.
         self.fingerprint: tuple | None = None
-
-    @property
-    def fire(self) -> Callable:
-        """The RHS, generated on first use (it reads the layouts of the
-        rule's classes, which a program or engine fixes first):
-        ``fire(engine, wmes, record)``."""
-        if self._fire is None:
-            claim_layouts([(self.conditions, self.actions)])
-            self._fire, self._rhs_source = compile_rhs(self)
-        return self._fire
-
-    @fire.setter
-    def fire(self, fire: Callable) -> None:
-        self._fire = fire
-
-    @property
-    def rhs_source(self) -> str:
-        """The generated text of :attr:`fire`."""
-        return self.fire and self._rhs_source
 
     def _validate_rhs(self) -> None:
         problems = actions_are_valid(self.actions, [ce.negated for ce in self.conditions])

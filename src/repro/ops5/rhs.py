@@ -21,6 +21,7 @@ semantics (``tests/ops5/test_compiled_rhs.py`` compares the two).
 
 from __future__ import annotations
 
+import weakref
 from functools import lru_cache
 from itertools import count
 from math import isfinite
@@ -66,9 +67,26 @@ def _whole(value):
     return value
 
 
+def _site(cls: str, names: tuple[str, ...], modify: bool) -> Callable[[], Callable]:
+    """One ``make`` or ``modify`` of class *cls*: a call returns its record
+    constructor (``Layout.constructor``) on the class's live layout.  It
+    keeps that weakly, so a cached ``fire`` never keeps a layout alive,
+    and looks it up again once the layout is gone."""
+    ref: Callable = lambda: None  # noqa: E731 - a dead reference
+
+    def constructor() -> Callable:
+        nonlocal ref
+        code = ref()
+        if code is None:
+            code = layout_of(cls, names).constructor(names, modify)
+            ref = weakref.ref(code)
+        return code
+
+    return constructor
+
+
 _GLOBALS = dict(
-    layout_of=layout_of, ExecutionError=ExecutionError,
-    _number=_number, _divide=_divide, _whole=_whole,
+    _site=_site, ExecutionError=ExecutionError, _number=_number, _divide=_divide, _whole=_whole
 )
 exec(LITERAL_PRELUDE, _GLOBALS)  # noqa: S102 - the two names literal() emits
 
@@ -78,7 +96,7 @@ class _Body:
     would leave a reference cycle behind per rule per parse)."""
 
     def __init__(self) -> None:
-        #: Module-level lines above ``fire``: the record constructors.
+        #: Module-level lines above ``fire``: its record constructors' sites.
         self.head: list[str] = []
         self.lines = ["def fire(engine, wmes, record):"]
         self.emit = self.lines.append
@@ -113,25 +131,23 @@ class _Body:
         return f"_number({atom})"
 
     def record(self, cls: str, attributes, modify: bool) -> tuple[str, str]:
-        """A module-level ``Layout.constructor`` for *attributes* of
-        *cls*, and the values it takes, in the order given."""
-        name = self.fresh("_c")
+        """A module-level :func:`_site` for *attributes* of *cls*, and the
+        values its constructor takes, in the order given."""
+        site = self.fresh("_k")
         names = "".join(f"{literal(a)}, " for a, _e in attributes)
-        self.head.append(f"{name} = layout_of({literal(cls)}).constructor(({names}), {modify})")
-        return name, "".join(f", {self.value(e)}" for _a, e in attributes)
+        self.head.append(f"{site} = _site({literal(cls)}, ({names}), {modify})")
+        return site, "".join(f", {self.value(e)}" for _a, e in attributes)
 
 
 def compile_rhs(production) -> tuple[Callable, str]:
     """``(fire, source)`` for *production*, compiled as ``<rhs:NAME>``."""
     body = _Body()
-    emit, local, value = body.emit, body.local, body.value
+    emit, local, value, record = body.emit, body.local, body.value, body.record
     mentioned = {v for action in production.actions for v in action.variables()}
-    classes = [production.conditions[i].cls for i in production.positive_indices]
     for variable, position, attribute in production.binding_sites:
         if variable in mentioned:
             local[variable] = body.fresh("v")
-            read = layout_of(classes[position]).read(attribute, f"wmes[{position}]")
-            emit(f"    {local[variable]} = {read}")
+            emit(f"    {local[variable]} = wmes[{position}].get({literal(attribute)})")
     #: CE position -> is its WME still there; its local is ``w{position}``.
     live: dict[int, bool] = {}
     for action in production.actions:
@@ -144,8 +160,8 @@ def compile_rhs(production) -> tuple[Callable, str]:
     for number, action in enumerate(production.actions, 1):
         emit(f"    # {number}: {type(action).__name__.lower()}")
         if isinstance(action, Make):
-            make, values = body.record(action.cls, action.attributes, False)
-            emit(f"    engine.add_wme({make}({values[2:]}))")
+            site, values = record(action.cls, action.attributes, False)
+            emit(f"    engine.add_wme({site}()({values[2:]}))")
             emit("    record.adds += 1")
         elif isinstance(action, (Remove, Modify)):
             position = production.ce_position_of(action.ce_index)
@@ -162,9 +178,10 @@ def compile_rhs(production) -> tuple[Callable, str]:
                 emit(f"    engine.remove_wme(w{position})")
                 emit("    record.removes += 1")
             else:
-                update, values = body.record(classes[position], action.attributes, True)
+                cls = production.conditions[action.ce_index - 1].cls
+                site, values = record(cls, action.attributes, True)
                 emit(f"    old = w{position}")
-                emit(f"    w{position} = {update}(old{values})")
+                emit(f"    w{position} = {site}()(old{values})")
                 emit("    engine.remove_wme(old)")
                 emit("    record.removes += 1")
                 emit(f"    engine.add_wme(w{position})")

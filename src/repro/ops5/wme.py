@@ -6,7 +6,7 @@ a class name plus attribute--value pairs, e.g.::
     (block ^id b1 ^color red ^selected no)
 
 As in OPS5's element vector, a WME is a record of its class: each class
-name has one process-wide :class:`Layout` of fields, and an attribute
+name has one :class:`Layout` of fields at a time, and an attribute
 never assigned holds the distinguished value ``nil`` (:data:`NIL`).
 
 Each WME receives a unique, monotonically increasing integer *timetag* when
@@ -18,6 +18,8 @@ LEX and MEA conflict-resolution strategies.  OPS5's ``modify`` is a
 from __future__ import annotations
 
 import threading
+import weakref
+from functools import partial
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -67,9 +69,9 @@ class WME:
     ``WME(cls, attributes)`` returns a record of the class's
     :class:`Layout`: slots hold its fields (``nil`` when unassigned),
     ``_extra`` the attributes outside it (``None`` when none) and
-    ``_order`` the interned tuple of the assigned names as given, so
-    every view reads as the mapping did; explicit ``nil`` values are
-    dropped.  Records are never mutated.  Each record type defines
+    ``_order`` the tuple of the assigned names as given, so every view
+    reads as the mapping did; explicit ``nil`` values are dropped.
+    Records are never mutated.  Each record type defines
     ``get(attribute)`` (the value, or ``nil``) and ``as_dict()``.
     """
 
@@ -78,7 +80,8 @@ class WME:
     _layout: "Layout"
 
     def __new__(cls_, cls: str, attributes: Mapping[str, Value] | None = None) -> "WME":
-        layout = LAYOUTS.get(cls) if type(cls) is str else None
+        ref = _LAYOUTS.get(cls) if type(cls) is str else None
+        layout = ref() if ref is not None else None
         if layout is None:
             if not isinstance(cls, str) or not cls:
                 raise WorkingMemoryError(f"WME class must be a non-empty symbol, got {cls!r}")
@@ -107,11 +110,16 @@ class WME:
         return f"({' '.join(str(p) for p in parts)}){tag}"
 
 
-#: Class name -> its layout, fixed once (:func:`layout_of`) and kept.
-LAYOUTS: dict[str, "Layout"] = {}
-_LOCK = threading.Lock()
-#: Orders a layout interns; past this a record keeps its own tuple.
-_MAX_SHAPES = 4096
+#: Class name -> a weak reference to its layout.  A layout lives while
+#: something relies on its slots -- a record (through its type), an
+#: engine's ruleset, a compiled kernel -- so a class has at most one
+#: layout alive, and a class nothing uses any more costs nothing.
+_LAYOUTS: dict[str, weakref.ref] = {}
+#: Re-entrant: a collection inside :func:`layout_of` may run :func:`_drop`.
+_LOCK = threading.RLock()
+#: Orders a layout interns (its own names only); past this a record
+#: keeps its own tuple.
+_MAX_SHAPES = 1024
 #: Fields a layout takes from the names that fix it; the rest overflow.
 _MAX_WIDTH = 64
 
@@ -131,7 +139,8 @@ def build(attributes):
     g = attributes.get
 {fill}    shape = None if 'nil' in attributes.values() else SHAPES.get(tuple(attributes))
     w._order, extra = shape or layout.shape(attributes)
-    w._extra = extra and layout.overflow({{n: attributes[n] for n in extra}})
+    w._extra = extra and {{n: attributes[n] for n in extra}}
+    if extra: layout.overflowed += 1
     return w
 """
 
@@ -143,12 +152,13 @@ class Layout:
     :attr:`build` (a record from a mapping).  :meth:`constructor` gives a
     compiled RHS its positional ``make`` and ``modify``."""
 
-    __slots__ = ("names", "index", "type", "build", "shapes", "overflowed", "_code")
+    __slots__ = ("names", "index", "type", "build", "shapes", "overflowed", "_code", "__weakref__")
 
     def __init__(self, cls: str, names: tuple[str, ...]) -> None:
         self.names, self._code = names, {}
         self.index = {name: i for i, name in enumerate(names)}
-        #: Given (nil-free) names -> (interned order, names outside or None).
+        #: Given (nil-free) names -> (interned order, None), for orders of
+        #: the layout's own names.
         self.shapes: dict[tuple, tuple] = {names: (names, None)}
         #: Records built with an overflow dict (counted on that branch only).
         self.overflowed = 0
@@ -172,19 +182,19 @@ class Layout:
 
     def shape(self, attributes: Mapping[str, Value]) -> tuple:
         """``(order, names outside the layout or None)`` of *attributes*'
-        non-nil names, the order interned while the table has room."""
+        non-nil names.  An order of the layout's own names is interned,
+        spelled with the layout's strings, while the table has room."""
         names = tuple(name for name, value in attributes.items() if value != NIL)
         shape = self.shapes.get(names)
         if shape is None:
-            shape = (names, tuple(n for n in names if n not in self.index) or None)
-            if len(self.shapes) < _MAX_SHAPES:
+            index = self.index
+            extra = tuple(name for name in names if name not in index) or None
+            if extra is None:
+                names = tuple(self.names[index[name]] for name in names)
+            shape = (names, extra)
+            if extra is None and len(self.shapes) < _MAX_SHAPES:
                 self.shapes[names] = shape
         return shape
-
-    def overflow(self, extra: dict) -> dict:
-        """Count one record built with an overflow dict; return the dict."""
-        self.overflowed += 1
-        return extra
 
     def read(self, attribute: str, target: str) -> str:
         """Source reading *attribute* of *target*, a record of this class:
@@ -215,7 +225,8 @@ class Layout:
             else "    w._order = ORDER",
             *(f"    w._{i} = {given.get(n, f'old._{i}' if modify else repr(NIL))}"
               for i, n in enumerate(self.names)),
-            f"    w._extra = layout.overflow({{{outside}}})" if outside else "    w._extra = None",
+            f"    w._extra = {{{outside}}}; layout.overflowed += 1" if outside
+            else "    w._extra = None",
             "    return w",
         ]
         table: dict = {}
@@ -233,18 +244,42 @@ class Layout:
         return code
 
 
+def live_layout(cls: str) -> Layout | None:
+    """The live layout of *cls*, or None: never fixes one."""
+    ref = _LAYOUTS.get(cls)
+    return ref() if ref is not None else None
+
+
 def layout_of(cls: str, names: Iterable[str] = ()) -> Layout:
-    """The process-wide layout of class *cls*, fixed on first need from
-    *names* (its ``literalize``, or the attributes the first ruleset or
-    element names) and never changed: names outside it overflow."""
-    layout = LAYOUTS.get(cls)
+    """The layout of class *cls*: the live one, else one fixed now from
+    *names* (the attributes whatever first needs the class names) and
+    never changed while it lives; names outside it overflow."""
+    layout = live_layout(cls)
     if layout is None:
         with _LOCK:
-            layout = LAYOUTS.get(cls)
+            layout = live_layout(cls)
             if layout is None:
-                fields = tuple(dict.fromkeys(names))[:_MAX_WIDTH]
-                layout = LAYOUTS[cls] = Layout(cls, fields)
+                layout = Layout(cls, tuple(dict.fromkeys(names))[:_MAX_WIDTH])
+                _LAYOUTS[cls] = weakref.ref(layout, partial(_drop, cls))
     return layout
+
+
+def hold_layouts(named: Mapping[str, tuple[str, ...]]) -> list[Layout]:
+    """The layouts of the *named* classes, with exactly those fields, for
+    compiled text that reads their slots to hold (one that died since
+    the text was written is fixed again, the same)."""
+    layouts = [layout_of(cls, names) for cls, names in named.items()]
+    for layout, (cls, names) in zip(layouts, named.items()):
+        if layout.names != names:
+            raise WorkingMemoryError(f"class {cls!r} was laid out anew under compiled code")
+    return layouts
+
+
+def _drop(cls: str, ref: weakref.ref) -> None:
+    """Forget *cls*'s layout once it is collected (unless replaced)."""
+    with _LOCK:
+        if _LAYOUTS.get(cls) is ref:
+            del _LAYOUTS[cls]
 
 
 class WorkingMemory:

@@ -7,11 +7,19 @@ from repro.kernel.codegen import alpha_items, generate_parts, generate_source, p
 from repro.ops5 import MATCHER_NAMES, ProductionSystem, parse_program
 from repro.ops5.condition import wme_passes_alpha
 from repro.ops5.conflict import ConflictSet
-from repro.ops5.wme import WME, WorkingMemory, layout_of
+from repro.ops5.wme import WME, WorkingMemory
+
+
+class _Rules(list):
+    """Parsed rules and, as long as the list lives, the layouts an engine
+    fixed for them (the generated text reads their slots)."""
 
 
 def _productions(source):
-    return parse_program(source).productions
+    program = parse_program(source)
+    rules = _Rules(program.productions)
+    rules.layouts = ProductionSystem(program).layouts
+    return rules
 
 
 class TestStorePlanning:
@@ -44,13 +52,12 @@ class TestGeneratedSource:
         """The level-1 key reads ``^want`` from the token's CE-0 WME and
         the right activation ``^color`` from the entering WME: a store is
         its rows alone, with no copy of either value."""
-        source = generate_source(
-            _productions("(p find (goal ^want <c>) (block ^color <c>) --> (halt))")
-        )
-        # Each a slot of its class's record (or ``get``, were the class's
-        # layout fixed without the attribute).
-        assert f"        key = {layout_of('goal').read('want', 'tok[0]')}\n" in source
-        assert f"        key = {layout_of('block').read('color', 'w')}\n" in source
+        productions = _productions("(p find (goal ^want <c>) (block ^color <c>) --> (halt))")
+        source = generate_source(productions)
+        # Each a slot of its class's record.
+        goal, block = productions.layouts["goal"], productions.layouts["block"]
+        assert f"        key = tok[0]._{goal.index['want']}\n" in source
+        assert f"        key = w._{block.index['color']}\n" in source
         assert "    r0 = rt.store('goal', m0)\n    m1 = 0x1\n    r1 = rt.store('block', m1)\n" in source
 
     def test_source_is_deterministic(self):

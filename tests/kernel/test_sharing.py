@@ -29,7 +29,7 @@ from repro.kernel import CompiledMatcher, check_kernel
 from repro.kernel.codegen import sharing_summary
 from repro.ops5 import ProductionSystem, parse_program
 from repro.ops5.production import Instantiation
-from repro.ops5.wme import WME, layout_of
+from repro.ops5.wme import WME, live_layout
 from repro.rete import ReteNetwork
 from repro.workloads.programs import ALL_PROGRAMS, SYSTEM_PROGRAMS
 
@@ -308,8 +308,8 @@ def test_keyless_and_two_column_first_joins():
     # cross + void file every token under the single bucket ``0`` ...
     assert re.search(r"def g\d+_a\(w\):\n(?:.*\n){2}        key = 0\n", source)
     # ... two + two-n under both attributes, read from CE 0's WME.
-    t = layout_of("t")
-    assert f"key = ({t.read('x', 'tok[0]')}, {t.read('y', 'tok[0]')})" in source
+    x, y = (live_layout("t").index[a] for a in "xy")  # the kernel holds it
+    assert f"key = (tok[0]._{x}, tok[0]._{y})" in source
 
 
 def test_the_entering_wme_is_read_before_any_member_loop_rebinds_w():

@@ -291,15 +291,13 @@ def test_hostile_spellings_round_trip_as_data(name):
 
 
 def test_generated_source_mentions_names_only_inside_literals():
-    # A class no other test names, so this parse fixes its layout: ^v is slot 0.
-    text = "(p r (names-only-a ^v <x-y>) --> (make class ^def <x-y> ^v import))"
-    (production,) = parse_program(text).productions
+    (production,) = parse_program("(p r (a ^v <x-y>) --> (make class ^def <x-y> ^v import))").productions
     assert production.rhs_source == (
-        "_c1 = layout_of('class').constructor(('def', 'v', ), False)\n"
+        "_k1 = _site('class', ('def', 'v', ), False)\n"
         "def fire(engine, wmes, record):\n"
-        "    v0 = wmes[0]._0\n"
+        "    v0 = wmes[0].get('v')\n"
         "    # 1: make\n"
-        "    engine.add_wme(_c1(v0, 'import'))\n"
+        "    engine.add_wme(_k1()(v0, 'import'))\n"
         "    record.adds += 1\n"
     )
 
@@ -334,14 +332,14 @@ def test_a_failing_compute_names_the_production_in_the_traceback():
 def test_rhs_source_of_the_docs_examples():
     system = SYSTEM_PROGRAMS["r1-soar"].build(matcher="compiled")
     sources = {p.name: p.rhs_source for p in system.matcher.productions}
-    assert "_c0 = layout_of('task').constructor(('stage', ), True)" in sources["r1-soar-advance-0"]
-    assert "w0 = _c0(old, 1)" in sources["r1-soar-advance-0"]
+    assert "_k0 = _site('task', ('stage', ), True)" in sources["r1-soar-advance-0"]
+    assert "w0 = _k0()(old, 1)" in sources["r1-soar-advance-0"]
     assert "engine.output.append(' '.join(('done', str(v0), )))" in sources["r1-soar-done"]
     # ... and none of it is in the match module: no RHS data, no bindings dict.
     kernel = system.matcher.generated_source
     terminals = [line for line in kernel.splitlines() if "cs_insert(Inst(" in line]
     assert len(terminals) == len(sources) and all(", None, " in line for line in terminals)
-    assert "'done'" not in kernel and "constructor" not in kernel and "'lane':" not in kernel
+    assert "'done'" not in kernel and "_site" not in kernel and "'lane':" not in kernel
 
 
 # -- one shared program, two sessions, two threads ------------------------------

@@ -1,14 +1,16 @@
 """A WME is a record of its class (``repro.ops5.wme.Layout``).
 
-Layouts are process-wide and fixed on first need, so every class here
-is named by this module alone: the first program that names it fixes
-its layout, and the assertions on ``layout_of(...).names`` state which
-case each test drives.
+A class has one layout while something holds it (an engine, a record, a
+compiled kernel), so every class here is named by this module alone and
+each test keeps the engine whose ruleset fixed the layouts it asserts on.
 """
 
+import gc
 import json
 import subprocess
 import sys
+import threading
+import weakref
 
 import pytest
 
@@ -16,7 +18,8 @@ from repro.ops5 import ProductionSystem, WME
 from repro.ops5.actions import Constant, Make, Modify, VariableRef
 from repro.ops5.condition import ConditionElement, ConstantTest, VariableTest
 from repro.ops5.production import Production
-from repro.ops5.wme import LAYOUTS, layout_of
+from repro.kernel import CompiledMatcher
+from repro.ops5.wme import _LAYOUTS, _drop, layout_of, live_layout
 from repro.serve.session import encode_wme
 
 
@@ -57,13 +60,12 @@ def test_order_outside_names_nil_and_odd_names_match_like_rete():
         ("lay-tag", {"note": "ops", "of": "bo", "colour": "red", "shade": "dark"}),
         ("lay-tag", {"of": "ann", "note": "nil"}),
     ]
-    before = LAYOUTS.get("lay-tag")  # read without fixing it
-    overflowed = before.overflowed if before else 0
+    layouts = ProductionSystem(program).layouts  # held through both runs
     firings, _sets, _rows, memory, rows = _agree(program, wmes)
-    assert layout_of("lay-person").names == ("first-name", "rank", "dept")
-    assert layout_of("lay-tag").names == ("of", "note", "seen", "colour")  # no ^shade
+    assert layouts["lay-person"].names == ("first-name", "rank", "dept")
+    assert layouts["lay-tag"].names == ("of", "note", "seen", "colour")  # no ^shade
     assert firings == [("tagged", (1, 4)), ("tagged", (2, 3)), ("greet", (1,))]
-    assert layout_of("lay-tag").overflowed == overflowed + 4  # bo's tag, then its modify, twice
+    assert layouts["lay-tag"].overflowed == 4  # bo's tag, then its modify, twice
     assert [items for _tag, _cls, items in memory] == [
         [("rank", 5), ("first-name", "ann")],  # given order kept, explicit nil dropped
         [("rank", 6), ("first-name", "bo"), ("dept", "ops")],
@@ -74,18 +76,57 @@ def test_order_outside_names_nil_and_odd_names_match_like_rete():
     assert [list(row[2]) for row in rows] == [[k for k, _v in items] for _t, _c, items in memory]
 
 
-def test_a_second_program_reads_attributes_outside_a_fixed_layout():
-    ProductionSystem("(p first (lay-job ^id <i>) --> (halt))")
-    assert layout_of("lay-job").names == ("id",)
+def test_a_second_program_reads_attributes_outside_a_live_layout():
+    first = ProductionSystem("(p first (lay-job ^id <i>) --> (halt))")
+    assert first.layouts["lay-job"].names == ("id",)
     program = "(p second (lay-job ^id <i> ^owner <o>) - (lay-job ^id <o>) --> (make lay-job ^id <o> ^owner <i>))"
-    overflowed = layout_of("lay-job").overflowed
     _agree(program, [("lay-job", {"owner": "y", "id": "x"}), ("lay-job", {"id": "z"})])
     system = ProductionSystem(program)
     system.add("lay-job", id="x", owner="y")
     system.run(max_cycles=3)
     kernel = system.matcher.kernel_summary()
-    assert kernel["layouts"]["lay-job"]["width"] == 1
-    assert kernel["layouts"]["lay-job"]["overflowed"] > overflowed
+    # Each trace: x, and the makes for x and for z (whose ^owner is nil);
+    # here: x and its make.
+    assert kernel["layouts"]["lay-job"] == {"width": 1, "overflowed": 3 + 3 + 2}
+    del first, system
+    gc.collect()
+    # With nothing holding it, the class is laid out afresh by the next ruleset.
+    assert ProductionSystem(program).layouts["lay-job"].names == ("id", "owner")
+
+
+def test_a_layout_lives_while_an_engine_record_or_kernel_relies_on_it():
+    system = ProductionSystem("(p r (lay-life ^a <x> ^b 1) --> (make lay-life-out ^v <x>))")
+    wme = system.add("lay-life", a=1, b=1)
+    system.run()
+    (out,) = system.memory.of_class("lay-life-out")
+    system.remove_wme(wme)
+    system.remove_wme(out)
+    matcher = system.matcher
+    assert "_held = hold_layouts({'lay-life': ('a', 'b')})\n" in matcher.generated_source
+    del system, wme
+    gc.collect()
+    assert live_layout("lay-life").names == ("a", "b")  # its kernel holds it
+    del matcher
+    gc.collect()
+    assert live_layout("lay-life") is None and "lay-life" not in _LAYOUTS
+    assert live_layout("lay-life-out") is type(out)._layout  # a record holds its own
+    del out
+    gc.collect()
+    assert live_layout("lay-life-out") is None and "lay-life-out" not in _LAYOUTS
+
+
+def test_a_kernel_reads_a_class_with_no_layout_through_get_and_fixes_none():
+    matcher = CompiledMatcher()
+    (production,) = ProductionSystem("(p r (lay-none ^k 1) --> (halt))").matcher.productions
+    gc.collect()
+    matcher.add_production(production)
+    assert live_layout("lay-none") is None
+    wme = WME("lay-other", {"k": 1})  # any element compiles the kernel
+    matcher.memory.add(wme)
+    matcher.add_wme(wme)
+    assert "b = Q0_0.get(w.get('k'))" in matcher.generated_source
+    assert "_held = hold_layouts({})\n" in matcher.generated_source
+    assert live_layout("lay-none") is None
 
 
 @pytest.mark.parametrize("name", ["lay\0nul", "lay-'quote\"", "lay-é"])
@@ -105,8 +146,56 @@ def test_hostile_class_names_get_a_record_type(name):
     assert name not in type(WME(name)).__name__
 
 
+def test_threads_churning_one_class_keep_one_layout_at_a_time():
+    """Engines on one class that name different attributes, built, run
+    and dropped from more threads than cores while collections fire
+    the table's callbacks: two live layouts of one class would misread
+    a slot, so every run must fire exactly its own rule."""
+    errors = []
+
+    def churn(k):
+        try:
+            for i in range(30):
+                a, b = f"f{k}", f"g{(k + i) % 3}"
+                system = ProductionSystem(
+                    f"(p r (lay-churn ^{a} <x> ^{b} 1) --> (make lay-churn-out ^v <x>))"
+                )
+                system.add("lay-churn", **{a: i + 1, b: 1})
+                system.add("lay-churn", **{b: 1, a: -i - 1, "other": 3})
+                system.add("lay-churn", **{a: i + 1, b: 2})
+                system.run()
+                made = sorted(w.get("v") for w in system.memory.of_class("lay-churn-out"))
+                assert made == [-i - 1, i + 1], (k, i, made)
+                if i % 5 == 0:
+                    gc.collect()
+        except BaseException as error:
+            errors.append(error)  # the main thread reports it
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=churn, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+
+
+def test_a_late_callback_for_a_collected_layout_keeps_its_successor():
+    # The callback of a layout collected after its class was laid out
+    # anew must not drop the new one (two live layouts would follow).
+    layout = layout_of("lay-stale", ("a",))
+    _drop("lay-stale", weakref.ref(layout.build))  # some other, older reference
+    assert live_layout("lay-stale") is layout
+
+
 def test_attributes_and_rows_keep_the_given_order():
-    ProductionSystem("(literalize lay-row a b c)")
+    declared = ProductionSystem("(literalize lay-row a b c)")
+    assert declared.layouts["lay-row"].names == ("a", "b", "c")
     wme = WME("lay-row", {"c": 3, "zz": 9, "a": 1})
     assert list(wme.attributes) == ["c", "zz", "a"]
     assert list(wme.with_updates({"b": 2, "a": "nil"}).attributes) == ["c", "zz", "b"]
@@ -131,7 +220,7 @@ def test_r1_soar_item_bytes():
         "import tracemalloc\n"
         "from repro.workloads.programs import SYSTEM_PROGRAMS\n"
         "from repro.ops5 import WME\n"
-        "SYSTEM_PROGRAMS['r1-soar'].build()\n"
+        "system = SYSTEM_PROGRAMS['r1-soar'].build()\n"
         "rows = [{'lane': f'{i}-x', 'kind': f'k{i % 7}', 'val': i % 20} for i in range(10000)]\n"
         "tracemalloc.start()\n"
         "before = tracemalloc.get_traced_memory()[0]\n"

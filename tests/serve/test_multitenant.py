@@ -24,6 +24,7 @@ import pytest
 
 from repro.kernel import clear_shared_kernels, shared_kernel_stats
 from repro.ops5 import ProductionSystem
+from repro.ops5.wme import _LAYOUTS
 from repro.serve import RouterFleet, RuleClient, ServerError, ServerThread
 from repro.serve.session import (
     QuotaExceeded,
@@ -288,6 +289,28 @@ class TestHeapStaysFlat:
         assert max(growth) < 100_000, growth
         assert shared_kernel_stats()["kernels"] == shared_program_stats()["size"] == 0
         assert shared_kernel_stats()["misses"] == shared_program_stats()["misses"] == 400
+
+    def test_distinct_classes_and_orders_through_destroyed_sessions_leave_nothing(self):
+        # Each session's program names a class no other names, and its
+        # asserts give that class and one more fresh class in their own
+        # attribute orders with an attribute outside the layout: every
+        # layout, record type and order table leaves with the session.
+        with ServerThread() as harness, RuleClient(harness.address) as client:
+
+            def churn(k):
+                for i in range(100):
+                    cls, free = f"lay{k}-{i}", f"free{k}-{i}"
+                    program = f"(p probe ({cls} ^a 1 ^b <x>) --> (halt))"
+                    sid = client.create_session(program=program, matcher="compiled")
+                    client.assert_wmes(sid, [
+                        [cls, {"b": i, f"x{i}": 2, "a": 1}],
+                        [free, {f"y{i}": 1, "z": i}],
+                    ])
+                    client.destroy_session(sid)
+
+            growth = _growth_per_step(churn)
+        assert max(growth) < 100_000, growth
+        assert not [cls for cls in list(_LAYOUTS) if cls.startswith(("lay", "free"))]
 
     def test_a_lane_costs_its_wmes_and_little_else(self):
         """The r1-soar program without its ``ctx`` WME (the halt rule
