@@ -10,12 +10,14 @@ instantiations.
 
 from __future__ import annotations
 
+import weakref
+from functools import partial
 from typing import Sequence
 
 from .actions import Action, Bind, actions_are_valid
 from .condition import Bindings, CEAnalysis, ConditionElement, analyze_lhs, binding_sites
 from .errors import ValidationError
-from .rhs import compile_rhs
+from .rhs import first_fire, rhs_source
 from .wme import WME
 
 
@@ -28,14 +30,14 @@ class Production:
     :class:`~repro.ops5.errors.ValidationError` immediately, so a loaded
     program is structurally sound before any matching happens.
 
-    Productions are immutable after construction (``fingerprint`` is a
-    cache, filled once) and hashable by name; a program never contains
-    two productions with the same name.
+    Productions are immutable after construction (``fire`` and
+    ``fingerprint`` are filled once, on first use) and hashable by name;
+    a program never contains two productions with the same name.
     """
 
     __slots__ = (
         "name", "conditions", "actions", "analysis", "positive_indices", "specificity",
-        "binding_sites", "fire", "rhs_source", "fingerprint",
+        "binding_sites", "fire", "rhs_source", "fingerprint", "__weakref__",
     )
 
     def __init__(
@@ -65,8 +67,11 @@ class Production:
             (variable, self.positive_indices.index(ce), attribute)
             for variable, ce, attribute in binding_sites(self.analysis)
         )
-        #: The RHS, generated: ``fire(engine, wmes, record)`` and its source.
-        self.fire, self.rhs_source = compile_rhs(self)
+        #: The RHS, generated: ``fire(engine, wmes, record)`` and its source,
+        #: compiled on the first firing (a rule that never fires holds no
+        #: layout; the stand-in holds this rule weakly: no cycle).
+        self.rhs_source = rhs_source(self)
+        self.fire = partial(first_fire, weakref.ref(self))
         #: The LHS's structural fingerprint (``kernel.cache``), filled on
         #: first use.
         self.fingerprint: tuple | None = None

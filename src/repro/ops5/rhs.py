@@ -1,8 +1,9 @@
 """The act phase, compiled: one straight-line ``fire`` per production.
 
-:func:`compile_rhs` turns a production's ``Action`` list into the source
-of ``fire(engine, wmes, record)``, the executor for every matcher; it
-holds no state, because productions are shared by sessions and threads.
+:func:`rhs_source` turns a production's ``Action`` list into the source
+of ``fire(engine, wmes, record)``, the executor for every matcher, which
+the production compiles on its first firing (:func:`first_fire`); ``fire``
+holds no engine state, because productions are shared by sessions and threads.
 
 * Every LHS variable the RHS mentions is read into a numbered local from
   ``Production.binding_sites`` *before* the first action (a ``modify``
@@ -21,11 +22,8 @@ semantics (``tests/ops5/test_compiled_rhs.py`` compares the two).
 
 from __future__ import annotations
 
-import weakref
-from functools import lru_cache
 from itertools import count
 from math import isfinite
-from typing import Callable
 
 from .actions import _ARITH, Bind, Compute, Constant, Expression, Halt, Make, Modify, Remove, Write
 from .errors import ExecutionError
@@ -67,27 +65,8 @@ def _whole(value):
     return value
 
 
-def _site(cls: str, names: tuple[str, ...], modify: bool) -> Callable[[], Callable]:
-    """One ``make`` or ``modify`` of class *cls*: a call returns its record
-    constructor (``Layout.constructor``) on the class's live layout.  It
-    keeps that weakly, so a cached ``fire`` never keeps a layout alive,
-    and looks it up again once the layout is gone."""
-    ref: Callable = lambda: None  # noqa: E731 - a dead reference
-
-    def constructor() -> Callable:
-        nonlocal ref
-        code = ref()
-        if code is None:
-            code = layout_of(cls, names).constructor(names, modify)
-            ref = weakref.ref(code)
-        return code
-
-    return constructor
-
-
-_GLOBALS = dict(
-    _site=_site, ExecutionError=ExecutionError, _number=_number, _divide=_divide, _whole=_whole
-)
+_GLOBALS = dict(layout_of=layout_of, ExecutionError=ExecutionError,
+                _number=_number, _divide=_divide, _whole=_whole)
 exec(LITERAL_PRELUDE, _GLOBALS)  # noqa: S102 - the two names literal() emits
 
 
@@ -96,7 +75,7 @@ class _Body:
     would leave a reference cycle behind per rule per parse)."""
 
     def __init__(self) -> None:
-        #: Module-level lines above ``fire``: its record constructors' sites.
+        #: Module-level lines above ``fire``: its record constructors.
         self.head: list[str] = []
         self.lines = ["def fire(engine, wmes, record):"]
         self.emit = self.lines.append
@@ -131,16 +110,17 @@ class _Body:
         return f"_number({atom})"
 
     def record(self, cls: str, attributes, modify: bool) -> tuple[str, str]:
-        """A module-level :func:`_site` for *attributes* of *cls*, and the
-        values its constructor takes, in the order given."""
+        """A module-level record constructor for *attributes* of *cls*,
+        and the values it takes, in the order given."""
         site = self.fresh("_k")
-        names = "".join(f"{literal(a)}, " for a, _e in attributes)
-        self.head.append(f"{site} = _site({literal(cls)}, ({names}), {modify})")
+        names = "({})".format("".join(f"{literal(a)}, " for a, _e in attributes))
+        line = f"{site} = layout_of({literal(cls)}, {names}).constructor({names}, {modify})"
+        self.head.append(line)
         return site, "".join(f", {self.value(e)}" for _a, e in attributes)
 
 
-def compile_rhs(production) -> tuple[Callable, str]:
-    """``(fire, source)`` for *production*, compiled as ``<rhs:NAME>``."""
+def rhs_source(production) -> str:
+    """The source of *production*'s ``fire``."""
     body = _Body()
     emit, local, value, record = body.emit, body.local, body.value, body.record
     mentioned = {v for action in production.actions for v in action.variables()}
@@ -161,7 +141,7 @@ def compile_rhs(production) -> tuple[Callable, str]:
         emit(f"    # {number}: {type(action).__name__.lower()}")
         if isinstance(action, Make):
             site, values = record(action.cls, action.attributes, False)
-            emit(f"    engine.add_wme({site}()({values[2:]}))")
+            emit(f"    engine.add_wme({site}({values[2:]}))")
             emit("    record.adds += 1")
         elif isinstance(action, (Remove, Modify)):
             position = production.ce_position_of(action.ce_index)
@@ -181,7 +161,7 @@ def compile_rhs(production) -> tuple[Callable, str]:
                 cls = production.conditions[action.ce_index - 1].cls
                 site, values = record(cls, action.attributes, True)
                 emit(f"    old = w{position}")
-                emit(f"    w{position} = {site}()(old{values})")
+                emit(f"    w{position} = {site}(old{values})")
                 emit("    engine.remove_wme(old)")
                 emit("    record.removes += 1")
                 emit(f"    engine.add_wme(w{position})")
@@ -202,15 +182,18 @@ def compile_rhs(production) -> tuple[Callable, str]:
             raise ExecutionError(f"unknown action {action!r}")
     if not production.actions:
         emit("    pass")
-    source = "".join(line + "\n" for line in body.head + body.lines)
-    # compile() refuses a NUL in the file name.
-    return _compiled(f"<rhs:{production.name}>".replace("\0", "?"), source), source
+    return "".join(line + "\n" for line in body.head + body.lines)
 
 
-@lru_cache(maxsize=4096)
-def _compiled(filename: str, source: str) -> Callable:
-    """``fire`` for one generated text: emitting it costs ~10 us a rule,
-    ``compile()`` 50-150, and the same programs are parsed over and over."""
+def first_fire(ref, engine, wmes, record) -> None:
+    """A production's ``fire`` until its first firing (bound to *ref*, a
+    weak reference to it): compiles its own from its ``rhs_source`` as
+    ``<rhs:NAME>``, with each site's record constructor bound to the
+    class's layout live now, installs it and fires it."""
+    owner = ref()
     namespace = dict(_GLOBALS)
-    exec(compile(source, filename, "exec"), namespace)  # noqa: S102
-    return namespace["fire"]
+    # compile() refuses a NUL in the file name.
+    filename = f"<rhs:{owner.name}>".replace("\0", "?")
+    exec(compile(owner.rhs_source, filename, "exec"), namespace)  # noqa: S102
+    owner.fire = namespace.pop("fire")  # not in its own globals: no reference cycle
+    owner.fire(engine, wmes, record)

@@ -112,7 +112,7 @@ class WME:
 
 #: Class name -> a weak reference to its layout.  A layout lives while
 #: something relies on its slots -- a record (through its type), an
-#: engine's ruleset, a compiled kernel -- so a class has at most one
+#: engine's ruleset, a compiled kernel or RHS -- so a class has at most one
 #: layout alive, and a class nothing uses any more costs nothing.
 _LAYOUTS: dict[str, weakref.ref] = {}
 #: Re-entrant: a collection inside :func:`layout_of` may run :func:`_drop`.
@@ -155,7 +155,7 @@ class Layout:
     __slots__ = ("names", "index", "type", "build", "shapes", "overflowed", "_code", "__weakref__")
 
     def __init__(self, cls: str, names: tuple[str, ...]) -> None:
-        self.names, self._code = names, {}
+        self.names, self._code = names, weakref.WeakValueDictionary()
         self.index = {name: i for i, name in enumerate(names)}
         #: Given (nil-free) names -> (interned order, None), for orders of
         #: the layout's own names.
@@ -206,7 +206,8 @@ class Layout:
         """``make(*values)`` -- a record of *names* set to *values*, given
         in that order -- or, for *modify*, ``update(old, *values)``: *old*
         with them set.  Built slot by slot; a ``nil`` value or an *old*
-        with overflow takes :attr:`build`."""
+        with overflow takes :attr:`build`.  Equal requests share one while
+        it lives (``_code`` is weak-valued: no table keeps one for nothing)."""
         code = self._code.get((names, modify))
         if code is not None:
             return code
@@ -240,7 +241,7 @@ class Layout:
         code = self._code[names, modify] = self._exec(
             "\n".join(lines) + "\n", ORDER=self.shape(dict.fromkeys(names, 0))[0],
             AFTER=table, after=after,
-        )["code"]
+        ).pop("code")  # not in its own globals: no cycle, freed on its last reference
         return code
 
 

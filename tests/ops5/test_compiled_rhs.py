@@ -44,7 +44,7 @@ from repro.ops5 import (
     parse_program,
 )
 from repro.ops5.parser import Program
-from repro.ops5.rhs import literal
+from repro.ops5.rhs import first_fire, literal
 from repro.ops5.wme import WME
 from repro.serve.session import shared_program
 from repro.workloads.programs import ALL_PROGRAMS, SYSTEM_PROGRAMS
@@ -293,11 +293,11 @@ def test_hostile_spellings_round_trip_as_data(name):
 def test_generated_source_mentions_names_only_inside_literals():
     (production,) = parse_program("(p r (a ^v <x-y>) --> (make class ^def <x-y> ^v import))").productions
     assert production.rhs_source == (
-        "_k1 = _site('class', ('def', 'v', ), False)\n"
+        "_k1 = layout_of('class', ('def', 'v', )).constructor(('def', 'v', ), False)\n"
         "def fire(engine, wmes, record):\n"
         "    v0 = wmes[0].get('v')\n"
         "    # 1: make\n"
-        "    engine.add_wme(_k1()(v0, 'import'))\n"
+        "    engine.add_wme(_k1(v0, 'import'))\n"
         "    record.adds += 1\n"
     )
 
@@ -332,14 +332,17 @@ def test_a_failing_compute_names_the_production_in_the_traceback():
 def test_rhs_source_of_the_docs_examples():
     system = SYSTEM_PROGRAMS["r1-soar"].build(matcher="compiled")
     sources = {p.name: p.rhs_source for p in system.matcher.productions}
-    assert "_k0 = _site('task', ('stage', ), True)" in sources["r1-soar-advance-0"]
-    assert "w0 = _k0()(old, 1)" in sources["r1-soar-advance-0"]
+    assert (
+        "_k0 = layout_of('task', ('stage', )).constructor(('stage', ), True)"
+        in sources["r1-soar-advance-0"]
+    )
+    assert "w0 = _k0(old, 1)" in sources["r1-soar-advance-0"]
     assert "engine.output.append(' '.join(('done', str(v0), )))" in sources["r1-soar-done"]
     # ... and none of it is in the match module: no RHS data, no bindings dict.
     kernel = system.matcher.generated_source
     terminals = [line for line in kernel.splitlines() if "cs_insert(Inst(" in line]
     assert len(terminals) == len(sources) and all(", None, " in line for line in terminals)
-    assert "'done'" not in kernel and "_site" not in kernel and "'lane':" not in kernel
+    assert "'done'" not in kernel and ".constructor(" not in kernel and "'lane':" not in kernel
 
 
 # -- one shared program, two sessions, two threads ------------------------------
@@ -350,6 +353,8 @@ def test_two_sessions_on_one_shared_program_fire_from_two_threads():
     program = shared_program(module.PROGRAM)
     assert shared_program(module.PROGRAM) is program
     serial = observed(module.build(history=True, matcher="compiled"), 300)
+    # The threads race each rule's first firing, which compiles its fire.
+    assert all(p.fire.func is first_fire for p in program.productions)
     results, errors = {}, []
 
     def session(slot):

@@ -18,6 +18,7 @@ from repro.ops5 import ProductionSystem, WME
 from repro.ops5.actions import Constant, Make, Modify, VariableRef
 from repro.ops5.condition import ConditionElement, ConstantTest, VariableTest
 from repro.ops5.production import Production
+from repro.ops5.rhs import first_fire
 from repro.kernel import CompiledMatcher
 from repro.ops5.wme import _LAYOUTS, _drop, layout_of, live_layout
 from repro.serve.session import encode_wme
@@ -113,6 +114,37 @@ def test_a_layout_lives_while_an_engine_record_or_kernel_relies_on_it():
     del out
     gc.collect()
     assert live_layout("lay-life-out") is None and "lay-life-out" not in _LAYOUTS
+
+
+def test_an_act_phase_is_compiled_on_its_first_firing_and_held_by_its_production():
+    system = ProductionSystem("""
+        (p lay-fires (lay-act ^go yes) --> (make lay-act-out ^v 1) (modify 1 ^go no ^n 2))
+        (p lay-idle (lay-act ^go never) --> (make lay-idle-out ^v 1))
+    """)
+    fires, idle = sorted(system.matcher.productions, key=lambda p: p.name)
+    site = "_k0 = layout_of('lay-act-out', ('v', )).constructor(('v', ), False)"
+    assert site in fires.rhs_source
+    assert fires.fire.func is first_fire and idle.fire.func is first_fire  # nothing compiled
+    system.add("lay-act", go="yes")
+    assert system.run().fired == 1
+    compiled = weakref.ref(fires.fire)
+    assert compiled().__code__.co_filename == "<rhs:lay-fires>"
+    assert idle.fire.func is first_fire
+    act = live_layout("lay-act")
+    assert sorted(act._code) == [(("go", "n"), True)]
+    del system
+    gc.collect()
+    # The program and its records are gone; the fired rule's sites hold
+    # their layouts, the idle rule's class has none.
+    assert live_layout("lay-act-out").names == ("v",)
+    assert live_layout("lay-idle-out") is None and "lay-idle-out" not in _LAYOUTS
+    rules = [weakref.ref(fires), weakref.ref(idle)]
+    del fires, idle
+    assert [rule() for rule in rules] == [None, None]  # no cycle: freed without a collection
+    gc.collect()
+    assert compiled() is None
+    assert live_layout("lay-act-out") is None and "lay-act-out" not in _LAYOUTS
+    assert dict(act._code) == {}  # no constructor outlives the last fire using it
 
 
 def test_a_kernel_reads_a_class_with_no_layout_through_get_and_fixes_none():

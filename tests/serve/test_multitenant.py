@@ -271,24 +271,56 @@ class TestHeapStaysFlat:
     its parse and its kernel leave with the last session holding them."""
 
     def test_distinct_programs_through_destroyed_sessions_leave_nothing(self):
-        # Each program has its own constants (its own parse and kernel)
-        # under one production name and action, so the act phase's
-        # bounded per-text compile cache sees one text.
+        # Each program has its own constants (its own parse and kernel),
+        # its own rule name and its own make and modify, and fires once:
+        # its act phase is compiled, and leaves with its session.
         def program(tag):
-            return f"(p probe (goal ^want {tag}) (block ^color <c> ^size > 2) --> (halt))"
+            return (
+                f"(p probe-{tag} (goal ^want {tag}) (block ^color <c> ^size > 2)"
+                f" --> (make note ^of-{tag} <c>) (modify 1 ^want done ^by-{tag} <c>))"
+            )
 
         with ServerThread() as harness, RuleClient(harness.address) as client:
 
             def churn(k):
                 for i in range(100):
                     sid = client.create_session(program=program(f"r{k}-{i}"), matcher="compiled")
-                    client.assert_wmes(sid, [["goal", {"want": f"r{k}-{i}"}]])
+                    wmes = [["goal", {"want": f"r{k}-{i}"}], ["block", {"color": "red", "size": 3}]]
+                    assert client.assert_wmes(sid, wmes, run=True)["run"]["fired"] == 1
                     client.destroy_session(sid)
 
             growth = _growth_per_step(churn)
         assert max(growth) < 100_000, growth
         assert shared_kernel_stats()["kernels"] == shared_program_stats()["size"] == 0
         assert shared_kernel_stats()["misses"] == shared_program_stats()["misses"] == 400
+
+    def test_fresh_act_phases_on_a_class_a_live_session_holds_leave_nothing(self):
+        # One session holds ``goal``'s layout throughout; every other
+        # program's make and modify of ``goal`` names an attribute no
+        # other names, so each compiles record constructors of its own
+        # on that one layout, and they leave with the program.
+        def program(tag):
+            return (
+                f"(p probe-{tag} (goal ^want go) --> (make goal ^want made ^made-{tag} 1)"
+                f" (modify 1 ^want done ^done-{tag} 1))"
+            )
+
+        with ServerThread() as harness, RuleClient(harness.address) as client:
+            holder = client.create_session(
+                program="(p hold (goal ^want held ^by <b>) --> (halt))", matcher="compiled"
+            )
+
+            def churn(k):
+                for i in range(100):
+                    sid = client.create_session(program=program(f"r{k}-{i}"), matcher="compiled")
+                    reply = client.assert_wmes(sid, [["goal", {"want": "go"}]], run=True)
+                    assert reply["run"]["fired"] == 1
+                    client.destroy_session(sid)
+
+            growth = _growth_per_step(churn)
+            assert "goal" in _LAYOUTS
+            client.destroy_session(holder)
+        assert max(growth) < 100_000, growth
 
     def test_distinct_classes_and_orders_through_destroyed_sessions_leave_nothing(self):
         # Each session's program names a class no other names, and its
