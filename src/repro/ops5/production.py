@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import weakref
 from functools import partial
+from itertools import count
 from typing import Sequence
 
 from .actions import Action, Bind, actions_are_valid
 from .condition import Bindings, CEAnalysis, ConditionElement, analyze_lhs, binding_sites
 from .errors import ValidationError
-from .rhs import first_fire, rhs_source
+from .rhs import first_firings, rhs_source
 from .wme import WME
 
 
@@ -30,14 +31,14 @@ class Production:
     :class:`~repro.ops5.errors.ValidationError` immediately, so a loaded
     program is structurally sound before any matching happens.
 
-    Productions are immutable after construction (``fire`` and
-    ``fingerprint`` are filled once, on first use) and hashable by name;
+    Productions are immutable after construction (``fire``, its source
+    and ``fingerprint`` are filled once, on use) and hashable by name;
     a program never contains two productions with the same name.
     """
 
     __slots__ = (
         "name", "conditions", "actions", "analysis", "positive_indices", "specificity",
-        "binding_sites", "fire", "rhs_source", "fingerprint", "__weakref__",
+        "binding_sites", "fire", "_rhs_source", "fingerprint", "__weakref__",
     )
 
     def __init__(
@@ -67,14 +68,22 @@ class Production:
             (variable, self.positive_indices.index(ce), attribute)
             for variable, ce, attribute in binding_sites(self.analysis)
         )
-        #: The RHS, generated: ``fire(engine, wmes, record)`` and its source,
-        #: compiled on the first firing (a rule that never fires holds no
-        #: layout; the stand-in holds this rule weakly: no cycle).
-        self.rhs_source = rhs_source(self)
-        self.fire = partial(first_fire, weakref.ref(self))
+        #: The RHS: ``fire(engine, wmes, record)``, interpreted until the
+        #: ``rhs.COMPILE_AT``-th firing compiles it (a rule fired less holds
+        #: no layout; the stand-in holds this rule weakly: no cycle).
+        self.fire = partial(first_firings, weakref.ref(self), count(1))
+        self._rhs_source: str | None = None
         #: The LHS's structural fingerprint (``kernel.cache``), filled on
         #: first use.
         self.fingerprint: tuple | None = None
+
+    @property
+    def rhs_source(self) -> str:
+        """The source the compiled ``fire`` runs (``rhs.rhs_source``),
+        generated on first read."""
+        if self._rhs_source is None:
+            self._rhs_source = rhs_source(self)
+        return self._rhs_source
 
     def _validate_rhs(self) -> None:
         problems = actions_are_valid(self.actions, [ce.negated for ce in self.conditions])

@@ -2,8 +2,9 @@
 
 :func:`rhs_source` turns a production's ``Action`` list into the source
 of ``fire(engine, wmes, record)``, the executor for every matcher, which
-the production compiles on its first firing (:func:`first_fire`); ``fire``
-holds no engine state, because productions are shared by sessions and threads.
+the production compiles on its :data:`COMPILE_AT`-th firing
+(:func:`first_firings`; the firings before it :func:`interpret` the list);
+``fire`` holds no engine state, because productions are shared by sessions and threads.
 
 * Every LHS variable the RHS mentions is read into a numbered local from
   ``Production.binding_sites`` *before* the first action (a ``modify``
@@ -27,7 +28,14 @@ from math import isfinite
 
 from .actions import _ARITH, Bind, Compute, Constant, Expression, Halt, Make, Modify, Remove, Write
 from .errors import ExecutionError
-from .wme import is_number, layout_of
+from .wme import WME, is_number, layout_of
+
+#: The firing on which a production compiles its ``fire``; the ones before
+#: it are interpreted.  A compile costs what 30-40 interpreted firings of
+#: a rule lose against compiled ones (EXPERIMENTS.md), so a rule that a
+#: fresh parse fires a few times (a short session, a program parsed per
+#: run) compiles nothing, and one that fires on pays at most twice that.
+COMPILE_AT = 32
 
 #: Binds the names :func:`literal` emits; every generated module runs it.
 LITERAL_PRELUDE = "_inf = float('inf'); _nan = float('nan')"
@@ -119,6 +127,15 @@ class _Body:
         return site, "".join(f", {self.value(e)}" for _a, e in attributes)
 
 
+def _gone(production, action) -> str:
+    """The error of a ``remove`` / ``modify`` of a CE this firing removed."""
+    return (
+        "{}: condition element {} was already removed in this firing"
+        if isinstance(action, Remove)
+        else "{}: modify of condition element {} after its removal"
+    ).format(production.name, action.ce_index)
+
+
 def rhs_source(production) -> str:
     """The source of *production*'s ``fire``."""
     body = _Body()
@@ -146,12 +163,7 @@ def rhs_source(production) -> str:
         elif isinstance(action, (Remove, Modify)):
             position = production.ce_position_of(action.ce_index)
             if not live[position]:
-                message = (
-                    "{}: condition element {} was already removed in this firing"
-                    if isinstance(action, Remove)
-                    else "{}: modify of condition element {} after its removal"
-                ).format(production.name, action.ce_index)
-                emit(f"    raise ExecutionError({literal(message)})")
+                emit(f"    raise ExecutionError({literal(_gone(production, action))})")
                 break
             if isinstance(action, Remove):
                 live[position] = False
@@ -185,15 +197,55 @@ def rhs_source(production) -> str:
     return "".join(line + "\n" for line in body.head + body.lines)
 
 
-def first_fire(ref, engine, wmes, record) -> None:
-    """A production's ``fire`` until its first firing (bound to *ref*, a
-    weak reference to it): compiles its own from its ``rhs_source`` as
-    ``<rhs:NAME>``, with each site's record constructor bound to the
-    class's layout live now, installs it and fires it."""
-    owner = ref()
+def interpret(production, engine, wmes, record) -> None:
+    """One firing of *production*, its ``Action`` list walked: what its
+    ``fire`` does, with ``Expression.evaluate`` for values and ``WME`` /
+    ``with_updates`` (the same layout's records) for ``make`` / ``modify``."""
+    bindings = {v: wmes[position].get(a) for v, position, a in production.binding_sites}
+    current = list(wmes)
+    for action in production.actions:
+        kind = type(action)
+        if kind is Make:
+            engine.add_wme(WME(action.cls, {a: e.evaluate(bindings) for a, e in action.attributes}))
+            record.adds += 1
+        elif kind is Remove or kind is Modify:
+            position = production.ce_position_of(action.ce_index)
+            old = current[position]
+            if old is None:
+                raise ExecutionError(_gone(production, action))
+            new = current[position] = None if kind is Remove else old.with_updates(
+                {a: e.evaluate(bindings) for a, e in action.attributes})
+            engine.remove_wme(old)
+            record.removes += 1
+            if new is not None:
+                engine.add_wme(new)
+                record.adds += 1
+        elif kind is Write:
+            engine.output.append(" ".join(str(e.evaluate(bindings)) for e in action.values))
+        elif kind is Bind:
+            bindings[action.name] = action.expression.evaluate(bindings)
+        else:
+            engine.halt()
+
+
+def compile_fire(production):
+    """*production*'s ``fire``, compiled from its ``rhs_source`` as
+    ``<rhs:NAME>`` in a namespace of its own, each site's record
+    constructor bound to the class's layout live now."""
     namespace = dict(_GLOBALS)
     # compile() refuses a NUL in the file name.
-    filename = f"<rhs:{owner.name}>".replace("\0", "?")
-    exec(compile(owner.rhs_source, filename, "exec"), namespace)  # noqa: S102
-    owner.fire = namespace.pop("fire")  # not in its own globals: no reference cycle
-    owner.fire(engine, wmes, record)
+    filename = f"<rhs:{production.name}>".replace("\0", "?")
+    exec(compile(production.rhs_source, filename, "exec"), namespace)  # noqa: S102
+    return namespace.pop("fire")  # not in its own globals: no reference cycle
+
+
+def first_firings(ref, firings, engine, wmes, record) -> None:
+    """A production's ``fire`` until it is compiled (bound to *ref*, a weak
+    reference to it, and *firings*, a count from 1): interprets it, and on
+    firing :data:`COMPILE_AT` compiles ``fire``, installs it and fires it."""
+    owner = ref()
+    if next(firings) < COMPILE_AT:
+        interpret(owner, engine, wmes, record)
+    else:
+        owner.fire = compile_fire(owner)
+        owner.fire(engine, wmes, record)

@@ -1,11 +1,13 @@
-"""The compiled act phase (``ops5/rhs.py``) against a reference interpreter.
+"""The act phase (``ops5/rhs.py``), compiled and interpreted, against a
+reference interpreter.
 
-``Production.fire`` is generated source; ``reference_fire`` below walks
-the same ``Action`` objects with ``Expression.evaluate`` -- the
-semantics of the ``isinstance`` ladder the engine used to run -- and
+``Production.fire`` runs ``rhs.interpret`` until its ``COMPILE_AT``-th
+firing, then generated source (``rhs.compile_fire``); ``reference_fire``
+below walks the same ``Action`` objects with ``Expression.evaluate`` --
+the semantics of the ``isinstance`` ladder the engine used to run -- and
 takes its bindings from ``ConditionElement.match`` over the matched
-WMEs, not from ``Production.binding_sites``.  Two engines, one with
-each executor, must leave the same working memory, output lines,
+WMEs, not from ``Production.binding_sites``.  Engines with each
+executor must leave the same working memory, output lines,
 ``CycleRecord``s and exceptions.
 
 Hand mutations of ``ops5/rhs.py`` / ``ops5/production.py`` that each
@@ -18,6 +20,7 @@ CE local; the binding site taken from the *last* positive CE;
 import sys
 import threading
 import traceback
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -44,7 +47,8 @@ from repro.ops5 import (
     parse_program,
 )
 from repro.ops5.parser import Program
-from repro.ops5.rhs import first_fire, literal
+from repro.ops5 import rhs
+from repro.ops5.rhs import compile_fire, first_firings, interpret, literal
 from repro.ops5.wme import WME
 from repro.serve.session import shared_program
 from repro.workloads.programs import ALL_PROGRAMS, SYSTEM_PROGRAMS
@@ -102,6 +106,13 @@ def interpreted(system):
     return system
 
 
+def compiled(system):
+    """*system* with every production's ``fire`` compiled now."""
+    for production in system.matcher.productions:
+        production.fire = compile_fire(production)
+    return system
+
+
 def observed(system, cycles):
     """Everything a run leaves behind, in comparable form."""
     error = None
@@ -128,10 +139,9 @@ def observed(system, cycles):
 @pytest.mark.parametrize("name", sorted(ALL_PROGRAMS))
 def test_bundled_programs_fire_as_the_reference_does(name):
     module = ALL_PROGRAMS[name]
-    compiled = module.build(history=True)
-    reference = interpreted(module.build(history=True))
-    ours, theirs = observed(compiled, 400), observed(reference, 400)
-    assert ours == theirs
+    theirs = observed(interpreted(module.build(history=True)), 400)
+    ours = observed(module.build(history=True), 400)  # compiled as each rule warms up
+    assert ours == theirs == observed(compiled(module.build(history=True)), 400)
     fired = {cycle[1] for cycle in ours["cycles"]}
     assert len(fired) > 1, "the comparison must cover several productions"
 
@@ -182,15 +192,20 @@ def synthesised_match(production):
 @pytest.mark.parametrize("name", sorted(ALL_PROGRAMS))
 def test_every_production_fires_as_the_reference_does(name):
     """The runs above never satisfy the generated programs' watch rules;
-    here every production fires once, on a synthesised match."""
+    here every production fires once, on a synthesised match, compiled,
+    interpreted and by the reference."""
     for production in ALL_PROGRAMS[name].build().matcher.productions:
         wmes = synthesised_match(production)
         logs = []
-        for fire in (production.fire, lambda *args: reference_fire(production, *args)):
+        for fire in (
+            compile_fire(production),
+            lambda *args: interpret(production, *args),
+            lambda *args: reference_fire(production, *args),
+        ):
             log, record = Log(), CycleRecord(1, production.name, ())
             fire(log, wmes, record)
             logs.append((log.calls, log.output, record.adds, record.removes))
-        assert logs[0] == logs[1], production.name
+        assert logs[0] == logs[1] == logs[2], production.name
         assert logs[0][0] or logs[0][1], production.name
 
 
@@ -314,6 +329,7 @@ def test_literal_round_trips_every_number(value):
 
 def test_a_failing_compute_names_the_production_in_the_traceback():
     ps = ProductionSystem("(p price-check (item ^cost <c>) --> (make total ^v (compute <c> // 0)))")
+    compiled(ps)
     ps.add("item", cost=3)
     with pytest.raises(ExecutionError):
         try:
@@ -348,13 +364,16 @@ def test_rhs_source_of_the_docs_examples():
 # -- one shared program, two sessions, two threads ------------------------------
 
 
-def test_two_sessions_on_one_shared_program_fire_from_two_threads():
+def test_two_sessions_on_one_shared_program_fire_from_two_threads(monkeypatch):
+    # Its rules fire 1-3 times a run: compile on the second firing, so
+    # that the threads race interpreted firings and the compiles.
+    monkeypatch.setattr(rhs, "COMPILE_AT", 2)
     module = SYSTEM_PROGRAMS["r1-soar"]
     program = shared_program(module.PROGRAM)
     assert shared_program(module.PROGRAM) is program
     serial = observed(module.build(history=True, matcher="compiled"), 300)
-    # The threads race each rule's first firing, which compiles its fire.
-    assert all(p.fire.func is first_fire for p in program.productions)
+    # The threads race each rule's firings up to the one that compiles it.
+    assert all(p.fire.func is first_firings for p in program.productions)
     results, errors = {}, []
 
     def session(slot):
@@ -380,6 +399,8 @@ def test_two_sessions_on_one_shared_program_fire_from_two_threads():
     assert not errors
     assert len(serial["cycles"]) > 50
     assert all(results[slot] == serial for slot in range(4))
+    compiled_rules = [p for p in program.productions if not isinstance(p.fire, partial)]
+    assert compiled_rules and all(p.fire.__name__ == "fire" for p in compiled_rules)
 
 
 # -- random right-hand sides ----------------------------------------------------
@@ -432,14 +453,14 @@ def well_formed(rhs):
 
 def check_random_rhs(rhs, a, b):
     outcomes = []
-    for executor in (lambda system: system, interpreted):
+    for executor in (compiled, lambda system: system, interpreted):
         production = Production("r", CONDITIONS, rhs)
         program = Program([production], {"lit": ("n", "m")})
         ps = executor(ProductionSystem(program, matcher="compiled", history=True))
         ps.add("a", **dict(zip("nms", a)))
         ps.add("b", n=a[0], k=b)
         outcomes.append(observed(ps, 1))
-    assert outcomes[0] == outcomes[1]
+    assert outcomes[0] == outcomes[1] == outcomes[2]
     assert len(outcomes[0]["cycles"]) == 1
 
 

@@ -18,7 +18,7 @@ from repro.ops5 import ProductionSystem, WME
 from repro.ops5.actions import Constant, Make, Modify, VariableRef
 from repro.ops5.condition import ConditionElement, ConstantTest, VariableTest
 from repro.ops5.production import Production
-from repro.ops5.rhs import first_fire
+from repro.ops5.rhs import COMPILE_AT, first_firings
 from repro.kernel import CompiledMatcher
 from repro.ops5.wme import _LAYOUTS, _drop, layout_of, live_layout
 from repro.serve.session import encode_wme
@@ -116,21 +116,26 @@ def test_a_layout_lives_while_an_engine_record_or_kernel_relies_on_it():
     assert live_layout("lay-life-out") is None and "lay-life-out" not in _LAYOUTS
 
 
-def test_an_act_phase_is_compiled_on_its_first_firing_and_held_by_its_production():
+def test_an_act_phase_is_compiled_on_its_compile_at_th_firing_and_held_by_its_production():
     system = ProductionSystem("""
         (p lay-fires (lay-act ^go yes) --> (make lay-act-out ^v 1) (modify 1 ^go no ^n 2))
         (p lay-idle (lay-act ^go never) --> (make lay-idle-out ^v 1))
     """)
     fires, idle = sorted(system.matcher.productions, key=lambda p: p.name)
+    assert fires._rhs_source is None  # generated on first read
     site = "_k0 = layout_of('lay-act-out', ('v', )).constructor(('v', ), False)"
     assert site in fires.rhs_source
-    assert fires.fire.func is first_fire and idle.fire.func is first_fire  # nothing compiled
+    for n in range(COMPILE_AT - 1):
+        system.add("lay-act", go="yes", n=n)
+    assert system.run().fired == COMPILE_AT - 1
+    act = live_layout("lay-act")
+    # Interpreted firings build records through the layout, compile nothing.
+    assert fires.fire.func is first_firings and dict(act._code) == {}
     system.add("lay-act", go="yes")
     assert system.run().fired == 1
     compiled = weakref.ref(fires.fire)
     assert compiled().__code__.co_filename == "<rhs:lay-fires>"
-    assert idle.fire.func is first_fire
-    act = live_layout("lay-act")
+    assert idle.fire.func is first_firings and idle._rhs_source is None
     assert sorted(act._code) == [(("go", "n"), True)]
     del system
     gc.collect()

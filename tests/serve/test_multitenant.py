@@ -24,6 +24,7 @@ import pytest
 
 from repro.kernel import clear_shared_kernels, shared_kernel_stats
 from repro.ops5 import ProductionSystem
+from repro.ops5.rhs import COMPILE_AT
 from repro.ops5.wme import _LAYOUTS
 from repro.serve import RouterFleet, RuleClient, ServerError, ServerThread
 from repro.serve.session import (
@@ -272,8 +273,8 @@ class TestHeapStaysFlat:
 
     def test_distinct_programs_through_destroyed_sessions_leave_nothing(self):
         # Each program has its own constants (its own parse and kernel),
-        # its own rule name and its own make and modify, and fires once:
-        # its act phase is compiled, and leaves with its session.
+        # its own rule name and its own make and modify, and fires until
+        # its act phase is compiled, which leaves with its session.
         def program(tag):
             return (
                 f"(p probe-{tag} (goal ^want {tag}) (block ^color <c> ^size > 2)"
@@ -285,8 +286,9 @@ class TestHeapStaysFlat:
             def churn(k):
                 for i in range(100):
                     sid = client.create_session(program=program(f"r{k}-{i}"), matcher="compiled")
-                    wmes = [["goal", {"want": f"r{k}-{i}"}], ["block", {"color": "red", "size": 3}]]
-                    assert client.assert_wmes(sid, wmes, run=True)["run"]["fired"] == 1
+                    wmes = [["goal", {"want": f"r{k}-{i}", "n": n}] for n in range(COMPILE_AT)]
+                    wmes.append(["block", {"color": "red", "size": 3}])
+                    assert client.assert_wmes(sid, wmes, run=True)["run"]["fired"] == COMPILE_AT
                     client.destroy_session(sid)
 
             growth = _growth_per_step(churn)
@@ -313,8 +315,9 @@ class TestHeapStaysFlat:
             def churn(k):
                 for i in range(100):
                     sid = client.create_session(program=program(f"r{k}-{i}"), matcher="compiled")
-                    reply = client.assert_wmes(sid, [["goal", {"want": "go"}]], run=True)
-                    assert reply["run"]["fired"] == 1
+                    wmes = [["goal", {"want": "go", "n": n}] for n in range(COMPILE_AT)]
+                    reply = client.assert_wmes(sid, wmes, run=True)
+                    assert reply["run"]["fired"] == COMPILE_AT
                     client.destroy_session(sid)
 
             growth = _growth_per_step(churn)
