@@ -15,16 +15,17 @@ match network as *closures over local dicts*:
   bitmask into the change's affected set;
 * per production, a linear join chain -- for condition element ``i`` a
   left index ``li`` (join key -> {left key -> token}), a right index
-  ``ri`` (join key -> the one WME filed under it, or {timetag -> WME}
-  once two are: ``KernelRuntime.file`` / ``unfile``), and for negated
-  CEs a blocker count ``nc`` (left key -> int);
+  ``ri{s}_{n}`` (join key -> the one WME filed under it, or {timetag ->
+  WME} once two are: ``KernelRuntime.file`` / ``unfile``) shared by the
+  levels reading store ``s`` under one key (``plan_right_indexes``), and
+  for negated CEs a blocker count ``nc`` (left key -> int);
 * per *first-level group* (``plan_groups``: the productions whose CE 0
   reads one store under one guard and whose first join hashes the same
   attributes of CE 0), ONE level-1 left memory ``gl`` and one fused CE-0
   activation pair ``g{n}_a`` / ``g{n}_d`` that builds the token once
   and runs every member's first join inline -- Rete's node sharing,
-  one level deep.  Right indexes, blocker counts and every deeper level
-  stay private to their production;
+  one level deep.  Blocker counts and every deeper left memory stay
+  private to their production;
 * a terminal that edits the conflict set directly.
 
 Join keys are tuples (or bare values) of attribute values read straight
@@ -56,16 +57,15 @@ Correctness notes (mirroring the node-walking Rete):
   compares and hashes equal to ``1``), ordering predicates need two
   numbers, a symbol constant is plain ``==``.
 * Exactly-once pairing when one WME feeds several CEs of a production:
-  each CE's right entry inserts into its own ``ri`` bucket and probes
-  the opposite ``li`` within the same call, so whichever of the two
-  subscriber calls runs second forms the pair -- no Doorenbos
-  descendants-first ordering is needed.  At level 1 this leans on the
-  right index being *private*: a group subscribes where its first
-  member's CE 0 would, so it runs before any member's CE-1 subscriber
-  has filed the WME.  A right index shared *between* productions
-  would be filled by its first subscriber, possibly before another
-  sharer's CE-0 activation of the same WME -- which would then pair
-  the WME with itself once from the left and again from the right.
+  a level's right index gains the entering WME in the store block that
+  runs the level's right activation, which probes the opposite ``li``,
+  so whichever of the two sides runs second forms the pair -- no
+  Doorenbos descendants-first ordering is needed.  Nothing else in
+  that block reaches the production's earlier levels, unless the store
+  also feeds one of its earlier CEs: such a level keeps a private index
+  filed by its own subscriber, since a shared one could hold the WME
+  before the earlier CE's activation of it, which would then pair it
+  with itself once from the left and again from the right.
 * Deletion is rematch-style: the delete path probes the same indexes
   and re-evaluates residual tests, exactly like ``JoinNode``.  A remove
   mirrors an add: each store holding the WME runs its delete
@@ -102,6 +102,7 @@ __all__ = [
     "generate_source",
     "plan_alpha_index",
     "plan_groups",
+    "plan_right_indexes",
     "plan_stores",
     "sharing_summary",
 ]
@@ -381,17 +382,16 @@ def _emit_members(emit, ri: str) -> None:
 def _emit_left(emit, memory: str, tkey: str, joins: Sequence[tuple], add: bool) -> None:
     """Body of a left activation once ``tok`` / ``lk`` are bound: edit
     the left *memory* under *tkey*, then run each ``(production, level,
-    analyses)`` of *joins* against its own right index -- a positive CE
-    probes it, a negated CE settles its own blocker count -- and call
-    the level below.  One join for a private level; every member of a
+    analyses, right index)`` of *joins* -- a positive CE probes its right
+    index, a negated CE settles its own blocker count -- and call the
+    level below.  One join for a private level; every member of a
     first-level group inline.  The probe loops rebind ``w``, so a
     caller reads its entering WME before this runs.
     """
     emit(f"        key = {tkey}")
     _emit_left_edit(emit, memory, add)
-    for p_idx, i, analyses in joins:
+    for p_idx, i, analyses, ri in joins:
         guard = _residual_expr(analyses, i)
-        ri = f"ri{p_idx}_{i}"
         nc = f"nc{p_idx}_{i}"
         down = f"p{p_idx}_l{i + 1}_{'a' if add else 'd'}"
         if not analyses[i].ce.negated:
@@ -419,11 +419,12 @@ def _emit_left(emit, memory: str, tkey: str, joins: Sequence[tuple], add: bool) 
         emit(f"            {down}(tok + (None,), lk + (0,))")
 
 
-def _right_body(p_idx: int, i: int, analyses, li: str, add: bool) -> list[str]:
+def _right_body(p_idx: int, i: int, analyses, li: str, index: tuple, add: bool) -> list[str]:
     """Level *i*'s right activation, unindented lines for its store's
-    block: index the entering ``w`` / ``wt`` under its join key, probe
-    the left memory *li* (the group's at level 1).  It binds ``key``,
-    ``b``, ``lk``, ``tok`` and ``n``, never ``w`` or ``wt``."""
+    block: if it is its right index's filer (*index* is ``(name, files)``),
+    file or unfile the entering ``w`` / ``wt`` under its join key, then
+    probe the left memory *li* (the group's at level 1).  It binds
+    ``key``, ``b``, ``lk``, ``tok`` and ``n``, never ``w`` or ``wt``."""
     lines: list[str] = []
     emit = lines.append
     ce = analyses[i].ce
@@ -433,8 +434,9 @@ def _right_body(p_idx: int, i: int, analyses, li: str, add: bool) -> list[str]:
     emit("        ctr[0] += 1")
     own = [_read(ce.cls, jt.own_attribute) for jt in _split_tests(analyses[i])[0]]
     emit(f"        key = {_key_expr(own)}")  # the entering WME's side
-    ri = f"ri{p_idx}_{i}"
-    emit(f"        fi({ri}, key, wt, w)" if add else f"        uf({ri}, key, wt)")
+    ri, files = index
+    if files:
+        emit(f"        fi({ri}, key, wt, w)" if add else f"        uf({ri}, key, wt)")
     emit(f"        b = {li}.get(key)")
     emit("        if b:")
     emit("            ctr[1] += len(b)")
@@ -461,14 +463,14 @@ def _right_body(p_idx: int, i: int, analyses, li: str, add: bool) -> list[str]:
 
 
 def _emit_production(
-    out: list[str], p_idx: int, production: Production, group: int | None, rights: dict
+    out: list[str], p_idx: int, production: Production, group: int | None, rights, indexes
 ) -> None:
     """Everything private to one production: terminal and join levels
     two and deeper; every level's right activation goes to *rights*
-    (``p{k}_r{i}`` -> add and remove bodies) for its store's block.  Its
-    first-level left side lives in first-level group *group*
-    (``_emit_group``), whose left memory its level-1 right activations
-    probe."""
+    (``p{k}_r{i}`` -> add and remove bodies) for its store's block, and
+    probes the right index *indexes* names for it.  Its first-level left
+    side lives in first-level group *group* (``_emit_group``), whose left
+    memory its level-1 right activations probe."""
     analyses = production.analysis
     depth = len(analyses)
     emit = out.append
@@ -479,7 +481,6 @@ def _emit_production(
     for i in range(1, depth):
         if i > 1:
             emit(f"    li{p_idx}_{i} = {{}}")
-        emit(f"    ri{p_idx}_{i} = {{}}")
         if analyses[i].ce.negated:
             emit(f"    nc{p_idx}_{i} = {{}}")
 
@@ -502,13 +503,15 @@ def _emit_production(
     for i in range(depth - 1, 0, -1):
         eq, _residual = _split_tests(analyses[i])
         li = f"li{p_idx}_{i}" if i > 1 else f"gl{group}"
+        index = indexes[(p_idx, i)]
         if i > 1:
+            join = (p_idx, i, analyses, index[0])
             for add in (True, False):
                 emit(f"    def {pre}_l{i}_{'a' if add else 'd'}(tok, lk):")
                 emit("        ctr[0] += 1; ctr[2] += 1" if add else "        ctr[0] += 1")
-                _emit_left(emit, li, _token_key(analyses, eq), [(p_idx, i, analyses)], add)
+                _emit_left(emit, li, _token_key(analyses, eq), [join], add)
         rights[f"{pre}_r{i}"] = tuple(
-            _right_body(p_idx, i, analyses, li, add) for add in (True, False)
+            _right_body(p_idx, i, analyses, li, index, add) for add in (True, False)
         )
 
     if depth == 1:
@@ -552,29 +555,46 @@ def plan_groups(
     return groups
 
 
+def plan_right_indexes(productions: Sequence[Production], use: dict) -> tuple[dict, dict]:
+    """``{(production, level >= 1): (right index name, files)}`` and, in
+    emission order, ``{name: (store index, join-key attributes)}``.  The
+    levels reading one store under one key share ``ri{s}_{n}``, filed by
+    the first to subscribe, unless the store also feeds an earlier CE of
+    the level's production (see the module notes: exactly-once)."""
+    levels: dict[tuple[int, int], tuple[str, bool]] = {}
+    names: dict[tuple, str] = {}  # (store, attributes[, private level]) -> name
+    for p_idx, production in enumerate(productions):
+        stores = [use[(p_idx, a.index)].index for a in production.analysis]
+        for i, analysis in enumerate(production.analysis[1:], 1):
+            attrs = tuple(jt.own_attribute for jt in _split_tests(analysis)[0])
+            sig = (stores[i], attrs) + ((p_idx, i) if stores[i] in stores[:i] else ())
+            if files := sig not in names:
+                names[sig] = f"ri{stores[i]}_{sum(k[0] == stores[i] for k in names)}"
+            levels[(p_idx, i)] = (names[sig], files)
+    return levels, {name: sig[:2] for sig, name in names.items()}
+
+
 def sharing_summary(productions: Sequence[Production]) -> dict:
     """The ``sharing`` block of ``kernel_summary()``: how much of the
     ruleset shares a first CE -- the compiled counterpart of the
     ``rete`` section's ``sharing_ratio``."""
     _plans, use = plan_stores(productions)
     sizes = sorted(map(len, plan_groups(productions, use).values()), reverse=True)
+    levels, specs = plan_right_indexes(productions, use)
     return {
         "groups": len(sizes),
         "sizes": sizes,
         "grouped_productions": sum(n for n in sizes if n > 1),
         "largest_group": sizes[0] if sizes else 0,
         "left_memories_saved": sum(sizes) - len(sizes),
+        "right_indexes": len(specs),
+        "right_indexes_saved": len(levels) - len(specs),
     }
 
 
-def _emit_group(
-    out: list[str],
-    g_idx: int,
-    signature: tuple[int, str, str],
-    members: list[int],
-    productions: Sequence[Production],
-) -> None:
-    """One group's left memory and fused CE-0 activation pair.
+def _emit_group(out: list[str], g_idx: int, signature: tuple[int, str, str], joins: list) -> None:
+    """One group's left memory and fused CE-0 activation pair, running
+    its members' first *joins* (``_emit_left``).
 
     The counters stay *logical*: one entry activation per member, then
     -- past the guard -- one level-1 activation (and, on add, one
@@ -584,8 +604,7 @@ def _emit_group(
     """
     emit = out.append
     _store, guard, tkey = signature
-    n = len(members)
-    joins = [(p_idx, 1, productions[p_idx].analysis) for p_idx in members]
+    n = len(joins)
     emit(f"    gl{g_idx} = {{}}")
     for add in (True, False):
         emit(f"    def g{g_idx}_{'a' if add else 'd'}(w):")
@@ -751,18 +770,22 @@ def generate_parts(productions: Sequence[Production]) -> list[tuple[str, tuple, 
     ]
     emit = out.append
 
-    # Stores: the affected-set bitmask, then the rows.
+    # Stores: the affected-set bitmask, then the rows; then the right indexes.
     for plan in plans:
         emit(f"    m{plan.index} = {hex(plan.mask)}")
         emit(f"    r{plan.index} = rt.store({plan.cls!r}, m{plan.index})")
+    indexes, specs = plan_right_indexes(productions, use)
+    for name in specs:
+        emit(f"    {name} = rt.index()")
 
     first_level = list(plan_groups(productions, use).items())
     group_of = {p: g for g, (_sig, members) in enumerate(first_level) for p in members}
     rights: dict[str, tuple[list[str], list[str]]] = {}
     for p_idx, production in enumerate(productions):
-        _emit_production(out, p_idx, production, group_of.get(p_idx), rights)
+        _emit_production(out, p_idx, production, group_of.get(p_idx), rights, indexes)
     for g_idx, (signature, members) in enumerate(first_level):
-        _emit_group(out, g_idx, signature, members, productions)
+        joins = [(p, 1, productions[p].analysis, indexes[(p, 1)][0]) for p in members]
+        _emit_group(out, g_idx, signature, joins)
 
     subscribers = _plan_subscribers(productions, use, first_level)
 

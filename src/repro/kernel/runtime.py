@@ -72,11 +72,11 @@ def _unfile(index: dict, key, wt: int) -> None:
 
 class KernelRuntime:
     """Everything the generated kernel's parts need, plus the built state:
-    they bind the helpers below, call :meth:`store` per alpha store and
+    they bind the helpers below, call :meth:`store` and :meth:`index`, and
     install the class entries in ``adds`` / ``removes``."""
 
     __slots__ = ("counters", "cs_insert", "cs_delete", "instantiation",
-                 "productions", "stores", "adds", "removes")
+                 "productions", "stores", "indexes", "adds", "removes")
 
     # Join-test helpers, shared by every kernel.
     veq = staticmethod(values_equal)
@@ -101,6 +101,7 @@ class KernelRuntime:
         #: ``productions`` and the entries' affected bitmasks index it.
         self.productions = productions
         self.stores: list[AlphaStore] = []
+        self.indexes: list[dict] = []  # in ``codegen.plan_right_indexes`` order
         #: class -> generated entry: ``entry(wme)`` edits the stores, runs
         #: their subscribers, returns the number of affected productions.
         self.adds: dict = {}
@@ -111,6 +112,11 @@ class KernelRuntime:
         store = AlphaStore(len(self.stores), cls, mask)
         self.stores.append(store)
         return store.rows
+
+    def index(self) -> dict:
+        """A new right index (called by the generated code)."""
+        self.indexes.append(index := {})
+        return index
 
     def add_wme(self, wme: WME) -> int:
         """Insert *wme*; return the number of affected productions."""

@@ -1,20 +1,21 @@
-"""Kernel verification: store invariants plus a one-shot Rete check.
+"""Kernel verification: store and index invariants plus a one-shot Rete check.
 
 :func:`check_kernel` is the compiled counterpart of the Rete
 ``check_network`` hook used by ``repro run --verify``.  It audits each
 partition's stores against the plan, the engine's working memory
 (``matcher.memory``) and the *interpreted* alpha tests
 (``ops5.condition.wme_passes_alpha`` of each store's condition
-elements -- never the generated entries it checks), and then builds a
-fresh node-walking :class:`~repro.rete.ReteNetwork` over that same
-memory, comparing conflict sets.
+elements -- never the generated entries it checks) and its right
+indexes against their stores' rows, then builds a fresh node-walking
+:class:`~repro.rete.ReteNetwork` over that same memory, comparing
+conflict sets.
 An empty list of problems means the kernel holds what Rete would.
 """
 
 from __future__ import annotations
 
 from ..ops5.condition import wme_passes_alpha
-from .codegen import plan_stores
+from .codegen import plan_right_indexes, plan_stores
 from .matcher import CompiledMatcher
 
 __all__ = ["check_kernel"]
@@ -29,9 +30,10 @@ def check_kernel(matcher: CompiledMatcher) -> list[str]:
         readers: list[list] = [[] for _plan in plans]
         for (p_idx, ce), plan in use.items():
             readers[plan.index].append(runtime.productions[p_idx].analysis[ce])
+        specs = plan_right_indexes(runtime.productions, use)[1]
         shapes = [(s.cls, s.mask) for s in runtime.stores]
-        if shapes != [(p.cls, p.mask) for p in plans]:
-            problems.append(f"partition {part}: stores differ from the plan")
+        if shapes != [(p.cls, p.mask) for p in plans] or len(runtime.indexes) != len(specs):
+            problems.append(f"partition {part}: stores or right indexes differ from the plan")
         for store, ces in zip(runtime.stores, readers):
             where = f"partition {part} store {store.index}"
             for timetag, wme in store.rows.items():
@@ -51,6 +53,14 @@ def check_kernel(matcher: CompiledMatcher) -> list[str]:
                         f"{where}: WME {wme.timetag} passes the alpha "
                         "tests but is missing from the store"
                     )
+        for (name, (s, attrs)), index in zip(specs.items(), runtime.indexes):
+            want: dict = {}
+            for wme in runtime.stores[s].rows.values():
+                key = tuple(map(wme.get, attrs))
+                want.setdefault(key[0] if len(key) == 1 else key or 0, {})[wme.timetag] = wme
+            have = {k: b if type(b) is dict else {b.timetag: b} for k, b in index.items()}
+            if have != want or any(type(b) is dict and len(b) < 2 for b in index.values()):
+                problems.append(f"partition {part} right index {name}: not store {s}'s rows by key")
 
     # One-shot differential check against the node-walking Rete.
     from ..rete.network import ReteNetwork

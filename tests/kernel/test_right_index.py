@@ -1,19 +1,21 @@
 """A right-index bucket's two shapes, through one join key's whole life.
 
-A generated right index ``ri{p}_{i}`` maps a join key with one member
+A generated right index ``ri{s}_{n}`` maps a join key with one member
 to that WME itself and a key with two or more to a ``{timetag: WME}``
 dict; a key with none is absent.  Here one key goes 0 -> 1 -> 2 -> 3 ->
-2 -> 1 -> 0 members under four kinds of CE that read the same index
-shape -- plain positive, positive with a residual guard, negated,
-negated with a guard -- and at every step:
+2 -> 1 -> 0 members under four kinds of CE that read one store under
+one join key, and so probe one shared index -- plain positive, positive
+with a residual guard, negated, negated with a guard -- and at every
+step:
 
 * the conflict set equals a node-walking Rete's (:class:`Shadowed`),
   and the per-change ``MatchStats`` rows equal the ones the kernel gave
   when every bucket was a dict (the Rete counts its own network's
   effort, not the kernel's logical one);
 * every bucket of every right index, read from the generated closures'
-  cells, is a WME or a dict of at least two, and the probed key's
-  bucket is absent, the lone member, or exactly the live members.
+  cells (the runtime's ``indexes``), is a WME or a dict of at least
+  two, and the probed key's bucket is absent, the lone member, or
+  exactly the live members.
 
 Hand mutations of ``kernel/runtime.py`` that each fail this file (the
 helper was edited in a copy, the file run): a delete that leaves a
@@ -65,7 +67,7 @@ DICT_ONLY_ROWS = [
 
 
 def right_indexes(matcher):
-    """``ri{p}_{i}`` name -> dict, from every closure reachable from the
+    """``ri{s}_{n}`` name -> dict, from every closure reachable from the
     runtimes' class entries (the store blocks sit in ``T`` / ``Q``
     dispatch dicts)."""
     found, seen = {}, set()
@@ -88,7 +90,9 @@ def right_indexes(matcher):
 
 def check_shapes(matcher, key, members):
     indexes = right_indexes(matcher)
-    assert len(indexes) == 4
+    # Every CE 1 reads store ``u`` under ``^x``: one index, filed once.
+    assert list(indexes) == ["ri1_0"]
+    assert [id(index) for index in matcher.runtimes[0].indexes] == [id(indexes["ri1_0"])]
     for name, index in indexes.items():
         for bucket in index.values():
             assert isinstance(bucket, WME) or (type(bucket) is dict and len(bucket) >= 2), name

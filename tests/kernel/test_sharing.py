@@ -2,8 +2,10 @@
 
 Productions whose first CE reads one alpha store, under one CE-0 guard,
 and whose first join hashes the same CE-0 attributes share ONE left memory
-and ONE fused CE-0 activation (``g{n}_a`` / ``g{n}_d``); right indexes,
-blocker counts and everything below the first join stay private.  Every
+and ONE fused CE-0 activation (``g{n}_a`` / ``g{n}_d``); join levels that
+read one store under one join key share ONE right index, unless their
+store also feeds an earlier CE of their own production; blocker counts
+and every left memory below the first join stay private.  Every
 case here runs on a :class:`Shadowed` matcher -- a node-walking Rete
 driven beside the kernel, the two conflict sets compared after each
 change, and ``ConflictSet`` itself raises on a double insert or a
@@ -26,7 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.kernel import CompiledMatcher, check_kernel
-from repro.kernel.codegen import sharing_summary
+from repro.kernel.codegen import plan_right_indexes, plan_stores, sharing_summary
 from repro.ops5 import ProductionSystem, parse_program
 from repro.ops5.production import Instantiation
 from repro.ops5.wme import WME, live_layout
@@ -155,6 +157,10 @@ def test_one_first_level_emitter(name):
     grouped = sum(len(p.analysis) > 1 for p in productions)
     assert sum(summary["sharing"]["sizes"]) == grouped
     assert summary["sharing"]["left_memories_saved"] == grouped - summary["sharing"]["groups"]
+    joins = sum(len(p.analysis) - 1 for p in productions)
+    indexes = system.matcher.generated_source.count(" = rt.index()")
+    assert indexes == summary["sharing"]["right_indexes"]
+    assert indexes == joins - summary["sharing"]["right_indexes_saved"]
     # One subscription per group, one per later CE, one per single-CE rule.
     assert summary["subscriptions"] == (
         sum(len(p.analysis) for p in productions) - summary["sharing"]["left_memories_saved"]
@@ -167,8 +173,9 @@ def test_r1_soar_groups():
     system = SYSTEM_PROGRAMS["r1-soar"].build(matcher=CompiledMatcher())
     source = system.matcher.generated_source
     functions = _functions(source)
+    # Each member probes its level-1 right index once (some share one).
     members = sorted(
-        (len(set(re.findall(r"ri(\d+)_1\b", body))) for name, body in functions.items()
+        (len(re.findall(r"b = ri\d+_\d+\.get\(key\)", body)) for name, body in functions.items()
          if re.fullmatch(r"g\d+_a", name)),
         reverse=True,
     )
@@ -179,6 +186,8 @@ def test_r1_soar_groups():
         "grouped_productions": 51,
         "largest_group": 27,
         "left_memories_saved": 47,
+        "right_indexes": 56,  # 91 unshared
+        "right_indexes_saved": 35,
     }
     assert system.matcher.kernel_summary()["subscriptions"] == 97  # 144 unshared
     # The generated text does not grow.  It is compiled a part at a time,
@@ -188,9 +197,23 @@ def test_r1_soar_groups():
     # function, before the parts' headers added about 13,000).
     assert len(source.encode()) <= 150_000
     # A member's level-1 right activation, inline in its store's block,
-    # probes its group's left memory.
-    (block,) = [body for body in functions.values() if "fi(ri0_1, key, wt, w)" in body]
-    assert re.search(r"fi\(ri0_1, key, wt, w\)\n        b = gl\d+\.get\(key\)", block)
+    # probes its group's left memory: production 0's CE 1 reads the
+    # ``item`` store 1, whose first subscriber files each WME in ri1_0.
+    (block,) = [body for body in functions.values() if "fi(ri1_0, key, wt, w)" in body]
+    assert re.search(r"fi\(ri1_0, key, wt, w\)\n        b = gl\d+\.get\(key\)", block)
+    # Each join-read store block files its WME once: an ``item`` store
+    # read by three right activations did so three times, a ``mark``
+    # store read by two, twice.
+    readers = {}
+    for store in system.matcher.runtimes[0].stores:
+        edit = re.search(
+            rf"r{store.index}\[wt\] = w\n(.*?)(m \|= |return )m{store.index}\b", source, re.S
+        ).group(1)
+        if "fi(" in edit:
+            assert edit.count("fi(") == 1, store
+            key = (store.cls, edit.count("ctr[0] += 1\n"))
+            readers[key] = readers.get(key, 0) + 1
+    assert readers == {("item", 1): 27, ("item", 3): 7, ("mark", 2): 21, ("task", 1): 1}
     # The halt rule's negated first join keeps a private blocker dict.
     halt = [p.name for p in system.matcher.productions].index("r1-soar-halt")
     assert f"nc{halt}_1[lk] = n" in source
@@ -230,6 +253,42 @@ def test_one_wme_feeding_ce0_and_ce1_pairs_with_itself_exactly_once():
         ("remove", 1),
     )
     assert (driven.conflict_set.total_inserts, driven.conflict_set.total_deletes) == (4, 4)
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_a_store_read_twice_by_one_production_keeps_a_private_index(order):
+    """``twice``'s CE 1 and CE 2 read ``t`` under ``^x``; ``other``'s CE 2
+    shares that store and key.  ``other``'s level 2 and ``twice``'s level
+    1 share one right index; ``twice``'s level 2 keeps its own, filed by
+    its own subscriber.  Were it shared, a ``t`` WME filed by the index's
+    first subscriber would already be there when ``twice``'s level-1
+    activation of the same WME probes it from the left, and ``twice``'s
+    level-2 right activation would then pair it with itself again: a
+    duplicate conflict-set insert."""
+    rules = [
+        "(p other (c ^x <v>) (u ^x <v>) (t ^x <v>) --> (halt))",
+        "(p twice (c ^x <v>) (t ^x <v>) (t ^x <v>) --> (halt))",
+    ]
+    driven = Driven(
+        "\n".join(rules[i] for i in order),
+        ("add", "c", {"x": 1}),  # timetag 1
+        ("add", "u", {"x": 1}),
+        ("add", "t", {"x": 1}),  # twice: 1 3 3; other: 1 2 3
+        ("add", "t", {"x": 1}),  # twice: 1 3 4, 1 4 3, 1 4 4; other: 1 2 4
+        ("add", "t", {"x": 2}),  # another key
+        ("remove", 2),
+        ("add", "c", {"x": 1}),  # twice: 6 4 4; other: 6 2 4
+        ("remove", 3),
+        ("remove", 0),
+        ("remove", 5),
+    )
+    productions = list(driven.matcher.productions)
+    levels, _specs = plan_right_indexes(productions, plan_stores(productions)[1])
+    other, twice = (productions.index(p) for p in sorted(productions, key=lambda p: p.name))
+    assert levels[(twice, 1)][0] == levels[(other, 2)][0] != levels[(twice, 2)][0]
+    assert levels[(twice, 2)][1]  # private: it files its own WMEs
+    assert driven.conflict_set.total_inserts == driven.conflict_set.total_deletes == 8
+    assert driven.satisfied() == set()
 
 
 def test_negated_members_keep_private_blocker_counts():

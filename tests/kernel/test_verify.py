@@ -60,6 +60,14 @@ class TestChecker:
         problems = check_kernel(matcher)
         assert problems and all(p.startswith("partition 1 ") for p in problems)
 
+    def test_detects_a_sabotaged_right_index_entry(self):
+        matcher, wmes = _loaded([("goal", {"want": "red"}), ("block", {"color": "red"})])
+        # ``find`` and ``quiet`` read the block store 1 under ^color: one index.
+        (index,) = matcher.runtimes[0].indexes
+        assert index == {"red": wmes[1]} and check_kernel(matcher) == []
+        index["blue"] = index.pop("red")  # sabotage: filed under another key
+        assert check_kernel(matcher) == ["partition 0 right index ri1_0: not store 1's rows by key"]
+
     def test_detects_corrupted_dispatch_table(self):
         """A class entry that files nothing is a false negative: the
         auditor's own scan of the interpreted alpha tests names the WME."""

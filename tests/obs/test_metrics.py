@@ -56,6 +56,9 @@ class TestSnapshotSections:
             "grouped_productions": 5,
             "largest_group": 5,
             "left_memories_saved": 4,
+            # 14 join levels on 7 (store, join key) pairs.
+            "right_indexes": 7,
+            "right_indexes_saved": 7,
         }
         assert kernel["partitions"]["group_sizes"] == [[5]]
         # What a partition costs: the same five rules in two partitions.
