@@ -9,7 +9,8 @@ after the first wave, so the kernel's code is not counted) to:
 
 * ``record``: each WME's record (``sys.getsizeof``, plus an overflow
   dict), ``WM dict``: working memory's timetag map, ``timetag int``;
-* ``store rows``: the alpha stores' row dicts;
+* ``store counts``: each runtime's list of per-store counts (a store
+  keeps no row of its WMEs; its right indexes file them);
 * ``right indexes``: every right-index dict the generated closures
   capture (``ri*``), with its ``{timetag: WME}`` buckets;
 * ``left memories``: the left dicts, their buckets and the tokens and
@@ -74,12 +75,12 @@ def census(system) -> dict[str, int]:
         "record": sum(size(w) + (size(w._extra) if w._extra else 0) for w in wmes),
         "WM dict": size(system.memory._elements),
         "timetag int": sum(size(w.timetag) for w in wmes if w.timetag > 256),
-        "store rows": 0,
+        "store counts": 0,
         "right indexes": 0,
         "left memories": 0,
     }
     for runtime in system.matcher.runtimes:
-        parts["store rows"] += sum(size(store.rows) for store in runtime.stores)
+        parts["store counts"] += size(runtime.counts)
         for name, value in captured_dicts(runtime).items():
             if re.fullmatch(r"ri\d+_\d+", name):
                 buckets = (b for b in value.values() if type(b) is dict)

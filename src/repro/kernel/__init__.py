@@ -9,8 +9,8 @@ specialized Python:
 * the alpha network becomes one generated add / remove entry per WME
   class, testing each store's alpha items inline;
 * beta joins become hash-indexed probes whose key components are read
-  from the WMEs a row or token already holds (a dict compares them the
-  way OPS5 does);
+  from the entering WME or the WMEs a token holds (a dict compares them
+  the way OPS5 does);
 * one process-wide registry (``kernel/shared.py``) keyed by a structural
   LHS fingerprint (``kernel/cache.py``) generates, compiles and exec's
   each ruleset shape once, so re-loading the same ruleset (or the same

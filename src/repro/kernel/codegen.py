@@ -10,8 +10,8 @@ match network as *closures over local dicts*:
   (``rt.adds[cls]`` / ``rt.removes[cls]``): the alpha network as code.
   It probes each constant group (:func:`plan_alpha_index`) into a dict
   of store blocks and runs the class's tail stores inline; a store tests
-  its alpha items, files its row, runs its subscribers (a right
-  activation inline, a group as a call) and ORs its productions'
+  its alpha items, counts the WME (``sc``), runs its subscribers (a
+  right activation inline, a group as a call) and ORs its productions'
   bitmask into the change's affected set;
 * per production, a linear join chain -- for condition element ``i`` a
   left index ``li`` (join key -> {left key -> token}), a right index
@@ -68,8 +68,9 @@ Correctness notes (mirroring the node-walking Rete):
   with itself once from the left and again from the right.
 * Deletion is rematch-style: the delete path probes the same indexes
   and re-evaluates residual tests, exactly like ``JoinNode``.  A remove
-  mirrors an add: each store holding the WME runs its delete
-  subscribers, then drops its row.
+  mirrors an add: records are immutable, so the same probes, guards and
+  store tests find the stores holding the WME, and each runs its delete
+  subscribers, then uncounts it.
 * Negated CEs keep a per-left-token blocker count, like
   ``NegativeNode``: 0 -> 1 retracts the downstream token, 1 -> 0
   re-propagates it.
@@ -217,8 +218,9 @@ def plan_alpha_index(
     instead of testing every *store*.  Keys are raw values, so
     ``1``/``1.0`` share an entry as OPS5 equates them and ``"5"`` never
     meets ``5``.  A hit therefore settles the store's constant items,
-    except that ``True`` hits ``1``: the store block still checks a
-    numeric constant's type, and tests every other item.  A store with
+    except that ``True`` hits ``1``: both class entries check a numeric
+    key's type before the probe, and the store block tests every other
+    item.  A store with
     no constant item, or with one attribute tested twice, stays in the
     class's linear tail.
     """
@@ -671,20 +673,19 @@ def _store_test(plan: StorePlan, keyed: bool) -> str:
 
 
 def _edit(s: int, body, add: bool) -> list[str]:
-    """Store *s*'s edit, mirrored: an add files the row, then runs the
-    subscribers; a remove runs them, then drops the row."""
-    return [f"r{s}[wt] = w", *body(s, True)] if add else [*body(s, False), f"del r{s}[wt]"]
+    """Store *s*'s edit, mirrored: an add counts the WME, then runs the
+    subscribers; a remove runs them, then uncounts it."""
+    return [f"sc[{s}] += 1", *body(s, True)] if add else [*body(s, False), f"sc[{s}] -= 1"]
 
 
 def _emit_store(emit, plan: StorePlan, keyed: bool, body, pad: str, add: bool) -> None:
-    """One store in a multi-store block or a tail: if the WME passes
-    (add) or is filed (remove), edit the store and join its mask."""
-    s = plan.index
-    test = _store_test(plan, keyed) if add else f"wt in r{s}"
-    if test:
+    """One store in a multi-store block or a tail: if the WME passes its
+    tests -- on a remove too, as a record never changes -- edit the store
+    and join its mask."""
+    if test := _store_test(plan, keyed):
         emit(f"{pad}if {test}:")
         pad += "    "
-    for line in [*_edit(s, body, add), f"m |= m{s}"]:
+    for line in [*_edit(plan.index, body, add), f"m |= m{plan.index}"]:
         emit(pad + line)
 
 
@@ -701,9 +702,7 @@ def _emit_blocks(emit, n: int, plans: list[StorePlan], body) -> None:
             emit("        return m")
             continue
         s = plans[0].index
-        if not add:
-            emit(f"        if wt not in r{s}: return 0")
-        elif test := _store_test(plans[0], True):
+        if test := _store_test(plans[0], True):
             emit(f"        if not ({test}): return 0")
         for line in [*_edit(s, body, add), f"return m{s}"]:
             emit(f"        {line}")
@@ -716,9 +715,9 @@ def _emit_entries(
     group into its dicts of blocks (``T`` / ``Q``), run the tail inline,
     return the number of affected productions.  A dict hit is ``==`` on
     every constant of the key: OPS5 equality once the probed value is
-    an OPS5 value (``True == 1`` is not), which the add entry checks
+    an OPS5 value (``True == 1`` is not), which both entries check
     where a key holds a number.  *blocks* numbers blocks module-wide."""
-    probes, guards = [], []
+    probes = []
     for g, (attrs, table) in enumerate(groups.items()):
         adds, removes = [], []
         for constants, indexes in table.items():
@@ -729,22 +728,19 @@ def _emit_entries(
         emit(f"    T{c}_{g} = {{{', '.join(adds)}}}")
         emit(f"    Q{c}_{g} = {{{', '.join(removes)}}}")
         reads = [_read(cls, attr) for attr in attrs]
-        probes.append(reads[0] if len(reads) == 1 else _tuple_literal(reads))
         parts = ["k"] if len(attrs) == 1 else [f"k[{i}]" for i in range(len(attrs))]
         keys = [key if len(attrs) > 1 else (key,) for key in table]
         numeric = [any(type(key[i]) is not str for key in keys) for i in range(len(parts))]
-        guards.append("".join(
+        guard = "".join(
             f"isinstance({part}, _V) and type({part}) is not bool and "
             for part, check in zip(parts, numeric) if check
-        ))
+        )
+        probes.append((reads[0] if len(reads) == 1 else _tuple_literal(reads), guard))
     for add in (True, False):
         emit(f"    def {'A' if add else 'R'}{c}(w):")
         emit("        wt = w.timetag; m = 0")
-        for g, (probe, guard) in enumerate(zip(probes, guards)):
-            if add:
-                emit(f"        k = {probe}; b = {guard}T{c}_{g}.get(k)")
-            else:
-                emit(f"        b = Q{c}_{g}.get({probe})")
+        for g, (probe, guard) in enumerate(probes):
+            emit(f"        k = {probe}; b = {guard}{'T' if add else 'Q'}{c}_{g}.get(k)")
             emit("        if b: m |= b(w, wt)")
         for s in tail:
             _emit_store(emit, plans[s], False, body, "        ", add)
@@ -764,16 +760,15 @@ def generate_parts(productions: Sequence[Production]) -> list[tuple[str, tuple, 
     out: list[str] = [
         "    _veq, _same, _lt, _le, _gt, _ge = rt.veq, rt.same, rt.lt, rt.le, rt.gt, rt.ge",
         "    _N, _V = (int, float), (str, int, float)",
-        "    fi, uf, ctr, P = rt.file, rt.unfile, rt.counters, rt.productions",
+        "    fi, uf, ctr, P, sc = rt.file, rt.unfile, rt.counters, rt.productions, rt.counts",
         "    cs_insert, cs_delete, Inst = rt.cs_insert, rt.cs_delete, rt.instantiation",
         *(f"    {statement}" for statement in LITERAL_PRELUDE.split("; ")),
     ]
     emit = out.append
 
-    # Stores: the affected-set bitmask, then the rows; then the right indexes.
+    # Stores, each named by its affected-set bitmask; then the right indexes.
     for plan in plans:
-        emit(f"    m{plan.index} = {hex(plan.mask)}")
-        emit(f"    r{plan.index} = rt.store({plan.cls!r}, m{plan.index})")
+        emit(f"    m{plan.index} = rt.store({plan.cls!r}, {hex(plan.mask)})")
     indexes, specs = plan_right_indexes(productions, use)
     for name in specs:
         emit(f"    {name} = rt.index()")

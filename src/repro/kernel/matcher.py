@@ -54,9 +54,10 @@ default, takes the same path.
 Checking
 --------
 The matcher is checked from outside.  ``check_kernel``
-(``repro run --verify``) audits its stores against working memory; the
-fuzz fleet (``repro fuzz``) compares its conflict set and firings with
-the interpreted matchers' after every op; ``tests/kernel/test_sharing.py``
+(``repro run --verify``) audits its store counts and right indexes
+against working memory; the fuzz fleet (``repro fuzz``) compares its
+conflict set and firings with the interpreted matchers' after every
+op; ``tests/kernel/test_sharing.py``
 drives a node-walking :class:`~repro.rete.ReteNetwork` beside it.
 """
 
@@ -234,8 +235,8 @@ class CompiledMatcher(Matcher):
         return "\n".join(kernel.source for kernel in self._kernels)
 
     def state_size(self) -> int:
-        """Alpha rows across all partitions' stores: one per (store, WME)
-        pair.  Not :meth:`ReteNetwork.state_size`'s dict -- the kernel
+        """WMEs held across all partitions' stores: one per (store, WME)
+        pair, read from the stores' counts.  Not :meth:`ReteNetwork.state_size`'s dict -- the kernel
         keeps no beta tokens to count (ROADMAP item 20)."""
         return sum(runtime.state_size() for runtime in self._runtimes)
 
@@ -243,7 +244,6 @@ class CompiledMatcher(Matcher):
         """The ``kernel`` section of the unified metrics snapshot; the
         ruleset-shaped blocks are planned once per ruleset and rebuild."""
         runtimes = self._runtimes
-        stores = [store for runtime in runtimes for store in runtime.stores]
         if self._shape is None:
             partitions = self.partition_snapshot()
             slices = [runtime.productions for runtime in runtimes]
@@ -266,8 +266,8 @@ class CompiledMatcher(Matcher):
         return {
             "compiles": self._compiles,
             "ruleset_digest": ",".join(k.digest for k in self._kernels) or None,
-            "stores": len(stores),
-            "store_rows": sum(len(s) for s in stores),
+            "stores": sum(len(runtime.stores) for runtime in runtimes),
+            "store_rows": self.state_size(),
             **deepcopy(self._shape),  # a caller's edit must not reach the next call
             "replayed_wmes": self._replayed,
             "layouts": {cls: {"width": len(l.names), "overflowed": l.overflowed}

@@ -7,11 +7,11 @@ serve story):
   the ``build`` function chaining them -- lives process-wide in
   :class:`~repro.kernel.shared.SharedKernel`, built once per ruleset
   *shape* and shared by every session running it;
-* the **mutable state** -- :class:`~repro.kernel.layout.AlphaStore`
-  rows, the beta index dicts the generated closures capture
-  (a right index's one-member bucket is the WME itself: :func:`_file`),
-  blocker counts, and the conflict-set edits -- lives here, one
-  :class:`KernelRuntime` per session.
+* the **mutable state** -- one count per
+  :class:`~repro.kernel.layout.AlphaStore`, the beta index dicts the
+  generated closures capture (a right index's one-member bucket is the
+  WME itself: :func:`_file`), blocker counts, and the conflict-set
+  edits -- lives here, one :class:`KernelRuntime` per session.
 
 Attaching a session to a warm kernel therefore costs closure
 construction (one ``build`` call over the already-compiled parts)
@@ -76,7 +76,7 @@ class KernelRuntime:
     install the class entries in ``adds`` / ``removes``."""
 
     __slots__ = ("counters", "cs_insert", "cs_delete", "instantiation",
-                 "productions", "stores", "indexes", "adds", "removes")
+                 "productions", "stores", "counts", "indexes", "adds", "removes")
 
     # Join-test helpers, shared by every kernel.
     veq = staticmethod(values_equal)
@@ -101,17 +101,21 @@ class KernelRuntime:
         #: ``productions`` and the entries' affected bitmasks index it.
         self.productions = productions
         self.stores: list[AlphaStore] = []
+        #: WMEs each store holds, by store index: the generated edits
+        #: bump it (the runtime keeps no per-WME row of a store).
+        self.counts: list[int] = []
         self.indexes: list[dict] = []  # in ``codegen.plan_right_indexes`` order
         #: class -> generated entry: ``entry(wme)`` edits the stores, runs
         #: their subscribers, returns the number of affected productions.
         self.adds: dict = {}
         self.removes: dict = {}
 
-    def store(self, cls: str, mask: int) -> dict:
-        """A new store's row dict (called by the generated code)."""
-        store = AlphaStore(len(self.stores), cls, mask)
-        self.stores.append(store)
-        return store.rows
+    def store(self, cls: str, mask: int) -> int:
+        """Register a new store; return its *mask* (called by the
+        generated code)."""
+        self.stores.append(AlphaStore(len(self.stores), cls, mask))
+        self.counts.append(0)
+        return mask
 
     def index(self) -> dict:
         """A new right index (called by the generated code)."""
@@ -129,5 +133,5 @@ class KernelRuntime:
         return entry(wme) if entry is not None else 0
 
     def state_size(self) -> int:
-        """Alpha rows across this runtime's stores."""
-        return sum(len(s) for s in self.stores)
+        """WMEs held across this runtime's stores: one per (store, WME)."""
+        return sum(self.counts)

@@ -2,14 +2,15 @@
 
 :func:`check_kernel` is the compiled counterpart of the Rete
 ``check_network`` hook used by ``repro run --verify``.  It audits each
-partition's stores against the plan, the engine's working memory
-(``matcher.memory``) and the *interpreted* alpha tests
-(``ops5.condition.wme_passes_alpha`` of each store's condition
-elements -- never the generated entries it checks) and its right
-indexes against their stores' rows, then builds a fresh node-walking
+partition from first principles: a store's contents are the engine's
+working-memory WMEs (``matcher.memory``) that pass the *interpreted*
+alpha tests of its condition elements (``ops5.condition.wme_passes_alpha``
+-- never the generated entries it checks).  Their number must be the
+store's count, and each right index the store feeds must hold exactly
+them under their join keys.  It then builds a fresh node-walking
 :class:`~repro.rete.ReteNetwork` over that same memory, comparing
-conflict sets.
-An empty list of problems means the kernel holds what Rete would.
+conflict sets.  An empty list of problems means the kernel holds what
+Rete would.
 """
 
 from __future__ import annotations
@@ -34,33 +35,28 @@ def check_kernel(matcher: CompiledMatcher) -> list[str]:
         shapes = [(s.cls, s.mask) for s in runtime.stores]
         if shapes != [(p.cls, p.mask) for p in plans] or len(runtime.indexes) != len(specs):
             problems.append(f"partition {part}: stores or right indexes differ from the plan")
-        for store, ces in zip(runtime.stores, readers):
-            where = f"partition {part} store {store.index}"
-            for timetag, wme in store.rows.items():
-                if wme not in memory or wme.timetag != timetag:
-                    problems.append(
-                        f"{where}: row {timetag} is not working memory's WME"
-                    )
-                if not all(wme_passes_alpha(wme, ce) for ce in ces):
-                    problems.append(
-                        f"{where}: row {timetag} fails its alpha tests"
-                    )
-            for wme in memory:
-                if wme.cls != store.cls or wme.timetag in store.rows:
-                    continue
-                if all(wme_passes_alpha(wme, ce) for ce in ces):
-                    problems.append(
-                        f"{where}: WME {wme.timetag} passes the alpha "
-                        "tests but is missing from the store"
-                    )
+            continue
+        held = [
+            [w for w in memory if w.cls == plan.cls and all(wme_passes_alpha(w, ce) for ce in ces)]
+            for plan, ces in zip(plans, readers)
+        ]
+        for s, (wmes, count) in enumerate(zip(held, runtime.counts)):
+            if count != len(wmes):
+                problems.append(
+                    f"partition {part} store {s}: counts {count} WMEs, "
+                    f"{len(wmes)} pass its alpha tests"
+                )
         for (name, (s, attrs)), index in zip(specs.items(), runtime.indexes):
             want: dict = {}
-            for wme in runtime.stores[s].rows.values():
+            for wme in held[s]:
                 key = tuple(map(wme.get, attrs))
                 want.setdefault(key[0] if len(key) == 1 else key or 0, {})[wme.timetag] = wme
             have = {k: b if type(b) is dict else {b.timetag: b} for k, b in index.items()}
             if have != want or any(type(b) is dict and len(b) < 2 for b in index.values()):
-                problems.append(f"partition {part} right index {name}: not store {s}'s rows by key")
+                problems.append(
+                    f"partition {part} right index {name}: not the WMEs "
+                    f"passing store {s}'s alpha tests, by key"
+                )
 
     # One-shot differential check against the node-walking Rete.
     from ..rete.network import ReteNetwork

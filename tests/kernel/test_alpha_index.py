@@ -5,15 +5,16 @@ A change reaches the stores through one generated entry per class
 (``rt.adds[cls]`` / ``rt.removes[cls]``), which probes each constant
 group's dict of store blocks, runs the class's tail inline and tests
 every other alpha item inline.  The property below drives rulesets
-through those entries on a fresh runtime and holds store membership to
+through those entries on a fresh runtime and holds store membership
+(the stores whose count an add raises) to
 ``ops5.condition.wme_passes_alpha`` of each store's condition elements
 (taken from the plan), the affected count to the productions those
-stores feed, and removal to empty stores -- over generated rulesets with
-the typed corner cases forced into the strategy: ``5`` vs ``"5"``,
-``1`` vs ``1.0`` vs ``True``, ``0`` vs ``-0.0`` vs ``False``, NaN,
-``inf``, a constant ``nil`` and absent attributes, one attribute under
-two constants, mixed-type disjunctions, predicate- and intra-CE-only
-stores.  Hand mutations of ``kernel/codegen.py`` that each fail this
+stores feed, and a remove to the stores its add filed -- over
+generated rulesets with the typed corner cases forced into the
+strategy: ``5`` vs ``"5"``, ``1`` vs ``1.0`` vs ``True``, ``0`` vs
+``-0.0`` vs ``False``, NaN, ``inf``, a constant ``nil`` and absent
+attributes, one attribute under two constants, mixed-type
+disjunctions, predicate- and intra-CE-only stores.  Hand mutations of ``kernel/codegen.py`` that each fail this
 file or ``tests/kernel/test_sharing.py`` are named in CHANGES.md.
 """
 
@@ -40,6 +41,7 @@ from repro.ops5.condition import (
 from repro.ops5.conflict import ConflictSet
 from repro.ops5.production import Production
 from repro.ops5.wme import NIL, WME
+from repro.rete.nodes import AlphaMemory
 from repro.workloads.generator import emit_system_program
 from repro.workloads.profiles import profile_named
 
@@ -153,18 +155,23 @@ def check_entries_equal_interpreted_scan(ces, wme_specs) -> None:
             for pairs in readers
         ]
         affected = {p for pairs, ok in zip(readers, passes) if ok for p, _ce in pairs}
+        before = runtime.counts[:]
         assert runtime.add_wme(wme) == len(affected), (wme, affected)
-        membership = [timetag in store.rows for store in runtime.stores]
-        assert membership == passes, (wme, membership, passes)
-        added.append((wme, len(affected)))
+        # Where the generated entry filed it: the stores whose count rose.
+        filed = [now - then for now, then in zip(runtime.counts, before)]
+        assert filed == list(map(int, passes)), (wme, filed, passes)
+        added.append((wme, len(affected), filed))
     # One instantiation per (single-CE production, WME its store holds).
     assert len(conflict_set) == sum(
-        len(runtime.stores[s].rows) * len(pairs) for s, pairs in enumerate(readers)
+        runtime.counts[s] * len(pairs) for s, pairs in enumerate(readers)
     )
-    for wme, affected in reversed(added):
+    for wme, affected, filed in reversed(added):
+        before = runtime.counts[:]
         assert runtime.remove_wme(wme) == affected, wme
+        # A remove unfiles it from exactly the stores its add filed it in.
+        assert [then - now for now, then in zip(runtime.counts, before)] == filed, wme
     assert runtime.state_size() == 0 and len(conflict_set) == 0
-    assert all(not store.rows for store in runtime.stores)
+    assert runtime.counts == [0] * len(plans)
 
 
 @settings(max_examples=150, deadline=None, database=None, derandomize=True)
@@ -223,7 +230,7 @@ def test_r1_soar_table_shape():
     c = list(index).index("task")
     entry = re.search(rf"    def A{c}\(w\):\n((?:        .*\n)+)", source).group(1)
     (tail,) = index["task"][1]
-    assert entry.count(".get(k)") == 1 and f"r{tail}[wt] = w" in entry
+    assert entry.count(".get(k)") == 1 and f"sc[{tail}] += 1" in entry
 
 
 def test_one_wme_through_two_groups_and_the_tail():
@@ -256,6 +263,47 @@ def test_one_wme_through_two_groups_and_the_tail():
     # Affected: 4 productions read the tail store, every change passes it.
     assert stats.total_affected_productions == 4 * stats.total_changes
     driven.do(("remove", 3))
+    assert driven.satisfied() == set()
+
+
+@pytest.mark.parametrize("cls", ["k", "j"])
+def test_a_remove_takes_the_guard_an_add_takes(cls):
+    """A remove finds the stores holding a WME by the add's own probe,
+    guard and store tests, so ``True`` -- which a dict hit equates with
+    ``1`` -- is never unfiled from the ``^x 1`` and ``^x 1.0`` stores it
+    never entered (``k``'s two stores share one block; ``j`` has a block
+    for ``^x 1`` alone), and the ``^x 1`` store feeds a right index.
+    After every step each store's count equals the interpreted Rete's
+    alpha memory for the same readers, the conflict sets agree
+    (``Shadowed``) and ``check_kernel`` is clean (``audit``)."""
+    source = f"""
+      (p one  ({cls} ^x 1) --> (halt))
+      (p pair (m ^y <v>) ({cls} ^x 1 ^y <v>) --> (halt))
+    """ + ("(p onef (k ^x 1.0) --> (halt))" if cls == "k" else "")
+    driven = Driven(source, ("add", "m", {"y": 2}))
+    (runtime,) = driven.matcher.runtimes
+    if cls == "k":
+        groups, _tail = plan_alpha_index(plan_stores(runtime.productions)[0])["k"]
+        assert list(groups[("x",)].values()) == [[0, 2]]  # ^x 1 and ^x 1.0, one block
+
+    def agree():
+        names = lambda store: frozenset(runtime.productions[p].name for p in store.productions)
+        ours = {names(store): n for store, n in zip(runtime.stores, runtime.counts)}
+        theirs = {frozenset(node.production_names): len(node.items)
+                  for node in driven.matcher.rete.share_registry.values()
+                  if isinstance(node, AlphaMemory)}
+        assert ours == theirs
+
+    agree()
+    values = [True, 1, 1.0, "1"]
+    for value in values:
+        driven.do(("add", cls, {"x": value, "y": 2}))
+        agree()
+    assert driven.satisfied() == ({"one", "pair", "onef"} if cls == "k" else {"one", "pair"})
+    for k in range(1, len(values) + 1):
+        driven.do(("remove", k))
+        agree()
+    assert runtime.counts == [0, 1, 0][: len(runtime.counts)]
     assert driven.satisfied() == set()
 
 

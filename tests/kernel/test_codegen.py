@@ -51,14 +51,14 @@ class TestGeneratedSource:
     def test_join_keys_read_both_sides_wmes(self):
         """The level-1 key reads ``^want`` from the token's CE-0 WME and
         the right activation ``^color`` from the entering WME: a store is
-        its rows alone, with no copy of either value."""
+        its count alone, with no copy of either value."""
         productions = _productions("(p find (goal ^want <c>) (block ^color <c>) --> (halt))")
         source = generate_source(productions)
         # Each a slot of its class's record.
         goal, block = productions.layouts["goal"], productions.layouts["block"]
         assert f"        key = tok[0]._{goal.index['want']}\n" in source
         assert f"        key = w._{block.index['color']}\n" in source
-        assert "    r0 = rt.store('goal', m0)\n    m1 = 0x1\n    r1 = rt.store('block', m1)\n" in source
+        assert "    m0 = rt.store('goal', 0x1)\n    m1 = rt.store('block', 0x1)\n" in source
 
     def test_source_is_deterministic(self):
         productions = _productions(
@@ -83,8 +83,8 @@ class TestGeneratedSource:
 class TestRemoval:
     def test_a_row_drops_right_after_its_own_delete_subscribers(self):
         """A remove mirrors an add, one pass over the stores: ``solo``'s
-        store (a keyed block) retracts while both stores hold the WME,
-        then drops its row before the tail store retracts ``pair``."""
+        store (a keyed block) retracts while both stores count the WME,
+        then uncounts it before the tail store retracts ``pair``."""
         productions = _productions(
             """
             (p pair (a ^v <x>) (b ^v <x>) --> (halt))
@@ -96,18 +96,17 @@ class TestRemoval:
 
         class Watched(ConflictSet):
             def delete_key(self, key):
-                holders.append((key[0], {s.index for s in runtime.stores if wt in s.rows}))
+                holders.append((key[0], {s for s, n in enumerate(runtime.counts) if n}))
                 super().delete_key(key)
 
         runtime = shared_kernel(productions).attach(Watched(), productions)
         memory = WorkingMemory()
         runtime.add_wme(memory.add(WME("a", {"v": 1})))
         b = memory.add(WME("b", {"v": 1}))
-        wt = b.timetag
         assert runtime.add_wme(b) == 2
         assert runtime.remove_wme(b) == 2
-        solo, pair = use[(1, 0)].index, use[(0, 1)].index
-        assert holders == [("solo", {solo, pair}), ("pair", {pair})]
+        a, solo, pair = use[(0, 0)].index, use[(1, 0)].index, use[(0, 1)].index
+        assert holders == [("solo", {a, solo, pair}), ("pair", {a, pair})]
         assert runtime.state_size() == 1
 
 
@@ -153,13 +152,14 @@ class TestAlphaSemantics:
         for timetag, attrs in enumerate(self.CANDIDATES, 1):
             wme = WME("item", attrs)
             wme.timetag = timetag
+            before = runtime.counts[:]
             runtime.add_wme(wme)
             for p_idx, production in enumerate(productions):
                 # Stores are built in plan-index order, so the plan's index
-                # addresses the runtime's store list directly.
-                store = runtime.stores[use[(p_idx, 0)].index]
+                # addresses the runtime's counts directly.
+                s = use[(p_idx, 0)].index
                 expected = wme_passes_alpha(wme, production.analysis[0])
-                assert (timetag in store.rows) == expected, (production.name, attrs)
+                assert runtime.counts[s] - before[s] == expected, (production.name, attrs)
             runtime.remove_wme(wme)
             assert runtime.state_size() == 0
 

@@ -172,9 +172,11 @@ class TestSessionIsolation:
         assert {k[0] for k in a.conflict_set.snapshot()} == {"match"}
         assert {k[0] for k in b.conflict_set.snapshot()} == {"absent"}
         # Mutating one session leaves the other's stores untouched.
-        rows_b = {s.cls: dict(s.rows) for s in b.runtimes[0].stores}
+        (runtime_b,) = b.runtimes
+        state_b = (runtime_b.counts[:], [dict(index) for index in runtime_b.indexes])
         a.add_wme(wm_a.add(WME("block", {"color": "red", "size": 9})))
-        assert {s.cls: dict(s.rows) for s in b.runtimes[0].stores} == rows_b
+        assert a.state_size() == 5
+        assert (runtime_b.counts, [dict(i) for i in runtime_b.indexes]) == state_b
 
 
 class TestCompileMemory:
@@ -215,25 +217,30 @@ class TestCompileMemory:
 class TestAttachCells:
     """An attach builds the closures over one session's state; what they
     capture is what a session costs beyond its working memory.  Join
-    keys read the WMEs a token holds, so a store is its rows alone and
-    no column dict is captured: r1-soar's attach made 1,166 cells while
-    stores kept a column per joined attribute, 1,088 without, and 1,075
-    once levels on one store and join key shared a right index (91 -> 56
-    indexes, each bound in the first part instead of its production's)."""
+    keys read the WMEs a token holds, and a store is one count in the
+    runtime's list, so no column or row dict is captured: r1-soar's
+    attach made 1,166 cells while stores kept a column per joined
+    attribute, 1,088 without, 1,075 once levels on one store and join
+    key shared a right index (91 -> 56 indexes, each bound in the first
+    part instead of its production's), and 1,025 once stores kept no
+    row dict (each part binds the one count list, not a dict per
+    store)."""
 
     @staticmethod
     def _cells() -> int:
         gc.collect()
         return sum(type(o) is CellType for o in gc.get_objects())
 
-    def test_an_r1_soar_attach_creates_at_most_1075_cells(self):
+    def test_an_r1_soar_attach_creates_at_most_1025_cells(self):
         productions = parse_program(SYSTEM_PROGRAMS["r1-soar"].PROGRAM).productions
         kernel = shared_kernel(productions)
         kernel.attach(ConflictSet(), productions)  # warm: nothing left to build lazily
         before = self._cells()
         runtime = kernel.attach(ConflictSet(), productions)
-        assert self._cells() - before <= 1_075
-        assert runtime.stores
+        assert self._cells() - before <= 1_025
+        assert runtime.stores and runtime.counts == [0] * len(runtime.stores)
         for store in runtime.stores:
-            held = [name for name in type(store).__slots__ if type(getattr(store, name)) is dict]
-            assert held == ["rows"], store
+            # A store holds no per-WME container: its WMEs are counted in
+            # ``runtime.counts`` and filed only in the right indexes.
+            held = [getattr(store, name) for name in type(store).__slots__]
+            assert not [v for v in held if isinstance(v, (dict, list, set))], store

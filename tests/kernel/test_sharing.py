@@ -207,7 +207,7 @@ def test_r1_soar_groups():
     readers = {}
     for store in system.matcher.runtimes[0].stores:
         edit = re.search(
-            rf"r{store.index}\[wt\] = w\n(.*?)(m \|= |return )m{store.index}\b", source, re.S
+            rf"sc\[{store.index}\] \+= 1\n(.*?)(m \|= |return )m{store.index}\b", source, re.S
         ).group(1)
         if "fi(" in edit:
             assert edit.count("fi(") == 1, store

@@ -40,23 +40,22 @@ class TestChecker:
         assert check_kernel(matcher) == []
 
     def test_detects_dropped_store_row(self):
-        matcher, wmes = _loaded([("block", {"color": "red"})])
-        store = next(
-            s for s in matcher.runtimes[0].stores if wmes[0].timetag in s.rows
-        )
-        del store.rows[wmes[0].timetag]  # sabotage: row gone
-        problems = check_kernel(matcher)
-        assert problems and any("is missing from the store" in p for p in problems)
+        matcher, _wmes = _loaded([("block", {"color": "red"})])
+        counts = matcher.runtimes[0].counts
+        (s,) = [s for s, n in enumerate(counts) if n]  # the store that filed it
+        counts[s] -= 1  # sabotage: the store's count misses it
+        assert check_kernel(matcher) == [
+            f"partition 0 store {s}: counts 0 WMEs, 1 pass its alpha tests"
+        ]
 
     def test_detects_a_store_sabotaged_in_the_second_partition(self):
         matcher, wmes = _loaded(
             [("goal", {"want": "red"}), ("block", {"color": "red"})], partitions=2
         )
         assert len(matcher.runtimes) == 2 and check_kernel(matcher) == []
-        store = next(
-            s for s in matcher.runtimes[1].stores if wmes[1].timetag in s.rows
-        )
-        del store.rows[wmes[1].timetag]  # sabotage: row gone
+        (index,) = [i for i in matcher.runtimes[1].indexes if i]
+        assert index == {"red": wmes[1]}
+        del index["red"]  # sabotage: the block is gone from its right index
         problems = check_kernel(matcher)
         assert problems and all(p.startswith("partition 1 ") for p in problems)
 
@@ -66,28 +65,32 @@ class TestChecker:
         (index,) = matcher.runtimes[0].indexes
         assert index == {"red": wmes[1]} and check_kernel(matcher) == []
         index["blue"] = index.pop("red")  # sabotage: filed under another key
-        assert check_kernel(matcher) == ["partition 0 right index ri1_0: not store 1's rows by key"]
+        assert check_kernel(matcher) == [
+            "partition 0 right index ri1_0: not the WMEs passing store 1's alpha tests, by key"
+        ]
 
     def test_detects_corrupted_dispatch_table(self):
         """A class entry that files nothing is a false negative: the
-        auditor's own scan of the interpreted alpha tests names the WME."""
+        auditor's own scan of the interpreted alpha tests counts the WME."""
         matcher, _ = _loaded([("goal", {"want": "red"})])
         matcher.runtimes[0].adds["block"] = lambda wme: 0  # sabotage: no store
         memory = matcher.memory
         memory.reserve_timetags(10)
         matcher.add_wme(memory.add(WME("block", {"color": "red"})))
         problems = check_kernel(matcher)
-        assert any(
-            "WME 10 passes the alpha tests but is missing from the store" in p
-            for p in problems
-        )
+        assert "partition 0 store 1: counts 0 WMEs, 1 pass its alpha tests" in problems
 
     def test_detects_a_row_that_fails_its_alpha_tests(self):
         matcher, wmes = _loaded([("goal", {"want": "red"})])
-        store = next(s for s in matcher.runtimes[0].stores if s.cls == "block")
-        store.rows[wmes[0].timetag] = wmes[0]  # sabotage: a goal in a block store
-        problems = check_kernel(matcher)
-        assert any("fails its alpha tests" in p for p in problems)
+        runtime = matcher.runtimes[0]
+        (s,) = [s for s, store in enumerate(runtime.stores) if store.cls == "block"]
+        # Sabotage: a goal filed in the block store, as its entry would.
+        runtime.counts[s] += 1
+        runtime.file(runtime.indexes[0], "red", wmes[0].timetag, wmes[0])
+        assert check_kernel(matcher) == [
+            f"partition 0 store {s}: counts 1 WMEs, 0 pass its alpha tests",
+            "partition 0 right index ri1_0: not the WMEs passing store 1's alpha tests, by key",
+        ]
 
     def test_unassigned_and_nan_values_pass(self):
         # A join key reads the WME's own value object: nil for an unset

@@ -161,7 +161,7 @@ def test_a_kernel_reads_a_class_with_no_layout_through_get_and_fixes_none():
     wme = WME("lay-other", {"k": 1})  # any element compiles the kernel
     matcher.memory.add(wme)
     matcher.add_wme(wme)
-    assert "b = Q0_0.get(w.get('k'))" in matcher.generated_source
+    assert "k = w.get('k'); b = isinstance(k, _V)" in matcher.generated_source
     assert "_held = hold_layouts({})\n" in matcher.generated_source
     assert live_layout("lay-none") is None
 
